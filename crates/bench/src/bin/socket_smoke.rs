@@ -6,7 +6,7 @@
 //! full Stache protocol across the process boundary. The workload is an
 //! exclusive-increment torture: every node repeatedly upgrades every
 //! counter block to exclusive and increments it, so ownership of each
-//! block migrates across the wire on nearly every step (gets, recalls,
+//! block moves across the wire on nearly every step (gets, recalls,
 //! grants, and data all cross the socket). Each node then polls until
 //! every counter reaches `nodes × rounds` — invalidation-based polling,
 //! which only converges if cross-process recalls work.

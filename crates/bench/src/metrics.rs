@@ -12,7 +12,7 @@
 //! traffic, so a phase instance whose gated metrics deviate from the
 //! median of its *sibling* iterations is worth flagging — and the cause
 //! counters recorded in the same deltas (schedule rebuilds, degradation
-//! flushes, migration windows, crash recoveries) usually name the reason.
+//! flushes, crash recoveries, a home remap) usually name the reason.
 
 use prescient_runtime::{PhaseGroup, RunTimeline};
 use prescient_tempest::socket::NodeRange;
@@ -118,9 +118,6 @@ fn causes_of(g: &PhaseGroup) -> Vec<String> {
     }
     if s.degrade_events > 0 {
         out.push(format!("degradation flush ({} events)", s.degrade_events));
-    }
-    if s.migrations > 0 || s.forwards > 0 {
-        out.push(format!("migration window ({} moves, {} forwards)", s.migrations, s.forwards));
     }
     if s.recoveries > 0 || s.replays > 0 {
         out.push(format!("crash recovery ({} recoveries, {} replays)", s.recoveries, s.replays));

@@ -3,25 +3,24 @@
 //! subcommand) and `ablation_placement` (which runs the full
 //! record → emit-remap → rerun pipeline in-process).
 //!
-//! The aggregation is the offline twin of the online placement policy
-//! (`prescient_stache::placement`): every `GetShared` a home handles
-//! scores 1 for the requester, every `GetExcl` scores 2 — writers drag
-//! invalidation rounds behind them, so co-locating the home with the
-//! writer saves more than co-locating with a reader. A block whose top
-//! scorer strictly beats every other requester re-homes there; ties and
-//! blocks their own home dominates stay put (DESIGN.md §14).
+//! This is where the dominance policy lives: every `GetShared` a home
+//! handles scores 1 for the requester, every `GetExcl` scores 2 — writers
+//! drag invalidation rounds behind them, so co-locating the home with
+//! the writer saves more than co-locating with a reader. A block whose
+//! top scorer strictly beats every other requester re-homes there; ties
+//! and blocks their own home dominates stay put (DESIGN.md §14).
 
 use std::collections::{BTreeMap, HashMap};
 
+use prescient_tempest::metrics::{field_str, field_u64};
 use prescient_tempest::trace::{unpack_msg, EventKind, TraceEvent};
 use prescient_tempest::NodeId;
 
-/// Weighted demand traffic of one block: which home served it (the last
-/// receiver seen, so a run with live migration reports the final home)
-/// and each requester's score.
+/// Weighted demand traffic of one block: which home served it and each
+/// requester's score.
 #[derive(Default)]
 pub struct BlockTraffic {
-    /// The home that served the block's requests (last receiver seen).
+    /// The home that served the block's requests.
     pub home: NodeId,
     /// Weighted score per requester (2 per exclusive, 1 per shared).
     pub score: HashMap<NodeId, u64>,
@@ -80,20 +79,6 @@ pub fn emit_remap(events: &[TraceEvent]) -> String {
 }
 
 // ---- JSONL parsing --------------------------------------------------------
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let i = line.find(&pat)? + pat.len();
-    let rest = &line[i..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let i = line.find(&pat)? + pat.len();
-    line[i..].split('"').next()
-}
 
 /// Parse one line of a trace JSONL export.
 pub fn parse_trace_line(line: &str) -> Result<TraceEvent, String> {

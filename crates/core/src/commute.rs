@@ -319,8 +319,6 @@ pub fn merge(
             // sits in the recovery protocol, never during a merge window;
             // tolerate (and drop) one anyway.
             Ok(Wake::Fence) => {}
-            // A straggler migration ack from a window that already closed.
-            Ok(Wake::MigrateAck { .. }) => {}
             Ok(other) => panic!("unexpected wake during merge ack wait: {other:?}"),
             Err(RecvTimeoutError::Timeout) => {
                 if n.is_aborting() {

@@ -66,7 +66,7 @@ use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
 use std::sync::Arc;
 
 use crate::codes;
-use crate::schedule::{PhaseId, ScheduleEntry, ScheduleStore};
+use crate::schedule::{PhaseId, ScheduleStore};
 use crate::tap::AccessTap;
 
 /// Degradation policy for the predictive protocol.
@@ -423,61 +423,6 @@ impl Hooks for Predictive {
         let mut st = self.state.lock();
         if let Some(&phase) = st.pushed_by.get(&block) {
             st.health.entry(phase).or_default().useless += 1;
-        }
-    }
-
-    /// Home migration: strip every phase's schedule entry for `block` (and
-    /// its waste-charging record) out of this node and encode it for the
-    /// new home. Wire format: word 0 is the `pushed_by` phase (`u64::MAX`
-    /// for none), followed by 7 words per phase entry —
-    /// `[phase, readers, writer (MAX = none), read_iter, write_iter,
-    /// flags (bit 0 conflict, bit 1 first_was_write), first_stamp]`.
-    fn export_block_schedule(&self, _node: &NodeShared, block: BlockId) -> Vec<u64> {
-        let mut st = self.state.lock();
-        let pushed = st.pushed_by.remove(&block);
-        let mut body = Vec::new();
-        for pid in st.store.phase_ids() {
-            if let Some(e) = st.store.phase_mut(pid).entries.remove(&block) {
-                body.extend_from_slice(&[
-                    u64::from(pid),
-                    e.readers.0,
-                    e.writer.map_or(u64::MAX, u64::from),
-                    e.read_iter,
-                    e.write_iter,
-                    u64::from(e.conflict) | u64::from(e.first_was_write) << 1,
-                    e.first_stamp,
-                ]);
-            }
-        }
-        if body.is_empty() && pushed.is_none() {
-            return Vec::new();
-        }
-        let mut words = vec![pushed.map_or(u64::MAX, u64::from)];
-        words.extend(body);
-        words
-    }
-
-    /// Adopt the schedule entries a migrating block's previous home
-    /// exported (inverse of [`Hooks::export_block_schedule`]'s encoding).
-    fn import_block_schedule(&self, _node: &NodeShared, block: BlockId, words: &[u64]) {
-        if words.is_empty() {
-            return;
-        }
-        let mut st = self.state.lock();
-        if words[0] != u64::MAX {
-            st.pushed_by.insert(block, words[0] as PhaseId);
-        }
-        for chunk in words[1..].chunks_exact(7) {
-            let e = ScheduleEntry {
-                readers: NodeSet(chunk[1]),
-                writer: (chunk[2] != u64::MAX).then_some(chunk[2] as NodeId),
-                read_iter: chunk[3],
-                write_iter: chunk[4],
-                conflict: chunk[5] & 1 != 0,
-                first_was_write: chunk[5] & 2 != 0,
-                first_stamp: chunk[6],
-            };
-            st.store.phase_mut(chunk[0] as PhaseId).entries.insert(block, e);
         }
     }
 }

@@ -336,8 +336,6 @@ pub fn presend(
             // sits in the recovery protocol, never during a pre-send window;
             // tolerate (and drop) one anyway.
             Ok(Wake::Fence) => {}
-            // A straggler migration ack from a window that already closed.
-            Ok(Wake::MigrateAck { .. }) => {}
             Ok(other) => panic!("unexpected wake during pre-send ack wait: {other:?}"),
             Err(RecvTimeoutError::Timeout) => {
                 if n.is_aborting() {

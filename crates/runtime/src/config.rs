@@ -1,7 +1,7 @@
 //! Machine configuration.
 
 use prescient_core::{CommuteConfig, PredictiveConfig};
-use prescient_stache::{PlacementConfig, RetryConfig};
+use prescient_stache::RetryConfig;
 use prescient_tempest::{
     BatchConfig, CostModel, CrashPlan, FaultPlan, HomeMap, MetricsConfig, TraceConfig,
 };
@@ -50,8 +50,8 @@ impl ProtocolKind {
 /// Traffic-aware block→home placement. `Off` is the default and leaves
 /// every gated counter bit-identical to a build without the feature;
 /// `Remap` applies a schedule-guided overlay computed offline (e.g. by
-/// `prescient-trace emit-remap`); `Online` migrates homes at phase
-/// barriers driven by observed per-block consumer traffic.
+/// `prescient-trace emit-remap`). Either way the mapping is fixed at
+/// machine construction.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum PlacementSpec {
     /// Blocks stay at their (possibly rotate-shifted) base-layout homes.
@@ -59,8 +59,6 @@ pub enum PlacementSpec {
     Off,
     /// Apply an explicit block→home overlay before the first phase.
     Remap(HomeMap),
-    /// Phase-boundary home migration with hysteresis thresholds.
-    Online(PlacementConfig),
 }
 
 impl PlacementSpec {
@@ -69,38 +67,14 @@ impl PlacementSpec {
         matches!(self, PlacementSpec::Off)
     }
 
-    /// Parse a `PRESCIENT_PLACEMENT` value: `"off"`, `"online"`,
-    /// `"online:MIN,PCT,CAP"`, or `"remap:PATH"` (the file is read and
-    /// validated against `nodes` immediately — a missing or malformed
-    /// remap file must fail the run, not silently measure `Off`).
+    /// Parse a `PRESCIENT_PLACEMENT` value: `"off"` or `"remap:PATH"` (the
+    /// file is read and validated against `nodes` immediately — a missing
+    /// or malformed remap file must fail the run, not silently measure
+    /// `Off`).
     pub fn parse(s: &str, nodes: usize) -> Result<PlacementSpec, String> {
         let t = s.trim();
         match t.split_once(':') {
-            None => match t {
-                "off" => Ok(PlacementSpec::Off),
-                "online" => Ok(PlacementSpec::Online(PlacementConfig::default())),
-                _ => Err(format!(
-                    "PRESCIENT_PLACEMENT: unknown mode {t:?} \
-                     (expected \"off\", \"online[:MIN,PCT,CAP]\" or \"remap:PATH\")"
-                )),
-            },
-            Some(("online", args)) => {
-                let parts: Vec<&str> = args.split(',').map(str::trim).collect();
-                if parts.len() != 3 {
-                    return Err(format!(
-                        "PRESCIENT_PLACEMENT: \"online:\" takes MIN,PCT,CAP, got {s:?}"
-                    ));
-                }
-                let num = |what: &str, x: &str| -> Result<u64, String> {
-                    x.parse::<u64>()
-                        .map_err(|_| format!("PRESCIENT_PLACEMENT: bad {what} {x:?} in {s:?}"))
-                };
-                Ok(PlacementSpec::Online(PlacementConfig {
-                    min_count: num("MIN", parts[0])?,
-                    dominance_pct: num("PCT", parts[1])?,
-                    max_per_window: num("CAP", parts[2])? as usize,
-                }))
-            }
+            None if t == "off" => Ok(PlacementSpec::Off),
             Some(("remap", path)) => {
                 let text = std::fs::read_to_string(path.trim()).map_err(|e| {
                     format!("PRESCIENT_PLACEMENT: cannot read remap file {path:?}: {e}")
@@ -109,9 +83,10 @@ impl PlacementSpec {
                     .map_err(|e| format!("PRESCIENT_PLACEMENT: remap file {path:?}: {e}"))?;
                 Ok(PlacementSpec::Remap(map))
             }
-            Some((k, _)) => Err(format!(
-                "PRESCIENT_PLACEMENT: unknown mode {k:?} \
-                 (expected \"off\", \"online[:MIN,PCT,CAP]\" or \"remap:PATH\"), got {s:?}"
+            other => Err(format!(
+                "PRESCIENT_PLACEMENT: unknown mode {:?} \
+                 (expected \"off\" or \"remap:PATH\"), got {s:?}",
+                other.map_or(t, |(k, _)| k)
             )),
         }
     }
@@ -274,7 +249,7 @@ pub struct MachineConfig {
     /// `b`'s view home becomes `(segment_home(b) + home_shift) % nodes`.
     /// `0` (the default) is the allocation-directed owner placement. The
     /// placement ablation uses a non-zero shift as its deliberately bad
-    /// static layout for remap/migration to recover from.
+    /// static layout for the remap to recover from.
     pub home_shift: u16,
 }
 
@@ -497,19 +472,9 @@ mod tests {
     #[test]
     fn placement_spec_parses_and_rejects_garbage() {
         assert!(PlacementSpec::parse("off", 4).expect("off").is_off());
-        assert_eq!(
-            PlacementSpec::parse("online", 4),
-            Ok(PlacementSpec::Online(PlacementConfig::default()))
-        );
-        match PlacementSpec::parse("online: 4, 75, 128", 4).expect("online args") {
-            PlacementSpec::Online(c) => {
-                assert_eq!((c.min_count, c.dominance_pct, c.max_per_window), (4, 75, 128));
-            }
-            other => panic!("expected Online, got {other:?}"),
-        }
-        for bad in ["", "on", "remap", "online:4", "online:4,75", "online:x,75,128", "migrate:now"]
-        {
-            assert!(PlacementSpec::parse(bad, 4).is_err(), "{bad:?} must not parse");
+        for bad in ["", "on", "remap", "online", "online:4,75,128", "move:now"] {
+            let err = PlacementSpec::parse(bad, 4).expect_err(bad);
+            assert!(err.starts_with("PRESCIENT_PLACEMENT: unknown mode"), "{bad:?}: {err}");
         }
         // A remap pointing at a missing file fails loudly, not as Off.
         assert!(PlacementSpec::parse("remap:/no/such/remap.txt", 4).is_err());

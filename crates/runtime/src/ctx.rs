@@ -14,8 +14,8 @@ use crossbeam::channel::{Receiver, RecvTimeoutError};
 use prescient_core::commute::merge as commute_merge;
 use prescient_core::presend::presend;
 use prescient_core::{Commute, PhaseId, Predictive};
-use prescient_stache::engine::{fetch, run_migration_window};
-use prescient_stache::{Hooks, Msg, NoHooks, NodeShared, Wake};
+use prescient_stache::engine::fetch;
+use prescient_stache::{Msg, NodeShared, Wake};
 use prescient_tempest::stats::{StatsSnapshot, WireSnapshot};
 use prescient_tempest::trace::{pack_counts, pack_fault_end, EventKind};
 use prescient_tempest::{
@@ -407,11 +407,11 @@ impl NodeCtx {
     /// Under plain Stache this is a no-op (the unoptimized program).
     pub fn phase_begin(&mut self, phase: PhaseId) {
         // Cut the inter-phase gap record before any of this directive's
-        // work (migration window, checkpoint, pre-send) accrues, so all
-        // of it lands in the phase's own record. A replayed begin (the
-        // phase is still open after a crash rollback) cuts nothing: the
-        // committed record then spans from the first attempt's begin to
-        // the final commit, matching the stats-rollback arithmetic.
+        // work (checkpoint, pre-send) accrues, so all of it lands in the
+        // phase's own record. A replayed begin (the phase is still open
+        // after a crash rollback) cuts nothing: the committed record then
+        // spans from the first attempt's begin to the final commit,
+        // matching the stats-rollback arithmetic.
         if self.metrics.as_ref().is_some_and(|m| m.open.is_none()) {
             self.metrics_cut(0, 0);
             let m = self.metrics.as_mut().expect("metrics on");
@@ -421,7 +421,6 @@ impl NodeCtx {
             m.open = Some((phase, iter));
         }
         self.version += 1;
-        self.migration_window();
         if self.checkpoints {
             self.take_checkpoint();
         }
@@ -588,43 +587,6 @@ impl NodeCtx {
             pack_counts(rep.chunks_out, merged.len() as u64),
         );
         merged
-    }
-
-    /// The phase-boundary home-migration window (online placement,
-    /// DESIGN.md §14). A no-op returning before any barrier when the
-    /// machine runs without online placement — the compiled-in-but-
-    /// disabled path adds zero synchronization and leaves every counter
-    /// bit-identical. When enabled: barrier (every compute thread
-    /// quiescent, every outstanding request answered), each node migrates
-    /// the blocks it homes whose dominant consumer is remote, barrier
-    /// (every handover acknowledged before any compute resumes).
-    ///
-    /// Ordered *before* the phase checkpoint so a crash in the upcoming
-    /// phase rolls back to the post-migration cut: forwarding stubs, the
-    /// moved directory entries and the cleared traffic counters all
-    /// survive rollback, and the replay re-runs the phase against the
-    /// migrated homes rather than re-deciding the window.
-    fn migration_window(&mut self) {
-        if self.shared.placement.is_none() {
-            return;
-        }
-        self.barrier_presend();
-        self.trace(EventKind::MigrateBegin, self.version, 0);
-        let nohooks = NoHooks;
-        let hooks: &dyn Hooks = if let Some(p) = &self.pred {
-            p.as_ref()
-        } else if let Some(c) = &self.commute {
-            c.as_ref()
-        } else {
-            &nohooks
-        };
-        let (moved, bytes) =
-            run_migration_window(&self.shared, hooks, &self.wake_rx, &mut self.stash);
-        // Bill the handover like a push: one startup per moved block plus
-        // the shipped bytes, on the protocol (pre-send) bar segment.
-        self.t.presend_ns += moved * self.cost.msg_startup_ns + bytes * self.cost.per_byte_ns;
-        self.trace(EventKind::MigrateEnd, moved, bytes);
-        self.barrier_presend();
     }
 
     // ----- crash recovery (DESIGN.md §12) ---------------------------------

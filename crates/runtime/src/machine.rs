@@ -172,6 +172,15 @@ impl Machine {
             Built::PerNode(eps) => eps[0].ctl().clone(),
             Built::Sharded(eps) => eps[0].ctl().clone(),
         };
+        // One block→home view for the whole machine, fixed here: the
+        // identity view when placement is off (the bit-identical
+        // compiled-in-but-disabled path), else the rotate shift plus the
+        // remap overlay. An out-of-range home fails here, not mid-run.
+        let overlay = match &cfg.placement {
+            PlacementSpec::Remap(map) => map.clone(),
+            PlacementSpec::Off => HomeMap::new(),
+        };
+        let homes = Arc::new(HomeView::with_placement(layout, cfg.home_shift, overlay));
         let mut tracers = Vec::with_capacity(cfg.nodes);
         let mut hooks: Vec<Arc<dyn Hooks>> = Vec::with_capacity(cfg.nodes);
         for i in 0..cfg.nodes {
@@ -192,26 +201,12 @@ impl Machine {
             };
             tracers.push(tracer);
             let (wake_tx, wake_rx) = unbounded();
-            // Every node gets its own view of the block→home mapping: the
-            // identity view when placement is off (the bit-identical
-            // compiled-in-but-disabled path), else the rotate shift plus
-            // the remap overlay. Views drift apart at runtime as nodes
-            // learn of migrations through forwards.
-            let overlay = match &cfg.placement {
-                PlacementSpec::Remap(map) => map.clone(),
-                PlacementSpec::Off | PlacementSpec::Online(_) => HomeMap::new(),
-            };
-            let homes = Arc::new(if cfg.home_shift == 0 && overlay.is_empty() {
-                HomeView::identity(layout)
-            } else {
-                HomeView::with_placement(layout, cfg.home_shift, overlay)
-            });
-            let pl_cfg = match cfg.placement {
-                PlacementSpec::Online(c) => Some(c),
-                PlacementSpec::Off | PlacementSpec::Remap(_) => None,
-            };
-            let shared = Arc::new(NodeShared::new_with_placement(
-                layout, cfg.cost, net, wake_tx, cfg.retry, homes, pl_cfg,
+            let shared = Arc::new(NodeShared::new_with_homes(
+                Arc::clone(&homes),
+                cfg.cost,
+                net,
+                wake_tx,
+                cfg.retry,
             ));
             let hook: Arc<dyn Hooks> = match cfg.protocol {
                 ProtocolKind::Predictive(pcfg) => {

@@ -87,14 +87,13 @@ impl RunReport {
     /// `msgs`, `bytes_moved`, `blocks_moved`, `misses`, `presend_blocks`,
     /// `presend_useless`, `wire_batches`, `wire_occupancy`, `wire_hist`,
     /// `checkpoints`, `checkpoint_bytes`, `recoveries`, `replays`,
-    /// `migrations`, `forwards`, `remapped_blocks`, `local_pct`) are
+    /// `remapped_blocks`, `local_pct`) are
     /// defined here exactly once. `wall_ms`, the `wire_*` keys and
     /// `wire_hist` are timing-dependent — reported, never equality-gated;
     /// the checkpoint/recovery counters (DESIGN.md §12) are
     /// fault-tolerance observability, likewise never equality-gated; the
-    /// placement counters (DESIGN.md §14) are zero with placement off and
-    /// describe the remap/migration activity when it is on, also never
-    /// equality-gated.
+    /// placement counter (DESIGN.md §14) is zero with placement off and
+    /// counts the remap overlay when it is on, also never equality-gated.
     pub fn gate_counters_json(&self, indent: &str) -> String {
         use std::fmt::Write as _;
         let t = self.total_stats();
@@ -119,8 +118,6 @@ impl RunReport {
         writeln!(s, "{indent}\"checkpoint_bytes\": {},", t.checkpoint_bytes).unwrap();
         writeln!(s, "{indent}\"recoveries\": {},", t.recoveries).unwrap();
         writeln!(s, "{indent}\"replays\": {},", t.replays).unwrap();
-        writeln!(s, "{indent}\"migrations\": {},", t.migrations).unwrap();
-        writeln!(s, "{indent}\"forwards\": {},", t.forwards).unwrap();
         writeln!(s, "{indent}\"remapped_blocks\": {},", t.remapped_blocks).unwrap();
         write!(s, "{indent}\"local_pct\": {:.2}", self.local_fraction() * 100.0).unwrap();
         s
@@ -488,8 +485,6 @@ mod tests {
         assert!(j.contains("\"checkpoint_bytes\": 0,"));
         assert!(j.contains("\"recoveries\": 0,"));
         assert!(j.contains("\"replays\": 0,"));
-        assert!(j.contains("\"migrations\": 0,"));
-        assert!(j.contains("\"forwards\": 0,"));
         assert!(j.contains("\"remapped_blocks\": 0,"));
         // Last line: no trailing comma, no trailing newline.
         assert!(j.ends_with("\"local_pct\": 100.00"));

@@ -1,10 +1,10 @@
-//! Traffic-aware home placement (DESIGN.md §14): schedule-guided remap
-//! and phase-boundary online migration.
+//! Traffic-aware home placement (DESIGN.md §14): the schedule-guided
+//! offline remap, the one mechanism that moves homes.
 //!
 //! The contract these tests pin down: placement may only change *where*
 //! directory entries live — application results and the demand-fetch
 //! pattern are untouched. Concretely, against a static-layout run of the
-//! same program, a placed run must keep the final values bit-identical
+//! same program, a remapped run must keep the final values bit-identical
 //! and `blocks_moved` (misses, under plain Stache) exactly equal, while
 //! message counts are allowed to drop — and do, because moving a home to
 //! its dominant requester removes the third-party hops of §3.2.
@@ -16,17 +16,11 @@
 use prescient_runtime::{
     Agg1D, Dist1D, FabricKind, Machine, MachineConfig, NodeCtx, PlacementSpec, RunReport,
 };
-use prescient_stache::PlacementConfig;
-use prescient_tempest::{CrashPlan, HomeMap};
+use prescient_tempest::{BlockId, HomeMap};
 
 const NODES: usize = 4;
 const N: usize = 64;
 const ITERS: usize = 6;
-
-/// Aggressive hysteresis so migrations trigger inside a short test run.
-fn eager() -> PlacementConfig {
-    PlacementConfig { min_count: 4, dominance_pct: 60, max_per_window: 4096 }
-}
 
 /// The double-buffered Jacobi relaxation from `machine_e2e`, returning the
 /// final array (read on node 0) and the measured run's report.
@@ -53,8 +47,6 @@ fn relax(cfg: MachineConfig) -> (Vec<f64>, RunReport) {
             ctx.write(dst.addr(i), v);
         }
     };
-    // `NodeCtx::phase` (not the raw directives) so injected crashes can
-    // replay the destroyed phase; without a crash plan it is identical.
     let (_, report) = m.run(|ctx: &mut NodeCtx| {
         for _ in 0..ITERS {
             ctx.phase(1, &mut (), |ctx, ()| sweep(ctx, &a, &b));
@@ -81,46 +73,10 @@ fn assert_same_values(tag: &str, base: &[f64], got: &[f64]) {
     }
 }
 
-/// The placement contract on one fabric backend: identical results,
-/// identical demand misses, strictly fewer messages, and real migration
-/// activity (homes moved, stale-layout requests forwarded).
-fn online_contract(fabric: FabricKind) {
-    let base = MachineConfig::stache(NODES, 32).with_fabric(fabric).with_home_shift(1);
-    let (v0, r0) = relax(base.clone().validated());
-    let (v1, r1) = relax(base.with_placement(PlacementSpec::Online(eager())).validated());
-    let tag = format!("online/{fabric:?}");
-    assert_same_values(&tag, &v0, &v1);
-    let (s0, s1) = (r0.total_stats(), r1.total_stats());
-    assert_eq!(s1.misses(), s0.misses(), "{tag}: migration must not change demand misses");
-    assert_eq!(r1.blocks_moved(), r0.blocks_moved(), "{tag}: blocks_moved must be bit-identical");
-    assert!(s1.migrations > 0, "{tag}: the window must actually migrate blocks");
-    assert!(s1.forwards > 0, "{tag}: stale-layout requests must be forwarded");
-    assert_eq!(s0.migrations, 0, "{tag}: static leg must not migrate");
-    assert!(
-        s1.msgs_out < s0.msgs_out,
-        "{tag}: migrated homes must cut messages ({} vs {})",
-        s1.msgs_out,
-        s0.msgs_out
-    );
-}
-
-#[test]
-fn online_migration_preserves_results_and_cuts_messages() {
-    online_contract(FabricKind::Channel);
-}
-
-#[test]
-fn online_migration_holds_on_the_sharded_backend() {
-    online_contract(FabricKind::Sharded { shards: 2 });
-}
-
-/// Offline leg: learn the owner mapping from the aggregate layout (what
-/// `prescient-trace emit-remap` computes from a recorded run), apply it as
-/// a `Remap` overlay over the shifted layout, and require the same
-/// contract — same values, same misses, fewer messages, no migrations.
-#[test]
-fn schedule_guided_remap_matches_static_and_cuts_messages() {
-    // Throwaway machine with identical allocations, to learn block ids.
+/// The owner mapping of `relax`'s two aggregates — what
+/// `prescient-trace emit-remap` distills from a recorded run of it —
+/// learned from a throwaway machine with identical allocations.
+fn owner_map() -> HomeMap {
     let probe = Machine::new(MachineConfig::stache(NODES, 32).with_fabric(FabricKind::Channel));
     let pa = Agg1D::<f64>::new(&probe, N, Dist1D::Block);
     let pb = Agg1D::<f64>::new(&probe, N, Dist1D::Block);
@@ -132,74 +88,118 @@ fn schedule_guided_remap_matches_static_and_cuts_messages() {
             }
         }
     }
-    drop(probe);
     assert!(!map.is_empty());
+    map
+}
 
-    // The remap text format round-trips exactly.
-    assert_eq!(HomeMap::parse(&map.to_text(), NODES).expect("round-trip"), map);
-
-    let base = MachineConfig::stache(NODES, 32).with_fabric(FabricKind::Channel).with_home_shift(1);
-    let (v0, r0) = relax(base.clone().validated());
+/// The remap contract on one backend × protocol: against the shifted
+/// static layout, the owner remap keeps the values bit-identical,
+/// accounts every overlay entry, and strictly cuts messages. Under plain
+/// Stache the demand pattern is deterministic, so misses and
+/// `blocks_moved` must also be exactly equal; under the predictive
+/// protocol a reader that became the home is served from home memory
+/// instead of a push, so pre-sending must stay live but may only shrink.
+fn remap_contract(map: &HomeMap, fabric: FabricKind, predictive: bool) {
+    let base = if predictive {
+        MachineConfig::predictive(NODES, 32)
+    } else {
+        MachineConfig::stache(NODES, 32)
+    }
+    .with_fabric(fabric)
+    .with_home_shift(1);
     let remapped = map.len() as u64;
-    let (v1, r1) = relax(base.with_placement(PlacementSpec::Remap(map)).validated());
-    assert_same_values("remap", &v0, &v1);
+    let (v0, r0) = relax(base.clone().validated());
+    let (v1, r1) = relax(base.with_placement(PlacementSpec::Remap(map.clone())).validated());
+    let tag = format!("remap/{fabric:?}/{}", if predictive { "predictive" } else { "stache" });
+    assert_same_values(&tag, &v0, &v1);
     let (s0, s1) = (r0.total_stats(), r1.total_stats());
-    assert_eq!(s1.misses(), s0.misses(), "remap must not change demand misses");
-    assert_eq!(r1.blocks_moved(), r0.blocks_moved(), "blocks_moved must be bit-identical");
-    assert_eq!(s1.migrations, 0, "remap is offline; no online migrations");
-    assert_eq!(s1.remapped_blocks, remapped, "every overlay entry is accounted");
+    assert_eq!(s1.remapped_blocks, remapped, "{tag}: every overlay entry is accounted");
+    assert_eq!(s0.remapped_blocks, 0, "{tag}: the static leg remaps nothing");
+    if predictive {
+        assert!(s1.presend_blocks_out > 0, "{tag}: remapped homes must keep pre-sending");
+        assert!(
+            s1.presend_blocks_out <= s0.presend_blocks_out,
+            "{tag}: remap must not inflate pre-sends ({} vs {})",
+            s1.presend_blocks_out,
+            s0.presend_blocks_out
+        );
+    } else {
+        assert_eq!(s1.misses(), s0.misses(), "{tag}: remap must not change demand misses");
+        assert_eq!(r1.blocks_moved(), r0.blocks_moved(), "{tag}: blocks_moved must be identical");
+    }
     assert!(
         s1.msgs_out < s0.msgs_out,
-        "owner remap must cut messages ({} vs {})",
+        "{tag}: owner remap must cut messages ({} vs {})",
         s1.msgs_out,
         s0.msgs_out
     );
 }
 
-/// Predictive protocol on top of online migration: the per-block schedule
-/// entries (and pre-send ownership) must follow the home, so results stay
-/// bit-identical and pre-sending keeps working from the new homes.
 #[test]
-fn predictive_schedules_survive_home_migration() {
-    let base =
-        MachineConfig::predictive(NODES, 32).with_fabric(FabricKind::Channel).with_home_shift(1);
-    let (v0, r0) = relax(base.clone().validated());
-    let (v1, r1) = relax(base.with_placement(PlacementSpec::Online(eager())).validated());
-    assert_same_values("predictive+online", &v0, &v1);
-    let (s0, s1) = (r0.total_stats(), r1.total_stats());
-    assert!(s1.migrations > 0, "migrations must fire under the predictive protocol");
-    assert!(s1.presend_blocks_out > 0, "migrated schedules must keep pre-sending");
-    // A reader that became the home is served from home memory instead of
-    // a push, so pre-send volume may only shrink — never grow.
-    assert!(
-        s1.presend_blocks_out <= s0.presend_blocks_out,
-        "migration must not inflate pre-sends ({} vs {})",
-        s1.presend_blocks_out,
-        s0.presend_blocks_out
+fn schedule_guided_remap_matches_static_and_cuts_messages() {
+    // The remap text format round-trips exactly.
+    let map = owner_map();
+    assert_eq!(HomeMap::parse(&map.to_text(), NODES).expect("round-trip"), map);
+
+    for fabric in [FabricKind::Channel, FabricKind::Sharded { shards: 2 }] {
+        for predictive in [false, true] {
+            remap_contract(&map, fabric, predictive);
+        }
+    }
+}
+
+/// A programmatic remap naming a node outside the machine must fail at
+/// construction with a message naming the block and home — not as an
+/// index panic mid-run (only `HomeMap::parse` range-checks on its own).
+#[test]
+#[should_panic(expected = "remap of block 12: home 4 out of range (nodes=4)")]
+fn out_of_range_programmatic_remap_fails_at_construction() {
+    let mut map = HomeMap::new();
+    map.insert(BlockId(12), NODES as u16);
+    let _ = Machine::new(
+        MachineConfig::stache(NODES, 32)
+            .with_fabric(FabricKind::Channel)
+            .with_placement(PlacementSpec::Remap(map)),
     );
 }
 
-/// Crash/recovery with online placement: a crash after migration windows
-/// have moved homes rolls back to a checkpoint that already contains the
-/// forwarding stubs, the moved directory entries and the placement state.
-/// The recovered run must match the fault-free online run bit-for-bit in
-/// the gated observables.
+/// Hostile input on the remap surface: whatever bytes arrive in a remap
+/// file or a `PRESCIENT_PLACEMENT` value, the parsers return `Ok`/`Err`
+/// and never panic; the retired `online` spellings are ordinary unknown
+/// modes.
 #[test]
-fn crash_after_migration_recovers_bit_identically() {
-    let online = MachineConfig::stache(NODES, 32)
-        .with_fabric(FabricKind::Channel)
-        .with_home_shift(1)
-        .with_placement(PlacementSpec::Online(eager()));
-    let (v0, r0) = relax(online.clone().validated());
-    assert!(r0.total_stats().migrations > 0, "baseline must migrate before the crash point");
-    // Version 7 is a phase_begin well after the first migration windows
-    // (min_count 4 trips around the 4th window), so rollback restores a
-    // state with live stubs and a non-empty overlay.
-    let (v1, r1) = relax(online.with_crash_plan(CrashPlan::new(2, 7)).validated());
-    assert_same_values("crash+online", &v0, &v1);
-    let (s0, s1) = (r0.total_stats(), r1.total_stats());
-    assert_eq!(s1.misses(), s0.misses(), "recovered misses must equal fault-free");
-    assert_eq!(r1.blocks_moved(), r0.blocks_moved(), "recovered blocks_moved must be identical");
-    assert_eq!(s1.migrations, s0.migrations, "replayed windows must re-decide identically");
-    assert_eq!(s1.recoveries, NODES as u64, "every node ran the recovery protocol once");
+fn hostile_remap_input_never_panics() {
+    // Enough of an input to identify the case in a failure message.
+    let head = |s: &str| s.chars().take(24).collect::<String>();
+    let huge_line = "9".repeat(1 << 20);
+    let lossy = String::from_utf8_lossy(b"12 \xff\xfe 3\n\x80").into_owned();
+    let max_block = format!("{} 3", u64::MAX);
+    let overflow = format!("{}0 3", u64::MAX);
+    // (input, parses as a remap file?)
+    let files: [(&str, bool); 10] = [
+        ("", true),
+        ("\n\n# only comments\n", true),
+        (&max_block, true),
+        (&overflow, false),
+        ("\0", false),
+        ("12\x00 3", false),
+        (&lossy, false),
+        (&huge_line, false),
+        ("12 -1", false),
+        ("12 65536", false),
+    ];
+    for (text, ok) in files {
+        let got = HomeMap::parse(text, NODES);
+        assert_eq!(got.is_ok(), ok, "HomeMap::parse({:?}...) = {got:?}", head(text));
+    }
+    assert_eq!(HomeMap::parse(&max_block, NODES).expect("max").get(BlockId(u64::MAX)), Some(3));
+
+    let specs = ["", "\0", "remap:", "remap:\0", &lossy, &huge_line, "off:", ":", "remap"];
+    for s in specs {
+        assert!(PlacementSpec::parse(s, NODES).is_err(), "{:?}... must not parse", head(s));
+    }
+    for online in ["online", "online:1,2,3"] {
+        let err = PlacementSpec::parse(online, NODES).expect_err(online);
+        assert!(err.starts_with("PRESCIENT_PLACEMENT: unknown mode \"online\""), "{err}");
+    }
 }

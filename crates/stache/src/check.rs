@@ -49,29 +49,14 @@ pub fn check_coherence(nodes: &[Arc<NodeShared>]) -> Vec<String> {
     all_blocks.dedup();
 
     for block in all_blocks {
-        // Resolve the live home: start from node 0's view and follow
-        // forwarding stubs (the stub at the current home is always cleared
-        // on arrival, so the chain terminates).
-        let home = {
-            let mut h = nodes[0].homes.home_of_block(block);
-            let mut hops = 0;
-            while let Some(next) =
-                nodes[h as usize].placement.as_ref().and_then(|p| p.lock().stub(block))
-            {
-                h = next;
-                hops += 1;
-                if hops > n {
-                    violations.push(format!("{block:?}: forwarding-stub chain does not resolve"));
-                    break;
-                }
-            }
-            h
-        };
+        // The home view is immutable machine configuration shared by every
+        // node, so any node's view names the home.
+        let home = nodes[0].homes.home_of_block(block);
         let home_node = &nodes[home as usize];
-        // Placement-acted blocks relax the home-tag side of the invariants:
-        // a freshly migrated-in home's own copy starts Invalid even while
-        // its home memory is current.
-        let identity = home_node.homes.is_identity_block(block);
+        // A placement-acted (remapped or rotated) home never materializes
+        // its own copy writable on first touch, so an `Uncached` block's
+        // home copy may still be cold (`Invalid`) there.
+        let cold_ok = !home_node.homes.is_identity_block(block);
         let state = {
             let dir = home_node.dir.lock();
             match dir.get(block) {
@@ -99,7 +84,7 @@ pub fn check_coherence(nodes: &[Arc<NodeShared>]) -> Vec<String> {
 
         match state {
             DirState::Uncached => {
-                if !home_tag.readable() && identity {
+                if !home_tag.readable() && !cold_ok {
                     violations
                         .push(format!("{block:?}: Uncached but home {home} tag is {home_tag:?}"));
                 }
@@ -113,7 +98,7 @@ pub fn check_coherence(nodes: &[Arc<NodeShared>]) -> Vec<String> {
                 }
             }
             DirState::Shared(s) => {
-                if home_tag.writable() || (!home_tag.readable() && identity) {
+                if home_tag.writable() || !home_tag.readable() {
                     violations
                         .push(format!("{block:?}: Shared but home {home} tag is {home_tag:?}"));
                 }

@@ -132,13 +132,6 @@ impl Directory {
         self.entries.get_mut(&block)
     }
 
-    /// Forget the entry for `block` (home migration: the directory role
-    /// moves to another node). The seq watermarks stay — they belong to
-    /// this node, not to any block.
-    pub fn remove(&mut self, block: BlockId) -> Option<DirEntry> {
-        self.entries.remove(&block)
-    }
-
     /// Admit a request with sequence number `seq` from `requester`:
     /// returns `true` (and advances the watermark) iff it is newer than
     /// everything accepted from that requester so far. Duplicates and

@@ -42,12 +42,10 @@
 //!   which both recovers dropped messages and generates the link traffic
 //!   that flushes event-count-based delays.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use prescient_tempest::tag::Tag;
-use prescient_tempest::trace::pack_peer_count;
 use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
 
 use crate::dir::{Busy, DirEntry, DirState, Directory, PendingReq};
@@ -95,15 +93,6 @@ impl Engine {
             Msg::Grant { block, excl, data, extra_hops, recorded, seq } => {
                 self.on_grant(n, src, block, excl, data, extra_hops, recorded, seq)
             }
-            Msg::Forward { block, new_home, excl, seq } => {
-                self.on_forward(n, block, new_home, excl, seq)
-            }
-            Msg::Migrate { block, excl, owner, sharers, data, sched, op } => {
-                self.on_migrate(n, src, block, excl, owner, sharers, data, sched, op)
-            }
-            // The migration driver (blocked at the phase boundary) does the
-            // bookkeeping; the handler only relays.
-            Msg::MigrateAck { block, op } => n.wake(Wake::MigrateAck { block, op }),
             Msg::User(um) => self.hooks.on_user(n, src, um),
             Msg::Shutdown => return false,
             // Recovery drain marker: its arrival proves everything queued
@@ -116,22 +105,6 @@ impl Engine {
 
     /// A `GetShared`/`GetExcl` arrived at this home node.
     fn on_request(&self, n: &NodeShared, src: NodeId, block: BlockId, excl: bool, seq: u64) {
-        // Before anything else: if this node gave the block away, bounce
-        // the stale-view request to the new home. Checked ahead of the seq
-        // watermark so the forwarded re-send (same seq) is still fresh when
-        // it arrives where it belongs.
-        if let Some(pl) = &n.placement {
-            if let Some(new_home) = pl.lock().stub(block) {
-                NodeStats::bump(&n.stats.forwards);
-                n.tracer().emit(
-                    prescient_tempest::trace::EventKind::Forward,
-                    block.0,
-                    pack_peer_count(new_home, u64::from(src)),
-                );
-                n.send(src, Msg::Forward { block, new_home, excl, seq });
-                return;
-            }
-        }
         debug_assert_eq!(n.homes.home_of_block(block), n.me, "request routed to non-home");
         let mut dir = n.dir.lock();
         if !dir.accept_seq(src, seq) {
@@ -164,11 +137,6 @@ impl Engine {
                 self.nudge(n, &dir, block);
                 return;
             }
-        }
-        // Genuinely new request: feed the placement policy's traffic tally
-        // (duplicates and parked retries above must not double-count).
-        if let Some(pl) = &n.placement {
-            pl.lock().record(block, src, excl);
         }
         let recorded = self.hooks.on_home_request(n, block, src, excl);
         let req = PendingReq { requester: src, excl, recorded, seq };
@@ -234,12 +202,7 @@ impl Engine {
             DirState::Shared(s) => {
                 if !req.excl {
                     if req.requester == n.me {
-                        // Home tag is ReadOnly in Shared: readable already —
-                        // except on a freshly migrated-in home, whose own
-                        // copy starts Invalid while home memory is current.
-                        if !n.homes.is_identity_block(block) {
-                            n.mem.lock().set_tag(block, Tag::ReadOnly);
-                        }
+                        // Home tag is ReadOnly in Shared: readable already.
                         self.grant(n, block, req, false, 0);
                     } else {
                         if s.contains(req.requester) {
@@ -631,194 +594,6 @@ impl Engine {
         }
         n.wake(Wake::Grant { block, excl, extra_hops, bytes, recorded, seq });
     }
-
-    /// Requester side of a bounce: the old home no longer homes `block`.
-    /// Learn the new home and re-send the same request (same seq — the new
-    /// home has never seen it, so its watermark accepts it; if the fetch
-    /// has since retried with a fresh seq, the new home rejects this one as
-    /// overtaken, which is exactly right).
-    fn on_forward(&self, n: &NodeShared, block: BlockId, new_home: NodeId, excl: bool, seq: u64) {
-        n.homes.set(block, new_home);
-        n.send(
-            new_home,
-            if excl { Msg::GetExcl { block, seq } } else { Msg::GetShared { block, seq } },
-        );
-    }
-
-    /// New-home side of a migration: adopt the directory entry (with the
-    /// old home demoted to an ordinary cached copy at its current tag),
-    /// install the home bytes if this node holds none, import the block's
-    /// predictive-schedule words, and ack. Idempotent under retransmission.
-    #[allow(clippy::too_many_arguments)]
-    fn on_migrate(
-        &self,
-        n: &NodeShared,
-        src: NodeId,
-        block: BlockId,
-        excl: bool,
-        owner: NodeId,
-        sharers: NodeSet,
-        data: Option<Arc<[u8]>>,
-        sched: Arc<[u64]>,
-        op: u64,
-    ) {
-        let Some(pl_lock) = &n.placement else {
-            // Migration traffic with placement disabled is a configuration
-            // bug (all nodes share one machine config); drop it.
-            debug_assert!(false, "Migrate received with placement disabled");
-            return;
-        };
-        let mut dir = n.dir.lock();
-        let mut pl = pl_lock.lock();
-        if !pl.note_applied(src, op) {
-            // Retransmission of an applied migration: the ack was lost.
-            drop(pl);
-            drop(dir);
-            NodeStats::bump(&n.stats.stale_msgs_in);
-            n.send(src, Msg::MigrateAck { block, op });
-            return;
-        }
-        // This node homes the block now; a stub from a past tenure is void.
-        pl.clear_stub(block);
-        // Normalize our own membership out of the shipped entry: our copy
-        // keeps its current tag, the entry only records the *others*.
-        let state = if excl {
-            if owner == n.me {
-                DirState::Uncached // we hold the writable copy, now as home
-            } else {
-                DirState::Exclusive(owner)
-            }
-        } else {
-            let others = sharers.without(n.me);
-            if others.is_empty() {
-                DirState::Uncached
-            } else {
-                DirState::Shared(others)
-            }
-        };
-        {
-            let mut mem = n.mem.lock();
-            if let Some(d) = &data {
-                if !mem.probe(block).readable() {
-                    // Home memory becomes current here; our own copy stays
-                    // Invalid (we are not in the entry) until we fault.
-                    mem.install(block, &d[..], Tag::Invalid, false);
-                    NodeStats::add(&n.stats.data_bytes_in, d.len() as u64);
-                }
-            }
-        }
-        dir.entry(block).state = state;
-        n.homes.set(block, n.me);
-        self.hooks.import_block_schedule(n, block, &sched);
-        drop(pl);
-        drop(dir);
-        n.send(src, Msg::MigrateAck { block, op });
-    }
-}
-
-/// Phase-boundary migration window, run by the *compute* thread of every
-/// node between two barriers (the machine is quiescent: no coherence
-/// request is in flight). Decides which of this node's home blocks migrate
-/// ([`crate::placement::Placement::decide`]), hands each one to its new
-/// home, and blocks until every handover is acknowledged, re-sending on
-/// timeout. Returns `(blocks moved, data bytes shipped)`.
-///
-/// The old home's own copy of a migrated block keeps its tag and bytes —
-/// the handover is purely directory-side — so fault counts are identical
-/// with migration on or off.
-pub fn run_migration_window(
-    n: &NodeShared,
-    hooks: &dyn Hooks,
-    wake_rx: &Receiver<Wake>,
-    stash: &mut Vec<Wake>,
-) -> (u64, u64) {
-    let Some(pl_lock) = &n.placement else { return (0, 0) };
-    let picks = pl_lock.lock().decide(n.me);
-    if picks.is_empty() {
-        return (0, 0);
-    }
-    let mut pending: HashMap<u64, (NodeId, Msg)> = HashMap::new();
-    let mut moved = 0u64;
-    let mut bytes = 0u64;
-    for (block, dest) in picks {
-        let mut dir = n.dir.lock();
-        // Defensive: a busy entry at a barrier is a protocol bug, but a
-        // skipped migration is always safe — the block just stays put.
-        if dir.get(block).is_some_and(|e| e.is_busy() || !e.waiters.is_empty()) {
-            continue;
-        }
-        let state = dir.get(block).map(|e| e.state).unwrap_or_default();
-        let mut pl = pl_lock.lock();
-        let mem = n.mem.lock();
-        // Demote ourselves to an ordinary cached copy at our current tag;
-        // the shipped entry records that copy so no future fault is added
-        // or removed by the move.
-        let my_tag = mem.probe(block);
-        let (excl, owner, sharers, data) = match state {
-            DirState::Exclusive(w) => (true, w, NodeSet::EMPTY, None),
-            DirState::Uncached if my_tag == Tag::ReadWrite => (true, n.me, NodeSet::EMPTY, None),
-            DirState::Uncached | DirState::Shared(_) => {
-                let s = match state {
-                    DirState::Shared(s) => s,
-                    _ => NodeSet::EMPTY,
-                };
-                let s = if my_tag == Tag::ReadOnly { s.union(NodeSet::single(n.me)) } else { s };
-                (false, 0, s, Some(mem.snapshot(block)))
-            }
-        };
-        drop(mem);
-        let sched: Arc<[u64]> = hooks.export_block_schedule(n, block).into();
-        let op = pl.alloc_op();
-        // Local handover: forget the entry, leave the forwarding stub,
-        // update our view. Our copy's tag and bytes are untouched.
-        dir.remove(block);
-        pl.set_stub(block, dest);
-        pl.clear_traffic(block);
-        drop(pl);
-        drop(dir);
-        n.homes.set(block, dest);
-        bytes += data.as_ref().map_or(0, |d| d.len() as u64);
-        moved += 1;
-        NodeStats::bump(&n.stats.migrations);
-        let msg = Msg::Migrate { block, excl, owner, sharers, data, sched, op };
-        n.send(dest, msg.clone());
-        pending.insert(op, (dest, msg));
-    }
-    n.flush_net();
-    let mut retries: u32 = 0;
-    while !pending.is_empty() {
-        match wake_rx.recv_timeout(n.retry.timeout) {
-            Ok(Wake::MigrateAck { op, .. }) => {
-                pending.remove(&op);
-            }
-            Ok(w @ Wake::User { .. }) => stash.push(w),
-            // Straggler grant wakes (outstanding is 0 here) and fence
-            // markers are not ours to consume meaningfully.
-            Ok(Wake::Grant { .. }) | Ok(Wake::Fence) => {}
-            Err(RecvTimeoutError::Timeout) => {
-                if n.is_aborting() {
-                    std::panic::panic_any(prescient_tempest::Aborted);
-                }
-                retries += 1;
-                NodeStats::bump(&n.stats.retries);
-                assert!(
-                    retries <= n.retry.max_retries,
-                    "node {}: {} migration acks missing after {} retries (machine wedged)",
-                    n.me,
-                    pending.len(),
-                    retries
-                );
-                for (dest, msg) in pending.values() {
-                    n.send(*dest, msg.clone());
-                }
-                n.flush_net();
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                panic!("protocol thread terminated during migration")
-            }
-        }
-    }
-    (moved, bytes)
 }
 
 /// Compute-side fault path: request `block` from its home and block until
@@ -838,8 +613,6 @@ pub fn fetch(
 ) -> GrantInfo {
     let mut retries: u32 = 0;
     loop {
-        // Re-derived every attempt: a Forward bounce updates the view while
-        // we wait, so the retry goes straight to the new home.
         let home = n.homes.home_of_block(block);
         let seq = n.next_seq();
         n.set_outstanding(seq);
@@ -874,9 +647,6 @@ pub fn fetch(
                 // flight while every compute thread sits in the recovery
                 // protocol, not in a fetch) — but ignoring one is harmless.
                 Ok(Wake::Fence) => {}
-                // A straggler ack for a migration window that already
-                // closed (its retransmission raced the ack).
-                Ok(Wake::MigrateAck { .. }) => {}
                 Err(RecvTimeoutError::Timeout) => {
                     if n.is_aborting() {
                         // The machine was declared dead (panic isolation /

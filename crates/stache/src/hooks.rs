@@ -44,22 +44,6 @@ pub trait Hooks: Send + Sync + 'static {
     fn on_presend_wasted(&self, node: &NodeShared, block: BlockId) {
         let _ = (node, block);
     }
-
-    /// `block`'s home role is migrating away from this node: return the
-    /// extension's per-block schedule state as opaque words (shipped in the
-    /// `Migrate` message, fed to [`Hooks::import_block_schedule`] at the
-    /// new home) and *remove* it locally — this node must not keep acting
-    /// on a schedule it no longer homes. Default: nothing to export.
-    fn export_block_schedule(&self, node: &NodeShared, block: BlockId) -> Vec<u64> {
-        let _ = (node, block);
-        Vec::new()
-    }
-
-    /// `block` just migrated *to* this node: adopt the schedule words its
-    /// previous home exported. Default: no-op.
-    fn import_block_schedule(&self, node: &NodeShared, block: BlockId, words: &[u64]) {
-        let _ = (node, block, words);
-    }
 }
 
 /// The null extension: plain Stache, nothing recorded, user messages are a

@@ -40,13 +40,11 @@ pub mod engine;
 pub mod hooks;
 pub mod msg;
 pub mod node;
-pub mod placement;
 pub mod wire;
 
 pub use check::check_coherence;
 pub use dir::{DirCheckpoint, DirEntry, DirState, Directory};
-pub use engine::{fetch, run_migration_window, Engine, GrantInfo};
+pub use engine::{fetch, Engine, GrantInfo};
 pub use hooks::{Hooks, NoHooks};
 pub use msg::{Msg, UserMsg, Wake};
 pub use node::{spawn_protocol, spawn_protocol_shard, NodeCheckpoint, NodeShared, RetryConfig};
-pub use placement::{Placement, PlacementCheckpoint, PlacementConfig};

@@ -113,54 +113,6 @@ pub enum Msg {
         /// grants that no longer match its outstanding request.
         seq: u64,
     },
-    /// Old home → requester: this node no longer homes `block`; retry the
-    /// same request (same `seq`) at `new_home`. Sent by a forwarding stub
-    /// left behind by a phase-boundary home migration; the requester's
-    /// protocol handler updates its home view and re-sends, so each
-    /// stale-view request bounces exactly once per migration hop.
-    Forward {
-        /// The migrated block.
-        block: BlockId,
-        /// Where the block lives now.
-        new_home: NodeId,
-        /// The bounced request wanted a writable copy.
-        excl: bool,
-        /// Seq of the bounced request, re-used verbatim on the re-send (the
-        /// new home has never seen this requester's seq, so it accepts it;
-        /// a retry that has since overtaken it is rejected as usual).
-        seq: u64,
-    },
-    /// Old home → new home: hand over the home role for `block` at a phase
-    /// boundary. Carries the directory entry (with the old home already
-    /// demoted to an ordinary cached copy at its current tag), the home
-    /// bytes when they are current, and the block's predictive-schedule
-    /// words. Idempotent under retransmission via `op`.
-    Migrate {
-        /// The migrating block.
-        block: BlockId,
-        /// Directory state: `true` ⇒ `Exclusive(owner)`.
-        excl: bool,
-        /// Exclusive owner (meaningful only when `excl`).
-        owner: NodeId,
-        /// Read-only sharers (meaningful only when `!excl`; may include the
-        /// old home's own demoted copy).
-        sharers: NodeSet,
-        /// Home bytes; `None` when an exclusive owner makes them stale.
-        data: Option<Arc<[u8]>>,
-        /// Exported predictive-schedule words for this block (empty under
-        /// the plain protocol).
-        sched: Arc<[u64]>,
-        /// Old-home-unique id of this migration; the new home answers
-        /// duplicates with a fresh ack without re-applying.
-        op: u64,
-    },
-    /// New home → old home: migration applied (or already applied).
-    MigrateAck {
-        /// The migrated block.
-        block: BlockId,
-        /// Echo of the migration id.
-        op: u64,
-    },
     /// An extension (user-level protocol) message — Tempest active-message
     /// style: a handler code plus an uninterpreted payload.
     User(UserMsg),
@@ -191,9 +143,6 @@ impl Msg {
             Msg::User(_) => 8,
             Msg::Shutdown => 9,
             Msg::Fence => 10,
-            Msg::Forward { .. } => 11,
-            Msg::Migrate { .. } => 12,
-            Msg::MigrateAck { .. } => 13,
         }
     }
 
@@ -211,9 +160,6 @@ impl Msg {
             8 => "User",
             9 => "Shutdown",
             10 => "Fence",
-            11 => "Forward",
-            12 => "Migrate",
-            13 => "MigrateAck",
             _ => "?",
         }
     }
@@ -229,10 +175,7 @@ impl Msg {
             | Msg::RecallData { block, .. }
             | Msg::Invalidate { block, .. }
             | Msg::InvalAck { block, .. }
-            | Msg::Grant { block, .. }
-            | Msg::Forward { block, .. }
-            | Msg::Migrate { block, .. }
-            | Msg::MigrateAck { block, .. } => block.0,
+            | Msg::Grant { block, .. } => block.0,
             Msg::User(u) => u.a,
             Msg::Shutdown | Msg::Fence => 0,
         }
@@ -309,14 +252,6 @@ pub enum Wake {
     /// come back through the inbox: everything queued ahead of it has been
     /// handled.
     Fence,
-    /// A [`Msg::MigrateAck`] arrived for a migration this node initiated;
-    /// the migration driver (blocked at the phase boundary) checks it off.
-    MigrateAck {
-        /// The migrated block.
-        block: BlockId,
-        /// The migration id being acknowledged.
-        op: u64,
-    },
 }
 
 #[cfg(test)]

@@ -21,14 +21,13 @@ use parking_lot::Mutex;
 use prescient_tempest::fabric::{Endpoint, FabricCtl, Net, ShardEndpoint};
 use prescient_tempest::trace::{pack_msg, EventKind, Tracer};
 use prescient_tempest::{
-    BlockId, CostModel, GlobalLayout, HomeMap, HomeView, MemCheckpoint, NodeId, NodeMem, NodeStats,
+    BlockId, CostModel, GlobalLayout, HomeView, MemCheckpoint, NodeId, NodeMem, NodeStats,
 };
 
 use crate::dir::{DirCheckpoint, Directory};
 use crate::engine::Engine;
 use crate::hooks::Hooks;
 use crate::msg::{Msg, Wake};
-use crate::placement::{Placement, PlacementCheckpoint, PlacementConfig};
 
 /// Compute-side request retry policy. The timeout is wall-clock (it bounds
 /// how long a blocked fetch waits for a grant that a faulty fabric may
@@ -76,13 +75,11 @@ pub struct NodeShared {
     pub cost: CostModel,
     /// Request retry policy.
     pub retry: RetryConfig,
-    /// This node's live block→home view (shared with the block store).
-    /// Identity (homes follow the segment layout) unless a remap overlay
-    /// or rotation was configured, or online migration has fired.
+    /// The machine's block→home view: immutable configuration, one
+    /// instance shared by every node and block store. Identity (homes
+    /// follow the segment layout) unless a remap overlay or rotation was
+    /// configured.
     pub homes: Arc<HomeView>,
-    /// Online-placement state (traffic tallies, forwarding stubs); `None`
-    /// when home migration is disabled.
-    pub placement: Option<Mutex<Placement>>,
     /// Block store: home memory plus cached remote blocks.
     pub mem: Mutex<NodeMem>,
     /// Home directory for this node's blocks.
@@ -122,29 +119,27 @@ impl NodeShared {
         retry: RetryConfig,
     ) -> NodeShared {
         let homes = Arc::new(HomeView::identity(layout));
-        NodeShared::new_with_placement(layout, cost, net, wake_tx, retry, homes, None)
+        NodeShared::new_with_homes(homes, cost, net, wake_tx, retry)
     }
 
-    /// Assemble the shared state with an explicit home view and, when
-    /// `placement` is given, online home migration enabled.
-    pub fn new_with_placement(
-        layout: GlobalLayout,
+    /// Assemble the shared state over the machine's home view (every node
+    /// of one machine must be given the same `Arc`).
+    pub fn new_with_homes(
+        homes: Arc<HomeView>,
         cost: CostModel,
         net: Net<Msg>,
         wake_tx: Sender<Wake>,
         retry: RetryConfig,
-        homes: Arc<HomeView>,
-        placement: Option<PlacementConfig>,
     ) -> NodeShared {
         let me = net.me();
+        let layout = *homes.layout();
         NodeShared {
             me,
             layout,
             cost,
             retry,
-            mem: Mutex::new(NodeMem::with_view(layout, me, Arc::clone(&homes))),
+            mem: Mutex::new(NodeMem::with_view(me, Arc::clone(&homes))),
             homes,
-            placement: placement.map(|cfg| Mutex::new(Placement::new(cfg))),
             dir: Mutex::new(Directory::new()),
             recalled: Mutex::new(HashMap::new()),
             stats: NodeStats::default(),
@@ -243,14 +238,7 @@ impl NodeShared {
         let dir = self.dir.lock().checkpoint();
         let mem = self.mem.lock().checkpoint();
         let recalled = self.recalled.lock().iter().map(|(b, r)| (*b, r.clone())).collect();
-        NodeCheckpoint {
-            mem,
-            dir,
-            seq: self.seq.load(Ordering::Relaxed),
-            recalled,
-            overlay: self.homes.snapshot(),
-            placement: self.placement.as_ref().map(|p| p.lock().checkpoint()),
-        }
+        NodeCheckpoint { mem, dir, seq: self.seq.load(Ordering::Relaxed), recalled }
     }
 
     /// Roll this node's protocol state back to a captured cut. Callable
@@ -262,10 +250,6 @@ impl NodeShared {
         self.dir.lock().restore(&ckpt.dir);
         self.mem.lock().restore(&ckpt.mem);
         *self.recalled.lock() = ckpt.recalled.iter().cloned().collect();
-        self.homes.restore(&ckpt.overlay);
-        if let (Some(p), Some(pc)) = (self.placement.as_ref(), ckpt.placement.as_ref()) {
-            p.lock().restore(pc);
-        }
         self.seq.store(ckpt.seq, Ordering::Relaxed);
         self.outstanding.store(0, Ordering::Release);
     }
@@ -284,13 +268,6 @@ pub struct NodeCheckpoint {
     pub seq: u64,
     /// The recall-reply idempotency cache at the cut.
     pub recalled: Vec<(BlockId, RecallReply)>,
-    /// This node's home-view overlay at the cut (migrated homes it knew
-    /// about); the rotation shift is configuration, not state, and is not
-    /// checkpointed.
-    pub overlay: HomeMap,
-    /// Online-placement state (stubs, traffic, idempotency memory) at the
-    /// cut; `None` when migration is disabled.
-    pub placement: Option<PlacementCheckpoint>,
 }
 
 impl NodeCheckpoint {

@@ -106,28 +106,6 @@ impl WireCodec for Msg {
                     put_blob(out, bytes);
                 }
             }
-            Msg::Forward { block, new_home, excl, seq } => {
-                put_u64(out, block.0);
-                put_u16(out, *new_home);
-                put_bool(out, *excl);
-                put_u64(out, *seq);
-            }
-            Msg::Migrate { block, excl, owner, sharers, data, sched, op } => {
-                put_u64(out, block.0);
-                put_bool(out, *excl);
-                put_u16(out, *owner);
-                put_u64(out, sharers.0);
-                put_opt_blob(out, data);
-                put_u32(out, sched.len() as u32);
-                for w in sched.iter() {
-                    put_u64(out, *w);
-                }
-                put_u64(out, *op);
-            }
-            Msg::MigrateAck { block, op } => {
-                put_u64(out, block.0);
-                put_u64(out, *op);
-            }
             Msg::Shutdown | Msg::Fence => {}
         }
     }
@@ -180,34 +158,6 @@ impl WireCodec for Msg {
             }
             9 => Msg::Shutdown,
             10 => Msg::Fence,
-            11 => Msg::Forward {
-                block: BlockId(d.take_u64()?),
-                new_home: d.take_u16()?,
-                excl: take_bool(d)?,
-                seq: d.take_u64()?,
-            },
-            12 => {
-                let block = BlockId(d.take_u64()?);
-                let excl = take_bool(d)?;
-                let owner = d.take_u16()?;
-                let sharers = NodeSet(d.take_u64()?);
-                let data = take_opt_blob(d)?;
-                let count = d.take_u32()? as usize;
-                let mut sched = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    sched.push(d.take_u64()?);
-                }
-                Msg::Migrate {
-                    block,
-                    excl,
-                    owner,
-                    sharers,
-                    data,
-                    sched: sched.into(),
-                    op: d.take_u64()?,
-                }
-            }
-            13 => Msg::MigrateAck { block: BlockId(d.take_u64()?), op: d.take_u64()? },
             tag => return Err(WireError::BadTag { what: "Msg", tag }),
         })
     }
@@ -267,26 +217,6 @@ mod tests {
                 node: 63,
                 blocks: vec![(BlockId(1), data.clone()), (BlockId(2), empty)].into(),
             }),
-            Msg::Forward { block: BlockId(14), new_home: 3, excl: true, seq: 55 },
-            Msg::Migrate {
-                block: BlockId(15),
-                excl: false,
-                owner: 0,
-                sharers: NodeSet(0b0110),
-                data: Some(data.clone()),
-                sched: Arc::from(&[1u64, u64::MAX, 0][..]),
-                op: 8,
-            },
-            Msg::Migrate {
-                block: BlockId(16),
-                excl: true,
-                owner: 2,
-                sharers: NodeSet::EMPTY,
-                data: None,
-                sched: Arc::from(&[][..]),
-                op: 9,
-            },
-            Msg::MigrateAck { block: BlockId(17), op: 10 },
             Msg::Shutdown,
             Msg::Fence,
         ]

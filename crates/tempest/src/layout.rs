@@ -12,8 +12,6 @@
 //! distribution achieves.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::RwLock;
 
 use crate::{BlockId, GAddr, NodeId};
 
@@ -174,21 +172,22 @@ impl HomeMap {
     }
 }
 
-/// One node's live view of the block→home mapping: the segment-derived
-/// default ([`GlobalLayout`]) composed with an optional rotate shift (naive
+/// The machine's block→home mapping: the segment-derived default
+/// ([`GlobalLayout`]) composed with an optional rotate shift (naive
 /// round-robin placement, for placement experiments) and a sparse overlay
-/// (offline remap entries plus homes learned from forwards/migrations).
+/// of offline remap entries.
 ///
-/// The identity view (no shift, empty overlay) short-circuits to the plain
-/// segment divide, so compiled-in-but-disabled placement costs one relaxed
-/// atomic load per lookup.
+/// Immutable configuration: built once at machine construction and shared
+/// by every node, so a block's home is a pure function of its address for
+/// the lifetime of the machine. The identity view (no shift, empty
+/// overlay) short-circuits to the plain segment divide.
 #[derive(Debug)]
 pub struct HomeView {
     base: GlobalLayout,
     shift: u16,
-    /// True while `shift == 0` and the overlay is empty.
-    identity: AtomicBool,
-    overlay: RwLock<BTreeMap<BlockId, NodeId>>,
+    /// `shift == 0` and the overlay is empty.
+    identity: bool,
+    overlay: BTreeMap<BlockId, NodeId>,
 }
 
 impl HomeView {
@@ -197,16 +196,20 @@ impl HomeView {
         HomeView::with_placement(base, 0, HomeMap::new())
     }
 
-    /// A view with a rotate shift and an initial overlay.
+    /// A view with a rotate shift and a remap overlay. Panics if the shift
+    /// or any overlay home names a node outside the machine.
     pub fn with_placement(base: GlobalLayout, shift: u16, overlay: HomeMap) -> HomeView {
         assert!((shift as usize) < base.nodes, "rotate shift {shift} out of range");
-        let identity = shift == 0 && overlay.is_empty();
-        HomeView {
-            base,
-            shift,
-            identity: AtomicBool::new(identity),
-            overlay: RwLock::new(overlay.entries),
+        for (block, home) in overlay.iter() {
+            assert!(
+                (home as usize) < base.nodes,
+                "remap of block {}: home {home} out of range (nodes={})",
+                block.0,
+                base.nodes
+            );
         }
+        let identity = shift == 0 && overlay.is_empty();
+        HomeView { base, shift, identity, overlay: overlay.entries }
     }
 
     /// The underlying segment layout.
@@ -214,32 +217,15 @@ impl HomeView {
         &self.base
     }
 
-    /// The configured rotate shift.
-    pub fn shift(&self) -> u16 {
-        self.shift
-    }
-
-    /// The segment-derived (allocation-time) home of `block`.
-    #[inline]
-    pub fn base_home(&self, block: BlockId) -> NodeId {
-        self.base.home_of_block(block)
-    }
-
-    /// This view's current home of `block`.
+    /// The home of `block`.
     #[inline]
     pub fn home_of_block(&self, block: BlockId) -> NodeId {
-        if self.identity.load(Ordering::Relaxed) {
+        if self.identity {
             return self.base.home_of_block(block);
         }
-        if let Some(h) = self.overlay.read().unwrap().get(&block) {
+        if let Some(h) = self.overlay.get(&block) {
             return *h;
         }
-        self.rotated(block)
-    }
-
-    /// The shift-rotated default home of `block` (ignores the overlay).
-    #[inline]
-    fn rotated(&self, block: BlockId) -> NodeId {
         let b = self.base.home_of_block(block) as usize;
         ((b + self.shift as usize) % self.base.nodes) as NodeId
     }
@@ -252,35 +238,7 @@ impl HomeView {
     /// depending on where an overlay happens to point.
     #[inline]
     pub fn is_identity_block(&self, block: BlockId) -> bool {
-        if self.identity.load(Ordering::Relaxed) {
-            return true;
-        }
-        self.shift == 0 && !self.overlay.read().unwrap().contains_key(&block)
-    }
-
-    /// Record that `block` is now homed at `home` (migration commit on
-    /// either end, or a forward bounce teaching the requester).
-    pub fn set(&self, block: BlockId, home: NodeId) {
-        assert!((home as usize) < self.base.nodes, "home {home} out of range");
-        self.overlay.write().unwrap().insert(block, home);
-        self.identity.store(false, Ordering::Relaxed);
-    }
-
-    /// Snapshot the overlay (checkpoint capture).
-    pub fn snapshot(&self) -> HomeMap {
-        HomeMap { entries: self.overlay.read().unwrap().clone() }
-    }
-
-    /// Replace the overlay wholesale (checkpoint restore).
-    pub fn restore(&self, map: &HomeMap) {
-        let identity = self.shift == 0 && map.is_empty();
-        *self.overlay.write().unwrap() = map.entries.clone();
-        self.identity.store(identity, Ordering::Relaxed);
-    }
-
-    /// Number of overlay entries.
-    pub fn overlay_len(&self) -> usize {
-        self.overlay.read().unwrap().len()
+        self.identity || (self.shift == 0 && !self.overlay.contains_key(&block))
     }
 }
 
@@ -379,24 +337,13 @@ mod tests {
         assert_eq!(v.home_of_block(b3), 0);
         assert!(!v.is_identity_block(b0));
         assert!(!v.is_identity_block(b3));
-        // Learned homes stick.
-        v.set(b3, 3);
-        assert_eq!(v.home_of_block(b3), 3);
     }
 
     #[test]
-    fn homeview_snapshot_restore() {
-        let l = GlobalLayout::new(4, 64);
-        let v = HomeView::identity(l);
-        let b = l.block_of(l.heap_base(1));
-        v.set(b, 3);
-        assert!(!v.is_identity_block(b));
-        let snap = v.snapshot();
-        v.set(b, 2);
-        v.restore(&snap);
-        assert_eq!(v.home_of_block(b), 3);
-        v.restore(&HomeMap::new());
-        assert_eq!(v.home_of_block(b), 1);
-        assert!(v.is_identity_block(b));
+    #[should_panic(expected = "remap of block 7: home 4 out of range (nodes=4)")]
+    fn homeview_rejects_out_of_range_overlay_home() {
+        let mut m = HomeMap::new();
+        m.insert(BlockId(7), 4);
+        HomeView::with_placement(GlobalLayout::new(4, 64), 0, m);
     }
 }

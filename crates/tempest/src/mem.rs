@@ -168,7 +168,7 @@ impl Page {
 pub struct NodeMem {
     layout: GlobalLayout,
     me: NodeId,
-    /// This node's live block→home view (shared with the protocol engine).
+    /// The machine's block→home view (one instance shared by every node).
     homes: Arc<HomeView>,
     /// `log2(blocks per heap segment)`; a block's segment (= home node) and
     /// in-segment offset fall out of one shift and one mask.
@@ -190,12 +190,12 @@ pub struct NodeMem {
 impl NodeMem {
     /// Create the store for node `me` with the identity home view.
     pub fn new(layout: GlobalLayout, me: NodeId) -> NodeMem {
-        NodeMem::with_view(layout, me, Arc::new(HomeView::identity(layout)))
+        NodeMem::with_view(me, Arc::new(HomeView::identity(layout)))
     }
 
-    /// Create the store for node `me` sharing the given home view with the
-    /// protocol engine.
-    pub fn with_view(layout: GlobalLayout, me: NodeId, homes: Arc<HomeView>) -> NodeMem {
+    /// Create the store for node `me` over the machine's home view.
+    pub fn with_view(me: NodeId, homes: Arc<HomeView>) -> NodeMem {
+        let layout = *homes.layout();
         let blocks_per_seg = NODE_HEAP_BYTES / layout.block_size as u64;
         NodeMem {
             layout,
@@ -225,11 +225,6 @@ impl NodeMem {
     #[inline]
     pub fn is_home(&self, block: BlockId) -> bool {
         self.homes.home_of_block(block) == self.me
-    }
-
-    /// The home view this store consults.
-    pub fn homes(&self) -> &Arc<HomeView> {
-        &self.homes
     }
 
     /// Does `block` materialize as `ReadWrite` here on first touch?

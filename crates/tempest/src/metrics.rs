@@ -234,7 +234,7 @@ fn decode_sparse(s: &str, counts: &mut [u64]) -> Result<(), String> {
 ///   deltas match the rolled-back-and-recounted stats arithmetic.
 /// * **gap records** (`phase == 0`): cut at the next `phase_begin` (or at
 ///   run teardown) and carry everything that happened *between* phases —
-///   setup traffic, migration windows, checkpoints, the run's tail.
+///   setup traffic, checkpoints, the run's tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseRecord {
     /// Node the record belongs to.
@@ -356,7 +356,7 @@ impl PhaseRecord {
 }
 
 /// Extract `"key":<u64>` from a one-line JSON object.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
+pub fn field_u64(line: &str, key: &str) -> Option<u64> {
     let pat = format!("\"{key}\":");
     let at = line.find(&pat)? + pat.len();
     let rest = &line[at..];
@@ -364,9 +364,10 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// Extract `"key":"<str>"` from a one-line JSON object (no escapes — the
-/// encoded histograms contain only digits, colons and spaces).
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+/// Extract `"key":"<str>"` from a one-line JSON object. No escapes: the
+/// values this repo writes (encoded histograms, event-kind names) contain
+/// only alphanumerics, colons and spaces.
+pub fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\":\"");
     let at = line.find(&pat)? + pat.len();
     let rest = &line[at..];

@@ -88,12 +88,6 @@ pub struct NodeStats {
     pub recoveries: AtomicU64,
     /// Phase executions this node re-ran after a rollback.
     pub replays: AtomicU64,
-    /// Blocks this node migrated away while serving as their home (online
-    /// placement, phase-boundary home migration).
-    pub migrations: AtomicU64,
-    /// Requests this node bounced to a block's new home via a forwarding
-    /// stub left behind by a migration.
-    pub forwards: AtomicU64,
     /// Blocks homed at this node by a placement overlay (offline remap or
     /// scatter) rather than by the segment-derived default.
     pub remapped_blocks: AtomicU64,
@@ -148,8 +142,6 @@ impl NodeStats {
             checkpoint_bytes: g(&self.checkpoint_bytes),
             recoveries: g(&self.recoveries),
             replays: g(&self.replays),
-            migrations: g(&self.migrations),
-            forwards: g(&self.forwards),
             remapped_blocks: g(&self.remapped_blocks),
             merge_chunks_out: g(&self.merge_chunks_out),
         }
@@ -189,8 +181,6 @@ impl NodeStats {
         p(&self.checkpoint_bytes, s.checkpoint_bytes);
         p(&self.recoveries, s.recoveries);
         p(&self.replays, s.replays);
-        p(&self.migrations, s.migrations);
-        p(&self.forwards, s.forwards);
         p(&self.remapped_blocks, s.remapped_blocks);
         p(&self.merge_chunks_out, s.merge_chunks_out);
     }
@@ -228,8 +218,6 @@ pub struct StatsSnapshot {
     pub checkpoint_bytes: u64,
     pub recoveries: u64,
     pub replays: u64,
-    pub migrations: u64,
-    pub forwards: u64,
     pub remapped_blocks: u64,
     pub merge_chunks_out: u64,
 }
@@ -265,8 +253,6 @@ macro_rules! per_field {
             checkpoint_bytes: $a.checkpoint_bytes $op $b.checkpoint_bytes,
             recoveries: $a.recoveries $op $b.recoveries,
             replays: $a.replays $op $b.replays,
-            migrations: $a.migrations $op $b.migrations,
-            forwards: $a.forwards $op $b.forwards,
             remapped_blocks: $a.remapped_blocks $op $b.remapped_blocks,
             merge_chunks_out: $a.merge_chunks_out $op $b.merge_chunks_out,
         }
@@ -299,7 +285,7 @@ impl StatsSnapshot {
     /// Serializers (the run-report JSON, the trace analyzer) iterate this
     /// instead of hand-listing fields, so a new counter shows up
     /// everywhere by editing `NodeStats` + this table only.
-    pub fn fields(&self) -> [(&'static str, u64); 32] {
+    pub fn fields(&self) -> [(&'static str, u64); 30] {
         [
             ("reads", self.reads),
             ("writes", self.writes),
@@ -329,8 +315,6 @@ impl StatsSnapshot {
             ("checkpoint_bytes", self.checkpoint_bytes),
             ("recoveries", self.recoveries),
             ("replays", self.replays),
-            ("migrations", self.migrations),
-            ("forwards", self.forwards),
             ("remapped_blocks", self.remapped_blocks),
             ("merge_chunks_out", self.merge_chunks_out),
         ]
@@ -340,7 +324,7 @@ impl StatsSnapshot {
     /// [`StatsSnapshot::fields`]. Deserializers (the metrics JSONL parser)
     /// iterate this, so the two tables cannot drift apart silently: a
     /// counter added to one but not the other fails the round-trip test.
-    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 32] {
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 30] {
         [
             ("reads", &mut self.reads),
             ("writes", &mut self.writes),
@@ -370,8 +354,6 @@ impl StatsSnapshot {
             ("checkpoint_bytes", &mut self.checkpoint_bytes),
             ("recoveries", &mut self.recoveries),
             ("replays", &mut self.replays),
-            ("migrations", &mut self.migrations),
-            ("forwards", &mut self.forwards),
             ("remapped_blocks", &mut self.remapped_blocks),
             ("merge_chunks_out", &mut self.merge_chunks_out),
         ]

@@ -217,22 +217,11 @@ pub enum EventKind {
     /// the inbox drained. `a` = phase id, `b` = [`pack_counts`]
     /// (chunks sent, chunks received).
     MergeEnd = 32,
-    /// A phase-boundary migration window decided to move blocks away from
-    /// this home. `a` = blocks selected, `b` = the phase-execution version
-    /// at the window.
-    MigrateBegin = 33,
-    /// The migration window completed (every handoff acknowledged). `a` =
-    /// blocks moved, `b` = data bytes shipped with them.
-    MigrateEnd = 34,
-    /// A request for a migrated block hit this old home's forwarding stub
-    /// and was bounced. `a` = block, `b` = [`pack_peer_count`] (new home,
-    /// requester).
-    Forward = 35,
 }
 
 impl EventKind {
     /// Every kind, in code order (export and analysis iterate this).
-    pub const ALL: [EventKind; 35] = [
+    pub const ALL: [EventKind; 32] = [
         EventKind::FaultBegin,
         EventKind::FaultEnd,
         EventKind::BarrierEnter,
@@ -265,9 +254,6 @@ impl EventKind {
         EventKind::WatchdogFire,
         EventKind::MergeBegin,
         EventKind::MergeEnd,
-        EventKind::MigrateBegin,
-        EventKind::MigrateEnd,
-        EventKind::Forward,
     ];
 
     /// Stable name, as written into trace dumps.
@@ -305,9 +291,6 @@ impl EventKind {
             EventKind::WatchdogFire => "WatchdogFire",
             EventKind::MergeBegin => "MergeBegin",
             EventKind::MergeEnd => "MergeEnd",
-            EventKind::MigrateBegin => "MigrateBegin",
-            EventKind::MigrateEnd => "MigrateEnd",
-            EventKind::Forward => "Forward",
         }
     }
 
@@ -660,10 +643,7 @@ fn chrome_track(kind: EventKind) -> (u32, &'static str) {
         | EventKind::SchedCoalesce
         | EventKind::SchedReplay
         | EventKind::Degrade
-        | EventKind::Rearm
-        | EventKind::MigrateBegin
-        | EventKind::MigrateEnd
-        | EventKind::Forward => (2, "protocol"),
+        | EventKind::Rearm => (2, "protocol"),
         EventKind::WireFlush | EventKind::WireRecv | EventKind::FaultInject => (3, "wire"),
     }
 }
