@@ -1,7 +1,5 @@
 //! Criterion microbenches for the core mechanisms:
 //!
-//! * `access/local_hit` — the fine-grain access-control check + copy on the
-//!   hot (hit) path;
 //! * `protocol/remote_read_miss` — a full 2-hop miss through the engine;
 //! * `protocol/producer_consumer_roundtrip` — the 4-message §3.2 pattern;
 //! * `presend/record+presend` — schedule recording and the pre-send walk;
@@ -10,6 +8,11 @@
 //! * `machine/barrier` — one virtual-time barrier episode;
 //! * `mem/*` — the flat paged arena in isolation: block lookup on the hit
 //!   path, tag probe, data reply snapshot, and the dense block walk;
+//! * `ctx/*` — the same hit one layer up, through `NodeCtx::read`/`write`
+//!   (access counter, virtual clock, the `mem` mutex, then `mem/*`'s work),
+//!   reads and writes apart;
+//! * `agg/*` — element index → global address for the two distributions
+//!   the applications use, at their paper shapes;
 //! * `fabric/*` — the raw wire: a 256-message burst sent one envelope per
 //!   wire op (`send_single`, the pre-batching behavior) vs. packed into
 //!   wire batches (`send_batched`), and the receive-side batch drain in
@@ -18,31 +21,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use prescient_cstar::cfg::CfgBuilder;
 use prescient_cstar::dataflow::ReachingUnstructured;
-use prescient_runtime::{Agg1D, Dist1D, Machine, MachineConfig, NodeCtx};
-use prescient_tempest::{BatchConfig, Fabric, GlobalLayout, NodeMem, TryRecv};
-
-fn bench_access(c: &mut Criterion) {
-    let mut machine = Machine::new(MachineConfig::stache(2, 64));
-    let a = Agg1D::<f64>::new(&machine, 64, Dist1D::Block);
-    c.bench_function("access/local_hit", |b| {
-        b.iter_custom(|iters| {
-            let (durs, _) = machine.run(|ctx: &mut NodeCtx| {
-                let start = std::time::Instant::now();
-                if ctx.me() == 0 {
-                    let addr = a.addr(0);
-                    for i in 0..iters {
-                        ctx.write(addr, i as f64);
-                        let _: f64 = ctx.read(addr);
-                    }
-                }
-                let d = start.elapsed();
-                ctx.barrier();
-                d
-            });
-            durs[0] / 2 // two accesses per iter
-        })
-    });
-}
+use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, MachineConfig, NodeCtx};
+use prescient_tempest::{BatchConfig, Fabric, GAddr, GlobalLayout, NodeMem, TryRecv};
 
 fn bench_remote_miss(c: &mut Criterion) {
     let mut machine = Machine::new(MachineConfig::stache(2, 64));
@@ -222,6 +202,67 @@ fn bench_mem(c: &mut Criterion) {
     c.bench_function("mem/iter_blocks_1k_resident", |b| b.iter(|| mem.iter_blocks().count()));
 }
 
+fn bench_ctx(c: &mut Criterion) {
+    // Node 0 cycles over 4096 of its own elements (1024 blocks, all
+    // written first so every access is a hit). Addresses are computed
+    // outside the timed loop: `agg/*` times them on their own.
+    let mut machine = Machine::new(MachineConfig::stache(2, 32));
+    let a = Agg1D::<f64>::new(&machine, 2 * 4096, Dist1D::Block);
+    let addrs: Vec<GAddr> = a.my_range(0).map(|i| a.addr(i)).collect();
+    machine.run(|ctx: &mut NodeCtx| {
+        if ctx.me() == 0 {
+            for &addr in &addrs {
+                ctx.write(addr, 1.0f64);
+            }
+        }
+        ctx.barrier();
+    });
+    let mut timed = |name: &str, access: &(dyn Fn(&mut NodeCtx, GAddr, u64) + Sync)| {
+        c.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let (durs, _) = machine.run(|ctx: &mut NodeCtx| {
+                    let start = std::time::Instant::now();
+                    if ctx.me() == 0 {
+                        for i in 0..iters {
+                            access(ctx, std::hint::black_box(addrs[i as usize & 4095]), i);
+                        }
+                    }
+                    let d = start.elapsed();
+                    ctx.barrier();
+                    d
+                });
+                durs[0]
+            })
+        });
+    };
+    timed("ctx/read_hit", &|ctx, addr, _| {
+        std::hint::black_box(ctx.read::<f64>(addr));
+    });
+    timed("ctx/write_hit", &|ctx, addr, i| ctx.write(addr, i as f64));
+}
+
+fn bench_agg(c: &mut Criterion) {
+    // Water's position vectors (512 molecules) and Adaptive's mesh
+    // (128 x 128), both on the paper's 32 nodes.
+    let machine = Machine::new(MachineConfig::stache(32, 32));
+    let a = Agg1D::<f64>::new(&machine, 512, Dist1D::Block);
+    let g = Agg2D::<f64>::new(&machine, 128, 128, Dist2D::RowBlock);
+    c.bench_function("agg/addr_block_1d", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 37) & 511;
+            a.addr(std::hint::black_box(i))
+        })
+    });
+    c.bench_function("agg/addr_rowblock_2d", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 37) & 127;
+            g.addr(std::hint::black_box(i), std::hint::black_box(127 - i))
+        })
+    });
+}
+
 fn bench_fabric(c: &mut Criterion) {
     const BURST: u64 = 256;
 
@@ -292,6 +333,6 @@ fn bench_fabric(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_access, bench_remote_miss, bench_producer_consumer, bench_presend, bench_compiler, bench_dataflow, bench_barrier, bench_mem, bench_fabric
+    targets = bench_remote_miss, bench_producer_consumer, bench_presend, bench_compiler, bench_dataflow, bench_barrier, bench_mem, bench_ctx, bench_agg, bench_fabric
 }
 criterion_main!(benches);

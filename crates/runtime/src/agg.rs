@@ -44,6 +44,9 @@ pub struct Agg1D<T: Prim> {
     len: usize,
     nodes: usize,
     dist: Dist1D,
+    /// Elements per node under `Block` (`block_range`'s chunk), fixed at
+    /// construction so an address costs one division.
+    per: usize,
     /// Partition base address per node.
     bases: Vec<GAddr>,
     _t: PhantomData<T>,
@@ -63,7 +66,7 @@ impl<T: Prim> Agg1D<T> {
             let bytes = (count.max(1) * T::BYTES) as u64;
             bases.push(m.alloc_on(p as NodeId, bytes, T::BYTES as u64));
         }
-        Agg1D { len, nodes, dist, bases, _t: PhantomData }
+        Agg1D { len, nodes, dist, per: chunk(len, nodes), bases, _t: PhantomData }
     }
 
     /// Number of elements.
@@ -80,10 +83,7 @@ impl<T: Prim> Agg1D<T> {
     pub fn owner(&self, i: usize) -> NodeId {
         debug_assert!(i < self.len);
         match self.dist {
-            Dist1D::Block => {
-                let per = self.len.div_ceil(self.nodes);
-                ((i / per.max(1)).min(self.nodes - 1)) as NodeId
-            }
+            Dist1D::Block => (i / self.per).min(self.nodes - 1) as NodeId,
             Dist1D::Cyclic => (i % self.nodes) as NodeId,
         }
     }
@@ -94,7 +94,7 @@ impl<T: Prim> Agg1D<T> {
         match self.dist {
             Dist1D::Block => {
                 let p = self.owner(i) as usize;
-                let start = block_range(self.len, self.nodes, p).start;
+                let start = (p * self.per).min(self.len);
                 self.bases[p].add(((i - start) * T::BYTES) as u64)
             }
             Dist1D::Cyclic => {
@@ -128,6 +128,9 @@ pub struct Agg2D<T: Prim> {
     cols: usize,
     nodes: usize,
     dist: Dist2D,
+    /// Rows per node under `RowBlock`, fixed at construction like
+    /// [`Agg1D`]'s.
+    per: usize,
     bases: Vec<GAddr>,
     _t: PhantomData<T>,
 }
@@ -151,7 +154,7 @@ impl<T: Prim> Agg2D<T> {
             let bytes = (count.max(1) * T::BYTES) as u64;
             bases.push(m.alloc_on(p as NodeId, bytes, T::BYTES as u64));
         }
-        Agg2D { rows, cols, nodes, dist, bases, _t: PhantomData }
+        Agg2D { rows, cols, nodes, dist, per: chunk(rows, nodes), bases, _t: PhantomData }
     }
 
     /// Row count.
@@ -168,10 +171,7 @@ impl<T: Prim> Agg2D<T> {
     pub fn owner(&self, i: usize, j: usize) -> NodeId {
         debug_assert!(i < self.rows && j < self.cols);
         match self.dist {
-            Dist2D::RowBlock => {
-                let per = self.rows.div_ceil(self.nodes);
-                ((i / per.max(1)).min(self.nodes - 1)) as NodeId
-            }
+            Dist2D::RowBlock => (i / self.per).min(self.nodes - 1) as NodeId,
             Dist2D::Tiled { pr, pc } => {
                 let tr = owner_of(self.rows, pr, i);
                 let tc = owner_of(self.cols, pc, j);
@@ -186,7 +186,7 @@ impl<T: Prim> Agg2D<T> {
         match self.dist {
             Dist2D::RowBlock => {
                 let p = self.owner(i, j) as usize;
-                let r0 = block_range(self.rows, self.nodes, p).start;
+                let r0 = (p * self.per).min(self.rows);
                 self.bases[p].add((((i - r0) * self.cols + j) * T::BYTES) as u64)
             }
             Dist2D::Tiled { pr, pc } => {
@@ -218,9 +218,14 @@ impl<T: Prim> Agg2D<T> {
     }
 }
 
+/// Elements per part when `len` contiguous elements split into `parts`.
+fn chunk(len: usize, parts: usize) -> usize {
+    len.div_ceil(parts).max(1)
+}
+
 /// Contiguous `len` elements split into `parts`: the range of part `p`.
 fn block_range(len: usize, parts: usize, p: usize) -> std::ops::Range<usize> {
-    let per = len.div_ceil(parts).max(1);
+    let per = chunk(len, parts);
     let start = (p * per).min(len);
     let end = ((p + 1) * per).min(len);
     start..end
@@ -235,8 +240,7 @@ fn cyclic_count(len: usize, parts: usize, p: usize) -> usize {
 }
 
 fn owner_of(len: usize, parts: usize, i: usize) -> usize {
-    let per = len.div_ceil(parts).max(1);
-    (i / per).min(parts - 1)
+    (i / chunk(len, parts)).min(parts - 1)
 }
 
 #[cfg(test)]
@@ -314,6 +318,129 @@ mod tests {
         assert_eq!((rr, cc), (4..8, 4..8));
         for (i, j) in [(0, 0), (2, 5), (5, 2), (7, 7)] {
             assert_eq!(m.layout().home_of(g.addr(i, j)), g.owner(i, j));
+        }
+    }
+
+    /// The addressing formulas as they stood before `per` was cached at
+    /// construction, verbatim: the oracle for the grid tests below.
+    mod oracle {
+        pub fn block_range(len: usize, parts: usize, p: usize) -> std::ops::Range<usize> {
+            let per = len.div_ceil(parts).max(1);
+            let start = (p * per).min(len);
+            let end = ((p + 1) * per).min(len);
+            start..end
+        }
+
+        pub fn owner_of(len: usize, parts: usize, i: usize) -> usize {
+            let per = len.div_ceil(parts).max(1);
+            (i / per).min(parts - 1)
+        }
+
+        /// 1-D Block: (owner, element offset in the owner's partition).
+        pub fn block_1d(len: usize, nodes: usize, i: usize) -> (usize, usize) {
+            let per = len.div_ceil(nodes);
+            let p = (i / per.max(1)).min(nodes - 1);
+            let start = block_range(len, nodes, p).start;
+            (p, i - start)
+        }
+
+        /// 1-D Cyclic.
+        pub fn cyclic_1d(nodes: usize, i: usize) -> (usize, usize) {
+            (i % nodes, i / nodes)
+        }
+
+        /// 2-D RowBlock.
+        pub fn rowblock_2d(
+            rows: usize,
+            cols: usize,
+            nodes: usize,
+            i: usize,
+            j: usize,
+        ) -> (usize, usize) {
+            let per = rows.div_ceil(nodes);
+            let p = (i / per.max(1)).min(nodes - 1);
+            let r0 = block_range(rows, nodes, p).start;
+            (p, (i - r0) * cols + j)
+        }
+
+        /// 2-D Tiled on a `pr × pc` grid.
+        pub fn tiled_2d(
+            rows: usize,
+            cols: usize,
+            pr: usize,
+            pc: usize,
+            i: usize,
+            j: usize,
+        ) -> (usize, usize) {
+            let tr = owner_of(rows, pr, i);
+            let tc = owner_of(cols, pc, j);
+            let p = tr * pc + tc;
+            let r0 = block_range(rows, pr, tr).start;
+            let c0 = block_range(cols, pc, tc).start;
+            let width = block_range(cols, pc, tc).len();
+            (p, (i - r0) * width + (j - c0))
+        }
+    }
+
+    /// `addr`/`owner` of one element against the oracle's (owner, offset),
+    /// and the address's home against the owner. Every aggregate in the
+    /// grid tests has 8-byte elements.
+    fn check_elem(m: &Machine, bases: &[GAddr], addr: GAddr, owner: NodeId, want: (usize, usize)) {
+        let (p, off) = want;
+        assert_eq!(owner as usize, p);
+        assert_eq!(addr, bases[p].add((off * 8) as u64));
+        assert_eq!(m.layout().home_of(addr), owner);
+    }
+
+    #[test]
+    fn agg1d_addressing_matches_the_pre_cache_formulas_on_a_small_grid() {
+        for nodes in 1..=9 {
+            let m = machine(nodes);
+            for len in 0..=40 {
+                let a = Agg1D::<f64>::new(&m, len, Dist1D::Block);
+                let c = Agg1D::<u64>::new(&m, len, Dist1D::Cyclic);
+                for i in 0..len {
+                    check_elem(
+                        &m,
+                        &a.bases,
+                        a.addr(i),
+                        a.owner(i),
+                        oracle::block_1d(len, nodes, i),
+                    );
+                    check_elem(&m, &c.bases, c.addr(i), c.owner(i), oracle::cyclic_1d(nodes, i));
+                }
+                for p in 0..nodes {
+                    assert_eq!(a.my_range(p as NodeId), oracle::block_range(len, nodes, p));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn agg2d_addressing_matches_the_pre_cache_formulas_on_a_small_grid() {
+        for nodes in 1..=9 {
+            let m = machine(nodes);
+            let grids: Vec<(usize, usize)> =
+                (1..=nodes).filter(|pr| nodes % pr == 0).map(|pr| (pr, nodes / pr)).collect();
+            for rows in 0..=40 {
+                for cols in [1, 5, 12] {
+                    let g = Agg2D::<f64>::new(&m, rows, cols, Dist2D::RowBlock);
+                    for (i, j) in (0..rows).flat_map(|i| (0..cols).map(move |j| (i, j))) {
+                        let want = oracle::rowblock_2d(rows, cols, nodes, i, j);
+                        check_elem(&m, &g.bases, g.addr(i, j), g.owner(i, j), want);
+                    }
+                    for p in 0..nodes {
+                        assert_eq!(g.my_rows(p as NodeId), oracle::block_range(rows, nodes, p));
+                    }
+                    for &(pr, pc) in &grids {
+                        let t = Agg2D::<u64>::new(&m, rows, cols, Dist2D::Tiled { pr, pc });
+                        for (i, j) in (0..rows).flat_map(|i| (0..cols).map(move |j| (i, j))) {
+                            let want = oracle::tiled_2d(rows, cols, pr, pc, i, j);
+                            check_elem(&m, &t.bases, t.addr(i, j), t.owner(i, j), want);
+                        }
+                    }
+                }
+            }
         }
     }
 

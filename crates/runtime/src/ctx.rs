@@ -262,28 +262,26 @@ impl NodeCtx {
     /// Read a primitive from shared memory (fine-grain checked; faults are
     /// serviced by the coherence protocol and billed as remote wait).
     pub fn read<T: Prim>(&mut self, addr: GAddr) -> T {
-        NodeStats::bump(&self.shared.stats.reads);
+        // Single writer: this thread is the only one that counts accesses
+        // or restores the counters (`recover`).
+        NodeStats::bump_single_writer(&self.shared.stats.reads);
         self.t.compute_ns += self.cost.local_access_ns;
         let mut buf = [0u8; 16];
         let buf = &mut buf[..T::BYTES];
         loop {
-            // The first-touch probe runs under the same mem lock as the
-            // access, so "unread pre-send copy consumed by this read" is
-            // exact; it is skipped entirely when tracing is off.
+            // The unread-pre-send count is read under the same mem lock as
+            // the access, so "unread pre-send copy consumed by this read"
+            // is exact: the count drops iff this access cleared the bit.
             let (r, first_touch) = {
                 let mut mem = self.shared.mem.lock();
-                let ft = self.shared.tracer().on()
-                    && mem.presend_unused(self.shared.layout.block_of(addr));
-                (mem.read_in_block(addr, buf), ft)
+                let unread = mem.unused_presends();
+                let r = mem.read_in_block(addr, buf);
+                (r, mem.unused_presends() != unread)
             };
             match r {
                 Ok(()) => {
                     if first_touch {
-                        self.trace(
-                            EventKind::PresendFirstTouch,
-                            self.shared.layout.block_of(addr).0,
-                            0,
-                        );
+                        self.trace_first_touch(addr);
                     }
                     return T::load(buf);
                 }
@@ -296,7 +294,7 @@ impl NodeCtx {
 
     /// Write a primitive to shared memory.
     pub fn write<T: Prim>(&mut self, addr: GAddr, v: T) {
-        NodeStats::bump(&self.shared.stats.writes);
+        NodeStats::bump_single_writer(&self.shared.stats.writes);
         self.t.compute_ns += self.cost.local_access_ns;
         let mut buf = [0u8; 16];
         let buf = &mut buf[..T::BYTES];
@@ -304,24 +302,26 @@ impl NodeCtx {
         loop {
             let (r, first_touch) = {
                 let mut mem = self.shared.mem.lock();
-                let ft = self.shared.tracer().on()
-                    && mem.presend_unused(self.shared.layout.block_of(addr));
-                (mem.write_in_block(addr, buf), ft)
+                let unread = mem.unused_presends();
+                let r = mem.write_in_block(addr, buf);
+                (r, mem.unused_presends() != unread)
             };
             match r {
                 Ok(()) => {
                     if first_touch {
-                        self.trace(
-                            EventKind::PresendFirstTouch,
-                            self.shared.layout.block_of(addr).0,
-                            0,
-                        );
+                        self.trace_first_touch(addr);
                     }
                     return;
                 }
                 Err(e) => self.miss(e.fault().block, true),
             }
         }
+    }
+
+    /// An access just consumed an unread pre-sent copy of `addr`'s block.
+    #[cold]
+    fn trace_first_touch(&self, addr: GAddr) {
+        self.trace(EventKind::PresendFirstTouch, self.shared.layout.block_of(addr).0, 0);
     }
 
     fn miss(&mut self, block: prescient_tempest::BlockId, excl: bool) {

@@ -4,6 +4,7 @@
 //! [`MachineError`], and the checkpoint/recovery trace events appear in
 //! the protocol event stream.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use prescient_runtime::{
@@ -15,6 +16,21 @@ use prescient_tempest::{CrashPlan, FaultPlan, PartitionSpec, TraceConfig};
 
 const NODES: usize = 4;
 const N: usize = 256;
+
+/// A traced machine exports its event stream when it drops, to the
+/// basename in the process-global `PRESCIENT_TRACE_OUT` — by default
+/// `trace`, which for a test is the crate directory. The traced tests
+/// point it at the temp directory and hold this lock until their machine
+/// is gone, so exports never interleave.
+static EXPORT_LOCK: Mutex<()> = Mutex::new(());
+
+fn export_to_temp(tag: &str) -> MutexGuard<'static, ()> {
+    let guard = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let base =
+        std::env::temp_dir().join(format!("prescient_robustness_{}_{tag}", std::process::id()));
+    std::env::set_var("PRESCIENT_TRACE_OUT", base);
+    guard
+}
 
 /// One relaxation sweep over a shared array — enough traffic that every
 /// node blocks on its neighbors.
@@ -135,6 +151,7 @@ fn watchdog_converts_full_partition_into_bounded_deadlock_error() {
     // without the watchdog this run would hang until the retry budget's
     // "machine wedged" panic — and hang forever if retries were unbounded.
     let wd = WatchdogConfig { poll: Duration::from_millis(25), stalled_polls: 8 };
+    let _export = export_to_temp("watchdog");
     let start = Instant::now();
     let mut m = Machine::new(
         MachineConfig::stache(NODES, 64)
@@ -209,6 +226,7 @@ fn watchdog_stays_quiet_on_a_healthy_run() {
 
 #[test]
 fn recovery_emits_the_full_event_sequence() {
+    let _export = export_to_temp("recovery");
     let mut m = Machine::new(
         MachineConfig::predictive(NODES, 64)
             .with_crash_plan(CrashPlan::new(2, 3))
@@ -248,6 +266,65 @@ fn recovery_emits_the_full_event_sequence() {
     assert_eq!(count(EventKind::CheckpointEnd), 7 * NODES);
     // No watchdog ran.
     assert_eq!(count(EventKind::WatchdogFire), 0);
+}
+
+// ---- access counters under rollback --------------------------------------
+
+/// [`sweep`], tallying the `(reads, writes)` it issues.
+fn counted_sweep(ctx: &mut NodeCtx, a: &Agg1D<f64>, b: &Agg1D<f64>, calls: &mut (u64, u64)) {
+    let n = a.len();
+    for i in a.my_range(ctx.me()) {
+        let interior = i > 0 && i + 1 < n;
+        calls.0 += if interior { 2 } else { 1 };
+        calls.1 += 1;
+    }
+    sweep(ctx, a, b);
+}
+
+#[test]
+fn access_counters_equal_the_calls_made_fault_free_and_after_a_replay() {
+    // `reads`/`writes` are bumped with a single-writer load + store and
+    // rolled back by `stats.restore` in `recover()`, both on the compute
+    // thread. The tally rides in the phase state, which a replay rolls
+    // back too, so on both legs it counts the committed calls exactly.
+    let run = |crash: Option<CrashPlan>| {
+        let mut cfg = MachineConfig::predictive(NODES, 64).with_checkpoints(true);
+        if let Some(plan) = crash {
+            cfg = cfg.with_crash_plan(plan);
+        }
+        let mut m = Machine::new(cfg.validated());
+        let a = Agg1D::<f64>::new(&m, N, Dist1D::Block);
+        let b = Agg1D::<f64>::new(&m, N, Dist1D::Block);
+        init(&mut m, &a, &b);
+        m.run(|ctx: &mut NodeCtx| {
+            let mut calls = (0u64, 0u64);
+            for _ in 0..3 {
+                ctx.phase(1, &mut calls, |ctx, calls| counted_sweep(ctx, &a, &b, calls));
+                ctx.phase(2, &mut calls, |ctx, calls| counted_sweep(ctx, &b, &a, calls));
+                // Accesses between phases are counted like any other.
+                let first = a.my_range(ctx.me()).start;
+                let v: f64 = ctx.read(a.addr(first));
+                ctx.write(b.addr(first), v);
+                calls.0 += 1;
+                calls.1 += 1;
+                ctx.barrier();
+            }
+            calls
+        })
+    };
+
+    let (calls, clean) = run(None);
+    let (calls_crashed, crashed) = run(Some(CrashPlan::new(2, 3)));
+    assert_eq!(crashed.total_stats().replays, NODES as u64, "the crash leg must replay a phase");
+    assert_eq!(clean.total_stats().replays, 0);
+    assert_eq!(calls, calls_crashed, "the same program commits the same calls");
+    for report in [&clean, &crashed] {
+        for (nr, &(reads, writes)) in report.per_node.iter().zip(&calls) {
+            assert!(reads > 0 && writes > 0);
+            assert_eq!(nr.stats.reads, reads, "node {}: reads", nr.node);
+            assert_eq!(nr.stats.writes, writes, "node {}: writes", nr.node);
+        }
+    }
 }
 
 // ---- checkpointing without a crash is inert -----------------------------

@@ -186,6 +186,67 @@ fn tracing_does_not_perturb_the_run() {
 }
 
 #[test]
+fn a_presend_read_twice_is_one_first_touch() {
+    let _g = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    set_out("first_touch");
+    let mut m = Machine::new(
+        MachineConfig::predictive(2, 32)
+            .with_retry(RetryConfig { timeout: Duration::from_secs(30), max_retries: 4 })
+            .with_trace(TraceConfig::with_capacity(1 << 12)),
+    );
+    // Node 0 owns elements 0..8: two blocks of 4 × f64 at 32 B.
+    let a = Agg1D::<f64>::new(&m, 16, Dist1D::Block);
+    let blocks = [m.layout().block_of(a.addr(0)), m.layout().block_of(a.addr(4))];
+    assert_ne!(blocks[0], blocks[1]);
+    const ITERS: u64 = 3;
+    m.run(|ctx: &mut NodeCtx| {
+        for it in 0..ITERS {
+            // Node 0 rewrites both blocks, taking node 1's copies away.
+            ctx.phase_begin(1);
+            if ctx.me() == 0 {
+                ctx.write(a.addr(0), it as f64);
+                ctx.write(a.addr(4), it as f64);
+            }
+            ctx.phase_end();
+            // Node 1 reads the first block three times while the second
+            // still sits unread, then the second twice: two misses in the
+            // first iteration, two pre-sent copies from then on.
+            ctx.phase_begin(2);
+            if ctx.me() == 1 {
+                assert_eq!(ctx.read::<f64>(a.addr(0)), it as f64);
+                assert_eq!(ctx.read::<f64>(a.addr(0)), it as f64);
+                let _: f64 = ctx.read(a.addr(3));
+                assert_eq!(ctx.read::<f64>(a.addr(4)), it as f64);
+                assert_eq!(ctx.read::<f64>(a.addr(4)), it as f64);
+            }
+            ctx.phase_end();
+        }
+    });
+    let (events, dropped) = m.trace_events();
+    assert_eq!(dropped, 0);
+    let installs: u64 = events
+        .iter()
+        .filter(|e| e.node == 1 && e.kind == EventKind::PresendInstall)
+        .map(|e| unpack_peer_count(e.b).1)
+        .sum();
+    assert_eq!(installs, 2 * (ITERS - 1), "later iterations are served by pre-sent copies");
+    for block in blocks {
+        let on_node1 = |k: EventKind| {
+            events.iter().filter(|e| e.node == 1 && e.kind == k && e.a == block.0).count() as u64
+        };
+        assert_eq!(on_node1(EventKind::FaultBegin), 1, "{block:?}: only iteration 0 misses");
+        assert_eq!(
+            on_node1(EventKind::PresendFirstTouch),
+            ITERS - 1,
+            "{block:?}: repeated reads of one pre-sent copy are one first touch"
+        );
+    }
+    let first_touches =
+        events.iter().filter(|e| e.kind == EventKind::PresendFirstTouch).count() as u64;
+    assert_eq!(first_touches, 2 * (ITERS - 1), "and nothing else is one");
+}
+
+#[test]
 fn teardown_exports_loadable_files() {
     let _g = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let base = set_out("export");

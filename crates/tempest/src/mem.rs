@@ -24,11 +24,30 @@
 //!
 //! Each segment owns a lazily grown table of fixed-size *pages*; a page
 //! packs `PAGE_BLOCKS` blocks' bytes into one contiguous buffer plus one
-//! metadata byte per block (tag, present bit, unread-pre-send bit). Hot
-//! accesses are two shifts, two masks and two bounds checks; residency and
-//! unread-pre-send counts are maintained on the transitions, so
-//! [`NodeMem::resident_blocks`] and [`NodeMem::unused_presends`] are O(1)
+//! metadata byte per block (tag, present bit, unread-pre-send bit).
+//! Residency and unread-pre-send counts are maintained on the transitions,
+//! so [`NodeMem::resident_blocks`] and [`NodeMem::unused_presends`] are O(1)
 //! and iteration for invariant checks walks dense pages instead of hashing.
+//!
+//! # Hit path and slow path
+//!
+//! [`NodeMem::read_in_block`] and [`NodeMem::write_in_block`] — the tag
+//! check behind every shared load and store — split into a hit path and a
+//! `#[cold]` slow path. A *hit* is an in-block access to a materialized
+//! block whose tag permits it and whose unread-pre-send bit is clear. It
+//! costs the index arithmetic above once (two precomputed shifts and a
+//! mask off the address, then segment table → page table → page), one
+//! comparison of the slot's metadata byte against the one or two values
+//! that mean "present, permitted, already read", and one copy. It changes
+//! no bookkeeping, because a hit has none to change.
+//!
+//! Everything else takes the slow path, which starts again from the
+//! address and makes every check in order: boundary crossing
+//! ([`MemError::CrossesBoundary`]), an address outside every heap segment
+//! (panics), the tag (a [`Fault`], consulting the [`HomeView`] for a block
+//! not yet materialized), first-touch materialization of an own home
+//! block, and clearing the unread-pre-send bit with its count. The hit
+//! path is a pure shortcut: removing it leaves every result the same.
 //!
 //! [`NodeMem::snapshot`] is non-materializing: snapshotting a never-touched
 //! home block returns the canonical zero block without installing anything,
@@ -102,9 +121,13 @@ impl MemError {
 const META_TAG_MASK: u8 = 0b011;
 const META_PRESENT: u8 = 0b100;
 const META_UNUSED: u8 = 0b1000;
+// The metadata bytes of a hit: present, unread-pre-send bit clear, and a
+// tag that permits the access.
+const META_HIT_RO: u8 = META_PRESENT | tag_code(Tag::ReadOnly);
+const META_HIT_RW: u8 = META_PRESENT | tag_code(Tag::ReadWrite);
 
 #[inline]
-fn tag_code(tag: Tag) -> u8 {
+const fn tag_code(tag: Tag) -> u8 {
     match tag {
         Tag::Invalid => 0,
         Tag::ReadOnly => 1,
@@ -170,6 +193,8 @@ pub struct NodeMem {
     me: NodeId,
     /// The machine's block→home view (one instance shared by every node).
     homes: Arc<HomeView>,
+    /// `log2(block size)`: an address's block is one shift.
+    block_shift: u32,
     /// `log2(blocks per heap segment)`; a block's segment (= home node) and
     /// in-segment offset fall out of one shift and one mask.
     seg_shift: u32,
@@ -201,6 +226,7 @@ impl NodeMem {
             layout,
             me,
             homes,
+            block_shift: layout.block_size.trailing_zeros(),
             seg_shift: blocks_per_seg.trailing_zeros(),
             segs: (0..layout.nodes).map(|_| Vec::new()).collect(),
             resident: 0,
@@ -269,13 +295,27 @@ impl NodeMem {
         GAddr(a)
     }
 
-    /// Segment index and in-segment block offset of `block`.
+    /// Segment, page and slot index of `block` — the module doc's index
+    /// arithmetic, with the segment not yet checked against the machine.
+    #[inline]
+    fn split(&self, block: BlockId) -> (usize, usize, usize) {
+        let seg = (block.0 >> self.seg_shift) as usize;
+        let rel = block.0 & ((1u64 << self.seg_shift) - 1);
+        (seg, (rel >> PAGE_SHIFT) as usize, (rel & (PAGE_BLOCKS as u64 - 1)) as usize)
+    }
+
+    /// The block containing `addr`.
+    #[inline]
+    fn block_at(&self, addr: GAddr) -> BlockId {
+        BlockId(addr.0 >> self.block_shift)
+    }
+
+    /// [`Self::split`], panicking on a block outside every heap segment.
     #[inline]
     fn locate(&self, block: BlockId) -> (usize, usize, usize) {
-        let seg = (block.0 >> self.seg_shift) as usize;
-        assert!(seg < self.segs.len(), "{block:?} outside any node heap segment");
-        let rel = block.0 & ((1u64 << self.seg_shift) - 1);
-        ((seg), (rel >> PAGE_SHIFT) as usize, (rel & (PAGE_BLOCKS as u64 - 1)) as usize)
+        let at = self.split(block);
+        assert!(at.0 < self.segs.len(), "{block:?} outside any node heap segment");
+        at
     }
 
     /// The page and slot holding `block`, if its page was ever allocated.
@@ -397,9 +437,27 @@ impl NodeMem {
     /// Read `buf.len()` bytes starting at `addr`. The read must not cross a
     /// block boundary. On success the bytes are copied into `buf`; on an
     /// access fault nothing is copied and the fault is returned.
+    #[inline]
     pub fn read_in_block(&mut self, addr: GAddr, buf: &mut [u8]) -> Result<(), MemError> {
         let bs = self.layout.block_size;
-        let block = addr.block(bs);
+        let off = addr.offset_in_block(bs);
+        let end = off + buf.len();
+        let (seg, page, slot) = self.split(self.block_at(addr));
+        if let Some(Some(p)) = self.segs.get(seg).and_then(|pages| pages.get(page)) {
+            if end <= bs && matches!(p.meta[slot], META_HIT_RO | META_HIT_RW) {
+                buf.copy_from_slice(&p.data[slot * bs + off..slot * bs + end]);
+                return Ok(());
+            }
+        }
+        self.read_slow(addr, buf)
+    }
+
+    /// Every read that is not a hit (module doc): the full sequence of
+    /// checks, from the address.
+    #[cold]
+    fn read_slow(&mut self, addr: GAddr, buf: &mut [u8]) -> Result<(), MemError> {
+        let bs = self.layout.block_size;
+        let block = self.block_at(addr);
         let off = addr.offset_in_block(bs);
         if off + buf.len() > bs {
             return Err(MemError::CrossesBoundary { addr, len: buf.len() });
@@ -418,9 +476,26 @@ impl NodeMem {
 
     /// Write `bytes` starting at `addr`. The write must not cross a block
     /// boundary. On an access fault nothing is written.
+    #[inline]
     pub fn write_in_block(&mut self, addr: GAddr, bytes: &[u8]) -> Result<(), MemError> {
         let bs = self.layout.block_size;
-        let block = addr.block(bs);
+        let off = addr.offset_in_block(bs);
+        let end = off + bytes.len();
+        let (seg, page, slot) = self.split(self.block_at(addr));
+        if let Some(Some(p)) = self.segs.get_mut(seg).and_then(|pages| pages.get_mut(page)) {
+            if end <= bs && p.meta[slot] == META_HIT_RW {
+                p.data[slot * bs + off..slot * bs + end].copy_from_slice(bytes);
+                return Ok(());
+            }
+        }
+        self.write_slow(addr, bytes)
+    }
+
+    /// Every write that is not a hit (module doc).
+    #[cold]
+    fn write_slow(&mut self, addr: GAddr, bytes: &[u8]) -> Result<(), MemError> {
+        let bs = self.layout.block_size;
+        let block = self.block_at(addr);
         let off = addr.offset_in_block(bs);
         if off + bytes.len() > bs {
             return Err(MemError::CrossesBoundary { addr, len: bytes.len() });

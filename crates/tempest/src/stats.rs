@@ -14,12 +14,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::NodeId;
 
 /// Event counters for one node. All counters are cumulative over the run and
-/// safe to update from both the compute and the protocol-handler thread.
+/// safe to update from both the compute and the protocol-handler thread —
+/// except `reads` and `writes`, which have a single writer (see
+/// [`NodeStats::bump_single_writer`]).
 #[derive(Debug, Default)]
 pub struct NodeStats {
-    /// Shared-memory loads issued by the compute thread.
+    /// Shared-memory loads issued by the compute thread. Single-writer:
+    /// only the node's compute thread may change it.
     pub reads: AtomicU64,
-    /// Shared-memory stores issued by the compute thread.
+    /// Shared-memory stores issued by the compute thread. Single-writer,
+    /// like `reads`.
     pub writes: AtomicU64,
     /// Read faults that required a remote request.
     pub read_misses: AtomicU64,
@@ -102,6 +106,23 @@ impl NodeStats {
     #[inline]
     pub fn bump(c: &AtomicU64) {
         c.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Increment a counter that only the calling thread ever writes: a
+    /// relaxed load and a relaxed store, not a locked read-modify-write
+    /// (which costs an order of magnitude more and is paid on every
+    /// shared access).
+    ///
+    /// Correct only under the single-writer invariant: every write to `c`
+    /// — this increment and [`NodeStats::restore`] on the rollback path —
+    /// comes from one thread, so no update can fall between the load and
+    /// the store. `reads` and `writes` qualify: the node's compute thread
+    /// counts its own accesses and runs its own recovery. Any other thread
+    /// may *read* the counter at any time (snapshots, metrics cuts); it
+    /// sees some value the counter held, as with `fetch_add`.
+    #[inline]
+    pub fn bump_single_writer(c: &AtomicU64) {
+        c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
     /// Increment a counter by `n`.

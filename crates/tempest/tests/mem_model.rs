@@ -5,11 +5,20 @@
 //! This is the deterministic twin of `proptest_mem.rs` — same oracle, fixed
 //! seeds, no external crates — so the equivalence claim is exercised even
 //! where the proptest harness is unavailable.
+//!
+//! The scripted tests at the end walk every transition between the store's
+//! hit path and its slow path one by one, against the same oracle and
+//! against the outcome each must have.
 
 mod model;
 
+use std::sync::Arc;
+
 use model::{apply_and_check, check_final, Op, RefStore};
-use prescient_tempest::{BlockId, GlobalLayout, NodeMem, Tag};
+use prescient_tempest::tag::Access;
+use prescient_tempest::{
+    BlockId, Fault, GAddr, GlobalLayout, HomeMap, HomeView, MemError, NodeMem, Tag,
+};
 
 /// xorshift64*: tiny, deterministic, good enough to mix op choices.
 struct Rng(u64);
@@ -93,4 +102,196 @@ fn arena_matches_hashmap_model_64b_blocks() {
         apply_and_check(&mut mem, &mut model, &op);
     }
     check_final(&mem, &model);
+}
+
+// ---- hit path / slow path transitions, one by one -------------------------
+
+/// The store of node 1 of 4 (32-byte blocks) beside its model, with one
+/// block of node 1's own segment remapped away by a placement overlay.
+struct Pair {
+    mem: NodeMem,
+    model: RefStore,
+}
+
+const ME: u16 = 1;
+const BS: usize = 32;
+const BLOCKS_PER_SEG: u64 = (1u64 << 32) / BS as u64;
+
+/// Block `off` of node `seg`'s heap segment.
+fn blk(seg: u64, off: u64) -> BlockId {
+    BlockId(seg * BLOCKS_PER_SEG + off)
+}
+
+/// The own-segment block the overlay re-homes at node 3.
+const REMAPPED: BlockId = BlockId(BLOCKS_PER_SEG + 4);
+
+impl Pair {
+    fn new() -> Pair {
+        let layout = GlobalLayout::new(4, BS);
+        let mut overlay = HomeMap::new();
+        overlay.insert(REMAPPED, 3);
+        let view = Arc::new(HomeView::with_placement(layout, 0, overlay));
+        Pair {
+            mem: NodeMem::with_view(ME, view),
+            model: RefStore::with_remapped(layout, ME, &[REMAPPED]),
+        }
+    }
+
+    /// Apply to both stores (which must agree on every observable) and
+    /// return the refusal, if any.
+    fn step(&mut self, op: Op) -> Option<MemError> {
+        apply_and_check(&mut self.mem, &mut self.model, &op)
+    }
+
+    fn read(&mut self, b: BlockId, off: usize, len: usize) -> Option<MemError> {
+        self.step(Op::Read(b, off, len))
+    }
+
+    fn write(&mut self, b: BlockId, off: usize, len: usize) -> Option<MemError> {
+        self.step(Op::Write(b, off, len, 0xA5))
+    }
+}
+
+fn fault(block: BlockId, access: Access, observed: Tag) -> Option<MemError> {
+    Some(MemError::Fault(Fault { block, access, observed }))
+}
+
+#[test]
+fn first_touch_of_an_own_home_block_materializes_it_read_write() {
+    for write_first in [false, true] {
+        let mut p = Pair::new();
+        let own = blk(1, 3);
+        assert_eq!(p.mem.resident_blocks(), 0);
+        let first = if write_first { p.write(own, 8, 8) } else { p.read(own, 8, 8) };
+        assert_eq!(first, None, "an own home block is there from the start");
+        assert_eq!(p.mem.resident_blocks(), 1, "the first touch materializes exactly it");
+        assert_eq!(p.mem.probe(own), Tag::ReadWrite);
+        // From here on every access is a hit: nothing else changes.
+        assert_eq!(p.write(own, 0, 32), None);
+        assert_eq!(p.read(own, 0, 32), None);
+        assert_eq!(p.read(own, 31, 1), None);
+        p.step(Op::Snapshot(own));
+        assert_eq!(p.mem.resident_blocks(), 1);
+        assert_eq!(p.mem.unused_presends(), 0);
+        check_final(&p.mem, &p.model);
+    }
+}
+
+#[test]
+fn present_blocks_hit_or_fault_by_tag() {
+    let mut p = Pair::new();
+    for b in [blk(1, 3), blk(2, 3), REMAPPED] {
+        p.step(Op::Install(b, 7, Tag::ReadWrite, false));
+        assert_eq!(p.read(b, 4, 8), None, "ReadWrite reads");
+        assert_eq!(p.write(b, 4, 8), None, "ReadWrite writes");
+
+        p.step(Op::SetTag(b, Tag::ReadOnly));
+        assert_eq!(p.read(b, 4, 8), None, "ReadOnly reads");
+        assert_eq!(p.write(b, 4, 8), fault(b, Access::Write, Tag::ReadOnly));
+        assert_eq!(p.read(b, 4, 8), None, "a refused write changed nothing");
+
+        p.step(Op::SetTag(b, Tag::Invalid));
+        assert_eq!(p.read(b, 4, 8), fault(b, Access::Read, Tag::Invalid));
+        assert_eq!(p.write(b, 4, 8), fault(b, Access::Write, Tag::Invalid));
+        // Present-but-Invalid is not "absent": an own home block does not
+        // fall back to its first-touch ReadWrite.
+        assert_eq!(p.mem.probe(b), Tag::Invalid);
+        p.step(Op::Snapshot(b));
+    }
+    assert_eq!(p.mem.resident_blocks(), 3);
+    check_final(&p.mem, &p.model);
+}
+
+#[test]
+fn first_touch_of_a_remote_or_remapped_block_faults_and_materializes_nothing() {
+    let mut p = Pair::new();
+    // A remote block whose page does not exist, the remapped own block,
+    // and — after one install allocates the page — a remote block whose
+    // page exists but whose slot is absent.
+    p.step(Op::Install(blk(3, 600), 1, Tag::ReadOnly, false));
+    for b in [blk(2, 3), blk(0, 0), REMAPPED, blk(3, 601), blk(3, 0)] {
+        assert_eq!(p.read(b, 0, 8), fault(b, Access::Read, Tag::Invalid), "{b:?}");
+        assert_eq!(p.write(b, 0, 8), fault(b, Access::Write, Tag::Invalid), "{b:?}");
+        assert_eq!(p.mem.data(b), None, "{b:?} must not materialize");
+    }
+    assert_eq!(p.mem.resident_blocks(), 1, "only the installed block is resident");
+    check_final(&p.mem, &p.model);
+}
+
+#[test]
+fn an_unread_presend_is_consumed_by_exactly_one_access() {
+    let mut p = Pair::new();
+    let (ro, rw, other) = (blk(2, 3), blk(2, 4), blk(0, 9));
+    p.step(Op::Install(ro, 1, Tag::ReadOnly, true));
+    p.step(Op::Install(rw, 2, Tag::ReadWrite, true));
+    p.step(Op::Install(other, 3, Tag::ReadOnly, true));
+    assert_eq!(p.mem.unused_presends(), 3);
+
+    // A refused write does not consume the copy.
+    assert_eq!(p.write(ro, 0, 4), fault(ro, Access::Write, Tag::ReadOnly));
+    assert_eq!(p.mem.unused_presends(), 3);
+    assert!(p.mem.presend_unused(ro));
+
+    // The first read does, once; the second is a plain hit.
+    assert_eq!(p.read(ro, 0, 4), None);
+    assert_eq!(p.mem.unused_presends(), 2);
+    assert!(!p.mem.presend_unused(ro));
+    assert_eq!(p.read(ro, 0, 4), None);
+    assert_eq!(p.mem.unused_presends(), 2);
+
+    // Likewise a first write.
+    assert_eq!(p.write(rw, 8, 8), None);
+    assert_eq!(p.mem.unused_presends(), 1);
+    assert_eq!(p.write(rw, 8, 8), None);
+    assert_eq!(p.read(rw, 8, 8), None);
+    assert_eq!(p.mem.unused_presends(), 1, "the untouched copy is still unread");
+    assert!(p.mem.presend_unused(other));
+
+    // A re-push over a consumed copy is not waste and arms the bit again.
+    p.step(Op::Install(ro, 4, Tag::ReadOnly, true));
+    assert_eq!(p.mem.unused_presends(), 2);
+    assert_eq!(p.read(ro, 28, 4), None);
+    assert_eq!(p.mem.unused_presends(), 1);
+    check_final(&p.mem, &p.model);
+}
+
+#[test]
+fn boundary_crossing_is_refused_whatever_the_block_state() {
+    let mut p = Pair::new();
+    let (hit, unread, absent_own, absent_remote) = (blk(1, 3), blk(2, 3), blk(1, 5), blk(2, 5));
+    p.step(Op::Install(hit, 1, Tag::ReadWrite, false));
+    p.step(Op::Install(unread, 2, Tag::ReadWrite, true));
+    for b in [hit, unread, absent_own, absent_remote] {
+        let addr = GAddr(b.0 * BS as u64 + 28);
+        assert_eq!(p.read(b, 28, 8), Some(MemError::CrossesBoundary { addr, len: 8 }), "{b:?}");
+        assert_eq!(p.write(b, 28, 8), Some(MemError::CrossesBoundary { addr, len: 8 }), "{b:?}");
+        let addr = GAddr(b.0 * BS as u64);
+        assert_eq!(p.read(b, 0, 33), Some(MemError::CrossesBoundary { addr, len: 33 }), "{b:?}");
+    }
+    // Refused accesses consumed nothing and materialized nothing.
+    assert_eq!(p.mem.unused_presends(), 1);
+    assert_eq!(p.mem.resident_blocks(), 2);
+    // An access that ends exactly on the boundary is in the block.
+    assert_eq!(p.read(hit, 28, 4), None);
+    assert_eq!(p.write(hit, 0, 32), None);
+    check_final(&p.mem, &p.model);
+}
+
+/// The first address past the last node's heap segment.
+fn past_every_segment() -> GAddr {
+    GAddr(4 << 32)
+}
+
+#[test]
+#[should_panic(expected = "outside any node heap segment")]
+fn out_of_segment_read_panics_in_every_build_profile() {
+    let mut p = Pair::new();
+    let _ = p.mem.read_in_block(past_every_segment(), &mut [0u8; 8]);
+}
+
+#[test]
+#[should_panic(expected = "outside any node heap segment")]
+fn out_of_segment_write_panics_in_every_build_profile() {
+    let mut p = Pair::new();
+    let _ = p.mem.write_in_block(past_every_segment(), &[0u8; 8]);
 }

@@ -6,7 +6,7 @@
 //! Shared by the seeded twin (`mem_model.rs`) and the proptest driver
 //! (`proptest_mem.rs`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use prescient_tempest::tag::Access;
 use prescient_tempest::{BlockId, Fault, GAddr, GlobalLayout, MemError, NodeId, NodeMem, Tag};
@@ -43,16 +43,24 @@ struct Entry {
 pub struct RefStore {
     layout: GlobalLayout,
     me: NodeId,
+    /// Blocks a placement overlay acts on: they start `Invalid` everywhere,
+    /// their segment's own node included.
+    remapped: HashSet<BlockId>,
     map: HashMap<BlockId, Entry>,
 }
 
 impl RefStore {
     pub fn new(layout: GlobalLayout, me: NodeId) -> RefStore {
-        RefStore { layout, me, map: HashMap::new() }
+        RefStore::with_remapped(layout, me, &[])
+    }
+
+    /// The model of a store whose home view remaps `remapped`.
+    pub fn with_remapped(layout: GlobalLayout, me: NodeId, remapped: &[BlockId]) -> RefStore {
+        RefStore { layout, me, remapped: remapped.iter().copied().collect(), map: HashMap::new() }
     }
 
     fn is_home(&self, block: BlockId) -> bool {
-        self.layout.home_of_block(block) == self.me
+        self.layout.home_of_block(block) == self.me && !self.remapped.contains(&block)
     }
 
     fn materialize(&mut self, block: BlockId) -> &mut Entry {
@@ -154,9 +162,11 @@ impl RefStore {
     }
 }
 
-/// Apply `op` to both stores and check every observable agrees.
-pub fn apply_and_check(mem: &mut NodeMem, model: &mut RefStore, op: &Op) {
+/// Apply `op` to both stores and check every observable agrees. Returns
+/// the error of an access both stores refused (`None`: the op completed).
+pub fn apply_and_check(mem: &mut NodeMem, model: &mut RefStore, op: &Op) -> Option<MemError> {
     let bs = mem.layout().block_size;
+    let mut refused = None;
     match *op {
         Op::Install(block, seed, tag, presend) => {
             let data = pattern(seed, bs);
@@ -178,6 +188,7 @@ pub fn apply_and_check(mem: &mut NodeMem, model: &mut RefStore, op: &Op) {
             if rm.is_ok() {
                 assert_eq!(got, want, "read bytes diverged at {addr:?}+{len}");
             }
+            refused = rm.err();
         }
         Op::Write(block, off, len, seed) => {
             let addr = GAddr(block.0 * bs as u64 + off as u64);
@@ -185,6 +196,7 @@ pub fn apply_and_check(mem: &mut NodeMem, model: &mut RefStore, op: &Op) {
             let rm = mem.write_in_block(addr, &bytes);
             let rr = model.write_in_block(addr, &bytes);
             assert_eq!(rm, rr, "write outcome diverged at {addr:?}+{len}");
+            refused = rm.err();
         }
         Op::Snapshot(block) => {
             let snap = mem.snapshot(block);
@@ -212,6 +224,7 @@ pub fn apply_and_check(mem: &mut NodeMem, model: &mut RefStore, op: &Op) {
     );
     assert_eq!(mem.resident_blocks(), model.resident_blocks(), "residency diverged");
     assert_eq!(mem.unused_presends(), model.unused_presends(), "unused count diverged");
+    refused
 }
 
 /// Final whole-store comparison: the dense iteration must enumerate exactly
