@@ -347,13 +347,13 @@ impl AdaptiveAggs {
     }
 }
 
-struct DsmMesh<'a, 'c> {
+struct DsmMesh<'a, 'c, 'n> {
     aggs: &'a AdaptiveAggs,
-    ctx: &'c mut NodeCtx,
+    ctx: &'c mut NodeCtx<'n>,
     n: usize,
 }
 
-impl Mesh for DsmMesh<'_, '_> {
+impl Mesh for DsmMesh<'_, '_, '_> {
     fn n(&self) -> usize {
         self.n
     }

@@ -1,16 +1,15 @@
 //! Backend-equivalence suite: the `Transport` backends must be
 //! indistinguishable above the fabric. Each evaluation application runs
-//! at small scale on all three backends — per-node channels, shard
-//! loops, and the loopback socket pair — and every deterministic gated
+//! at small scale on both backends — per-node channels and the loopback
+//! socket pair — and every deterministic gated
 //! counter (checksum, msgs, bytes_moved, blocks_moved) must be
 //! bit-identical, because faults, batching, tracing, and teardown
 //! accounting all sit *above* the `Transport` trait. A divergence means
 //! a backend reordered, duplicated, or dropped protocol traffic.
 //!
-//! The chaos test covers the faultable pair (channel + sharded): the
-//! fault layer hashes per-link message indices, not threads or clocks,
-//! so an identical plan must leave both backends at an identical final
-//! state.
+//! The chaos test covers the same pair: the fault layer hashes per-link
+//! message indices, not threads or clocks, so an identical plan must
+//! leave both backends at an identical final state.
 
 use prescient_apps::adaptive::{run_adaptive_full, AdaptiveConfig};
 use prescient_apps::barnes::{run_barnes, BarnesConfig};
@@ -36,10 +35,7 @@ fn no_spurious_retries(cfg: MachineConfig) -> MachineConfig {
     cfg.with_retry(RetryConfig { timeout: Duration::from_secs(60), max_retries: 3 })
 }
 
-/// Shards chosen to split 4 nodes unevenly ({0,3}, {1}, {2}), so the
-/// suite exercises multi-member and single-member shard loops at once.
-const BACKENDS: [FabricKind; 3] =
-    [FabricKind::Channel, FabricKind::Sharded { shards: 3 }, FabricKind::SocketPair { split: 0 }];
+const BACKENDS: [FabricKind; 2] = [FabricKind::Channel, FabricKind::SocketPair { split: 0 }];
 
 /// The gated signature of a run: checksum bits plus the deterministic
 /// protocol counters. `wall_ms` and the `wire_*` keys are timing
@@ -110,13 +106,13 @@ fn adaptive_predictive_is_backend_invariant() {
 }
 
 #[test]
-fn chaos_final_state_is_identical_across_in_process_backends() {
+fn chaos_final_state_is_identical_across_backends() {
     // Timing-dependent retries make message counts legitimately diverge
     // under chaos, but the *final state* may not: the protocol absorbs
     // drops/duplicates/reorders identically wherever its handlers run.
     let cfg = WaterConfig { n: 64, steps: 4, ..Default::default() };
     let mut checksums = Vec::new();
-    for k in [FabricKind::Channel, FabricKind::Sharded { shards: 3 }] {
+    for k in BACKENDS {
         let m = MachineConfig::stache(NODES, BS)
             .validated()
             .with_faults(FaultPlan::chaos(0xFEED))
@@ -125,6 +121,6 @@ fn chaos_final_state_is_identical_across_in_process_backends() {
     }
     assert_eq!(
         checksums[0], checksums[1],
-        "chaos on the sharded backend must converge to the channel backend's state"
+        "chaos on the socket backend must converge to the channel backend's state"
     );
 }

@@ -83,15 +83,15 @@ fn water_remap_is_transparent_and_cuts_messages() {
     );
 }
 
-/// Barnes on the sharded backend: the tree blocks are read by every node,
+/// Barnes on the socket backend: the tree blocks are read by every node,
 /// so shifted-layout runs are contended and their miss counts are not
 /// run-to-run stable (placement or no placement). The gated invariant is
 /// the checksum; the overlay counter proves the remap was live.
 #[test]
-fn barnes_remap_is_transparent_on_the_sharded_backend() {
+fn barnes_remap_is_transparent_on_the_socket_backend() {
     let cfg = BarnesConfig { n: 192, steps: 2, ..Default::default() };
     let base = MachineConfig::stache(NODES, BS)
-        .with_fabric(FabricKind::Sharded { shards: 2 })
+        .with_fabric(FabricKind::SocketPair { split: 0 })
         .with_home_shift(2)
         .validated();
     let stat = run_barnes(base.clone(), &cfg);

@@ -6,11 +6,15 @@
 //! * `compiler/compile_jacobi` — the whole mini-C\*\* pipeline;
 //! * `dataflow/solve` — the bit-vector fixpoint on a deep loop nest;
 //! * `machine/barrier` — one virtual-time barrier episode;
+//! * `barrier/serve_wait_n32` — the same through the runtime on the
+//!   paper's 32 nodes: arrive, serve the inbox until released, the last
+//!   arriver kicking 31 peers (not bare `VBarrier::wait`);
 //! * `mem/*` — the flat paged arena in isolation: block lookup on the hit
 //!   path, tag probe, data reply snapshot, and the dense block walk;
 //! * `ctx/*` — the same hit one layer up, through `NodeCtx::read`/`write`
-//!   (access counter, virtual clock, the `mem` mutex, then `mem/*`'s work),
-//!   reads and writes apart;
+//!   (access counter, virtual clock, poll countdown, then `mem/*`'s work),
+//!   reads and writes apart; `ctx/poll_empty` is what every
+//!   `POLL_EVERY`-th access adds: one drain of an empty inbox;
 //! * `agg/*` — element index → global address for the two distributions
 //!   the applications use, at their paper shapes;
 //! * `fabric/*` — the raw wire: a 256-message burst sent one envelope per
@@ -22,6 +26,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use prescient_cstar::cfg::CfgBuilder;
 use prescient_cstar::dataflow::ReachingUnstructured;
 use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, MachineConfig, NodeCtx};
+use prescient_stache::testkit::Cluster;
+use prescient_stache::{NoHooks, RetryConfig};
 use prescient_tempest::{BatchConfig, Fabric, GAddr, GlobalLayout, NodeMem, TryRecv};
 
 fn bench_remote_miss(c: &mut Criterion) {
@@ -149,19 +155,21 @@ fn bench_dataflow(c: &mut Criterion) {
 }
 
 fn bench_barrier(c: &mut Criterion) {
-    let mut machine = Machine::new(MachineConfig::stache(4, 64));
-    c.bench_function("machine/barrier_4nodes", |b| {
-        b.iter_custom(|iters| {
-            let (durs, _) = machine.run(|ctx: &mut NodeCtx| {
-                let start = std::time::Instant::now();
-                for _ in 0..iters {
-                    ctx.barrier();
-                }
-                start.elapsed()
-            });
-            durs[0]
-        })
-    });
+    for (name, nodes) in [("machine/barrier_4nodes", 4), ("barrier/serve_wait_n32", 32)] {
+        let mut machine = Machine::new(MachineConfig::stache(nodes, 64));
+        c.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let (durs, _) = machine.run(|ctx: &mut NodeCtx| {
+                    let start = std::time::Instant::now();
+                    for _ in 0..iters {
+                        ctx.barrier();
+                    }
+                    start.elapsed()
+                });
+                durs[0]
+            })
+        });
+    }
 }
 
 fn bench_mem(c: &mut Criterion) {
@@ -239,6 +247,11 @@ fn bench_ctx(c: &mut Criterion) {
         std::hint::black_box(ctx.read::<f64>(addr));
     });
     timed("ctx/write_hit", &|ctx, addr, i| ctx.write(addr, i as f64));
+
+    // The poll itself, below the runtime: a node whose inbox is empty.
+    let mut idle =
+        Cluster::new(1, 32, RetryConfig::default(), None, |_| std::sync::Arc::new(NoHooks));
+    c.bench_function("ctx/poll_empty", |b| b.iter(|| idle.nodes[0].poll()));
 }
 
 fn bench_agg(c: &mut Criterion) {

@@ -70,7 +70,7 @@ fn main() {
 
     let block_size = 128;
     // The fabric is clean (no fault injection), so a retransmit can only
-    // fire when the host schedules a protocol thread late — noise that
+    // fire when the host schedules a home node's thread late — noise that
     // would perturb the gated `msgs`/`vtime_ns` counters on a loaded CI
     // runner. A generous timeout makes the counters load-independent.
     let retry = RetryConfig { timeout: Duration::from_secs(30), max_retries: 4 };

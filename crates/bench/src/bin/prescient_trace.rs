@@ -92,7 +92,7 @@ impl Log2Hist {
 
 // ---- analyses -------------------------------------------------------------
 
-/// Pair FaultBegin/FaultEnd per node (the compute thread is serial, so
+/// Pair FaultBegin/FaultEnd per node (a node's program is serial, so
 /// faults never nest) and bucket latencies per phase, split read/write.
 fn fault_latencies(events: &[TraceEvent]) -> Vec<(u32, Log2Hist, Log2Hist)> {
     fn slot(
@@ -405,9 +405,9 @@ fn report(events: &[TraceEvent]) {
 
 fn validate(events: &[TraceEvent], chrome: Option<&str>) -> Result<(), String> {
     // Per-node sequence numbers are unique. (The merged stream is sorted
-    // by vtime, and a node's protocol thread stamps events with the last
-    // *published* compute vtime, so seq order is not preserved across the
-    // node's two emitting threads; gaps = ring drops are legal too.
+    // by vtime, and a node's handlers stamp events with the last
+    // *published* vtime, so seq order is not vtime order; gaps = ring
+    // drops are legal too.
     // Duplication, however, means the ring replayed a slot.)
     let mut seen: HashMap<NodeId, std::collections::HashSet<u64>> = HashMap::new();
     for e in events {

@@ -11,9 +11,9 @@
 //! every counter reaches `nodes × rounds` — invalidation-based polling,
 //! which only converges if cross-process recalls work.
 //!
-//! Termination uses a separate one-byte control socket: neither side may
-//! tear its protocol handlers down until *both* have verified, or the
-//! peer's in-flight fetches would hang against dead handlers. There is
+//! Termination uses a separate one-byte control socket: neither side's
+//! nodes may stop serving until *both* have verified, or the peer's
+//! in-flight fetches would hang against nodes nobody drains. There is
 //! deliberately no shared-memory coordination — everything between the
 //! processes travels over the two sockets.
 //!
@@ -26,16 +26,15 @@ use std::net::{TcpListener, TcpStream};
 use std::process::Command;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver};
 use prescient_runtime::RunTimeline;
-use prescient_stache::{fetch, spawn_protocol, Msg, NoHooks, NodeShared, RetryConfig, Wake};
+use prescient_stache::testkit::Cluster;
+use prescient_stache::{fetch, Msg, NoHooks, Node, RetryConfig};
 use prescient_tempest::fabric::Endpoint;
 use prescient_tempest::socket::{connect, NodeRange, SocketGuard, SocketHost};
 use prescient_tempest::{
-    BatchConfig, CostModel, GAddr, GlobalLayout, LatencyHist, NodeId, PhaseRecord, Prim,
-    TimeBreakdown,
+    BatchConfig, GAddr, GlobalLayout, LatencyHist, NodeId, PhaseRecord, Prim, TimeBreakdown,
 };
 
 const NODES: usize = 4;
@@ -50,30 +49,29 @@ fn counter_addr(layout: &GlobalLayout, node: NodeId) -> GAddr {
     layout.heap_base(node)
 }
 
-/// Atomically increment the counter at `addr`: read + write under one
-/// `mem` guard (the handler can't revoke ownership mid-increment because
-/// it needs the same lock), faulting into `fetch` for exclusive access.
-fn incr(shared: &Arc<NodeShared>, rx: &Receiver<Wake>, addr: GAddr, stash: &mut Vec<Wake>) {
+/// Increment the counter at `addr`: read + write with no drain of the
+/// inbox between them (nothing can revoke ownership mid-increment, because
+/// only this thread runs the node's handlers), faulting into `fetch` for
+/// exclusive access.
+fn incr(node: &mut Node, addr: GAddr) {
     let mut buf = [0u8; 8];
     loop {
-        let fault = {
-            let mut mem = shared.mem.lock();
-            match mem.read_in_block(addr, &mut buf) {
-                Err(f) => Some(f.fault().block),
-                Ok(()) => {
-                    let v = u64::load(&buf) + 1;
-                    v.store(&mut buf);
-                    match mem.write_in_block(addr, &buf) {
-                        Ok(()) => None,
-                        Err(f) => Some(f.fault().block),
-                    }
+        let mem = &mut node.state.mem;
+        let fault = match mem.read_in_block(addr, &mut buf) {
+            Err(f) => Some(f.fault().block),
+            Ok(()) => {
+                let v = u64::load(&buf) + 1;
+                v.store(&mut buf);
+                match mem.write_in_block(addr, &buf) {
+                    Ok(()) => None,
+                    Err(f) => Some(f.fault().block),
                 }
             }
         };
         match fault {
             None => return,
             Some(block) => {
-                fetch(shared, rx, block, true, stash);
+                fetch(node, block, true);
             }
         }
     }
@@ -81,30 +79,23 @@ fn incr(shared: &Arc<NodeShared>, rx: &Receiver<Wake>, addr: GAddr, stash: &mut 
 
 /// Poll until the counter at `addr` reaches `want`. A stale read-only
 /// copy stays stale until a writer's recall invalidates it, so a
-/// successful read below target just yields; the final increment must
-/// invalidate every copy, after which the re-read faults and fetches the
-/// final value.
-fn await_value(
-    shared: &Arc<NodeShared>,
-    rx: &Receiver<Wake>,
-    addr: GAddr,
-    want: u64,
-    stash: &mut Vec<Wake>,
-) {
+/// successful read below target serves the inbox for a millisecond; the
+/// final increment must invalidate every copy, after which the re-read
+/// faults and fetches the final value.
+fn await_value(node: &mut Node, addr: GAddr, want: u64) {
     let mut buf = [0u8; 8];
     loop {
-        let r = shared.mem.lock().read_in_block(addr, &mut buf);
-        match r {
+        match node.state.mem.read_in_block(addr, &mut buf) {
             Ok(()) => {
                 let v = u64::load(&buf);
                 assert!(v <= want, "counter {addr:?} overshot: {v} > {want}");
                 if v == want {
                     return;
                 }
-                std::thread::sleep(Duration::from_millis(1));
+                node.next_wake(Some(Instant::now() + Duration::from_millis(1)));
             }
             Err(f) => {
-                fetch(shared, rx, f.fault().block, false, stash);
+                fetch(node, f.fault().block, false);
             }
         }
     }
@@ -115,10 +106,11 @@ fn await_value(
 /// `{base}.{start}-{end}.timeline.json` (one record per local node; the
 /// schema carries the node range, so `prescient-metrics merge`
 /// reassembles the machine from the per-process files).
-fn export_timeline(range: NodeRange, shareds: &[Arc<NodeShared>]) {
+fn export_timeline(range: NodeRange, nodes: &[Node]) {
     let Ok(base) = std::env::var("PRESCIENT_METRICS_OUT") else { return };
-    let records = shareds
+    let records = nodes
         .iter()
+        .map(|n| &n.shared)
         .map(|s| PhaseRecord {
             node: s.me,
             seq: 0,
@@ -138,9 +130,10 @@ fn export_timeline(range: NodeRange, shareds: &[Arc<NodeShared>]) {
     eprintln!("socket_smoke: wrote {path}");
 }
 
-/// Run this process's half: protocol handlers, the increment workload,
-/// verification, then — only after `sync_done` has confirmed the peer is
-/// also done — teardown. Returns the local nodes' total message count.
+/// Run this process's half: one thread per local node runs the increment
+/// workload and verification, then keeps serving until `sync_done` has
+/// confirmed the peer is also done. Returns the local nodes' total message
+/// count.
 fn run_side(
     eps: Vec<Endpoint<Msg>>,
     range: NodeRange,
@@ -150,67 +143,35 @@ fn run_side(
     let layout = GlobalLayout::new(NODES, BS);
     let retry = RetryConfig { timeout: Duration::from_millis(100), max_retries: 600 };
     let ctl = Arc::clone(eps[0].ctl());
-    let mut shareds = Vec::new();
-    let mut rxs = Vec::new();
-    let mut joins = Vec::new();
-    for ep in eps {
-        let (wake_tx, wake_rx) = unbounded();
-        let shared = Arc::new(NodeShared::new_with_retry(
-            layout,
-            CostModel::default(),
-            ep.net().clone(),
-            wake_tx,
-            retry,
-        ));
-        let me = shared.me;
+    let mut half = Cluster::over(eps, layout, retry, |_| Arc::new(NoHooks));
+    for node in &mut half.nodes {
         assert_eq!(
-            shared.mem.lock().alloc(8, 8),
-            counter_addr(&layout, me),
+            node.state.mem.alloc(8, 8),
+            counter_addr(&layout, node.shared.me),
             "counter address must be derivable from the layout alone"
         );
-        joins.push(spawn_protocol(Arc::clone(&shared), ep, Arc::new(NoHooks)));
-        shareds.push(shared);
-        rxs.push(wake_rx);
     }
 
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shareds
-            .iter()
-            .zip(&rxs)
-            .map(|(shared, rx)| {
-                let shared = Arc::clone(shared);
-                let rx = rx.clone();
-                scope.spawn(move || {
-                    let mut stash = Vec::new();
-                    for _ in 0..ROUNDS {
-                        for t in 0..NODES as NodeId {
-                            incr(&shared, &rx, counter_addr(&layout, t), &mut stash);
-                        }
-                    }
-                    for t in 0..NODES as NodeId {
-                        await_value(&shared, &rx, counter_addr(&layout, t), TARGET, &mut stash);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("compute thread panicked");
-        }
-    });
+    half.run_then(
+        |node, _| {
+            for _ in 0..ROUNDS {
+                for t in 0..NODES as NodeId {
+                    incr(node, counter_addr(&layout, t));
+                }
+            }
+            for t in 0..NODES as NodeId {
+                await_value(node, counter_addr(&layout, t), TARGET);
+            }
+        },
+        // Both halves verified before either stops serving.
+        sync_done,
+    );
 
-    // Both halves verified: counters are final, export before teardown.
-    export_timeline(range, &shareds);
-    sync_done();
+    // Counters are final: export, then tear the sockets down.
+    export_timeline(range, &half.nodes);
     ctl.mark_closing();
-    for s in &shareds {
-        s.send(s.me, Msg::Shutdown);
-        s.flush_net();
-    }
-    for j in joins {
-        let _ = j.join();
-    }
     guard.shutdown();
-    shareds.iter().map(|s| s.stats.msgs_out.load(Ordering::Relaxed)).sum()
+    half.nodes.iter().map(|n| n.shared.stats.msgs_out.load(Ordering::Relaxed)).sum()
 }
 
 fn parent() {

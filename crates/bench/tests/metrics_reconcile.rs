@@ -88,8 +88,8 @@ fn gated(r: &AppRun) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
 
 /// Metrics on (in-memory hub, the worst-perturbation mode: every cut
 /// still happens) vs off must leave the gated signature bit-identical —
-/// on the channel backend and on the sharded backend, whose handler
-/// interleavings differ.
+/// on the channel backend and on the socket backend, whose delivery
+/// timings differ.
 fn zero_perturbation(fabric: FabricKind) {
     let cfg = WaterConfig { n: 64, steps: 4, ..Default::default() };
     let off = run_water(mcfg(fabric).with_metrics(MetricsConfig::off()), &cfg);
@@ -103,6 +103,6 @@ fn metrics_do_not_perturb_the_channel_backend() {
 }
 
 #[test]
-fn metrics_do_not_perturb_the_sharded_backend() {
-    zero_perturbation(FabricKind::Sharded { shards: 2 });
+fn metrics_do_not_perturb_the_socket_backend() {
+    zero_perturbation(FabricKind::SocketPair { split: 0 });
 }

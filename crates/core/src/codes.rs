@@ -20,8 +20,8 @@ pub const PRESEND_RW: u16 = 0x51;
 /// copy that was never read (useless pre-sends, fed to schedule health).
 pub const PRESEND_ACK: u16 = 0x52;
 
-/// Wake-up code delivered to the home's compute thread per acknowledged
-/// pre-send message (`a` = push id, `b` = useless count; see
+/// Wake-up code reported to the home's waiting pre-send driver per
+/// acknowledged pre-send message (`a` = push id, `b` = useless count; see
 /// [`PRESEND_ACK`]).
 pub const WAKE_PRESEND_ACK: u16 = 0x53;
 
@@ -39,6 +39,6 @@ pub const COMMUTE_PUSH: u16 = 0x60;
 /// acknowledged, `b` = 0 (reserved).
 pub const COMMUTE_ACK: u16 = 0x61;
 
-/// Wake-up code delivered to the contributor's compute thread per
+/// Wake-up code reported to the contributor's waiting merge driver per
 /// acknowledged delta chunk (`a` = push id; see [`COMMUTE_ACK`]).
 pub const WAKE_COMMUTE_ACK: u16 = 0x62;

@@ -14,10 +14,10 @@
 //!
 //! One [`Commute`] instance exists per node. Like
 //! [`crate::predictive::Predictive`] it plugs into the Stache engine
-//! through [`prescient_stache::hooks::Hooks`]: the protocol-handler thread
-//! buffers incoming delta chunks and acknowledges them, while the *compute*
-//! thread drives the exchange ([`merge`]) between the two barriers the
-//! runtime wraps around it.
+//! through [`prescient_stache::hooks::Hooks`]: its handler buffers incoming
+//! delta chunks and acknowledges them, while the program drives the
+//! exchange ([`merge`]) between the two barriers the runtime wraps around
+//! it.
 //!
 //! # Idempotency under a faulty fabric
 //!
@@ -25,9 +25,9 @@
 //! [`crate::predictive`]'s module docs): every chunk carries a node-locally
 //! unique **push id** (`UserMsg.a`, re-acked without re-buffering on
 //! duplicates) and the sender's **merge epoch** (`UserMsg.b`; stale-epoch
-//! stragglers are dropped unacknowledged). The epoch advances only on the
-//! compute thread, after the stability barrier that ends the merge window,
-//! so all nodes agree on it at every barrier.
+//! stragglers are dropped unacknowledged). The epoch advances only after
+//! the stability barrier that ends the merge window, so all nodes agree on
+//! it at every barrier.
 //!
 //! # Determinism
 //!
@@ -40,12 +40,12 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use prescient_stache::hooks::Hooks;
 use prescient_stache::msg::{Msg, UserMsg, Wake};
-use prescient_stache::node::NodeShared;
+use prescient_stache::node::{Node, NodeShared, NodeState};
 use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
 
 use crate::codes;
@@ -84,15 +84,15 @@ struct CommuteState {
     done_pushes: HashSet<(NodeId, u64)>,
 }
 
-/// Per-node commutative-merge state: one per node, shared between that
-/// node's protocol-handler thread (delta receive) and compute thread
-/// (the [`merge`] driver and [`Commute::take_inbox`]).
+/// Per-node commutative-merge state: one per node, used by that node's
+/// thread (delta receive in the handler; the [`merge`] driver and
+/// [`Commute::take_inbox`] in the program) and by the machine's driver
+/// between runs.
 pub struct Commute {
     cfg: CommuteConfig,
     state: Mutex<CommuteState>,
-    /// Merge window epoch; see the module docs. Advanced only by the
-    /// compute thread (after the stability barrier), read by the protocol
-    /// thread when validating incoming chunks.
+    /// Merge window epoch; see the module docs. Advanced after the
+    /// stability barrier, read when validating incoming chunks.
     epoch: AtomicU64,
 }
 
@@ -177,7 +177,13 @@ impl Hooks for Commute {
         false
     }
 
-    fn on_user(&self, node: &NodeShared, src: NodeId, msg: UserMsg) {
+    fn on_user(
+        &self,
+        node: &NodeShared,
+        _state: &mut NodeState,
+        src: NodeId,
+        msg: UserMsg,
+    ) -> Option<Wake> {
         match msg.code {
             codes::COMMUTE_PUSH => {
                 if msg.b != self.epoch() {
@@ -186,7 +192,7 @@ impl Hooks for Commute {
                     // chunk is acked, so it cannot be a first delivery).
                     // No ack: nobody is waiting for one.
                     NodeStats::bump(&node.stats.presend_stale_in);
-                    return;
+                    return None;
                 }
                 let push_id = msg.a;
                 let mut st = self.state.lock();
@@ -205,11 +211,12 @@ impl Hooks for Commute {
                 }
                 drop(st);
                 node.send(src, Msg::User(UserMsg::simple(codes::COMMUTE_ACK, push_id)));
+                None
             }
+            // For the merge driver waiting on this node: `a` echoes the
+            // push id.
             codes::COMMUTE_ACK => {
-                // Forward to the merge driver blocked on the compute
-                // thread: `a` echoes the push id.
-                node.wake(Wake::User { code: codes::WAKE_COMMUTE_ACK, a: msg.a, b: 0 });
+                Some(Wake::User { code: codes::WAKE_COMMUTE_ACK, a: msg.a, b: 0 })
             }
             other => panic!("node {}: unknown user-message code {other:#x}", node.me),
         }
@@ -233,21 +240,16 @@ pub struct MergeReport {
     pub vtime_ns: u64,
 }
 
-/// Execute one merge exchange on this node's compute thread: push every
-/// outgoing delta payload to its owner and wait until all chunks are
+/// Execute one merge exchange on this node: push every outgoing delta
+/// payload to its owner and serve the inbox until all chunks are
 /// acknowledged. The runtime brackets this with the entry barrier (all
 /// peers privatized) and the stability barrier (all chunks buffered
 /// everywhere), then drains [`Commute::take_inbox`] and bumps the epoch.
 ///
 /// Payloads are opaque to the protocol; a payload for this node itself is
 /// buffered directly into the local inbox without touching the fabric.
-pub fn merge(
-    cm: &Commute,
-    n: &NodeShared,
-    wake_rx: &Receiver<Wake>,
-    stash: &mut Vec<Wake>,
-    outgoing: &[(NodeId, Vec<u8>)],
-) -> MergeReport {
+pub fn merge(cm: &Commute, node: &mut Node, outgoing: &[(NodeId, Vec<u8>)]) -> MergeReport {
+    let n = Arc::clone(&node.shared);
     let me = n.me;
     let mut report = MergeReport::default();
     let epoch = cm.epoch();
@@ -291,41 +293,20 @@ pub fn merge(
             report.bytes += chunk.len() as u64;
         }
     }
-    // The fan-out is over and the ack wait blocks next: everything
-    // buffered in the egress must be on the wire first.
-    n.flush_net();
-
     // Wait for every chunk to be acknowledged so all inboxes are stable at
-    // the coming barrier, retransmitting unacked chunks on timeout.
-    stash.retain(|w| match w {
-        Wake::User { code: codes::WAKE_COMMUTE_ACK, a, .. } => {
-            outstanding.remove(a);
-            false
-        }
-        _ => true,
-    });
+    // the coming barrier, retransmitting unacked chunks on timeout. An ack
+    // for an id already acked (its push was duplicated in flight) finds
+    // nothing to remove; other wakes (a stale grant, a kick) carry
+    // nothing the exchange needs.
     let mut rounds = 0u32;
+    let mut deadline = Instant::now() + n.retry.timeout;
     while !outstanding.is_empty() {
-        match wake_rx.recv_timeout(n.retry.timeout) {
-            Ok(Wake::User { code: codes::WAKE_COMMUTE_ACK, a, .. }) => {
-                // `remove` de-duplicates: an ack for an id already acked
-                // (its push was duplicated in flight) is inert.
+        match node.next_wake(Some(deadline)) {
+            Some(Wake::User { code: codes::WAKE_COMMUTE_ACK, a, .. }) => {
                 outstanding.remove(&a);
             }
-            // A stale grant wake can slip in if a duplicated grant for an
-            // earlier fetch raced its teardown; it carries nothing we need.
-            Ok(Wake::Grant { .. }) => {}
-            // Recovery fences are only in flight while every compute thread
-            // sits in the recovery protocol, never during a merge window;
-            // tolerate (and drop) one anyway.
-            Ok(Wake::Fence) => {}
-            Ok(other) => panic!("unexpected wake during merge ack wait: {other:?}"),
-            Err(RecvTimeoutError::Timeout) => {
-                if n.is_aborting() {
-                    // The machine was declared dead (panic isolation /
-                    // watchdog): unwind instead of re-arming retries.
-                    std::panic::panic_any(prescient_tempest::Aborted);
-                }
+            Some(_) => {}
+            None => {
                 rounds += 1;
                 assert!(
                     rounds <= n.retry.max_retries,
@@ -336,11 +317,7 @@ pub fn merge(
                     n.send(*t, Msg::User(m.clone()));
                     report.retransmits += 1;
                 }
-                // Back to waiting: flush the retransmissions out.
-                n.flush_net();
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                panic!("protocol thread terminated during merge exchange")
+                deadline = Instant::now() + n.retry.timeout;
             }
         }
     }

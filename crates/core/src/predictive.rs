@@ -6,8 +6,8 @@
 //! engine through [`prescient_stache::hooks::Hooks`]: the engine offers it
 //! every request arriving at this home node (recording, §3.3) and routes
 //! the pre-send user messages to it (§3.4). The sending side of the
-//! pre-send phase runs on the *compute* thread and lives in
-//! [`crate::presend`].
+//! pre-send phase — the driver the program calls at `phase_begin` — lives
+//! in [`crate::presend`].
 //!
 //! # Pre-send idempotency under a faulty fabric
 //!
@@ -31,13 +31,11 @@
 //!   `presend_stale_in`). It cannot be a *first* delivery: the driver does
 //!   not pass its window's ack wait until every push is acked.
 //!
-//! The acks this module sends run on the protocol-handler thread, whose
-//! receive loop flushes its node's egress before every blocking wait —
-//! so under fabric batching (DESIGN.md §2.1) acks produced while
+//! The acks this module sends leave from inside a handler, and the loop
+//! that ran the handler flushes its node's egress before it blocks or
+//! returns — so under fabric batching (DESIGN.md §2.1) acks produced while
 //! draining a batch of pushes pack into one wire batch back to the
-//! driver, and no explicit flush is needed here. The *driver* side's
-//! flush obligations (after the push fan-out, before the ack wait) live
-//! in [`crate::presend`].
+//! driver, and no explicit flush is needed here.
 //!
 //! # Graceful degradation
 //!
@@ -58,7 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use prescient_stache::hooks::Hooks;
 use prescient_stache::msg::{Msg, UserMsg, Wake};
-use prescient_stache::node::NodeShared;
+use prescient_stache::node::{NodeShared, NodeState};
 use prescient_tempest::tag::Tag;
 use prescient_tempest::trace::{pack_peer_count, EventKind};
 use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
@@ -164,15 +162,15 @@ pub(crate) struct PredState {
     pub done_pushes: HashMap<(NodeId, u64), u64>,
 }
 
-/// Per-node predictive-protocol state: one per node, shared between that
-/// node's protocol-handler thread (recording, pre-send receive) and compute
-/// thread (pre-send drive, directives).
+/// Per-node predictive-protocol state: one per node, used by that node's
+/// thread (recording and pre-send receive in handlers, pre-send drive and
+/// directives in the program) and read by the machine's driver between
+/// runs — hence the lock, which the access path never takes.
 pub struct Predictive {
     pub(crate) cfg: PredictiveConfig,
     pub(crate) state: Mutex<PredState>,
-    /// Pre-send window epoch; see the module docs. Advanced only by the
-    /// compute thread (after the stability barrier), read by the protocol
-    /// thread when validating incoming pushes.
+    /// Pre-send window epoch; see the module docs. Advanced after the
+    /// stability barrier, read when validating incoming pushes.
     epoch: AtomicU64,
     /// Optional schedule-oracle tap: logs every home request, before and
     /// independent of the recording/degradation gates.
@@ -342,7 +340,13 @@ impl Hooks for Predictive {
         true
     }
 
-    fn on_user(&self, node: &NodeShared, src: NodeId, msg: UserMsg) {
+    fn on_user(
+        &self,
+        node: &NodeShared,
+        state: &mut NodeState,
+        src: NodeId,
+        msg: UserMsg,
+    ) -> Option<Wake> {
         match msg.code {
             codes::PRESEND_RO | codes::PRESEND_RW => {
                 if msg.b != self.epoch() {
@@ -350,7 +354,7 @@ impl Hooks for Predictive {
                     // (see the module docs for why it cannot be a first
                     // delivery). No ack: nobody is waiting for one.
                     NodeStats::bump(&node.stats.presend_stale_in);
-                    return;
+                    return None;
                 }
                 let push_id = msg.a;
                 if let Some(&useless) = self.state.lock().done_pushes.get(&(src, push_id)) {
@@ -362,18 +366,18 @@ impl Hooks for Predictive {
                     let mut ack = UserMsg::simple(codes::PRESEND_ACK, push_id);
                     ack.b = useless;
                     node.send(src, Msg::User(ack));
-                    return;
+                    return None;
                 }
                 let tag =
                     if msg.code == codes::PRESEND_RW { Tag::ReadWrite } else { Tag::ReadOnly };
                 let count = msg.blocks.len() as u64;
                 let bytes: u64 = msg.blocks.iter().map(|(_, d)| d.len() as u64).sum();
                 // Batched upcall: all N blocks of the bulk message install
-                // under one lock acquisition. The returned count is how
+                // in one call. The returned count is how
                 // many installs overwrote a copy pushed earlier that was
                 // never read — useless pre-sends, reported back to the
                 // pushing home via the ack.
-                let useless = node.mem.lock().install_bulk(&msg.blocks, tag, true);
+                let useless = state.mem.install_bulk(&msg.blocks, tag, true);
                 self.state.lock().done_pushes.insert((src, push_id), useless);
                 NodeStats::add(&node.stats.presend_blocks_in, count);
                 NodeStats::add(&node.stats.data_bytes_in, bytes);
@@ -407,12 +411,13 @@ impl Hooks for Predictive {
                 let mut ack = UserMsg::simple(codes::PRESEND_ACK, push_id);
                 ack.b = useless;
                 node.send(src, Msg::User(ack));
+                None
             }
+            // For the pre-send driver waiting on this node: `a` echoes the
+            // push id, `b` reports how many of the blocks the previous
+            // window pushed were still unread.
             codes::PRESEND_ACK => {
-                // Forward to the pre-send driver blocked on the compute
-                // thread: `a` echoes the push id, `b` reports how many of
-                // the blocks the previous window pushed were still unread.
-                node.wake(Wake::User { code: codes::WAKE_PRESEND_ACK, a: msg.a, b: msg.b });
+                Some(Wake::User { code: codes::WAKE_PRESEND_ACK, a: msg.a, b: msg.b })
             }
             other => panic!("node {}: unknown user-message code {other:#x}", node.me),
         }

@@ -29,17 +29,17 @@
 //! consecutive instances, degrades the phase to plain Stache for a backoff
 //! period (see [`crate::predictive::DegradeConfig`]).
 //!
-//! The driver runs on the node's *compute* thread — it may block (its
-//! tear-downs reuse the ordinary blocking fetch path), while all handler
-//! work stays non-blocking.
+//! The driver is called by the node's program — it may wait (its
+//! tear-downs reuse the ordinary fetch path, its ack wait serves the inbox
+//! like a fetch does), while all handler work stays non-blocking.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use prescient_stache::engine::fetch;
 use prescient_stache::msg::{Msg, UserMsg, Wake};
-use prescient_stache::node::NodeShared;
+use prescient_stache::node::{Node, NodeShared, NodeState};
 
 use prescient_stache::dir::DirState;
 use prescient_tempest::tag::Tag;
@@ -112,13 +112,9 @@ fn health_gate(pred: &Predictive, n: &NodeShared, phase: PhaseId) -> bool {
 
 /// Execute the pre-send for `phase` on this node. Returns after all
 /// pushed copies are installed and acknowledged.
-pub fn presend(
-    pred: &Predictive,
-    n: &NodeShared,
-    wake_rx: &Receiver<Wake>,
-    stash: &mut Vec<Wake>,
-    phase: PhaseId,
-) -> PresendReport {
+pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendReport {
+    let n = Arc::clone(&node.shared);
+    let n = &*n;
     let me = n.me;
     let mut report = PresendReport::default();
 
@@ -142,8 +138,8 @@ pub fn presend(
     };
     n.tracer().emit(EventKind::SchedReplay, u64::from(phase), runs.len() as u64);
 
-    // Pass 1: tear down stale copies (blocking, via the ordinary fault
-    // path) and build the push list.
+    // Pass 1: tear down stale copies (via the ordinary fault path) and
+    // build the push list.
     let mut pushes: Vec<Push> = Vec::new();
     for run in &runs {
         match run.action {
@@ -155,17 +151,17 @@ pub fn presend(
                 for block in run.blocks() {
                     // `None` (a multi-hop round in flight — e.g. a delayed
                     // demand request that arrived mid-window on a faulty
-                    // fabric) is handled like Exclusive: the blocking
-                    // ensure fetch serializes behind the round and leaves
-                    // the block home-readable.
-                    let state = dir_state(n, block);
+                    // fabric) is handled like Exclusive: the ensure fetch
+                    // serializes behind the round and leaves the block
+                    // home-readable.
+                    let state = dir_state(&node.state, block);
                     if !matches!(state, Some(DirState::Uncached | DirState::Shared(_))) {
                         // Recall the writer's copy home (it stays a sharer).
-                        let info = fetch(n, wake_rx, block, false, stash);
+                        let info = fetch(node, block, false);
                         report.ensure_fetches += 1;
                         report.vtime_ns += n.cost.ensure_ns(info.bytes);
                     }
-                    let sharers = match dir_state(n, block) {
+                    let sharers = match dir_state(&node.state, block) {
                         Some(DirState::Shared(s)) => s,
                         _ => NodeSet::EMPTY,
                     };
@@ -178,11 +174,11 @@ pub fn presend(
             Action::Write => {
                 let writer = run.writer.expect("write run without writer");
                 for block in run.blocks() {
-                    let state = dir_state(n, block);
+                    let state = dir_state(&node.state, block);
                     if writer == me {
                         // Prefetch ownership home.
                         if !matches!(state, Some(DirState::Uncached)) {
-                            let info = fetch(n, wake_rx, block, true, stash);
+                            let info = fetch(node, block, true);
                             report.ensure_fetches += 1;
                             report.vtime_ns += n.cost.ensure_ns(info.bytes);
                         }
@@ -190,7 +186,7 @@ pub fn presend(
                         // The writer already owns it; nothing to do.
                     } else {
                         if !matches!(state, Some(DirState::Uncached)) {
-                            let info = fetch(n, wake_rx, block, true, stash);
+                            let info = fetch(node, block, true);
                             report.ensure_fetches += 1;
                             report.vtime_ns += n.cost.ensure_ns(info.bytes);
                         }
@@ -206,10 +202,10 @@ pub fn presend(
     // survives duplication and loss; unacked messages are kept verbatim
     // for retransmission.
     //
-    // Each push is *revalidated* under the directory lock before it is
-    // committed: between pass 1 (which observed and tore down directory
-    // state without holding the lock across the whole walk) and pass 2, a
-    // demand request from another node may have won the block — leaving
+    // Each push is *revalidated* against the directory before it is
+    // committed: between pass 1 (whose ensure fetches serve the inbox
+    // while they wait) and pass 2, a demand request from another node
+    // may have won the block — leaving
     // the entry busy, or Exclusive at a node the schedule never predicted.
     // Blindly pushing then would hand out copies that violate the
     // single-writer invariant. Stale pushes are dropped (counted in
@@ -232,8 +228,7 @@ pub fn presend(
     for group in &groups {
         let first = group[0];
         let payload: Arc<[(prescient_tempest::BlockId, Arc<[u8]>)]> = {
-            let mut dir = n.dir.lock();
-            let mut mem = n.mem.lock();
+            let NodeState { dir, mem, .. } = &mut node.state;
             let mut kept = Vec::with_capacity(group.len());
             for p in group {
                 let e = dir.entry(p.block);
@@ -297,52 +292,30 @@ pub fn presend(
         }
     }
     NodeStats::add(&n.stats.presend_aborted, aborted);
-    // The fan-out is over and pass 3 blocks waiting for acks: everything
-    // buffered in the egress must be on the wire first.
-    n.flush_net();
 
     NodeStats::add(&n.stats.presend_blocks_out, report.blocks_pushed);
     NodeStats::add(&n.stats.presend_msgs_out, report.msgs);
     NodeStats::add(&n.stats.presend_bytes_out, report.bytes);
 
-    // Pass 3: wait for every bulk message to be acknowledged so that all
-    // states are stable at the coming barrier, retransmitting unacked
-    // pushes on timeout. `useless` accumulates the receivers' reports of
-    // previously-pushed copies that were overwritten while still unread.
+    // Pass 3: serve the inbox until every bulk message is acknowledged, so
+    // that all states are stable at the coming barrier, retransmitting
+    // unacked pushes on timeout. `useless` accumulates the receivers'
+    // reports of previously-pushed copies that were overwritten while
+    // still unread. `remove` de-duplicates: an ack for an id that has
+    // already been acked (its push was duplicated in flight) is inert;
+    // other wakes (a stale grant, a kick) carry nothing the window needs.
     let mut useless = 0u64;
-    stash.retain(|w| match w {
-        Wake::User { code: codes::WAKE_PRESEND_ACK, a, b } => {
-            if outstanding.remove(a).is_some() {
-                useless += b;
-            }
-            false
-        }
-        _ => true,
-    });
     let mut rounds = 0u32;
+    let mut deadline = Instant::now() + n.retry.timeout;
     while !outstanding.is_empty() {
-        match wake_rx.recv_timeout(n.retry.timeout) {
-            Ok(Wake::User { code: codes::WAKE_PRESEND_ACK, a, b }) => {
-                // `remove` de-duplicates: an ack for an id that has already
-                // been acked (its push was duplicated in flight) is inert.
+        match node.next_wake(Some(deadline)) {
+            Some(Wake::User { code: codes::WAKE_PRESEND_ACK, a, b }) => {
                 if outstanding.remove(&a).is_some() {
                     useless += b;
                 }
             }
-            // A stale grant wake can slip in if a duplicated grant for an
-            // earlier fetch raced its teardown; it carries nothing we need.
-            Ok(Wake::Grant { .. }) => {}
-            // Recovery fences are only in flight while every compute thread
-            // sits in the recovery protocol, never during a pre-send window;
-            // tolerate (and drop) one anyway.
-            Ok(Wake::Fence) => {}
-            Ok(other) => panic!("unexpected wake during pre-send ack wait: {other:?}"),
-            Err(RecvTimeoutError::Timeout) => {
-                if n.is_aborting() {
-                    // The machine was declared dead (panic isolation /
-                    // watchdog): unwind instead of re-arming retries.
-                    std::panic::panic_any(prescient_tempest::Aborted);
-                }
+            Some(_) => {}
+            None => {
                 rounds += 1;
                 n.tracer().emit(
                     EventKind::PresendRetry,
@@ -358,12 +331,8 @@ pub fn presend(
                     n.send(*t, Msg::User(m.clone()));
                     report.retransmits += 1;
                 }
-                // Back to waiting: flush the retransmissions out.
-                n.flush_net();
                 NodeStats::add(&n.stats.presend_retries, outstanding.len() as u64);
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                panic!("protocol thread terminated during pre-send")
+                deadline = Instant::now() + n.retry.timeout;
             }
         }
     }
@@ -393,9 +362,8 @@ pub fn presend(
 /// flight. Pass 1 used to `debug_assert!` that never happens, but a delayed
 /// demand request released by a faulty fabric mid-window makes it real:
 /// callers must treat `None` as "state unknown, serialize via a fetch".
-fn dir_state(n: &NodeShared, block: prescient_tempest::BlockId) -> Option<DirState> {
-    let dir = n.dir.lock();
-    match dir.get(block) {
+fn dir_state(st: &NodeState, block: prescient_tempest::BlockId) -> Option<DirState> {
+    match st.dir.get(block) {
         None => Some(DirState::Uncached),
         Some(e) if e.is_busy() => None,
         Some(e) => Some(e.state),

@@ -9,36 +9,31 @@
 //! same block within one phase instance is exactly the *conflict* case).
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver};
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::presend;
 use prescient_core::{DegradeConfig, Predictive, PredictiveConfig};
-use prescient_stache::{fetch, spawn_protocol, Msg, NodeShared, Wake};
-use prescient_tempest::fabric::Fabric;
-use prescient_tempest::{CostModel, NodeId, NodeSet};
-use prescient_tempest::{GAddr, GlobalLayout, Prim, VBarrier};
+use prescient_stache::testkit::Cluster;
+use prescient_stache::{fetch, Node, NodeShared, RetryConfig};
+use prescient_tempest::{GAddr, NodeId, NodeSet, Prim, VBarrier};
 
-struct TestNode {
-    shared: Arc<NodeShared>,
+/// One node as a test script sees it.
+struct TestNode<'a> {
+    node: &'a mut Node,
     pred: Arc<Predictive>,
-    wake_rx: Receiver<Wake>,
-    stash: Vec<Wake>,
-    barrier: Arc<VBarrier>,
+    barrier: &'a VBarrier,
 }
 
-impl TestNode {
+impl TestNode<'_> {
     fn read_u64(&mut self, addr: GAddr) -> (u64, u32) {
         let mut faults = 0;
         loop {
             let mut buf = [0u8; 8];
-            let r = self.shared.mem.lock().read_in_block(addr, &mut buf);
-            match r {
+            match self.node.state.mem.read_in_block(addr, &mut buf) {
                 Ok(()) => return (u64::load(&buf), faults),
                 Err(f) => {
                     faults += 1;
-                    fetch(&self.shared, &self.wake_rx, f.fault().block, false, &mut self.stash);
+                    fetch(self.node, f.fault().block, false);
                 }
             }
         }
@@ -49,39 +44,49 @@ impl TestNode {
         let mut buf = [0u8; 8];
         v.store(&mut buf);
         loop {
-            let r = self.shared.mem.lock().write_in_block(addr, &buf);
-            match r {
+            match self.node.state.mem.write_in_block(addr, &buf) {
                 Ok(()) => return faults,
                 Err(f) => {
                     faults += 1;
-                    fetch(&self.shared, &self.wake_rx, f.fault().block, true, &mut self.stash);
+                    fetch(self.node, f.fault().block, true);
                 }
             }
         }
+    }
+
+    /// A barrier inside a phase (the node keeps serving while it waits).
+    fn sync(&mut self) {
+        self.node.barrier(self.barrier, 0);
     }
 
     /// The runtime's `phase_begin` directive: pre-send, arm recording,
     /// stability barrier (arming precedes the barrier so every home is
     /// recording before any node can fault on this instance).
     fn phase_begin(&mut self, phase: u32) {
-        self.barrier.wait(0);
-        presend(&self.pred, &self.shared, &self.wake_rx, &mut self.stash, phase);
+        self.sync();
+        presend(&self.pred, self.node, phase);
         self.pred.arm(phase);
-        self.barrier.wait(0);
+        self.sync();
     }
 
     /// The runtime's `phase_end` directive: barrier (all in-phase
     /// requests recorded), disarm, barrier (all nodes disarmed).
     fn phase_end(&mut self) {
-        self.barrier.wait(0);
+        self.sync();
         self.pred.end_phase();
-        self.barrier.wait(0);
+        self.sync();
     }
 }
 
+/// What the test thread keeps of each node between runs.
+struct Handle {
+    shared: Arc<NodeShared>,
+    pred: Arc<Predictive>,
+}
+
 struct TestMachine {
-    nodes: Vec<TestNode>,
-    joins: Vec<JoinHandle<()>>,
+    cluster: Cluster,
+    nodes: Vec<Handle>,
 }
 
 fn machine(n: usize, block_size: usize) -> TestMachine {
@@ -89,57 +94,36 @@ fn machine(n: usize, block_size: usize) -> TestMachine {
 }
 
 fn machine_cfg(n: usize, block_size: usize, cfg: PredictiveConfig) -> TestMachine {
-    let layout = GlobalLayout::new(n, block_size);
-    let cost = CostModel::default();
-    let barrier = Arc::new(VBarrier::new(n));
-    let mut nodes = Vec::new();
-    let mut joins = Vec::new();
-    for ep in Fabric::new::<Msg>(n) {
-        let (wake_tx, wake_rx) = unbounded();
-        let shared = Arc::new(NodeShared::new(layout, cost, ep.net().clone(), wake_tx));
-        let pred = Arc::new(Predictive::new(cfg));
-        joins.push(spawn_protocol(Arc::clone(&shared), ep, Arc::clone(&pred) as _));
-        nodes.push(TestNode {
-            shared,
-            pred,
-            wake_rx,
-            stash: Vec::new(),
-            barrier: Arc::clone(&barrier),
-        });
-    }
-    TestMachine { nodes, joins }
+    let preds: Vec<Arc<Predictive>> = (0..n).map(|_| Arc::new(Predictive::new(cfg))).collect();
+    let cluster = Cluster::new(n, block_size, RetryConfig::default(), None, |i| {
+        Arc::clone(&preds[i as usize]) as _
+    });
+    let nodes = cluster
+        .nodes
+        .iter()
+        .zip(preds)
+        .map(|(node, pred)| Handle { shared: Arc::clone(&node.shared), pred })
+        .collect();
+    TestMachine { cluster, nodes }
 }
 
 impl TestMachine {
-    fn shutdown(self) {
-        for n in &self.nodes {
-            n.shared.send(n.shared.me, Msg::Shutdown);
-        }
-        for j in self.joins {
-            j.join().unwrap();
-        }
+    /// Shared memory homed at `node`.
+    fn alloc(&mut self, node: usize, bytes: u64, align: u64) -> GAddr {
+        self.cluster.nodes[node].state.mem.alloc(bytes, align)
     }
 
     /// Run `f(node_id, node)` on every node concurrently, SPMD style.
-    fn spmd<F>(self, f: F) -> TestMachine
+    fn spmd<F>(mut self, f: F) -> TestMachine
     where
         F: Fn(NodeId, &mut TestNode) + Send + Sync + 'static,
     {
-        let f = Arc::new(f);
-        let joins = self.joins;
-        let handles: Vec<_> = self
-            .nodes
-            .into_iter()
-            .map(|mut tn| {
-                let f = Arc::clone(&f);
-                std::thread::spawn(move || {
-                    f(tn.shared.me, &mut tn);
-                    tn
-                })
-            })
-            .collect();
-        let nodes = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        TestMachine { nodes, joins }
+        let preds: Vec<_> = self.nodes.iter().map(|h| Arc::clone(&h.pred)).collect();
+        self.cluster.run(|node, barrier| {
+            let me = node.shared.me;
+            f(me, &mut TestNode { node, pred: Arc::clone(&preds[me as usize]), barrier });
+        });
+        self
     }
 }
 
@@ -151,8 +135,8 @@ const R: u32 = 2; // consumer phase
 /// iteration, pre-sends must make both the write and the read hit locally.
 #[test]
 fn producer_consumer_becomes_local_after_recording() {
-    let m = machine(3, 32);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
+    let mut m = machine(3, 32);
+    let addr = m.alloc(0, 8, 8);
 
     let log: Arc<parking_lot::Mutex<Vec<(u64, u32, u32)>>> =
         Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -193,7 +177,6 @@ fn producer_consumer_becomes_local_after_recording() {
     drop(log);
     assert_eq!(m.nodes[0].pred.conflicts(W), 0);
     assert_eq!(m.nodes[0].pred.conflicts(R), 0);
-    m.shutdown();
 }
 
 /// Read+write of the same block in one phase instance marks it conflict;
@@ -201,8 +184,8 @@ fn producer_consumer_becomes_local_after_recording() {
 /// (correct, just unoptimized — §3.4).
 #[test]
 fn conflict_blocks_get_no_action() {
-    let m = machine(3, 32);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
+    let mut m = machine(3, 32);
+    let addr = m.alloc(0, 8, 8);
 
     let fault_log: Arc<parking_lot::Mutex<Vec<u32>>> = Arc::new(parking_lot::Mutex::new(vec![]));
     let fl = Arc::clone(&fault_log);
@@ -216,7 +199,7 @@ fn conflict_blocks_get_no_action() {
             if me == 1 {
                 tn.write_u64(addr, iter);
             }
-            tn.barrier.wait(0);
+            tn.sync();
             if me == 2 {
                 let (_, f) = tn.read_u64(addr);
                 if iter > 0 {
@@ -231,21 +214,20 @@ fn conflict_blocks_get_no_action() {
     let faults = fault_log.lock();
     assert!(faults.iter().all(|&f| f > 0), "conflict block must not be pre-sent: {faults:?}");
     drop(faults);
-    m.shutdown();
 }
 
 /// Incremental growth: a reader that joins at iteration 2 faults once and
 /// is served by pre-sends from iteration 3 on.
 #[test]
 fn incremental_schedule_adds_new_readers() {
-    let m = machine(4, 32);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
+    let mut m = machine(4, 32);
+    let addr = m.alloc(0, 8, 8);
 
     let log: Arc<parking_lot::Mutex<Vec<(u64, NodeId, u32)>>> =
         Arc::new(parking_lot::Mutex::new(vec![]));
     let l2 = Arc::clone(&log);
 
-    let m = m.spmd(move |me, tn| {
+    m.spmd(move |me, tn| {
         for iter in 0..6u64 {
             tn.phase_begin(W);
             if me == 1 {
@@ -277,19 +259,18 @@ fn incremental_schedule_adds_new_readers() {
         }
     }
     drop(log);
-    m.shutdown();
 }
 
 /// Flushing a schedule reverts the phase to fault-and-record behavior.
 #[test]
 fn flush_rebuilds_schedule() {
-    let m = machine(3, 32);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
+    let mut m = machine(3, 32);
+    let addr = m.alloc(0, 8, 8);
 
     let log: Arc<parking_lot::Mutex<Vec<(u64, u32)>>> = Arc::new(parking_lot::Mutex::new(vec![]));
     let l2 = Arc::clone(&log);
 
-    let m = m.spmd(move |me, tn| {
+    m.spmd(move |me, tn| {
         for iter in 0..6u64 {
             if iter == 3 {
                 tn.pred.flush(W);
@@ -315,7 +296,6 @@ fn flush_rebuilds_schedule() {
     // iter 0: fault (cold). iters 1,2: pre-sent. iter 3: fault again
     // (flushed). iters 4,5: pre-sent again.
     assert_eq!(faults, vec![1, 0, 0, 1, 0, 0]);
-    m.shutdown();
 }
 
 /// Contiguous blocks pushed to one reader coalesce into fewer bulk
@@ -324,10 +304,10 @@ fn flush_rebuilds_schedule() {
 fn coalescing_reduces_message_count() {
     for coalesce in [true, false] {
         let cfg = PredictiveConfig { coalesce, ..Default::default() };
-        let m = machine_cfg(2, 32, cfg);
+        let mut m = machine_cfg(2, 32, cfg);
         // 16 contiguous blocks homed at node 0, hand-scheduled for reader 1
         // (the SPMD/manual-protocol path also covers install_manual here).
-        let base = m.nodes[0].shared.mem.lock().alloc(16 * 32, 32);
+        let base = m.alloc(0, 16 * 32, 32);
         let entries: Vec<_> = (0..16u64)
             .map(|i| (base.add(i * 32).block(32), ManualEntry::Readers(NodeSet::single(1))))
             .collect();
@@ -353,7 +333,6 @@ fn coalescing_reduces_message_count() {
         }
         let s1 = m.nodes[1].shared.stats.snapshot();
         assert_eq!(s1.presend_blocks_in, 16);
-        m.shutdown();
     }
 }
 
@@ -364,8 +343,8 @@ fn coalescing_reduces_message_count() {
 #[test]
 fn conflict_anticipation_pregrants_first_state() {
     let cfg = PredictiveConfig { anticipate_conflicts: true, ..Default::default() };
-    let m = machine_cfg(3, 32, cfg);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
+    let mut m = machine_cfg(3, 32, cfg);
+    let addr = m.alloc(0, 8, 8);
 
     let log: Arc<parking_lot::Mutex<Vec<(u64, u32, u32)>>> =
         Arc::new(parking_lot::Mutex::new(vec![]));
@@ -378,7 +357,7 @@ fn conflict_anticipation_pregrants_first_state() {
             if me == 1 {
                 tn.write_u64(addr, iter);
             }
-            tn.barrier.wait(0);
+            tn.sync();
             let mut rf = 0;
             if me == 2 {
                 let (v, f) = tn.read_u64(addr);
@@ -408,15 +387,14 @@ fn conflict_anticipation_pregrants_first_state() {
     let reader_faults: u32 = log.iter().filter(|e| e.1 == 2).map(|e| e.2).sum();
     assert!(reader_faults >= 4, "reader keeps faulting: {reader_faults}");
     drop(log);
-    m.shutdown();
 }
 
 /// Migratory pattern: ownership of a block moves to the recorded writer
 /// ahead of its write.
 #[test]
 fn migratory_write_is_present_to_writer() {
-    let m = machine(3, 32);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
+    let mut m = machine(3, 32);
+    let addr = m.alloc(0, 8, 8);
 
     let log: Arc<parking_lot::Mutex<Vec<(u64, u32)>>> = Arc::new(parking_lot::Mutex::new(vec![]));
     let l2 = Arc::clone(&log);
@@ -442,12 +420,11 @@ fn migratory_write_is_present_to_writer() {
         }
     }
     drop(log);
-    let mut n0 = m.nodes.into_iter().next().unwrap();
-    let (v, _) = n0.read_u64(addr);
+    let mut m = m;
+    let barrier = VBarrier::new(1);
+    let pred = Arc::clone(&m.nodes[0].pred);
+    let (v, _) = m.cluster.on(0, |node| TestNode { node, pred, barrier: &barrier }.read_u64(addr));
     assert_eq!(v, 4);
-    n0.shared.send(0, Msg::Shutdown);
-    n0.shared.send(1, Msg::Shutdown);
-    n0.shared.send(2, Msg::Shutdown);
 }
 
 /// The redundant pre-send diagnostic: a reader recorded once but absent in
@@ -455,8 +432,8 @@ fn migratory_write_is_present_to_writer() {
 /// not track deletions (§3.3).
 #[test]
 fn deletions_are_not_tracked() {
-    let m = machine(3, 32);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
+    let mut m = machine(3, 32);
+    let addr = m.alloc(0, 8, 8);
 
     let m = m.spmd(move |me, tn| {
         for iter in 0..4u64 {
@@ -481,9 +458,8 @@ fn deletions_are_not_tracked() {
         "stale reader keeps receiving copies: {}",
         s2.presend_blocks_in
     );
-    let unused = m.nodes[2].shared.mem.lock().unused_presends();
+    let unused = m.cluster.nodes[2].state.mem.unused_presends();
     assert_eq!(unused, 1, "the last pre-sent copy was never read");
-    m.shutdown();
 }
 
 /// Graceful degradation: a reader recorded once but never returning makes
@@ -494,8 +470,8 @@ fn deletions_are_not_tracked() {
 /// by pre-sends again.
 #[test]
 fn useless_presends_trigger_degradation_then_rearm() {
-    let m = machine(3, 32); // degradation on by default: 50% / 3 bad / backoff 4
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
+    let mut m = machine(3, 32); // degradation on by default: 50% / 3 bad / backoff 4
+    let addr = m.alloc(0, 8, 8);
 
     let log: Arc<parking_lot::Mutex<Vec<(u64, u32)>>> = Arc::new(parking_lot::Mutex::new(vec![]));
     let l2 = Arc::clone(&log);
@@ -538,7 +514,6 @@ fn useless_presends_trigger_degradation_then_rearm() {
     let s0 = m.nodes[0].shared.stats.snapshot();
     assert!(s0.presend_useless >= 3, "home must have observed the useless acks");
     assert_eq!(s0.degrade_events, 1);
-    m.shutdown();
 }
 
 /// Baseline for the degradation test: with the policy disabled, the
@@ -549,8 +524,8 @@ fn degradation_disabled_keeps_pushing() {
         degrade: DegradeConfig { enabled: false, ..Default::default() },
         ..Default::default()
     };
-    let m = machine_cfg(3, 32, cfg);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
+    let mut m = machine_cfg(3, 32, cfg);
+    let addr = m.alloc(0, 8, 8);
 
     let m = m.spmd(move |me, tn| {
         for iter in 0..11u64 {
@@ -570,5 +545,4 @@ fn degradation_disabled_keeps_pushing() {
     assert_eq!(m.nodes[0].pred.degrade_events(R), 0);
     let s2 = m.nodes[2].shared.stats.snapshot();
     assert!(s2.presend_blocks_in >= 9, "stream never stops: {} pushes", s2.presend_blocks_in);
-    m.shutdown();
 }

@@ -8,7 +8,7 @@
 //! demand request (reachable via a delayed request on a faulty fabric, or
 //! any driver that pre-sends outside the barrier-delimited window) that
 //! either aborted a debug build or corrupted an in-flight round's state in
-//! release. Pass 2 now revalidates every push under the directory lock and
+//! release. Pass 2 now revalidates every push against the directory and
 //! drops stale ones (`presend_aborted`).
 //!
 //! The proptest companion (`proptest_presend_race.rs`) interleaves recalls
@@ -16,71 +16,42 @@
 //! genuinely concurrent interleaving.
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver};
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::presend;
 use prescient_core::{DegradeConfig, Predictive, PredictiveConfig};
-use prescient_stache::{check_coherence, fetch, spawn_protocol, Msg, NodeShared, Wake};
-use prescient_tempest::fabric::Fabric;
-use prescient_tempest::{CostModel, GAddr, GlobalLayout, NodeSet, Prim};
+use prescient_stache::testkit::Cluster;
+use prescient_stache::{fetch, Node, RetryConfig};
+use prescient_tempest::{GAddr, NodeSet, Prim};
 
-struct TestNode {
-    shared: Arc<NodeShared>,
-    pred: Arc<Predictive>,
-    wake_rx: Receiver<Wake>,
-    stash: Vec<Wake>,
+fn read_u64(node: &mut Node, addr: GAddr) -> u64 {
+    let mut buf = [0u8; 8];
+    while let Err(e) = node.state.mem.read_in_block(addr, &mut buf) {
+        fetch(node, e.fault().block, false);
+    }
+    u64::load(&buf)
 }
 
-impl TestNode {
-    fn read_u64(&mut self, addr: GAddr) -> u64 {
-        loop {
-            let mut buf = [0u8; 8];
-            let r = self.shared.mem.lock().read_in_block(addr, &mut buf);
-            match r {
-                Ok(()) => return u64::load(&buf),
-                Err(e) => {
-                    fetch(&self.shared, &self.wake_rx, e.fault().block, false, &mut self.stash);
-                }
-            }
-        }
-    }
-
-    fn write_u64(&mut self, addr: GAddr, v: u64) {
-        let mut buf = [0u8; 8];
-        v.store(&mut buf);
-        loop {
-            let r = self.shared.mem.lock().write_in_block(addr, &buf);
-            match r {
-                Ok(()) => return,
-                Err(e) => {
-                    fetch(&self.shared, &self.wake_rx, e.fault().block, true, &mut self.stash);
-                }
-            }
-        }
+fn write_u64(node: &mut Node, addr: GAddr, v: u64) {
+    let mut buf = [0u8; 8];
+    v.store(&mut buf);
+    while let Err(e) = node.state.mem.write_in_block(addr, &buf) {
+        fetch(node, e.fault().block, true);
     }
 }
 
-fn machine(n: usize, block_size: usize) -> (Vec<TestNode>, Vec<JoinHandle<()>>) {
-    let layout = GlobalLayout::new(n, block_size);
+fn machine(n: usize, block_size: usize) -> (Cluster, Vec<Arc<Predictive>>) {
     let cfg = PredictiveConfig {
         // Keep pushing every round: degradation would flush the manual
         // schedule once the rogue writer makes most pushes useless.
         degrade: DegradeConfig { enabled: false, ..DegradeConfig::default() },
         ..PredictiveConfig::default()
     };
-    let mut nodes = Vec::new();
-    let mut joins = Vec::new();
-    for ep in Fabric::new::<Msg>(n) {
-        let (wake_tx, wake_rx) = unbounded();
-        let shared =
-            Arc::new(NodeShared::new(layout, CostModel::default(), ep.net().clone(), wake_tx));
-        let pred = Arc::new(Predictive::new(cfg));
-        joins.push(spawn_protocol(Arc::clone(&shared), ep, Arc::clone(&pred) as _));
-        nodes.push(TestNode { shared, pred, wake_rx, stash: Vec::new() });
-    }
-    (nodes, joins)
+    let preds: Vec<Arc<Predictive>> = (0..n).map(|_| Arc::new(Predictive::new(cfg))).collect();
+    let cluster = Cluster::new(n, block_size, RetryConfig::default(), None, |i| {
+        Arc::clone(&preds[i as usize]) as _
+    });
+    (cluster, preds)
 }
 
 /// Node 0 (home) runs pre-send rounds for a manual schedule while node 1
@@ -95,77 +66,55 @@ fn concurrent_demand_writes_during_presend_rounds() {
     const BLOCKS: usize = 8;
     const ROUNDS: usize = 60;
     const WRITES: usize = 240;
-    let (mut nodes, joins) = machine(4, 32);
+    let (mut m, preds) = machine(4, 32);
 
-    let addrs: Vec<GAddr> = {
-        let mut mem = nodes[0].shared.mem.lock();
-        (0..BLOCKS).map(|_| mem.alloc(32, 32)).collect()
-    };
-    let layout = nodes[0].shared.layout;
-    nodes[0].pred.install_manual(
+    let addrs: Vec<GAddr> = (0..BLOCKS).map(|_| m.nodes[0].state.mem.alloc(32, 32)).collect();
+    let layout = m.nodes[0].shared.layout;
+    preds[0].install_manual(
         1,
         addrs.iter().map(|a| {
             (layout.block_of(*a), ManualEntry::Readers([2u16, 3].into_iter().collect::<NodeSet>()))
         }),
     );
 
-    let mut node3 = nodes.pop().unwrap();
-    let mut node2 = nodes.pop().unwrap();
-    let mut node1 = nodes.pop().unwrap();
-    let mut node0 = nodes.pop().unwrap();
-    let addrs1 = addrs.clone();
-    let addrs2 = addrs.clone();
+    let last_written = m.run(|node, _| {
+        let mut last = [0u64; BLOCKS];
+        match node.shared.me {
+            0 => {
+                for _ in 0..ROUNDS {
+                    presend(&preds[0], node, 1);
+                }
+            }
+            1 => {
+                for i in 0..WRITES {
+                    let b = i % BLOCKS;
+                    let v = (i as u64) << 8 | b as u64;
+                    write_u64(node, addrs[b], v);
+                    last[b] = v;
+                }
+            }
+            2 => {
+                for i in 0..WRITES {
+                    read_u64(node, addrs[i % BLOCKS]);
+                }
+            }
+            _ => {}
+        }
+        last
+    })[1];
 
-    let (home, node1, node2, last_written) = std::thread::scope(|s| {
-        let presender = s.spawn(move || {
-            for _ in 0..ROUNDS {
-                presend(&node0.pred, &node0.shared, &node0.wake_rx, &mut node0.stash, 1);
-            }
-            node0
-        });
-        let writer = s.spawn(move || {
-            let mut last = [0u64; BLOCKS];
-            for i in 0..WRITES {
-                let b = i % BLOCKS;
-                let v = (i as u64) << 8 | b as u64;
-                node1.write_u64(addrs1[b], v);
-                last[b] = v;
-            }
-            (node1, last)
-        });
-        let reader = s.spawn(move || {
-            for i in 0..WRITES {
-                node2.read_u64(addrs2[i % BLOCKS]);
-            }
-            node2
-        });
-        let home = presender.join().unwrap();
-        let (n1, last) = writer.join().unwrap();
-        let n2 = reader.join().unwrap();
-        (home, n1, n2, last)
-    });
-
-    // Quiesced: all compute activity joined, every push acknowledged and
-    // every fetch granted. The invariants must hold.
-    let shareds: Vec<Arc<NodeShared>> =
-        [&home, &node1, &node2, &node3].iter().map(|n| Arc::clone(&n.shared)).collect();
-    let violations = check_coherence(&shareds);
+    // Quiesced: every script returned, every push acknowledged and every
+    // fetch granted. The invariants must hold.
+    let violations = m.violations();
     assert!(violations.is_empty(), "coherence violations after race: {violations:#?}");
 
     // Every block reads back as its last demand-written value.
     for (b, addr) in addrs.iter().enumerate() {
-        assert_eq!(node3.read_u64(*addr), last_written[b], "block {b} lost a write");
+        assert_eq!(m.on(3, |n| read_u64(n, *addr)), last_written[b], "block {b} lost a write");
     }
 
     // The rounds actually pushed copies (the race did not wedge or
     // permanently abort the machinery).
-    let pushed = home.shared.stats.snapshot().presend_blocks_out;
+    let pushed = m.nodes[0].shared.stats.snapshot().presend_blocks_out;
     assert!(pushed > 0, "pre-send made no progress across {ROUNDS} rounds");
-
-    for n in [home, node1, node2, node3] {
-        n.shared.send(n.shared.me, Msg::Shutdown);
-    }
-    for j in joins {
-        j.join().unwrap();
-    }
 }

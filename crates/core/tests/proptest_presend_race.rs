@@ -9,15 +9,13 @@
 //! shrunken counterexample is replayable.
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver};
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::presend;
 use prescient_core::{DegradeConfig, Predictive, PredictiveConfig};
-use prescient_stache::{check_coherence, fetch, spawn_protocol, Msg, NodeShared, Wake};
-use prescient_tempest::fabric::Fabric;
-use prescient_tempest::{CostModel, GAddr, GlobalLayout, NodeId, NodeSet, Prim};
+use prescient_stache::testkit::Cluster;
+use prescient_stache::{fetch, Node, RetryConfig};
+use prescient_tempest::{GAddr, NodeId, NodeSet, Prim};
 use proptest::prelude::*;
 
 const NODES: usize = 4;
@@ -44,90 +42,60 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-struct TestNode {
-    shared: Arc<NodeShared>,
-    pred: Arc<Predictive>,
-    wake_rx: Receiver<Wake>,
-    stash: Vec<Wake>,
+fn read_u64(node: &mut Node, addr: GAddr) -> u64 {
+    let mut buf = [0u8; 8];
+    while let Err(e) = node.state.mem.read_in_block(addr, &mut buf) {
+        fetch(node, e.fault().block, false);
+    }
+    u64::load(&buf)
 }
 
-impl TestNode {
-    fn read_u64(&mut self, addr: GAddr) -> u64 {
-        loop {
-            let mut buf = [0u8; 8];
-            let r = self.shared.mem.lock().read_in_block(addr, &mut buf);
-            match r {
-                Ok(()) => return u64::load(&buf),
-                Err(e) => {
-                    fetch(&self.shared, &self.wake_rx, e.fault().block, false, &mut self.stash);
-                }
-            }
-        }
-    }
-
-    fn write_u64(&mut self, addr: GAddr, v: u64) {
-        let mut buf = [0u8; 8];
-        v.store(&mut buf);
-        loop {
-            let r = self.shared.mem.lock().write_in_block(addr, &buf);
-            match r {
-                Ok(()) => return,
-                Err(e) => {
-                    fetch(&self.shared, &self.wake_rx, e.fault().block, true, &mut self.stash);
-                }
-            }
-        }
+fn write_u64(node: &mut Node, addr: GAddr, v: u64) {
+    let mut buf = [0u8; 8];
+    v.store(&mut buf);
+    while let Err(e) = node.state.mem.write_in_block(addr, &buf) {
+        fetch(node, e.fault().block, true);
     }
 }
 
-fn build_machine() -> (Vec<TestNode>, Vec<JoinHandle<()>>) {
-    let layout = GlobalLayout::new(NODES, 32);
+fn build_machine() -> (Cluster, Vec<Arc<Predictive>>) {
     let cfg = PredictiveConfig {
         degrade: DegradeConfig { enabled: false, ..DegradeConfig::default() },
         ..PredictiveConfig::default()
     };
-    let mut tns = Vec::new();
-    let mut joins = Vec::new();
-    for ep in Fabric::new::<Msg>(NODES) {
-        let (wake_tx, wake_rx) = unbounded();
-        let shared =
-            Arc::new(NodeShared::new(layout, CostModel::default(), ep.net().clone(), wake_tx));
-        let pred = Arc::new(Predictive::new(cfg));
-        joins.push(spawn_protocol(Arc::clone(&shared), ep, Arc::clone(&pred) as _));
-        tns.push(TestNode { shared, pred, wake_rx, stash: Vec::new() });
-    }
-    (tns, joins)
+    let preds: Vec<Arc<Predictive>> = (0..NODES).map(|_| Arc::new(Predictive::new(cfg))).collect();
+    let cluster = Cluster::new(NODES, 32, RetryConfig::default(), None, |i| {
+        Arc::clone(&preds[i as usize]) as _
+    });
+    (cluster, preds)
 }
 
 fn run_program(ops: Vec<Op>) {
-    let (mut tns, joins) = build_machine();
-    let addrs: Vec<GAddr> = {
-        let mut mem = tns[0].shared.mem.lock();
-        (0..BLOCKS).map(|_| mem.alloc(32, 32)).collect()
-    };
-    let layout = tns[0].shared.layout;
+    let (mut m, preds) = build_machine();
+    let addrs: Vec<GAddr> = (0..BLOCKS).map(|_| m.nodes[0].state.mem.alloc(32, 32)).collect();
+    let layout = m.nodes[0].shared.layout;
     // The manual schedule pushes read-only copies of every block to nodes
     // 1 and 2 each window (node 3 stays a demand-only consumer).
-    tns[0].pred.install_manual(
+    preds[0].install_manual(
         1,
         addrs.iter().map(|a| {
             (layout.block_of(*a), ManualEntry::Readers([1u16, 2].into_iter().collect::<NodeSet>()))
         }),
     );
 
+    // One op at a time: the acting node runs it, the others serve.
     let mut model = [0u64; BLOCKS];
     for op in ops {
         match op {
             Op::Presend => {
-                let tn = &mut tns[0];
-                presend(&tn.pred, &tn.shared, &tn.wake_rx, &mut tn.stash, 1);
+                m.on(0, |n| presend(&preds[0], n, 1));
             }
             Op::Write(b, w, v) => {
-                tns[w as usize].write_u64(addrs[b], v);
+                m.on(w, |n| write_u64(n, addrs[b], v));
                 model[b] = v;
             }
             Op::Read(b, r) => {
-                let got = tns[r as usize].read_u64(addrs[b]);
+                let got = m.on(r, |n| read_u64(n, addrs[b]));
                 assert_eq!(
                     got, model[b],
                     "node {r} read stale data from block {b} (pre-send leaked a stale copy)"
@@ -138,16 +106,8 @@ fn run_program(ops: Vec<Op>) {
 
     // Quiesced (ops are sequential; every push was acknowledged before the
     // pre-send returned): the invariants must hold.
-    let shareds: Vec<Arc<NodeShared>> = tns.iter().map(|t| Arc::clone(&t.shared)).collect();
-    let violations = check_coherence(&shareds);
+    let violations = m.violations();
     assert!(violations.is_empty(), "coherence violations: {violations:#?}");
-
-    for tn in &tns {
-        tn.shared.send(tn.shared.me, Msg::Shutdown);
-    }
-    for j in joins {
-        j.join().unwrap();
-    }
 }
 
 proptest! {

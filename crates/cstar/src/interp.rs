@@ -303,14 +303,14 @@ fn run_parallel_call(
     }
 }
 
-struct Env<'a, 'c> {
+struct Env<'a, 'c, 'n> {
     bind: &'a BTreeMap<&'a str, &'a AggStore>,
     pos: &'a [i64],
     locals: Vec<(String, Value)>,
-    ctx: &'c mut NodeCtx,
+    ctx: &'c mut NodeCtx<'n>,
 }
 
-impl Env<'_, '_> {
+impl Env<'_, '_, '_> {
     fn lookup(&self, name: &str) -> Value {
         self.locals
             .iter()

@@ -106,20 +106,12 @@ impl PlacementSpec {
 /// Which transport backend the machine's fabric runs on (see
 /// `prescient_tempest::fabric::Transport`). Protocol behavior — and every
 /// deterministic gate counter — is backend-independent; the backends
-/// differ only in threading model and process topology.
+/// differ only in how a wire batch reaches the destination node's inbox.
+/// Either way each node is one thread draining one inbox.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricKind {
-    /// One channel and one protocol-handler thread per node (the original
-    /// 2-threads-per-node model).
+    /// One in-process channel per node.
     Channel,
-    /// `shards` shard loops multiplex all protocol handlers over
-    /// per-shard inboxes; `0` picks a shard count from the host's
-    /// available parallelism at machine build time. This is the backend
-    /// that lets 32–256 emulated nodes scale on M cores.
-    Sharded {
-        /// Number of shard loops (`0` = auto).
-        shards: usize,
-    },
     /// In-process loopback socket pair: nodes `0..split` and `split..n`
     /// sit on opposite ends of a real TCP connection, with cross-split
     /// traffic framed through the wire codec. `0` splits the machine in
@@ -131,21 +123,13 @@ pub enum FabricKind {
 }
 
 impl FabricKind {
-    /// Parse a `PRESCIENT_FABRIC` value: `"channel"`, `"sharded"` /
-    /// `"sharded:S"`, or `"socket"` / `"socket:SPLIT"`.
+    /// Parse a `PRESCIENT_FABRIC` value: `"channel"`, or `"socket"` /
+    /// `"socket:SPLIT"`.
     pub fn parse(s: &str) -> Result<FabricKind, String> {
         let t = s.trim();
         let (kind, arg) = match t.split_once(':') {
             Some((k, a)) => (k.trim(), Some(a.trim())),
             None => (t, None),
-        };
-        let num = |what: &str, a: Option<&str>| -> Result<usize, String> {
-            match a {
-                None => Ok(0),
-                Some(x) => x
-                    .parse::<usize>()
-                    .map_err(|_| format!("PRESCIENT_FABRIC: bad {what} {x:?} in {s:?}")),
-            }
         };
         match kind {
             "channel" => match arg {
@@ -154,11 +138,14 @@ impl FabricKind {
                     Err(format!("PRESCIENT_FABRIC: \"channel\" takes no argument, got {s:?}"))
                 }
             },
-            "sharded" => Ok(FabricKind::Sharded { shards: num("shard count", arg)? }),
-            "socket" => Ok(FabricKind::SocketPair { split: num("split", arg)? }),
+            "socket" => match arg.map(str::parse::<usize>) {
+                None => Ok(FabricKind::SocketPair { split: 0 }),
+                Some(Ok(split)) => Ok(FabricKind::SocketPair { split }),
+                Some(Err(_)) => Err(format!("PRESCIENT_FABRIC: bad split in {s:?}")),
+            },
             _ => Err(format!(
-                "PRESCIENT_FABRIC: unknown backend {kind:?} \
-                 (expected \"channel\", \"sharded[:S]\" or \"socket[:SPLIT]\"), got {s:?}"
+                "PRESCIENT_FABRIC: unknown fabric {kind:?} \
+                 (expected \"channel\" or \"socket[:SPLIT]\"), got {s:?}"
             )),
         }
     }
@@ -427,12 +414,18 @@ mod tests {
     #[test]
     fn fabric_kind_parses_every_backend() {
         assert_eq!(FabricKind::parse("channel"), Ok(FabricKind::Channel));
-        assert_eq!(FabricKind::parse("sharded"), Ok(FabricKind::Sharded { shards: 0 }));
-        assert_eq!(FabricKind::parse("sharded:3"), Ok(FabricKind::Sharded { shards: 3 }));
         assert_eq!(FabricKind::parse("socket"), Ok(FabricKind::SocketPair { split: 0 }));
         assert_eq!(FabricKind::parse(" socket : 5 "), Ok(FabricKind::SocketPair { split: 5 }));
-        let c = MachineConfig::stache(4, 32).with_fabric(FabricKind::Sharded { shards: 2 });
-        assert_eq!(c.fabric, FabricKind::Sharded { shards: 2 });
+        let c = MachineConfig::stache(4, 32).with_fabric(FabricKind::SocketPair { split: 2 });
+        assert_eq!(c.fabric, FabricKind::SocketPair { split: 2 });
+    }
+
+    #[test]
+    fn retired_sharded_backend_is_an_unknown_fabric() {
+        for retired in ["sharded", "sharded:2", "sharded:3"] {
+            let err = FabricKind::parse(retired).expect_err(retired);
+            assert!(err.starts_with("PRESCIENT_FABRIC: unknown fabric"), "{retired:?}: {err}");
+        }
     }
 
     // Satellite: malformed environment knobs must error loudly, never
@@ -442,8 +435,7 @@ mod tests {
 
     #[test]
     fn fabric_kind_rejects_garbage() {
-        for bad in ["", "tcp", "sharded:x", "sharded:-1", "socket:half", "channel:2", "sharded:3:4"]
-        {
+        for bad in ["", "tcp", "socket:x", "socket:-1", "socket:half", "channel:2", "socket:3:4"] {
             assert!(FabricKind::parse(bad).is_err(), "{bad:?} must not parse");
         }
     }

@@ -1,25 +1,28 @@
 //! The per-node execution context inside an SPMD program.
 //!
-//! `NodeCtx` is each compute thread's handle on the machine. Every shared
-//! access goes through the fine-grain access-control check; faults block
-//! the thread on the protocol (remote data wait), exactly as in Blizzard.
-//! The context keeps the node's virtual clock, split into the paper's bar
-//! segments: compute, remote-data wait, predictive protocol (pre-send),
-//! and synchronization.
+//! `NodeCtx` is each node thread's handle on its node. Every shared access
+//! goes through the fine-grain access-control check, straight on the block
+//! store the thread owns; a fault serves the node's inbox until its grant
+//! arrives (remote data wait), and so does every other wait — barriers,
+//! acknowledgement waits, the end of the run — because this thread is also
+//! the one that answers the node's peers, exactly as in Blizzard. In
+//! between, every [`POLL_EVERY`]-th access drains the inbox. The context
+//! keeps the node's virtual clock, split into the paper's bar segments:
+//! compute, remote-data wait, predictive protocol (pre-send), and
+//! synchronization.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use prescient_core::commute::merge as commute_merge;
 use prescient_core::presend::presend;
 use prescient_core::{Commute, PhaseId, Predictive};
 use prescient_stache::engine::fetch;
-use prescient_stache::{Msg, NodeShared, Wake};
+use prescient_stache::{Msg, Node, NodeShared, Wake};
 use prescient_tempest::stats::{StatsSnapshot, WireSnapshot};
 use prescient_tempest::trace::{pack_counts, pack_fault_end, EventKind};
 use prescient_tempest::{
-    CostModel, CrashPlan, FabricCtl, GAddr, LatencyHist, MetricsHub, NodeId, NodeStats,
+    CostModel, CrashPlan, FabricCtl, GAddr, LatencyHist, MemError, MetricsHub, NodeId, NodeStats,
     PhaseRecord, Prim, TimeBreakdown, VBarrier,
 };
 
@@ -57,8 +60,8 @@ pub(crate) struct MetricsInit {
 }
 
 /// One node's in-flight metrics series: everything needed to cut delta
-/// records at phase boundaries. Compute-thread-local — no atomics, no
-/// locks except the hub push.
+/// records at phase boundaries. Local to the node's thread — no atomics,
+/// no locks except the hub push.
 struct MetricsState {
     hub: Arc<MetricsHub>,
     run: u64,
@@ -97,18 +100,42 @@ impl MetricsState {
     }
 }
 
-/// Per-node program context. One exists per compute thread per run.
-pub struct NodeCtx {
+/// Accesses between two polls of the node's inbox. A poll that finds the
+/// inbox empty costs 24 ns, so at 64 it adds 0.4 ns to an access, while a
+/// peer's request waits at most 64 hits (about 0.6 µs, a fifth of a miss)
+/// for a node that is computing. Measured at 16, 64 and 256 in
+/// EXPERIMENTS.md, "One thread per node".
+pub const POLL_EVERY: u32 = 64;
+
+/// What the machine hands a node's thread to build its context for one
+/// run.
+pub(crate) struct CtxInit {
+    pub pred: Option<Arc<Predictive>>,
+    pub commute: Option<Arc<Commute>>,
+    pub barrier: Arc<VBarrier>,
+    pub reduce: Arc<ReduceScratch>,
+    pub recovery: Arc<RecoveryCtl>,
+    pub ckpts: Arc<CheckpointStore>,
+    pub crash: Option<CrashPlan>,
+    pub checkpoints: bool,
+    pub metrics: Option<MetricsInit>,
+}
+
+/// Per-node program context. One exists per node thread per run; it
+/// borrows the node for the run.
+pub struct NodeCtx<'a> {
+    node: &'a mut Node,
+    /// `node.shared`, one pointer closer for the access path's counters.
     shared: Arc<NodeShared>,
     pred: Option<Arc<Predictive>>,
     commute: Option<Arc<Commute>>,
-    wake_rx: Receiver<Wake>,
-    stash: Vec<Wake>,
     barrier: Arc<VBarrier>,
     reduce: Arc<ReduceScratch>,
     reduce_round: u64,
     cost: CostModel,
     t: TimeBreakdown,
+    /// Accesses left before the next poll.
+    poll_in: u32,
     /// Phase currently open via `phase_begin` (0 outside any phase);
     /// trace events are attributed to it.
     cur_phase: PhaseId,
@@ -128,44 +155,31 @@ pub struct NodeCtx {
     metrics: Option<MetricsState>,
 }
 
-impl NodeCtx {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        shared: Arc<NodeShared>,
-        pred: Option<Arc<Predictive>>,
-        commute: Option<Arc<Commute>>,
-        wake_rx: Receiver<Wake>,
-        barrier: Arc<VBarrier>,
-        reduce: Arc<ReduceScratch>,
-        recovery: Arc<RecoveryCtl>,
-        ckpts: Arc<CheckpointStore>,
-        crash: Option<CrashPlan>,
-        checkpoints: bool,
-        metrics: Option<MetricsInit>,
-    ) -> NodeCtx {
-        let cost = shared.cost;
+impl<'a> NodeCtx<'a> {
+    pub(crate) fn new(node: &'a mut Node, init: CtxInit) -> NodeCtx<'a> {
+        let shared = Arc::clone(&node.shared);
         NodeCtx {
-            metrics: metrics.map(MetricsState::new),
+            metrics: init.metrics.map(MetricsState::new),
+            cost: shared.cost,
+            node,
             shared,
-            pred,
-            commute,
-            wake_rx,
-            stash: Vec::new(),
-            barrier,
-            reduce,
+            pred: init.pred,
+            commute: init.commute,
+            barrier: init.barrier,
+            reduce: init.reduce,
             reduce_round: 0,
-            cost,
             t: TimeBreakdown::default(),
+            poll_in: POLL_EVERY,
             cur_phase: 0,
-            recovery,
-            ckpts,
-            crash,
-            checkpoints,
+            recovery: init.recovery,
+            ckpts: init.ckpts,
+            crash: init.crash,
+            checkpoints: init.checkpoints,
             version: 0,
         }
     }
 
-    /// Publish the compute thread's virtual clock to the tracer and emit
+    /// Publish the node's virtual clock to the tracer and emit
     /// one event stamped with it. A no-op (one never-taken branch) when
     /// tracing is disabled.
     #[inline]
@@ -181,11 +195,11 @@ impl NodeCtx {
     /// previous cut, attributed to `(phase, iter)` (0, 0 for the gaps
     /// between phases). Costs relaxed loads plus a hub push; bills no
     /// virtual time and sends no messages, so the gated counters are
-    /// unperturbed by construction. The protocol-handler thread keeps
-    /// serving peers while the cut is read, so attribution is approximate
-    /// at the margin — but consecutive cuts of the same cumulative
-    /// counters telescope, so the per-node sums reconcile exactly with
-    /// the run report whatever the races did.
+    /// unperturbed by construction. Work this node did for a peer since
+    /// the previous cut lands in whichever phase the node was in when it
+    /// served it — and consecutive cuts of the same cumulative counters
+    /// telescope, so the per-node sums reconcile exactly with the run
+    /// report.
     fn metrics_cut(&mut self, phase: PhaseId, iter: u64) {
         if self.metrics.is_none() {
             return;
@@ -252,12 +266,24 @@ impl NodeCtx {
         self.pred.as_ref()
     }
 
-    /// Direct access to the node's shared state (diagnostics, tests).
-    pub fn node(&self) -> &Arc<NodeShared> {
-        &self.shared
+    // ----- shared-memory access ------------------------------------------
+
+    /// Count one access toward the next poll, and poll when it is due:
+    /// Blizzard's poll, which is what answers a peer while this node
+    /// computes on data it already holds.
+    #[inline]
+    fn poll_tick(&mut self) {
+        self.poll_in -= 1;
+        if self.poll_in == 0 {
+            self.poll();
+        }
     }
 
-    // ----- shared-memory access ------------------------------------------
+    #[cold]
+    fn poll(&mut self) {
+        self.poll_in = POLL_EVERY;
+        self.node.poll();
+    }
 
     /// Read a primitive from shared memory (fine-grain checked; faults are
     /// serviced by the coherence protocol and billed as remote wait).
@@ -266,56 +292,60 @@ impl NodeCtx {
         // or restores the counters (`recover`).
         NodeStats::bump_single_writer(&self.shared.stats.reads);
         self.t.compute_ns += self.cost.local_access_ns;
+        self.poll_tick();
         let mut buf = [0u8; 16];
         let buf = &mut buf[..T::BYTES];
-        loop {
-            // The unread-pre-send count is read under the same mem lock as
-            // the access, so "unread pre-send copy consumed by this read"
-            // is exact: the count drops iff this access cleared the bit.
-            let (r, first_touch) = {
-                let mut mem = self.shared.mem.lock();
-                let unread = mem.unused_presends();
-                let r = mem.read_in_block(addr, buf);
-                (r, mem.unused_presends() != unread)
-            };
-            match r {
-                Ok(()) => {
-                    if first_touch {
-                        self.trace_first_touch(addr);
-                    }
-                    return T::load(buf);
-                }
-                // `fault()` panics on a boundary-crossing access, which no
-                // protocol action can repair (a runtime layout bug).
-                Err(e) => self.miss(e.fault().block, false),
-            }
+        // "Unread pre-send copy consumed by this access" is exact: the
+        // count drops iff the access cleared the bit.
+        let mem = &mut self.node.state.mem;
+        let unread = mem.unused_presends();
+        let hit = mem.read_in_block(addr, buf);
+        if hit.is_err() || mem.unused_presends() != unread {
+            self.access_slow(addr, buf, false, hit);
         }
+        T::load(buf)
     }
 
     /// Write a primitive to shared memory.
     pub fn write<T: Prim>(&mut self, addr: GAddr, v: T) {
         NodeStats::bump_single_writer(&self.shared.stats.writes);
         self.t.compute_ns += self.cost.local_access_ns;
+        self.poll_tick();
         let mut buf = [0u8; 16];
         let buf = &mut buf[..T::BYTES];
         v.store(buf);
-        loop {
-            let (r, first_touch) = {
-                let mut mem = self.shared.mem.lock();
-                let unread = mem.unused_presends();
-                let r = mem.write_in_block(addr, buf);
-                (r, mem.unused_presends() != unread)
-            };
-            match r {
-                Ok(()) => {
-                    if first_touch {
-                        self.trace_first_touch(addr);
-                    }
-                    return;
-                }
-                Err(e) => self.miss(e.fault().block, true),
+        let mem = &mut self.node.state.mem;
+        let unread = mem.unused_presends();
+        let hit = mem.write_in_block(addr, buf);
+        if hit.is_err() || mem.unused_presends() != unread {
+            self.access_slow(addr, buf, true, hit);
+        }
+    }
+
+    /// The rest of an access that did not simply hit: fault until it goes
+    /// through (`fault()` panics on a boundary-crossing access, which no
+    /// protocol action can repair — a runtime layout bug), and trace the
+    /// first touch of a pre-sent copy.
+    #[cold]
+    fn access_slow(
+        &mut self,
+        addr: GAddr,
+        buf: &mut [u8],
+        write: bool,
+        first: Result<(), MemError>,
+    ) {
+        let mut tried = first;
+        while let Err(e) = tried {
+            self.miss(e.fault().block, write);
+            let mem = &mut self.node.state.mem;
+            let unread = mem.unused_presends();
+            tried =
+                if write { mem.write_in_block(addr, buf) } else { mem.read_in_block(addr, buf) };
+            if tried.is_ok() && mem.unused_presends() == unread {
+                return;
             }
         }
+        self.trace_first_touch(addr);
     }
 
     /// An access just consumed an unread pre-sent copy of `addr`'s block.
@@ -326,7 +356,7 @@ impl NodeCtx {
 
     fn miss(&mut self, block: prescient_tempest::BlockId, excl: bool) {
         self.trace(EventKind::FaultBegin, block.0, u64::from(excl));
-        let info = fetch(&self.shared, &self.wake_rx, block, excl, &mut self.stash);
+        let info = fetch(self.node, block, excl);
         if excl {
             NodeStats::bump(&self.shared.stats.write_misses);
         } else {
@@ -369,19 +399,18 @@ impl NodeCtx {
     /// builds its local tree arenas.
     pub fn alloc_local(&mut self, bytes: u64, align: u64) -> GAddr {
         self.t.compute_ns += self.cost.local_access_ns;
-        self.shared.mem.lock().alloc(bytes, align)
+        self.node.state.mem.alloc(bytes, align)
     }
 
     // ----- synchronization ------------------------------------------------
 
-    /// Global barrier; the stall is billed as synchronization time.
-    /// Barrier entry is a quiescence point: the node's egress buffers are
-    /// flushed before blocking, so no message this thread produced can sit
-    /// in a partial batch while every thread waits.
+    /// Global barrier; the stall is billed as synchronization time. The
+    /// node keeps serving its inbox while it waits ([`Node::barrier`]),
+    /// and its egress buffers are flushed on entry, so no message this
+    /// node produced can sit in a partial batch while every node waits.
     pub fn barrier(&mut self) {
-        self.shared.flush_net();
         self.trace(EventKind::BarrierEnter, 0, 0);
-        let out = self.barrier.wait(self.t.total_ns());
+        let out = self.node.barrier(&self.barrier, self.t.total_ns());
         self.t.synch_ns += out.stall_ns + self.cost.barrier_ns;
         self.trace(EventKind::BarrierExit, out.stall_ns, 0);
     }
@@ -390,9 +419,8 @@ impl NodeCtx {
     /// predictive directives, whose whole cost the paper reports as
     /// "Predictive protocol").
     fn barrier_presend(&mut self) {
-        self.shared.flush_net();
         self.trace(EventKind::BarrierEnter, 0, 0);
-        let out = self.barrier.wait(self.t.total_ns());
+        let out = self.node.barrier(&self.barrier, self.t.total_ns());
         self.t.presend_ns += out.stall_ns + self.cost.barrier_ns;
         self.trace(EventKind::BarrierExit, out.stall_ns, 0);
     }
@@ -430,10 +458,10 @@ impl NodeCtx {
         let Some(pred) = self.pred.clone() else { return };
         self.barrier_presend();
         self.trace(EventKind::PresendStart, u64::from(phase), 0);
-        let rep = presend(&pred, &self.shared, &self.wake_rx, &mut self.stash, phase);
+        let rep = presend(&pred, self.node, phase);
         self.t.presend_ns += rep.vtime_ns;
         self.trace(EventKind::PresendEnd, u64::from(phase), rep.blocks_pushed);
-        // Arm BEFORE the stability barrier: no compute thread can issue a
+        // Arm BEFORE the stability barrier: no node can issue a
         // demand fetch while every node is still inside this directive, and
         // barrier exit then proves every home is recording — a consumer
         // that faults right after the barrier always gets recorded.
@@ -573,7 +601,7 @@ impl NodeCtx {
         };
         self.trace(EventKind::MergeBegin, u64::from(phase), outgoing.len() as u64);
         self.barrier_presend();
-        let rep = commute_merge(&cm, &self.shared, &self.wake_rx, &mut self.stash, outgoing);
+        let rep = commute_merge(&cm, self.node, outgoing);
         self.t.presend_ns += rep.vtime_ns;
         self.barrier_presend();
         let merged = cm.take_inbox();
@@ -596,13 +624,12 @@ impl NodeCtx {
     /// recovery is a fault-tolerance artifact, invisible to the paper's
     /// figures (and on the replay path the clock is rolled back anyway).
     fn barrier_recover(&mut self) {
-        self.shared.flush_net();
-        let _ = self.barrier.wait(self.t.total_ns());
+        self.node.barrier(&self.barrier, self.t.total_ns());
     }
 
     /// Capture this node's shard of a barrier-consistent checkpoint.
     /// Called at `phase_begin`, between two barriers: on entry every
-    /// compute thread has stopped issuing requests and every multi-hop
+    /// node has stopped issuing requests and every multi-hop
     /// round has completed (barriers are protocol quiescence points), so
     /// the cut contains no in-flight state; the closing barrier keeps any
     /// node from racing ahead and faulting into a half-captured peer.
@@ -613,7 +640,7 @@ impl NodeCtx {
         // self-consistent: restoring it and replaying re-counts exactly
         // what a fault-free execution from this point would.
         NodeStats::bump(&self.shared.stats.checkpoints);
-        let node = self.shared.checkpoint();
+        let node = self.node.checkpoint();
         let bytes = node.bytes();
         NodeStats::add(&self.shared.stats.checkpoint_bytes, bytes);
         let ckpt = Checkpoint {
@@ -630,29 +657,15 @@ impl NodeCtx {
         self.barrier_recover();
     }
 
-    /// Drain this node's inbox: self-send a [`Msg::Fence`] and wait for it
-    /// to come back as [`Wake::Fence`]. The self-send bypasses both the
-    /// egress buffer and the fault layer, so the marker lands in this
-    /// node's FIFO inbox *behind* every wire batch already queued there —
-    /// its arrival proves the protocol thread has handled them all.
-    /// Wake-ups from the destroyed phase (stale grants, pre-send acks)
-    /// surface here and are discarded.
+    /// Drain this node's inbox: self-send a [`Msg::Fence`] and serve the
+    /// inbox until it comes back. The self-send bypasses both the egress
+    /// buffer and the fault layer, so the marker lands in this node's FIFO
+    /// inbox *behind* every wire batch already queued there — its arrival
+    /// proves they have all been handled. What the destroyed phase's
+    /// stragglers report (stale grants, pre-send acks) is discarded.
     fn fence_round(&mut self) {
         self.shared.send(self.me(), Msg::Fence);
-        loop {
-            match self.wake_rx.recv_timeout(self.shared.retry.timeout) {
-                Ok(Wake::Fence) => return,
-                Ok(_) => {} // dead phase's wake-ups: drop
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.shared.is_aborting() {
-                        std::panic::panic_any(prescient_tempest::Aborted);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("protocol thread terminated during recovery fence")
-                }
-            }
-        }
+        while self.node.next_wake(None) != Some(Wake::Fence) {}
     }
 
     /// The recovery protocol, run by *every* node once the crash flag is
@@ -694,7 +707,7 @@ impl NodeCtx {
         }
         self.barrier_recover();
         // The fabric is empty and silent: restore this node's shard.
-        self.shared.restore(&ckpt.node);
+        self.node.restore(&ckpt.node);
         if let (Some(p), Some(pc)) = (&self.pred, &ckpt.pred) {
             p.restore(pc);
         }
@@ -707,8 +720,6 @@ impl NodeCtx {
         // The replayed phase_begin re-increments to the checkpoint's
         // version, so later phases keep their fault-free ordinals.
         self.version = ckpt.version - 1;
-        self.stash.clear();
-        while self.wake_rx.try_recv().is_ok() {}
         self.barrier_recover();
         if self.me() == 0 {
             self.recovery.clear();
@@ -736,7 +747,7 @@ impl NodeCtx {
         self.shared.tracer().set_phase(phase);
         self.barrier_presend();
         self.trace(EventKind::PresendStart, u64::from(phase), 0);
-        let rep = presend(&pred, &self.shared, &self.wake_rx, &mut self.stash, phase);
+        let rep = presend(&pred, self.node, phase);
         self.t.presend_ns += rep.vtime_ns;
         self.trace(EventKind::PresendEnd, u64::from(phase), rep.blocks_pushed);
         self.barrier_presend();
@@ -790,11 +801,9 @@ impl NodeCtx {
         self.t.compute_ns += rounds * (self.cost.msg_startup_ns + bytes * self.cost.per_byte_ns);
     }
 
-    /// All-reduce max of a single value.
+    /// All-reduce max of a single value: each node sums into its own slot
+    /// of a per-node vector, and the maximum is taken over the result.
     pub fn allreduce_max(&mut self, val: f64) -> f64 {
-        // Implemented over the sum scratch via max-trick is unsound;
-        // use a second pass: negate-sum does not give max, so do it with
-        // the same scratch but a dedicated slot per node.
         let me = self.me() as usize;
         let n = self.nodes();
         let mut slots = vec![0.0; n];
@@ -803,7 +812,13 @@ impl NodeCtx {
         slots.into_iter().fold(f64::NEG_INFINITY, f64::max)
     }
 
-    pub(crate) fn finish(mut self) -> (TimeBreakdown, Receiver<Wake>) {
+    /// End the node's part of the run: an unbilled closing barrier, so a
+    /// node whose program returned early keeps serving until every
+    /// program has, then the final metrics cut. After the barrier no
+    /// request is unanswered anywhere and this node handles nothing more,
+    /// so the cut sees the counters the run report will.
+    pub(crate) fn finish(mut self) -> TimeBreakdown {
+        self.node.barrier(&self.barrier, 0);
         // The run's final cut: the tail after the last phase (gather
         // loops, teardown traffic). If the program ended inside an open
         // phase (raw-directive tests), credit the tail to that phase so
@@ -812,6 +827,6 @@ impl NodeCtx {
             let (p, iter) = self.metrics.as_mut().and_then(|m| m.open.take()).unwrap_or((0, 0));
             self.metrics_cut(p, iter);
         }
-        (self.t, self.wake_rx)
+        self.t
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! The data-parallel runtime beneath C\*\*-style programs: it assembles an
 //! emulated multi-node machine over the Tempest substrate, runs SPMD
-//! compute threads against the Stache/predictive coherence protocols, and
+//! programs against the Stache/predictive coherence protocols, and
 //! exposes the abstractions the compiler targets:
 //!
-//! * [`Machine`] — builds the fabric, nodes (two threads each: compute +
-//!   protocol handler), and the chosen protocol; runs SPMD programs and
-//!   collects the per-node execution-time breakdown of the paper's figures;
+//! * [`Machine`] — builds the fabric, nodes (one thread each per run:
+//!   program and protocol handlers take turns on it), and the chosen
+//!   protocol; runs SPMD programs and collects the per-node
+//!   execution-time breakdown of the paper's figures;
 //! * [`NodeCtx`] — the per-node view inside a program: typed shared-memory
 //!   access with fine-grain access-control checks and fault handling,
 //!   virtual-time charging, barriers, reductions, local allocation, and the

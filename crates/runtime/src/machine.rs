@@ -6,13 +6,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 use prescient_core::{AccessTap, Commute, Predictive};
-use prescient_stache::{
-    spawn_protocol, spawn_protocol_shard, Hooks, Msg, NoHooks, NodeShared, Wake,
-};
-use prescient_tempest::fabric::{Endpoint, Fabric, FabricCtl, ShardEndpoint};
+use prescient_stache::{Hooks, Msg, NoHooks, Node, NodeShared};
+use prescient_tempest::fabric::{Fabric, FabricCtl};
 use prescient_tempest::socket::{self, SocketGuard};
 use prescient_tempest::trace::{merge, to_chrome_json, to_jsonl};
 use prescient_tempest::{
@@ -21,7 +18,7 @@ use prescient_tempest::{
 };
 
 use crate::config::{FabricKind, MachineConfig, PlacementSpec, ProtocolKind};
-use crate::ctx::{MetricsInit, NodeCtx};
+use crate::ctx::{CtxInit, MetricsInit, NodeCtx};
 use crate::recovery::{
     CheckpointStore, ErrorSlot, FailureKind, MachineError, NodeErrorState, RecoveryCtl, Watchdog,
 };
@@ -44,22 +41,24 @@ pub(crate) struct ReduceState {
 
 /// An emulated multi-node machine.
 ///
-/// Protocol-handler threads persist for the machine's lifetime; each
-/// [`Machine::run`] call spawns fresh compute threads executing the given
-/// SPMD program.
+/// Between runs the machine owns no thread: each [`Machine::run`] call
+/// starts one thread per node (`node-<id>`), which locks its node for the
+/// length of the run, executes the given SPMD program and the protocol
+/// handlers on it, and serves its peers until every program is done.
 pub struct Machine {
     cfg: MachineConfig,
     layout: GlobalLayout,
+    /// Each node's state and inbox; its thread holds the lock for a whole
+    /// run, the driver takes it briefly between runs.
+    nodes: Vec<Mutex<Node>>,
     shareds: Vec<Arc<NodeShared>>,
     preds: Option<Vec<Arc<Predictive>>>,
     commutes: Option<Vec<Arc<Commute>>>,
-    wake_rxs: Vec<Option<Receiver<Wake>>>,
     barrier: Arc<VBarrier>,
     reduce: Arc<ReduceScratch>,
     fault_stats: Option<Arc<FaultStats>>,
     ctl: Arc<FabricCtl>,
     tracers: Vec<Tracer>,
-    joins: Vec<JoinHandle<()>>,
     /// Crash flag + crash-plan latch; machine-lifetime, so a plan fires at
     /// most once even across multiple [`Machine::run`] calls.
     recovery: Arc<RecoveryCtl>,
@@ -69,8 +68,7 @@ pub struct Machine {
     /// threads. `None` when metrics are off.
     metrics: Option<MetricsRt>,
     /// Socket-backend teardown guard: joins the reader threads and closes
-    /// the streams. Held last so it drops after the `Drop` body has joined
-    /// the protocol threads (which may still be flushing onto the wire).
+    /// the streams.
     _socket: Option<SocketGuard>,
 }
 
@@ -86,29 +84,12 @@ struct MetricsRt {
     runs: u64,
 }
 
-/// The per-backend endpoint set a machine's fabric produced.
-enum Built {
-    /// One endpoint (and one protocol thread) per node.
-    PerNode(Vec<Endpoint<Msg>>),
-    /// One endpoint (and one protocol thread) per shard.
-    Sharded(Vec<ShardEndpoint<Msg>>),
-}
-
-/// Shard count for `FabricKind::Sharded { shards: 0 }`: half the host's
-/// parallelism — the compute threads need the other half — but at least
-/// one and at most one shard per node.
-fn auto_shards(nodes: usize) -> usize {
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(2);
-    (cores / 2).clamp(1, nodes)
-}
-
 impl Machine {
-    /// Build a machine: fabric, per-node state, and protocol threads.
+    /// Build a machine: fabric and per-node state. Starts no thread.
     pub fn new(cfg: MachineConfig) -> Machine {
         let layout = GlobalLayout::new(cfg.nodes, cfg.block_size);
+        let mut nodes = Vec::with_capacity(cfg.nodes);
         let mut shareds = Vec::with_capacity(cfg.nodes);
-        let mut wake_rxs = Vec::with_capacity(cfg.nodes);
-        let mut joins = Vec::with_capacity(cfg.nodes);
         let mut preds = match cfg.protocol {
             ProtocolKind::Predictive(_) => Some(Vec::with_capacity(cfg.nodes)),
             ProtocolKind::Stache | ProtocolKind::Commutative(_) => None,
@@ -123,34 +104,19 @@ impl Machine {
         };
         let mut fault_stats = None;
         let mut socket_guard = None;
-        // All three backends present the same `Net`/inbox surface; faults,
+        // Both backends present the same `Net`/inbox surface; faults,
         // batching, tracing, and teardown accounting sit above the
         // `Transport` trait, so the choice here cannot change any gated
         // counter (the backend-matrix CI job pins that).
-        let mut built = match cfg.fabric {
+        let eps = match cfg.fabric {
             FabricKind::Channel => match active_faults {
                 Some(plan) => {
                     let (eps, fs) = Fabric::new_faulty_with::<Msg>(cfg.nodes, plan, cfg.batch);
                     fault_stats = Some(fs);
-                    Built::PerNode(eps)
+                    eps
                 }
-                None => Built::PerNode(Fabric::new_with::<Msg>(cfg.nodes, cfg.batch)),
+                None => Fabric::new_with::<Msg>(cfg.nodes, cfg.batch),
             },
-            FabricKind::Sharded { shards } => {
-                let shards = if shards == 0 { auto_shards(cfg.nodes) } else { shards };
-                match active_faults {
-                    Some(plan) => {
-                        let (eps, fs) = Fabric::new_sharded_faulty_with::<Msg>(
-                            cfg.nodes, shards, plan, cfg.batch,
-                        );
-                        fault_stats = Some(fs);
-                        Built::Sharded(eps)
-                    }
-                    None => Built::Sharded(Fabric::new_sharded_with::<Msg>(
-                        cfg.nodes, shards, cfg.batch,
-                    )),
-                }
-            }
             FabricKind::SocketPair { split } => {
                 let split = if split == 0 { (cfg.nodes / 2).max(1) } else { split };
                 let (eps, guard) = match active_faults {
@@ -165,13 +131,10 @@ impl Machine {
                         .expect("loopback socket fabric"),
                 };
                 socket_guard = Some(guard);
-                Built::PerNode(eps)
+                eps
             }
         };
-        let ctl = match &built {
-            Built::PerNode(eps) => eps[0].ctl().clone(),
-            Built::Sharded(eps) => eps[0].ctl().clone(),
-        };
+        let ctl = eps[0].ctl().clone();
         // One block→home view for the whole machine, fixed here: the
         // identity view when placement is off (the bit-identical
         // compiled-in-but-disabled path), else the rotate shift plus the
@@ -182,33 +145,14 @@ impl Machine {
         };
         let homes = Arc::new(HomeView::with_placement(layout, cfg.home_shift, overlay));
         let mut tracers = Vec::with_capacity(cfg.nodes);
-        let mut hooks: Vec<Arc<dyn Hooks>> = Vec::with_capacity(cfg.nodes);
-        for i in 0..cfg.nodes {
+        for (i, mut ep) in eps.into_iter().enumerate() {
             // The tracer must land on the endpoint *before* its `Net` is
-            // cloned into `NodeShared` — both the compute and protocol
-            // sides reach the tracer through that clone.
+            // cloned into `NodeShared`, which is how handlers and the
+            // program reach it.
             let tracer = Tracer::for_node(cfg.trace, i as NodeId);
-            let net = match &mut built {
-                Built::PerNode(eps) => {
-                    eps[i].set_tracer(tracer.clone());
-                    eps[i].net().clone()
-                }
-                Built::Sharded(eps) => {
-                    let shard = i % eps.len();
-                    eps[shard].set_tracer(i as NodeId, tracer.clone());
-                    eps[shard].net(i as NodeId).clone()
-                }
-            };
+            ep.set_tracer(tracer.clone());
             tracers.push(tracer);
-            let (wake_tx, wake_rx) = unbounded();
-            let shared = Arc::new(NodeShared::new_with_homes(
-                Arc::clone(&homes),
-                cfg.cost,
-                net,
-                wake_tx,
-                cfg.retry,
-            ));
-            let hook: Arc<dyn Hooks> = match cfg.protocol {
+            let hooks: Arc<dyn Hooks> = match cfg.protocol {
                 ProtocolKind::Predictive(pcfg) => {
                     let pred = Arc::new(Predictive::new(pcfg));
                     preds.as_mut().expect("predictive mode").push(Arc::clone(&pred));
@@ -221,28 +165,9 @@ impl Machine {
                 }
                 ProtocolKind::Stache => Arc::new(NoHooks),
             };
-            hooks.push(hook);
-            shareds.push(shared);
-            wake_rxs.push(Some(wake_rx));
-        }
-        match built {
-            Built::PerNode(eps) => {
-                for (i, ep) in eps.into_iter().enumerate() {
-                    joins.push(spawn_protocol(Arc::clone(&shareds[i]), ep, Arc::clone(&hooks[i])));
-                }
-            }
-            Built::Sharded(eps) => {
-                for ep in eps {
-                    let members = ep
-                        .members()
-                        .iter()
-                        .map(|&n| {
-                            (Arc::clone(&shareds[n as usize]), Arc::clone(&hooks[n as usize]))
-                        })
-                        .collect();
-                    joins.push(spawn_protocol_shard(members, ep));
-                }
-            }
+            let node = Node::new(Arc::clone(&homes), cfg.cost, ep, hooks, cfg.retry);
+            shareds.push(Arc::clone(&node.shared));
+            nodes.push(Mutex::new(node));
         }
         // Metrics plumbing: the hub exists as soon as the machine does, so
         // the publisher streams records live and a scrape during the run
@@ -288,28 +213,24 @@ impl Machine {
         } else {
             None
         };
-        let nodes = cfg.nodes;
+        let n = cfg.nodes;
         Machine {
             metrics,
             cfg,
             layout,
+            nodes,
             shareds,
             preds,
             commutes,
-            wake_rxs,
-            barrier: Arc::new(VBarrier::new(nodes)),
+            barrier: Arc::new(VBarrier::new(n)),
             reduce: Arc::new(ReduceScratch {
-                state: Mutex::new(ReduceState {
-                    zeroed_round: 0,
-                    contrib: vec![Vec::new(); nodes],
-                }),
+                state: Mutex::new(ReduceState { zeroed_round: 0, contrib: vec![Vec::new(); n] }),
             }),
             fault_stats,
             ctl,
             tracers,
-            joins,
             recovery: Arc::new(RecoveryCtl::new()),
-            ckpts: Arc::new(CheckpointStore::new(nodes)),
+            ckpts: Arc::new(CheckpointStore::new(n)),
             _socket: socket_guard,
         }
     }
@@ -348,7 +269,7 @@ impl Machine {
     /// Allocate `bytes` of shared memory homed at `node` (driver-side
     /// allocation, before or between runs).
     pub fn alloc_on(&self, node: NodeId, bytes: u64, align: u64) -> GAddr {
-        self.shareds[node as usize].mem.lock().alloc(bytes, align)
+        self.nodes[node as usize].lock().state.mem.alloc(bytes, align)
     }
 
     /// The predictive-protocol state of `node`, if the machine runs the
@@ -389,18 +310,20 @@ impl Machine {
     /// between runs, when the machine is quiescent. Panics with the list
     /// of violations if any invariant is broken.
     pub fn assert_coherent(&self) {
-        let violations = prescient_stache::check_coherence(&self.shareds);
+        let held: Vec<_> = self.nodes.iter().map(Mutex::lock).collect();
+        let violations =
+            prescient_stache::check_coherence(&held.iter().map(|g| &**g).collect::<Vec<_>>());
         assert!(violations.is_empty(), "coherence violations: {violations:#?}");
     }
 
     /// Run an SPMD program: `f` executes concurrently on every node's
-    /// compute thread. Returns each node's result plus the run report with
+    /// thread. Returns each node's result plus the run report with
     /// the paper's time breakdown.
     ///
     /// # Panics
     ///
     /// Panics with the structured [`MachineError`] report if the run dies
-    /// (a compute thread panicked, or the watchdog declared the machine
+    /// (a node thread panicked, or the watchdog declared the machine
     /// stalled). Use [`Machine::try_run`] to handle failures as values.
     pub fn run<R, F>(&mut self, f: F) -> (Vec<R>, RunReport)
     where
@@ -411,9 +334,9 @@ impl Machine {
     }
 
     /// [`Machine::run`], but a dying machine produces `Err(MachineError)`
-    /// instead of a hang or a bare panic: every compute thread runs under
-    /// a panic guard, and the first failure aborts the fabric and poisons
-    /// the barrier so all of its siblings unwind and join (a mid-phase
+    /// instead of a hang or a bare panic: every node thread runs under a
+    /// panic guard, and the first failure aborts the fabric, poisons the
+    /// barrier and kicks every inbox so all of its siblings unwind and join (a mid-phase
     /// panic on one node can never hang the other 31 in a barrier). With a
     /// watchdog configured, zero-progress hangs (e.g. a full partition)
     /// are converted the same way within the watchdog's wall-clock budget.
@@ -425,12 +348,12 @@ impl Machine {
         R: Send,
         F: Fn(&mut NodeCtx) -> R + Sync,
     {
-        // Misuse is a structured error, not a panic: a wake inbox that is
-        // still checked out means another run is executing on this machine
-        // right now, and an aborted fabric means a previous run died (its
-        // abort flag and barrier poison stay raised) — spawning compute
-        // threads in either state would hang or panic mid-assembly.
-        if self.wake_rxs.iter().any(Option::is_none) {
+        // Misuse is a structured error, not a panic: a node whose lock is
+        // held belongs to a run that is executing on this machine right
+        // now, and an aborted fabric means a previous run died (its abort
+        // flag and barrier poison stay raised) — starting node threads in
+        // either state would hang or panic mid-assembly.
+        if self.nodes.iter().any(|n| n.try_lock().is_none()) {
             return Err(self.machine_error(
                 FailureKind::AlreadyRunning,
                 None,
@@ -459,14 +382,6 @@ impl Machine {
             m.runs += 1;
             m.runs
         });
-        let rxs: Vec<Receiver<Wake>> =
-            self.wake_rxs.iter_mut().map(|o| o.take().expect("checked above")).collect();
-        // Restore clones immediately (crossbeam receivers share the
-        // channel), so the machine's inboxes survive even a panicked run.
-        for (i, rx) in rxs.iter().enumerate() {
-            self.wake_rxs[i] = Some(rx.clone());
-        }
-
         let errors = Arc::new(ErrorSlot::new());
         let watchdog = self.cfg.watchdog.map(|wcfg| {
             Watchdog::spawn(
@@ -474,7 +389,6 @@ impl Machine {
                 self.shareds.clone(),
                 Arc::clone(&self.recovery),
                 Arc::clone(&self.barrier),
-                Arc::clone(&self.ctl),
                 Arc::clone(&errors),
                 self.tracers[0].clone(),
             )
@@ -482,50 +396,37 @@ impl Machine {
 
         let mut out: Vec<Option<(R, prescient_tempest::TimeBreakdown)>> =
             std::thread::scope(|scope| {
-                let handles: Vec<_> = rxs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, rx)| {
+                let handles: Vec<_> = (0..self.cfg.nodes)
+                    .map(|i| {
                         let f = &f;
-                        let shared = Arc::clone(&self.shareds[i]);
-                        let pred = self.preds.as_ref().map(|p| Arc::clone(&p[i]));
-                        let commute = self.commutes.as_ref().map(|c| Arc::clone(&c[i]));
-                        let barrier = Arc::clone(&self.barrier);
-                        let reduce = Arc::clone(&self.reduce);
-                        let recovery = Arc::clone(&self.recovery);
-                        let ckpts = Arc::clone(&self.ckpts);
-                        let crash = self.cfg.crash;
-                        let checkpoints = self.cfg.checkpoints;
+                        let slot = &self.nodes[i];
+                        let init = CtxInit {
+                            pred: self.preds.as_ref().map(|p| Arc::clone(&p[i])),
+                            commute: self.commutes.as_ref().map(|c| Arc::clone(&c[i])),
+                            barrier: Arc::clone(&self.barrier),
+                            reduce: Arc::clone(&self.reduce),
+                            recovery: Arc::clone(&self.recovery),
+                            ckpts: Arc::clone(&self.ckpts),
+                            crash: self.cfg.crash,
+                            checkpoints: self.cfg.checkpoints,
+                            // Node 0 additionally records the fabric-global
+                            // wire deltas on the whole machine's behalf.
+                            metrics: self.metrics.as_ref().map(|m| MetricsInit {
+                                hub: Arc::clone(&m.hub),
+                                run: run_ord.expect("metrics on"),
+                                baseline: stats0[i],
+                                ctl: (i == 0).then(|| Arc::clone(&self.ctl)),
+                                wire0,
+                            }),
+                        };
                         let errors = Arc::clone(&errors);
-                        let ctl = Arc::clone(&self.ctl);
-                        // Node 0 additionally records the fabric-global
-                        // wire deltas on the whole machine's behalf.
-                        let metrics = self.metrics.as_ref().map(|m| MetricsInit {
-                            hub: Arc::clone(&m.hub),
-                            run: run_ord.expect("metrics on"),
-                            baseline: stats0[i],
-                            ctl: (i == 0).then(|| Arc::clone(&self.ctl)),
-                            wire0,
-                        });
-                        scope.spawn(move || {
-                            let guard_barrier = Arc::clone(&barrier);
+                        let body = move || {
+                            let mut node = slot.lock();
+                            let guard_barrier = Arc::clone(&init.barrier);
                             let r = catch_unwind(AssertUnwindSafe(|| {
-                                let mut ctx = NodeCtx::new(
-                                    shared,
-                                    pred,
-                                    commute,
-                                    rx,
-                                    barrier,
-                                    reduce,
-                                    recovery,
-                                    ckpts,
-                                    crash,
-                                    checkpoints,
-                                    metrics,
-                                );
+                                let mut ctx = NodeCtx::new(&mut node, init);
                                 let r = f(&mut ctx);
-                                let (breakdown, _rx) = ctx.finish();
-                                (r, breakdown)
+                                (r, ctx.finish())
                             }));
                             match r {
                                 Ok(v) => Some(v),
@@ -539,24 +440,26 @@ impl Machine {
                                             .map(|s| (*s).to_string())
                                             .or_else(|| payload.downcast_ref::<String>().cloned())
                                             .unwrap_or_else(|| {
-                                                "compute thread panicked (opaque payload)".into()
+                                                "node thread panicked (opaque payload)".into()
                                             });
                                         errors.record(FailureKind::Panic, Some(i as NodeId), msg);
                                     }
-                                    // Unblock every sibling: barrier waiters
-                                    // unwind via poison, fetch/pre-send
-                                    // timeout loops via the abort flag.
-                                    ctl.abort();
-                                    guard_barrier.poison();
+                                    // Unblock every sibling, whatever it
+                                    // is waiting in.
+                                    node.shared.abort_machine(&guard_barrier);
                                     None
                                 }
                             }
-                        })
+                        };
+                        std::thread::Builder::new()
+                            .name(format!("node-{i}"))
+                            .spawn_scoped(scope, body)
+                            .expect("spawn node thread")
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("compute thread panicked outside the panic guard"))
+                    .map(|h| h.join().expect("node thread panicked outside the panic guard"))
                     .collect()
             });
 
@@ -573,12 +476,12 @@ impl Machine {
             return Err(self.machine_error(
                 FailureKind::Panic,
                 None,
-                "compute thread aborted without a recorded failure".into(),
+                "node thread aborted without a recorded failure".into(),
             ));
         }
 
         if self.cfg.validate {
-            // All compute threads have joined and every fetch/pre-send
+            // All node threads have joined and every fetch/pre-send
             // completed, so the machine is quiescent (straggler duplicates
             // still parked in the fault layer cannot change protocol state
             // — the handlers reject them by seqno/op/epoch).
@@ -595,7 +498,7 @@ impl Machine {
                 node: i as NodeId,
                 breakdown,
                 stats: stats.sub(&stats0[i]),
-                unused_presends: self.shareds[i].mem.lock().unused_presends() as u64,
+                unused_presends: self.nodes[i].lock().state.mem.unused_presends() as u64,
             });
         }
         Ok((
@@ -649,22 +552,13 @@ impl Machine {
 
 impl Drop for Machine {
     fn drop(&mut self) {
-        // Signal teardown before the shutdown messages fan out: any
-        // in-flight traffic addressed to a node whose handler has already
-        // exited is legitimate teardown loss from here on.
+        // From here on, traffic the socket backend's reader threads can no
+        // longer deliver is legitimate teardown loss.
         self.ctl.mark_closing();
-        for s in &self.shareds {
-            s.send(s.me, Msg::Shutdown);
-            // The shutdown self-send goes straight on the wire, but any
-            // stragglers still parked in this node's egress should too.
-            s.flush_net();
-        }
-        for j in self.joins.drain(..) {
-            let _ = j.join();
-        }
-        // With every thread joined the rings are quiescent: export the
-        // merged event stream. `PRESCIENT_TRACE_OUT` overrides the output
-        // basename (default `trace` → `trace.json` + `trace.jsonl`).
+        // No node thread exists between runs, so the rings are quiescent:
+        // export the merged event stream. `PRESCIENT_TRACE_OUT` overrides
+        // the output basename (default `trace` → `trace.json` +
+        // `trace.jsonl`).
         if self.tracers.iter().any(Tracer::on) {
             let (events, dropped) = self.trace_events();
             if dropped > 0 {
@@ -739,10 +633,12 @@ mod tests {
     }
 
     #[test]
-    fn checked_out_wake_inbox_reports_already_running() {
-        let mut m = Machine::new(cfg(1));
-        // What `try_run` observes when a concurrent run is mid-flight.
-        m.wake_rxs[0] = None;
+    fn held_node_lock_reports_already_running() {
+        let mut m = Machine::new(cfg(2));
+        // What `try_run` observes when a concurrent run is mid-flight: a
+        // node thread holds its node's lock (leaked here, so it stays
+        // held). The run must come back at once, not wait for the lock.
+        std::mem::forget(m.nodes[1].lock());
         let err = m.try_run(|_| ()).expect_err("must refuse to double-run");
         assert_eq!(err.kind, FailureKind::AlreadyRunning);
         assert!(err.message.contains("already executing"), "got: {}", err.message);
@@ -750,11 +646,7 @@ mod tests {
 
     #[test]
     fn machine_runs_on_every_backend() {
-        for fabric in [
-            FabricKind::Channel,
-            FabricKind::Sharded { shards: 2 },
-            FabricKind::SocketPair { split: 0 },
-        ] {
+        for fabric in [FabricKind::Channel, FabricKind::SocketPair { split: 0 }] {
             let mut m = Machine::new(cfg(4).with_fabric(fabric));
             let (sums, _report) = m.run(|ctx| {
                 let n = ctx.nodes() as u64;

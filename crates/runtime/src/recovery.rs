@@ -32,7 +32,6 @@ use parking_lot::Mutex;
 use prescient_core::{CommuteCheckpoint, PredCheckpoint};
 use prescient_stache::NodeCheckpoint;
 use prescient_stache::NodeShared;
-use prescient_tempest::fabric::FabricCtl;
 use prescient_tempest::stats::StatsSnapshot;
 use prescient_tempest::trace::EventKind;
 use prescient_tempest::{NodeId, TimeBreakdown, Tracer, VBarrier};
@@ -73,7 +72,7 @@ impl Checkpoint {
     }
 }
 
-/// One checkpoint slot per node. Each compute thread writes only its own
+/// One checkpoint slot per node. Each node's thread writes only its own
 /// slot; a new checkpoint replaces the previous one (recovery always rolls
 /// back to the *last completed* barrier cut).
 pub struct CheckpointStore {
@@ -152,7 +151,7 @@ impl RecoveryCtl {
 /// Why a machine died.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// A compute thread panicked mid-run (application or protocol bug,
+    /// A node thread panicked mid-run (application or protocol bug,
     /// or an injected crash without checkpointing).
     Panic,
     /// The watchdog found no node making progress and no crash pending:
@@ -186,7 +185,7 @@ impl std::fmt::Display for FailureKind {
 pub struct NodeErrorState {
     /// The node.
     pub node: NodeId,
-    /// Seq of the fetch its compute thread was blocked on (0 = none).
+    /// Seq of the fetch it was waiting on (0 = none).
     pub outstanding_fetch: u64,
     /// Messages sent so far.
     pub msgs_out: u64,
@@ -326,14 +325,13 @@ pub(crate) struct Watchdog {
 impl Watchdog {
     /// Start the monitor thread. On firing it records the failure into
     /// `errors`, emits a `WatchdogFire` trace event, and aborts the
-    /// machine (fabric abort flag + barrier poison) so every blocked
-    /// thread unwinds instead of hanging.
+    /// machine (fabric abort flag, barrier poison, a kick to every inbox)
+    /// so every waiting node unwinds instead of hanging.
     pub(crate) fn spawn(
         cfg: WatchdogConfig,
         shareds: Vec<Arc<NodeShared>>,
         recovery: Arc<RecoveryCtl>,
         barrier: Arc<VBarrier>,
-        ctl: Arc<FabricCtl>,
         errors: Arc<ErrorSlot>,
         tracer: Tracer,
     ) -> Watchdog {
@@ -402,8 +400,7 @@ impl Watchdog {
                         bitmap,
                     );
                     errors.record(kind, crashed, message);
-                    ctl.abort();
-                    barrier.poison();
+                    shareds[0].abort_machine(&barrier);
                     return;
                 }
             })

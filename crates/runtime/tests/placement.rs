@@ -141,10 +141,8 @@ fn schedule_guided_remap_matches_static_and_cuts_messages() {
     let map = owner_map();
     assert_eq!(HomeMap::parse(&map.to_text(), NODES).expect("round-trip"), map);
 
-    for fabric in [FabricKind::Channel, FabricKind::Sharded { shards: 2 }] {
-        for predictive in [false, true] {
-            remap_contract(&map, fabric, predictive);
-        }
+    for predictive in [false, true] {
+        remap_contract(&map, FabricKind::Channel, predictive);
     }
 }
 

@@ -1,8 +1,9 @@
 //! Whole-machine coherence invariant checking.
 //!
-//! Intended to run while the machine is *quiesced* (all compute threads at
-//! a barrier, all protocol queues drained — e.g. between
-//! [`prescient runtime runs`](crate) or at test checkpoints). Verifies, for
+//! Intended to run while the machine is *quiesced* (no node thread
+//! running, no request unanswered — e.g. between
+//! [`prescient runtime runs`](crate) or at test checkpoints), when the
+//! caller can hold every [`Node`] at once. Verifies, for
 //! every block any node holds:
 //!
 //! * the home directory entry is stable (no busy op, no waiters);
@@ -19,28 +20,25 @@
 //! `self-grant` regression this suite guards against was a violation of
 //! the `Exclusive` clause.
 
-use std::sync::Arc;
-
 use prescient_tempest::tag::Tag;
 use prescient_tempest::BlockId;
 
 use crate::dir::DirState;
-use crate::node::NodeShared;
+use crate::node::Node;
 
 /// Check every coherence invariant across `nodes` (one entry per node, in
 /// id order). Returns a list of human-readable violations (empty = clean).
 ///
 /// The caller must guarantee quiescence; otherwise transient states will
 /// be reported as violations.
-pub fn check_coherence(nodes: &[Arc<NodeShared>]) -> Vec<String> {
+pub fn check_coherence(nodes: &[&Node]) -> Vec<String> {
     let mut violations = Vec::new();
     let n = nodes.len();
 
     // Collect the tag of every materialized block on every node.
     let mut tags: Vec<Vec<(BlockId, Tag)>> = Vec::with_capacity(n);
     for node in nodes {
-        let mem = node.mem.lock();
-        tags.push(mem.iter_blocks().collect());
+        tags.push(node.state.mem.iter_blocks().collect());
     }
 
     // Union of all blocks seen anywhere.
@@ -51,36 +49,30 @@ pub fn check_coherence(nodes: &[Arc<NodeShared>]) -> Vec<String> {
     for block in all_blocks {
         // The home view is immutable machine configuration shared by every
         // node, so any node's view names the home.
-        let home = nodes[0].homes.home_of_block(block);
-        let home_node = &nodes[home as usize];
+        let homes = &nodes[0].shared.homes;
+        let home = homes.home_of_block(block);
+        let home_state = &nodes[home as usize].state;
         // A placement-acted (remapped or rotated) home never materializes
         // its own copy writable on first touch, so an `Uncached` block's
         // home copy may still be cold (`Invalid`) there.
-        let cold_ok = !home_node.homes.is_identity_block(block);
-        let state = {
-            let dir = home_node.dir.lock();
-            match dir.get(block) {
-                Some(e) => {
-                    if e.is_busy() {
-                        violations.push(format!("{block:?}: home {home} entry busy at quiescence"));
-                    }
-                    if !e.waiters.is_empty() {
-                        violations.push(format!(
-                            "{block:?}: home {home} has queued waiters at quiescence"
-                        ));
-                    }
-                    e.state
+        let cold_ok = !homes.is_identity_block(block);
+        let state = match home_state.dir.get(block) {
+            Some(e) => {
+                if e.is_busy() {
+                    violations.push(format!("{block:?}: home {home} entry busy at quiescence"));
                 }
-                None => DirState::Uncached,
+                if !e.waiters.is_empty() {
+                    violations
+                        .push(format!("{block:?}: home {home} has queued waiters at quiescence"));
+                }
+                e.state
             }
+            None => DirState::Uncached,
         };
         let tag_of = |p: usize| -> Tag {
             tags[p].iter().find(|(b, _)| *b == block).map(|(_, t)| *t).unwrap_or(Tag::Invalid)
         };
-        let home_tag = {
-            let mem = home_node.mem.lock();
-            mem.probe(block)
-        };
+        let home_tag = home_state.mem.probe(block);
 
         match state {
             DirState::Uncached => {
@@ -102,7 +94,7 @@ pub fn check_coherence(nodes: &[Arc<NodeShared>]) -> Vec<String> {
                     violations
                         .push(format!("{block:?}: Shared but home {home} tag is {home_tag:?}"));
                 }
-                let home_data = home_node.mem.lock().data(block).map(<[u8]>::to_vec);
+                let home_data = home_state.mem.data(block);
                 #[allow(clippy::needless_range_loop)]
                 for p in 0..n {
                     if p == home as usize {
@@ -120,8 +112,8 @@ pub fn check_coherence(nodes: &[Arc<NodeShared>]) -> Vec<String> {
                     }
                     if t.readable() {
                         // Data agreement: every valid copy equals home memory.
-                        let copy = nodes[p].mem.lock().data(block).map(<[u8]>::to_vec);
-                        if let (Some(h), Some(c)) = (&home_data, &copy) {
+                        let copy = nodes[p].state.mem.data(block);
+                        if let (Some(h), Some(c)) = (home_data, copy) {
                             if h != c {
                                 violations.push(format!(
                                     "{block:?}: node {p}'s read-only copy diverges from home data"

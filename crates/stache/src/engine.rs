@@ -2,8 +2,9 @@
 //!
 //! All coherence traffic — including a node's faults on its *own* home
 //! blocks — travels as messages through the fabric and is processed by
-//! protocol-handler threads, so there is exactly one code path. Handlers
-//! never block: multi-hop operations (recalls, invalidation rounds) park
+//! the handlers here, so there is exactly one code path. A node's thread
+//! runs them on its own state ([`crate::node::NodeState`], by `&mut`)
+//! whenever it drains its inbox. Handlers never block: multi-hop operations (recalls, invalidation rounds) park
 //! the directory entry in a transient [`Busy`] state and queue later
 //! requests.
 //!
@@ -29,7 +30,7 @@
 //! * requests carry per-requester **seqnos**; homes drop anything not newer
 //!   than the last accepted seq from that requester, so duplicates and
 //!   overtaken retransmissions are idempotent;
-//! * the compute-side [`fetch`] re-issues its request (with a fresh seq)
+//! * the requester-side [`fetch`] re-issues its request (with a fresh seq)
 //!   when no grant arrives within [`crate::node::RetryConfig::timeout`];
 //!   grants echo the seq, and installs are gated on the seq still being
 //!   the outstanding one, so a superseded grant can never clobber memory;
@@ -43,17 +44,17 @@
 //!   that flushes event-count-based delays.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use prescient_tempest::tag::Tag;
-use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
+use prescient_tempest::{BlockId, NodeId, NodeMem, NodeSet, NodeStats};
 
 use crate::dir::{Busy, DirEntry, DirState, Directory, PendingReq};
 use crate::hooks::Hooks;
 use crate::msg::{Msg, Wake};
-use crate::node::{NodeShared, RecallReply};
+use crate::node::{Node, NodeShared, NodeState, RecallReply};
 
-/// Outcome of one granted fetch, as seen by the compute thread; input to
+/// Outcome of one granted fetch, as seen by the faulting program; input to
 /// the cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrantInfo {
@@ -79,40 +80,54 @@ impl Engine {
         Engine { hooks }
     }
 
-    /// Handle one message; returns `false` on shutdown.
-    pub fn handle(&self, n: &NodeShared, src: NodeId, msg: Msg) -> bool {
+    /// Handle one message on node `n`'s state; returns what it means to
+    /// the node's own waiting program, if anything.
+    pub fn handle(
+        &self,
+        n: &NodeShared,
+        st: &mut NodeState,
+        src: NodeId,
+        msg: Msg,
+    ) -> Option<Wake> {
         match msg {
-            Msg::GetShared { block, seq } => self.on_request(n, src, block, false, seq),
-            Msg::GetExcl { block, seq } => self.on_request(n, src, block, true, seq),
-            Msg::Recall { block, inval, op } => self.on_recall(n, src, block, inval, op),
+            Msg::GetShared { block, seq } => self.on_request(n, st, src, block, false, seq),
+            Msg::GetExcl { block, seq } => self.on_request(n, st, src, block, true, seq),
+            Msg::Recall { block, inval, op } => self.on_recall(n, st, src, block, inval, op),
             Msg::RecallData { block, data, op, unused } => {
-                self.on_recall_data(n, src, block, data, op, unused)
+                self.on_recall_data(n, st, src, block, data, op, unused)
             }
-            Msg::Invalidate { block, op } => self.on_invalidate(n, src, block, op),
-            Msg::InvalAck { block, op, unused } => self.on_inval_ack(n, src, block, op, unused),
+            Msg::Invalidate { block, op } => self.on_invalidate(n, st, src, block, op),
+            Msg::InvalAck { block, op, unused } => self.on_inval_ack(n, st, src, block, op, unused),
             Msg::Grant { block, excl, data, extra_hops, recorded, seq } => {
-                self.on_grant(n, src, block, excl, data, extra_hops, recorded, seq)
+                return self.on_grant(n, st, src, block, excl, data, extra_hops, recorded, seq)
             }
-            Msg::User(um) => self.hooks.on_user(n, src, um),
-            Msg::Shutdown => return false,
+            Msg::User(um) => return self.hooks.on_user(n, st, src, um),
+            Msg::Kick => return Some(Wake::Kick),
             // Recovery drain marker: its arrival proves everything queued
-            // ahead of it in this inbox has been handled; tell the waiting
-            // compute thread.
-            Msg::Fence => n.wake(Wake::Fence),
+            // ahead of it in this inbox has been handled.
+            Msg::Fence => return Some(Wake::Fence),
         }
-        true
+        None
     }
 
     /// A `GetShared`/`GetExcl` arrived at this home node.
-    fn on_request(&self, n: &NodeShared, src: NodeId, block: BlockId, excl: bool, seq: u64) {
+    fn on_request(
+        &self,
+        n: &NodeShared,
+        st: &mut NodeState,
+        src: NodeId,
+        block: BlockId,
+        excl: bool,
+        seq: u64,
+    ) {
         debug_assert_eq!(n.homes.home_of_block(block), n.me, "request routed to non-home");
-        let mut dir = n.dir.lock();
+        let NodeState { dir, mem, .. } = st;
         if !dir.accept_seq(src, seq) {
             // Duplicate or overtaken retransmission. Idempotent: the
             // original was (or will be) served. Still nudge a stalled
             // round — the duplicate proves the requester is waiting.
             NodeStats::bump(&n.stats.dup_reqs_in);
-            self.nudge(n, &dir, block);
+            self.nudge(n, dir, block);
             return;
         }
         // A fresh seq from a requester that is already parked here is a
@@ -134,7 +149,7 @@ impl Engine {
                 }
             }
             if parked {
-                self.nudge(n, &dir, block);
+                self.nudge(n, dir, block);
                 return;
             }
         }
@@ -142,11 +157,11 @@ impl Engine {
         let req = PendingReq { requester: src, excl, recorded, seq };
         if dir.entry(block).is_busy() {
             dir.entry(block).waiters.push_back(req);
-            self.nudge(n, &dir, block);
+            self.nudge(n, dir, block);
             return;
         }
-        self.dispatch(n, &mut dir, block, req);
-        self.drain(n, &mut dir, block);
+        self.dispatch(n, dir, mem, block, req);
+        self.drain(n, dir, mem, block);
     }
 
     /// Re-send the messages of a stalled multi-hop round, if any. Safe to
@@ -170,8 +185,15 @@ impl Engine {
     }
 
     /// Process one request against a non-busy entry. May leave the entry
-    /// busy. Caller holds the dir lock.
-    fn dispatch(&self, n: &NodeShared, dir: &mut Directory, block: BlockId, req: PendingReq) {
+    /// busy.
+    fn dispatch(
+        &self,
+        n: &NodeShared,
+        dir: &mut Directory,
+        mem: &mut NodeMem,
+        block: BlockId,
+        req: PendingReq,
+    ) {
         debug_assert!(!dir.entry(block).is_busy());
         let state = dir.entry(block).state;
         match state {
@@ -186,24 +208,24 @@ impl Engine {
                     // home's own copy may be genuinely cold — make the tag
                     // writable (uncached means no remote copies exist).
                     if !n.homes.is_identity_block(block) {
-                        n.mem.lock().set_tag(block, Tag::ReadWrite);
+                        mem.set_tag(block, Tag::ReadWrite);
                     }
-                    self.grant(n, block, req, false, 0);
+                    self.grant(n, mem, block, req, false, 0);
                 } else if req.excl {
-                    n.mem.lock().set_tag(block, Tag::Invalid);
+                    mem.set_tag(block, Tag::Invalid);
                     e.state = DirState::Exclusive(req.requester);
-                    self.grant(n, block, req, true, 0);
+                    self.grant(n, mem, block, req, true, 0);
                 } else {
-                    n.mem.lock().set_tag(block, Tag::ReadOnly);
+                    mem.set_tag(block, Tag::ReadOnly);
                     e.state = DirState::Shared(NodeSet::single(req.requester));
-                    self.grant(n, block, req, true, 0);
+                    self.grant(n, mem, block, req, true, 0);
                 }
             }
             DirState::Shared(s) => {
                 if !req.excl {
                     if req.requester == n.me {
                         // Home tag is ReadOnly in Shared: readable already.
-                        self.grant(n, block, req, false, 0);
+                        self.grant(n, mem, block, req, false, 0);
                     } else {
                         if s.contains(req.requester) {
                             // Already a sharer (raced with a pre-send, or
@@ -213,14 +235,14 @@ impl Engine {
                         }
                         dir.entry(block).state =
                             DirState::Shared(s.union(NodeSet::single(req.requester)));
-                        self.grant(n, block, req, true, 0);
+                        self.grant(n, mem, block, req, true, 0);
                     }
                 } else {
                     let upgrade = s.contains(req.requester);
                     let others = s.without(req.requester);
                     if others.is_empty() {
                         let e = dir.entry(block);
-                        self.finalize_excl(n, e, block, req, upgrade, 0);
+                        self.finalize_excl(n, e, mem, block, req, upgrade, 0);
                     } else {
                         let op = dir.alloc_op();
                         for o in others.iter() {
@@ -245,15 +267,15 @@ impl Engine {
                 // serve the retry directly from home memory.
                 let e = dir.entry(block);
                 if req.excl {
-                    self.grant(n, block, req, true, 0);
+                    self.grant(n, mem, block, req, true, 0);
                 } else {
                     // A shared retry while Exclusive(requester) is
                     // unreachable under FIFO delivery (a fetch retries
                     // with its original kind) but safe to serve: downgrade
                     // the never-consumed grant.
-                    n.mem.lock().set_tag(block, Tag::ReadOnly);
+                    mem.set_tag(block, Tag::ReadOnly);
                     e.state = DirState::Shared(NodeSet::single(req.requester));
-                    self.grant(n, block, req, true, 0);
+                    self.grant(n, mem, block, req, true, 0);
                 }
             }
             DirState::Exclusive(owner) => {
@@ -266,29 +288,29 @@ impl Engine {
 
     /// Complete an exclusive grant once no conflicting copies remain.
     /// `upgrade`: the requester already holds current data.
+    #[allow(clippy::too_many_arguments)]
     fn finalize_excl(
         &self,
         n: &NodeShared,
         e: &mut DirEntry,
+        mem: &mut NodeMem,
         block: BlockId,
         req: PendingReq,
         upgrade: bool,
         extra_hops: u32,
     ) {
         if req.requester == n.me {
-            n.mem.lock().set_tag(block, Tag::ReadWrite);
+            mem.set_tag(block, Tag::ReadWrite);
             e.state = DirState::Uncached;
             self.grant_nodata(n, block, req, extra_hops);
         } else {
             e.state = DirState::Exclusive(req.requester);
             if upgrade {
-                n.mem.lock().set_tag(block, Tag::Invalid);
+                mem.set_tag(block, Tag::Invalid);
                 self.grant_nodata(n, block, req, extra_hops);
             } else {
-                let mut mem = n.mem.lock();
                 let data = mem.snapshot(block);
                 mem.set_tag(block, Tag::Invalid);
-                drop(mem);
                 n.send(
                     req.requester,
                     Msg::Grant {
@@ -308,12 +330,13 @@ impl Engine {
     fn grant(
         &self,
         n: &NodeShared,
+        mem: &NodeMem,
         block: BlockId,
         req: PendingReq,
         with_data: bool,
         extra_hops: u32,
     ) {
-        let data = if with_data { Some(n.mem.lock().snapshot(block)) } else { None };
+        let data = with_data.then(|| mem.snapshot(block));
         n.send(
             req.requester,
             Msg::Grant {
@@ -342,15 +365,15 @@ impl Engine {
     }
 
     /// Serve queued requests until the entry goes busy again or the queue
-    /// empties. Caller holds the dir lock.
-    fn drain(&self, n: &NodeShared, dir: &mut Directory, block: BlockId) {
+    /// empties.
+    fn drain(&self, n: &NodeShared, dir: &mut Directory, mem: &mut NodeMem, block: BlockId) {
         loop {
             let e = dir.entry(block);
             if e.is_busy() {
                 break;
             }
             let Some(next) = e.waiters.pop_front() else { break };
-            self.dispatch(n, dir, block, next);
+            self.dispatch(n, dir, mem, block, next);
         }
     }
 
@@ -361,21 +384,26 @@ impl Engine {
     /// if no reply was ever produced for this round, the node never
     /// received the granted copy in the first place (the grant was lost)
     /// and it answers `None`, telling the home its own memory is current.
-    fn on_recall(&self, n: &NodeShared, home: NodeId, block: BlockId, inval: bool, op: u64) {
+    fn on_recall(
+        &self,
+        n: &NodeShared,
+        st: &mut NodeState,
+        home: NodeId,
+        block: BlockId,
+        inval: bool,
+        op: u64,
+    ) {
         NodeStats::bump(&n.stats.recalls_in);
-        let mut mem = n.mem.lock();
+        let NodeState { mem, recalled, .. } = st;
         if mem.probe(block).readable() {
             let unused = mem.presend_unused(block);
             mem.clear_presend_unused(block); // copy is going away; waste is accounted at the home
             let data = mem.snapshot(block);
             mem.set_tag(block, if inval { Tag::Invalid } else { Tag::ReadOnly });
-            drop(mem);
-            n.recalled.lock().insert(block, RecallReply { op, data: Arc::clone(&data), unused });
+            recalled.insert(block, RecallReply { op, data: Arc::clone(&data), unused });
             n.send(home, Msg::RecallData { block, data: Some(data), op, unused });
         } else {
-            drop(mem);
-            let replay = n.recalled.lock().get(&block).filter(|r| r.op == op).cloned();
-            match replay {
+            match recalled.get(&block).filter(|r| r.op == op).cloned() {
                 Some(r) => n.send(
                     home,
                     Msg::RecallData { block, data: Some(r.data), op, unused: r.unused },
@@ -386,16 +414,18 @@ impl Engine {
     }
 
     /// Home side: recalled data returned; complete the parked request.
+    #[allow(clippy::too_many_arguments)]
     fn on_recall_data(
         &self,
         n: &NodeShared,
+        st: &mut NodeState,
         src: NodeId,
         block: BlockId,
         data: Option<Arc<[u8]>>,
         op: u64,
         unused: bool,
     ) {
-        let mut dir = n.dir.lock();
+        let NodeState { dir, mem, .. } = st;
         let live = matches!(
             dir.get(block).and_then(|e| e.busy.as_ref()),
             Some(Busy::Recall { op: o, .. }) if *o == op
@@ -417,7 +447,6 @@ impl Engine {
             // was already current if the owner never held the copy) but
             // stays Invalid unless the requester is the home itself.
             if req.requester == n.me {
-                let mut mem = n.mem.lock();
                 match &data {
                     Some(d) => {
                         mem.install(block, &d[..], Tag::ReadWrite, false);
@@ -425,19 +454,18 @@ impl Engine {
                     }
                     None => mem.set_tag(block, Tag::ReadWrite),
                 }
-                drop(mem);
                 e.state = DirState::Uncached;
                 self.grant_nodata(n, block, req, 1);
             } else {
                 let payload = match data {
                     Some(d) => {
-                        n.mem.lock().install(block, &d[..], Tag::Invalid, false);
+                        mem.install(block, &d[..], Tag::Invalid, false);
                         NodeStats::add(&n.stats.data_bytes_in, d.len() as u64);
                         d
                     }
                     // Owner never received its grant: home memory is
                     // current (tag already Invalid under Exclusive).
-                    None => n.mem.lock().snapshot(block),
+                    None => mem.snapshot(block),
                 };
                 e.state = DirState::Exclusive(req.requester);
                 n.send(
@@ -457,17 +485,17 @@ impl Engine {
             // never received the block at all (`None` reply).
             match &data {
                 Some(d) => {
-                    n.mem.lock().install(block, &d[..], Tag::ReadOnly, false);
+                    mem.install(block, &d[..], Tag::ReadOnly, false);
                     NodeStats::add(&n.stats.data_bytes_in, d.len() as u64);
                 }
-                None => n.mem.lock().set_tag(block, Tag::ReadOnly),
+                None => mem.set_tag(block, Tag::ReadOnly),
             }
             let kept = data.is_some();
             if req.requester == n.me {
                 if kept {
                     e.state = DirState::Shared(NodeSet::single(owner));
                 } else {
-                    n.mem.lock().set_tag(block, Tag::ReadWrite);
+                    mem.set_tag(block, Tag::ReadWrite);
                     e.state = DirState::Uncached;
                 }
                 self.grant_nodata(n, block, req, 1);
@@ -475,7 +503,7 @@ impl Engine {
                 let mut s = if kept { NodeSet::single(owner) } else { NodeSet::EMPTY };
                 s.insert(req.requester);
                 e.state = DirState::Shared(s);
-                let payload = n.mem.lock().snapshot(block);
+                let payload = mem.snapshot(block);
                 n.send(
                     req.requester,
                     Msg::Grant {
@@ -489,16 +517,23 @@ impl Engine {
                 );
             }
         }
-        self.drain(n, &mut dir, block);
+        self.drain(n, dir, mem, block);
     }
 
     /// Sharer side of an invalidation. Acks unconditionally (the home
     /// filters by op and pending set); only touches the tag if the node
     /// actually holds a read-only copy, so a stale duplicate can never
     /// destroy a copy granted later.
-    fn on_invalidate(&self, n: &NodeShared, home: NodeId, block: BlockId, op: u64) {
+    fn on_invalidate(
+        &self,
+        n: &NodeShared,
+        st: &mut NodeState,
+        home: NodeId,
+        block: BlockId,
+        op: u64,
+    ) {
         NodeStats::bump(&n.stats.invals_in);
-        let mut mem = n.mem.lock();
+        let mem = &mut st.mem;
         // Probe-based (never materializes): a stale duplicate for a block
         // this node no longer (or never) holds must not install anything.
         let held = mem.data(block).is_some() && mem.probe(block) == Tag::ReadOnly;
@@ -507,13 +542,20 @@ impl Engine {
             mem.set_tag(block, Tag::Invalid);
             mem.clear_presend_unused(block);
         }
-        drop(mem);
         n.send(home, Msg::InvalAck { block, op, unused });
     }
 
     /// Home side: one invalidation acknowledged.
-    fn on_inval_ack(&self, n: &NodeShared, src: NodeId, block: BlockId, op: u64, unused: bool) {
-        let mut dir = n.dir.lock();
+    fn on_inval_ack(
+        &self,
+        n: &NodeShared,
+        st: &mut NodeState,
+        src: NodeId,
+        block: BlockId,
+        op: u64,
+        unused: bool,
+    ) {
+        let NodeState { dir, mem, .. } = st;
         let accepted = match dir.get_mut(block).and_then(|e| e.busy.as_mut()) {
             Some(Busy::Invals { pending, op: o, .. }) if *o == op && pending.contains(src) => {
                 *pending = pending.without(src);
@@ -538,30 +580,30 @@ impl Engine {
             // All sharers gone; `dispatch` encoded whether the requester
             // kept a copy in the residual Shared set.
             let upgrade = matches!(e.state, DirState::Shared(s) if s.contains(req.requester));
-            self.finalize_excl(n, e, block, req, upgrade, 1);
-            self.drain(n, &mut dir, block);
+            self.finalize_excl(n, e, mem, block, req, upgrade, 1);
+            self.drain(n, dir, mem, block);
         }
     }
 
-    /// Requester side: install the granted copy and wake the compute thread.
+    /// Requester side: install the granted copy and report it to the
+    /// waiting [`fetch`].
     ///
     /// Home-local grants (`src == me`) carry no data and must NOT touch the
-    /// tag here: the dispatching handler already set it atomically under
-    /// the directory lock, and by the time this (self-queued) message is
-    /// processed a later waiter may have been granted the block — flipping
-    /// the tag now would resurrect a revoked copy and lose that waiter's
-    /// writes. The compute thread's retry loop re-faults if its grant was
-    /// overtaken.
+    /// tag here: the dispatching handler already set it, and by the time
+    /// this (self-queued) message is processed a later waiter may have
+    /// been granted the block — flipping the tag now would resurrect a
+    /// revoked copy and lose that waiter's writes. The faulting access
+    /// re-faults if its grant was overtaken.
     ///
     /// Remote grants install only while their seq is still the node's
-    /// outstanding fetch (checked under the `mem` lock, which [`fetch`]
-    /// also holds when clearing it): a grant superseded by a retry, or a
-    /// duplicate of a consumed grant, must never overwrite memory the
-    /// compute thread may already be writing.
+    /// outstanding fetch: a grant superseded by a retry, or a duplicate of
+    /// a consumed grant, must never overwrite memory the program may
+    /// already be writing.
     #[allow(clippy::too_many_arguments)]
     fn on_grant(
         &self,
         n: &NodeShared,
+        st: &mut NodeState,
         src: NodeId,
         block: BlockId,
         excl: bool,
@@ -569,50 +611,40 @@ impl Engine {
         extra_hops: u32,
         recorded: bool,
         seq: u64,
-    ) {
+    ) -> Option<Wake> {
         let bytes = data.as_ref().map_or(0, |d| d.len());
         if src == n.me {
             debug_assert!(data.is_none(), "local grants never carry data");
         } else {
-            let mut mem = n.mem.lock();
             if n.outstanding() != seq {
-                drop(mem);
                 NodeStats::bump(&n.stats.stale_grants_in);
-                return;
+                return None;
             }
             let tag = if excl { Tag::ReadWrite } else { Tag::ReadOnly };
             match data {
                 Some(d) => {
-                    mem.install(block, &d[..], tag, false);
+                    st.mem.install(block, &d[..], tag, false);
                     NodeStats::add(&n.stats.data_bytes_in, d.len() as u64);
                 }
-                None => mem.set_tag(block, tag),
+                None => st.mem.set_tag(block, tag),
             }
-            drop(mem);
             // A fresh copy supersedes any recorded recall reply.
-            n.recalled.lock().remove(&block);
+            st.recalled.remove(&block);
         }
-        n.wake(Wake::Grant { block, excl, extra_hops, bytes, recorded, seq });
+        Some(Wake::Grant { block, excl, extra_hops, bytes, recorded, seq })
     }
 }
 
-/// Compute-side fault path: request `block` from its home and block until
-/// granted. Re-issues the request (with a fresh seq) every
-/// [`crate::node::RetryConfig::timeout`] without an answer, so lost
+/// The fault path: request `block` from its home and serve the node's
+/// inbox until the grant arrives. Re-issues the request (with a fresh seq)
+/// every [`crate::node::RetryConfig::timeout`] without an answer, so lost
 /// requests, lost grants, and stalled multi-hop rounds all recover.
-///
-/// `stash` collects extension wake-ups ([`Wake::User`]) that arrive while
-/// we wait (e.g. pre-send acknowledgements addressed to the pre-send
-/// driver); the caller processes them afterwards.
-pub fn fetch(
-    n: &NodeShared,
-    wake_rx: &Receiver<Wake>,
-    block: BlockId,
-    excl: bool,
-    stash: &mut Vec<Wake>,
-) -> GrantInfo {
+/// Anything else a handler reports meanwhile (a late acknowledgement, a
+/// superseded grant, a kick) has no waiter and is dropped.
+pub fn fetch(node: &mut Node, block: BlockId, excl: bool) -> GrantInfo {
     let mut retries: u32 = 0;
     loop {
+        let n = &node.shared;
         let home = n.homes.home_of_block(block);
         let seq = n.next_seq();
         n.set_outstanding(seq);
@@ -620,12 +652,10 @@ pub fn fetch(
             home,
             if excl { Msg::GetExcl { block, seq } } else { Msg::GetShared { block, seq } },
         );
-        // About to block on the grant: the request (and anything buffered
-        // before it) must actually be on the wire.
-        n.flush_net();
+        let deadline = Instant::now() + n.retry.timeout;
         loop {
-            match wake_rx.recv_timeout(n.retry.timeout) {
-                Ok(Wake::Grant { block: b, excl: e, extra_hops, bytes, recorded, seq: s }) => {
+            match node.next_wake(Some(deadline)) {
+                Some(Wake::Grant { block: b, excl: e, extra_hops, bytes, recorded, seq: s }) => {
                     if s != seq {
                         // A grant from a superseded attempt; the handler
                         // already refused to install it.
@@ -633,26 +663,14 @@ pub fn fetch(
                     }
                     debug_assert_eq!(b, block, "grant for a different block");
                     debug_assert_eq!(e, excl, "grant of a different kind");
-                    {
-                        // Clear under the mem lock: from here on, a late
-                        // duplicate of this grant must not install.
-                        let _mem = n.mem.lock();
-                        n.clear_outstanding();
-                    }
+                    // From here on, a late duplicate of this grant must
+                    // not install.
+                    node.shared.set_outstanding(0);
                     return GrantInfo { extra_hops, bytes, recorded, retries };
                 }
-                Ok(w @ Wake::User { .. }) => stash.push(w),
-                // A fence marker from a recovery round that this fetch has
-                // no business consuming cannot occur (fences are only in
-                // flight while every compute thread sits in the recovery
-                // protocol, not in a fetch) — but ignoring one is harmless.
-                Ok(Wake::Fence) => {}
-                Err(RecvTimeoutError::Timeout) => {
-                    if n.is_aborting() {
-                        // The machine was declared dead (panic isolation /
-                        // watchdog): unwind instead of re-arming retries.
-                        std::panic::panic_any(prescient_tempest::Aborted);
-                    }
+                Some(_) => {}
+                None => {
+                    let n = &node.shared;
                     retries += 1;
                     // Counted at the timeout (not once the grant lands) so
                     // a wedged fetch is visible to the watchdog's report.
@@ -670,9 +688,6 @@ pub fn fetch(
                         retries - 1
                     );
                     break; // re-issue with a fresh seq
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("protocol thread terminated during fetch")
                 }
             }
         }

@@ -13,12 +13,13 @@
 //!   and acknowledgements travel (§3.4).
 //!
 //! One hooks instance exists per node, mirroring how each node runs its own
-//! protocol handlers.
+//! protocol handlers. The callbacks run on the node's own thread, inside
+//! the base engine's handlers.
 
 use prescient_tempest::{BlockId, NodeId};
 
-use crate::msg::UserMsg;
-use crate::node::NodeShared;
+use crate::msg::{UserMsg, Wake};
+use crate::node::{NodeShared, NodeState};
 
 /// Per-node protocol extension.
 pub trait Hooks: Send + Sync + 'static {
@@ -34,13 +35,22 @@ pub trait Hooks: Send + Sync + 'static {
         excl: bool,
     ) -> bool;
 
-    /// An extension message arrived from `src`.
-    fn on_user(&self, node: &NodeShared, src: NodeId, msg: UserMsg);
+    /// An extension message arrived from `src`; `state` is the node's
+    /// block store and directory, for handlers that install data. Return
+    /// a [`Wake::User`] when the message answers something the node's own
+    /// driver is waiting for (an acknowledgement).
+    fn on_user(
+        &self,
+        node: &NodeShared,
+        state: &mut NodeState,
+        src: NodeId,
+        msg: UserMsg,
+    ) -> Option<Wake>;
 
     /// A pre-sent copy of `block` was torn down (recalled or invalidated)
     /// without ever being accessed — a *useless* pre-send. Called at the
-    /// block's home with the directory lock held; extensions use it to
-    /// feed their schedule-health / degradation accounting. Default: no-op.
+    /// block's home from inside a handler; extensions use it to feed
+    /// their schedule-health / degradation accounting. Default: no-op.
     fn on_presend_wasted(&self, node: &NodeShared, block: BlockId) {
         let _ = (node, block);
     }
@@ -56,7 +66,13 @@ impl Hooks for NoHooks {
         false
     }
 
-    fn on_user(&self, node: &NodeShared, src: NodeId, msg: UserMsg) {
+    fn on_user(
+        &self,
+        node: &NodeShared,
+        _: &mut NodeState,
+        src: NodeId,
+        msg: UserMsg,
+    ) -> Option<Wake> {
         panic!(
             "node {}: unexpected user message code {} from {} under plain Stache",
             node.me, msg.code, src

@@ -24,12 +24,15 @@
 //!   baseline) define their own vocabulary without this crate knowing it;
 //! * [`dir`] — home-node directory entries, including the transient "busy"
 //!   states and waiter queues that make the handlers non-blocking;
-//! * [`node`] — the per-node shared state bundle (block store, directory,
-//!   statistics, network handle) and the protocol-handler thread;
-//! * [`engine`] — the handlers themselves plus the compute-side fault path
+//! * [`node`] — one node as its one thread holds it: the lock-free shared
+//!   part, the owned state (block store, directory), the inbox, and the
+//!   loops that serve it (poll, wait, barrier);
+//! * [`engine`] — the handlers themselves plus the fault path
 //!   ([`engine::fetch`]);
 //! * [`hooks`] — the extension interface: recording of home-node requests
-//!   and handling of user messages.
+//!   and handling of user messages;
+//! * [`testkit`] — the protocol-level test harness: node threads running
+//!   scripts and serving until every script is done.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +43,7 @@ pub mod engine;
 pub mod hooks;
 pub mod msg;
 pub mod node;
+pub mod testkit;
 pub mod wire;
 
 pub use check::check_coherence;
@@ -47,4 +51,4 @@ pub use dir::{DirCheckpoint, DirEntry, DirState, Directory};
 pub use engine::{fetch, Engine, GrantInfo};
 pub use hooks::{Hooks, NoHooks};
 pub use msg::{Msg, UserMsg, Wake};
-pub use node::{spawn_protocol, spawn_protocol_shard, NodeCheckpoint, NodeShared, RetryConfig};
+pub use node::{Node, NodeCheckpoint, NodeShared, NodeState, RetryConfig};

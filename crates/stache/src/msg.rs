@@ -1,12 +1,13 @@
 //! Protocol message vocabulary.
 //!
-//! Two channels exist per node: the fabric inbox, carrying [`Msg`] between
-//! protocol handlers, and the *wake* channel, carrying [`Wake`] from a
-//! node's protocol-handler thread to its (blocked) compute thread.
+//! One channel exists per node: the fabric inbox, carrying [`Msg`] between
+//! nodes. A handler that completes something the node's own program is
+//! waiting for says so by returning a [`Wake`] to the loop that is
+//! draining the inbox.
 //!
 //! Two kinds of identifiers make the vocabulary safe on a faulty fabric:
 //!
-//! * **Sequence numbers** (`seq`): every request a compute thread issues
+//! * **Sequence numbers** (`seq`): every request a node issues
 //!   carries a value from its node's monotonic stream, and each *retry* of
 //!   a request draws a fresh one. Homes accept a request only if its seq is
 //!   newer than the last one accepted from that requester (duplicates and
@@ -28,9 +29,9 @@
 //! the vocabulary, seq/op identifiers, and per-message cost accounting
 //! all operate on individual messages — but it imposes one obligation on
 //! senders: a buffered message is not visible to its destination until
-//! the sender's egress is flushed, so any thread that is about to block
-//! waiting for a *reply* must call `NodeShared::flush_net` first (the
-//! engine and pre-send driver do; see `NodeShared::send`).
+//! the sender's egress is flushed, so a node flushes before it blocks and
+//! whenever it stops handling messages (`Node::next_wake` and `Node::poll`
+//! do; see `NodeShared::send`).
 
 use std::sync::Arc;
 
@@ -93,8 +94,8 @@ pub enum Msg {
         /// The invalidated copy was an unread pre-send.
         unused: bool,
     },
-    /// Home → requester: access granted. The requester's protocol handler
-    /// installs the data (when present) and wakes the compute thread.
+    /// Home → requester: access granted. The requester's handler installs
+    /// the data (when present) and reports the grant to the waiting fetch.
     Grant {
         /// The block.
         block: BlockId,
@@ -116,10 +117,13 @@ pub enum Msg {
     /// An extension (user-level protocol) message — Tempest active-message
     /// style: a handler code plus an uninterpreted payload.
     User(UserMsg),
-    /// Stop the protocol-handler thread (machine teardown).
-    Shutdown,
-    /// Recovery drain marker. A node self-sends one `Fence` and waits for
-    /// the matching [`Wake::Fence`]: because each inbox channel is a FIFO
+    /// Host-level wake-up, outside the protocol: "stop waiting on your
+    /// inbox and look at whatever you were waiting for again". Sent
+    /// directly (`NodeShared::kick`: uncounted, unfaulted, unbatched) by
+    /// the last arriver at a barrier and by whoever aborts the machine.
+    Kick,
+    /// Recovery drain marker. A node self-sends one `Fence` and drains its
+    /// inbox up to the matching [`Wake::Fence`]: because each inbox channel is a FIFO
     /// queue, the marker's arrival proves every wire batch that was ahead
     /// of it in this node's inbox has been handled. Two fence rounds with
     /// barriers between (DESIGN.md §12) drain the channels completely
@@ -141,7 +145,7 @@ impl Msg {
             Msg::InvalAck { .. } => 6,
             Msg::Grant { .. } => 7,
             Msg::User(_) => 8,
-            Msg::Shutdown => 9,
+            Msg::Kick => 9,
             Msg::Fence => 10,
         }
     }
@@ -158,7 +162,7 @@ impl Msg {
             6 => "InvalAck",
             7 => "Grant",
             8 => "User",
-            9 => "Shutdown",
+            9 => "Kick",
             10 => "Fence",
             _ => "?",
         }
@@ -177,7 +181,7 @@ impl Msg {
             | Msg::InvalAck { block, .. }
             | Msg::Grant { block, .. } => block.0,
             Msg::User(u) => u.a,
-            Msg::Shutdown | Msg::Fence => 0,
+            Msg::Kick | Msg::Fence => 0,
         }
     }
 }
@@ -220,7 +224,10 @@ impl UserMsg {
     }
 }
 
-/// A wake-up delivered from a node's protocol thread to its compute thread.
+/// What handling one message means to the node's own program: returned by
+/// `Engine::handle` to whichever loop is draining the inbox (a fetch, an
+/// acknowledgement wait, a barrier). Most messages serve a peer and yield
+/// none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
     /// A previously requested block was granted and installed.
@@ -236,7 +243,7 @@ pub enum Wake {
         /// Home recorded the request in a schedule.
         recorded: bool,
         /// Sequence number of the request this grant answers; the fetch
-        /// loop discards wake-ups from superseded attempts.
+        /// loop discards grants of superseded attempts.
         seq: u64,
     },
     /// Extension wake-up (e.g. one pre-send push acknowledged).
@@ -252,6 +259,8 @@ pub enum Wake {
     /// come back through the inbox: everything queued ahead of it has been
     /// handled.
     Fence,
+    /// A [`Msg::Kick`] arrived: re-check the awaited condition.
+    Kick,
 }
 
 #[cfg(test)]

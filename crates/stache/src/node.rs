@@ -1,27 +1,31 @@
-//! Per-node shared state and the protocol-handler thread.
+//! Per-node state and the node's one thread.
 //!
-//! Each emulated node runs **two** OS threads, mirroring Blizzard on the
-//! CM-5: a *compute* thread executing the application (and blocking on its
-//! own access faults) and a *protocol-handler* thread draining the node's
-//! network inbox (Blizzard ran handlers from the network interrupt). Both
-//! threads share this [`NodeShared`] bundle.
+//! Each emulated node is **one** OS thread, as a Blizzard node was one CM-5
+//! processor: the program and the protocol handlers take turns on it, so a
+//! node's memory never has two concurrent users. Handlers run wherever the
+//! program would otherwise wait — a fault ([`crate::engine::fetch`]), an
+//! acknowledgement wait, a barrier ([`Node::barrier`]) — and at a poll
+//! every so many accesses ([`Node::poll`], Blizzard's poll), which is what
+//! lets a peer's request be served inside a long stretch of hits.
 //!
-//! Lock ordering: `dir` before extension-internal locks (e.g. the
-//! predictive protocol's schedule/health state) before `mem`; `recalled`
-//! is a leaf lock never held together with any of them.
+//! A node is split in two. [`NodeShared`] is what other threads may look
+//! at (ids, configuration, counters, the sending handle): it is `Sync` and
+//! holds no lock. [`NodeState`] — block store, directory, recall-reply
+//! cache — is owned by the node's thread through its [`Node`] for as long
+//! as that thread runs, and is reached by `&mut`; there is no lock order
+//! because there are no locks.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
-use parking_lot::Mutex;
-use prescient_tempest::fabric::{Endpoint, FabricCtl, Net, ShardEndpoint};
+use prescient_tempest::barrier::BarrierOut;
+use prescient_tempest::fabric::{Endpoint, Envelope, Net, TryRecv};
 use prescient_tempest::trace::{pack_msg, EventKind, Tracer};
 use prescient_tempest::{
-    BlockId, CostModel, GlobalLayout, HomeView, MemCheckpoint, NodeId, NodeMem, NodeStats,
+    Aborted, BlockId, CostModel, GlobalLayout, HomeView, MemCheckpoint, NodeId, NodeMem, NodeStats,
+    VBarrier,
 };
 
 use crate::dir::{DirCheckpoint, Directory};
@@ -29,10 +33,10 @@ use crate::engine::Engine;
 use crate::hooks::Hooks;
 use crate::msg::{Msg, Wake};
 
-/// Compute-side request retry policy. The timeout is wall-clock (it bounds
-/// how long a blocked fetch waits for a grant that a faulty fabric may
-/// have dropped); its *virtual-time* cost is billed separately as
-/// `CostModel::retry_ns` per retry.
+/// Request retry policy. The timeout is wall-clock (it bounds how long a
+/// blocked fetch waits for a grant that a faulty fabric may have dropped);
+/// its *virtual-time* cost is billed separately as `CostModel::retry_ns`
+/// per retry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryConfig {
     /// How long a fetch waits for its grant before re-issuing the request.
@@ -64,8 +68,10 @@ pub struct RecallReply {
     pub unused: bool,
 }
 
-/// State shared between a node's compute thread and its protocol-handler
-/// thread (and readable by extensions).
+/// The part of a node any thread may hold (`Sync`, lock-free): identity,
+/// configuration, counters and the sending handle. The watchdog, the
+/// machine's reports and protocol extensions read it while the node's
+/// thread runs.
 pub struct NodeShared {
     /// This node's id.
     pub me: NodeId,
@@ -80,73 +86,29 @@ pub struct NodeShared {
     /// follow the segment layout) unless a remap overlay or rotation was
     /// configured.
     pub homes: Arc<HomeView>,
-    /// Block store: home memory plus cached remote blocks.
-    pub mem: Mutex<NodeMem>,
-    /// Home directory for this node's blocks.
-    pub dir: Mutex<Directory>,
-    /// Per-block record of the last recall reply sent (see [`RecallReply`]).
-    pub recalled: Mutex<HashMap<BlockId, RecallReply>>,
     /// Event counters.
     pub stats: NodeStats,
     /// Next request sequence number (monotonic; 0 is never issued).
     seq: AtomicU64,
-    /// Seq of the fetch in flight on the compute thread (0 = none). Grants
-    /// that do not match are stale and must not install.
+    /// Seq of the fetch in flight (0 = none). Grants that do not match are
+    /// stale and must not install. Written by the node's thread only;
+    /// atomic so death reports can read it.
     outstanding: AtomicU64,
     net: Net<Msg>,
-    wake_tx: Sender<Wake>,
 }
 
 impl NodeShared {
-    /// Assemble the shared state for node `me` with the default retry
-    /// policy.
-    pub fn new(
-        layout: GlobalLayout,
-        cost: CostModel,
-        net: Net<Msg>,
-        wake_tx: Sender<Wake>,
-    ) -> NodeShared {
-        NodeShared::new_with_retry(layout, cost, net, wake_tx, RetryConfig::default())
-    }
-
-    /// Assemble the shared state with an explicit retry policy and the
-    /// identity home view (no placement).
-    pub fn new_with_retry(
-        layout: GlobalLayout,
-        cost: CostModel,
-        net: Net<Msg>,
-        wake_tx: Sender<Wake>,
-        retry: RetryConfig,
-    ) -> NodeShared {
-        let homes = Arc::new(HomeView::identity(layout));
-        NodeShared::new_with_homes(homes, cost, net, wake_tx, retry)
-    }
-
-    /// Assemble the shared state over the machine's home view (every node
-    /// of one machine must be given the same `Arc`).
-    pub fn new_with_homes(
-        homes: Arc<HomeView>,
-        cost: CostModel,
-        net: Net<Msg>,
-        wake_tx: Sender<Wake>,
-        retry: RetryConfig,
-    ) -> NodeShared {
-        let me = net.me();
-        let layout = *homes.layout();
+    fn new(homes: Arc<HomeView>, cost: CostModel, net: Net<Msg>, retry: RetryConfig) -> NodeShared {
         NodeShared {
-            me,
-            layout,
+            me: net.me(),
+            layout: *homes.layout(),
             cost,
             retry,
-            mem: Mutex::new(NodeMem::with_view(me, Arc::clone(&homes))),
             homes,
-            dir: Mutex::new(Directory::new()),
-            recalled: Mutex::new(HashMap::new()),
             stats: NodeStats::default(),
             seq: AtomicU64::new(1),
             outstanding: AtomicU64::new(0),
             net,
-            wake_tx,
         }
     }
 
@@ -155,33 +117,46 @@ impl NodeShared {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Declare `seq` as the fetch in flight.
+    /// Declare `seq` as the fetch in flight (0 = none).
     pub fn set_outstanding(&self, seq: u64) {
-        self.outstanding.store(seq, Ordering::Release);
+        self.outstanding.store(seq, Ordering::Relaxed);
     }
 
-    /// The fetch in flight (0 = none). To stay race-free against grant
-    /// installation, the compute thread clears this while holding the
-    /// `mem` lock and the grant handler reads it under the same lock.
+    /// The fetch in flight (0 = none).
     pub fn outstanding(&self) -> u64 {
-        self.outstanding.load(Ordering::Acquire)
-    }
-
-    /// Clear the fetch in flight. Call with the `mem` lock held (see
-    /// [`NodeShared::outstanding`]).
-    pub fn clear_outstanding(&self) {
-        self.outstanding.store(0, Ordering::Release);
+        self.outstanding.load(Ordering::Relaxed)
     }
 
     /// Send a protocol message to `dst`, counting it. The message may sit
     /// in the fabric's per-destination egress buffer until the next flush;
-    /// any code that blocks waiting for a *reply* must call
-    /// [`NodeShared::flush_net`] after its last send (the protocol thread
-    /// itself flushes automatically before blocking on an empty inbox).
+    /// [`Node::next_wake`] and [`Node::poll`] flush before they block or
+    /// return, so handlers and drivers only call [`NodeShared::flush_net`]
+    /// where they stop sending without doing either.
     pub fn send(&self, dst: NodeId, msg: Msg) {
         NodeStats::bump(&self.stats.msgs_out);
         self.net.tracer().emit(EventKind::MsgSend, pack_msg(msg.kind_code(), dst), msg.trace_aux());
         self.net.send(dst, msg);
+    }
+
+    /// Wake `dst`'s waiting loop with a [`Msg::Kick`], put straight into
+    /// its inbox: not counted as a message, not traced, not subject to
+    /// batching or injected faults.
+    pub fn kick(&self, dst: NodeId) {
+        self.net.send_direct(dst, Msg::Kick);
+    }
+
+    /// [`NodeShared::kick`] every node but this one.
+    pub fn kick_peers(&self) {
+        (0..self.nodes() as NodeId).filter(|&d| d != self.me).for_each(|d| self.kick(d));
+    }
+
+    /// Declare the machine dead and get every node out of whatever it is
+    /// waiting in: raise the fabric's abort flag, poison `barrier`, kick
+    /// every inbox. Callable from any thread.
+    pub fn abort_machine(&self, barrier: &VBarrier) {
+        self.net.ctl().abort();
+        barrier.poison();
+        (0..self.nodes() as NodeId).for_each(|d| self.kick(d));
     }
 
     /// This node's tracing handle (the one its fabric endpoint carries;
@@ -196,12 +171,6 @@ impl NodeShared {
         self.net.flush_all();
     }
 
-    /// Wake this node's compute thread.
-    pub fn wake(&self, w: Wake) {
-        // Failure means the compute side hung up (teardown); harmless.
-        let _ = self.wake_tx.send(w);
-    }
-
     /// Number of nodes in the machine.
     pub fn nodes(&self) -> usize {
         self.layout.nodes
@@ -212,13 +181,7 @@ impl NodeShared {
         self.layout.block_size
     }
 
-    /// The fabric's shared control block (teardown / abort flags).
-    pub fn fabric_ctl(&self) -> &Arc<FabricCtl> {
-        self.net.ctl()
-    }
-
     /// Has the machine been declared dead (panic isolation or watchdog)?
-    /// Retry loops check this instead of re-arming their timeouts forever.
     pub fn is_aborting(&self) -> bool {
         self.net.ctl().is_aborting()
     }
@@ -228,17 +191,139 @@ impl NodeShared {
     pub fn purge_faults(&self) {
         self.net.purge_faults();
     }
+}
+
+/// The part of a node only its own thread touches: what the handlers and
+/// the program's accesses read and write.
+pub struct NodeState {
+    /// Block store: home memory plus cached remote blocks.
+    pub mem: NodeMem,
+    /// Home directory for this node's blocks.
+    pub dir: Directory,
+    /// Per-block record of the last recall reply sent (see [`RecallReply`]).
+    pub recalled: HashMap<BlockId, RecallReply>,
+}
+
+/// One node, as its thread holds it: the shared part, the owned state, the
+/// inbox, and the handlers.
+pub struct Node {
+    /// What other threads may see of this node.
+    pub shared: Arc<NodeShared>,
+    /// Block store, directory, recall-reply cache.
+    pub state: NodeState,
+    endpoint: Endpoint<Msg>,
+    engine: Engine,
+}
+
+impl Node {
+    /// Assemble the node behind `endpoint` over the machine's home view
+    /// (every node of one machine must be given the same `Arc`).
+    pub fn new(
+        homes: Arc<HomeView>,
+        cost: CostModel,
+        endpoint: Endpoint<Msg>,
+        hooks: Arc<dyn Hooks>,
+        retry: RetryConfig,
+    ) -> Node {
+        let state = NodeState {
+            mem: NodeMem::with_view(endpoint.me, Arc::clone(&homes)),
+            dir: Directory::new(),
+            recalled: HashMap::new(),
+        };
+        let shared = Arc::new(NodeShared::new(homes, cost, endpoint.net().clone(), retry));
+        Node { shared, state, endpoint, engine: Engine::new(hooks) }
+    }
+
+    fn handle(&mut self, env: Envelope<Msg>) -> Option<Wake> {
+        if env.msg != Msg::Kick {
+            self.shared.tracer().emit(
+                EventKind::MsgRecv,
+                pack_msg(env.msg.kind_code(), env.src),
+                env.msg.trace_aux(),
+            );
+        }
+        self.engine.handle(&self.shared, &mut self.state, env.src, env.msg)
+    }
+
+    /// Handle everything already in the inbox without blocking, then put
+    /// the replies on the wire. What a handler reports back is dropped:
+    /// nothing is being waited for.
+    pub fn poll(&mut self) {
+        while let TryRecv::Msg(env) = self.endpoint.try_recv() {
+            self.handle(env);
+        }
+        self.shared.flush_net();
+    }
+
+    /// Serve the inbox until a handler reports something to the waiting
+    /// program, blocking while it is empty; `None` once `deadline` (if
+    /// any) has passed with nothing to report. The egress is flushed
+    /// before every block and before returning.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with [`Aborted`] when it wakes (by [`Msg::Kick`] or
+    /// timeout) to find the machine declared dead.
+    pub fn next_wake(&mut self, deadline: Option<Instant>) -> Option<Wake> {
+        loop {
+            let got = match (self.endpoint.try_recv(), deadline) {
+                (TryRecv::Empty, None) => {
+                    self.endpoint.recv().map_or(TryRecv::Closed, TryRecv::Msg)
+                }
+                (TryRecv::Empty, Some(d)) => {
+                    self.endpoint.recv_timeout(d.saturating_duration_since(Instant::now()))
+                }
+                (got, _) => got,
+            };
+            let wake = match got {
+                TryRecv::Msg(env) => match self.handle(env) {
+                    Some(w) => Some(w),
+                    None => continue,
+                },
+                TryRecv::Empty => None,
+                TryRecv::Closed => panic!("node {}: fabric closed under a wait", self.shared.me),
+            };
+            // A kick and the clock are the two ways out of a wait on a
+            // dead machine.
+            if matches!(wake, None | Some(Wake::Kick)) && self.shared.is_aborting() {
+                std::panic::panic_any(Aborted);
+            }
+            self.shared.flush_net();
+            return wake;
+        }
+    }
+
+    /// Global barrier that keeps serving: arrive, then drain the inbox
+    /// until the episode is released. The last arriver kicks every peer,
+    /// always *after* the release is published, so a waiter that saw no
+    /// release before blocking is woken by the kick.
+    pub fn barrier(&mut self, barrier: &VBarrier, arrival_ns: u64) -> BarrierOut {
+        self.shared.flush_net();
+        let ticket = match barrier.arrive(arrival_ns) {
+            Ok(out) => {
+                self.shared.kick_peers();
+                return out;
+            }
+            Err(t) => t,
+        };
+        loop {
+            if let Some(out) = barrier.poll(&ticket) {
+                return out;
+            }
+            self.next_wake(None);
+        }
+    }
 
     /// Capture this node's full protocol state at a quiescent cut: the
     /// block store, the home directory shard, the request-seq counter, and
-    /// the recall-reply cache. Every lock is taken briefly and in order
-    /// (`dir` before `mem`, `recalled` leaf); at a barrier no other thread
-    /// contends.
+    /// the recall-reply cache.
     pub fn checkpoint(&self) -> NodeCheckpoint {
-        let dir = self.dir.lock().checkpoint();
-        let mem = self.mem.lock().checkpoint();
-        let recalled = self.recalled.lock().iter().map(|(b, r)| (*b, r.clone())).collect();
-        NodeCheckpoint { mem, dir, seq: self.seq.load(Ordering::Relaxed), recalled }
+        NodeCheckpoint {
+            mem: self.state.mem.checkpoint(),
+            dir: self.state.dir.checkpoint(),
+            seq: self.shared.seq.load(Ordering::Relaxed),
+            recalled: self.state.recalled.iter().map(|(b, r)| (*b, r.clone())).collect(),
+        }
     }
 
     /// Roll this node's protocol state back to a captured cut. Callable
@@ -246,18 +331,18 @@ impl NodeShared {
     /// the channels first): the block store, directory shard, seq counter,
     /// and recall-reply cache all rewind together, so replayed requests
     /// re-draw the same seqs the restored watermarks expect.
-    pub fn restore(&self, ckpt: &NodeCheckpoint) {
-        self.dir.lock().restore(&ckpt.dir);
-        self.mem.lock().restore(&ckpt.mem);
-        *self.recalled.lock() = ckpt.recalled.iter().cloned().collect();
-        self.seq.store(ckpt.seq, Ordering::Relaxed);
-        self.outstanding.store(0, Ordering::Release);
+    pub fn restore(&mut self, ckpt: &NodeCheckpoint) {
+        self.state.dir.restore(&ckpt.dir);
+        self.state.mem.restore(&ckpt.mem);
+        self.state.recalled = ckpt.recalled.iter().cloned().collect();
+        self.shared.seq.store(ckpt.seq, Ordering::Relaxed);
+        self.shared.set_outstanding(0);
     }
 }
 
 /// One node's shard of a barrier-consistent checkpoint: block store,
 /// directory, request-seq counter, and recall-reply cache, captured
-/// together at the cut by [`NodeShared::checkpoint`].
+/// together at the cut by [`Node::checkpoint`].
 #[derive(Debug, Clone)]
 pub struct NodeCheckpoint {
     /// The paged block store (bytes, tags, unread-pre-send bits, allocator).
@@ -275,87 +360,4 @@ impl NodeCheckpoint {
     pub fn bytes(&self) -> u64 {
         self.mem.bytes()
     }
-}
-
-/// Start the protocol-handler thread for a node: drains `endpoint`,
-/// dispatching every message through the engine until `Msg::Shutdown`.
-///
-/// On exit the thread marks the fabric as closing before its endpoint is
-/// dropped: from the first `Shutdown` onward, in-flight traffic addressed
-/// to exited nodes (e.g. duplicates released by the fault layer) is
-/// legitimate teardown loss rather than a protocol bug.
-pub fn spawn_protocol(
-    shared: Arc<NodeShared>,
-    endpoint: Endpoint<Msg>,
-    hooks: Arc<dyn Hooks>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("proto-{}", shared.me))
-        .spawn(move || {
-            let engine = Engine::new(hooks);
-            while let Some(env) = endpoint.recv() {
-                shared.tracer().emit(
-                    EventKind::MsgRecv,
-                    pack_msg(env.msg.kind_code(), env.src),
-                    env.msg.trace_aux(),
-                );
-                if !engine.handle(&shared, env.src, env.msg) {
-                    break;
-                }
-            }
-            // Replies produced while draining the final batch (before the
-            // Shutdown envelope) may still sit in the egress; push them
-            // out before this endpoint disappears.
-            shared.flush_net();
-            endpoint.ctl().mark_closing();
-        })
-        .expect("spawn protocol thread")
-}
-
-/// Start one shard loop of a sharded fabric: a single OS thread drains
-/// the [`ShardEndpoint`] and dispatches each envelope to the engine of
-/// the member node it addresses, replacing one protocol thread per node
-/// with one per shard. `members` must match `ep.members()` one-to-one,
-/// in the same (ascending) order.
-///
-/// Teardown semantics mirror the per-node loop exactly: once a member has
-/// handled its `Msg::Shutdown`, later envelopes addressed to it are
-/// dropped unprocessed (in the per-node model they would sit in a dead
-/// thread's inbox), and the loop exits when every member has shut down.
-pub fn spawn_protocol_shard(
-    members: Vec<(Arc<NodeShared>, Arc<dyn Hooks>)>,
-    ep: ShardEndpoint<Msg>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("proto-shard-{}", ep.shard()))
-        .spawn(move || {
-            let ids: Vec<NodeId> = members.iter().map(|(s, _)| s.me).collect();
-            assert_eq!(ids, ep.members(), "members must match the shard endpoint");
-            let engines: Vec<(Arc<NodeShared>, Engine)> =
-                members.into_iter().map(|(s, h)| (s, Engine::new(h))).collect();
-            let mut live = vec![true; engines.len()];
-            let mut alive = engines.len();
-            while alive > 0 {
-                let Some(env) = ep.recv() else { break };
-                let idx = ids.binary_search(&env.dst).expect("envelope for a non-member node");
-                if !live[idx] {
-                    continue;
-                }
-                let (shared, engine) = &engines[idx];
-                shared.tracer().emit(
-                    EventKind::MsgRecv,
-                    pack_msg(env.msg.kind_code(), env.src),
-                    env.msg.trace_aux(),
-                );
-                if !engine.handle(shared, env.src, env.msg) {
-                    live[idx] = false;
-                    alive -= 1;
-                }
-            }
-            for (shared, _) in &engines {
-                shared.flush_net();
-            }
-            ep.ctl().mark_closing();
-        })
-        .expect("spawn shard protocol thread")
 }

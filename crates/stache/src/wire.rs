@@ -106,7 +106,7 @@ impl WireCodec for Msg {
                     put_blob(out, bytes);
                 }
             }
-            Msg::Shutdown | Msg::Fence => {}
+            Msg::Kick | Msg::Fence => {}
         }
     }
 
@@ -156,7 +156,7 @@ impl WireCodec for Msg {
                 }
                 Msg::User(UserMsg { code, a, b, block, set, node, blocks: blocks.into() })
             }
-            9 => Msg::Shutdown,
+            9 => Msg::Kick,
             10 => Msg::Fence,
             tag => return Err(WireError::BadTag { what: "Msg", tag }),
         })
@@ -217,7 +217,7 @@ mod tests {
                 node: 63,
                 blocks: vec![(BlockId(1), data.clone()), (BlockId(2), empty)].into(),
             }),
-            Msg::Shutdown,
+            Msg::Kick,
             Msg::Fence,
         ]
     }

@@ -10,16 +10,11 @@
 //! that document what the `Violating` discipline breaks).
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::Mutex;
-use prescient_stache::{fetch, spawn_protocol, Msg, NoHooks, NodeShared, RetryConfig, Wake};
-use prescient_tempest::fabric::Fabric;
-use prescient_tempest::{
-    CostModel, FaultPlan, FaultStats, GAddr, GlobalLayout, NodeId, Prim, SplitMix64, VBarrier,
-};
+use prescient_stache::testkit::Cluster;
+use prescient_stache::{fetch, NoHooks, RetryConfig};
+use prescient_tempest::{FaultPlan, FaultStats, GAddr, NodeId, Prim, SplitMix64};
 
 /// Fast wall-clock retry policy for tests: dropped messages are re-issued
 /// quickly so drop-heavy runs stay fast.
@@ -68,40 +63,8 @@ fn random_program(seed: u64, nodes: u16, n_addrs: usize, n_phases: usize) -> Vec
     phases
 }
 
-struct TestNode {
-    shared: Arc<NodeShared>,
-    wake_rx: Receiver<Wake>,
-    stash: Vec<Wake>,
-}
-
-fn build_machine(
-    nodes: usize,
-    block_size: usize,
-    plan: Option<FaultPlan>,
-) -> (Vec<TestNode>, Vec<JoinHandle<()>>, Option<Arc<FaultStats>>) {
-    let layout = GlobalLayout::new(nodes, block_size);
-    let (eps, fstats) = match plan {
-        Some(p) if p.is_active() => {
-            let (eps, fs) = Fabric::new_faulty::<Msg>(nodes, p);
-            (eps, Some(fs))
-        }
-        _ => (Fabric::new::<Msg>(nodes), None),
-    };
-    let mut tns = Vec::new();
-    let mut joins = Vec::new();
-    for ep in eps {
-        let (wake_tx, wake_rx) = unbounded();
-        let shared = Arc::new(NodeShared::new_with_retry(
-            layout,
-            CostModel::default(),
-            ep.net().clone(),
-            wake_tx,
-            test_retry(),
-        ));
-        joins.push(spawn_protocol(Arc::clone(&shared), ep, Arc::new(NoHooks)));
-        tns.push(TestNode { shared, wake_rx, stash: Vec::new() });
-    }
-    (tns, joins, fstats)
+fn build_machine(nodes: usize, block_size: usize, plan: Option<FaultPlan>) -> Cluster {
+    Cluster::new(nodes, block_size, test_retry(), plan, |_| Arc::new(NoHooks))
 }
 
 /// Outcome of one program run: every read observation in a canonical
@@ -124,18 +87,17 @@ fn run_program(
     plan: Option<FaultPlan>,
     phases: Vec<Phase>,
 ) -> RunOutcome {
-    let (mut tns, _joins, faults) = build_machine(nodes, block_size, plan);
+    let mut m = build_machine(nodes, block_size, plan);
 
     // Address pool: 4 words homed on every node (some share a block).
     let mut addrs: Vec<GAddr> = Vec::new();
-    for tn in &tns {
-        let base = tn.shared.mem.lock().alloc(8 * 4, 8);
+    for node in &mut m.nodes {
+        let base = node.state.mem.alloc(8 * 4, 8);
         for k in 0..4 {
             addrs.push(base.add(8 * k));
         }
     }
     let n_addrs = addrs.len();
-    let addrs = Arc::new(addrs);
 
     let phases: Vec<Phase> = phases
         .into_iter()
@@ -161,92 +123,59 @@ fn run_program(
         expects.push(model.clone());
     }
 
-    let barrier = Arc::new(VBarrier::new(nodes));
-    #[allow(clippy::type_complexity)]
-    let observations: Arc<Mutex<Vec<(usize, usize, NodeId, u64)>>> =
-        Arc::new(Mutex::new(Vec::new()));
-    let phases = Arc::new(phases);
-    let expects = Arc::new(expects);
-
-    std::thread::scope(|scope| {
-        for tn in tns.iter_mut() {
-            let me = tn.shared.me;
-            let phases = Arc::clone(&phases);
-            let expects = Arc::clone(&expects);
-            let addrs = Arc::clone(&addrs);
-            let barrier = Arc::clone(&barrier);
-            let observations = Arc::clone(&observations);
-            let shared = Arc::clone(&tn.shared);
-            let wake_rx = tn.wake_rx.clone();
-            scope.spawn(move || {
-                let mut stash = Vec::new();
-                for (pi, phase) in phases.iter().enumerate() {
-                    match phase {
-                        Phase::Writes(ws) => {
-                            for &(a, w, v) in ws {
-                                if w == me {
-                                    let mut buf = [0u8; 8];
-                                    v.store(&mut buf);
-                                    loop {
-                                        let r = shared.mem.lock().write_in_block(addrs[a], &buf);
-                                        match r {
-                                            Ok(()) => break,
-                                            Err(f) => {
-                                                fetch(&shared, &wake_rx, f.fault().block, true, &mut stash);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        Phase::Reads(rs) => {
-                            for &(a, r) in rs {
-                                if r == me {
-                                    let mut buf = [0u8; 8];
-                                    loop {
-                                        let res =
-                                            shared.mem.lock().read_in_block(addrs[a], &mut buf);
-                                        match res {
-                                            Ok(()) => break,
-                                            Err(f) => {
-                                                fetch(&shared, &wake_rx, f.fault().block, false, &mut stash);
-                                            }
-                                        }
-                                    }
-                                    let got = u64::load(&buf);
-                                    let want = expects[pi][a];
-                                    assert_eq!(
-                                        got, want,
-                                        "phase {pi}: node {me} read addr[{a}] = {got}, expected {want}"
-                                    );
-                                    observations.lock().push((pi, a, me, got));
-                                }
+    // Each node logs `(phase, addr index, reader, value)` for its reads.
+    let logs = m.run(|node, barrier| {
+        let me = node.shared.me;
+        let mut seen: Vec<(usize, usize, NodeId, u64)> = Vec::new();
+        for (pi, phase) in phases.iter().enumerate() {
+            match phase {
+                Phase::Writes(ws) => {
+                    for &(a, w, v) in ws {
+                        if w == me {
+                            let mut buf = [0u8; 8];
+                            v.store(&mut buf);
+                            while let Err(f) = node.state.mem.write_in_block(addrs[a], &buf) {
+                                fetch(node, f.fault().block, true);
                             }
                         }
                     }
-                    barrier.wait(0);
                 }
-            });
+                Phase::Reads(rs) => {
+                    for &(a, r) in rs {
+                        if r == me {
+                            let mut buf = [0u8; 8];
+                            while let Err(f) = node.state.mem.read_in_block(addrs[a], &mut buf) {
+                                fetch(node, f.fault().block, false);
+                            }
+                            let got = u64::load(&buf);
+                            let want = expects[pi][a];
+                            assert_eq!(
+                                got, want,
+                                "phase {pi}: node {me} read addr[{a}] = {got}, expected {want}"
+                            );
+                            seen.push((pi, a, me, got));
+                        }
+                    }
+                }
+            }
+            node.barrier(barrier, 0);
         }
+        seen
     });
 
     // Quiescent: every invariant must hold machine-wide.
-    let shareds: Vec<_> = tns.iter().map(|tn| Arc::clone(&tn.shared)).collect();
-    let violations = prescient_stache::check_coherence(&shareds);
+    let violations = m.violations();
     assert!(violations.is_empty(), "invariant violations: {violations:#?}");
 
     let (mut retries, mut dup_reqs_in) = (0, 0);
-    for tn in &tns {
-        let s = tn.shared.stats.snapshot();
+    for node in &m.nodes {
+        let s = node.shared.stats.snapshot();
         retries += s.retries;
         dup_reqs_in += s.dup_reqs_in;
-        tn.shared.send(tn.shared.me, Msg::Shutdown);
     }
-    let mut observations = Arc::try_unwrap(observations)
-        .unwrap_or_else(|_| panic!("observation log still shared"))
-        .into_inner();
+    let mut observations: Vec<_> = logs.into_iter().flatten().collect();
     observations.sort_unstable();
-    RunOutcome { observations, retries, dup_reqs_in, faults }
+    RunOutcome { observations, retries, dup_reqs_in, faults: m.faults }
 }
 
 const NODES: usize = 8;
@@ -280,60 +209,44 @@ fn random_programs_survive_chaos() {
 #[test]
 fn duplicated_requests_are_idempotent() {
     let plan = FaultPlan::new(7).duplicating(1000);
-    let (tns, _joins, fstats) = build_machine(NODES, 32, Some(plan));
-    let addr = tns[0].shared.mem.lock().alloc(8, 8);
+    let mut m = build_machine(NODES, 32, Some(plan));
+    let addr = m.nodes[0].state.mem.alloc(8, 8);
     let rounds = 12u64;
 
-    let mut handles = vec![];
-    for tn in tns.into_iter() {
-        handles.push(std::thread::spawn(move || {
-            let mut tn = tn;
-            for _ in 0..rounds {
-                loop {
-                    let mut mem = tn.shared.mem.lock();
-                    let mut buf = [0u8; 8];
-                    if mem.read_in_block(addr, &mut buf).is_ok()
-                        && mem.probe(addr.block(32)).writable()
-                    {
-                        let v = u64::load(&buf) + 1;
-                        v.store(&mut buf);
-                        mem.write_in_block(addr, &buf).unwrap();
-                        break;
-                    }
-                    drop(mem);
-                    fetch(&tn.shared, &tn.wake_rx, addr.block(32), true, &mut tn.stash);
+    m.run(|node, _| {
+        for _ in 0..rounds {
+            loop {
+                let mem = &mut node.state.mem;
+                let mut buf = [0u8; 8];
+                if mem.read_in_block(addr, &mut buf).is_ok() && mem.probe(addr.block(32)).writable()
+                {
+                    let v = u64::load(&buf) + 1;
+                    v.store(&mut buf);
+                    mem.write_in_block(addr, &buf).unwrap();
+                    break;
                 }
-            }
-            tn
-        }));
-    }
-    let mut tns: Vec<TestNode> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-
-    // Every increment applied exactly once.
-    let mut buf = [0u8; 8];
-    loop {
-        let r = tns[0].shared.mem.lock().read_in_block(addr, &mut buf);
-        match r {
-            Ok(()) => break,
-            Err(f) => {
-                let tn = &mut tns[0];
-                fetch(&tn.shared, &tn.wake_rx, f.fault().block, true, &mut tn.stash);
+                fetch(node, addr.block(32), true);
             }
         }
-    }
-    assert_eq!(u64::load(&buf), NODES as u64 * rounds);
+    });
 
-    let shareds: Vec<_> = tns.iter().map(|tn| Arc::clone(&tn.shared)).collect();
-    let violations = prescient_stache::check_coherence(&shareds);
+    // Every increment applied exactly once.
+    let total = m.on(0, |node| {
+        let mut buf = [0u8; 8];
+        while let Err(f) = node.state.mem.read_in_block(addr, &mut buf) {
+            fetch(node, f.fault().block, true);
+        }
+        u64::load(&buf)
+    });
+    assert_eq!(total, NODES as u64 * rounds);
+
+    let violations = m.violations();
     assert!(violations.is_empty(), "invariant violations: {violations:#?}");
 
-    let duplicated = fstats.expect("fault layer active").total().duplicated;
+    let duplicated = m.faults.as_ref().expect("fault layer active").total().duplicated;
     assert!(duplicated > 50, "every message is duplicated, got {duplicated}");
-    let dup_reqs: u64 = shareds.iter().map(|s| s.stats.snapshot().dup_reqs_in).sum();
+    let dup_reqs: u64 = m.nodes.iter().map(|n| n.shared.stats.snapshot().dup_reqs_in).sum();
     assert!(dup_reqs > 0, "homes must observe and absorb duplicate requests");
-    for tn in &tns {
-        tn.shared.send(tn.shared.me, Msg::Shutdown);
-    }
 }
 
 /// Drop-heavy fabric: liveness comes from timeouts and re-issued

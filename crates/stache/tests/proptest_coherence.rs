@@ -9,14 +9,11 @@
 //! outcome deterministic.
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::Mutex;
-use prescient_stache::{fetch, spawn_protocol, Msg, NoHooks, NodeShared, RetryConfig, Wake};
-use prescient_tempest::fabric::Fabric;
-use prescient_tempest::{CostModel, FaultPlan, GAddr, GlobalLayout, NodeId, Prim, VBarrier};
+use prescient_stache::testkit::Cluster;
+use prescient_stache::{fetch, NoHooks, RetryConfig};
+use prescient_tempest::{FaultPlan, GAddr, NodeId, Prim};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -34,40 +31,11 @@ fn phase_strategy(n_addrs: usize, nodes: u16) -> impl Strategy<Value = Phase> {
     prop_oneof![writes, reads]
 }
 
-struct TestNode {
-    shared: Arc<NodeShared>,
-    wake_rx: Receiver<Wake>,
-    stash: Vec<Wake>,
-}
-
-fn build_machine(
-    nodes: usize,
-    block_size: usize,
-    plan: Option<FaultPlan>,
-) -> (Vec<TestNode>, Vec<JoinHandle<()>>) {
-    let layout = GlobalLayout::new(nodes, block_size);
-    let eps = match plan {
-        Some(p) if p.is_active() => Fabric::new_faulty::<Msg>(nodes, p).0,
-        _ => Fabric::new::<Msg>(nodes),
-    };
+fn build_machine(nodes: usize, block_size: usize, plan: Option<FaultPlan>) -> Cluster {
     // Short wall-clock retry timeout so dropped/stalled messages are
     // re-issued quickly under fault injection.
     let retry = RetryConfig { timeout: Duration::from_millis(25), max_retries: 400 };
-    let mut tns = Vec::new();
-    let mut joins = Vec::new();
-    for ep in eps {
-        let (wake_tx, wake_rx) = unbounded();
-        let shared = Arc::new(NodeShared::new_with_retry(
-            layout,
-            CostModel::default(),
-            ep.net().clone(),
-            wake_tx,
-            retry,
-        ));
-        joins.push(spawn_protocol(Arc::clone(&shared), ep, Arc::new(NoHooks)));
-        tns.push(TestNode { shared, wake_rx, stash: Vec::new() });
-    }
-    (tns, joins)
+    Cluster::new(nodes, block_size, retry, plan, |_| Arc::new(NoHooks))
 }
 
 fn run_torture(nodes: usize, block_size: usize, phases: Vec<Phase>) {
@@ -80,25 +48,21 @@ fn run_torture_faulty(
     phases: Vec<Phase>,
     plan: Option<FaultPlan>,
 ) {
-    let (mut tns, _joins) = build_machine(nodes, block_size, plan);
+    let mut m = build_machine(nodes, block_size, plan);
 
     // Address pool: a few addresses homed on every node, some sharing
     // blocks (consecutive words) to exercise false sharing.
     let mut addrs: Vec<GAddr> = Vec::new();
-    for tn in &tns {
-        let base = tn.shared.mem.lock().alloc(8 * 4, 8);
+    for node in &mut m.nodes {
+        let base = node.state.mem.alloc(8 * 4, 8);
         for k in 0..4 {
             addrs.push(base.add(8 * k));
         }
     }
     let n_addrs = addrs.len();
-    let addrs = Arc::new(addrs);
 
     // Sequential model.
     let mut model = vec![0u64; n_addrs];
-
-    let barrier = Arc::new(VBarrier::new(nodes));
-    let failures: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
 
     // Precompute each phase clamped to the address pool.
     let phases: Vec<Phase> = phases
@@ -123,80 +87,54 @@ fn run_torture_faulty(
         }
         expects.push(model.clone());
     }
-    let phases = Arc::new(phases);
-    let expects = Arc::new(expects);
-
-    std::thread::scope(|scope| {
-        for tn in tns.iter_mut() {
-            let me = tn.shared.me;
-            let phases = Arc::clone(&phases);
-            let expects = Arc::clone(&expects);
-            let addrs = Arc::clone(&addrs);
-            let barrier = Arc::clone(&barrier);
-            let failures = Arc::clone(&failures);
-            let shared = Arc::clone(&tn.shared);
-            let wake_rx = tn.wake_rx.clone();
-            scope.spawn(move || {
-                let mut stash = Vec::new();
-                for (pi, phase) in phases.iter().enumerate() {
-                    match phase {
-                        Phase::Writes(ws) => {
-                            for &(a, w, v) in ws {
-                                if w == me {
-                                    let mut buf = [0u8; 8];
-                                    v.store(&mut buf);
-                                    loop {
-                                        let r = shared.mem.lock().write_in_block(addrs[a], &buf);
-                                        match r {
-                                            Ok(()) => break,
-                                            Err(f) => {
-                                                fetch(&shared, &wake_rx, f.fault().block, true, &mut stash);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        Phase::Reads(rs) => {
-                            for &(a, r) in rs {
-                                if r == me {
-                                    let mut buf = [0u8; 8];
-                                    loop {
-                                        let res = shared.mem.lock().read_in_block(addrs[a], &mut buf);
-                                        match res {
-                                            Ok(()) => break,
-                                            Err(f) => {
-                                                fetch(&shared, &wake_rx, f.fault().block, false, &mut stash);
-                                            }
-                                        }
-                                    }
-                                    let got = u64::load(&buf);
-                                    let want = expects[pi][a];
-                                    if got != want {
-                                        failures.lock().push(format!(
-                                            "phase {pi}: node {me} read addr[{a}] = {got}, expected {want}"
-                                        ));
-                                    }
+    let fails: Vec<String> = m
+        .run(|node, barrier| {
+            let me = node.shared.me;
+            let mut failures = Vec::new();
+            for (pi, phase) in phases.iter().enumerate() {
+                match phase {
+                    Phase::Writes(ws) => {
+                        for &(a, w, v) in ws {
+                            if w == me {
+                                let mut buf = [0u8; 8];
+                                v.store(&mut buf);
+                                while let Err(f) = node.state.mem.write_in_block(addrs[a], &buf) {
+                                    fetch(node, f.fault().block, true);
                                 }
                             }
                         }
                     }
-                    barrier.wait(0);
+                    Phase::Reads(rs) => {
+                        for &(a, r) in rs {
+                            if r == me {
+                                let mut buf = [0u8; 8];
+                                while let Err(f) = node.state.mem.read_in_block(addrs[a], &mut buf)
+                                {
+                                    fetch(node, f.fault().block, false);
+                                }
+                                let got = u64::load(&buf);
+                                let want = expects[pi][a];
+                                if got != want {
+                                    failures.push(format!(
+                                        "phase {pi}: node {me} read addr[{a}] = {got}, expected {want}"
+                                    ));
+                                }
+                            }
+                        }
+                    }
                 }
-            });
-        }
-    });
+                node.barrier(barrier, 0);
+            }
+            failures
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
-    // With every compute thread done, the machine is quiescent: all
-    // coherence invariants must hold globally.
-    let shareds: Vec<_> = tns.iter().map(|tn| Arc::clone(&tn.shared)).collect();
-    let invariant_violations = prescient_stache::check_coherence(&shareds);
-
-    for tn in &tns {
-        tn.shared.send(tn.shared.me, Msg::Shutdown);
-    }
-    let fails = failures.lock();
-    assert!(fails.is_empty(), "coherence violations: {:#?}", *fails);
+    // With every script done, the machine is quiescent: all coherence
+    // invariants must hold globally.
+    let invariant_violations = m.violations();
+    assert!(fails.is_empty(), "coherence violations: {fails:#?}");
     assert!(invariant_violations.is_empty(), "invariant violations: {invariant_violations:#?}");
 }
 

@@ -72,7 +72,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                 seq
             }),
         arb_user().prop_map(Msg::User),
-        Just(Msg::Shutdown),
+        Just(Msg::Kick),
         Just(Msg::Fence),
     ]
 }

@@ -3,80 +3,61 @@
 //! accounting, and waiter queueing.
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver};
-use prescient_stache::{fetch, spawn_protocol, Msg, NoHooks, NodeShared, Wake};
-use prescient_tempest::fabric::Fabric;
+use prescient_stache::testkit::Cluster;
+use prescient_stache::{fetch, NoHooks, Node, RetryConfig};
 use prescient_tempest::tag::Tag;
-use prescient_tempest::{CostModel, GAddr, GlobalLayout, Prim};
+use prescient_tempest::{GAddr, Prim};
 
-struct TestNode {
-    shared: Arc<NodeShared>,
-    wake_rx: Receiver<Wake>,
-    stash: Vec<Wake>,
-}
-
-struct TestMachine {
-    nodes: Vec<TestNode>,
-    joins: Vec<JoinHandle<()>>,
-}
-
-fn machine(n: usize, block_size: usize) -> TestMachine {
-    let layout = GlobalLayout::new(n, block_size);
-    let cost = CostModel::default();
-    let mut nodes = Vec::new();
-    let mut joins = Vec::new();
-    for ep in Fabric::new::<Msg>(n) {
-        let (wake_tx, wake_rx) = unbounded();
-        let shared = Arc::new(NodeShared::new(layout, cost, ep.net().clone(), wake_tx));
-        joins.push(spawn_protocol(Arc::clone(&shared), ep, Arc::new(NoHooks)));
-        nodes.push(TestNode { shared, wake_rx, stash: Vec::new() });
-    }
-    TestMachine { nodes, joins }
-}
-
-impl TestMachine {
-    fn shutdown(self) {
-        for n in &self.nodes {
-            n.shared.send(n.shared.me, Msg::Shutdown);
-        }
-        for j in self.joins {
-            j.join().unwrap();
-        }
-    }
+fn machine(n: usize, block_size: usize) -> Cluster {
+    Cluster::new(n, block_size, RetryConfig::default(), None, |_| Arc::new(NoHooks))
 }
 
 /// Retry-loop read through the DSM, mirroring the runtime's access path.
 /// Returns the value and the number of faults taken.
-fn read_u64(tn: &mut TestNode, addr: GAddr) -> (u64, u32) {
+fn read_u64(node: &mut Node, addr: GAddr) -> (u64, u32) {
     let mut faults = 0;
     loop {
         let mut buf = [0u8; 8];
-        let r = tn.shared.mem.lock().read_in_block(addr, &mut buf);
-        match r {
+        match node.state.mem.read_in_block(addr, &mut buf) {
             Ok(()) => return (u64::load(&buf), faults),
             Err(f) => {
                 faults += 1;
-                fetch(&tn.shared, &tn.wake_rx, f.fault().block, false, &mut tn.stash);
+                fetch(node, f.fault().block, false);
             }
         }
     }
 }
 
-fn write_u64(tn: &mut TestNode, addr: GAddr, v: u64) -> u32 {
+fn write_u64(node: &mut Node, addr: GAddr, v: u64) -> u32 {
     let mut faults = 0;
     let mut buf = [0u8; 8];
     v.store(&mut buf);
     loop {
-        let r = tn.shared.mem.lock().write_in_block(addr, &buf);
-        match r {
+        match node.state.mem.write_in_block(addr, &buf) {
             Ok(()) => return faults,
             Err(f) => {
                 faults += 1;
-                fetch(&tn.shared, &tn.wake_rx, f.fault().block, true, &mut tn.stash);
+                fetch(node, f.fault().block, true);
             }
         }
+    }
+}
+
+/// One node acts, every other node serves: the sequential style of the
+/// tests below.
+trait Seq {
+    fn read(&mut self, node: u16, addr: GAddr) -> (u64, u32);
+    fn write(&mut self, node: u16, addr: GAddr, v: u64) -> u32;
+}
+
+impl Seq for Cluster {
+    fn read(&mut self, node: u16, addr: GAddr) -> (u64, u32) {
+        self.on(node, |n| read_u64(n, addr))
+    }
+
+    fn write(&mut self, node: u16, addr: GAddr, v: u64) -> u32 {
+        self.on(node, |n| write_u64(n, addr, v))
     }
 }
 
@@ -84,37 +65,35 @@ fn write_u64(tn: &mut TestNode, addr: GAddr, v: u64) -> u32 {
 fn remote_read_fetches_home_data() {
     let mut m = machine(2, 32);
     // Node 0 writes into its own home memory; node 1 reads it remotely.
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
-    assert_eq!(write_u64(&mut m.nodes[0], addr, 0xabcd), 0, "home write must hit");
-    let (v, faults) = read_u64(&mut m.nodes[1], addr);
+    let addr = m.nodes[0].state.mem.alloc(8, 8);
+    assert_eq!(m.write(0, addr, 0xabcd), 0, "home write must hit");
+    let (v, faults) = m.read(1, addr);
     assert_eq!(v, 0xabcd);
     assert_eq!(faults, 1);
     // Second read hits the cached copy.
-    let (v2, faults2) = read_u64(&mut m.nodes[1], addr);
+    let (v2, faults2) = m.read(1, addr);
     assert_eq!(v2, 0xabcd);
     assert_eq!(faults2, 0);
-    m.shutdown();
 }
 
 #[test]
 fn write_invalidates_remote_readers() {
     let mut m = machine(3, 32);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
-    write_u64(&mut m.nodes[0], addr, 1);
+    let addr = m.nodes[0].state.mem.alloc(8, 8);
+    m.write(0, addr, 1);
     // Nodes 1 and 2 cache read-only copies.
-    assert_eq!(read_u64(&mut m.nodes[1], addr).0, 1);
-    assert_eq!(read_u64(&mut m.nodes[2], addr).0, 1);
+    assert_eq!(m.read(1, addr).0, 1);
+    assert_eq!(m.read(2, addr).0, 1);
     // Home writes a new value: must invalidate both sharers first.
-    let faults = write_u64(&mut m.nodes[0], addr, 2);
+    let faults = m.write(0, addr, 2);
     assert_eq!(faults, 1, "home write to shared block faults once");
     // Readers fault again and observe the new value.
-    let (v1, f1) = read_u64(&mut m.nodes[1], addr);
-    let (v2, f2) = read_u64(&mut m.nodes[2], addr);
+    let (v1, f1) = m.read(1, addr);
+    let (v2, f2) = m.read(2, addr);
     assert_eq!((v1, v2), (2, 2));
     assert_eq!((f1, f2), (1, 1));
     let s1 = m.nodes[1].shared.stats.snapshot();
     assert_eq!(s1.invals_in, 1);
-    m.shutdown();
 }
 
 #[test]
@@ -122,10 +101,10 @@ fn producer_consumer_four_hop() {
     // Producer (node 1) and consumer (node 2) of data homed at node 0:
     // each transfer costs extra hops (recall), the §3.2 inefficiency.
     let mut m = machine(3, 32);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
+    let addr = m.nodes[0].state.mem.alloc(8, 8);
     for round in 0..5u64 {
-        write_u64(&mut m.nodes[1], addr, round * 10);
-        let (v, faults) = read_u64(&mut m.nodes[2], addr);
+        m.write(1, addr, round * 10);
+        let (v, faults) = m.read(2, addr);
         assert_eq!(v, round * 10);
         assert_eq!(faults, 1, "every consume misses under write-invalidate");
     }
@@ -133,53 +112,48 @@ fn producer_consumer_four_hop() {
     // consumer's copy each round.
     let s2 = m.nodes[2].shared.stats.snapshot();
     assert!(s2.invals_in + s2.recalls_in >= 4, "consumer copies must be torn down each round");
-    m.shutdown();
 }
 
 #[test]
 fn read_of_exclusive_block_downgrades_owner() {
     let mut m = machine(3, 64);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
-    write_u64(&mut m.nodes[1], addr, 77); // node 1 becomes exclusive owner
-    let (v, _) = read_u64(&mut m.nodes[2], addr);
+    let addr = m.nodes[0].state.mem.alloc(8, 8);
+    m.write(1, addr, 77); // node 1 becomes exclusive owner
+    let (v, _) = m.read(2, addr);
     assert_eq!(v, 77);
     // Owner was downgraded, not invalidated: its next read hits.
-    let (v1, f1) = read_u64(&mut m.nodes[1], addr);
+    let (v1, f1) = m.read(1, addr);
     assert_eq!(v1, 77);
     assert_eq!(f1, 0);
     assert_eq!(m.nodes[1].shared.stats.snapshot().recalls_in, 1);
-    m.shutdown();
 }
 
 #[test]
 fn upgrade_moves_no_data() {
     let mut m = machine(2, 32);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
-    write_u64(&mut m.nodes[0], addr, 5);
-    let (v, _) = read_u64(&mut m.nodes[1], addr);
+    let addr = m.nodes[0].state.mem.alloc(8, 8);
+    m.write(0, addr, 5);
+    let (v, _) = m.read(1, addr);
     assert_eq!(v, 5);
     // Node 1 upgrades its read-only copy to writable: grant without data.
     let mut buf = [0u8; 8];
     9u64.store(&mut buf);
-    let fault = m.nodes[1].shared.mem.lock().write_in_block(addr, &buf).unwrap_err();
-    let tn = &mut m.nodes[1];
-    let info = fetch(&tn.shared, &tn.wake_rx, fault.fault().block, true, &mut tn.stash);
+    let fault = m.nodes[1].state.mem.write_in_block(addr, &buf).unwrap_err();
+    let info = m.on(1, |n| fetch(n, fault.fault().block, true));
     assert_eq!(info.bytes, 0, "upgrade grant carries no data");
-    assert_eq!(write_u64(&mut m.nodes[1], addr, 9), 0);
-    assert_eq!(read_u64(&mut m.nodes[0], addr).0, 9);
-    m.shutdown();
+    assert_eq!(m.write(1, addr, 9), 0);
+    assert_eq!(m.read(0, addr).0, 9);
 }
 
 #[test]
 fn home_read_of_remote_exclusive_recalls() {
     let mut m = machine(2, 32);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
-    write_u64(&mut m.nodes[1], addr, 1234); // remote node owns home's block
-    assert_eq!(m.nodes[0].shared.mem.lock().probe(addr.block(32)), Tag::Invalid);
-    let (v, faults) = read_u64(&mut m.nodes[0], addr);
+    let addr = m.nodes[0].state.mem.alloc(8, 8);
+    m.write(1, addr, 1234); // remote node owns home's block
+    assert_eq!(m.nodes[0].state.mem.probe(addr.block(32)), Tag::Invalid);
+    let (v, faults) = m.read(0, addr);
     assert_eq!(v, 1234);
     assert_eq!(faults, 1, "home read of remotely owned block faults");
-    m.shutdown();
 }
 
 #[test]
@@ -187,58 +161,46 @@ fn contended_exclusive_serializes() {
     // Many nodes hammer exclusive writes to one block; the waiter queue
     // must serialize them and every increment must survive.
     let n = 8;
-    let m = machine(n, 32);
-    let addr = m.nodes[0].shared.mem.lock().alloc(8, 8);
+    let mut m = machine(n, 32);
+    let addr = m.nodes[0].state.mem.alloc(8, 8);
     let rounds = 20;
 
-    let mut handles = vec![];
-    for tn in m.nodes.into_iter() {
-        handles.push(std::thread::spawn(move || {
-            let mut tn = tn;
-            for _ in 0..rounds {
-                // read-modify-write; each iteration re-acquires exclusivity
-                loop {
-                    // hold the mem lock across the RMW so the local copy
-                    // can't be recalled mid-update
-                    let mut mem = tn.shared.mem.lock();
-                    let mut buf = [0u8; 8];
-                    if mem.read_in_block(addr, &mut buf).is_ok()
-                        && mem.probe(addr.block(32)).writable()
-                    {
-                        let v = u64::load(&buf) + 1;
-                        v.store(&mut buf);
-                        mem.write_in_block(addr, &buf).unwrap();
-                        break;
-                    }
-                    drop(mem);
-                    fetch(&tn.shared, &tn.wake_rx, addr.block(32), true, &mut tn.stash);
+    m.run(|node, _| {
+        for _ in 0..rounds {
+            // read-modify-write; each iteration re-acquires exclusivity
+            loop {
+                // no inbox drain inside the RMW, so the local copy can't
+                // be recalled mid-update
+                let mem = &mut node.state.mem;
+                let mut buf = [0u8; 8];
+                if mem.read_in_block(addr, &mut buf).is_ok() && mem.probe(addr.block(32)).writable()
+                {
+                    let v = u64::load(&buf) + 1;
+                    v.store(&mut buf);
+                    mem.write_in_block(addr, &buf).unwrap();
+                    break;
                 }
+                fetch(node, addr.block(32), true);
             }
-            tn
-        }));
-    }
-    let mut nodes: Vec<TestNode> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let (total, _) = read_u64(&mut nodes[0], addr);
+        }
+    });
+    let (total, _) = m.read(0, addr);
     assert_eq!(total, (n * rounds) as u64);
-    for tn in &nodes {
-        tn.shared.send(tn.shared.me, Msg::Shutdown);
-    }
 }
 
 #[test]
 fn distinct_blocks_are_independent() {
     let mut m = machine(2, 32);
-    let a = m.nodes[0].shared.mem.lock().alloc(8, 8);
-    let b = m.nodes[0].shared.mem.lock().alloc(32, 32); // next block
+    let a = m.nodes[0].state.mem.alloc(8, 8);
+    let b = m.nodes[0].state.mem.alloc(32, 32); // next block
     assert_ne!(a.block(32), b.block(32));
-    write_u64(&mut m.nodes[0], a, 1);
-    write_u64(&mut m.nodes[1], b, 2);
-    assert_eq!(read_u64(&mut m.nodes[1], a).0, 1);
-    assert_eq!(read_u64(&mut m.nodes[0], b).0, 2);
+    m.write(0, a, 1);
+    m.write(1, b, 2);
+    assert_eq!(m.read(1, a).0, 1);
+    assert_eq!(m.read(0, b).0, 2);
     // Writing b again on node 1 must not disturb node 1's copy of a.
-    write_u64(&mut m.nodes[1], b, 3);
-    assert_eq!(read_u64(&mut m.nodes[1], a).1, 0, "block a still cached");
-    m.shutdown();
+    m.write(1, b, 3);
+    assert_eq!(m.read(1, a).1, 0, "block a still cached");
 }
 
 #[test]
@@ -246,16 +208,15 @@ fn false_sharing_within_block_pingpongs() {
     // Two nodes write different words of the same 32-byte block: the block
     // must ping-pong (correct but slow — motivates small blocks).
     let mut m = machine(3, 32);
-    let base = m.nodes[0].shared.mem.lock().alloc(32, 32);
+    let base = m.nodes[0].state.mem.alloc(32, 32);
     let w0 = base;
     let w1 = base.add(8);
     for i in 0..4u64 {
-        write_u64(&mut m.nodes[1], w0, i);
-        write_u64(&mut m.nodes[2], w1, 100 + i);
+        m.write(1, w0, i);
+        m.write(2, w1, 100 + i);
     }
-    assert_eq!(read_u64(&mut m.nodes[0], w0).0, 3);
-    assert_eq!(read_u64(&mut m.nodes[0], w1).0, 103);
+    assert_eq!(m.read(0, w0).0, 3);
+    assert_eq!(m.read(0, w1).0, 103);
     let s1 = m.nodes[1].shared.stats.snapshot();
     assert!(s1.recalls_in + s1.invals_in >= 3, "false sharing forces repeated teardown");
-    m.shutdown();
 }

@@ -5,80 +5,57 @@
 //! the block had been re-granted to a waiter, silently losing the home's
 //! writes.
 
-use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::Mutex;
-use prescient_stache::{fetch, spawn_protocol, Msg, NoHooks, NodeShared, Wake};
-use prescient_tempest::fabric::Fabric;
-use prescient_tempest::{CostModel, GAddr, GlobalLayout, Prim, VBarrier};
+use prescient_stache::testkit::Cluster;
+use prescient_stache::{fetch, NoHooks, Node, RetryConfig};
+use prescient_tempest::{GAddr, Prim};
 use std::sync::Arc;
+
+fn write(node: &mut Node, a: GAddr, v: u64) {
+    let mut buf = [0u8; 8];
+    v.store(&mut buf);
+    while let Err(f) = node.state.mem.write_in_block(a, &buf) {
+        fetch(node, f.fault().block, true);
+    }
+}
+
+fn read(node: &mut Node, a: GAddr) -> u64 {
+    let mut buf = [0u8; 8];
+    while let Err(f) = node.state.mem.read_in_block(a, &mut buf) {
+        fetch(node, f.fault().block, false);
+    }
+    u64::load(&buf)
+}
 
 #[test]
 fn false_sharing_stress() {
     for round in 0..6 {
-        let nodes = 3;
-        let layout = GlobalLayout::new(nodes, 64);
-        let mut tns = Vec::new();
-        for ep in Fabric::new::<Msg>(nodes) {
-            let (tx, rx) = unbounded();
-            let shared =
-                Arc::new(NodeShared::new(layout, CostModel::default(), ep.net().clone(), tx));
-            spawn_protocol(Arc::clone(&shared), ep, Arc::new(NoHooks));
-            tns.push((shared, rx));
-        }
-        let base = tns[2].0.mem.lock().alloc(8 * 4, 8);
-        let barrier = Arc::new(VBarrier::new(nodes));
-        let fails: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(vec![]));
-        std::thread::scope(|s| {
-            for (me, (shared, rx)) in tns.iter().enumerate() {
-                let shared = Arc::clone(shared);
-                let rx: Receiver<Wake> = rx.clone();
-                let barrier = Arc::clone(&barrier);
-                let fails = Arc::clone(&fails);
-                s.spawn(move || {
-                    let mut stash = vec![];
-                    let w = |sh: &NodeShared, rx: &Receiver<Wake>, stash: &mut Vec<Wake>, a: GAddr, v: u64| {
-                        let mut buf = [0u8; 8]; v.store(&mut buf);
-                        loop {
-                            let res = sh.mem.lock().write_in_block(a, &buf);
-                            match res {
-                                Ok(()) => break,
-                                Err(f) => { fetch(sh, rx, f.fault().block, true, stash); }
-                            }
+        let mut m = Cluster::new(3, 64, RetryConfig::default(), None, |_| Arc::new(NoHooks));
+        let base = m.nodes[2].state.mem.alloc(8 * 4, 8);
+        let fails: Vec<String> = m
+            .run(|node, barrier| {
+                let me = u64::from(node.shared.me);
+                let mut fails = vec![];
+                for iter in 0..6u64 {
+                    // write phase: node k writes word k
+                    write(node, base.add(8 * me), 1000 * iter + me);
+                    node.barrier(barrier, 0);
+                    // read phase: everyone reads all three words
+                    for k in 0..3u64 {
+                        let got = read(node, base.add(8 * k));
+                        let want = 1000 * iter + k;
+                        if got != want {
+                            fails.push(format!(
+                                "round {round} iter {iter}: node {me} word {k}: got {got} want {want}"
+                            ));
                         }
-                    };
-                    let r = |sh: &NodeShared, rx: &Receiver<Wake>, stash: &mut Vec<Wake>, a: GAddr| -> u64 {
-                        let mut buf = [0u8; 8];
-                        loop {
-                            let res = sh.mem.lock().read_in_block(a, &mut buf);
-                            match res {
-                                Ok(()) => return u64::load(&buf),
-                                Err(f) => { fetch(sh, rx, f.fault().block, false, stash); }
-                            }
-                        }
-                    };
-                    for iter in 0..6u64 {
-                        // write phase: node k writes word k
-                        w(&shared, &rx, &mut stash, base.add(8 * me as u64), 1000 * iter + me as u64);
-                        barrier.wait(0);
-                        // read phase: everyone reads all three words
-                        for k in 0..3u64 {
-                            let got = r(&shared, &rx, &mut stash, base.add(8 * k));
-                            let want = 1000 * iter + k;
-                            if got != want {
-                                fails.lock().push(format!(
-                                    "round {round} iter {iter}: node {me} word {k}: got {got} want {want}"
-                                ));
-                            }
-                        }
-                        barrier.wait(0);
                     }
-                });
-            }
-        });
-        for (shared, _) in &tns {
-            shared.send(shared.me, Msg::Shutdown);
-        }
-        let f = fails.lock();
-        assert!(f.is_empty(), "{:#?}", *f);
+                    node.barrier(barrier, 0);
+                }
+                fails
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        assert!(fails.is_empty(), "{fails:#?}");
     }
 }

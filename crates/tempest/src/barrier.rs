@@ -1,7 +1,7 @@
 //! A virtual-time-aware global barrier.
 //!
 //! Parallel phases are separated by barriers (§1). Besides rendezvousing
-//! the compute threads, the barrier aggregates each participant's virtual
+//! the nodes' threads, the barrier aggregates each participant's virtual
 //! clock: everyone leaves at `max(arrival times) + barrier cost`, and each
 //! node learns its own stall gap, which the runtime books as
 //! synchronization time. This is how the reproduction observes the paper's
@@ -10,10 +10,16 @@
 //!
 //! Barrier entry is a protocol *quiescence point*: with the fabric's
 //! egress aggregation (see [`crate::fabric`]), a participant must flush
-//! its node's egress buffers before calling [`VBarrier::wait`] — a thread
-//! never blocks while its node's egress is dirty. The barrier itself is
-//! fabric-agnostic (it rendezvouses any set of threads), so the runtime's
-//! `NodeCtx` owns that flush, not this type.
+//! its node's egress buffers before arriving — a thread never blocks while
+//! its node's egress is dirty. The barrier itself is fabric-agnostic (it
+//! rendezvouses any set of threads), so the node layer owns that flush,
+//! not this type.
+//!
+//! Two ways to take part: [`VBarrier::wait`] parks the caller on a
+//! condition variable until release; [`VBarrier::arrive`] +
+//! [`VBarrier::poll`] never block, for a participant that has other work
+//! while it waits — a node's thread keeps serving its inbox, and whoever
+//! arrives last wakes the others through their inboxes.
 
 use parking_lot::{Condvar, Mutex};
 
@@ -34,6 +40,13 @@ pub struct BarrierOut {
     pub max_arrival_ns: u64,
     /// This participant's stall: `max_arrival_ns - own arrival`.
     pub stall_ns: u64,
+}
+
+/// A not-yet-released arrival (see [`VBarrier::arrive`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ticket {
+    generation: u64,
+    arrival_ns: u64,
 }
 
 struct Inner {
@@ -73,6 +86,55 @@ impl VBarrier {
         self.n
     }
 
+    /// Arrive with one's current virtual time without blocking: `Ok` if
+    /// this arrival was the last and released the episode, else the
+    /// [`Ticket`] to [`VBarrier::poll`] with.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with the [`Aborted`] sentinel if the barrier is poisoned.
+    pub fn arrive(&self, arrival_ns: u64) -> Result<BarrierOut, Ticket> {
+        let mut g = self.inner.lock();
+        if g.poisoned {
+            drop(g);
+            std::panic::panic_any(Aborted);
+        }
+        g.cur_max = g.cur_max.max(arrival_ns);
+        g.arrived += 1;
+        if g.arrived < self.n {
+            return Err(Ticket { generation: g.generation, arrival_ns });
+        }
+        let max = g.cur_max;
+        g.published_max = max;
+        g.cur_max = 0;
+        g.arrived = 0;
+        g.generation += 1;
+        self.cv.notify_all();
+        Ok(BarrierOut { max_arrival_ns: max, stall_ns: max - arrival_ns })
+    }
+
+    /// Has the episode `ticket` arrived in been released? Never blocks.
+    /// (The published maximum cannot be overwritten before every holder
+    /// of a ticket has seen it: the next episode needs them all to
+    /// arrive again.)
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with [`Aborted`] if the barrier was poisoned before the
+    /// release — a participant died and the rendezvous can never complete.
+    pub fn poll(&self, ticket: &Ticket) -> Option<BarrierOut> {
+        let g = self.inner.lock();
+        if g.generation != ticket.generation {
+            let max = g.published_max;
+            return Some(BarrierOut { max_arrival_ns: max, stall_ns: max - ticket.arrival_ns });
+        }
+        if g.poisoned {
+            drop(g);
+            std::panic::panic_any(Aborted);
+        }
+        None
+    }
+
     /// Arrive with one's current virtual time; blocks until all `n`
     /// participants have arrived.
     ///
@@ -82,31 +144,16 @@ impl VBarrier {
     /// becomes) poisoned — a participant died and the rendezvous can never
     /// complete.
     pub fn wait(&self, arrival_ns: u64) -> BarrierOut {
+        let ticket = match self.arrive(arrival_ns) {
+            Ok(out) => return out,
+            Err(t) => t,
+        };
         let mut g = self.inner.lock();
-        if g.poisoned {
-            drop(g);
-            std::panic::panic_any(Aborted);
+        while g.generation == ticket.generation && !g.poisoned {
+            self.cv.wait(&mut g);
         }
-        g.cur_max = g.cur_max.max(arrival_ns);
-        g.arrived += 1;
-        if g.arrived == self.n {
-            g.published_max = g.cur_max;
-            g.cur_max = 0;
-            g.arrived = 0;
-            g.generation += 1;
-            self.cv.notify_all();
-        } else {
-            let gen = g.generation;
-            while g.generation == gen && !g.poisoned {
-                self.cv.wait(&mut g);
-            }
-            if g.generation == gen {
-                drop(g);
-                std::panic::panic_any(Aborted); // woke by poison, not release
-            }
-        }
-        let max = g.published_max;
-        BarrierOut { max_arrival_ns: max, stall_ns: max - arrival_ns }
+        drop(g);
+        self.poll(&ticket).expect("released or poisoned")
     }
 
     /// Mark the barrier unusable and wake every blocked participant: each
@@ -164,6 +211,21 @@ mod tests {
         assert!(err.downcast_ref::<Aborted>().is_some(), "payload must be the Aborted sentinel");
         // Later arrivals abort immediately too.
         let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.wait(0)));
+        assert!(late.is_err());
+    }
+
+    #[test]
+    fn arrive_and_poll_never_block() {
+        let b = VBarrier::new(2);
+        let ticket = b.arrive(5).expect_err("first of two cannot release");
+        assert_eq!(b.poll(&ticket), None);
+        let last = b.arrive(9).expect("second of two releases");
+        assert_eq!(last, BarrierOut { max_arrival_ns: 9, stall_ns: 0 });
+        assert_eq!(b.poll(&ticket), Some(BarrierOut { max_arrival_ns: 9, stall_ns: 4 }));
+        // Poison after the release does not take the release back.
+        b.poison();
+        assert!(b.poll(&ticket).is_some());
+        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.arrive(0)));
         assert!(late.is_err());
     }
 

@@ -53,7 +53,7 @@ pub struct CostModel {
     /// Cost of one global barrier (the CM-5 had a hardware barrier
     /// network).
     pub barrier_ns: u64,
-    /// Time a compute thread waits before re-issuing an unanswered
+    /// Time a node waits before re-issuing an unanswered
     /// coherence request (charged once per retry on top of the miss cost).
     pub retry_ns: u64,
 }
@@ -78,7 +78,7 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Virtual time a compute thread waits for one remote miss.
+    /// Virtual time a node waits for one remote miss.
     ///
     /// `extra_hops` counts recalls/invalidation rounds beyond the minimal
     /// request–response pair; `bytes` is the block size transferred (0 for
@@ -92,7 +92,7 @@ impl CostModel {
             + if recorded { self.record_ns } else { 0 }
     }
 
-    /// Virtual time a compute thread waits for a fault on its *own* home
+    /// Virtual time a node waits for a fault on its *own* home
     /// block (invalidating sharers / recalling an owner).
     #[inline]
     pub fn local_fault_ns(&self, extra_hops: u32, bytes: usize, recorded: bool) -> u64 {

@@ -52,8 +52,8 @@ pub use addr::{BlockId, GAddr};
 pub use barrier::{Aborted, VBarrier};
 pub use cost::CostModel;
 pub use fabric::{
-    BatchConfig, ChannelTransport, Endpoint, Envelope, Fabric, FabricCtl, ShardEndpoint,
-    ShardTransport, Transport, TryRecv, Undeliverable, WireBatch, WirePayload,
+    BatchConfig, ChannelTransport, Endpoint, Envelope, Fabric, FabricCtl, ShardEndpoint, Transport,
+    TryRecv, Undeliverable, WireBatch, WirePayload,
 };
 pub use faults::{
     CrashPlan, FaultHook, FaultPlan, FifoMode, PartitionScope, PartitionSpec, SplitMix64,

@@ -12,8 +12,8 @@
 //!
 //! # Zero perturbation
 //!
-//! Recording must not change what is being measured. Every cut is taken on
-//! the compute thread at a phase boundary it was crossing anyway, costs
+//! Recording must not change what is being measured. Every cut is taken by
+//! the node's thread at a phase boundary it was crossing anyway, costs
 //! only relaxed atomic loads plus a `Vec` push under an uncontended mutex,
 //! bills **no virtual time**, and sends **no messages** — so the gated
 //! perf-counter columns (vtime, msgs, bytes/blocks moved, misses,
@@ -23,13 +23,13 @@
 //!
 //! # Exactness
 //!
-//! A cut races the node's protocol-handler thread (which keeps serving
-//! remote requests right up to the barrier), so *which* phase an event is
+//! A node serves its peers' requests whenever they arrive — inside a
+//! barrier as well as inside a phase — so *which* phase a served request is
 //! attributed to is approximate at the margin. The per-node **sums** are
 //! not: records are deltas between consecutive snapshots of the same
 //! cumulative counters, so they telescope —
 //! `(c1-c0) + (c2-c1) + … + (cn-c(n-1)) = cn - c0` — and reconcile
-//! exactly with the teardown `RunReport`, whatever the races did.
+//! exactly with the teardown `RunReport`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

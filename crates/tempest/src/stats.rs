@@ -14,15 +14,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::NodeId;
 
 /// Event counters for one node. All counters are cumulative over the run and
-/// safe to update from both the compute and the protocol-handler thread —
-/// except `reads` and `writes`, which have a single writer (see
-/// [`NodeStats::bump_single_writer`]).
+/// safe to update from any thread — except `reads` and `writes`, which have
+/// a single writer (see [`NodeStats::bump_single_writer`]). In a running
+/// machine the node's own thread does all the counting; other threads
+/// (watchdog, metrics, reports) only read.
 #[derive(Debug, Default)]
 pub struct NodeStats {
-    /// Shared-memory loads issued by the compute thread. Single-writer:
-    /// only the node's compute thread may change it.
+    /// Shared-memory loads issued by the node's program. Single-writer:
+    /// only the node's own thread may change it.
     pub reads: AtomicU64,
-    /// Shared-memory stores issued by the compute thread. Single-writer,
+    /// Shared-memory stores issued by the node's program. Single-writer,
     /// like `reads`.
     pub writes: AtomicU64,
     /// Read faults that required a remote request.
@@ -53,7 +54,7 @@ pub struct NodeStats {
     /// pre-send earlier in the same phase — should stay 0 on a fault-free
     /// fabric; a diagnostic.
     pub presend_races: AtomicU64,
-    /// Coherence requests this node's compute thread re-issued after a
+    /// Coherence requests this node re-issued after a
     /// reply timeout.
     pub retries: AtomicU64,
     /// Pre-send bulk messages this node retransmitted after an ack timeout.
@@ -116,8 +117,8 @@ impl NodeStats {
     /// Correct only under the single-writer invariant: every write to `c`
     /// — this increment and [`NodeStats::restore`] on the rollback path —
     /// comes from one thread, so no update can fall between the load and
-    /// the store. `reads` and `writes` qualify: the node's compute thread
-    /// counts its own accesses and runs its own recovery. Any other thread
+    /// the store. `reads` and `writes` qualify: the node's thread counts
+    /// its own accesses and runs its own recovery. Any other thread
     /// may *read* the counter at any time (snapshots, metrics cuts); it
     /// sees some value the counter held, as with `fetch_add`.
     #[inline]

@@ -22,13 +22,14 @@
 //!   `Option`-like wrapper; every emission site is one branch on a
 //!   never-taken pointer when tracing is off, and the disabled tracer
 //!   allocates nothing.
-//! * **Virtual-time stamps**: the compute thread publishes its virtual
+//! * **Virtual-time stamps**: the node's program publishes its virtual
 //!   clock into the tracer at every protocol-relevant boundary (fault
 //!   begin/end, barriers, phase directives). Events emitted from the
-//!   protocol-handler thread are stamped with the *last published* compute
-//!   vtime — an approximation documented in DESIGN.md §11: handler events
-//!   carry the vtime of the compute activity they are concurrent with,
-//!   which is exactly the resolution the per-phase analyses need.
+//!   protocol handlers (which run on the same thread, between those
+//!   boundaries) are stamped with the *last published* vtime — an
+//!   approximation documented in DESIGN.md §11: handler events carry the
+//!   vtime of the program activity they interleave with, which is exactly
+//!   the resolution the per-phase analyses need.
 //! * **Quiescent drain**: rings are read only when the machine is idle
 //!   (between runs or at teardown). A torn slot — possible only when the
 //!   ring wrapped *and* both threads raced the same slot — is detected by
@@ -210,7 +211,7 @@ pub enum EventKind {
     /// The liveness watchdog declared the machine stuck. `a` = 1 crash /
     /// 2 deadlock, `b` = blocked-node bitmap (nodes 0–63).
     WatchdogFire = 30,
-    /// A commutative-merge exchange window opened on the compute thread.
+    /// A commutative-merge exchange window opened by the node's program.
     /// `a` = phase id, `b` = outgoing payload targets.
     MergeBegin = 31,
     /// The merge window closed: all delta chunks pushed and acknowledged,
@@ -449,8 +450,8 @@ pub struct TraceEvent {
     pub node: NodeId,
     /// Per-node emission sequence number (gaps = dropped events).
     pub seq: u64,
-    /// Virtual-time stamp (ns since run start; protocol-thread events
-    /// carry the last vtime the compute thread published).
+    /// Virtual-time stamp (ns since run start; handler events carry the
+    /// last vtime the node's program published).
     pub t_ns: u64,
     /// Phase id current at emission (0 before the first `phase_begin`).
     pub phase: u32,
@@ -531,8 +532,8 @@ impl Tracer {
         self.0.is_some()
     }
 
-    /// Publish the compute thread's virtual clock; subsequent events (from
-    /// either thread) are stamped with it.
+    /// Publish the node's virtual clock; subsequent events (the program's
+    /// and the handlers') are stamped with it.
     #[inline]
     pub fn set_vtime(&self, t_ns: u64) {
         if let Some(s) = &self.0 {
@@ -612,8 +613,8 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
 
 /// Semantic track (Chrome "thread") an event renders on. Nodes map to
 /// Chrome processes; inside each node, events group into a phase track,
-/// the compute thread's fault/barrier/pre-send spans, the protocol
-/// handler's instants, and the wire/fault-injection layer.
+/// the program's fault/barrier/pre-send spans, the protocol handlers'
+/// instants, and the wire/fault-injection layer.
 fn chrome_track(kind: EventKind) -> (u32, &'static str) {
     match kind {
         EventKind::PhaseBegin | EventKind::PhaseEnd => (0, "phase"),
@@ -715,8 +716,8 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
             );
         }
     }
-    // Span pairing: per (node, opening kind), spans never overlap — the
-    // compute thread is serial and phases/windows nest properly — so a
+    // Span pairing: per (node, opening kind), spans never overlap — a
+    // node's program is serial and phases/windows nest properly — so a
     // simple open-event stack per key suffices.
     let mut open: std::collections::HashMap<(NodeId, EventKind), Vec<&TraceEvent>> =
         std::collections::HashMap::new();
