@@ -482,12 +482,16 @@ impl BarnesShared {
         cell.add(oi as u64 * 8)
     }
 
-    fn cell_mass_addr(&self, cell: GAddr) -> GAddr {
+    /// The cell's summary record: mass and the three COM words, one run.
+    fn cell_summary_addr(&self, cell: GAddr) -> GAddr {
         cell.add(8 * 8)
     }
 
-    fn cell_com_addr(&self, cell: GAddr, k: usize) -> GAddr {
-        cell.add((9 + k as u64) * 8)
+    /// A cell's eight child words, read as one run.
+    fn read_children(&self, ctx: &mut NodeCtx, cell: GAddr) -> [u64; 8] {
+        let mut children = [0u64; 8];
+        ctx.read_run(self.cell_child_addr(cell, 0), &mut children);
+        children
     }
 }
 
@@ -507,9 +511,7 @@ impl Arena {
         self.next += 1;
         // Clear the children; summary words are overwritten by the COM
         // pass.
-        for oi in 0..8 {
-            ctx.write(sh.cell_child_addr(a, oi), 0u64);
-        }
+        ctx.write_run(sh.cell_child_addr(a, 0), &[0u64; 8]);
         a
     }
 }
@@ -1012,8 +1014,7 @@ fn com_pass(
 ) -> (f64, [f64; 3]) {
     let mut m = 0.0f64;
     let mut c = [0.0f64; 3];
-    for oi in 0..8 {
-        let w = ctx.read::<u64>(sh.cell_child_addr(cell, oi));
+    for w in sh.read_children(ctx, cell) {
         let (cm, cc) = match child_decode(w) {
             Child::Empty => continue,
             Child::Body(b) => {
@@ -1033,10 +1034,7 @@ fn com_pass(
             *ck /= m;
         }
     }
-    ctx.write(sh.cell_mass_addr(cell), m);
-    for k in 0..3 {
-        ctx.write(sh.cell_com_addr(cell, k), c[k]);
-    }
+    ctx.write_run(sh.cell_summary_addr(cell), &[m, c[0], c[1], c[2]]);
     (m, c)
 }
 
@@ -1053,12 +1051,9 @@ fn walk_force(
     acc: &mut [f64; 3],
     snapshot: Option<&HashMap<usize, [f64; 3]>>,
 ) {
-    let mass = ctx.read::<f64>(sh.cell_mass_addr(cell));
-    let com = [
-        ctx.read::<f64>(sh.cell_com_addr(cell, 0)),
-        ctx.read::<f64>(sh.cell_com_addr(cell, 1)),
-        ctx.read::<f64>(sh.cell_com_addr(cell, 2)),
-    ];
+    let mut summary = [0.0f64; 4];
+    ctx.read_run(sh.cell_summary_addr(cell), &mut summary);
+    let [mass, com @ ..] = summary;
     let dx = com[0] - p[0];
     let dy = com[1] - p[1];
     let dz = com[2] - p[2];
@@ -1069,8 +1064,7 @@ fn walk_force(
         ctx.work(10);
         return;
     }
-    for oi in 0..8 {
-        let w = ctx.read::<u64>(sh.cell_child_addr(cell, oi));
+    for w in sh.read_children(ctx, cell) {
         match child_decode(w) {
             Child::Empty => {}
             Child::Body(j) => {

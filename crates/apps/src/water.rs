@@ -21,7 +21,8 @@
 //! per-processor partial-force arrays living in shared memory and summed
 //! by owners through ordinary loads, with no protocol directives.
 
-use prescient_runtime::{Agg1D, Dist1D, Machine, MachineConfig, NodeCtx};
+use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, MachineConfig, NodeCtx};
+use prescient_tempest::GAddr;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -187,6 +188,155 @@ pub fn water_final_positions(mcfg: MachineConfig, cfg: &WaterConfig) -> Vec<[f64
     water_driver(mcfg, cfg).0
 }
 
+/// The molecules' positions: one block-distributed aggregate per
+/// coordinate, all three cut into partitions the same way.
+struct Coords([Agg1D<f64>; 3]);
+
+/// Scratch for one segment's coordinates, one vector per axis.
+type Scratch = [Vec<f64>; 3];
+
+/// Scratch that holds any segment: a segment lies inside one cache block.
+fn scratch(ctx: &NodeCtx) -> Scratch {
+    [(); 3].map(|()| vec![0.0; ctx.block_size() / 8])
+}
+
+impl Coords {
+    fn new(machine: &Machine, n: usize) -> Coords {
+        Coords([(); 3].map(|()| Agg1D::new(machine, n, Dist1D::Block)))
+    }
+
+    fn my_range(&self, ctx: &NodeCtx) -> std::ops::Range<usize> {
+        self.0[0].my_range(ctx.me())
+    }
+
+    /// Molecules `range` cut into segments `(first molecule, address of
+    /// its x, y and z, molecules)` within which each coordinate is
+    /// contiguous and inside one cache block. Taking a structured sweep
+    /// segment by segment — all x, then all y, then all z — first-touches
+    /// the blocks in the order the molecule-by-molecule loop does.
+    fn segments(
+        &self,
+        ctx: &NodeCtx,
+        range: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (usize, [GAddr; 3], usize)> + '_ {
+        let bs = ctx.block_size();
+        let [x, y, z] = &self.0;
+        let mut first = range.start;
+        x.runs(range.clone()).zip(y.runs(range.clone())).zip(z.runs(range)).flat_map(
+            move |(((ax, n), (ay, _)), (az, _))| {
+                let start = first;
+                first += n;
+                let mut w = 0;
+                std::iter::from_fn(move || {
+                    let at = [ax, ay, az].map(|a| a.add(8 * w as u64));
+                    let room = at.map(|a| (bs - a.offset_in_block(bs)) / 8);
+                    let k = room.into_iter().min().expect("three axes").min(n - w);
+                    w += k;
+                    (k > 0).then_some((start + w - k, at, k))
+                })
+            },
+        )
+    }
+
+    /// Read one segment's coordinates into `buf[axis][..k]`.
+    fn read(ctx: &mut NodeCtx, at: [GAddr; 3], k: usize, buf: &mut Scratch) {
+        for (a, b) in at.into_iter().zip(buf) {
+            ctx.read_run(a, &mut b[..k]);
+        }
+    }
+
+    /// One molecule's position, word by word.
+    fn read_one(&self, ctx: &mut NodeCtx, i: usize) -> [f64; 3] {
+        [0, 1, 2].map(|c| ctx.read::<f64>(self.0[c].addr(i)))
+    }
+
+    /// Owners write the initial positions (its own unmeasured run).
+    fn init(&self, machine: &mut Machine, init: &[[f64; 3]]) {
+        machine.run(|ctx: &mut NodeCtx| {
+            for (i0, at, k) in self.segments(ctx, self.my_range(ctx)) {
+                for (c, a) in at.into_iter().enumerate() {
+                    let vals: Vec<f64> = init[i0..i0 + k].iter().map(|p| p[c]).collect();
+                    ctx.write_run(a, &vals);
+                }
+            }
+            ctx.barrier();
+        });
+    }
+
+    /// Node 0 reads every position (validation; its own unmeasured run).
+    fn gather(&self, machine: &mut Machine, n: usize) -> Vec<[f64; 3]> {
+        let (out, _) = machine.run(|ctx: &mut NodeCtx| {
+            let mut out = Vec::new();
+            if ctx.me() == 0 {
+                let mut buf = scratch(ctx);
+                for (_, at, k) in self.segments(ctx, 0..n) {
+                    Coords::read(ctx, at, k, &mut buf);
+                    out.extend((0..k).map(|t| [buf[0][t], buf[1][t], buf[2][t]]));
+                }
+            }
+            ctx.barrier();
+            out
+        });
+        out.into_iter().next().expect("node 0")
+    }
+}
+
+/// The interaction phase body: every molecule of `mine` against the
+/// partners the half-shell rule gives it, pair forces accumulated into
+/// the private `force`. The partner sweep is the access summary's
+/// structured non-home read — molecules `i+1 ..= i+(n-1)/2`, wrapping —
+/// and takes the run form; the `d = n/2` partner, computed from the lower
+/// index only, stays a per-word access so exactly the positions the rule
+/// selects are read.
+fn interactions(
+    ctx: &mut NodeCtx,
+    pos: &Coords,
+    mine: std::ops::Range<usize>,
+    (n, l, rc2): (usize, f64, f64),
+    force: &mut [f64],
+) {
+    let mut buf = scratch(ctx);
+    for i in mine {
+        let pi = pos.read_one(ctx, i);
+        let mut pair = |ctx: &mut NodeCtx, j: usize, pj: [f64; 3]| {
+            let dx = min_image(pi[0] - pj[0], l);
+            let dy = min_image(pi[1] - pj[1], l);
+            let dz = min_image(pi[2] - pj[2], l);
+            let r2 = dx * dx + dy * dy + dz * dz;
+            // Distance check + pair bookkeeping; the in-cutoff charge
+            // models the paper's multi-site water potential (hundreds of
+            // flops per molecule pair), which our simplified LJ kernel
+            // stands in for.
+            ctx.work(30);
+            if r2 < rc2 && r2 > 1e-12 {
+                let f = lj_force_over_r(r2);
+                let (fx, fy, fz) = (clamp_force(f * dx), clamp_force(f * dy), clamp_force(f * dz));
+                ctx.work(300);
+                force[3 * i] += fx;
+                force[3 * i + 1] += fy;
+                force[3 * i + 2] += fz;
+                force[3 * j] -= fx;
+                force[3 * j + 1] -= fy;
+                force[3 * j + 2] -= fz;
+            }
+        };
+        let end = i + 1 + (n - 1) / 2;
+        for partners in [i + 1..end.min(n), 0..end.saturating_sub(n)] {
+            for (j0, at, k) in pos.segments(ctx, partners) {
+                Coords::read(ctx, at, k, &mut buf);
+                for t in 0..k {
+                    pair(ctx, j0 + t, [buf[0][t], buf[1][t], buf[2][t]]);
+                }
+            }
+        }
+        if n % 2 == 0 && owns_pair(i, n / 2, n) {
+            let j = (i + n / 2) % n;
+            let pj = pos.read_one(ctx, j);
+            pair(ctx, j, pj);
+        }
+    }
+}
+
 /// The shared driver: set up, run the measured main loop, gather
 /// positions.
 fn water_driver(
@@ -198,112 +348,52 @@ fn water_driver(
     let rc2 = cfg.cutoff() * cfg.cutoff();
     let dt = cfg.dt;
     let steps = cfg.steps;
-    let init = initial_positions(cfg);
 
     let mut machine = Machine::new(mcfg);
-    let px = Agg1D::<f64>::new(&machine, n, Dist1D::Block);
-    let py = Agg1D::<f64>::new(&machine, n, Dist1D::Block);
-    let pz = Agg1D::<f64>::new(&machine, n, Dist1D::Block);
-
-    // Owners write initial positions (not measured).
-    machine.run(|ctx: &mut NodeCtx| {
-        for i in px.my_range(ctx.me()) {
-            ctx.write(px.addr(i), init[i][0]);
-            ctx.write(py.addr(i), init[i][1]);
-            ctx.write(pz.addr(i), init[i][2]);
-        }
-        ctx.barrier();
-    });
+    let pos = Coords::new(&machine, n);
+    pos.init(&mut machine, &initial_positions(cfg));
 
     let (_, report) = machine.run(|ctx: &mut NodeCtx| {
-        let mine = px.my_range(ctx.me());
+        let mine = pos.my_range(ctx);
         // Private (non-shared) per-node state. `vel` survives across
         // phases, so the advance phase passes it as its replay state —
         // a crash rolls it back together with shared memory.
         let mut vel = vec![[0.0f64; 3]; n];
+        let mut buf = scratch(ctx);
         for _step in 0..steps {
             // ---- Phase 1: interactions ------------------------------
             // The force accumulator is the phase's replay state: it is
             // zeroed here, so a replayed body re-accumulates from clean.
             let mut force = vec![0.0f64; 3 * n];
             ctx.phase(PHASE_INTERACT, &mut force, |ctx, force| {
-                for i in mine.clone() {
-                    let xi = ctx.read::<f64>(px.addr(i));
-                    let yi = ctx.read::<f64>(py.addr(i));
-                    let zi = ctx.read::<f64>(pz.addr(i));
-                    for d in 1..=n / 2 {
-                        if !owns_pair(i, d, n) {
-                            continue;
-                        }
-                        let j = (i + d) % n;
-                        let xj = ctx.read::<f64>(px.addr(j));
-                        let yj = ctx.read::<f64>(py.addr(j));
-                        let zj = ctx.read::<f64>(pz.addr(j));
-                        let dx = min_image(xi - xj, l);
-                        let dy = min_image(yi - yj, l);
-                        let dz = min_image(zi - zj, l);
-                        let r2 = dx * dx + dy * dy + dz * dz;
-                        // Distance check + pair bookkeeping; the in-cutoff
-                        // charge models the paper's multi-site water potential
-                        // (hundreds of flops per molecule pair), which our
-                        // simplified LJ kernel stands in for.
-                        ctx.work(30);
-                        if r2 < rc2 && r2 > 1e-12 {
-                            let f = lj_force_over_r(r2);
-                            let (fx, fy, fz) =
-                                (clamp_force(f * dx), clamp_force(f * dy), clamp_force(f * dz));
-                            ctx.work(300);
-                            force[3 * i] += fx;
-                            force[3 * i + 1] += fy;
-                            force[3 * i + 2] += fz;
-                            force[3 * j] -= fx;
-                            force[3 * j + 1] -= fy;
-                            force[3 * j + 2] -= fz;
-                        }
-                    }
-                }
+                interactions(ctx, &pos, mine.clone(), (n, l, rc2), force);
             });
 
             // ---- Reduction (language feature) -----------------------
             ctx.allreduce_sum(&mut force);
 
             // ---- Phase 2: advance -----------------------------------
+            // The owners' sweep over their own molecules: structured home
+            // reads and writes, a segment at a time.
             ctx.phase(PHASE_ADVANCE, &mut vel, |ctx, vel| {
-                for i in mine.clone() {
-                    let mut p = [
-                        ctx.read::<f64>(px.addr(i)),
-                        ctx.read::<f64>(py.addr(i)),
-                        ctx.read::<f64>(pz.addr(i)),
-                    ];
-                    for k in 0..3 {
-                        vel[i][k] += force[3 * i + k] * dt;
-                        p[k] = (p[k] + vel[i][k] * dt).rem_euclid(l);
+                for (i0, at, k) in pos.segments(ctx, mine.clone()) {
+                    Coords::read(ctx, at, k, &mut buf);
+                    for (t, i) in (i0..i0 + k).enumerate() {
+                        for c in 0..3 {
+                            vel[i][c] += force[3 * i + c] * dt;
+                            buf[c][t] = (buf[c][t] + vel[i][c] * dt).rem_euclid(l);
+                        }
+                        ctx.work(12);
                     }
-                    ctx.work(12);
-                    ctx.write(px.addr(i), p[0]);
-                    ctx.write(py.addr(i), p[1]);
-                    ctx.write(pz.addr(i), p[2]);
+                    for (a, b) in at.into_iter().zip(&buf) {
+                        ctx.write_run(a, &b[..k]);
+                    }
                 }
             });
         }
     });
 
-    // Gather final positions for validation.
-    let (sums, _) = machine.run(|ctx: &mut NodeCtx| {
-        let mut out = Vec::new();
-        if ctx.me() == 0 {
-            for i in 0..n {
-                out.push([
-                    ctx.read::<f64>(px.addr(i)),
-                    ctx.read::<f64>(py.addr(i)),
-                    ctx.read::<f64>(pz.addr(i)),
-                ]);
-            }
-        }
-        ctx.barrier();
-        out
-    });
-    (sums.into_iter().next().expect("node 0"), report)
+    (pos.gather(&mut machine, n), report)
 }
 
 /// The Splash-style baseline (Figure 7's third bar): transparent shared
@@ -320,76 +410,26 @@ pub fn run_splash_water(mcfg: MachineConfig, cfg: &WaterConfig) -> AppRun {
     let rc2 = cfg.cutoff() * cfg.cutoff();
     let dt = cfg.dt;
     let steps = cfg.steps;
-    let init = initial_positions(cfg);
     let nodes = mcfg.nodes;
 
     let mut machine = Machine::new(mcfg);
-    let px = Agg1D::<f64>::new(&machine, n, Dist1D::Block);
-    let py = Agg1D::<f64>::new(&machine, n, Dist1D::Block);
-    let pz = Agg1D::<f64>::new(&machine, n, Dist1D::Block);
+    let pos = Coords::new(&machine, n);
     // Per-node partial forces in shared memory: row p is node p's
     // contribution, 3n floats (SPLASH-2's per-process arrays).
-    let partial = prescient_runtime::Agg2D::<f64>::new(
-        &machine,
-        nodes,
-        3 * n,
-        prescient_runtime::Dist2D::RowBlock,
-    );
-
-    machine.run(|ctx: &mut NodeCtx| {
-        for i in px.my_range(ctx.me()) {
-            ctx.write(px.addr(i), init[i][0]);
-            ctx.write(py.addr(i), init[i][1]);
-            ctx.write(pz.addr(i), init[i][2]);
-        }
-        ctx.barrier();
-    });
+    let partial = Agg2D::<f64>::new(&machine, nodes, 3 * n, Dist2D::RowBlock);
+    pos.init(&mut machine, &initial_positions(cfg));
 
     let (_, report) = machine.run(|ctx: &mut NodeCtx| {
-        let mine = px.my_range(ctx.me());
+        let mine = pos.my_range(ctx);
         let me = ctx.me() as usize;
         let mut vel = vec![[0.0f64; 3]; n];
         for _ in 0..steps {
             // Interactions: accumulate locally, then publish the whole
-            // partial row to shared memory (home writes).
+            // partial row to shared memory (home writes, one run).
             let mut force = vec![0.0f64; 3 * n];
-            for i in mine.clone() {
-                let xi = ctx.read::<f64>(px.addr(i));
-                let yi = ctx.read::<f64>(py.addr(i));
-                let zi = ctx.read::<f64>(pz.addr(i));
-                for d in 1..=n / 2 {
-                    if !owns_pair(i, d, n) {
-                        continue;
-                    }
-                    let j = (i + d) % n;
-                    let xj = ctx.read::<f64>(px.addr(j));
-                    let yj = ctx.read::<f64>(py.addr(j));
-                    let zj = ctx.read::<f64>(pz.addr(j));
-                    let dx = min_image(xi - xj, l);
-                    let dy = min_image(yi - yj, l);
-                    let dz = min_image(zi - zj, l);
-                    let r2 = dx * dx + dy * dy + dz * dz;
-                    // Distance check + pair bookkeeping; the in-cutoff
-                    // charge models the paper's multi-site water potential
-                    // (hundreds of flops per molecule pair), which our
-                    // simplified LJ kernel stands in for.
-                    ctx.work(30);
-                    if r2 < rc2 && r2 > 1e-12 {
-                        let f = lj_force_over_r(r2);
-                        let (fx, fy, fz) =
-                            (clamp_force(f * dx), clamp_force(f * dy), clamp_force(f * dz));
-                        ctx.work(300);
-                        force[3 * i] += fx;
-                        force[3 * i + 1] += fy;
-                        force[3 * i + 2] += fz;
-                        force[3 * j] -= fx;
-                        force[3 * j + 1] -= fy;
-                        force[3 * j + 2] -= fz;
-                    }
-                }
-            }
-            for k in 0..3 * n {
-                ctx.write(partial.addr(me, k), force[k]);
+            interactions(ctx, &pos, mine.clone(), (n, l, rc2), &mut force);
+            for (a, _) in partial.row_runs(me, 0..3 * n) {
+                ctx.write_run(a, &force);
             }
             ctx.barrier();
 
@@ -404,44 +444,30 @@ pub fn run_splash_water(mcfg: MachineConfig, cfg: &WaterConfig) -> AppRun {
             for i in mine.clone() {
                 let mut f = [0.0f64; 3];
                 for &p in &contributors {
+                    let mut fp = [0.0f64; 3];
+                    for (a, _) in partial.row_runs(p, 3 * i..3 * i + 3) {
+                        ctx.read_run(a, &mut fp);
+                    }
                     for k in 0..3 {
-                        f[k] += ctx.read::<f64>(partial.addr(p, 3 * i + k));
+                        f[k] += fp[k];
                     }
                     ctx.work(3);
                 }
-                let mut pv = [
-                    ctx.read::<f64>(px.addr(i)),
-                    ctx.read::<f64>(py.addr(i)),
-                    ctx.read::<f64>(pz.addr(i)),
-                ];
+                let mut pv = pos.read_one(ctx, i);
                 for k in 0..3 {
                     vel[i][k] += f[k] * dt;
                     pv[k] = (pv[k] + vel[i][k] * dt).rem_euclid(l);
                 }
                 ctx.work(12);
-                ctx.write(px.addr(i), pv[0]);
-                ctx.write(py.addr(i), pv[1]);
-                ctx.write(pz.addr(i), pv[2]);
+                for k in 0..3 {
+                    ctx.write(pos.0[k].addr(i), pv[k]);
+                }
             }
             ctx.barrier();
         }
     });
 
-    let (sums, _) = machine.run(|ctx: &mut NodeCtx| {
-        let mut out = Vec::new();
-        if ctx.me() == 0 {
-            for i in 0..n {
-                out.push([
-                    ctx.read::<f64>(px.addr(i)),
-                    ctx.read::<f64>(py.addr(i)),
-                    ctx.read::<f64>(pz.addr(i)),
-                ]);
-            }
-        }
-        ctx.barrier();
-        out
-    });
-    AppRun { report, checksum: position_checksum(&sums[0]) }
+    AppRun { report, checksum: position_checksum(&pos.gather(&mut machine, n)) }
 }
 
 #[cfg(test)]

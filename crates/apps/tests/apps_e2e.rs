@@ -165,3 +165,67 @@ fn adaptive_predictive_reduces_wait_and_schedule_grows() {
     // Incremental growth: schedules recorded entries over the run.
     assert!(opt.report.total_stats().sched_records > 0);
 }
+
+// ---- the modelled machine, pinned ----------------------------------------
+
+/// The eight gated columns of one run: checksum bits, then `vtime_ns`,
+/// `msgs`, `bytes_moved`, `blocks_moved`, `misses`, `presend_blocks`,
+/// `presend_useless`.
+type Gated = [u64; 8];
+
+fn gated(run: &prescient_apps::AppRun) -> Gated {
+    let (r, t) = (&run.report, run.report.total_stats());
+    [
+        run.checksum.to_bits(),
+        r.exec_time_ns(),
+        t.msgs_out,
+        r.bytes_moved(),
+        r.blocks_moved(),
+        t.misses(),
+        t.presend_blocks_out,
+        t.presend_useless,
+    ]
+}
+
+/// The perf gate's machine (predictive, validated, a retry timeout no
+/// host scheduling delay can reach) at 8 nodes.
+fn gate_machine(block_size: usize) -> MachineConfig {
+    let retry = prescient_stache::RetryConfig {
+        timeout: std::time::Duration::from_secs(30),
+        max_retries: 4,
+    };
+    MachineConfig::predictive(8, block_size).with_retry(retry).validated()
+}
+
+/// Recorded at the commit before the apps' structured accesses took the
+/// run form (`NodeCtx::read_run`/`write_run`), one row per block size 32,
+/// 128, 1024: the run form must leave every gated column where the
+/// per-word loops put it.
+const WATER_PINS: [(usize, Gated); 3] = [
+    (32, [0x40bd5509c6b4817c, 0x510ee10, 0x16c0, 0x1b000, 0x7e0, 0x1e0, 0x600, 0x0]),
+    (128, [0x40bd5509c6b4817c, 0x49f38b0, 0x670, 0x1b000, 0x1f8, 0x78, 0x180, 0x0]),
+    (1024, [0x40bd5509c6b4817c, 0x48fb7f0, 0x2d0, 0x48000, 0xa8, 0x28, 0x80, 0x0]),
+];
+const BARNES_PINS: [(usize, Gated); 3] = [
+    (32, [0x40b5a4af575ab773, 0x102bdc10, 0xab36, 0xba320, 0x43e6, 0x2608, 0x1dde, 0x0]),
+    (128, [0x40b5a4af575ab773, 0x5c2f6a0, 0x2d20, 0xcf880, 0x12c8, 0xa6d, 0x85b, 0x0]),
+    (1024, [0x40b5a4af575ab773, 0x2dd5ea8, 0x8a4, 0x11b800, 0x32a, 0x1b0, 0x17a, 0x0]),
+];
+
+#[test]
+fn water_gated_columns_are_the_per_word_forms() {
+    let cfg = WaterConfig { n: 128, steps: 5, ..Default::default() };
+    for (bs, want) in WATER_PINS {
+        let got = gated(&run_water(gate_machine(bs), &cfg));
+        assert_eq!(got, want, "water, block size {bs}: {got:#x?}");
+    }
+}
+
+#[test]
+fn barnes_gated_columns_are_the_per_word_forms() {
+    let cfg = BarnesConfig { n: 512, steps: 2, ..Default::default() };
+    for (bs, want) in BARNES_PINS {
+        let got = gated(&run_barnes(gate_machine(bs), &cfg));
+        assert_eq!(got, want, "barnes, block size {bs}: {got:#x?}");
+    }
+}

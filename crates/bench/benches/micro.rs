@@ -15,8 +15,13 @@
 //!   (access counter, virtual clock, poll countdown, then `mem/*`'s work),
 //!   reads and writes apart; `ctx/poll_empty` is what every
 //!   `POLL_EVERY`-th access adds: one drain of an empty inbox;
+//!   `ctx/{read,write}_run_16` and `ctx/read_run_4` are the run form, one
+//!   iteration a whole run (Water's 16 partners in one 128-byte block,
+//!   Barnes' 4-word cell summary) — divide by the length to set it beside
+//!   `ctx/read_hit`; `mem/read_hit_slice` is the borrowed hit under it;
 //! * `agg/*` — element index → global address for the two distributions
-//!   the applications use, at their paper shapes;
+//!   the applications use, at their paper shapes, and `agg/runs_256`, one
+//!   molecule's partner range cut into its 17 partition runs;
 //! * `fabric/*` — the raw wire: a 256-message burst sent one envelope per
 //!   wire op (`send_single`, the pre-batching behavior) vs. packed into
 //!   wire batches (`send_batched`), and the receive-side batch drain in
@@ -193,6 +198,13 @@ fn bench_mem(c: &mut Criterion) {
             buf
         })
     });
+    c.bench_function("mem/read_hit_slice", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) & 1023;
+            mem.read_hit(std::hint::black_box(addrs[i]), 32).map(|s| s[0])
+        })
+    });
     c.bench_function("mem/probe", |b| {
         let mut i = 0usize;
         b.iter(|| {
@@ -210,6 +222,33 @@ fn bench_mem(c: &mut Criterion) {
     c.bench_function("mem/iter_blocks_1k_resident", |b| b.iter(|| mem.iter_blocks().count()));
 }
 
+/// Time `access` over `addrs` (4096 of them, cycled) on node 0 of
+/// `machine`, from inside the node's thread.
+fn timed_on_node_0(
+    c: &mut Criterion,
+    machine: &mut Machine,
+    addrs: &[GAddr],
+    name: &str,
+    access: &(dyn Fn(&mut NodeCtx, GAddr, u64) + Sync),
+) {
+    c.bench_function(name, |b| {
+        b.iter_custom(|iters| {
+            let (durs, _) = machine.run(|ctx: &mut NodeCtx| {
+                let start = std::time::Instant::now();
+                if ctx.me() == 0 {
+                    for i in 0..iters {
+                        access(ctx, std::hint::black_box(addrs[i as usize & 4095]), i);
+                    }
+                }
+                let d = start.elapsed();
+                ctx.barrier();
+                d
+            });
+            durs[0]
+        })
+    });
+}
+
 fn bench_ctx(c: &mut Criterion) {
     // Node 0 cycles over 4096 of its own elements (1024 blocks, all
     // written first so every access is a hit). Addresses are computed
@@ -225,28 +264,37 @@ fn bench_ctx(c: &mut Criterion) {
         }
         ctx.barrier();
     });
-    let mut timed = |name: &str, access: &(dyn Fn(&mut NodeCtx, GAddr, u64) + Sync)| {
-        c.bench_function(name, |b| {
-            b.iter_custom(|iters| {
-                let (durs, _) = machine.run(|ctx: &mut NodeCtx| {
-                    let start = std::time::Instant::now();
-                    if ctx.me() == 0 {
-                        for i in 0..iters {
-                            access(ctx, std::hint::black_box(addrs[i as usize & 4095]), i);
-                        }
-                    }
-                    let d = start.elapsed();
-                    ctx.barrier();
-                    d
-                });
-                durs[0]
-            })
-        });
-    };
-    timed("ctx/read_hit", &|ctx, addr, _| {
+    timed_on_node_0(c, &mut machine, &addrs, "ctx/read_hit", &|ctx, addr, _| {
         std::hint::black_box(ctx.read::<f64>(addr));
     });
-    timed("ctx/write_hit", &|ctx, addr, i| ctx.write(addr, i as f64));
+    timed_on_node_0(c, &mut machine, &addrs, "ctx/write_hit", &|ctx, addr, i| {
+        ctx.write(addr, i as f64)
+    });
+
+    // The run form at the paper's 128-byte blocks: 4096 block-aligned
+    // runs of 16 words, and the 4-word run at the head of each.
+    let mut wide = Machine::new(MachineConfig::stache(2, 128));
+    let base = wide.alloc_on(0, 4096 * 128, 128);
+    let runs: Vec<GAddr> = (0..4096).map(|r| base.add(128 * r)).collect();
+    wide.run(|ctx: &mut NodeCtx| {
+        if ctx.me() == 0 {
+            runs.iter().for_each(|&r| ctx.write_run(r, &[1.0f64; 16]));
+        }
+        ctx.barrier();
+    });
+    timed_on_node_0(c, &mut wide, &runs, "ctx/read_run_16", &|ctx, addr, _| {
+        let mut out = [0.0f64; 16];
+        ctx.read_run(addr, &mut out);
+        std::hint::black_box(out);
+    });
+    timed_on_node_0(c, &mut wide, &runs, "ctx/read_run_4", &|ctx, addr, _| {
+        let mut out = [0.0f64; 4];
+        ctx.read_run(addr, &mut out);
+        std::hint::black_box(out);
+    });
+    timed_on_node_0(c, &mut wide, &runs, "ctx/write_run_16", &|ctx, addr, i| {
+        ctx.write_run(addr, &[i as f64; 16])
+    });
 
     // The poll itself, below the runtime: a node whose inbox is empty.
     let mut idle =
@@ -265,6 +313,14 @@ fn bench_agg(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 37) & 511;
             a.addr(std::hint::black_box(i))
+        })
+    });
+    c.bench_function("agg/runs_256", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 37) & 255;
+            a.runs(std::hint::black_box(i + 1..i + 256))
+                .fold(0, |n, (addr, k)| n + addr.0 as usize + k)
         })
     });
     c.bench_function("agg/addr_rowblock_2d", |b| {

@@ -6,17 +6,27 @@
 //! the parallel aggregate, with `#0`/`#1` bound to the element position,
 //! and ends with the data-parallel barrier. The compiler-placed
 //! `phase_begin`/`phase_end` directives drive the predictive protocol.
+//!
+//! The access summary also places the *run form* of the checked access:
+//! a read site the summary calls affine, unconditional and of a parameter
+//! the function never writes ([`AccessSummary::hoisted`]) is read once per
+//! row of owned elements with `NodeCtx::read_run` — one access check per
+//! cache block — and the invocations of that row take their value from
+//! the row buffer. Every other site stays a per-word `read`/`write`.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use prescient_core::AccessTap;
 use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, NodeCtx, RunReport};
-use prescient_tempest::GAddr;
+use prescient_tempest::{GAddr, Prim};
 
 use crate::ast::{BinOp, Builtin, ElemTy, Expr, ParFn, Stmt};
 use crate::compile::CompiledProgram;
+use crate::diag::Span;
 use crate::directives::ExecOp;
+use crate::sema::AccessSummary;
 
 /// A scalar value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,25 +127,76 @@ impl AggStore {
         }
     }
 
-    /// Element positions owned by `node`, as index vectors.
-    fn owned(&self, node: prescient_tempest::NodeId) -> Vec<Vec<i64>> {
+    /// The elements owned by `node` as rows — the leading indices and the
+    /// range of the last one: a 1-D partition is one row, a 2-D partition
+    /// one per owned row.
+    fn owned_rows(&self, node: prescient_tempest::NodeId) -> Vec<(Vec<i64>, Range<i64>)> {
+        let span = |r: Range<usize>| r.start as i64..r.end as i64;
         match self {
-            AggStore::F1(a) => a.my_range(node).map(|i| vec![i as i64]).collect(),
-            AggStore::I1(a) => a.my_range(node).map(|i| vec![i as i64]).collect(),
+            AggStore::F1(a) => vec![(vec![], span(a.my_range(node)))],
+            AggStore::I1(a) => vec![(vec![], span(a.my_range(node)))],
             AggStore::F2(a) => {
-                let cols = a.cols();
-                a.my_rows(node)
-                    .flat_map(|i| (0..cols).map(move |j| vec![i as i64, j as i64]))
-                    .collect()
+                a.my_rows(node).map(|i| (vec![i as i64], 0..a.cols() as i64)).collect()
             }
             AggStore::I2(a) => {
-                let cols = a.cols();
-                a.my_rows(node)
-                    .flat_map(|i| (0..cols).map(move |j| vec![i as i64, j as i64]))
-                    .collect()
+                a.my_rows(node).map(|i| (vec![i as i64], 0..a.cols() as i64)).collect()
             }
         }
     }
+
+    /// Element positions owned by `node`, as index vectors.
+    fn owned(&self, node: prescient_tempest::NodeId) -> Vec<Vec<i64>> {
+        let rows = self.owned_rows(node).into_iter();
+        rows.flat_map(|(lead, last)| last.map(move |j| [&lead[..], &[j]].concat())).collect()
+    }
+
+    /// The run form of an affine read site over one row of invocations:
+    /// the elements `row + offsets`, read with one `read_run` per
+    /// contiguous run. `None` — the site stays per-word for this row —
+    /// when the site's rank is not the row's or the shifted row leaves the
+    /// aggregate (the per-word access then panics at the same invocation
+    /// it always did).
+    fn read_row(
+        &self,
+        ctx: &mut NodeCtx,
+        (lead, last): &(Vec<i64>, Range<i64>),
+        offsets: &[i64],
+    ) -> Option<Vec<Value>> {
+        let dims = self.dims();
+        if offsets.len() != dims.len() || lead.len() + 1 != dims.len() {
+            return None;
+        }
+        let (off_last, extent) = (offsets[dims.len() - 1], dims[dims.len() - 1] as i64);
+        let (lo, hi) = (last.start + off_last, last.end + off_last);
+        let row = lead.first().map(|i| i + offsets[0]);
+        if lo < 0 || hi > extent || row.is_some_and(|i| i < 0 || i >= dims[0] as i64) {
+            return None;
+        }
+        let cols = lo as usize..hi as usize;
+        let row = row.unwrap_or(0) as usize;
+        Some(match self {
+            AggStore::F1(a) => read_runs(ctx, a.runs(cols.clone()), cols.len(), Value::F),
+            AggStore::I1(a) => read_runs(ctx, a.runs(cols.clone()), cols.len(), Value::I),
+            AggStore::F2(a) => read_runs(ctx, a.row_runs(row, cols.clone()), cols.len(), Value::F),
+            AggStore::I2(a) => read_runs(ctx, a.row_runs(row, cols.clone()), cols.len(), Value::I),
+        })
+    }
+}
+
+/// Read `n` elements laid out as `runs`, one `read_run` per run.
+fn read_runs<T: Prim>(
+    ctx: &mut NodeCtx,
+    runs: impl Iterator<Item = (GAddr, usize)>,
+    n: usize,
+    value: fn(T) -> Value,
+) -> Vec<Value> {
+    let mut buf = vec![T::default(); n];
+    let mut done = 0;
+    for (addr, k) in runs {
+        ctx.read_run(addr, &mut buf[done..done + k]);
+        done += k;
+    }
+    buf.into_iter().map(value).collect()
 }
 
 /// All of a program's aggregates, materialized.
@@ -285,10 +346,30 @@ fn exec_main(ctx: &mut NodeCtx, prog: &CompiledProgram, aggs: &AggMap, tap: Opti
     }
 }
 
-/// Run one parallel call over this node's owned elements.
+/// The sites of `f` this call takes in run form, as `(span, store,
+/// offsets)`: the summary's hoisted sites, less any whose aggregate the
+/// call also binds to a parameter the function writes — read ahead, such
+/// a row could miss a store an earlier invocation made through the alias.
+fn run_form_sites<'a>(
+    sum: &'a AccessSummary,
+    f: &ParFn,
+    args: &[String],
+    bind: &BTreeMap<&str, &'a AggStore>,
+) -> Vec<(Span, &'a AggStore, &'a [i64])> {
+    let arg = |param: &str| f.params.iter().position(|p| p == param).map(|k| &args[k]);
+    let written = |p: &String| sum.get(p).home_write || sum.get(p).nonhome_write;
+    let aliased = |s: &str| f.params.iter().any(|p| written(p) && arg(p) == arg(s));
+    sum.hoisted()
+        .filter(|s| !aliased(&s.param))
+        .filter_map(|s| Some((s.span, *bind.get(s.param.as_str())?, s.affine.as_deref()?)))
+        .collect()
+}
+
+/// Run one parallel call over this node's owned elements, a row at a
+/// time: the row's run-form reads first, then its invocations.
 fn run_parallel_call(
     ctx: &mut NodeCtx,
-    _prog: &CompiledProgram,
+    prog: &CompiledProgram,
     aggs: &AggMap,
     f: &ParFn,
     args: &[String],
@@ -297,15 +378,29 @@ fn run_parallel_call(
     let bind: BTreeMap<&str, &AggStore> =
         f.params.iter().zip(args).map(|(p, a)| (p.as_str(), &aggs[a])).collect();
     let par_agg = bind[f.params[0].as_str()];
-    for pos in par_agg.owned(ctx.me()) {
-        let mut env = Env { bind: &bind, pos: &pos, locals: Vec::new(), ctx };
-        env.stmts(&f.body);
+    let sites = run_form_sites(&prog.summaries[&f.name], f, args, &bind);
+    for row in par_agg.owned_rows(ctx.me()) {
+        let ahead: Vec<(Span, Vec<Value>)> = sites
+            .iter()
+            .filter_map(|(span, store, offsets)| Some((*span, store.read_row(ctx, &row, offsets)?)))
+            .collect();
+        let (lead, last) = &row;
+        for (col, j) in last.clone().enumerate() {
+            let pos = [&lead[..], &[j]].concat();
+            let mut env =
+                Env { bind: &bind, pos: &pos, ahead: &ahead, col, locals: Vec::new(), ctx };
+            env.stmts(&f.body);
+        }
     }
 }
 
 struct Env<'a, 'c, 'n> {
     bind: &'a BTreeMap<&'a str, &'a AggStore>,
     pos: &'a [i64],
+    /// The row's run-form sites, each with the row's values.
+    ahead: &'a [(Span, Vec<Value>)],
+    /// This invocation's place in the row.
+    col: usize,
     locals: Vec<(String, Value)>,
     ctx: &'c mut NodeCtx<'n>,
 }
@@ -384,9 +479,12 @@ impl Env<'_, '_, '_> {
                 assert!(*k < self.pos.len(), "#{k} used in a {}-D context", self.pos.len());
                 Value::I(self.pos[*k])
             }
-            Expr::AggRead { agg, idx, .. } => {
+            Expr::AggRead { agg, idx, span } => {
                 let idxs: Vec<i64> = idx.iter().map(|e| self.eval(e).as_index()).collect();
-                self.bind[agg.as_str()].read(self.ctx, &idxs)
+                match self.ahead.iter().find(|(site, _)| site == span) {
+                    Some((_, row)) => row[self.col],
+                    None => self.bind[agg.as_str()].read(self.ctx, &idxs),
+                }
             }
             Expr::Neg(a) => {
                 self.ctx.work(1);

@@ -42,6 +42,25 @@ pub enum Locality {
     NonHome,
 }
 
+/// The constant offsets of an *affine* index vector — every index its own
+/// dimension's position pseudo-variable plus a constant (`#k`, `#k + c`,
+/// `#k - c`), so a row of invocations sweeps a contiguous row of the
+/// aggregate — or `None` for anything else: an indirection through a
+/// value, a loop variable, a transposed position.
+fn affine_offsets(idx: &[Expr]) -> Option<Vec<i64>> {
+    let offset = |(k, e): (usize, &Expr)| match e {
+        Expr::Pos(p) if *p == k => Some(0),
+        Expr::Bin(op @ (BinOp::Add | BinOp::Sub), a, b) => match (&**a, &**b) {
+            (Expr::Pos(p), Expr::Int(c)) if *p == k => {
+                Some(if *op == BinOp::Add { *c } else { -*c })
+            }
+            _ => None,
+        },
+        _ => None,
+    };
+    idx.iter().enumerate().map(offset).collect()
+}
+
 /// Summary of one parallel function's accesses to one aggregate
 /// *parameter*.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,8 +120,23 @@ pub struct AccessSite {
     pub kind: AccessKind,
     /// Home or non-home index.
     pub loc: Locality,
+    /// The index's constant offsets from the position, per dimension, when
+    /// it is affine (a Home access is the all-zero case); `None` for an
+    /// indirection.
+    pub affine: Option<Vec<i64>>,
+    /// Not nested in an `if` or a `for`: every invocation executes the
+    /// site exactly once.
+    pub unconditional: bool,
     /// Where in the source.
     pub span: Span,
+}
+
+impl AccessSite {
+    /// The paper's notation plus the shape, e.g. `Read/NonHome/Affine`.
+    pub fn describe(&self) -> String {
+        let shape = if self.affine.is_some() { "Affine" } else { "Indirect" };
+        format!("{:?}/{:?}/{shape}", self.kind, self.loc)
+    }
 }
 
 /// Access summary of one parallel function: per parameter name.
@@ -128,6 +162,23 @@ impl AccessSummary {
     /// Is every access a home access?
     pub fn home_only(&self) -> bool {
         !self.any_unstructured()
+    }
+
+    /// The read sites the interpreter takes in run form, one `read_run`
+    /// per row of invocations instead of one `read` per invocation:
+    /// affine, unconditional, and of a parameter the function never
+    /// writes (so the row can be read ahead of the invocations that use
+    /// it). A site is told from its neighbours by its span, so one
+    /// without a span of its own (a hand-built AST) is left per-word.
+    pub fn hoisted(&self) -> impl Iterator<Item = &AccessSite> {
+        self.sites.iter().filter(|s| {
+            let p = self.get(&s.param);
+            s.kind == AccessKind::Read
+                && s.affine.is_some()
+                && s.unconditional
+                && !(p.home_write || p.nonhome_write)
+                && self.sites.iter().filter(|o| o.span == s.span).count() == 1
+        })
     }
 
     /// The first recorded site matching `param`, `kind`, `loc`, if any.
@@ -189,7 +240,7 @@ pub fn analyze_fn(f: &ParFn) -> Result<AccessSummary, ParseError> {
 /// Analyze one parallel function under the given classification rules,
 /// reporting name errors as `E003` diagnostics.
 pub fn analyze_fn_with(f: &ParFn, rules: ClassifyRules) -> Result<AccessSummary, Diagnostic> {
-    let mut an = Analyzer { f, rules, sum: AccessSummary::default(), locals: Vec::new() };
+    let mut an = Analyzer { f, rules, sum: AccessSummary::default(), locals: Vec::new(), depth: 0 };
     for p in &f.params {
         an.sum.params.insert(p.clone(), ParamAccess::default());
     }
@@ -207,6 +258,8 @@ struct Analyzer<'a> {
     rules: ClassifyRules,
     sum: AccessSummary,
     locals: Vec<String>,
+    /// `if`/`for` nesting depth of the statement being analyzed.
+    depth: usize,
 }
 
 impl<'a> Analyzer<'a> {
@@ -219,9 +272,10 @@ impl<'a> Analyzer<'a> {
         &mut self,
         agg: &str,
         kind: AccessKind,
-        loc: Locality,
+        idx: &[Expr],
         span: Span,
     ) -> Result<(), Diagnostic> {
+        let loc = self.rules.classify(idx);
         let Some(p) = self.sum.params.get_mut(agg) else {
             return self.err(format!("`{agg}` is not a parameter"), span);
         };
@@ -231,7 +285,14 @@ impl<'a> Analyzer<'a> {
             (AccessKind::Read, Locality::NonHome) => p.nonhome_read = true,
             (AccessKind::Write, Locality::NonHome) => p.nonhome_write = true,
         }
-        self.sum.sites.push(AccessSite { param: agg.to_string(), kind, loc, span });
+        self.sum.sites.push(AccessSite {
+            param: agg.to_string(),
+            kind,
+            loc,
+            affine: affine_offsets(idx),
+            unconditional: self.depth == 0,
+            span,
+        });
         Ok(())
     }
 
@@ -260,19 +321,22 @@ impl<'a> Analyzer<'a> {
                     self.expr(i)?;
                 }
                 self.expr(value)?;
-                let loc = self.rules.classify(idx);
-                self.record(agg, AccessKind::Write, loc, *span)?;
+                self.record(agg, AccessKind::Write, idx, *span)?;
             }
             Stmt::If(c, t, e) => {
                 self.expr(c)?;
+                self.depth += 1;
                 self.stmts(t)?;
                 self.stmts(e)?;
+                self.depth -= 1;
             }
             Stmt::For { var, lo, hi, body } => {
                 self.expr(lo)?;
                 self.expr(hi)?;
                 self.locals.push(var.clone());
+                self.depth += 1;
                 self.stmts(body)?;
+                self.depth -= 1;
             }
         }
         Ok(())
@@ -294,8 +358,7 @@ impl<'a> Analyzer<'a> {
                 for i in idx {
                     self.expr(i)?;
                 }
-                let loc = self.rules.classify(idx);
-                self.record(agg, AccessKind::Read, loc, *span)
+                self.record(agg, AccessKind::Read, idx, *span)
             }
             Expr::Bin(_, a, b) => {
                 self.expr(a)?;
@@ -549,5 +612,74 @@ mod tests {
         let d = analyze_program_with(&p, ClassifyRules::default()).unwrap_err();
         assert_eq!(d.code, "E004");
         assert_eq!(d.primary_span().expect("span").line, 3);
+    }
+
+    #[test]
+    fn sites_carry_shape_and_nesting() {
+        let src = r#"
+            aggregate G[8][8] of float;
+            aggregate X[8] of int;
+            parallel fn f(g, x) {
+                let a = g[#0-1][#1+2];
+                if #0 > 0 { let b = g[#0][#1]; }
+                for i in 0 .. 2 { let c = g[#1][#0] + g[#0][i] + g[x[#0]][#1]; }
+            }
+            fn main() { f(G, X); }
+        "#;
+        let p = parse(src).unwrap();
+        let s = &analyze_program(&p).unwrap()["f"];
+        let got: Vec<(String, bool)> =
+            s.sites.iter().map(|a| (a.describe(), a.unconditional)).collect();
+        let want = [
+            ("Read/NonHome/Affine", true),
+            ("Read/Home/Affine", false),
+            ("Read/NonHome/Indirect", false), // transposed
+            ("Read/NonHome/Indirect", false), // loop variable
+            ("Read/Home/Affine", false),      // x[#0], inside the loop
+            ("Read/NonHome/Indirect", false), // through a value
+        ];
+        assert_eq!(got, want.map(|(d, u)| (d.to_string(), u)));
+        assert_eq!(s.sites[0].affine, Some(vec![-1, 2]));
+    }
+
+    /// The hoisted sites of one function of an example program, as source
+    /// text.
+    fn hoisted_in(example: &str, func: &str) -> Vec<String> {
+        let path = format!("{}/../../examples/{example}.cstar", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(path).unwrap();
+        let chars: Vec<char> = src.chars().collect();
+        let sums = analyze_program(&parse(&src).unwrap()).unwrap();
+        let text = |s: &AccessSite| chars[s.span.lo as usize..s.span.hi as usize].iter().collect();
+        sums[func].hoisted().map(text).collect()
+    }
+
+    #[test]
+    fn hoisted_sites_of_the_example_programs() {
+        // Guarded stencil reads are conditional.
+        assert_eq!(hoisted_in("jacobi", "sweep"), [""; 0]);
+        // The indirection table is read-only and swept; the value it
+        // feeds is an indirection, the own element is written.
+        assert_eq!(hoisted_in("relax", "update"), ["nbr[#0]"]);
+        assert_eq!(hoisted_in("relax", "smooth"), ["nbr[#0]"]);
+        // Both reads of the bucket index, one per use.
+        assert_eq!(hoisted_in("histogram", "bump"), ["x[#0]", "x[#0]"]);
+        assert_eq!(hoisted_in("transport", "gather"), ["edge[#0]", "cell[#0]"]);
+        // `cell` is written by `apply`, so only the flux is read ahead.
+        assert_eq!(hoisted_in("transport", "apply"), ["flux[#0]"]);
+    }
+
+    #[test]
+    fn a_written_parameter_is_never_hoisted() {
+        // In place: invocation j reads what invocation j-1 just stored.
+        let src = r#"
+            aggregate G[8][8] of float;
+            aggregate W[8][8] of float;
+            parallel fn scan(g, w) { g[#0][#1] = g[#0][#1-1] + w[#0][#1-1]; }
+            fn main() { scan(G, W); }
+        "#;
+        let p = parse(src).unwrap();
+        let s = &analyze_program(&p).unwrap()["scan"];
+        let hoisted: Vec<&str> = s.hoisted().map(|a| a.param.as_str()).collect();
+        assert_eq!(hoisted, ["w"], "g is written; w is only read");
     }
 }

@@ -328,3 +328,148 @@ fn dsl_builtins_and_mod() {
         assert_eq!(g, expect as f64, "cell {i}");
     }
 }
+
+// ---- the four example programs, pinned -----------------------------------
+
+/// One `examples/*.cstar` program on 4 nodes with 32-byte blocks, seeded
+/// contents, under one protocol.
+fn run_example(name: &str, predictive: bool) -> prescient_runtime::RunReport {
+    let path = format!("{}/../../examples/{name}.cstar", env!("CARGO_MANIFEST_DIR"));
+    let prog = compile(&std::fs::read_to_string(path).expect("example source")).expect("compiles");
+    let mut cfg =
+        if predictive { MachineConfig::predictive(4, 32) } else { MachineConfig::stache(4, 32) };
+    // No host scheduling delay may pass for a lost message.
+    cfg.retry.timeout = std::time::Duration::from_secs(30);
+    let mut machine = Machine::new(cfg);
+    let aggs = materialize(&machine, &prog);
+    run_program(&mut machine, &prog, &aggs, prescient_cstar::interp::seeded_init(7))
+}
+
+/// Recorded at the commit before the interpreter took affine read sites in
+/// run form: `(example, predictive, [vtime_ns, reads, writes, read_misses,
+/// write_misses, msgs_out, presend_blocks_out, data_bytes_in])`. Reading a
+/// row ahead of its invocations must leave every one where it was.
+/// `transport` has three run-form sites, `jacobi` none.
+const EXAMPLE_PINS: [(&str, bool, [u64; 8]); 4] = [
+    ("jacobi", false, [6_425_120, 1488, 744, 72, 66, 408, 0, 2304]),
+    ("jacobi", true, [2_751_120, 1488, 744, 12, 12, 408, 60, 2304]),
+    ("transport", false, [28_202_880, 5120, 2048, 496, 240, 2464, 0, 15_872]),
+    ("transport", true, [9_489_880, 5120, 2048, 62, 30, 2408, 434, 15_872]),
+];
+
+#[test]
+fn example_programs_report_the_counters_they_did_per_word() {
+    for (name, predictive, want) in EXAMPLE_PINS {
+        let r = run_example(name, predictive);
+        let t = r.total_stats();
+        let got = [
+            r.exec_time_ns(),
+            t.reads,
+            t.writes,
+            t.read_misses,
+            t.write_misses,
+            t.msgs_out,
+            t.presend_blocks_out,
+            t.data_bytes_in,
+        ];
+        assert_eq!(got, want, "{name}, predictive={predictive}");
+    }
+    // `relax` and `histogram` write one block from two nodes, so their
+    // protocol counters depend on who wins; what the programs themselves
+    // do does not.
+    for (name, reads, writes) in [("relax", 4800, 1600), ("histogram", 768, 256)] {
+        for predictive in [false, true] {
+            let t = run_example(name, predictive).total_stats();
+            assert_eq!((t.reads, t.writes), (reads, writes), "{name}, predictive={predictive}");
+        }
+    }
+}
+
+// ---- run-form sites ------------------------------------------------------
+
+/// Compile `src`, fill every float aggregate with `init(name, row-major
+/// index)`, run, and return the named aggregate with the run's report.
+fn run_filled(
+    src: &str,
+    cfg: MachineConfig,
+    init: impl Fn(&str, usize) -> f64 + Sync,
+    result: &str,
+) -> (Vec<f64>, prescient_runtime::RunReport) {
+    use prescient_cstar::interp::AggStore;
+    let prog = compile(src).expect("compiles");
+    let mut machine = Machine::new(cfg);
+    let aggs = materialize(&machine, &prog);
+    let report = run_program(&mut machine, &prog, &aggs, |ctx, aggs| {
+        for (name, store) in aggs {
+            match store {
+                AggStore::F1(a) => {
+                    a.my_range(ctx.me()).for_each(|i| ctx.write(a.addr(i), init(name, i)));
+                }
+                AggStore::F2(a) => {
+                    for (i, j) in
+                        a.my_rows(ctx.me()).flat_map(|i| (0..a.cols()).map(move |j| (i, j)))
+                    {
+                        ctx.write(a.addr(i, j), init(name, i * a.cols() + j));
+                    }
+                }
+                _ => unreachable!("float aggregates only"),
+            }
+        }
+    });
+    (read_aggregate_f64(&mut machine, &aggs, result), report)
+}
+
+/// Affine sites with offsets, 1-D and 2-D, whose rows lie partly on other
+/// nodes: the row read ahead is the row the invocations would have read.
+#[test]
+fn offset_sites_in_run_form_read_the_shifted_row() {
+    let src = r#"
+        aggregate H[6][8] of float;
+        aggregate W[7][9] of float;
+        aggregate Out[10] of float;
+        aggregate Inp[12] of float;
+        parallel fn lift(h, w) { h[#0][#1] = 2.0 * w[#0+1][#1+1] + w[#0][#1]; }
+        parallel fn slide(out, inp) { out[#0] = inp[#0+2] - inp[#0]; }
+        fn main() { lift(H, W); slide(Out, Inp); }
+    "#;
+    let sums = compile(src).unwrap().summaries;
+    assert_eq!((sums["lift"].hoisted().count(), sums["slide"].hoisted().count()), (2, 2));
+    let init = |name: &str, k: usize| {
+        if name == "W" {
+            (100 * (k / 9) + k % 9) as f64
+        } else {
+            (k * k) as f64
+        }
+    };
+    for nodes in 1..=3 {
+        for cfg in [MachineConfig::stache(nodes, 32), MachineConfig::predictive(nodes, 32)] {
+            let (h, report) = run_filled(src, cfg.clone(), init, "H");
+            let want: Vec<f64> = (0..48)
+                .map(|k| (k / 8, k % 8))
+                .map(|(i, j)| (2 * (100 * (i + 1) + j + 1) + 100 * i + j) as f64)
+                .collect();
+            assert_eq!(h, want, "{nodes} nodes");
+            let (out, _) = run_filled(src, cfg, init, "Out");
+            let want: Vec<f64> = (0..10).map(|i| ((i + 2) * (i + 2) - i * i) as f64).collect();
+            assert_eq!(out, want, "{nodes} nodes");
+            // Two reads per invocation, in run form or not.
+            assert_eq!(report.total_stats().reads, 2 * 48 + 2 * 10, "{nodes} nodes");
+        }
+    }
+}
+
+/// A call that binds one aggregate to a read parameter and a written one:
+/// each invocation must see the store the one before it made, so the read
+/// site, hoisted by the summary, is not read ahead for this call.
+#[test]
+fn an_aliased_call_keeps_its_reads_per_word() {
+    let src = r#"
+        aggregate P[7] of float;
+        aggregate A[8] of float;
+        parallel fn chain(p, dst, src) { dst[#0+1] = src[#0] + 1.0; }
+        fn main() { chain(P, A, A); }
+    "#;
+    assert_eq!(compile(src).unwrap().summaries["chain"].hoisted().count(), 1);
+    let (a, _) = run_filled(src, MachineConfig::stache(1, 32), |_, _| 0.0, "A");
+    assert_eq!(a, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+}

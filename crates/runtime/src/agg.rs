@@ -7,8 +7,14 @@
 //! page-granularity distribution through Stache).
 //!
 //! Supported computation distributions (§4.1): block distributions on 1-D
-//! aggregates, row-block and tiled distributions on 2-D aggregates, plus a
-//! cyclic 1-D distribution for load-imbalance experiments.
+//! aggregates, row-block on 2-D aggregates, plus a cyclic 1-D distribution
+//! for load-imbalance experiments.
+//!
+//! Besides per-element addressing ([`Agg1D::addr`]), an aggregate cuts an
+//! index range into *runs* — maximal stretches that are contiguous in one
+//! partition ([`Agg1D::runs`], [`Agg2D::row_runs`]) — which is what
+//! [`crate::NodeCtx::read_run`] and `write_run` take: one division per
+//! run instead of one per element.
 
 use std::marker::PhantomData;
 
@@ -30,13 +36,6 @@ pub enum Dist1D {
 pub enum Dist2D {
     /// Contiguous row ranges per node.
     RowBlock,
-    /// A `pr × pc` process grid of tiles.
-    Tiled {
-        /// Process-grid rows.
-        pr: usize,
-        /// Process-grid columns.
-        pc: usize,
-    },
 }
 
 /// A distributed 1-D aggregate of `T`.
@@ -105,6 +104,40 @@ impl<T: Prim> Agg1D<T> {
         }
     }
 
+    /// `range` cut into its contiguous runs, in index order, each as
+    /// `(address of its first element, element count)`. A `Block` range is
+    /// cut where it crosses from one node's partition into the next; a
+    /// `Cyclic` one has no two neighbours in one partition, so every run
+    /// has length 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, if `range` reaches past the
+    /// aggregate.
+    pub fn runs(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = (GAddr, usize)> + '_ {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "index range {range:?} out of bounds for length {}",
+            self.len
+        );
+        let mut i = range.start;
+        std::iter::from_fn(move || {
+            if i == range.end {
+                return None;
+            }
+            let run = match self.dist {
+                Dist1D::Block => {
+                    let p = (i / self.per).min(self.nodes - 1);
+                    let n = ((p + 1) * self.per).min(range.end) - i;
+                    (self.bases[p].add(((i - p * self.per) * T::BYTES) as u64), n)
+                }
+                Dist1D::Cyclic => (self.addr(i), 1),
+            };
+            i += run.1;
+            Some(run)
+        })
+    }
+
     /// The element indices owned by node `p`.
     pub fn my_elems(&self, p: NodeId) -> Vec<usize> {
         let p = p as usize;
@@ -127,7 +160,6 @@ pub struct Agg2D<T: Prim> {
     rows: usize,
     cols: usize,
     nodes: usize,
-    dist: Dist2D,
     /// Rows per node under `RowBlock`, fixed at construction like
     /// [`Agg1D`]'s.
     per: usize,
@@ -138,23 +170,15 @@ pub struct Agg2D<T: Prim> {
 impl<T: Prim> Agg2D<T> {
     /// Allocate a `rows × cols` aggregate on `m`.
     pub fn new(m: &Machine, rows: usize, cols: usize, dist: Dist2D) -> Agg2D<T> {
-        if let Dist2D::Tiled { pr, pc } = dist {
-            assert_eq!(pr * pc, m.nodes(), "tile grid must cover exactly all nodes");
-        }
+        let Dist2D::RowBlock = dist;
         let nodes = m.nodes();
         let mut bases = Vec::with_capacity(nodes);
         for p in 0..nodes {
-            let count = match dist {
-                Dist2D::RowBlock => block_range(rows, nodes, p).len() * cols,
-                Dist2D::Tiled { pr, pc } => {
-                    let (tr, tc) = (p / pc, p % pc);
-                    block_range(rows, pr, tr).len() * block_range(cols, pc, tc).len()
-                }
-            };
+            let count = block_range(rows, nodes, p).len() * cols;
             let bytes = (count.max(1) * T::BYTES) as u64;
             bases.push(m.alloc_on(p as NodeId, bytes, T::BYTES as u64));
         }
-        Agg2D { rows, cols, nodes, dist, per: chunk(rows, nodes), bases, _t: PhantomData }
+        Agg2D { rows, cols, nodes, per: chunk(rows, nodes), bases, _t: PhantomData }
     }
 
     /// Row count.
@@ -170,51 +194,42 @@ impl<T: Prim> Agg2D<T> {
     /// Owning node of element `(i, j)`.
     pub fn owner(&self, i: usize, j: usize) -> NodeId {
         debug_assert!(i < self.rows && j < self.cols);
-        match self.dist {
-            Dist2D::RowBlock => (i / self.per).min(self.nodes - 1) as NodeId,
-            Dist2D::Tiled { pr, pc } => {
-                let tr = owner_of(self.rows, pr, i);
-                let tc = owner_of(self.cols, pc, j);
-                (tr * pc + tc) as NodeId
-            }
-        }
+        (i / self.per).min(self.nodes - 1) as NodeId
     }
 
     /// Global address of element `(i, j)`.
     pub fn addr(&self, i: usize, j: usize) -> GAddr {
         debug_assert!(i < self.rows && j < self.cols, "({i},{j}) out of bounds");
-        match self.dist {
-            Dist2D::RowBlock => {
-                let p = self.owner(i, j) as usize;
-                let r0 = (p * self.per).min(self.rows);
-                self.bases[p].add((((i - r0) * self.cols + j) * T::BYTES) as u64)
-            }
-            Dist2D::Tiled { pr, pc } => {
-                let tr = owner_of(self.rows, pr, i);
-                let tc = owner_of(self.cols, pc, j);
-                let p = tr * pc + tc;
-                let r0 = block_range(self.rows, pr, tr).start;
-                let c0 = block_range(self.cols, pc, tc).start;
-                let width = block_range(self.cols, pc, tc).len();
-                self.bases[p].add((((i - r0) * width + (j - c0)) * T::BYTES) as u64)
-            }
-        }
+        let p = self.owner(i, j) as usize;
+        let r0 = (p * self.per).min(self.rows);
+        self.bases[p].add((((i - r0) * self.cols + j) * T::BYTES) as u64)
     }
 
-    /// Row range owned by node `p` (RowBlock only).
+    /// The columns `cols` of row `i` cut into contiguous runs, like
+    /// [`Agg1D::runs`]: a row lies in one node's partition, row-major, so
+    /// a non-empty range is one run.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, if the row or the column range
+    /// reaches past the aggregate.
+    pub fn row_runs(
+        &self,
+        i: usize,
+        cols: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (GAddr, usize)> {
+        assert!(
+            i < self.rows && cols.start <= cols.end && cols.end <= self.cols,
+            "row {i}, column range {cols:?} out of bounds for {} x {}",
+            self.rows,
+            self.cols
+        );
+        (!cols.is_empty()).then(|| (self.addr(i, cols.start), cols.len())).into_iter()
+    }
+
+    /// Row range owned by node `p`.
     pub fn my_rows(&self, p: NodeId) -> std::ops::Range<usize> {
-        assert_eq!(self.dist, Dist2D::RowBlock, "my_rows requires the RowBlock distribution");
         block_range(self.rows, self.nodes, p as usize)
-    }
-
-    /// `(row range, col range)` owned by node `p` (Tiled only).
-    pub fn my_tile(&self, p: NodeId) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        let Dist2D::Tiled { pr, pc } = self.dist else {
-            panic!("my_tile requires the Tiled distribution");
-        };
-        let _ = pr;
-        let (tr, tc) = ((p as usize) / pc, (p as usize) % pc);
-        (block_range(self.rows, pr, tr), block_range(self.cols, pc, tc))
     }
 }
 
@@ -237,10 +252,6 @@ fn cyclic_count(len: usize, parts: usize, p: usize) -> usize {
     } else {
         len / parts
     }
-}
-
-fn owner_of(len: usize, parts: usize, i: usize) -> usize {
-    (i / chunk(len, parts)).min(parts - 1)
 }
 
 #[cfg(test)]
@@ -306,21 +317,6 @@ mod tests {
         assert_eq!(g.addr(1, 0).0 - g.addr(0, 0).0, 8 * 8);
     }
 
-    #[test]
-    fn agg2d_tiled_layout() {
-        let m = machine(4);
-        let g = Agg2D::<f64>::new(&m, 8, 8, Dist2D::Tiled { pr: 2, pc: 2 });
-        assert_eq!(g.owner(0, 0), 0);
-        assert_eq!(g.owner(0, 7), 1);
-        assert_eq!(g.owner(7, 0), 2);
-        assert_eq!(g.owner(7, 7), 3);
-        let (rr, cc) = g.my_tile(3);
-        assert_eq!((rr, cc), (4..8, 4..8));
-        for (i, j) in [(0, 0), (2, 5), (5, 2), (7, 7)] {
-            assert_eq!(m.layout().home_of(g.addr(i, j)), g.owner(i, j));
-        }
-    }
-
     /// The addressing formulas as they stood before `per` was cached at
     /// construction, verbatim: the oracle for the grid tests below.
     mod oracle {
@@ -329,11 +325,6 @@ mod tests {
             let start = (p * per).min(len);
             let end = ((p + 1) * per).min(len);
             start..end
-        }
-
-        pub fn owner_of(len: usize, parts: usize, i: usize) -> usize {
-            let per = len.div_ceil(parts).max(1);
-            (i / per).min(parts - 1)
         }
 
         /// 1-D Block: (owner, element offset in the owner's partition).
@@ -361,24 +352,6 @@ mod tests {
             let p = (i / per.max(1)).min(nodes - 1);
             let r0 = block_range(rows, nodes, p).start;
             (p, (i - r0) * cols + j)
-        }
-
-        /// 2-D Tiled on a `pr × pc` grid.
-        pub fn tiled_2d(
-            rows: usize,
-            cols: usize,
-            pr: usize,
-            pc: usize,
-            i: usize,
-            j: usize,
-        ) -> (usize, usize) {
-            let tr = owner_of(rows, pr, i);
-            let tc = owner_of(cols, pc, j);
-            let p = tr * pc + tc;
-            let r0 = block_range(rows, pr, tr).start;
-            let c0 = block_range(cols, pc, tc).start;
-            let width = block_range(cols, pc, tc).len();
-            (p, (i - r0) * width + (j - c0))
         }
     }
 
@@ -420,8 +393,6 @@ mod tests {
     fn agg2d_addressing_matches_the_pre_cache_formulas_on_a_small_grid() {
         for nodes in 1..=9 {
             let m = machine(nodes);
-            let grids: Vec<(usize, usize)> =
-                (1..=nodes).filter(|pr| nodes % pr == 0).map(|pr| (pr, nodes / pr)).collect();
             for rows in 0..=40 {
                 for cols in [1, 5, 12] {
                     let g = Agg2D::<f64>::new(&m, rows, cols, Dist2D::RowBlock);
@@ -432,11 +403,53 @@ mod tests {
                     for p in 0..nodes {
                         assert_eq!(g.my_rows(p as NodeId), oracle::block_range(rows, nodes, p));
                     }
-                    for &(pr, pc) in &grids {
-                        let t = Agg2D::<u64>::new(&m, rows, cols, Dist2D::Tiled { pr, pc });
-                        for (i, j) in (0..rows).flat_map(|i| (0..cols).map(move |j| (i, j))) {
-                            let want = oracle::tiled_2d(rows, cols, pr, pc, i, j);
-                            check_elem(&m, &t.bases, t.addr(i, j), t.owner(i, j), want);
+                }
+            }
+        }
+    }
+
+    /// Element addresses a run list covers, in order.
+    fn run_addrs(runs: impl Iterator<Item = (GAddr, usize)>) -> Vec<GAddr> {
+        runs.flat_map(|(a, n)| (0..n).map(move |w| a.add(8 * w as u64))).collect()
+    }
+
+    #[test]
+    fn runs_concatenate_to_the_per_element_addresses_on_a_small_grid() {
+        for nodes in 1..=9 {
+            let m = machine(nodes);
+            for len in 0..=40 {
+                let a = Agg1D::<f64>::new(&m, len, Dist1D::Block);
+                let c = Agg1D::<u64>::new(&m, len, Dist1D::Cyclic);
+                for (lo, hi) in (0..=len).flat_map(|lo| (lo..=len).map(move |hi| (lo, hi))) {
+                    let want: Vec<GAddr> = (lo..hi).map(|i| a.addr(i)).collect();
+                    assert_eq!(run_addrs(a.runs(lo..hi)), want, "block {nodes}/{len} {lo}..{hi}");
+                    // Maximal: a Block range touches each partition once.
+                    let parts = (lo..hi).map(|i| a.owner(i)).collect::<Vec<_>>();
+                    let mut distinct = parts.clone();
+                    distinct.dedup();
+                    assert_eq!(a.runs(lo..hi).count(), distinct.len());
+                    let want: Vec<GAddr> = (lo..hi).map(|i| c.addr(i)).collect();
+                    assert_eq!(run_addrs(c.runs(lo..hi)), want, "cyclic {nodes}/{len} {lo}..{hi}");
+                    assert!(c.runs(lo..hi).all(|(_, n)| n == 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_runs_concatenate_to_the_per_element_addresses_on_a_small_grid() {
+        for nodes in 1..=9 {
+            let m = machine(nodes);
+            for rows in 1..=40 {
+                for cols in [1, 5, 12] {
+                    let g = Agg2D::<f64>::new(&m, rows, cols, Dist2D::RowBlock);
+                    for i in 0..rows {
+                        for (lo, hi) in
+                            (0..=cols).flat_map(|lo| (lo..=cols).map(move |hi| (lo, hi)))
+                        {
+                            let want: Vec<GAddr> = (lo..hi).map(|j| g.addr(i, j)).collect();
+                            assert_eq!(run_addrs(g.row_runs(i, lo..hi)), want);
+                            assert_eq!(g.row_runs(i, lo..hi).count(), usize::from(lo < hi));
                         }
                     }
                 }
@@ -444,10 +457,27 @@ mod tests {
         }
     }
 
+    // The run views check their bounds in every build profile (`addr`'s
+    // `debug_assert!` lets `px.addr(len)` through in release, where it is
+    // the first word of whatever the last node allocated next).
     #[test]
-    #[should_panic(expected = "tile grid")]
-    fn tiled_grid_must_match_nodes() {
-        let m = machine(4);
-        let _ = Agg2D::<f64>::new(&m, 8, 8, Dist2D::Tiled { pr: 3, pc: 2 });
+    #[should_panic(expected = "index range 3..11 out of bounds for length 10")]
+    fn runs_past_the_end_panic_in_every_profile() {
+        let m = machine(2);
+        let _ = Agg1D::<f64>::new(&m, 10, Dist1D::Block).runs(3..11).count();
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1, column range 2..9 out of bounds for 4 x 8")]
+    fn row_runs_past_the_row_end_panic_in_every_profile() {
+        let m = machine(2);
+        let _ = Agg2D::<f64>::new(&m, 4, 8, Dist2D::RowBlock).row_runs(1, 2..9).count();
+    }
+
+    #[test]
+    #[should_panic(expected = "row 4, column range 0..1 out of bounds for 4 x 8")]
+    fn row_runs_past_the_last_row_panic_in_every_profile() {
+        let m = machine(2);
+        let _ = Agg2D::<f64>::new(&m, 4, 8, Dist2D::RowBlock).row_runs(4, 0..1).count();
     }
 }

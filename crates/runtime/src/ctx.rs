@@ -10,6 +10,16 @@
 //! keeps the node's virtual clock, split into the paper's bar segments:
 //! compute, remote-data wait, predictive protocol (pre-send), and
 //! synchronization.
+//!
+//! The access has two forms. The word form ([`NodeCtx::read`],
+//! [`NodeCtx::write`]) checks every load and store, as Blizzard did,
+//! knowing nothing about the program. The run form
+//! ([`NodeCtx::read_run`], [`NodeCtx::write_run`]) is for an access the
+//! compiler's summary calls a structured sweep: it checks each cache
+//! block's tag once, which is enough because the tag is per block and
+//! only this thread can change it, bills the words it covers at once, and
+//! hands any block that does not simply hit to the word form — so the
+//! modelled machine cannot tell the two apart (DESIGN.md §8).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -279,9 +289,12 @@ impl<'a> NodeCtx<'a> {
         }
     }
 
+    /// Every poll buys the next [`POLL_EVERY`] accesses, so the rate is
+    /// one poll per `POLL_EVERY` whether the countdown reached zero word
+    /// by word or a run segment polled ahead of it.
     #[cold]
     fn poll(&mut self) {
-        self.poll_in = POLL_EVERY;
+        self.poll_in += POLL_EVERY;
         self.node.poll();
     }
 
@@ -320,6 +333,88 @@ impl<'a> NodeCtx<'a> {
         if hit.is_err() || mem.unused_presends() != unread {
             self.access_slow(addr, buf, true, hit);
         }
+    }
+
+    /// The run form of [`Self::read`]: `out.len()` consecutive `T`s from
+    /// `addr`, for an access known to be a structured sweep (the cstar
+    /// summary's affine sites; the apps' partner, record and partition
+    /// loops). Observably it is `out.len()` calls of `read` — same
+    /// counters, same virtual time, same faults at the same words in the
+    /// same order — but a segment ([`Self::run_segment`]) that hits pays
+    /// the access check once, not once per word. Panics if `addr` is not
+    /// `T::BYTES`-aligned.
+    pub fn read_run<T: Prim>(&mut self, addr: GAddr, out: &mut [T]) {
+        let (mut at, mut rest) = (addr, out);
+        while !rest.is_empty() {
+            let (seg, tail) = rest.split_at_mut(self.run_segment::<T>(at, rest.len()));
+            if let Some(bytes) = self.node.state.mem.read_hit(at, seg.len() * T::BYTES) {
+                for (v, src) in seg.iter_mut().zip(bytes.chunks_exact(T::BYTES)) {
+                    *v = T::load(src);
+                }
+                NodeStats::add_single_writer(&self.shared.stats.reads, seg.len() as u64);
+                self.bill_hits(seg.len());
+            } else {
+                for (w, v) in seg.iter_mut().enumerate() {
+                    *v = self.read(at.add((w * T::BYTES) as u64));
+                }
+            }
+            at = at.add((seg.len() * T::BYTES) as u64);
+            rest = tail;
+        }
+    }
+
+    /// The run form of [`Self::write`]: `vals` stored to consecutive `T`s
+    /// from `addr`; to `write` what [`Self::read_run`] is to `read`.
+    pub fn write_run<T: Prim>(&mut self, addr: GAddr, vals: &[T]) {
+        let (mut at, mut rest) = (addr, vals);
+        while !rest.is_empty() {
+            let (seg, tail) = rest.split_at(self.run_segment::<T>(at, rest.len()));
+            if let Some(bytes) = self.node.state.mem.write_hit(at, seg.len() * T::BYTES) {
+                for (v, dst) in seg.iter().zip(bytes.chunks_exact_mut(T::BYTES)) {
+                    v.store(dst);
+                }
+                NodeStats::add_single_writer(&self.shared.stats.writes, seg.len() as u64);
+                self.bill_hits(seg.len());
+            } else {
+                for (w, v) in seg.iter().enumerate() {
+                    self.write(at.add((w * T::BYTES) as u64), *v);
+                }
+            }
+            at = at.add((seg.len() * T::BYTES) as u64);
+            rest = tail;
+        }
+    }
+
+    /// Length in words of the next segment of a run that stands at `at`
+    /// with `left` words to go: to the end of `at`'s block, and at most
+    /// [`POLL_EVERY`]. A poll that would come due inside the segment is
+    /// taken now instead, so no message is handled between the segment's
+    /// one tag observation and its last word — on a node with one thread,
+    /// nothing else can change the tag. A segment that does not hit goes
+    /// word by word through [`Self::read`] / [`Self::write`]: the slow
+    /// path stays the only one.
+    #[inline]
+    fn run_segment<T: Prim>(&mut self, at: GAddr, left: usize) -> usize {
+        // `T::BYTES` is a power of two.
+        assert!(
+            at.0 & (T::BYTES as u64 - 1) == 0,
+            "run access at {at:?}: not {}-byte aligned",
+            T::BYTES
+        );
+        let bs = self.shared.block_size();
+        let k = ((bs - at.offset_in_block(bs)) / T::BYTES).min(left).min(POLL_EVERY as usize);
+        if self.poll_in <= k as u32 {
+            self.poll();
+        }
+        k
+    }
+
+    /// Bill `k` hits of a run segment as `k` per-word hits bill themselves
+    /// (the access counter is the caller's).
+    #[inline]
+    fn bill_hits(&mut self, k: usize) {
+        self.t.compute_ns += k as u64 * self.cost.local_access_ns;
+        self.poll_in -= k as u32;
     }
 
     /// The rest of an access that did not simply hit: fault until it goes
@@ -828,5 +923,36 @@ impl<'a> NodeCtx<'a> {
             self.metrics_cut(p, iter);
         }
         self.t
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Machine, MachineConfig};
+
+    /// The one rule `read_run`/`write_run` cut by. Cutting elsewhere is
+    /// invisible from outside — a segment that leaves its block is no hit
+    /// for `read_hit`, so it would fall back to per-word accesses and only
+    /// the speed would go — hence the test in here.
+    #[test]
+    fn a_run_segment_ends_with_its_block_and_within_one_poll_interval() {
+        let mut m = Machine::new(MachineConfig::stache(1, 128));
+        let base = m.alloc_on(0, 4096, 128);
+        m.run(|ctx: &mut NodeCtx| {
+            assert_eq!(ctx.run_segment::<f64>(base, 100), 16, "a whole block");
+            assert_eq!(ctx.run_segment::<f64>(base.add(8 * 13), 100), 3, "the rest of one");
+            assert_eq!(ctx.run_segment::<f64>(base.add(8 * 13), 2), 2, "the rest of the run");
+            // No access was billed, so no poll came due either.
+            assert_eq!(ctx.poll_in, POLL_EVERY);
+            // A segment that would run the countdown out polls first, and
+            // the poll buys a full interval on top of what was left.
+            ctx.poll_in = 10;
+            assert_eq!(ctx.run_segment::<f64>(base, 100), 16);
+            assert_eq!(ctx.poll_in, 10 + POLL_EVERY);
+            ctx.bill_hits(16);
+            assert_eq!(ctx.poll_in, POLL_EVERY - 6);
+            assert_eq!(ctx.run_segment::<u8>(base, 1000), POLL_EVERY as usize, "one interval");
+        });
     }
 }

@@ -10,12 +10,14 @@
 //!   protocol; runs SPMD programs and collects the per-node
 //!   execution-time breakdown of the paper's figures;
 //! * [`NodeCtx`] — the per-node view inside a program: typed shared-memory
-//!   access with fine-grain access-control checks and fault handling,
+//!   access with fine-grain access-control checks and fault handling, a
+//!   word at a time or a run at a time (one check per cache block),
 //!   virtual-time charging, barriers, reductions, local allocation, and the
 //!   two compiler directives `phase_begin` / `phase_end` that drive the
 //!   predictive protocol;
 //! * [`agg`] — distributed aggregates (1-D and 2-D arrays of primitives)
-//!   with the block / row-block / tiled computation distributions of §4.1;
+//!   with the block / row-block computation distributions of §4.1, by
+//!   element and by contiguous run;
 //! * [`report`] — run reports mirroring the paper's stacked bars (remote
 //!   data wait / predictive protocol / compute + synch);
 //! * [`recovery`] — crash faults, barrier-consistent checkpoint/rollback,

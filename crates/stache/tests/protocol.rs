@@ -220,3 +220,48 @@ fn false_sharing_within_block_pingpongs() {
     let s1 = m.nodes[1].shared.stats.snapshot();
     assert!(s1.recalls_in + s1.invals_in >= 3, "false sharing forces repeated teardown");
 }
+
+#[test]
+fn a_run_segment_reads_one_version_of_its_block_while_the_next_is_invalidated() {
+    // The run-granular access (`NodeCtx::read_run`) reads a run one block
+    // segment at a time, each under one tag observation (`read_hit`), and
+    // polls only between segments. Here the reader is inside block b of a
+    // two-block run when the home rewrites block b+1; the poll between the
+    // segments is a barrier, so it is certain to serve the invalidation.
+    let mut m = machine(2, 32);
+    let base = m.nodes[0].state.mem.alloc(64, 32);
+    let word = |w: u64| base.add(8 * w);
+    m.on(0, |n| (0..8).for_each(|w| assert_eq!(write_u64(n, word(w), 100 + w), 0)));
+    let out = m.run(|node, bar| {
+        if node.shared.me == 0 {
+            node.barrier(bar, 0);
+            // Block b+1, all four words: one fault, which invalidates the
+            // reader's copy.
+            let faults: u32 = (4..8).map(|w| write_u64(node, word(w), 200 + w)).sum();
+            assert_eq!(faults, 1);
+            node.barrier(bar, 0);
+            return None;
+        }
+        // Both blocks cached read-only, as the per-word loop would have.
+        assert_eq!((read_u64(node, word(0)).1, read_u64(node, word(4)).1), (1, 1));
+        let seg = |node: &Node, w: u64| {
+            node.state
+                .mem
+                .read_hit(word(w), 32)
+                .map(|b| b.chunks_exact(8).map(u64::load).collect::<Vec<u64>>())
+        };
+        assert!(seg(node, 4).is_some(), "block b+1 would hit now");
+        let first = seg(node, 0).expect("segment one hits");
+        node.barrier(bar, 0);
+        node.barrier(bar, 0);
+        // Segment two: not a hit any more, so it goes word by word
+        // through the slow path — one fault, then the new version.
+        assert_eq!(seg(node, 4), None, "the invalidated block must not hit");
+        let second: Vec<(u64, u32)> = (4..8).map(|w| read_u64(node, word(w))).collect();
+        Some((first, second))
+    });
+    let (first, second) = out.into_iter().flatten().next().expect("the reader's result");
+    assert_eq!(first, vec![100, 101, 102, 103], "segment one: the old version throughout");
+    assert_eq!(second, vec![(204, 1), (205, 0), (206, 0), (207, 0)], "segment two: the new one");
+    assert!(m.violations().is_empty(), "{:?}", m.violations());
+}

@@ -49,6 +49,12 @@
 //! block, and clearing the unread-pre-send bit with its count. The hit
 //! path is a pure shortcut: removing it leaves every result the same.
 //!
+//! The hit is also available without the copy: [`NodeMem::read_hit`] and
+//! [`NodeMem::write_hit`] make the same lookup and comparison and lend the
+//! page's bytes, so a caller that knows it is sweeping a block (the
+//! runtime's run-granular access) decodes many words under one check.
+//! `read_in_block`/`write_in_block` are that plus the copy.
+//!
 //! [`NodeMem::snapshot`] is non-materializing: snapshotting a never-touched
 //! home block returns the canonical zero block without installing anything,
 //! so protocol data replies cannot inflate residency or pollute
@@ -434,20 +440,33 @@ impl NodeMem {
         wasted
     }
 
+    /// The bytes a `len`-byte read at `addr` sees, borrowed from the page —
+    /// `Some` exactly when the read is a hit (module doc): inside one
+    /// block, materialized, tag readable, unread-pre-send bit clear. One
+    /// metadata observation covers every byte returned, so a caller may
+    /// decode any number of words from the slice as that many hits.
+    #[inline]
+    pub fn read_hit(&self, addr: GAddr, len: usize) -> Option<&[u8]> {
+        let bs = self.layout.block_size;
+        let off = addr.offset_in_block(bs);
+        let end = off + len;
+        let (seg, page, slot) = self.split(self.block_at(addr));
+        match self.segs.get(seg).and_then(|pages| pages.get(page)) {
+            Some(Some(p)) if end <= bs && matches!(p.meta[slot], META_HIT_RO | META_HIT_RW) => {
+                Some(&p.data[slot * bs + off..slot * bs + end])
+            }
+            _ => None,
+        }
+    }
+
     /// Read `buf.len()` bytes starting at `addr`. The read must not cross a
     /// block boundary. On success the bytes are copied into `buf`; on an
     /// access fault nothing is copied and the fault is returned.
     #[inline]
     pub fn read_in_block(&mut self, addr: GAddr, buf: &mut [u8]) -> Result<(), MemError> {
-        let bs = self.layout.block_size;
-        let off = addr.offset_in_block(bs);
-        let end = off + buf.len();
-        let (seg, page, slot) = self.split(self.block_at(addr));
-        if let Some(Some(p)) = self.segs.get(seg).and_then(|pages| pages.get(page)) {
-            if end <= bs && matches!(p.meta[slot], META_HIT_RO | META_HIT_RW) {
-                buf.copy_from_slice(&p.data[slot * bs + off..slot * bs + end]);
-                return Ok(());
-            }
+        if let Some(src) = self.read_hit(addr, buf.len()) {
+            buf.copy_from_slice(src);
+            return Ok(());
         }
         self.read_slow(addr, buf)
     }
@@ -474,19 +493,30 @@ impl NodeMem {
         Ok(())
     }
 
+    /// [`Self::read_hit`]'s write twin: the page bytes a `len`-byte write
+    /// at `addr` lands in, `Some` exactly when the write is a hit (tag
+    /// `ReadWrite`).
+    #[inline]
+    pub fn write_hit(&mut self, addr: GAddr, len: usize) -> Option<&mut [u8]> {
+        let bs = self.layout.block_size;
+        let off = addr.offset_in_block(bs);
+        let end = off + len;
+        let (seg, page, slot) = self.split(self.block_at(addr));
+        match self.segs.get_mut(seg).and_then(|pages| pages.get_mut(page)) {
+            Some(Some(p)) if end <= bs && p.meta[slot] == META_HIT_RW => {
+                Some(&mut p.data[slot * bs + off..slot * bs + end])
+            }
+            _ => None,
+        }
+    }
+
     /// Write `bytes` starting at `addr`. The write must not cross a block
     /// boundary. On an access fault nothing is written.
     #[inline]
     pub fn write_in_block(&mut self, addr: GAddr, bytes: &[u8]) -> Result<(), MemError> {
-        let bs = self.layout.block_size;
-        let off = addr.offset_in_block(bs);
-        let end = off + bytes.len();
-        let (seg, page, slot) = self.split(self.block_at(addr));
-        if let Some(Some(p)) = self.segs.get_mut(seg).and_then(|pages| pages.get_mut(page)) {
-            if end <= bs && p.meta[slot] == META_HIT_RW {
-                p.data[slot * bs + off..slot * bs + end].copy_from_slice(bytes);
-                return Ok(());
-            }
+        if let Some(dst) = self.write_hit(addr, bytes.len()) {
+            dst.copy_from_slice(bytes);
+            return Ok(());
         }
         self.write_slow(addr, bytes)
     }

@@ -123,7 +123,14 @@ impl NodeStats {
     /// sees some value the counter held, as with `fetch_add`.
     #[inline]
     pub fn bump_single_writer(c: &AtomicU64) {
-        c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        Self::add_single_writer(c, 1);
+    }
+
+    /// [`Self::bump_single_writer`] by `n`: a run segment's hits, counted
+    /// at once.
+    #[inline]
+    pub fn add_single_writer(c: &AtomicU64, n: u64) {
+        c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
 
     /// Increment a counter by `n`.

@@ -277,6 +277,58 @@ fn boundary_crossing_is_refused_whatever_the_block_state() {
     check_final(&p.mem, &p.model);
 }
 
+#[test]
+fn a_borrowed_hit_is_the_access_it_stands_for() {
+    // `read_hit`/`write_hit` against the oracle in every block state (the
+    // torture above checks them before every Read and Write op too): a
+    // slice comes back exactly when the access would complete with no
+    // bookkeeping, and storing through `write_hit`'s slice is the write.
+    let mut p = Pair::new();
+    let (rw, ro, inv, unread, absent_own) = (blk(2, 3), blk(2, 4), blk(2, 5), blk(2, 6), blk(1, 7));
+    p.step(Op::Install(rw, 1, Tag::ReadWrite, false));
+    p.step(Op::Install(ro, 2, Tag::ReadOnly, false));
+    p.step(Op::Install(inv, 3, Tag::Invalid, false));
+    p.step(Op::Install(unread, 4, Tag::ReadWrite, true));
+    let at = |b: BlockId, off: u64| GAddr(b.0 * BS as u64 + off);
+    for (b, reads, writes) in [
+        (rw, true, true),
+        (ro, true, false),
+        (inv, false, false),
+        (unread, false, false),
+        (absent_own, false, false),
+        (blk(0, 0), false, false),
+    ] {
+        for (off, len) in [(0, 32), (8, 8), (31, 1), (24, 8)] {
+            assert_eq!(p.mem.read_hit(at(b, off), len).is_some(), reads, "{b:?} read {off}+{len}");
+            assert_eq!(p.mem.read_hit(at(b, off), len), p.model.hit(at(b, off), len, false));
+            assert_eq!(
+                p.mem.write_hit(at(b, off), len).is_some(),
+                writes,
+                "{b:?} write {off}+{len}"
+            );
+        }
+        // A range that leaves the block is never a hit, whatever the tag.
+        for (off, len) in [(28, 8), (0, 33), (31, 2)] {
+            assert_eq!(p.mem.read_hit(at(b, off), len), None, "{b:?} read {off}+{len}");
+            assert!(p.mem.write_hit(at(b, off), len).is_none(), "{b:?} write {off}+{len}");
+        }
+    }
+    // Asking changed nothing: the unread copy is still unread, the absent
+    // own block still absent.
+    assert_eq!(p.mem.unused_presends(), 1);
+    assert_eq!(p.mem.resident_blocks(), 4);
+    // The slice is the block's storage.
+    p.mem.write_hit(at(rw, 8), 16).expect("hit").copy_from_slice(&[0xC3; 16]);
+    p.model.write_in_block(at(rw, 8), &[0xC3; 16]).expect("the model's write");
+    assert_eq!(p.read(rw, 0, 32), None);
+    assert_eq!(p.mem.read_hit(at(rw, 8), 16), Some(&[0xC3; 16][..]));
+    // Once the slow path consumed the unread copy, it hits.
+    assert_eq!(p.read(unread, 0, 8), None);
+    assert!(p.mem.read_hit(at(unread, 0), 32).is_some());
+    assert!(p.mem.write_hit(at(unread, 0), 32).is_some());
+    check_final(&p.mem, &p.model);
+}
+
 /// The first address past the last node's heap segment.
 fn past_every_segment() -> GAddr {
     GAddr(4 << 32)

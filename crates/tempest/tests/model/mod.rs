@@ -130,6 +130,19 @@ impl RefStore {
         Ok(())
     }
 
+    /// The bytes a borrow-returning hit (`NodeMem::read_hit`, or
+    /// `write_hit` with `write`) must return: the access lies in one
+    /// block, which is materialized, carries a tag that permits the
+    /// access, and has no unread pre-sent copy. A hit changes nothing, so
+    /// neither does asking.
+    pub fn hit(&self, addr: GAddr, len: usize, write: bool) -> Option<&[u8]> {
+        let bs = self.layout.block_size;
+        let off = addr.offset_in_block(bs);
+        let e = self.map.get(&addr.block(bs)).filter(|_| off + len <= bs)?;
+        let permitted = if write { e.tag.writable() } else { e.tag.readable() };
+        (permitted && !e.unused).then(|| &e.data[off..off + len])
+    }
+
     pub fn snapshot(&self, block: BlockId) -> Vec<u8> {
         match self.map.get(&block) {
             Some(e) => e.data.clone(),
@@ -180,6 +193,11 @@ pub fn apply_and_check(mem: &mut NodeMem, model: &mut RefStore, op: &Op) -> Opti
         }
         Op::Read(block, off, len) => {
             let addr = GAddr(block.0 * bs as u64 + off as u64);
+            assert_eq!(
+                mem.read_hit(addr, len),
+                model.hit(addr, len, false),
+                "read_hit {addr:?}+{len}"
+            );
             let mut got = vec![0u8; len];
             let mut want = vec![0u8; len];
             let rm = mem.read_in_block(addr, &mut got);
@@ -193,6 +211,8 @@ pub fn apply_and_check(mem: &mut NodeMem, model: &mut RefStore, op: &Op) -> Opti
         Op::Write(block, off, len, seed) => {
             let addr = GAddr(block.0 * bs as u64 + off as u64);
             let bytes = pattern(seed, len);
+            let hit = mem.write_hit(addr, len).map(|dst| &*dst);
+            assert_eq!(hit, model.hit(addr, len, true), "write_hit {addr:?}+{len}");
             let rm = mem.write_in_block(addr, &bytes);
             let rr = model.write_in_block(addr, &bytes);
             assert_eq!(rm, rr, "write outcome diverged at {addr:?}+{len}");

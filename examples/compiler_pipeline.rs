@@ -64,6 +64,13 @@ fn show(name: &str, src: &str) -> prescient::cstar::compile::CompiledProgram {
                 println!("  {f}({param}): {}", pa.describe());
             }
         }
+        // Site by site, with the index shape; a hoisted site is read in
+        // run form, one access check per cache block.
+        let hoisted: Vec<_> = sum.hoisted().map(|s| s.span).collect();
+        for site in &sum.sites {
+            let form = if hoisted.contains(&site.span) { "  -> run form" } else { "" };
+            println!("    line {}: {} {}{form}", site.span.line, site.param, site.describe());
+        }
     }
     println!("\ndirective placement (§4.3): {} phase(s)", prog.plan.assignment.n_phases);
     print!("{}", render_plan(&prog.cfg, &prog.plan));
