@@ -229,3 +229,54 @@ fn barnes_gated_columns_are_the_per_word_forms() {
         assert_eq!(got, want, "barnes, block size {bs}: {got:#x?}");
     }
 }
+
+/// Adaptive is where a pre-send window is mostly tear-down (mesh cells
+/// refine, so last iteration's readers hold stale copies everywhere).
+/// Recorded at the commit before the tear-downs of a window went out in
+/// waves: the 8 gated columns, then every `NodeStats` counter summed over
+/// nodes in `StatsSnapshot::fields` order — a wave must send what the
+/// block-at-a-time tear-down sent and count what it counted.
+///
+/// 1024-byte blocks are not in the table: a block then spans quad-tree
+/// cells of several nodes, demand traffic inside a phase depends on who
+/// faults first, and six runs of that commit gave six different rows. What
+/// it does fix — the answer and the accesses made — is pinned below.
+const ADAPTIVE_PINS: [(usize, Gated, [u64; 30]); 2] = [
+    (
+        32,
+        [0x40973d55c4b7928d, 0x5cc6fb4, 0x4f7c, 0x3c2c0, 0x11e6, 0x3f4, 0xdf2, 0x32f],
+        [
+            331290, 115205, 562, 450, 450, 3875, 0, 20348, 3570, 1862, 114240, 3570, 924, 0, 0, 0,
+            0, 0, 0, 0, 0, 132224, 815, 1, 0, 0, 0, 0, 0, 0,
+        ],
+    ),
+    (
+        128,
+        [0x40973d55c4b7928d, 0x3d054dc, 0x2940, 0x6c500, 0x7ce, 0x16a, 0x664, 0x178],
+        [
+            331290, 115205, 194, 168, 168, 1769, 0, 10560, 1636, 1548, 209408, 1636, 362, 0, 0, 0,
+            0, 0, 0, 0, 0, 234240, 376, 0, 0, 0, 0, 0, 0, 0,
+        ],
+    ),
+];
+
+#[test]
+fn adaptive_gated_columns_and_counters_are_the_serial_tear_downs() {
+    let cfg = AdaptiveConfig { n: 32, iters: 12, tau: 0.45, max_depth: 3, flush_every: None };
+    for (bs, want, want_stats) in ADAPTIVE_PINS {
+        let (run, _, depths) = run_adaptive_full(gate_machine(bs), &cfg);
+        assert!(depths.iter().any(|&d| d > 0), "refinement must happen");
+        let got = gated(&run);
+        let stats = run.report.total_stats().fields().map(|(_, v)| v);
+        assert_eq!(got, want, "adaptive, block size {bs}: {got:#x?}");
+        assert_eq!(stats, want_stats, "adaptive, block size {bs}: {stats:?}");
+    }
+    let (run, _, _) = run_adaptive_full(gate_machine(1024), &cfg);
+    let t = run.report.total_stats();
+    assert_eq!(
+        (run.checksum.to_bits(), t.reads, t.writes),
+        (0x40973d55c4b7928d, 331290, 115205),
+        "adaptive, block size 1024"
+    );
+    assert!(t.invals_in > 0 && t.presend_blocks_out > 0, "windows tear down and push");
+}

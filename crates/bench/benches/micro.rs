@@ -3,6 +3,10 @@
 //! * `protocol/remote_read_miss` — a full 2-hop miss through the engine;
 //! * `protocol/producer_consumer_roundtrip` — the 4-message §3.2 pattern;
 //! * `presend/record+presend` — schedule recording and the pre-send walk;
+//! * `presend/teardown_wave_k64` — one home tearing down 64 stale blocks,
+//!   one sharer each on three peers, in one pre-send window: time **per
+//!   block**, to set beside `protocol/producer_consumer_roundtrip` (one
+//!   blocking 4-message exchange; the wave's 4 messages per block overlap);
 //! * `compiler/compile_jacobi` — the whole mini-C\*\* pipeline;
 //! * `dataflow/solve` — the bit-vector fixpoint on a deep loop nest;
 //! * `machine/barrier` — one virtual-time barrier episode;
@@ -27,7 +31,12 @@
 //!   wire batches (`send_batched`), and the receive-side batch drain in
 //!   isolation (`drain`).
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use prescient_core::manual::ManualEntry;
+use prescient_core::presend::presend;
+use prescient_core::{Predictive, PredictiveConfig};
 use prescient_cstar::cfg::CfgBuilder;
 use prescient_cstar::dataflow::ReachingUnstructured;
 use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, MachineConfig, NodeCtx};
@@ -119,6 +128,43 @@ fn bench_presend(c: &mut Criterion) {
                 d
             });
             durs[0]
+        })
+    });
+}
+
+fn bench_teardown_wave(c: &mut Criterion) {
+    const K: usize = 64;
+    let pred = Arc::new(Predictive::new(PredictiveConfig::default()));
+    let mut m = Cluster::new(4, 32, RetryConfig::default(), None, |i| match i {
+        0 => Arc::clone(&pred) as _,
+        _ => Arc::new(NoHooks) as _,
+    });
+    let addrs: Vec<GAddr> = (0..K).map(|_| m.nodes[0].state.mem.alloc(32, 32)).collect();
+    let layout = m.nodes[0].shared.layout;
+    // Node 0 prefetches ownership of its own blocks home: tear-downs only.
+    pred.install_manual(1, addrs.iter().map(|a| (layout.block_of(*a), ManualEntry::Writer(0))));
+    c.bench_function("presend/teardown_wave_k64", |b| {
+        b.iter_custom(|iters| {
+            // One iteration is one block: whole windows, scaled.
+            let windows = iters.div_ceil(K as u64);
+            let mut window = std::time::Duration::ZERO;
+            for _ in 0..windows {
+                // Untimed: block i goes stale at peer 1 + i mod 3.
+                m.run(|node, _| {
+                    for (i, a) in addrs.iter().enumerate() {
+                        if node.shared.me as usize == 1 + i % 3 {
+                            prescient_stache::fetch(node, layout.block_of(*a), false);
+                        }
+                    }
+                });
+                let (rep, d) = m.on(0, |node| {
+                    let start = std::time::Instant::now();
+                    (presend(&pred, node, 1), start.elapsed())
+                });
+                assert_eq!(rep.ensure_fetches, K as u64);
+                window += d;
+            }
+            window.mul_f64(iters as f64 / (windows * K as u64) as f64)
         })
     });
 }
@@ -402,6 +448,6 @@ fn bench_fabric(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_remote_miss, bench_producer_consumer, bench_presend, bench_compiler, bench_dataflow, bench_barrier, bench_mem, bench_ctx, bench_agg, bench_fabric
+    targets = bench_remote_miss, bench_producer_consumer, bench_presend, bench_teardown_wave, bench_compiler, bench_dataflow, bench_barrier, bench_mem, bench_ctx, bench_agg, bench_fabric
 }
 criterion_main!(benches);

@@ -40,7 +40,6 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use prescient_stache::hooks::Hooks;
@@ -259,21 +258,17 @@ pub fn merge(cm: &Commute, node: &mut Node, outgoing: &[(NodeId, Vec<u8>)]) -> M
     // verbatim for retransmission.
     let mut outstanding: HashMap<u64, (NodeId, UserMsg)> = HashMap::new();
     for (target, payload) in outgoing {
-        if payload.is_empty() {
-            continue;
-        }
-        for (seq, chunk) in payload.chunks(max).enumerate() {
-            let id = {
-                let mut st = cm.state.lock();
-                let id = st.next_push_id;
-                st.next_push_id += 1;
-                id
-            };
+        // One id per chunk, drawn (and local chunks buffered) under one
+        // lock.
+        let mut st = cm.state.lock();
+        let first_id = st.next_push_id;
+        st.next_push_id += payload.len().div_ceil(max) as u64;
+        for ((seq, chunk), id) in payload.chunks(max).enumerate().zip(first_id..) {
             let data: Arc<[u8]> = chunk.into();
             if *target == me {
                 // Local contribution: no fabric, but the same inbox so the
                 // replay order treats every contributor alike.
-                cm.state.lock().inbox.push(Chunk { src: me, id, bytes: data });
+                st.inbox.push(Chunk { src: me, id, bytes: data });
                 continue;
             }
             let m = UserMsg {
@@ -298,29 +293,19 @@ pub fn merge(cm: &Commute, node: &mut Node, outgoing: &[(NodeId, Vec<u8>)]) -> M
     // for an id already acked (its push was duplicated in flight) finds
     // nothing to remove; other wakes (a stale grant, a kick) carry
     // nothing the exchange needs.
-    let mut rounds = 0u32;
-    let mut deadline = Instant::now() + n.retry.timeout;
-    while !outstanding.is_empty() {
-        match node.next_wake(Some(deadline)) {
-            Some(Wake::User { code: codes::WAKE_COMMUTE_ACK, a, .. }) => {
+    node.settle(format_args!("merge chunks unacked"), outstanding.len(), |n, event| {
+        match event {
+            Ok(Wake::User { code: codes::WAKE_COMMUTE_ACK, a, .. }) => {
                 outstanding.remove(&a);
             }
-            Some(_) => {}
-            None => {
-                rounds += 1;
-                assert!(
-                    rounds <= n.retry.max_retries,
-                    "node {me}: {} merge chunks unacked after {rounds} rounds (machine wedged)",
-                    outstanding.len()
-                );
-                for (t, m) in outstanding.values() {
-                    n.send(*t, Msg::User(m.clone()));
-                    report.retransmits += 1;
-                }
-                deadline = Instant::now() + n.retry.timeout;
+            Ok(_) => {}
+            Err(_) => {
+                outstanding.values().for_each(|(t, m)| n.send(*t, Msg::User(m.clone())));
+                report.retransmits += outstanding.len() as u64;
             }
         }
-    }
+        outstanding.len()
+    });
 
     report.vtime_ns = n.cost.bulk_ns(report.msgs, report.chunks_out, report.bytes);
     report

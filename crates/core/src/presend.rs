@@ -29,26 +29,37 @@
 //! consecutive instances, degrades the phase to plain Stache for a backoff
 //! period (see [`crate::predictive::DegradeConfig`]).
 //!
-//! The driver is called by the node's program — it may wait (its
-//! tear-downs reuse the ordinary fetch path, its ack wait serves the inbox
-//! like a fetch does), while all handler work stays non-blocking.
+//! The driver is called by the node's program — it may wait, while all
+//! handler work stays non-blocking — and it waits *per window, not per
+//! block*: the tear-downs of a slice are the home's ordinary fault path
+//! issued as waves ([`fetch_all`]: every request first, then one wait that
+//! serves the inbox until every grant is back), and the pushes' ack wait is
+//! the same loop ([`Node::settle`]). The cost model has always billed a
+//! tear-down as handler occupancy because the rounds overlap in the
+//! network (`CostModel::ensure_ns`); the host now overlaps them too, and
+//! egress batching packs a wave's invalidations and acks per destination.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
-use prescient_stache::engine::fetch;
+use prescient_stache::engine::fetch_all;
 use prescient_stache::msg::{Msg, UserMsg, Wake};
 use prescient_stache::node::{Node, NodeShared, NodeState};
 
 use prescient_stache::dir::DirState;
 use prescient_tempest::tag::Tag;
 use prescient_tempest::trace::{pack_counts, pack_peer_count, EventKind};
-use prescient_tempest::{NodeId, NodeSet, NodeStats};
+use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
 
 use crate::codes;
 use crate::predictive::{Predictive, Push};
 use crate::schedule::{Action, PhaseId};
+
+/// Tear-down requests issued before the driver waits for their grants.
+/// Bounds the per-wave bookkeeping and the home's inbox depth: on the
+/// prototype, uncapped cost paper-scale Barnes 1.5 MiB of peak RSS and 128
+/// cost 0.2 MiB at equal wall time (EXPERIMENTS.md, "One wait per window").
+pub const TEARDOWN_WAVE: usize = 128;
 
 /// What one node's pre-send did, with its virtual-time bill.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,7 +70,7 @@ pub struct PresendReport {
     pub msgs: u64,
     /// Bytes forwarded.
     pub bytes: u64,
-    /// Blocking tear-down fetches (recalls/invalidations of stale copies).
+    /// Tear-down fetches (recalls/invalidations of stale copies).
     pub ensure_fetches: u64,
     /// Conflict entries skipped.
     pub skipped_conflicts: u64,
@@ -138,29 +149,54 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     };
     n.tracer().emit(EventKind::SchedReplay, u64::from(phase), runs.len() as u64);
 
-    // Pass 1: tear down stale copies (via the ordinary fault path) and
-    // build the push list.
+    // Pass 1, *decide*: list (in block order) the blocks whose directory
+    // state needs a recall or an invalidation round before the schedule's
+    // action can be taken. Entries of different blocks are independent and
+    // no demand traffic exists between the window's two barriers, so
+    // deciding for all of them first loses nothing. `None` (a multi-hop
+    // round in flight: a delayed demand request that arrived mid-window on
+    // a faulty fabric) is stale — the tear-down serializes behind it.
+    let mut stale: Vec<(BlockId, bool)> = Vec::new();
+    for run in &runs {
+        let excl = match run.action {
+            Action::Conflict => continue,
+            Action::Read => false,
+            Action::Write => true,
+        };
+        // A write run leaves alone what its (remote) writer already owns.
+        let owned = run.writer.filter(|&w| excl && w != me).map(DirState::Exclusive);
+        stale.extend(run.blocks().filter_map(|block| {
+            let settled = match (dir_state(&node.state, block), excl) {
+                (Some(DirState::Uncached), _) | (Some(DirState::Shared(_)), false) => true,
+                (state @ Some(_), true) => state == owned,
+                _ => false,
+            };
+            (!settled).then_some((block, excl))
+        }));
+    }
+
+    // *Tear down*: recall writers' copies home (they stay sharers) ahead
+    // of a read push, invalidate every copy ahead of a write push or to
+    // prefetch ownership home — in waves whose rounds are in flight
+    // together, one wait per wave (`fetch_all`), billed per grant.
+    for wave in stale.chunks(TEARDOWN_WAVE) {
+        for info in fetch_all(node, wave) {
+            report.ensure_fetches += 1;
+            report.vtime_ns += n.cost.ensure_ns(info.bytes);
+        }
+    }
+
+    // *Build the push list* from the settled directory. A block torn down
+    // in this window is never "already the writer's": it is pushed, and
+    // pass 2 drops the push if a late demand request won the block.
     let mut pushes: Vec<Push> = Vec::new();
+    let torn = |block| stale.binary_search_by_key(&block, |s| s.0).is_ok();
     for run in &runs {
         match run.action {
-            Action::Conflict => {
-                report.skipped_conflicts += run.len;
-            }
+            Action::Conflict => report.skipped_conflicts += run.len,
             Action::Read => {
                 let readers = run.readers.without(me);
                 for block in run.blocks() {
-                    // `None` (a multi-hop round in flight — e.g. a delayed
-                    // demand request that arrived mid-window on a faulty
-                    // fabric) is handled like Exclusive: the ensure fetch
-                    // serializes behind the round and leaves the block
-                    // home-readable.
-                    let state = dir_state(&node.state, block);
-                    if !matches!(state, Some(DirState::Uncached | DirState::Shared(_))) {
-                        // Recall the writer's copy home (it stays a sharer).
-                        let info = fetch(node, block, false);
-                        report.ensure_fetches += 1;
-                        report.vtime_ns += n.cost.ensure_ns(info.bytes);
-                    }
                     let sharers = match dir_state(&node.state, block) {
                         Some(DirState::Shared(s)) => s,
                         _ => NodeSet::EMPTY,
@@ -173,29 +209,17 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
             }
             Action::Write => {
                 let writer = run.writer.expect("write run without writer");
-                for block in run.blocks() {
-                    let state = dir_state(&node.state, block);
-                    if writer == me {
-                        // Prefetch ownership home.
-                        if !matches!(state, Some(DirState::Uncached)) {
-                            let info = fetch(node, block, true);
-                            report.ensure_fetches += 1;
-                            report.vtime_ns += n.cost.ensure_ns(info.bytes);
-                        }
-                    } else if state == Some(DirState::Exclusive(writer)) {
-                        // The writer already owns it; nothing to do.
-                    } else {
-                        if !matches!(state, Some(DirState::Uncached)) {
-                            let info = fetch(node, block, true);
-                            report.ensure_fetches += 1;
-                            report.vtime_ns += n.cost.ensure_ns(info.bytes);
-                        }
+                // `writer == me`: ownership was prefetched home above.
+                for block in run.blocks().filter(|_| writer != me) {
+                    let owned = Some(DirState::Exclusive(writer));
+                    if torn(block) || dir_state(&node.state, block) != owned {
                         pushes.push(Push { block, targets: NodeSet::single(writer), excl: true });
                     }
                 }
             }
         }
     }
+    drop(stale);
 
     // Pass 2: group into bulk messages and push. Every message carries a
     // unique push id (`a`) and the current epoch (`b`) so the exchange
@@ -203,10 +227,10 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     // for retransmission.
     //
     // Each push is *revalidated* against the directory before it is
-    // committed: between pass 1 (whose ensure fetches serve the inbox
-    // while they wait) and pass 2, a demand request from another node
-    // may have won the block — leaving
-    // the entry busy, or Exclusive at a node the schedule never predicted.
+    // committed: between pass 1 (whose tear-down waves serve the inbox
+    // while they wait) and pass 2, a demand request from another node may
+    // have won the block — leaving the entry busy, or Exclusive at a node
+    // the schedule never predicted.
     // Blindly pushing then would hand out copies that violate the
     // single-writer invariant. Stale pushes are dropped (counted in
     // `presend_aborted`); the demand path already did, or will do, the
@@ -227,7 +251,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     let mut aborted = 0u64;
     for group in &groups {
         let first = group[0];
-        let payload: Arc<[(prescient_tempest::BlockId, Arc<[u8]>)]> = {
+        let payload: Arc<[(BlockId, Arc<[u8]>)]> = {
             let NodeState { dir, mem, .. } = &mut node.state;
             let mut kept = Vec::with_capacity(group.len());
             for p in group {
@@ -267,13 +291,14 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
         }
         let payload_bytes: u64 = payload.iter().map(|(_, d)| d.len() as u64).sum();
         let code = if first.excl { codes::PRESEND_RW } else { codes::PRESEND_RO };
-        for t in first.targets.iter() {
-            let id = {
-                let mut st = pred.state.lock();
-                let id = st.next_push_id;
-                st.next_push_id += 1;
-                id
-            };
+        // One id per target, drawn under one lock.
+        let ids = {
+            let mut st = pred.state.lock();
+            let first_id = st.next_push_id;
+            st.next_push_id += first.targets.len() as u64;
+            first_id..
+        };
+        for (t, id) in first.targets.iter().zip(ids) {
             let m = UserMsg {
                 code,
                 a: id,
@@ -305,37 +330,24 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     // already been acked (its push was duplicated in flight) is inert;
     // other wakes (a stale grant, a kick) carry nothing the window needs.
     let mut useless = 0u64;
-    let mut rounds = 0u32;
-    let mut deadline = Instant::now() + n.retry.timeout;
-    while !outstanding.is_empty() {
-        match node.next_wake(Some(deadline)) {
-            Some(Wake::User { code: codes::WAKE_PRESEND_ACK, a, b }) => {
+    node.settle(format_args!("pre-send pushes unacked"), outstanding.len(), |n, event| {
+        match event {
+            Ok(Wake::User { code: codes::WAKE_PRESEND_ACK, a, b }) => {
                 if outstanding.remove(&a).is_some() {
                     useless += b;
                 }
             }
-            Some(_) => {}
-            None => {
-                rounds += 1;
-                n.tracer().emit(
-                    EventKind::PresendRetry,
-                    outstanding.len() as u64,
-                    u64::from(rounds),
-                );
-                assert!(
-                    rounds <= n.retry.max_retries,
-                    "node {me}: {} pre-send pushes unacked after {rounds} rounds (machine wedged)",
-                    outstanding.len()
-                );
-                for (t, m) in outstanding.values() {
-                    n.send(*t, Msg::User(m.clone()));
-                    report.retransmits += 1;
-                }
-                NodeStats::add(&n.stats.presend_retries, outstanding.len() as u64);
-                deadline = Instant::now() + n.retry.timeout;
+            Ok(_) => {}
+            Err(round) => {
+                let unacked = outstanding.len() as u64;
+                n.tracer().emit(EventKind::PresendRetry, unacked, u64::from(round));
+                outstanding.values().for_each(|(t, m)| n.send(*t, Msg::User(m.clone())));
+                report.retransmits += unacked;
+                NodeStats::add(&n.stats.presend_retries, unacked);
             }
         }
-    }
+        outstanding.len()
+    });
 
     // Feed the schedule-health accounting: what this window pushed, what
     // the receivers said about the previous window's pushes, and which
@@ -362,7 +374,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
 /// flight. Pass 1 used to `debug_assert!` that never happens, but a delayed
 /// demand request released by a faulty fabric mid-window makes it real:
 /// callers must treat `None` as "state unknown, serialize via a fetch".
-fn dir_state(st: &NodeState, block: prescient_tempest::BlockId) -> Option<DirState> {
+fn dir_state(st: &NodeState, block: BlockId) -> Option<DirState> {
     match st.dir.get(block) {
         None => Some(DirState::Uncached),
         Some(e) if e.is_busy() => None,
@@ -397,7 +409,6 @@ fn group_pushes(pushes: &[Push], coalesce: bool, max: usize) -> Vec<Vec<Push>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prescient_tempest::BlockId;
 
     fn push(b: u64, targets: NodeSet, excl: bool) -> Push {
         Push { block: BlockId(b), targets, excl }

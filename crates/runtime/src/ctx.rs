@@ -861,7 +861,8 @@ impl<'a> NodeCtx<'a> {
 
     /// All-reduce: element-wise sum of `vals` across all nodes; every node
     /// receives the result in place. Deterministic: contributions are
-    /// summed in node order, independent of arrival order. Billed as a
+    /// summed in node order, independent of arrival order — once per
+    /// round, by the first node past the second barrier. Billed as a
     /// log-depth message combining tree plus the barriers'
     /// synchronization.
     pub fn allreduce_sum(&mut self, vals: &mut [f64]) {
@@ -869,27 +870,9 @@ impl<'a> NodeCtx<'a> {
         let round = self.reduce_round;
         let me = self.me() as usize;
         self.barrier();
-        {
-            let mut st = self.reduce.state.lock();
-            if st.zeroed_round < round {
-                st.zeroed_round = round;
-                for c in st.contrib.iter_mut() {
-                    c.clear();
-                }
-            }
-            st.contrib[me].extend_from_slice(vals);
-        }
+        self.reduce.state.lock().contribute(round, me, vals);
         self.barrier();
-        {
-            let st = self.reduce.state.lock();
-            vals.fill(0.0);
-            for c in &st.contrib {
-                assert_eq!(c.len(), vals.len(), "mismatched allreduce lengths");
-                for (v, x) in vals.iter_mut().zip(c.iter()) {
-                    *v += *x;
-                }
-            }
-        }
+        self.reduce.state.lock().read_sum(round, vals);
         // Cost: a combining tree of depth log2(P).
         let rounds = (self.nodes().max(2) as f64).log2().ceil() as u64;
         let bytes = (vals.len() * 8) as u64;

@@ -31,12 +31,51 @@ pub(crate) struct ReduceScratch {
     pub(crate) state: Mutex<ReduceState>,
 }
 
+#[derive(Default)]
 pub(crate) struct ReduceState {
     /// Round whose contribution slots are currently valid.
-    pub(crate) zeroed_round: u64,
+    zeroed_round: u64,
     /// One contribution vector per node; summed in node order at read-out
     /// so the reduction is deterministic regardless of arrival order.
-    pub(crate) contrib: Vec<Vec<f64>>,
+    contrib: Vec<Vec<f64>>,
+    /// Round `sum` holds the node-ordered sum of.
+    summed_round: u64,
+    sum: Vec<f64>,
+}
+
+impl ReduceState {
+    fn new(nodes: usize) -> ReduceState {
+        ReduceState { contrib: vec![Vec::new(); nodes], ..ReduceState::default() }
+    }
+
+    /// Node `me`'s contribution to `round` (between the round's barriers).
+    pub(crate) fn contribute(&mut self, round: u64, me: usize, vals: &[f64]) {
+        if self.zeroed_round < round {
+            self.zeroed_round = round;
+            self.contrib.iter_mut().for_each(Vec::clear);
+        }
+        self.contrib[me].extend_from_slice(vals);
+    }
+
+    /// The sum of `round`'s contributions into `vals` (after the round's
+    /// second barrier). The first caller adds them up, in node order; the
+    /// rest copy its result — the same bits every node used to compute for
+    /// itself.
+    pub(crate) fn read_sum(&mut self, round: u64, vals: &mut [f64]) {
+        if self.summed_round < round {
+            self.summed_round = round;
+            self.sum.clear();
+            self.sum.resize(vals.len(), 0.0);
+            for c in &self.contrib {
+                assert_eq!(c.len(), vals.len(), "mismatched allreduce lengths");
+                for (v, x) in self.sum.iter_mut().zip(c) {
+                    *v += *x;
+                }
+            }
+        }
+        assert_eq!(self.sum.len(), vals.len(), "mismatched allreduce lengths");
+        vals.copy_from_slice(&self.sum);
+    }
 }
 
 /// An emulated multi-node machine.
@@ -223,9 +262,7 @@ impl Machine {
             preds,
             commutes,
             barrier: Arc::new(VBarrier::new(n)),
-            reduce: Arc::new(ReduceScratch {
-                state: Mutex::new(ReduceState { zeroed_round: 0, contrib: vec![Vec::new(); n] }),
-            }),
+            reduce: Arc::new(ReduceScratch { state: Mutex::new(ReduceState::new(n)) }),
             fault_stats,
             ctl,
             tracers,
@@ -537,6 +574,7 @@ impl Machine {
             .map(|s| NodeErrorState {
                 node: s.me,
                 outstanding_fetch: s.outstanding(),
+                wave: s.wave(),
                 msgs_out: s.stats.msgs_out.load(Ordering::Relaxed),
                 retries: s.stats.retries.load(Ordering::Relaxed),
                 presend_retries: s.stats.presend_retries.load(Ordering::Relaxed),
@@ -604,6 +642,64 @@ impl Drop for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What every node computed for itself before the sum was shared.
+    fn per_node_sum(contrib: &[Vec<f64>]) -> Vec<f64> {
+        let mut vals = vec![0.0; contrib[0].len()];
+        for c in contrib {
+            for (v, x) in vals.iter_mut().zip(c) {
+                *v += *x;
+            }
+        }
+        vals
+    }
+
+    #[test]
+    fn shared_sum_equals_the_per_node_summation_bit_for_bit() {
+        let mut rng = prescient_tempest::faults::SplitMix64::new(19);
+        for nodes in 1..=9usize {
+            let mut st = ReduceState::new(nodes);
+            for round in 1..=6u64 {
+                let len = 1 + (round as usize * 5) % 7;
+                // Magnitudes from 1e-3 to 1e17 with both signs, and every
+                // third slot a cancellation (small, big, -big) in which
+                // the order of addition decides the result.
+                let contrib: Vec<Vec<f64>> = (0..nodes)
+                    .map(|node| {
+                        (0..len)
+                            .map(|i| match (i % 3, node % 3) {
+                                (0, 1) => 1e16,
+                                (0, 2) => -1e16,
+                                _ => {
+                                    let r = rng.next_u64();
+                                    let mag = 10f64.powi((r % 21) as i32 - 3);
+                                    (r >> 11) as f64 / (1u64 << 53) as f64
+                                        * mag
+                                        * if r & 1024 == 0 { 1.0 } else { -1.0 }
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                // Arrival order is the host's: contribute back to front.
+                for node in (0..nodes).rev() {
+                    st.contribute(round, node, &contrib[node]);
+                }
+                let want: Vec<u64> = per_node_sum(&contrib).iter().map(|v| v.to_bits()).collect();
+                for _reader in 0..nodes {
+                    let mut got = vec![f64::NAN; len];
+                    st.read_sum(round, &mut got);
+                    let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{nodes} nodes, round {round}");
+                }
+            }
+        }
+        // The fixture does exercise order: some slot of three nodes sums
+        // differently back to front.
+        let c = [vec![1.0], vec![1e16], vec![-1e16]];
+        let rev: Vec<Vec<f64>> = c.iter().rev().cloned().collect();
+        assert_ne!(per_node_sum(&c)[0].to_bits(), per_node_sum(&rev)[0].to_bits());
+    }
 
     fn cfg(nodes: usize) -> MachineConfig {
         // Pin the backend: these tests exercise run-state misuse, not the

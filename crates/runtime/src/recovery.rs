@@ -187,6 +187,10 @@ pub struct NodeErrorState {
     pub node: NodeId,
     /// Seq of the fetch it was waiting on (0 = none).
     pub outstanding_fetch: u64,
+    /// `(ungranted tear-downs, lowest pending seq)` of the pre-send wave
+    /// it was waiting on (`(0, 0)` = none); such requests are home-local
+    /// and never show as `outstanding_fetch`.
+    pub wave: (u64, u64),
     /// Messages sent so far.
     pub msgs_out: u64,
     /// Fetch re-issues so far (ticks while a partition eats grants).
@@ -227,8 +231,16 @@ impl std::fmt::Display for MachineError {
         for s in &self.nodes {
             write!(
                 f,
-                "\n  node {}: outstanding_fetch={} msgs_out={} retries={} presend_retries={} recoveries={}",
-                s.node, s.outstanding_fetch, s.msgs_out, s.retries, s.presend_retries, s.recoveries
+                "\n  node {}: outstanding_fetch={} pending_teardowns={} (lowest seq {}) msgs_out={} \
+                 retries={} presend_retries={} recoveries={}",
+                s.node,
+                s.outstanding_fetch,
+                s.wave.0,
+                s.wave.1,
+                s.msgs_out,
+                s.retries,
+                s.presend_retries,
+                s.recoveries
             )?;
         }
         if !self.trace_tail.is_empty() {
@@ -373,8 +385,10 @@ impl Watchdog {
                     let detail: Vec<String> = shareds
                         .iter()
                         .map(|s| {
+                            let (torn, low) = s.wave();
                             format!(
-                                "node {} (outstanding fetch seq {}, {} retries)",
+                                "node {} (outstanding fetch seq {}, {torn} pending tear-downs \
+                                 from seq {low}, {} retries)",
                                 s.me,
                                 s.outstanding(),
                                 s.stats.retries.load(Ordering::Relaxed)
@@ -452,6 +466,7 @@ mod tests {
             nodes: vec![NodeErrorState {
                 node: 2,
                 outstanding_fetch: 17,
+                wave: (3, 40),
                 msgs_out: 5,
                 retries: 9,
                 presend_retries: 0,
@@ -463,6 +478,7 @@ mod tests {
         assert!(s.contains("machine deadlock"));
         assert!(s.contains("node 2"));
         assert!(s.contains("retries=9"));
+        assert!(s.contains("pending_teardowns=3 (lowest seq 40)"));
         assert!(s.contains("Retry"));
     }
 

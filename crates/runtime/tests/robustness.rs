@@ -196,6 +196,66 @@ fn watchdog_converts_full_partition_into_bounded_deadlock_error() {
 }
 
 #[test]
+fn a_partition_during_a_presend_window_reports_the_pending_wave() {
+    // Two nodes; node 1 reads node 0's half of `a` in phase 1, node 0
+    // overwrites it in phase 2. From the second iteration on, phase 2's
+    // pre-send prefetches ownership home: one wave of 64 invalidation
+    // rounds, all home-local requests — `outstanding_fetch` reads 0 for
+    // the whole of it. Per directed link the first iteration is 64 + 64
+    // messages (grants | requests, then invalidations | acks) and phase
+    // 1's second pre-send a few bulk pushes | acks, so severing both links
+    // from their 150th send cuts the wave about a third of the way in.
+    let wd = WatchdogConfig { poll: Duration::from_millis(25), stalled_polls: 8 };
+    let start = Instant::now();
+    let mut m = Machine::new(
+        MachineConfig::predictive(2, 64)
+            .with_faults(
+                FaultPlan::new(7).partitioned(PartitionSpec::total().during(150, u64::MAX)),
+            )
+            .with_retry(RetryConfig { timeout: Duration::from_millis(25), max_retries: 1_000_000 })
+            .with_watchdog(wd),
+    );
+    let a = Agg1D::<f64>::new(&m, 1024, Dist1D::Block);
+    let half = a.my_range(0);
+    assert_eq!(half.len() * 8 / 64, 64, "node 0's half is 64 blocks");
+
+    let err = m
+        .try_run(|ctx: &mut NodeCtx| {
+            for it in 0..3 {
+                ctx.phase_begin(1);
+                if ctx.me() == 1 {
+                    for i in half.clone() {
+                        let _: f64 = ctx.read(a.addr(i));
+                    }
+                }
+                ctx.phase_end();
+                ctx.phase_begin(2);
+                if ctx.me() == 0 {
+                    for i in half.clone() {
+                        ctx.write(a.addr(i), (it * 1024 + i) as f64);
+                    }
+                }
+                ctx.phase_end();
+            }
+        })
+        .expect_err("a machine partitioned mid-window must be declared dead");
+
+    assert_eq!(err.kind, FailureKind::Deadlock);
+    let home = err.nodes[0];
+    assert_eq!(home.outstanding_fetch, 0, "a tear-down is not a remote fetch: {err}");
+    assert!(home.wave.0 > 0 && home.wave.0 < 64, "part of the wave is pending: {err}");
+    assert!(home.wave.1 > 0, "and its lowest seq is named: {err}");
+    assert_eq!(err.nodes[1].wave, (0, 0), "node 1 waits at the window's barrier: {err}");
+    assert!(err.message.contains(&format!("{} pending tear-downs", home.wave.0)), "{err}");
+    assert!(home.retries > 0, "the wave re-issues what is pending: {err}");
+    assert!(
+        start.elapsed() < wd.budget() + Duration::from_secs(30),
+        "bounded, not a hang: {:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
 fn watchdog_stays_quiet_on_a_healthy_run() {
     // A healthy machine with an aggressive watchdog must not be killed:
     // progress counters tick, so the stall counter never accumulates.

@@ -44,7 +44,6 @@
 //!   that flushes event-count-based delays.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use prescient_tempest::tag::Tag;
 use prescient_tempest::{BlockId, NodeId, NodeMem, NodeSet, NodeStats};
@@ -635,61 +634,117 @@ impl Engine {
     }
 }
 
+fn request(block: BlockId, excl: bool, seq: u64) -> Msg {
+    if excl {
+        Msg::GetExcl { block, seq }
+    } else {
+        Msg::GetShared { block, seq }
+    }
+}
+
+/// A request is about to be re-issued for the `round`-th time. Counted
+/// now (not once the grant lands) so a wedged wait is visible to the
+/// watchdog's report.
+fn note_retry(n: &NodeShared, block: BlockId, round: u32) {
+    NodeStats::bump(&n.stats.retries);
+    n.tracer().emit(prescient_tempest::trace::EventKind::Retry, block.0, u64::from(round));
+}
+
 /// The fault path: request `block` from its home and serve the node's
-/// inbox until the grant arrives. Re-issues the request (with a fresh seq)
-/// every [`crate::node::RetryConfig::timeout`] without an answer, so lost
+/// inbox until the grant arrives ([`Node::settle`] with one pending
+/// entry). Re-issues the request (with a fresh seq) every
+/// [`crate::node::RetryConfig::timeout`] without an answer, so lost
 /// requests, lost grants, and stalled multi-hop rounds all recover.
 /// Anything else a handler reports meanwhile (a late acknowledgement, a
-/// superseded grant, a kick) has no waiter and is dropped.
+/// superseded grant — which the handler already refused to install — a
+/// kick) has no waiter and is dropped.
 pub fn fetch(node: &mut Node, block: BlockId, excl: bool) -> GrantInfo {
-    let mut retries: u32 = 0;
-    loop {
-        let n = &node.shared;
-        let home = n.homes.home_of_block(block);
+    let issue = |n: &NodeShared| {
         let seq = n.next_seq();
         n.set_outstanding(seq);
-        n.send(
-            home,
-            if excl { Msg::GetExcl { block, seq } } else { Msg::GetShared { block, seq } },
-        );
-        let deadline = Instant::now() + n.retry.timeout;
-        loop {
-            match node.next_wake(Some(deadline)) {
-                Some(Wake::Grant { block: b, excl: e, extra_hops, bytes, recorded, seq: s }) => {
-                    if s != seq {
-                        // A grant from a superseded attempt; the handler
-                        // already refused to install it.
-                        continue;
-                    }
-                    debug_assert_eq!(b, block, "grant for a different block");
-                    debug_assert_eq!(e, excl, "grant of a different kind");
-                    // From here on, a late duplicate of this grant must
-                    // not install.
-                    node.shared.set_outstanding(0);
-                    return GrantInfo { extra_hops, bytes, recorded, retries };
-                }
-                Some(_) => {}
-                None => {
-                    let n = &node.shared;
-                    retries += 1;
-                    // Counted at the timeout (not once the grant lands) so
-                    // a wedged fetch is visible to the watchdog's report.
-                    NodeStats::bump(&n.stats.retries);
-                    n.tracer().emit(
-                        prescient_tempest::trace::EventKind::Retry,
-                        block.0,
-                        u64::from(retries),
-                    );
-                    assert!(
-                        retries <= n.retry.max_retries,
-                        "node {}: no grant for {:?} after {} retries (machine wedged)",
-                        n.me,
-                        block,
-                        retries - 1
-                    );
-                    break; // re-issue with a fresh seq
+        n.send(n.homes.home_of_block(block), request(block, excl, seq));
+        seq
+    };
+    let mut seq = issue(&node.shared);
+    let mut info = GrantInfo { extra_hops: 0, bytes: 0, recorded: false, retries: 0 };
+    node.settle(format_args!("fetch of {block:?} ungranted"), 1, |n, event| match event {
+        Ok(Wake::Grant { block: b, excl: e, extra_hops, bytes, recorded, seq: s }) if s == seq => {
+            debug_assert_eq!((b, e), (block, excl), "grant for a different request");
+            // From here on, a late duplicate of this grant must not
+            // install.
+            n.set_outstanding(0);
+            info = GrantInfo { extra_hops, bytes, recorded, ..info };
+            0
+        }
+        Ok(_) => 1,
+        Err(round) => {
+            info.retries = round;
+            note_retry(n, block, round);
+            seq = issue(n);
+            1
+        }
+    });
+    info
+}
+
+/// The wave form of a home's own faults: issue a request for every block
+/// of `reqs` (`(block, excl)`, all homed at this node — asserted) and then
+/// wait once, serving the inbox until every grant has come back. Per block
+/// it is the message exchange [`fetch`] has; the recall and invalidation
+/// rounds of the whole wave are in flight together, which is what
+/// `CostModel::ensure_ns` has always billed. Result `i` answers `reqs[i]`.
+///
+/// Grants are matched to requests **by seq**. The seqs of one issue round
+/// are consecutive — request `open[j]` holds `base + j` — so the pending
+/// set is a base, an index list and which results are filled in; a round
+/// with no grant for [`crate::node::RetryConfig::timeout`] re-issues only
+/// what is still open, in block order, with fresh seqs (the home's
+/// parked-requester path makes that idempotent). Home-local grants install
+/// nothing, so `outstanding` — the gate for remote grants — stays clear;
+/// death reports see the wave through [`NodeShared::wave`] instead.
+pub fn fetch_all(node: &mut Node, reqs: &[(BlockId, bool)]) -> Vec<GrantInfo> {
+    // (Re-)issue `open`; returns the first seq drawn.
+    let issue = |n: &NodeShared, open: &[usize], round: u32| {
+        let base = n.next_seqs(open.len() as u64);
+        for (&i, seq) in open.iter().zip(base..) {
+            let (block, excl) = reqs[i];
+            assert_eq!(n.homes.home_of_block(block), n.me, "fetch_all: {block:?} not homed here");
+            if round > 0 {
+                note_retry(n, block, round);
+            }
+            n.send(n.me, request(block, excl, seq));
+        }
+        base
+    };
+    let mut open: Vec<usize> = (0..reqs.len()).collect();
+    let mut base = issue(&node.shared, &open, 0);
+    // `low`: first `j` whose request is ungranted; `round`: issue rounds
+    // so far beyond the first.
+    let (mut low, mut round, mut left) = (0, 0, reqs.len());
+    let mut infos: Vec<Option<GrantInfo>> = vec![None; reqs.len()];
+    node.shared.set_wave(left as u64, base);
+    node.settle(format_args!("tear-downs ungranted"), left, |n, event| {
+        match event {
+            Ok(Wake::Grant { block, excl, extra_hops, bytes, recorded, seq }) => {
+                let slot = seq.checked_sub(base).and_then(|j| open.get(j as usize));
+                let Some(&i) = slot.filter(|&&i| infos[i].is_none()) else {
+                    return left; // superseded or duplicated grant
+                };
+                debug_assert_eq!((block, excl), reqs[i], "grant for a different request");
+                infos[i] = Some(GrantInfo { extra_hops, bytes, recorded, retries: round });
+                left -= 1;
+                while open.get(low).is_some_and(|&i| infos[i].is_some()) {
+                    low += 1;
                 }
             }
+            Ok(_) => return left,
+            Err(r) => {
+                open.retain(|&i| infos[i].is_none());
+                (base, low, round) = (issue(n, &open, r), 0, r);
+            }
         }
-    }
+        n.set_wave(left as u64, base + low as u64);
+        left
+    });
+    infos.into_iter().map(|i| i.expect("settled")).collect()
 }

@@ -28,7 +28,8 @@
 //!   part, the owned state (block store, directory), the inbox, and the
 //!   loops that serve it (poll, wait, barrier);
 //! * [`engine`] — the handlers themselves plus the fault path
-//!   ([`engine::fetch`]);
+//!   ([`engine::fetch`], and its wave form for a home's own tear-downs,
+//!   [`engine::fetch_all`]);
 //! * [`hooks`] — the extension interface: recording of home-node requests
 //!   and handling of user messages;
 //! * [`testkit`] — the protocol-level test harness: node threads running
@@ -48,7 +49,7 @@ pub mod wire;
 
 pub use check::check_coherence;
 pub use dir::{DirCheckpoint, DirEntry, DirState, Directory};
-pub use engine::{fetch, Engine, GrantInfo};
+pub use engine::{fetch, fetch_all, Engine, GrantInfo};
 pub use hooks::{Hooks, NoHooks};
 pub use msg::{Msg, UserMsg, Wake};
 pub use node::{Node, NodeCheckpoint, NodeShared, NodeState, RetryConfig};

@@ -94,6 +94,10 @@ pub struct NodeShared {
     /// stale and must not install. Written by the node's thread only;
     /// atomic so death reports can read it.
     outstanding: AtomicU64,
+    /// Tear-downs of the wave in flight still ungranted, and the lowest
+    /// seq among them ([`crate::engine::fetch_all`]; home-local requests
+    /// never set `outstanding`). Same writer, same readers.
+    wave: [AtomicU64; 2],
     net: Net<Msg>,
 }
 
@@ -108,13 +112,19 @@ impl NodeShared {
             stats: NodeStats::default(),
             seq: AtomicU64::new(1),
             outstanding: AtomicU64::new(0),
+            wave: [AtomicU64::new(0), AtomicU64::new(0)],
             net,
         }
     }
 
     /// Draw the next request sequence number.
     pub fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
+        self.next_seqs(1)
+    }
+
+    /// Draw `count` consecutive sequence numbers; the first of them.
+    pub fn next_seqs(&self, count: u64) -> u64 {
+        self.seq.fetch_add(count, Ordering::Relaxed)
     }
 
     /// Declare `seq` as the fetch in flight (0 = none).
@@ -125,6 +135,18 @@ impl NodeShared {
     /// The fetch in flight (0 = none).
     pub fn outstanding(&self) -> u64 {
         self.outstanding.load(Ordering::Relaxed)
+    }
+
+    /// Publish the tear-down wave in flight: `left` requests ungranted,
+    /// the lowest of them `low_seq` (`left == 0`: none, reads `(0, 0)`).
+    pub fn set_wave(&self, left: u64, low_seq: u64) {
+        self.wave[0].store(left, Ordering::Relaxed);
+        self.wave[1].store(if left == 0 { 0 } else { low_seq }, Ordering::Relaxed);
+    }
+
+    /// `(ungranted tear-downs, lowest pending seq)` of the wave in flight.
+    pub fn wave(&self) -> (u64, u64) {
+        (self.wave[0].load(Ordering::Relaxed), self.wave[1].load(Ordering::Relaxed))
     }
 
     /// Send a protocol message to `dst`, counting it. The message may sit
@@ -293,6 +315,49 @@ impl Node {
         }
     }
 
+    /// The one acknowledged wait: serve the inbox until none of `left`
+    /// pending entries (grants, acknowledgements) remains. `step` sees
+    /// every wake as `Ok` and answers how many entries are still pending;
+    /// after [`RetryConfig::timeout`] in which no entry settled it sees
+    /// `Err(round)` — the moment to re-issue what is pending — and the
+    /// clock re-arms. The deadline runs from the last progress, so a long
+    /// wave on a slow host is not a timeout. Under [`crate::engine::fetch`]
+    /// and [`crate::engine::fetch_all`], the pre-send ack wait and the
+    /// merge ack wait.
+    ///
+    /// # Panics
+    ///
+    /// When round [`RetryConfig::max_retries`]` + 1` would begin: `what`
+    /// never settled (the fabric drops everything, or a protocol bug).
+    pub fn settle(
+        &mut self,
+        what: std::fmt::Arguments<'_>,
+        mut left: usize,
+        mut step: impl FnMut(&NodeShared, Result<Wake, u32>) -> usize,
+    ) {
+        let RetryConfig { timeout, max_retries } = self.shared.retry;
+        let (mut rounds, mut deadline) = (0u32, Instant::now() + timeout);
+        while left > 0 {
+            let event = match self.next_wake(Some(deadline)) {
+                Some(wake) => Ok(wake),
+                None => {
+                    rounds += 1;
+                    assert!(
+                        rounds <= max_retries,
+                        "node {}: {left} {what} after {max_retries} retry rounds (machine wedged)",
+                        self.shared.me
+                    );
+                    Err(rounds)
+                }
+            };
+            let now = step(&self.shared, event);
+            if now > 0 && (now < left || event.is_err()) {
+                deadline = Instant::now() + timeout;
+            }
+            left = now;
+        }
+    }
+
     /// Global barrier that keeps serving: arrive, then drain the inbox
     /// until the episode is released. The last arriver kicks every peer,
     /// always *after* the release is published, so a waiter that saw no
@@ -337,6 +402,7 @@ impl Node {
         self.state.recalled = ckpt.recalled.iter().cloned().collect();
         self.shared.seq.store(ckpt.seq, Ordering::Relaxed);
         self.shared.set_outstanding(0);
+        self.shared.set_wave(0, 0);
     }
 }
 
