@@ -25,7 +25,7 @@ use std::time::Duration;
 use prescient_apps::barnes::{run_barnes, BarnesConfig};
 use prescient_apps::water::{run_water, WaterConfig};
 use prescient_apps::AppRun;
-use prescient_runtime::{FabricKind, MachineConfig, PlacementSpec};
+use prescient_runtime::{MachineConfig, PlacementSpec};
 use prescient_stache::RetryConfig;
 use prescient_tempest::{BlockId, CrashPlan, FaultPlan, GlobalLayout, HomeMap};
 
@@ -83,17 +83,14 @@ fn water_remap_is_transparent_and_cuts_messages() {
     );
 }
 
-/// Barnes on the socket backend: the tree blocks are read by every node,
+/// Barnes: the tree blocks are read by every node,
 /// so shifted-layout runs are contended and their miss counts are not
 /// run-to-run stable (placement or no placement). The gated invariant is
 /// the checksum; the overlay counter proves the remap was live.
 #[test]
-fn barnes_remap_is_transparent_on_the_socket_backend() {
+fn barnes_remap_is_transparent() {
     let cfg = BarnesConfig { n: 192, steps: 2, ..Default::default() };
-    let base = MachineConfig::stache(NODES, BS)
-        .with_fabric(FabricKind::SocketPair { split: 0 })
-        .with_home_shift(2)
-        .validated();
+    let base = MachineConfig::stache(NODES, BS).with_home_shift(2).validated();
     let stat = run_barnes(base.clone(), &cfg);
     let placed = run_barnes(base.with_placement(owner_remap()), &cfg);
     assert_eq!(

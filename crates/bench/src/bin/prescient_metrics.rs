@@ -8,7 +8,6 @@
 //! prescient-metrics report   FILE                  # per-phase tables
 //! prescient-metrics watch    STREAM [--once]       # follow a live stream
 //! prescient-metrics anomaly  FILE [--threshold N]  # flag deviant iterations
-//! prescient-metrics merge    OUT PART [PART...]    # join per-process exports
 //! prescient-metrics validate STREAM [TIMELINE]     # CI structural checks
 //! ```
 //!
@@ -18,11 +17,10 @@
 //! one formatted line per record as nodes cut them; `--once` drains what
 //! is there and exits. `anomaly` compares every phase instance against
 //! the median of its sibling iterations and attributes deviations to the
-//! cause counters recorded in the same deltas (DESIGN.md §15). `merge`
-//! reassembles the per-process exports of a two-process socket run into
-//! one machine-wide timeline. `validate` checks that a stream parses,
-//! reconciles record-for-record with its teardown timeline when one is
-//! given, and exits non-zero on any mismatch.
+//! cause counters recorded in the same deltas (DESIGN.md §15). `validate`
+//! checks that a stream parses, reconciles record-for-record with its
+//! teardown timeline when one is given, and exits non-zero on any
+//! mismatch.
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -43,7 +41,6 @@ fn main() -> ExitCode {
             Ok(p) => anomaly(file, p),
             Err(e) => Err(format!("--threshold {pct:?}: {e}")),
         },
-        ["merge", out, parts @ ..] if !parts.is_empty() => merge(out, parts),
         ["validate", stream] => validate(stream, None),
         ["validate", stream, timeline] => validate(stream, Some(timeline)),
         _ => {
@@ -51,7 +48,6 @@ fn main() -> ExitCode {
                 "usage: prescient-metrics report FILE\n\
                  \x20      prescient-metrics watch STREAM [--once]\n\
                  \x20      prescient-metrics anomaly FILE [--threshold PCT]\n\
-                 \x20      prescient-metrics merge OUT PART [PART...]\n\
                  \x20      prescient-metrics validate STREAM [TIMELINE]"
             );
             return ExitCode::from(2);
@@ -66,12 +62,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// Load either input format: timeline JSON (has the `range_start` header)
-/// or a JSONL stream (wrapped as a whole-machine timeline over the nodes
+/// Load either input format: timeline JSON (has the `nodes` header) or a
+/// JSONL stream (wrapped as a whole-machine timeline over the nodes
 /// seen).
 fn load_any(file: &str) -> Result<RunTimeline, String> {
     let head = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-    if head.contains("\"range_start\": ") {
+    if head.contains("\"nodes\": ") {
         load_timeline(file)
     } else {
         let records = parse_stream(&head).map_err(|e| format!("{file}: {e}"))?;
@@ -82,13 +78,7 @@ fn load_any(file: &str) -> Result<RunTimeline, String> {
 
 fn report(file: &str) -> Result<(), String> {
     let t = load_any(file)?;
-    println!(
-        "== metrics timeline: {file} ({} nodes, range {}..{}, {} records) ==",
-        t.nodes,
-        t.range.start,
-        t.range.end(),
-        t.records.len()
-    );
+    println!("== metrics timeline: {file} ({} nodes, {} records) ==", t.nodes, t.records.len());
     println!(
         "\n{:>3} {:>5} {:>4} {:>5} {:>12} {:>8} {:>12} {:>8} {:>8} {:>8} {:>10} {:>6}",
         "run",
@@ -212,19 +202,6 @@ fn anomaly(file: &str, threshold_pct: f64) -> Result<(), String> {
             if a.value >= a.median { a.deviation_pct } else { -a.deviation_pct },
         );
     }
-    Ok(())
-}
-
-fn merge(out: &str, parts: &[&str]) -> Result<(), String> {
-    let loaded: Result<Vec<RunTimeline>, String> = parts.iter().map(|p| load_timeline(p)).collect();
-    let merged = RunTimeline::merge(loaded?)?;
-    std::fs::write(out, merged.to_json()).map_err(|e| format!("{out}: {e}"))?;
-    println!(
-        "merged {} part(s) -> {out}: {} nodes, {} records",
-        parts.len(),
-        merged.nodes,
-        merged.records.len()
-    );
     Ok(())
 }
 

@@ -15,7 +15,6 @@
 //! flushes, crash recoveries, a home remap) usually name the reason.
 
 use prescient_runtime::{PhaseGroup, RunTimeline};
-use prescient_tempest::socket::NodeRange;
 use prescient_tempest::PhaseRecord;
 
 /// Load a JSONL stream file: one [`PhaseRecord`] per line.
@@ -36,10 +35,8 @@ pub fn parse_stream(text: &str) -> Result<Vec<PhaseRecord>, String> {
     Ok(out)
 }
 
-/// Load a `*.timeline.json` export: the header gives the machine size and
-/// the node range this file covers (a two-process socket run exports one
-/// file per side), and every embedded record line parses with the stream
-/// parser.
+/// Load a `*.timeline.json` export: the header gives the machine size,
+/// and every embedded record line parses with the stream parser.
 pub fn load_timeline(path: &str) -> Result<RunTimeline, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     parse_timeline(&text).map_err(|e| format!("{path}: {e}"))
@@ -48,8 +45,6 @@ pub fn load_timeline(path: &str) -> Result<RunTimeline, String> {
 /// Parse timeline JSON text.
 pub fn parse_timeline(text: &str) -> Result<RunTimeline, String> {
     let nodes = header_u64(text, "nodes")? as usize;
-    let start = header_u64(text, "range_start")? as u16;
-    let len = header_u64(text, "range_len")? as u16;
     let mut records = Vec::new();
     for line in text.lines() {
         let line = line.trim().trim_end_matches(',');
@@ -60,7 +55,7 @@ pub fn parse_timeline(text: &str) -> Result<RunTimeline, String> {
             PhaseRecord::parse_line(line).map_err(|e| format!("bad record line ({e}): {line}"))?,
         );
     }
-    Ok(RunTimeline::with_range(nodes, NodeRange::new(start, len), records))
+    Ok(RunTimeline::new(nodes, records))
 }
 
 /// Read a `"key": value` header field (the repo's substring JSON idiom;
@@ -199,7 +194,6 @@ mod tests {
         let t = RunTimeline::new(2, vec![rec(0, 0, 1, 0, 3), rec(1, 0, 1, 0, 4)]);
         let back = parse_timeline(&t.to_json()).unwrap();
         assert_eq!(back.nodes, 2);
-        assert_eq!(back.range, NodeRange::new(0, 2));
         assert_eq!(back.records, t.records);
         assert!(parse_timeline("{}").is_err(), "missing header is loud");
     }

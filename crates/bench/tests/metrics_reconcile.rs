@@ -2,7 +2,7 @@
 //! per-phase delta record cut by the metrics timeline must sum *exactly*
 //! to the measured run's report (the telescoping-sum invariant at app
 //! scale), and turning metrics on must leave the gated perf columns
-//! bit-identical on both in-process fabric backends.
+//! bit-identical.
 
 use std::time::Duration;
 
@@ -11,7 +11,7 @@ use prescient_apps::barnes::{run_barnes, BarnesConfig};
 use prescient_apps::water::{run_water, WaterConfig};
 use prescient_apps::AppRun;
 use prescient_bench::metrics::load_stream;
-use prescient_runtime::{FabricKind, MachineConfig, RunTimeline};
+use prescient_runtime::{MachineConfig, RunTimeline};
 use prescient_stache::RetryConfig;
 use prescient_tempest::MetricsConfig;
 
@@ -21,12 +21,11 @@ const NODES: usize = 4;
 /// measured run.
 const MEASURED_RUN: u64 = 2;
 
-fn mcfg(fabric: FabricKind) -> MachineConfig {
+fn mcfg() -> MachineConfig {
     // Generous timeout: a host-load retry would perturb the off-vs-on
     // comparison (retries bill wait vtime).
     MachineConfig::predictive(NODES, 64)
         .with_retry(RetryConfig { timeout: Duration::from_secs(30), max_retries: 4 })
-        .with_fabric(fabric)
 }
 
 fn stream_path(tag: &str) -> String {
@@ -41,7 +40,7 @@ fn stream_path(tag: &str) -> String {
 fn reconcile(tag: &str, run: impl FnOnce(MachineConfig) -> AppRun) {
     let path = stream_path(tag);
     let _ = std::fs::remove_file(&path);
-    let app = run(mcfg(FabricKind::Channel).with_metrics(MetricsConfig::stream(&path)));
+    let app = run(mcfg().with_metrics(MetricsConfig::stream(&path)));
     let records = load_stream(&path).expect("live stream parses");
     let timeline = RunTimeline::new(NODES, records);
     timeline
@@ -87,22 +86,11 @@ fn gated(r: &AppRun) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
 }
 
 /// Metrics on (in-memory hub, the worst-perturbation mode: every cut
-/// still happens) vs off must leave the gated signature bit-identical —
-/// on the channel backend and on the socket backend, whose delivery
-/// timings differ.
-fn zero_perturbation(fabric: FabricKind) {
-    let cfg = WaterConfig { n: 64, steps: 4, ..Default::default() };
-    let off = run_water(mcfg(fabric).with_metrics(MetricsConfig::off()), &cfg);
-    let on = run_water(mcfg(fabric).with_metrics(MetricsConfig::on()), &cfg);
-    assert_eq!(gated(&off), gated(&on), "gated columns must be bit-identical off vs on");
-}
-
+/// still happens) vs off must leave the gated signature bit-identical.
 #[test]
 fn metrics_do_not_perturb_the_channel_backend() {
-    zero_perturbation(FabricKind::Channel);
-}
-
-#[test]
-fn metrics_do_not_perturb_the_socket_backend() {
-    zero_perturbation(FabricKind::SocketPair { split: 0 });
+    let cfg = WaterConfig { n: 64, steps: 4, ..Default::default() };
+    let off = run_water(mcfg().with_metrics(MetricsConfig::off()), &cfg);
+    let on = run_water(mcfg().with_metrics(MetricsConfig::on()), &cfg);
+    assert_eq!(gated(&off), gated(&on), "gated columns must be bit-identical off vs on");
 }

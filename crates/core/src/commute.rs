@@ -39,12 +39,12 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use prescient_stache::hooks::Hooks;
 use prescient_stache::msg::{Msg, UserMsg, Wake};
 use prescient_stache::node::{Node, NodeShared, NodeState};
+use prescient_tempest::sync::lock;
 use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
 
 use crate::codes;
@@ -124,7 +124,7 @@ impl Commute {
     /// the closing window has been acknowledged, so anything still carrying
     /// the old epoch is a duplicate.
     pub fn bump_epoch(&self) {
-        self.state.lock().done_pushes.clear();
+        lock(&self.state).done_pushes.clear();
         self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
@@ -133,7 +133,7 @@ impl Commute {
     /// Callable only between the window's stability barrier and the next
     /// window (no chunk can be in flight).
     pub fn take_inbox(&self) -> Vec<(NodeId, Arc<[u8]>)> {
-        let mut chunks = std::mem::take(&mut self.state.lock().inbox);
+        let mut chunks = std::mem::take(&mut lock(&self.state).inbox);
         chunks.sort_by_key(|c| (c.src, c.id));
         chunks.into_iter().map(|c| (c.src, c.bytes)).collect()
     }
@@ -142,7 +142,7 @@ impl Commute {
     /// the push bookkeeping, and any delta chunks buffered but not yet
     /// drained (in-flight with respect to the application).
     pub fn checkpoint(&self) -> CommuteCheckpoint {
-        CommuteCheckpoint { state: self.state.lock().clone(), epoch: self.epoch() }
+        CommuteCheckpoint { state: lock(&self.state).clone(), epoch: self.epoch() }
     }
 
     /// Roll this node's merge state back to a captured cut. Callable only
@@ -150,7 +150,7 @@ impl Commute {
     /// channels): the epoch rewinds together with every peer's, so replayed
     /// merge windows re-stamp the same epochs.
     pub fn restore(&self, ckpt: &CommuteCheckpoint) {
-        *self.state.lock() = ckpt.state.clone();
+        *lock(&self.state) = ckpt.state.clone();
         self.epoch.store(ckpt.epoch, Ordering::Release);
     }
 }
@@ -194,7 +194,7 @@ impl Hooks for Commute {
                     return None;
                 }
                 let push_id = msg.a;
-                let mut st = self.state.lock();
+                let mut st = lock(&self.state);
                 if st.done_pushes.contains(&(src, push_id)) {
                     // Duplicate within the window (fabric dup, or the
                     // driver retransmitting because our ack was lost).
@@ -260,7 +260,7 @@ pub fn merge(cm: &Commute, node: &mut Node, outgoing: &[(NodeId, Vec<u8>)]) -> M
     for (target, payload) in outgoing {
         // One id per chunk, drawn (and local chunks buffered) under one
         // lock.
-        let mut st = cm.state.lock();
+        let mut st = lock(&cm.state);
         let first_id = st.next_push_id;
         st.next_push_id += payload.len().div_ceil(max) as u64;
         for ((seq, chunk), id) in payload.chunks(max).enumerate().zip(first_id..) {
@@ -319,7 +319,7 @@ mod tests {
     fn inbox_drains_sorted_by_contributor_then_id() {
         let cm = Commute::new(CommuteConfig::default());
         {
-            let mut st = cm.state.lock();
+            let mut st = lock(&cm.state);
             st.inbox.push(Chunk { src: 2, id: 7, bytes: vec![2u8].into() });
             st.inbox.push(Chunk { src: 0, id: 9, bytes: vec![0u8].into() });
             st.inbox.push(Chunk { src: 2, id: 3, bytes: vec![1u8].into() });
@@ -334,17 +334,17 @@ mod tests {
     fn epoch_bump_clears_push_bookkeeping() {
         let cm = Commute::new(CommuteConfig::default());
         assert_eq!(cm.epoch(), 1);
-        cm.state.lock().done_pushes.insert((3, 11));
+        lock(&cm.state).done_pushes.insert((3, 11));
         cm.bump_epoch();
         assert_eq!(cm.epoch(), 2);
-        assert!(cm.state.lock().done_pushes.is_empty());
+        assert!(lock(&cm.state).done_pushes.is_empty());
     }
 
     #[test]
     fn checkpoint_restore_round_trips() {
         let cm = Commute::new(CommuteConfig::default());
         {
-            let mut st = cm.state.lock();
+            let mut st = lock(&cm.state);
             st.inbox.push(Chunk { src: 1, id: 4, bytes: vec![9u8, 9].into() });
             st.next_push_id = 17;
             st.done_pushes.insert((1, 4));
@@ -354,12 +354,12 @@ mod tests {
 
         // Diverge, then roll back.
         cm.bump_epoch();
-        cm.state.lock().inbox.clear();
-        cm.state.lock().next_push_id = 99;
+        lock(&cm.state).inbox.clear();
+        lock(&cm.state).next_push_id = 99;
         cm.restore(&ckpt);
 
         assert_eq!(cm.epoch(), 2);
-        let st = cm.state.lock();
+        let st = lock(&cm.state);
         assert_eq!(st.next_push_id, 17);
         assert_eq!(st.inbox.len(), 1);
         assert_eq!(&st.inbox[0].bytes[..], &[9, 9]);
@@ -372,7 +372,7 @@ mod tests {
         let cm = Commute::new(CommuteConfig::default());
         let ckpt = cm.checkpoint();
         let take_id = |cm: &Commute| {
-            let mut st = cm.state.lock();
+            let mut st = lock(&cm.state);
             let id = st.next_push_id;
             st.next_push_id += 1;
             id

@@ -11,6 +11,7 @@
 //! recording overhead. `prescient-apps` uses this for the SPMD Barnes
 //! variant of Figure 6.
 
+use prescient_tempest::sync::lock;
 use prescient_tempest::{BlockId, NodeId, NodeSet};
 
 use crate::predictive::Predictive;
@@ -33,7 +34,7 @@ impl Predictive {
         phase: PhaseId,
         entries: impl IntoIterator<Item = (BlockId, ManualEntry)>,
     ) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let sched = st.store.phase_mut(phase);
         for (block, entry) in entries {
             match entry {
@@ -66,7 +67,7 @@ mod tests {
             ],
         );
         assert_eq!(p.entries(7), 2);
-        let st = p.state.lock();
+        let st = lock(&p.state);
         let sched = st.store.phase(7).unwrap();
         assert_eq!(sched.entries[&BlockId(10)].action(), Action::Read);
         assert_eq!(sched.entries[&BlockId(10)].readers, readers);
@@ -79,7 +80,7 @@ mod tests {
         let p = Predictive::new(PredictiveConfig::default());
         p.install_manual(1, vec![(BlockId(5), ManualEntry::Readers(NodeSet::single(1)))]);
         p.install_manual(1, vec![(BlockId(5), ManualEntry::Readers(NodeSet::single(2)))]);
-        let st = p.state.lock();
+        let st = lock(&p.state);
         assert_eq!(st.store.phase(1).unwrap().entries[&BlockId(5)].readers.len(), 2);
     }
 }

@@ -52,16 +52,15 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use prescient_stache::hooks::Hooks;
 use prescient_stache::msg::{Msg, UserMsg, Wake};
 use prescient_stache::node::{NodeShared, NodeState};
+use prescient_tempest::sync::lock;
 use prescient_tempest::tag::Tag;
 use prescient_tempest::trace::{pack_peer_count, EventKind};
 use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
-
-use std::sync::Arc;
 
 use crate::codes;
 use crate::schedule::{PhaseId, ScheduleStore};
@@ -197,7 +196,7 @@ impl Predictive {
 
     /// Install (or remove) the schedule-oracle recording tap.
     pub fn set_tap(&self, tap: Option<Arc<AccessTap>>) {
-        *self.tap.lock() = tap;
+        *lock(&self.tap) = tap;
     }
 
     /// The configuration this instance was built with.
@@ -215,7 +214,7 @@ impl Predictive {
     /// the closing window has been acknowledged, so anything still carrying
     /// the old epoch is a duplicate.
     pub fn bump_epoch(&self) {
-        self.state.lock().done_pushes.clear();
+        lock(&self.state).done_pushes.clear();
         self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
@@ -223,7 +222,7 @@ impl Predictive {
     /// counter. Must be called *after* the pre-send for the phase and its
     /// stability barrier (the runtime's `phase_begin` wraps this).
     pub fn arm(&self, phase: PhaseId) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.store.phase_mut(phase).cur_iter += 1;
         st.recording = Some(phase);
     }
@@ -236,38 +235,38 @@ impl Predictive {
     /// recorded at its home; the second barrier keeps other nodes'
     /// post-phase traffic from being misrecorded into this phase.
     pub fn end_phase(&self) {
-        self.state.lock().recording = None;
+        lock(&self.state).recording = None;
     }
 
     /// Discard one phase's schedule (rebuild policy for patterns with many
     /// deletions, §3.3).
     pub fn flush(&self, phase: PhaseId) {
-        self.state.lock().store.flush(phase);
+        lock(&self.state).store.flush(phase);
     }
 
     /// Number of schedule entries currently held for `phase` at this node.
     pub fn entries(&self, phase: PhaseId) -> usize {
-        self.state.lock().store.phase(phase).map_or(0, |p| p.entries.len())
+        lock(&self.state).store.phase(phase).map_or(0, |p| p.entries.len())
     }
 
     /// Number of conflict-marked entries for `phase` at this node.
     pub fn conflicts(&self, phase: PhaseId) -> usize {
-        self.state.lock().store.phase(phase).map_or(0, |p| p.conflicts())
+        lock(&self.state).store.phase(phase).map_or(0, |p| p.conflicts())
     }
 
     /// This node's schedule health for `phase`.
     pub fn health(&self, phase: PhaseId) -> PhaseHealth {
-        self.state.lock().health.get(&phase).copied().unwrap_or_default()
+        lock(&self.state).health.get(&phase).copied().unwrap_or_default()
     }
 
     /// Whether `phase` is currently degraded at this node.
     pub fn is_degraded(&self, phase: PhaseId) -> bool {
-        self.state.lock().health.get(&phase).is_some_and(PhaseHealth::is_degraded)
+        lock(&self.state).health.get(&phase).is_some_and(PhaseHealth::is_degraded)
     }
 
     /// Times `phase` has degraded at this node.
     pub fn degrade_events(&self, phase: PhaseId) -> u64 {
-        self.state.lock().health.get(&phase).map_or(0, |h| h.degrade_events)
+        lock(&self.state).health.get(&phase).map_or(0, |h| h.degrade_events)
     }
 
     /// Export this node's slice of every phase's schedule (stable order) —
@@ -275,7 +274,7 @@ impl Predictive {
     pub fn export_schedules(
         &self,
     ) -> Vec<(PhaseId, Vec<(BlockId, crate::schedule::ScheduleEntry)>)> {
-        self.state.lock().store.export()
+        lock(&self.state).store.export()
     }
 
     /// Capture this node's full predictive-protocol state at a quiescent
@@ -283,7 +282,7 @@ impl Predictive {
     /// Taken at `phase_begin` *before* the window's [`Predictive::arm`],
     /// so the restored state is disarmed-at-cut and replay re-arms it.
     pub fn checkpoint(&self) -> PredCheckpoint {
-        PredCheckpoint { state: self.state.lock().clone(), epoch: self.epoch() }
+        PredCheckpoint { state: lock(&self.state).clone(), epoch: self.epoch() }
     }
 
     /// Roll this node's predictive-protocol state back to a captured cut.
@@ -291,7 +290,7 @@ impl Predictive {
     /// has emptied the channels): the epoch rewinds together with every
     /// peer's, so replayed pre-send windows re-stamp the same epochs.
     pub fn restore(&self, ckpt: &PredCheckpoint) {
-        *self.state.lock() = ckpt.state.clone();
+        *lock(&self.state) = ckpt.state.clone();
         self.epoch.store(ckpt.epoch, Ordering::Release);
     }
 }
@@ -315,10 +314,10 @@ impl Hooks for Predictive {
         // The oracle tap sees *every* request, even when the protocol is
         // not recording (unarmed, degraded, or stripped of phases by a
         // buggy compiler — exactly the cases the oracle must observe).
-        if let Some(tap) = self.tap.lock().as_ref() {
+        if let Some(tap) = lock(&self.tap).as_ref() {
             tap.record(block, requester, excl);
         }
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let Some(phase) = st.recording else { return false };
         // A degraded phase runs as plain Stache: no recording until the
         // backoff expires and the schedule can be rebuilt from scratch.
@@ -357,7 +356,7 @@ impl Hooks for Predictive {
                     return None;
                 }
                 let push_id = msg.a;
-                if let Some(&useless) = self.state.lock().done_pushes.get(&(src, push_id)) {
+                if let Some(&useless) = lock(&self.state).done_pushes.get(&(src, push_id)) {
                     // Duplicate within the window (fabric dup, or the
                     // driver retransmitting because our ack was lost).
                     // Re-ack with the original useless count; do not
@@ -378,7 +377,7 @@ impl Hooks for Predictive {
                 // never read — useless pre-sends, reported back to the
                 // pushing home via the ack.
                 let useless = state.mem.install_bulk(&msg.blocks, tag, true);
-                self.state.lock().done_pushes.insert((src, push_id), useless);
+                lock(&self.state).done_pushes.insert((src, push_id), useless);
                 NodeStats::add(&node.stats.presend_blocks_in, count);
                 NodeStats::add(&node.stats.data_bytes_in, bytes);
                 if node.tracer().on() {
@@ -425,7 +424,7 @@ impl Hooks for Predictive {
 
     fn on_presend_wasted(&self, node: &NodeShared, block: BlockId) {
         NodeStats::bump(&node.stats.presend_useless);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if let Some(&phase) = st.pushed_by.get(&block) {
             st.health.entry(phase).or_default().useless += 1;
         }

@@ -47,6 +47,7 @@ use prescient_stache::msg::{Msg, UserMsg, Wake};
 use prescient_stache::node::{Node, NodeShared, NodeState};
 
 use prescient_stache::dir::DirState;
+use prescient_tempest::sync::lock;
 use prescient_tempest::tag::Tag;
 use prescient_tempest::trace::{pack_counts, pack_peer_count, EventKind};
 use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
@@ -87,7 +88,7 @@ pub struct PresendReport {
 /// Returns `true` if the phase is degraded (the caller must skip).
 fn health_gate(pred: &Predictive, n: &NodeShared, phase: PhaseId) -> bool {
     let dc = pred.cfg.degrade;
-    let mut guard = pred.state.lock();
+    let mut guard = lock(&pred.state);
     let st = &mut *guard;
     let h = st.health.entry(phase).or_default();
     h.instances += 1;
@@ -141,7 +142,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     // hash-map entries. Expansion order and per-block behavior are
     // bit-identical to walking `sorted_entries`.
     let runs = {
-        let st = pred.state.lock();
+        let st = lock(&pred.state);
         match st.store.phase(phase) {
             Some(p) => p.replay(pred.cfg.anticipate_conflicts),
             None => return report,
@@ -293,7 +294,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
         let code = if first.excl { codes::PRESEND_RW } else { codes::PRESEND_RO };
         // One id per target, drawn under one lock.
         let ids = {
-            let mut st = pred.state.lock();
+            let mut st = lock(&pred.state);
             let first_id = st.next_push_id;
             st.next_push_id += first.targets.len() as u64;
             first_id..
@@ -353,7 +354,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     // the receivers said about the previous window's pushes, and which
     // phase to charge when one of this window's copies is torn down unread.
     {
-        let mut st = pred.state.lock();
+        let mut st = lock(&pred.state);
         // Only pushes that actually went out are this window's: an aborted
         // push must not charge a later teardown of the demand-path copy to
         // this phase's schedule health.

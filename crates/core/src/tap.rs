@@ -15,6 +15,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use prescient_tempest::sync::lock;
 use prescient_tempest::{BlockId, NodeId};
 
 /// Sentinel label meaning "no parallel call in progress".
@@ -61,19 +62,17 @@ impl AccessTap {
     pub fn record(&self, block: BlockId, requester: NodeId, excl: bool) {
         let l = self.label.load(Ordering::SeqCst);
         let call = if l == NO_CALL { None } else { Some(l) };
-        if let Ok(mut ev) = self.events.lock() {
-            ev.push(TapEvent { call, block, requester, excl });
-        }
+        lock(&self.events).push(TapEvent { call, block, requester, excl });
     }
 
     /// Snapshot the recorded events.
     pub fn events(&self) -> Vec<TapEvent> {
-        self.events.lock().map(|ev| ev.clone()).unwrap_or_default()
+        lock(&self.events).clone()
     }
 
     /// Drain the recorded events.
     pub fn take(&self) -> Vec<TapEvent> {
-        self.events.lock().map(|mut ev| std::mem::take(&mut *ev)).unwrap_or_default()
+        std::mem::take(&mut *lock(&self.events))
     }
 }
 

@@ -8,13 +8,14 @@
 //! in one parallel phase and consumed in another (writing and reading the
 //! same block within one phase instance is exactly the *conflict* case).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::presend;
 use prescient_core::{DegradeConfig, Predictive, PredictiveConfig};
 use prescient_stache::testkit::Cluster;
 use prescient_stache::{fetch, Node, NodeShared, RetryConfig};
+use prescient_tempest::sync::lock;
 use prescient_tempest::{GAddr, NodeId, NodeSet, Prim, VBarrier};
 
 /// One node as a test script sees it.
@@ -138,8 +139,7 @@ fn producer_consumer_becomes_local_after_recording() {
     let mut m = machine(3, 32);
     let addr = m.alloc(0, 8, 8);
 
-    let log: Arc<parking_lot::Mutex<Vec<(u64, u32, u32)>>> =
-        Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let log: Arc<Mutex<Vec<(u64, u32, u32)>>> = Arc::new(Mutex::new(Vec::new()));
     let l2 = Arc::clone(&log);
 
     let m = m.spmd(move |me, tn| {
@@ -159,12 +159,12 @@ fn producer_consumer_becomes_local_after_recording() {
             }
             tn.phase_end();
             if me == 1 || me == 2 {
-                l2.lock().push((iter, wf, rf));
+                lock(&l2).push((iter, wf, rf));
             }
         }
     });
 
-    let log = log.lock();
+    let log = lock(&log);
     for &(iter, wf, rf) in log.iter() {
         if iter >= 1 {
             assert_eq!(wf, 0, "producer write must hit after pre-send (iter {iter})");
@@ -187,7 +187,7 @@ fn conflict_blocks_get_no_action() {
     let mut m = machine(3, 32);
     let addr = m.alloc(0, 8, 8);
 
-    let fault_log: Arc<parking_lot::Mutex<Vec<u32>>> = Arc::new(parking_lot::Mutex::new(vec![]));
+    let fault_log: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![]));
     let fl = Arc::clone(&fault_log);
 
     let m = m.spmd(move |me, tn| {
@@ -203,7 +203,7 @@ fn conflict_blocks_get_no_action() {
             if me == 2 {
                 let (_, f) = tn.read_u64(addr);
                 if iter > 0 {
-                    fl.lock().push(f);
+                    lock(&fl).push(f);
                 }
             }
             tn.phase_end();
@@ -211,7 +211,7 @@ fn conflict_blocks_get_no_action() {
     });
 
     assert_eq!(m.nodes[0].pred.conflicts(9), 1, "home must mark the block conflict");
-    let faults = fault_log.lock();
+    let faults = lock(&fault_log);
     assert!(faults.iter().all(|&f| f > 0), "conflict block must not be pre-sent: {faults:?}");
     drop(faults);
 }
@@ -223,8 +223,7 @@ fn incremental_schedule_adds_new_readers() {
     let mut m = machine(4, 32);
     let addr = m.alloc(0, 8, 8);
 
-    let log: Arc<parking_lot::Mutex<Vec<(u64, NodeId, u32)>>> =
-        Arc::new(parking_lot::Mutex::new(vec![]));
+    let log: Arc<Mutex<Vec<(u64, NodeId, u32)>>> = Arc::new(Mutex::new(vec![]));
     let l2 = Arc::clone(&log);
 
     m.spmd(move |me, tn| {
@@ -239,13 +238,13 @@ fn incremental_schedule_adds_new_readers() {
             if me == 2 || late_joiner {
                 let (v, f) = tn.read_u64(addr);
                 assert_eq!(v, iter);
-                l2.lock().push((iter, me, f));
+                lock(&l2).push((iter, me, f));
             }
             tn.phase_end();
         }
     });
 
-    let log = log.lock();
+    let log = lock(&log);
     for &(iter, me, f) in log.iter() {
         if me == 2 && iter >= 1 {
             assert_eq!(f, 0, "established reader faults at iter {iter}");
@@ -267,7 +266,7 @@ fn flush_rebuilds_schedule() {
     let mut m = machine(3, 32);
     let addr = m.alloc(0, 8, 8);
 
-    let log: Arc<parking_lot::Mutex<Vec<(u64, u32)>>> = Arc::new(parking_lot::Mutex::new(vec![]));
+    let log: Arc<Mutex<Vec<(u64, u32)>>> = Arc::new(Mutex::new(vec![]));
     let l2 = Arc::clone(&log);
 
     m.spmd(move |me, tn| {
@@ -284,13 +283,13 @@ fn flush_rebuilds_schedule() {
             tn.phase_begin(R);
             if me == 2 {
                 let (_, f) = tn.read_u64(addr);
-                l2.lock().push((iter, f));
+                lock(&l2).push((iter, f));
             }
             tn.phase_end();
         }
     });
 
-    let mut entries = log.lock().clone();
+    let mut entries = lock(&log).clone();
     entries.sort_unstable();
     let faults: Vec<u32> = entries.into_iter().map(|(_, f)| f).collect();
     // iter 0: fault (cold). iters 1,2: pre-sent. iter 3: fault again
@@ -346,8 +345,7 @@ fn conflict_anticipation_pregrants_first_state() {
     let mut m = machine_cfg(3, 32, cfg);
     let addr = m.alloc(0, 8, 8);
 
-    let log: Arc<parking_lot::Mutex<Vec<(u64, u32, u32)>>> =
-        Arc::new(parking_lot::Mutex::new(vec![]));
+    let log: Arc<Mutex<Vec<(u64, u32, u32)>>> = Arc::new(Mutex::new(vec![]));
     let l2 = Arc::clone(&log);
 
     let m = m.spmd(move |me, tn| {
@@ -367,7 +365,7 @@ fn conflict_anticipation_pregrants_first_state() {
             tn.phase_end();
             if me == 1 || me == 2 {
                 // write faults are observed via a second write probe: record reader faults only
-                l2.lock().push((iter, me as u32, rf));
+                lock(&l2).push((iter, me as u32, rf));
             }
         }
     });
@@ -383,7 +381,7 @@ fn conflict_anticipation_pregrants_first_state() {
     );
     // The reader still faults every iteration (it is on the losing side of
     // the anticipated state).
-    let log = log.lock();
+    let log = lock(&log);
     let reader_faults: u32 = log.iter().filter(|e| e.1 == 2).map(|e| e.2).sum();
     assert!(reader_faults >= 4, "reader keeps faulting: {reader_faults}");
     drop(log);
@@ -396,7 +394,7 @@ fn migratory_write_is_present_to_writer() {
     let mut m = machine(3, 32);
     let addr = m.alloc(0, 8, 8);
 
-    let log: Arc<parking_lot::Mutex<Vec<(u64, u32)>>> = Arc::new(parking_lot::Mutex::new(vec![]));
+    let log: Arc<Mutex<Vec<(u64, u32)>>> = Arc::new(Mutex::new(vec![]));
     let l2 = Arc::clone(&log);
 
     let m = m.spmd(move |me, tn| {
@@ -407,13 +405,13 @@ fn migratory_write_is_present_to_writer() {
                 // iteration (migratory/owner-compute pattern).
                 let (v, _) = tn.read_u64(addr);
                 let f = tn.write_u64(addr, v + 1);
-                l2.lock().push((iter, f));
+                lock(&l2).push((iter, f));
             }
             tn.phase_end();
         }
     });
 
-    let log = log.lock();
+    let log = lock(&log);
     for &(iter, f) in log.iter() {
         if iter >= 1 {
             assert_eq!(f, 0, "write must be pre-granted at iter {iter}");
@@ -473,7 +471,7 @@ fn useless_presends_trigger_degradation_then_rearm() {
     let mut m = machine(3, 32); // degradation on by default: 50% / 3 bad / backoff 4
     let addr = m.alloc(0, 8, 8);
 
-    let log: Arc<parking_lot::Mutex<Vec<(u64, u32)>>> = Arc::new(parking_lot::Mutex::new(vec![]));
+    let log: Arc<Mutex<Vec<(u64, u32)>>> = Arc::new(Mutex::new(vec![]));
     let l2 = Arc::clone(&log);
 
     let m = m.spmd(move |me, tn| {
@@ -487,7 +485,7 @@ fn useless_presends_trigger_degradation_then_rearm() {
             if me == 2 && (iter == 0 || iter >= 10) {
                 let (v, f) = tn.read_u64(addr);
                 assert_eq!(v, iter);
-                l2.lock().push((iter, f));
+                lock(&l2).push((iter, f));
             }
             tn.phase_end();
         }
@@ -499,7 +497,7 @@ fn useless_presends_trigger_degradation_then_rearm() {
     assert!(!m.nodes[0].pred.is_degraded(R), "backoff must have lapsed");
     assert_eq!(m.nodes[0].pred.degrade_events(W), 0, "W stays healthy");
 
-    let mut entries = log.lock().clone();
+    let mut entries = lock(&log).clone();
     entries.sort_unstable();
     let faults: Vec<u32> = entries.into_iter().map(|(_, f)| f).collect();
     // iter 0: cold fault, recorded. iter 10: the schedule was flushed by

@@ -103,68 +103,14 @@ impl PlacementSpec {
     }
 }
 
-/// Which transport backend the machine's fabric runs on (see
-/// `prescient_tempest::fabric::Transport`). Protocol behavior — and every
-/// deterministic gate counter — is backend-independent; the backends
-/// differ only in how a wire batch reaches the destination node's inbox.
-/// Either way each node is one thread draining one inbox.
+/// The fabric a machine runs on. There is one — the in-process fabric of
+/// `prescient_tempest::fabric` — and nothing selects it: the type and
+/// [`MachineConfig::with_fabric`] remain only because the repo benchmark,
+/// which this crate cannot edit, still names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricKind {
-    /// One in-process channel per node.
+    /// One in-process inbox per node.
     Channel,
-    /// In-process loopback socket pair: nodes `0..split` and `split..n`
-    /// sit on opposite ends of a real TCP connection, with cross-split
-    /// traffic framed through the wire codec. `0` splits the machine in
-    /// half.
-    SocketPair {
-        /// First node of the upper half (`0` = `n/2`).
-        split: usize,
-    },
-}
-
-impl FabricKind {
-    /// Parse a `PRESCIENT_FABRIC` value: `"channel"`, or `"socket"` /
-    /// `"socket:SPLIT"`.
-    pub fn parse(s: &str) -> Result<FabricKind, String> {
-        let t = s.trim();
-        let (kind, arg) = match t.split_once(':') {
-            Some((k, a)) => (k.trim(), Some(a.trim())),
-            None => (t, None),
-        };
-        match kind {
-            "channel" => match arg {
-                None => Ok(FabricKind::Channel),
-                Some(_) => {
-                    Err(format!("PRESCIENT_FABRIC: \"channel\" takes no argument, got {s:?}"))
-                }
-            },
-            "socket" => match arg.map(str::parse::<usize>) {
-                None => Ok(FabricKind::SocketPair { split: 0 }),
-                Some(Ok(split)) => Ok(FabricKind::SocketPair { split }),
-                Some(Err(_)) => Err(format!("PRESCIENT_FABRIC: bad split in {s:?}")),
-            },
-            _ => Err(format!(
-                "PRESCIENT_FABRIC: unknown fabric {kind:?} \
-                 (expected \"channel\" or \"socket[:SPLIT]\"), got {s:?}"
-            )),
-        }
-    }
-
-    /// The `PRESCIENT_FABRIC` override, if set. Panics on an unparsable
-    /// value — a backend-matrix CI job with a typo must fail, not
-    /// silently measure the default backend.
-    pub fn from_env() -> Option<FabricKind> {
-        let v = std::env::var("PRESCIENT_FABRIC").ok()?;
-        match FabricKind::parse(&v) {
-            Ok(k) => Some(k),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The env override if present, else the channel backend.
-    pub fn default_for_machine() -> FabricKind {
-        FabricKind::from_env().unwrap_or(FabricKind::Channel)
-    }
 }
 
 /// Configuration of one emulated machine.
@@ -216,10 +162,7 @@ pub struct MachineConfig {
     /// `MachineError` within a bounded wall-clock budget. `None` (the
     /// default) runs no monitor thread.
     pub watchdog: Option<WatchdogConfig>,
-    /// Fabric transport backend. Constructors take the `PRESCIENT_FABRIC`
-    /// environment override when present (the CI backend matrix selects
-    /// backends through it), else the channel backend;
-    /// [`MachineConfig::with_fabric`] pins it explicitly.
+    /// Always [`FabricKind::Channel`] (see there).
     pub fabric: FabricKind,
     /// Traffic-aware home placement. Constructors take the
     /// `PRESCIENT_PLACEMENT` environment override when present (off
@@ -260,7 +203,7 @@ impl MachineConfig {
             // along (as does `with_crash_plan`).
             checkpoints: crash.is_some(),
             watchdog: None,
-            fabric: FabricKind::default_for_machine(),
+            fabric: FabricKind::Channel,
             placement: PlacementSpec::from_env(nodes).unwrap_or_default(),
             metrics: MetricsConfig::default_for_machine(),
             home_shift: 0,
@@ -336,8 +279,7 @@ impl MachineConfig {
         self
     }
 
-    /// Pin the fabric transport backend (overrides the environment
-    /// default).
+    /// A no-op kept for the repo benchmark (see [`FabricKind`]).
     pub fn with_fabric(mut self, fabric: FabricKind) -> MachineConfig {
         self.fabric = fabric;
         self
@@ -411,34 +353,10 @@ mod tests {
         assert!(c.watchdog.is_some());
     }
 
-    #[test]
-    fn fabric_kind_parses_every_backend() {
-        assert_eq!(FabricKind::parse("channel"), Ok(FabricKind::Channel));
-        assert_eq!(FabricKind::parse("socket"), Ok(FabricKind::SocketPair { split: 0 }));
-        assert_eq!(FabricKind::parse(" socket : 5 "), Ok(FabricKind::SocketPair { split: 5 }));
-        let c = MachineConfig::stache(4, 32).with_fabric(FabricKind::SocketPair { split: 2 });
-        assert_eq!(c.fabric, FabricKind::SocketPair { split: 2 });
-    }
-
-    #[test]
-    fn retired_sharded_backend_is_an_unknown_fabric() {
-        for retired in ["sharded", "sharded:2", "sharded:3"] {
-            let err = FabricKind::parse(retired).expect_err(retired);
-            assert!(err.starts_with("PRESCIENT_FABRIC: unknown fabric"), "{retired:?}: {err}");
-        }
-    }
-
     // Satellite: malformed environment knobs must error loudly, never
     // silently fall back to a default — a CI matrix job with a typo in
-    // `PRESCIENT_FABRIC`/`PRESCIENT_BATCH`/`PRESCIENT_CRASH` would
-    // otherwise benchmark the wrong configuration and nobody would know.
-
-    #[test]
-    fn fabric_kind_rejects_garbage() {
-        for bad in ["", "tcp", "socket:x", "socket:-1", "socket:half", "channel:2", "socket:3:4"] {
-            assert!(FabricKind::parse(bad).is_err(), "{bad:?} must not parse");
-        }
-    }
+    // `PRESCIENT_BATCH`/`PRESCIENT_CRASH` would otherwise benchmark the
+    // wrong configuration and nobody would know.
 
     #[test]
     fn batch_config_rejects_garbage() {

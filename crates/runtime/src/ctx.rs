@@ -30,6 +30,7 @@ use prescient_core::{Commute, PhaseId, Predictive};
 use prescient_stache::engine::fetch;
 use prescient_stache::{Msg, Node, NodeShared, Wake};
 use prescient_tempest::stats::{StatsSnapshot, WireSnapshot};
+use prescient_tempest::sync::lock;
 use prescient_tempest::trace::{pack_counts, pack_fault_end, EventKind};
 use prescient_tempest::{
     CostModel, CrashPlan, FabricCtl, GAddr, LatencyHist, MemError, MetricsHub, NodeId, NodeStats,
@@ -870,9 +871,9 @@ impl<'a> NodeCtx<'a> {
         let round = self.reduce_round;
         let me = self.me() as usize;
         self.barrier();
-        self.reduce.state.lock().contribute(round, me, vals);
+        lock(&self.reduce.state).contribute(round, me, vals);
         self.barrier();
-        self.reduce.state.lock().read_sum(round, vals);
+        lock(&self.reduce.state).read_sum(round, vals);
         // Cost: a combining tree of depth log2(P).
         let rounds = (self.nodes().max(2) as f64).log2().ceil() as u64;
         let bytes = (vals.len() * 8) as u64;

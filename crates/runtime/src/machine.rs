@@ -2,22 +2,21 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use prescient_core::{AccessTap, Commute, Predictive};
 use prescient_stache::{Hooks, Msg, NoHooks, Node, NodeShared};
 use prescient_tempest::fabric::{Fabric, FabricCtl};
-use prescient_tempest::socket::{self, SocketGuard};
+use prescient_tempest::sync::{lock, try_lock};
 use prescient_tempest::trace::{merge, to_chrome_json, to_jsonl};
 use prescient_tempest::{
     Aborted, FaultStats, GAddr, GlobalLayout, HomeMap, HomeView, MetricsHub, MetricsServer, NodeId,
     TraceEvent, Tracer, VBarrier,
 };
 
-use crate::config::{FabricKind, MachineConfig, PlacementSpec, ProtocolKind};
+use crate::config::{MachineConfig, PlacementSpec, ProtocolKind};
 use crate::ctx::{CtxInit, MetricsInit, NodeCtx};
 use crate::recovery::{
     CheckpointStore, ErrorSlot, FailureKind, MachineError, NodeErrorState, RecoveryCtl, Watchdog,
@@ -106,9 +105,6 @@ pub struct Machine {
     /// Metrics runtime: the hub plus its optional publisher/exposition
     /// threads. `None` when metrics are off.
     metrics: Option<MetricsRt>,
-    /// Socket-backend teardown guard: joins the reader threads and closes
-    /// the streams.
-    _socket: Option<SocketGuard>,
 }
 
 /// The machine side of the metrics subsystem: the record hub shared with
@@ -137,41 +133,12 @@ impl Machine {
             ProtocolKind::Commutative(_) => Some(Vec::with_capacity(cfg.nodes)),
             ProtocolKind::Stache | ProtocolKind::Predictive(_) => None,
         };
-        let active_faults = match cfg.faults {
-            Some(plan) if plan.is_active() => Some(plan),
-            _ => None,
-        };
-        let mut fault_stats = None;
-        let mut socket_guard = None;
-        // Both backends present the same `Net`/inbox surface; faults,
-        // batching, tracing, and teardown accounting sit above the
-        // `Transport` trait, so the choice here cannot change any gated
-        // counter (the backend-matrix CI job pins that).
-        let eps = match cfg.fabric {
-            FabricKind::Channel => match active_faults {
-                Some(plan) => {
-                    let (eps, fs) = Fabric::new_faulty_with::<Msg>(cfg.nodes, plan, cfg.batch);
-                    fault_stats = Some(fs);
-                    eps
-                }
-                None => Fabric::new_with::<Msg>(cfg.nodes, cfg.batch),
-            },
-            FabricKind::SocketPair { split } => {
-                let split = if split == 0 { (cfg.nodes / 2).max(1) } else { split };
-                let (eps, guard) = match active_faults {
-                    Some(plan) => {
-                        let (eps, fs, guard) =
-                            socket::pair_faulty_with::<Msg>(cfg.nodes, split, plan, cfg.batch)
-                                .expect("loopback socket fabric");
-                        fault_stats = Some(fs);
-                        (eps, guard)
-                    }
-                    None => socket::pair_with::<Msg>(cfg.nodes, split, None, cfg.batch)
-                        .expect("loopback socket fabric"),
-                };
-                socket_guard = Some(guard);
-                eps
+        let (eps, fault_stats) = match cfg.faults.filter(|plan| plan.is_active()) {
+            Some(plan) => {
+                let (eps, fs) = Fabric::new_faulty_with::<Msg>(cfg.nodes, plan, cfg.batch);
+                (eps, Some(fs))
             }
+            None => (Fabric::new_with::<Msg>(cfg.nodes, cfg.batch), None),
         };
         let ctl = eps[0].ctl().clone();
         // One block→home view for the whole machine, fixed here: the
@@ -268,7 +235,6 @@ impl Machine {
             tracers,
             recovery: Arc::new(RecoveryCtl::new()),
             ckpts: Arc::new(CheckpointStore::new(n)),
-            _socket: socket_guard,
         }
     }
 
@@ -306,7 +272,7 @@ impl Machine {
     /// Allocate `bytes` of shared memory homed at `node` (driver-side
     /// allocation, before or between runs).
     pub fn alloc_on(&self, node: NodeId, bytes: u64, align: u64) -> GAddr {
-        self.nodes[node as usize].lock().state.mem.alloc(bytes, align)
+        lock(&self.nodes[node as usize]).state.mem.alloc(bytes, align)
     }
 
     /// The predictive-protocol state of `node`, if the machine runs the
@@ -347,7 +313,7 @@ impl Machine {
     /// between runs, when the machine is quiescent. Panics with the list
     /// of violations if any invariant is broken.
     pub fn assert_coherent(&self) {
-        let held: Vec<_> = self.nodes.iter().map(Mutex::lock).collect();
+        let held: Vec<_> = self.nodes.iter().map(lock).collect();
         let violations =
             prescient_stache::check_coherence(&held.iter().map(|g| &**g).collect::<Vec<_>>());
         assert!(violations.is_empty(), "coherence violations: {violations:#?}");
@@ -390,7 +356,7 @@ impl Machine {
         // now, and an aborted fabric means a previous run died (its abort
         // flag and barrier poison stay raised) — starting node threads in
         // either state would hang or panic mid-assembly.
-        if self.nodes.iter().any(|n| n.try_lock().is_none()) {
+        if self.nodes.iter().any(|n| try_lock(n).is_none()) {
             return Err(self.machine_error(
                 FailureKind::AlreadyRunning,
                 None,
@@ -458,7 +424,7 @@ impl Machine {
                         };
                         let errors = Arc::clone(&errors);
                         let body = move || {
-                            let mut node = slot.lock();
+                            let mut node = lock(slot);
                             let guard_barrier = Arc::clone(&init.barrier);
                             let r = catch_unwind(AssertUnwindSafe(|| {
                                 let mut ctx = NodeCtx::new(&mut node, init);
@@ -535,7 +501,7 @@ impl Machine {
                 node: i as NodeId,
                 breakdown,
                 stats: stats.sub(&stats0[i]),
-                unused_presends: self.nodes[i].lock().state.mem.unused_presends() as u64,
+                unused_presends: lock(&self.nodes[i]).state.mem.unused_presends() as u64,
             });
         }
         Ok((
@@ -590,8 +556,8 @@ impl Machine {
 
 impl Drop for Machine {
     fn drop(&mut self) {
-        // From here on, traffic the socket backend's reader threads can no
-        // longer deliver is legitimate teardown loss.
+        // From here on a send that finds its endpoint gone is legitimate
+        // teardown loss.
         self.ctl.mark_closing();
         // No node thread exists between runs, so the rings are quiescent:
         // export the merged event stream. `PRESCIENT_TRACE_OUT` overrides
@@ -702,9 +668,7 @@ mod tests {
     }
 
     fn cfg(nodes: usize) -> MachineConfig {
-        // Pin the backend: these tests exercise run-state misuse, not the
-        // backend matrix, and must not follow a `PRESCIENT_FABRIC` override.
-        MachineConfig::stache(nodes, 64).with_fabric(FabricKind::Channel)
+        MachineConfig::stache(nodes, 64)
     }
 
     #[test]
@@ -734,22 +698,9 @@ mod tests {
         // What `try_run` observes when a concurrent run is mid-flight: a
         // node thread holds its node's lock (leaked here, so it stays
         // held). The run must come back at once, not wait for the lock.
-        std::mem::forget(m.nodes[1].lock());
+        std::mem::forget(lock(&m.nodes[1]));
         let err = m.try_run(|_| ()).expect_err("must refuse to double-run");
         assert_eq!(err.kind, FailureKind::AlreadyRunning);
         assert!(err.message.contains("already executing"), "got: {}", err.message);
-    }
-
-    #[test]
-    fn machine_runs_on_every_backend() {
-        for fabric in [FabricKind::Channel, FabricKind::SocketPair { split: 0 }] {
-            let mut m = Machine::new(cfg(4).with_fabric(fabric));
-            let (sums, _report) = m.run(|ctx| {
-                let n = ctx.nodes() as u64;
-                ctx.barrier();
-                u64::from(ctx.me()) + n
-            });
-            assert_eq!(sums, vec![4, 5, 6, 7], "backend {fabric:?}");
-        }
     }
 }

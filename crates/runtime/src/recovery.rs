@@ -23,18 +23,17 @@
 //!   the blocked nodes, their protocol state, and the tail of the trace.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use prescient_core::{CommuteCheckpoint, PredCheckpoint};
 use prescient_stache::NodeCheckpoint;
 use prescient_stache::NodeShared;
 use prescient_tempest::stats::StatsSnapshot;
+use prescient_tempest::sync::{lock, wait_timeout_while};
 use prescient_tempest::trace::EventKind;
-use prescient_tempest::{NodeId, TimeBreakdown, Tracer, VBarrier};
+use prescient_tempest::{NodeId, TimeBreakdown, Tracer, VBarrier, MAX_NODES};
 
 // ---- checkpoints ----------------------------------------------------------
 
@@ -87,13 +86,13 @@ impl CheckpointStore {
 
     /// Store `ckpt` as node `node`'s rollback state.
     pub fn store(&self, node: NodeId, ckpt: Checkpoint) {
-        *self.slots[node as usize].lock() = Some(ckpt);
+        *lock(&self.slots[node as usize]) = Some(ckpt);
     }
 
     /// Node `node`'s current rollback state, if any checkpoint has been
     /// taken.
     pub fn load(&self, node: NodeId) -> Option<Checkpoint> {
-        self.slots[node as usize].lock().clone()
+        lock(&self.slots[node as usize]).clone()
     }
 }
 
@@ -269,14 +268,14 @@ impl ErrorSlot {
 
     /// Record a failure unless one is already recorded.
     pub(crate) fn record(&self, kind: FailureKind, node: Option<NodeId>, message: String) {
-        let mut g = self.slot.lock();
+        let mut g = lock(&self.slot);
         if g.is_none() {
             *g = Some((kind, node, message));
         }
     }
 
     pub(crate) fn take(&self) -> Option<(FailureKind, Option<NodeId>, String)> {
-        self.slot.lock().take()
+        lock(&self.slot).take()
     }
 }
 
@@ -330,8 +329,15 @@ fn progress(s: &StatsSnapshot) -> u64 {
 }
 
 pub(crate) struct Watchdog {
-    stop: Sender<()>,
+    /// Raised (and signalled) by [`Watchdog::stop`].
+    stop: Arc<(Mutex<bool>, Condvar)>,
     join: JoinHandle<()>,
+}
+
+/// Sleep for `poll` on `stop`'s condition variable; `true` if the flag was
+/// raised meanwhile.
+fn stopped_within(stop: &(Mutex<bool>, Condvar), poll: Duration) -> bool {
+    *wait_timeout_while(&stop.1, lock(&stop.0), poll, |raised| !*raised)
 }
 
 impl Watchdog {
@@ -347,18 +353,15 @@ impl Watchdog {
         errors: Arc<ErrorSlot>,
         tracer: Tracer,
     ) -> Watchdog {
-        let (stop, stop_rx): (Sender<()>, Receiver<()>) = crossbeam::channel::unbounded();
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        let stop_rx = Arc::clone(&stop);
         let join = std::thread::Builder::new()
             .name("watchdog".into())
             .spawn(move || {
                 let mut last: Vec<u64> =
                     shareds.iter().map(|s| progress(&s.stats.snapshot())).collect();
                 let mut stalled = 0u32;
-                loop {
-                    match stop_rx.recv_timeout(cfg.poll) {
-                        Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                        Err(RecvTimeoutError::Timeout) => {}
-                    }
+                while !stopped_within(&stop_rx, cfg.poll) {
                     let cur: Vec<u64> =
                         shareds.iter().map(|s| progress(&s.stats.snapshot())).collect();
                     if cur == last {
@@ -378,7 +381,7 @@ impl Watchdog {
                     let blocked: Vec<NodeId> = (0..shareds.len()).map(|i| i as NodeId).collect();
                     let mut bitmap = 0u64;
                     for &b in &blocked {
-                        if b < 64 {
+                        if (b as usize) < MAX_NODES {
                             bitmap |= 1 << b;
                         }
                     }
@@ -424,7 +427,8 @@ impl Watchdog {
 
     /// Stop the monitor (normal end of run) and wait for it to exit.
     pub(crate) fn stop(self) {
-        let _ = self.stop.send(());
+        *lock(&self.stop.0) = true;
+        self.stop.1.notify_one();
         let _ = self.join.join();
     }
 }

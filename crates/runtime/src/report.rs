@@ -2,7 +2,6 @@
 
 use std::time::Duration;
 
-use prescient_tempest::socket::NodeRange;
 use prescient_tempest::stats::StatsSnapshot;
 use prescient_tempest::{NodeId, PhaseRecord, TimeBreakdown, WireSnapshot};
 
@@ -219,29 +218,19 @@ impl PhaseGroup {
     }
 }
 
-/// A whole machine's metrics timeline: every [`PhaseRecord`] its runs
-/// cut, with the node range the records cover. Single-process machines
-/// cover `0..nodes`; each side of a two-process socket run exports its
-/// local range, and [`RunTimeline::merge`] reassembles the machine.
+/// A machine's metrics timeline: every [`PhaseRecord`] its runs cut.
 #[derive(Debug, Clone)]
 pub struct RunTimeline {
-    /// Total nodes in the (possibly multi-process) machine.
+    /// Nodes in the machine.
     pub nodes: usize,
-    /// The contiguous node range this timeline's records cover.
-    pub range: NodeRange,
     /// Every record, in hub push order.
     pub records: Vec<PhaseRecord>,
 }
 
 impl RunTimeline {
-    /// A timeline covering the whole machine.
+    /// The timeline of a machine of `nodes` nodes.
     pub fn new(nodes: usize, records: Vec<PhaseRecord>) -> RunTimeline {
-        RunTimeline { nodes, range: NodeRange::new(0, nodes as u16), records }
-    }
-
-    /// A timeline covering one process's node range of a larger machine.
-    pub fn with_range(nodes: usize, range: NodeRange, records: Vec<PhaseRecord>) -> RunTimeline {
-        RunTimeline { nodes, range, records }
+        RunTimeline { nodes, records }
     }
 
     /// Counter totals over every record.
@@ -290,12 +279,12 @@ impl RunTimeline {
     }
 
     /// Verify the telescoping-sum invariant against a run's report: for
-    /// every node in this timeline's range, the sum of the node's record
+    /// every node of the machine, the sum of the node's record
     /// deltas for `run` must equal the report's per-node stats and vtime
     /// breakdown *exactly* (phase attribution may race the protocol
     /// thread; the sums cannot). Returns the first discrepancy.
     pub fn reconciles_with(&self, report: &RunReport, run: u64) -> Result<(), String> {
-        for node in self.range.start..self.range.end() {
+        for node in 0..self.nodes as NodeId {
             let (mut stats, mut vtime) = (StatsSnapshot::default(), TimeBreakdown::default());
             let mut cuts = 0;
             for r in self.records.iter().filter(|r| r.run == run && r.node == node) {
@@ -329,45 +318,7 @@ impl RunTimeline {
         Ok(())
     }
 
-    /// Merge per-process timelines (from a multi-process socket run) into
-    /// one. The parts must agree on the machine size and their ranges
-    /// must partition `0..nodes` exactly — the same validation the socket
-    /// handshake applies to the node ranges themselves.
-    pub fn merge(mut parts: Vec<RunTimeline>) -> Result<RunTimeline, String> {
-        let Some(first) = parts.first() else {
-            return Err("merge of zero timelines".into());
-        };
-        let nodes = first.nodes;
-        if parts.iter().any(|p| p.nodes != nodes) {
-            return Err(format!(
-                "timelines disagree on machine size: {:?}",
-                parts.iter().map(|p| p.nodes).collect::<Vec<_>>()
-            ));
-        }
-        parts.sort_by_key(|p| p.range.start);
-        let mut expect = 0u16;
-        for p in &parts {
-            if p.range.start != expect {
-                return Err(format!(
-                    "node ranges do not partition 0..{nodes}: expected a range starting at \
-                     {expect}, got {}..{}",
-                    p.range.start,
-                    p.range.end()
-                ));
-            }
-            expect = p.range.end();
-        }
-        if expect as usize != nodes {
-            return Err(format!("node ranges cover 0..{expect}, machine has {nodes} nodes"));
-        }
-        let mut records = Vec::with_capacity(parts.iter().map(|p| p.records.len()).sum());
-        for p in &mut parts {
-            records.append(&mut p.records);
-        }
-        Ok(RunTimeline::new(nodes, records))
-    }
-
-    /// The timeline as JSON: a header (machine size + node range), every
+    /// The timeline as JSON: the machine size, every
     /// record verbatim in the stream's line format (so the stream and the
     /// timeline are textually comparable record-for-record), the
     /// `(run, phase, iter)` aggregates under the gate metrics' names, and
@@ -377,8 +328,6 @@ impl RunTimeline {
         let mut s = String::new();
         writeln!(s, "{{").unwrap();
         writeln!(s, "\"nodes\": {},", self.nodes).unwrap();
-        writeln!(s, "\"range_start\": {},", self.range.start).unwrap();
-        writeln!(s, "\"range_len\": {},", self.range.len).unwrap();
         writeln!(s, "\"records\": [").unwrap();
         for (i, r) in self.records.iter().enumerate() {
             let sep = if i + 1 < self.records.len() { "," } else { "" };
@@ -575,24 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_merge_requires_a_partition() {
-        let nodes = 4;
-        let lo = RunTimeline::with_range(nodes, NodeRange::new(0, 2), vec![rec(0, 0, 0, 0, 1, 1)]);
-        let hi = RunTimeline::with_range(nodes, NodeRange::new(2, 2), vec![rec(2, 0, 0, 0, 2, 1)]);
-        let merged = RunTimeline::merge(vec![hi.clone(), lo.clone()]).unwrap();
-        assert_eq!(merged.range, NodeRange::new(0, 4));
-        assert_eq!(merged.records.len(), 2);
-        assert_eq!(merged.totals().msgs_out, 3);
-        // A gap in the ranges is rejected.
-        let gap = RunTimeline::with_range(nodes, NodeRange::new(3, 1), vec![]);
-        assert!(RunTimeline::merge(vec![lo.clone(), gap]).is_err());
-        // Disagreeing machine sizes are rejected.
-        let other = RunTimeline::with_range(8, NodeRange::new(2, 6), vec![]);
-        assert!(RunTimeline::merge(vec![lo, other]).is_err());
-        assert!(RunTimeline::merge(vec![]).is_err());
-    }
-
-    #[test]
     fn timeline_json_embeds_stream_lines_verbatim() {
         let r0 = rec(0, 0, 7, 0, 3, 20);
         let line = r0.to_json_line();
@@ -602,7 +533,6 @@ mod tests {
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         assert!(j.contains(&line), "record line must appear verbatim in the timeline");
         assert!(j.contains("\"nodes\": 1,"));
-        assert!(j.contains("\"range_start\": 0,"));
         assert!(j.contains("\"phases\": ["));
         assert!(j.contains("\"totals\": {"));
         assert!(j.contains("\"msgs_out\": 3"));

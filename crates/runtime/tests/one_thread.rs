@@ -8,21 +8,19 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use prescient_runtime::{Agg1D, Dist1D, FabricKind, Machine, MachineConfig, NodeCtx};
+use prescient_runtime::{Agg1D, Dist1D, Machine, MachineConfig, NodeCtx};
 use prescient_stache::RetryConfig;
 
 /// A stache machine whose fetches never retry within a test's lifetime: a
 /// request is answered because its home served it, or not at all.
 fn patient(nodes: usize) -> MachineConfig {
     MachineConfig::stache(nodes, 32)
-        .with_fabric(FabricKind::Channel)
         .with_retry(RetryConfig { timeout: Duration::from_secs(120), max_retries: 1 })
 }
 
 /// A machine whose unanswered fetch gives up within a second.
 fn impatient(nodes: usize) -> MachineConfig {
     MachineConfig::stache(nodes, 32)
-        .with_fabric(FabricKind::Channel)
         .with_retry(RetryConfig { timeout: Duration::from_millis(50), max_retries: 20 })
 }
 

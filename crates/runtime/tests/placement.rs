@@ -13,9 +13,7 @@
 //! layout: the apps allocate owner-homed, so the unshifted default is
 //! already placement-optimal and there would be nothing to recover.
 
-use prescient_runtime::{
-    Agg1D, Dist1D, FabricKind, Machine, MachineConfig, NodeCtx, PlacementSpec, RunReport,
-};
+use prescient_runtime::{Agg1D, Dist1D, Machine, MachineConfig, NodeCtx, PlacementSpec, RunReport};
 use prescient_tempest::{BlockId, HomeMap};
 
 const NODES: usize = 4;
@@ -77,7 +75,7 @@ fn assert_same_values(tag: &str, base: &[f64], got: &[f64]) {
 /// `prescient-trace emit-remap` distills from a recorded run of it —
 /// learned from a throwaway machine with identical allocations.
 fn owner_map() -> HomeMap {
-    let probe = Machine::new(MachineConfig::stache(NODES, 32).with_fabric(FabricKind::Channel));
+    let probe = Machine::new(MachineConfig::stache(NODES, 32));
     let pa = Agg1D::<f64>::new(&probe, N, Dist1D::Block);
     let pb = Agg1D::<f64>::new(&probe, N, Dist1D::Block);
     let mut map = HomeMap::new();
@@ -92,25 +90,24 @@ fn owner_map() -> HomeMap {
     map
 }
 
-/// The remap contract on one backend × protocol: against the shifted
+/// The remap contract under one protocol: against the shifted
 /// static layout, the owner remap keeps the values bit-identical,
 /// accounts every overlay entry, and strictly cuts messages. Under plain
 /// Stache the demand pattern is deterministic, so misses and
 /// `blocks_moved` must also be exactly equal; under the predictive
 /// protocol a reader that became the home is served from home memory
 /// instead of a push, so pre-sending must stay live but may only shrink.
-fn remap_contract(map: &HomeMap, fabric: FabricKind, predictive: bool) {
+fn remap_contract(map: &HomeMap, predictive: bool) {
     let base = if predictive {
         MachineConfig::predictive(NODES, 32)
     } else {
         MachineConfig::stache(NODES, 32)
     }
-    .with_fabric(fabric)
     .with_home_shift(1);
     let remapped = map.len() as u64;
     let (v0, r0) = relax(base.clone().validated());
     let (v1, r1) = relax(base.with_placement(PlacementSpec::Remap(map.clone())).validated());
-    let tag = format!("remap/{fabric:?}/{}", if predictive { "predictive" } else { "stache" });
+    let tag = format!("remap/{}", if predictive { "predictive" } else { "stache" });
     assert_same_values(&tag, &v0, &v1);
     let (s0, s1) = (r0.total_stats(), r1.total_stats());
     assert_eq!(s1.remapped_blocks, remapped, "{tag}: every overlay entry is accounted");
@@ -142,7 +139,7 @@ fn schedule_guided_remap_matches_static_and_cuts_messages() {
     assert_eq!(HomeMap::parse(&map.to_text(), NODES).expect("round-trip"), map);
 
     for predictive in [false, true] {
-        remap_contract(&map, FabricKind::Channel, predictive);
+        remap_contract(&map, predictive);
     }
 }
 
@@ -154,11 +151,8 @@ fn schedule_guided_remap_matches_static_and_cuts_messages() {
 fn out_of_range_programmatic_remap_fails_at_construction() {
     let mut map = HomeMap::new();
     map.insert(BlockId(12), NODES as u16);
-    let _ = Machine::new(
-        MachineConfig::stache(NODES, 32)
-            .with_fabric(FabricKind::Channel)
-            .with_placement(PlacementSpec::Remap(map)),
-    );
+    let _ =
+        Machine::new(MachineConfig::stache(NODES, 32).with_placement(PlacementSpec::Remap(map)));
 }
 
 /// Hostile input on the remap surface: whatever bytes arrive in a remap

@@ -2,7 +2,7 @@
 //! adds threads to the count: during a run the process has one `node-<id>`
 //! thread per node and no `proto-*` thread; between runs, neither.
 
-use prescient_runtime::{FabricKind, Machine, MachineConfig, NodeCtx};
+use prescient_runtime::{Machine, MachineConfig, NodeCtx};
 
 /// `(node-*, proto-*)` thread counts of this process.
 fn census() -> (usize, usize) {
@@ -19,7 +19,7 @@ fn census() -> (usize, usize) {
 
 #[test]
 fn a_run_has_one_thread_per_node_and_no_protocol_thread() {
-    let mut m = Machine::new(MachineConfig::predictive(32, 32).with_fabric(FabricKind::Channel));
+    let mut m = Machine::new(MachineConfig::predictive(32, 32));
     assert_eq!(census(), (0, 0), "a machine at rest owns no thread");
     for _ in 0..2 {
         let (seen, _) = m.run(|ctx: &mut NodeCtx| {

@@ -45,7 +45,6 @@ pub mod hooks;
 pub mod msg;
 pub mod node;
 pub mod testkit;
-pub mod wire;
 
 pub use check::check_coherence;
 pub use dir::{DirCheckpoint, DirEntry, DirState, Directory};

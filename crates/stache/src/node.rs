@@ -289,9 +289,9 @@ impl Node {
     pub fn next_wake(&mut self, deadline: Option<Instant>) -> Option<Wake> {
         loop {
             let got = match (self.endpoint.try_recv(), deadline) {
-                (TryRecv::Empty, None) => {
-                    self.endpoint.recv().map_or(TryRecv::Closed, TryRecv::Msg)
-                }
+                (TryRecv::Empty, None) => TryRecv::Msg(
+                    self.endpoint.recv().expect("an untimed receive returns a message"),
+                ),
                 (TryRecv::Empty, Some(d)) => {
                     self.endpoint.recv_timeout(d.saturating_duration_since(Instant::now()))
                 }
@@ -303,7 +303,6 @@ impl Node {
                     None => continue,
                 },
                 TryRecv::Empty => None,
-                TryRecv::Closed => panic!("node {}: fabric closed under a wait", self.shared.me),
             };
             // A kick and the clock are the two ways out of a wait on a
             // dead machine.

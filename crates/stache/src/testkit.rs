@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 use prescient_tempest::fabric::{Endpoint, Fabric};
+use prescient_tempest::sync::lock;
 use prescient_tempest::{
     Aborted, CostModel, FaultPlan, FaultStats, GlobalLayout, HomeView, NodeId, VBarrier,
 };
@@ -25,7 +26,7 @@ use crate::node::{Node, RetryConfig};
 /// Nodes of one fabric plus the barrier their scripts rendezvous on (with
 /// [`Node::barrier`], which keeps serving).
 pub struct Cluster {
-    /// The nodes, in id order (a socket half holds only its own range).
+    /// The nodes, in id order.
     pub nodes: Vec<Node>,
     /// A barrier for all of `nodes`.
     pub barrier: VBarrier,
@@ -53,8 +54,7 @@ impl Cluster {
         }
     }
 
-    /// The nodes behind `endpoints` (any backend; possibly a sub-range of
-    /// `layout`'s nodes).
+    /// The nodes behind `endpoints` (for a fabric the test built itself).
     pub fn over(
         endpoints: Vec<Endpoint<Msg>>,
         layout: GlobalLayout,
@@ -76,26 +76,6 @@ impl Cluster {
     /// whose script returned serves its inbox until all have. Results in
     /// node order.
     pub fn run<R: Send>(&mut self, script: impl Fn(&mut Node, &VBarrier) -> R + Sync) -> Vec<R> {
-        self.run_then(script, || ())
-    }
-
-    /// Run `f` on node `node`'s thread while every other node serves.
-    pub fn on<R: Send>(&mut self, node: NodeId, f: impl FnOnce(&mut Node) -> R + Send) -> R {
-        let f = Mutex::new(Some(f));
-        let script = |n: &mut Node, _: &VBarrier| {
-            (n.shared.me == node).then(|| (f.lock().unwrap().take().expect("one node matches"))(n))
-        };
-        self.run(script).into_iter().flatten().next().expect("node is in the cluster")
-    }
-
-    /// [`Cluster::run`], with `after_all` called on this thread once every
-    /// script has returned and before any node stops serving — where a
-    /// socket half waits for its peer process to finish too.
-    pub fn run_then<R: Send>(
-        &mut self,
-        script: impl Fn(&mut Node, &VBarrier) -> R + Sync,
-        after_all: impl FnOnce(),
-    ) -> Vec<R> {
         let barrier = &self.barrier;
         let kicker = Arc::clone(&self.nodes[0].shared);
         let ids: Vec<NodeId> = self.nodes.iter().map(|n| n.shared.me).collect();
@@ -126,7 +106,6 @@ impl Cluster {
             for _ in &ids {
                 done_rx.recv().expect("a node thread vanished");
             }
-            after_all();
             // Flag first, kick second: a node that read the flag as unset
             // before blocking is woken by its kick.
             stop.store(true, Ordering::Release);
@@ -151,6 +130,15 @@ impl Cluster {
             resume_unwind(p);
         }
         results
+    }
+
+    /// Run `f` on node `node`'s thread while every other node serves.
+    pub fn on<R: Send>(&mut self, node: NodeId, f: impl FnOnce(&mut Node) -> R + Send) -> R {
+        let f = Mutex::new(Some(f));
+        let script = |n: &mut Node, _: &VBarrier| {
+            (n.shared.me == node).then(|| (lock(&f).take().expect("one node matches"))(n))
+        };
+        self.run(script).into_iter().flatten().next().expect("node is in the cluster")
     }
 
     /// Every coherence violation of the (quiescent) cluster; see

@@ -21,7 +21,9 @@
 //! while it waits — a node's thread keeps serving its inbox, and whoever
 //! arrives last wakes the others through their inboxes.
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
+
+use crate::sync::{lock, wait_while};
 
 /// The sentinel a poisoned barrier throws: when one participant dies
 /// (panic, injected crash without a checkpoint, watchdog abort), every
@@ -94,7 +96,7 @@ impl VBarrier {
     ///
     /// Unwinds with the [`Aborted`] sentinel if the barrier is poisoned.
     pub fn arrive(&self, arrival_ns: u64) -> Result<BarrierOut, Ticket> {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         if g.poisoned {
             drop(g);
             std::panic::panic_any(Aborted);
@@ -123,7 +125,7 @@ impl VBarrier {
     /// Unwinds with [`Aborted`] if the barrier was poisoned before the
     /// release — a participant died and the rendezvous can never complete.
     pub fn poll(&self, ticket: &Ticket) -> Option<BarrierOut> {
-        let g = self.inner.lock();
+        let g = lock(&self.inner);
         if g.generation != ticket.generation {
             let max = g.published_max;
             return Some(BarrierOut { max_arrival_ns: max, stall_ns: max - ticket.arrival_ns });
@@ -148,11 +150,9 @@ impl VBarrier {
             Ok(out) => return out,
             Err(t) => t,
         };
-        let mut g = self.inner.lock();
-        while g.generation == ticket.generation && !g.poisoned {
-            self.cv.wait(&mut g);
-        }
-        drop(g);
+        drop(wait_while(&self.cv, lock(&self.inner), |g| {
+            g.generation == ticket.generation && !g.poisoned
+        }));
         self.poll(&ticket).expect("released or poisoned")
     }
 
@@ -161,7 +161,7 @@ impl VBarrier {
     /// participant dies (panic isolation, watchdog abort) so the survivors
     /// tear down instead of hanging.
     pub fn poison(&self) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         g.poisoned = true;
         self.cv.notify_all();
     }

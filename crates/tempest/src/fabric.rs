@@ -17,7 +17,7 @@
 //!
 //! The wire unit is not the [`Envelope`] but the [`WireBatch`]: each
 //! [`Net`] keeps a small per-destination egress buffer, and consecutive
-//! sends to the same node pack into one batch — one channel operation and
+//! sends to the same node pack into one batch — one inbox operation and
 //! at most one receiver wakeup for the whole group. This is the transport
 //! analogue of the protocol-level block coalescing of §3.4: per-message
 //! startup cost was the paper's motivating overhead, and it dominates here
@@ -39,40 +39,42 @@
 //! counters (`msgs`, bytes, blocks) keep counting envelopes; the batch
 //! layer only adds the [`FabricCtl::wire`] counters on top.
 //!
-//! # Transports
+//! # Transport
 //!
 //! Everything above — egress buffering, the fault layer, tracing,
-//! teardown accounting — is backend-independent. The only thing that
-//! varies is how a finished [`WireBatch`] reaches its destination inbox,
-//! and that is the [`Transport`] trait. Two backends carry machines:
+//! teardown accounting — sits over the [`Transport`] trait, whose one job
+//! is to put a finished [`WireBatch`] into its destination's inbox. One
+//! implementation carries machines: [`ChannelTransport`], one inbox per
+//! node, drained by that node's thread (see [`Fabric::new`]). The trait
+//! stays because delivery *order* is the one thing a test driver wants to
+//! own, and a transport that lets it plugs in here with nothing above
+//! changed.
 //!
-//! * [`ChannelTransport`] — one channel per node, drained by that node's
-//!   thread (see [`Fabric::new`]).
-//! * the socket transport (see [`crate::socket`]) — a node range is local
-//!   (per-node channels) and everything else crosses a TCP stream as
-//!   length-prefixed frames (see [`crate::wire`]).
-//!
-//! A third, the shard transport (`S` channels for `n` nodes, see
-//! [`Fabric::new_sharded`]), no longer hosts machines — one inbox for many
-//! nodes has no meaning once a node is a thread — and survives only as the
+//! A second, the shard transport (`S` inboxes for `n` nodes, see
+//! [`Fabric::new_sharded`]), hosts no machine — one inbox for many nodes
+//! has no meaning once a node is a thread — and survives only as the
 //! surface the repo benchmark's `fabric.sharded_pingpong_us` probe calls.
 //!
-//! Because the fault layer sits above the trait, a chaos plan produces
-//! the identical surviving envelope sequence on every backend.
+//! # The inbox
+//!
+//! An inbox is a `Mutex<VecDeque>` and a `Condvar`: any thread pushes, the
+//! one thread that owns the endpoint pops, and parks on the condition
+//! variable while the queue is empty. A push takes the lock, so it either
+//! lands before the consumer's emptiness check or finds the consumer
+//! already waiting and wakes it — the wake-up every blocking receive, and
+//! through it every `next_wake`, rests on.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
 
 use crate::faults::{FaultHook, FaultPlan, FaultState};
 use crate::stats::{FaultStats, WireSnapshot};
+use crate::sync::{lock, wait_timeout_while, wait_while};
 use crate::trace::{pack_peer_count, EventKind, Tracer};
-use crate::NodeId;
+use crate::{NodeId, MAX_NODES};
 
 /// One in-flight message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,7 +87,7 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// What actually crosses a channel: every envelope a single flush of one
+/// What actually lands in an inbox: every envelope a single flush of one
 /// (src, dst) egress buffer produced, in send order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireBatch<M> {
@@ -211,7 +213,7 @@ pub struct FabricCtl {
     /// [`WireSnapshot::BUCKETS`]).
     wire_hist: [AtomicU64; WireSnapshot::NUM_BUCKETS],
     /// Batch-id source. Separate from `wire_batches`, which only counts
-    /// *successful* sends: ids are claimed before the channel send so a
+    /// *successful* sends: ids are claimed before the delivery so a
     /// teardown drop burns its id rather than reusing it.
     batch_seq: AtomicU64,
 }
@@ -248,12 +250,8 @@ impl FabricCtl {
     }
 
     /// Account for `n` envelopes that could not be delivered to `dst`
-    /// because its inbox no longer exists. Every backend — channel send,
-    /// shard send, socket writer *and* the socket reader thread on the
-    /// receiving side — funnels its delivery failures through here, so
-    /// the accounting and the debug-build assertion are
-    /// backend-independent.
-    pub fn count_teardown_drop(&self, n: u64, dst: NodeId) {
+    /// because its endpoint no longer exists.
+    fn count_teardown_drop(&self, n: u64, dst: NodeId) {
         self.teardown_drops.fetch_add(n, Ordering::Relaxed);
         debug_assert!(
             self.is_closing(),
@@ -261,7 +259,7 @@ impl FabricCtl {
         );
     }
 
-    /// Wire-level transport counters so far: batches put on channels and
+    /// Wire-level transport counters so far: batches put into inboxes and
     /// the envelopes they carried. Unlike the logical traffic counters
     /// these depend on thread timing (how full a buffer was when a flush
     /// hit it), so they are reported but never equality-gated.
@@ -278,17 +276,84 @@ impl FabricCtl {
     }
 }
 
-/// Delivery failure: the destination inbox no longer exists. Legitimate
-/// only during teardown; the caller accounts for the loss via
-/// [`FabricCtl::count_teardown_drop`].
+/// Delivery failure: the destination's endpoint no longer exists.
+/// Legitimate only during teardown, and accounted as a teardown drop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Undeliverable;
+
+/// An inbox: an unbounded queue any thread pushes to and the one owner of
+/// its [`InboxRx`] pops from (see the module docs).
+struct Inbox<T> {
+    state: Mutex<InboxState<T>>,
+    /// Signalled by every push; only the consumer ever waits on it.
+    ready: Condvar,
+}
+
+struct InboxState<T> {
+    queue: VecDeque<T>,
+    /// Cleared when the consumer goes; pushes fail from then on.
+    open: bool,
+}
+
+/// The consuming end of an [`Inbox`]. Dropping it closes the inbox.
+struct InboxRx<T>(Arc<Inbox<T>>);
+
+impl<T> Inbox<T> {
+    fn new() -> (Arc<Inbox<T>>, InboxRx<T>) {
+        let inbox = Arc::new(Inbox {
+            state: Mutex::new(InboxState { queue: VecDeque::new(), open: true }),
+            ready: Condvar::new(),
+        });
+        (Arc::clone(&inbox), InboxRx(inbox))
+    }
+
+    fn push(&self, item: T) -> Result<(), Undeliverable> {
+        let mut st = lock(&self.state);
+        if !st.open {
+            return Err(Undeliverable);
+        }
+        st.queue.push_back(item);
+        drop(st);
+        self.ready.notify_one();
+        Ok(())
+    }
+}
+
+impl<T> InboxRx<T> {
+    fn try_pop(&self) -> Option<T> {
+        lock(&self.0.state).queue.pop_front()
+    }
+
+    /// Pop the oldest item, parking while there is none; `None` once
+    /// `timeout` (if any) has passed with the queue still empty.
+    fn pop(&self, timeout: Option<Duration>) -> Option<T> {
+        let Inbox { state, ready } = &*self.0;
+        let empty = |st: &mut InboxState<T>| st.queue.is_empty();
+        let mut st = match timeout {
+            None => wait_while(ready, lock(state), empty),
+            Some(t) => wait_timeout_while(ready, lock(state), t, empty),
+        };
+        st.queue.pop_front()
+    }
+}
+
+impl<T> Drop for InboxRx<T> {
+    fn drop(&mut self) {
+        let mut st = lock(&self.0.state);
+        st.open = false;
+        // What nobody can receive any more goes now, not when the last
+        // sender does (and outside the lock: a payload's drop is its own).
+        let dead = std::mem::take(&mut st.queue);
+        drop(st);
+        drop(dead);
+    }
+}
 
 /// Where finished wire batches go. Implementations only move an opaque
 /// [`WireBatch`] to the inbox of `dst`; egress buffering, fault
 /// injection, tracing, and teardown accounting all happen in [`Net`]
-/// *above* this trait, so protocol behavior is backend-independent by
-/// construction.
+/// *above* this trait, so protocol behavior cannot depend on what is
+/// below it.
 pub trait Transport<M: Send>: Send + Sync {
     /// Deliver `batch` to node `dst`'s inbox, preserving per-link order.
     fn deliver(&self, dst: NodeId, batch: WireBatch<M>) -> Result<(), Undeliverable>;
@@ -297,44 +362,37 @@ pub trait Transport<M: Send>: Send + Sync {
     fn nodes(&self) -> usize;
 }
 
-/// The in-process backend: one unbounded channel per node, each drained by
+/// The transport machines run on: one inbox per node, each drained by
 /// that node's own thread.
 pub struct ChannelTransport<M> {
-    txs: Box<[Sender<WireBatch<M>>]>,
+    inboxes: Box<[Arc<Inbox<WireBatch<M>>>]>,
 }
 
 impl<M: Send> Transport<M> for ChannelTransport<M> {
     fn deliver(&self, dst: NodeId, batch: WireBatch<M>) -> Result<(), Undeliverable> {
-        self.txs[dst as usize].send(batch).map_err(|_| Undeliverable)
+        self.inboxes[dst as usize].push(batch)
     }
 
     fn nodes(&self) -> usize {
-        self.txs.len()
+        self.inboxes.len()
     }
 }
 
-/// The shard transport: `S` channels for `n` nodes, node `i` assigned to
+/// The shard transport: `S` inboxes for `n` nodes, node `i` assigned to
 /// shard `i mod S` (see [`ShardEndpoint`]). Per-link FIFO holds: all
-/// traffic for a given destination lands on one channel, in send order
+/// traffic for a given destination lands in one inbox, in send order
 /// per sender, with a single consumer.
 struct ShardTransport<M> {
-    txs: Box<[Sender<ShardFrame<M>>]>,
+    inboxes: Box<[Arc<Inbox<ShardFrame<M>>>]>,
     nodes: usize,
 }
 
 /// A frame on a shard inbox: the destination member plus its batch.
 type ShardFrame<M> = (NodeId, WireBatch<M>);
 
-impl<M> ShardTransport<M> {
-    /// The shard that hosts `dst`'s inbox.
-    fn shard_of(&self, dst: NodeId) -> usize {
-        dst as usize % self.txs.len()
-    }
-}
-
 impl<M: Send> Transport<M> for ShardTransport<M> {
     fn deliver(&self, dst: NodeId, batch: WireBatch<M>) -> Result<(), Undeliverable> {
-        self.txs[self.shard_of(dst)].send((dst, batch)).map_err(|_| Undeliverable)
+        self.inboxes[dst as usize % self.inboxes.len()].push((dst, batch))
     }
 
     fn nodes(&self) -> usize {
@@ -347,9 +405,11 @@ impl<M: Send> Transport<M> for ShardTransport<M> {
 struct Egress<M> {
     bufs: Box<[Mutex<Vec<M>>]>,
     max: usize,
-    /// Bitmask of destinations with buffered envelopes (MAX_NODES ≤ 64),
-    /// so the flush-before-block fast path is one load when clean. All
-    /// transitions happen under the corresponding buffer lock.
+    /// Bitmask of destinations with buffered envelopes, so the
+    /// flush-before-block fast path is one load when clean. All
+    /// transitions happen under the corresponding buffer lock. Its width
+    /// is why a fabric asserts `n <= MAX_NODES`: without the mask the
+    /// fabric itself has no node limit.
     dirty: AtomicU64,
 }
 
@@ -377,9 +437,8 @@ impl<M> Clone for Net<M> {
     }
 }
 
-/// Assemble a [`Net`] over an arbitrary transport (crate-internal: the
-/// public surface is the [`Fabric`] constructors and [`crate::socket`]).
-pub(crate) fn make_net<M: Send + 'static>(
+/// Assemble a [`Net`] over an arbitrary transport.
+fn make_net<M: Send + 'static>(
     me: NodeId,
     n: usize,
     transport: Arc<dyn Transport<M>>,
@@ -438,7 +497,7 @@ impl<M: Send> Net<M> {
             self.send_wire(dst, WirePayload::One(msg));
             return;
         }
-        let mut buf = self.egress.bufs[dst as usize].lock();
+        let mut buf = lock(&self.egress.bufs[dst as usize]);
         buf.push(msg);
         if buf.len() >= self.egress.max {
             self.flush_locked(dst, &mut buf);
@@ -459,7 +518,7 @@ impl<M: Send> Net<M> {
 
     /// Flush the egress buffer of one destination.
     pub fn flush(&self, dst: NodeId) {
-        let mut buf = self.egress.bufs[dst as usize].lock();
+        let mut buf = lock(&self.egress.bufs[dst as usize]);
         self.flush_locked(dst, &mut buf);
     }
 
@@ -474,7 +533,7 @@ impl<M: Send> Net<M> {
     }
 
     /// Drain one buffer into a wire batch. The buffer lock is held across
-    /// the channel send so two threads of one node can never reorder the
+    /// the delivery so two threads of one node can never reorder the
     /// link (take-buffer / put-on-wire is atomic per destination).
     fn flush_locked(&self, dst: NodeId, buf: &mut Vec<M>) {
         self.egress.dirty.fetch_and(!(1 << dst), Ordering::Relaxed);
@@ -546,75 +605,67 @@ impl<M: Send> Net<M> {
     }
 }
 
-/// Result of a non-blocking receive: distinguishes "no message yet" from
-/// "fabric gone", so protocol loops can stop instead of spinning on a dead
-/// channel.
+/// Result of a receive that may come back empty-handed.
 #[derive(Debug)]
 pub enum TryRecv<M> {
     /// A message arrived.
     Msg(Envelope<M>),
-    /// The inbox is currently empty.
+    /// Nothing arrived (yet, or in time).
     Empty,
-    /// All senders dropped; no message will ever arrive again.
-    Closed,
 }
 
 /// A node's receiving endpoint plus its sending handle.
 ///
-/// Receives are batch-drained: one channel operation moves a whole
+/// Receives are batch-drained: one inbox operation moves a whole
 /// [`WireBatch`] into an internal ring, and subsequent receives pop
-/// envelopes from the ring without touching the channel. One thread drains
+/// envelopes from the ring without touching the inbox. One thread drains
 /// an endpoint (the ring is a `RefCell`: `Send`, not `Sync`).
 pub struct Endpoint<M> {
     /// This endpoint's node id.
     pub me: NodeId,
-    rx: Receiver<WireBatch<M>>,
+    rx: InboxRx<WireBatch<M>>,
     ring: RefCell<VecDeque<Envelope<M>>>,
     net: Net<M>,
 }
 
 impl<M: Send> Endpoint<M> {
-    /// Block until a message arrives. Returns `None` when the fabric shut
-    /// down (all senders dropped). Before actually blocking, flushes this
-    /// node's own egress buffers — the quiescence rule that keeps batching
-    /// deadlock-free (nothing this node produced can be stuck behind a
-    /// partial batch while it sleeps).
+    /// Block until a message arrives. Before actually blocking, flushes
+    /// this node's own egress buffers — the quiescence rule that keeps
+    /// batching deadlock-free (nothing this node produced can be stuck
+    /// behind a partial batch while it sleeps). Always `Some`: an endpoint
+    /// can reach its own inbox, so no inbox it waits on is ever orphaned;
+    /// the `Option` is what the repo benchmark's probes match on.
     pub fn recv(&self) -> Option<Envelope<M>> {
-        match self.try_recv() {
-            TryRecv::Msg(env) => return Some(env),
-            TryRecv::Closed => return None,
-            TryRecv::Empty => {}
+        if let TryRecv::Msg(env) = self.try_recv() {
+            return Some(env);
         }
         self.net.flush_all();
-        self.rx.recv().ok().map(|batch| self.accept(batch))
+        self.rx.pop(None).map(|batch| self.accept(batch))
     }
 
     /// [`Endpoint::recv`] that gives up after `timeout`: `Empty` means
     /// nothing arrived in time. Flushes the egress before blocking, like
     /// `recv`.
     pub fn recv_timeout(&self, timeout: Duration) -> TryRecv<M> {
-        match self.try_recv() {
-            TryRecv::Empty => {}
-            got => return got,
+        if let got @ TryRecv::Msg(_) = self.try_recv() {
+            return got;
         }
         self.net.flush_all();
-        match self.rx.recv_timeout(timeout) {
-            Ok(batch) => TryRecv::Msg(self.accept(batch)),
-            Err(RecvTimeoutError::Timeout) => TryRecv::Empty,
-            Err(RecvTimeoutError::Disconnected) => TryRecv::Closed,
+        match self.rx.pop(Some(timeout)) {
+            Some(batch) => TryRecv::Msg(self.accept(batch)),
+            None => TryRecv::Empty,
         }
     }
 
-    /// Non-blocking receive: pops the ring first, then at most one channel
+    /// Non-blocking receive: pops the ring first, then at most one inbox
     /// operation. Does *not* flush the egress (it never blocks).
     pub fn try_recv(&self) -> TryRecv<M> {
         if let Some(env) = self.ring.borrow_mut().pop_front() {
             return TryRecv::Msg(env);
         }
-        match self.rx.try_recv() {
-            Ok(batch) => TryRecv::Msg(self.accept(batch)),
-            Err(TryRecvError::Empty) => TryRecv::Empty,
-            Err(TryRecvError::Disconnected) => TryRecv::Closed,
+        match self.rx.try_pop() {
+            Some(batch) => TryRecv::Msg(self.accept(batch)),
+            None => TryRecv::Empty,
         }
     }
 
@@ -655,12 +706,6 @@ impl<M: Send> Endpoint<M> {
     pub fn ctl(&self) -> &Arc<FabricCtl> {
         self.net.ctl()
     }
-
-    /// Crate-internal assembly, shared by [`Fabric::build`] and the
-    /// socket backend.
-    pub(crate) fn from_parts(me: NodeId, rx: Receiver<WireBatch<M>>, net: Net<M>) -> Endpoint<M> {
-        Endpoint { me, rx, ring: RefCell::new(VecDeque::new()), net }
-    }
 }
 
 /// The receiving end of one shard of a shard transport: the multiplexed
@@ -668,7 +713,7 @@ impl<M: Send> Endpoint<M> {
 /// sending handles. Kept at exactly what the repo benchmark's
 /// `fabric.sharded_pingpong_us` probe calls (see the module docs).
 pub struct ShardEndpoint<M> {
-    rx: Receiver<ShardFrame<M>>,
+    rx: InboxRx<ShardFrame<M>>,
     ring: RefCell<VecDeque<Envelope<M>>>,
     /// Nodes hosted by this shard, ascending; `nets` runs parallel.
     members: Vec<NodeId>,
@@ -691,19 +736,18 @@ impl<M: Send> ShardEndpoint<M> {
     }
 
     /// Block until a message for any member arrives; `env.dst` says which
-    /// member. Returns `None` when the fabric shut down. Flushes every
+    /// member. Always `Some`, as [`Endpoint::recv`]. Flushes every
     /// member's egress before actually blocking.
     pub fn recv(&self) -> Option<Envelope<M>> {
         loop {
             if let Some(env) = self.ring.borrow_mut().pop_front() {
                 return Some(env);
             }
-            let (dst, batch) = match self.rx.try_recv() {
-                Ok(frame) => frame,
-                Err(TryRecvError::Disconnected) => return None,
-                Err(TryRecvError::Empty) => {
+            let (dst, batch) = match self.rx.try_pop() {
+                Some(frame) => frame,
+                None => {
                     self.flush_members();
-                    self.rx.recv().ok()?
+                    self.rx.pop(None)?
                 }
             };
             let src = batch.src;
@@ -731,7 +775,7 @@ impl Fabric {
 
     /// Build the endpoints with an explicit batch policy.
     pub fn new_with<M: Send + 'static>(n: usize, batch: BatchConfig) -> Vec<Endpoint<M>> {
-        Fabric::build(n, None, batch).0
+        Fabric::build(n, None, batch)
     }
 
     /// Build a fabric whose inter-node links run through the fault layer
@@ -754,21 +798,19 @@ impl Fabric {
     ) -> (Vec<Endpoint<M>>, Arc<FaultStats>) {
         let faults = Arc::new(FaultState::new(n, plan));
         let stats = Arc::clone(faults.stats());
-        let (eps, _) = Fabric::build(n, Some(faults as Arc<dyn FaultHook<M>>), batch);
-        (eps, stats)
+        (Fabric::build(n, Some(faults as Arc<dyn FaultHook<M>>), batch), stats)
     }
 
     /// Build a shard transport: `n` node inboxes multiplexed onto `shards`
     /// shard endpoints (clamped to `1..=n`), default batch policy, no
     /// fault layer. Node `i` is received by shard `i mod shards`.
     pub fn new_sharded<M: Send + 'static>(n: usize, shards: usize) -> Vec<ShardEndpoint<M>> {
-        assert!(n <= 64, "egress dirty mask caps the fabric at 64 nodes");
+        assert!(n <= MAX_NODES, "egress dirty mask caps the fabric at {MAX_NODES} nodes");
         assert!(n > 0, "a fabric needs at least one node");
         let shards = shards.clamp(1, n);
-        let (txs, rxs): (Vec<_>, Vec<_>) =
-            (0..shards).map(|_| unbounded::<ShardFrame<M>>()).unzip();
+        let (inboxes, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| Inbox::new()).unzip();
         let transport: Arc<dyn Transport<M>> =
-            Arc::new(ShardTransport { txs: txs.into_boxed_slice(), nodes: n });
+            Arc::new(ShardTransport { inboxes: inboxes.into_boxed_slice(), nodes: n });
         let ctl = Arc::new(FabricCtl::default());
         let mut eps: Vec<ShardEndpoint<M>> = rxs
             .into_iter()
@@ -799,34 +841,27 @@ impl Fabric {
         n: usize,
         faults: Option<Arc<dyn FaultHook<M>>>,
         batch: BatchConfig,
-    ) -> (Vec<Endpoint<M>>, Arc<FabricCtl>) {
-        assert!(n <= 64, "egress dirty mask caps the fabric at 64 nodes");
-        let mut txs = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<WireBatch<M>>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
+    ) -> Vec<Endpoint<M>> {
+        assert!(n <= MAX_NODES, "egress dirty mask caps the fabric at {MAX_NODES} nodes");
+        let (inboxes, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| Inbox::new()).unzip();
         let transport: Arc<dyn Transport<M>> =
-            Arc::new(ChannelTransport { txs: txs.into_boxed_slice() });
+            Arc::new(ChannelTransport { inboxes: inboxes.into_boxed_slice() });
         let ctl = Arc::new(FabricCtl::default());
-        let eps = rxs
-            .into_iter()
+        rxs.into_iter()
             .enumerate()
             .map(|(i, rx)| {
+                let me = i as NodeId;
                 let net = make_net(
-                    i as NodeId,
+                    me,
                     n,
                     Arc::clone(&transport),
                     Arc::clone(&ctl),
                     faults.clone(),
                     batch,
                 );
-                Endpoint::from_parts(i as NodeId, rx, net)
+                Endpoint { me, rx, ring: RefCell::new(VecDeque::new()), net }
             })
-            .collect();
-        (eps, ctl)
+            .collect()
     }
 }
 
@@ -875,7 +910,7 @@ mod tests {
         for i in 0..4 {
             eps[0].net().send(1, i);
         }
-        // Exactly one wire batch of 4 must already be on the channel.
+        // Exactly one wire batch of 4 must already be in the inbox.
         let w = eps[0].ctl().wire();
         assert_eq!((w.batches, w.envelopes), (1, 4));
         for i in 0..4 {
@@ -953,19 +988,14 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_distinguishes_empty_from_closed() {
+    fn try_recv_is_empty_until_a_flush_delivers() {
         let eps = Fabric::new::<u8>(2);
         assert!(matches!(eps[0].try_recv(), TryRecv::Empty));
         eps[1].net().send(0, 9);
+        assert!(matches!(eps[0].try_recv(), TryRecv::Empty), "still in node 1's egress");
         eps[1].net().flush_all();
         assert!(matches!(eps[0].try_recv(), TryRecv::Msg(Envelope { msg: 9, .. })));
         assert!(matches!(eps[0].try_recv(), TryRecv::Empty));
-        // Every endpoint's net holds all senders, so Closed only shows up
-        // once every net is gone; split the receiver out to observe it.
-        let mut eps = eps;
-        let Endpoint { rx, .. } = eps.remove(0);
-        drop(eps);
-        assert!(matches!(rx.try_recv(), Err(TryRecvError::Disconnected)));
     }
 
     #[test]
@@ -974,12 +1004,70 @@ mod tests {
         let e1 = eps.pop().unwrap();
         let e0 = eps.pop().unwrap();
         let net0 = e0.net().clone();
+        net0.send_direct(1, 7); // queued in an inbox that is about to go
         net0.ctl().mark_closing();
         drop(e1);
+        let batch = WireBatch { src: 0, id: 0, msgs: WirePayload::One(42) };
+        assert_eq!(net0.transport.deliver(1, batch), Err(Undeliverable));
+        assert_eq!(net0.ctl().teardown_drops(), 0, "the transport reports, `Net` counts");
         net0.send(1, 42);
         net0.flush_all();
         assert_eq!(net0.ctl().teardown_drops(), 1);
         drop(e0);
+    }
+
+    #[test]
+    fn two_producers_keep_per_sender_fifo() {
+        const N: u64 = 20_000;
+        let (inbox, rx) = Inbox::<(u8, u64)>::new();
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for who in 0..2u8 {
+                let (inbox, start) = (&inbox, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..N {
+                        inbox.push((who, i)).unwrap();
+                    }
+                });
+            }
+            start.wait();
+            let mut next = [0u64; 2];
+            for _ in 0..2 * N {
+                let (who, i) = rx.pop(None).unwrap();
+                assert_eq!(i, next[who as usize], "sender {who} overtook itself");
+                next[who as usize] += 1;
+            }
+            assert_eq!(next, [N, N]);
+        });
+        assert!(rx.try_pop().is_none());
+    }
+
+    /// A push racing a parking receiver must never be lost: each side
+    /// parks after every send, so one lost wake-up hangs the test. Run
+    /// under `taskset -c 0` in CI, where the race is a preemption between
+    /// the emptiness check and the park.
+    #[test]
+    fn inbox_pingpong_never_loses_a_wakeup() {
+        const ROUNDS: u64 = 10_000;
+        let mut eps = Fabric::new_with::<u64>(2, BatchConfig::off()).into_iter();
+        let (a, b) = (eps.next().unwrap(), eps.next().unwrap());
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for _ in 0..ROUNDS {
+                    let env = b.recv().unwrap();
+                    b.net().send(0, env.msg + 1);
+                }
+            });
+            for i in 0..ROUNDS {
+                a.net().send(1, 2 * i);
+                let back = a.recv_timeout(Duration::from_secs(60));
+                assert!(
+                    matches!(back, TryRecv::Msg(Envelope { src: 1, msg, .. }) if msg == 2 * i + 1),
+                    "round {i}: {back:?}"
+                );
+            }
+        });
     }
 
     #[test]
@@ -1100,6 +1188,27 @@ mod tests {
             eps[1].recv_timeout(Duration::from_secs(5)),
             TryRecv::Msg(Envelope { src: 0, msg: 7, .. })
         ));
+    }
+
+    #[test]
+    fn recv_timeout_delivers_a_push_made_before_its_deadline() {
+        let mut eps = Fabric::new_with::<u32>(2, BatchConfig::off()).into_iter();
+        let (a, b) = (eps.next().unwrap(), eps.next().unwrap());
+        // `parked` is released by `b` just before it blocks; the push can
+        // land before or after the park, and must be received either way,
+        // long before the deadline.
+        let parked = &std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                parked.wait();
+                a.net().send(1, 5);
+            });
+            parked.wait();
+            let t = std::time::Instant::now();
+            let got = b.recv_timeout(Duration::from_secs(60));
+            assert!(matches!(got, TryRecv::Msg(Envelope { src: 0, msg: 5, .. })), "{got:?}");
+            assert!(t.elapsed() < Duration::from_secs(30));
+        });
     }
 
     #[test]

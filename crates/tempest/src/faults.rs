@@ -32,12 +32,11 @@
 //! protocols rely on them for shutdown and home-local grants.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::fabric::Envelope;
 use crate::stats::FaultStats;
+use crate::sync::lock;
 use crate::trace::{pack_counts, EventKind, Tracer};
 
 /// Fate code a [`EventKind::FaultInject`] trace event carries: delayed.
@@ -410,7 +409,7 @@ impl<M: Clone> FaultState<M> {
         let dst = env.dst;
         let idx = env.src as usize * self.n + dst as usize;
         let lf = self.stats.link(env.src, dst);
-        let mut l = self.links[idx].lock();
+        let mut l = lock(&self.links[idx]);
         l.events += 1;
         // Partition windows override the probabilistic fates: a severed
         // link drops everything. The message still consumes its draw from
@@ -509,7 +508,7 @@ impl<M: Clone> FaultState<M> {
     /// happened.
     pub fn purge(&self) {
         for link in &self.links {
-            let mut l = link.lock();
+            let mut l = lock(link);
             l.held.clear();
             l.stall_until = l.events;
         }

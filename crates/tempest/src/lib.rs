@@ -42,11 +42,10 @@ pub mod mem;
 pub mod metrics;
 pub mod nodeset;
 pub mod prim;
-pub mod socket;
 pub mod stats;
+pub mod sync;
 pub mod tag;
 pub mod trace;
-pub mod wire;
 
 pub use addr::{BlockId, GAddr};
 pub use barrier::{Aborted, VBarrier};
@@ -63,11 +62,9 @@ pub use mem::{Fault, MemCheckpoint, MemError, NodeMem};
 pub use metrics::{LatencyHist, MetricsConfig, MetricsHub, MetricsServer, PhaseRecord};
 pub use nodeset::NodeSet;
 pub use prim::Prim;
-pub use socket::{NodeRange, SocketGuard};
 pub use stats::{FaultStats, NodeStats, TimeBreakdown, WireSnapshot};
 pub use tag::Tag;
 pub use trace::{EventKind, TraceConfig, TraceDump, TraceEvent, Tracer};
-pub use wire::{WireCodec, WireDecoder, WireError};
 
 /// Identifies one node (processor) of the emulated machine.
 ///

@@ -34,13 +34,12 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
-
 use crate::stats::{StatsSnapshot, TimeBreakdown, WireSnapshot};
+use crate::sync::{lock, wait_while};
 use crate::NodeId;
 
 /// Metrics policy of one machine.
@@ -398,13 +397,13 @@ impl MetricsHub {
 
     /// Append one record and wake waiting drainers.
     pub fn push(&self, r: PhaseRecord) {
-        self.state.lock().records.push(r);
+        lock(&self.state).records.push(r);
         self.more.notify_all();
     }
 
     /// Number of records so far.
     pub fn len(&self) -> usize {
-        self.state.lock().records.len()
+        lock(&self.state).records.len()
     }
 
     /// True when no records have been pushed yet.
@@ -414,19 +413,19 @@ impl MetricsHub {
 
     /// Copy of every record pushed so far.
     pub fn snapshot(&self) -> Vec<PhaseRecord> {
-        self.state.lock().records.clone()
+        lock(&self.state).records.clone()
     }
 
     /// Mark the hub closed (no more records will arrive) and wake every
     /// drainer so it can exit.
     pub fn close(&self) {
-        self.state.lock().closed = true;
+        lock(&self.state).closed = true;
         self.more.notify_all();
     }
 
     /// True after [`MetricsHub::close`].
     pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
+        lock(&self.state).closed
     }
 
     /// Block until records beyond index `from` exist or the hub closes;
@@ -434,10 +433,8 @@ impl MetricsHub {
     /// closed hub returns immediately (possibly with a final batch), so a
     /// drain loop terminates once it has seen `(empty, true)`.
     pub fn wait_more(&self, from: usize) -> (Vec<PhaseRecord>, bool) {
-        let mut st = self.state.lock();
-        while st.records.len() <= from && !st.closed {
-            self.more.wait(&mut st);
-        }
+        let st =
+            wait_while(&self.more, lock(&self.state), |st| st.records.len() <= from && !st.closed);
         (st.records[from.min(st.records.len())..].to_vec(), st.closed)
     }
 }
