@@ -16,16 +16,10 @@
 //! `wall_ms`, which is the host wall clock and recorded for trend
 //! eyeballing only.
 
-use std::fmt::Write as _;
-use std::time::Duration;
-
-use prescient_apps::adaptive::{run_adaptive, AdaptiveConfig};
-use prescient_apps::barnes::{run_barnes, BarnesConfig};
-use prescient_apps::water::{run_water, WaterConfig};
 use prescient_apps::AppRun;
-use prescient_bench::Scale;
+use prescient_bench::{patient_retry, Scale};
 use prescient_runtime::MachineConfig;
-use prescient_stache::RetryConfig;
+use prescient_tempest::json::{Layout, Writer};
 
 struct Row {
     app: &'static str,
@@ -33,30 +27,27 @@ struct Row {
     run: AppRun,
 }
 
-/// One JSON object per app: identity, then the gated counter lines
-/// spliced verbatim from [`RunReport::gate_counters_json`] — the report
-/// serializer is the single source of truth for the counter schema
-/// (DESIGN.md §8), so the gate cannot drift from it. Timing-dependent
-/// keys (`wall_ms`, `wire_*`) are reported but never equality-gated.
+/// One JSON object per app: identity, then the gated counters written by
+/// [`RunReport::write_gate_counters`] — the report serializer is the
+/// single source of truth for the counter schema (DESIGN.md §8), so the
+/// gate cannot drift from it. Timing-dependent keys (`wall_ms`, `wire_*`)
+/// are reported but never equality-gated.
+///
+/// [`RunReport::write_gate_counters`]: prescient_runtime::RunReport::write_gate_counters
 fn render(rows: &[Row], scale: Scale, block_size: usize) -> String {
-    let mut s = String::new();
-    writeln!(s, "{{").unwrap();
-    writeln!(s, "  \"suite\": \"prescient perf gate\",").unwrap();
-    writeln!(s, "  \"scale\": \"{}\",", if scale.paper { "paper" } else { "reduced" }).unwrap();
-    writeln!(s, "  \"nodes\": {},", scale.nodes).unwrap();
-    writeln!(s, "  \"block_size\": {block_size},").unwrap();
-    writeln!(s, "  \"apps\": [").unwrap();
-    for (i, r) in rows.iter().enumerate() {
-        writeln!(s, "    {{").unwrap();
-        writeln!(s, "      \"app\": \"{}\",", r.app).unwrap();
-        writeln!(s, "      \"config\": \"{}\",", r.config).unwrap();
-        writeln!(s, "      \"checksum\": \"{:016x}\",", r.run.checksum.to_bits()).unwrap();
-        writeln!(s, "{}", r.run.report.gate_counters_json("      ")).unwrap();
-        writeln!(s, "    }}{}", if i + 1 < rows.len() { "," } else { "" }).unwrap();
+    let mut w = Writer::new(String::new(), 2);
+    w.object(Layout::Lines).key("suite").str("prescient perf gate");
+    w.key("scale").str(if scale.paper { "paper" } else { "reduced" });
+    w.key("nodes").uint(scale.nodes as u64).key("block_size").uint(block_size as u64);
+    w.key("apps").array(Layout::Lines);
+    for r in rows {
+        w.object(Layout::Lines).key("app").str(r.app).key("config").str(&r.config);
+        w.key("checksum").str(&format!("{:016x}", r.run.checksum.to_bits()));
+        r.run.report.write_gate_counters(&mut w);
+        w.end();
     }
-    writeln!(s, "  ]").unwrap();
-    writeln!(s, "}}").unwrap();
-    s
+    w.end().end().newline();
+    w.finish()
 }
 
 fn main() {
@@ -69,62 +60,16 @@ fn main() {
         .unwrap_or_else(|| "BENCH_prescient.json".to_string());
 
     let block_size = 128;
-    // The fabric is clean (no fault injection), so a retransmit can only
-    // fire when the host schedules a home node's thread late — noise that
-    // would perturb the gated `msgs`/`vtime_ns` counters on a loaded CI
-    // runner. A generous timeout makes the counters load-independent.
-    let retry = RetryConfig { timeout: Duration::from_secs(30), max_retries: 4 };
-    let mcfg = || MachineConfig::predictive(scale.nodes, block_size).with_retry(retry).validated();
-
-    let water_cfg = if scale.paper {
-        WaterConfig::default()
-    } else {
-        WaterConfig { n: 128, steps: 5, ..Default::default() }
-    };
-    let barnes_cfg = if scale.paper {
-        BarnesConfig::default()
-    } else {
-        BarnesConfig { n: 512, steps: 2, ..Default::default() }
-    };
-    let adaptive_cfg = if scale.paper {
-        AdaptiveConfig::default()
-    } else {
-        AdaptiveConfig { n: 32, iters: 10, ..Default::default() }
-    };
-
-    eprintln!("perf gate: water (n={}, steps={}) ...", water_cfg.n, water_cfg.steps);
-    let water = run_water(mcfg(), &water_cfg);
-    eprintln!("perf gate: barnes (n={}, steps={}) ...", barnes_cfg.n, barnes_cfg.steps);
-    let barnes = run_barnes(mcfg(), &barnes_cfg);
-    eprintln!("perf gate: adaptive (n={}, iters={}) ...", adaptive_cfg.n, adaptive_cfg.iters);
-    let adaptive = run_adaptive(mcfg(), &adaptive_cfg);
-
-    let rows = [
-        Row {
-            app: "water",
-            config: format!(
-                "n={} steps={} seed={:#x}",
-                water_cfg.n, water_cfg.steps, water_cfg.seed
-            ),
-            run: water,
-        },
-        Row {
-            app: "barnes",
-            config: format!(
-                "n={} steps={} seed={:#x}",
-                barnes_cfg.n, barnes_cfg.steps, barnes_cfg.seed
-            ),
-            run: barnes,
-        },
-        Row {
-            app: "adaptive",
-            config: format!(
-                "n={} iters={} tau={} max_depth={}",
-                adaptive_cfg.n, adaptive_cfg.iters, adaptive_cfg.tau, adaptive_cfg.max_depth
-            ),
-            run: adaptive,
-        },
-    ];
+    let inputs = scale.inputs();
+    let rows: Vec<Row> = inputs
+        .apps()
+        .into_iter()
+        .map(|(app, config, run)| {
+            eprintln!("perf gate: {app} ({config}) ...");
+            let mcfg = MachineConfig::predictive(scale.nodes, block_size);
+            Row { app, run: run(mcfg.with_retry(patient_retry()).validated()), config }
+        })
+        .collect();
 
     let json = render(&rows, scale, block_size);
     std::fs::write(&out, &json).expect("write baseline json");

@@ -25,7 +25,9 @@
 use std::io::Read;
 use std::process::ExitCode;
 
-use prescient_bench::metrics::{detect_anomalies, load_stream, load_timeline, parse_stream};
+use prescient_bench::metrics::{
+    detect_anomalies, load_stream, load_timeline, parse_stream, parse_timeline,
+};
 use prescient_runtime::RunTimeline;
 use prescient_tempest::PhaseRecord;
 
@@ -62,17 +64,18 @@ fn main() -> ExitCode {
     }
 }
 
-/// Load either input format: timeline JSON (has the `nodes` header) or a
-/// JSONL stream (wrapped as a whole-machine timeline over the nodes
-/// seen).
+/// Load either input format: a JSONL stream (its first line is a whole
+/// record; wrapped as a whole-machine timeline over the nodes seen) or
+/// timeline JSON (one document over many lines).
 fn load_any(file: &str) -> Result<RunTimeline, String> {
-    let head = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-    if head.contains("\"nodes\": ") {
-        load_timeline(file)
-    } else {
-        let records = parse_stream(&head).map_err(|e| format!("{file}: {e}"))?;
+    let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+    let first = text.lines().next().unwrap_or("");
+    if first.is_empty() || prescient_tempest::json::parse(first).is_ok() {
+        let records = parse_stream(&text).map_err(|e| format!("{file}: {e}"))?;
         let nodes = records.iter().map(|r| r.node as usize + 1).max().unwrap_or(0);
         Ok(RunTimeline::new(nodes, records))
+    } else {
+        parse_timeline(&text).map_err(|e| format!("{file}: {e}"))
     }
 }
 

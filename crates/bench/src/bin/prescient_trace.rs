@@ -27,6 +27,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use prescient_bench::traffic::{emit_remap, load_trace as load, traffic_tally, warn_wrapped};
+use prescient_tempest::json::Reader;
 use prescient_tempest::trace::{
     unpack_counts, unpack_fault_end, unpack_msg, unpack_peer_count, EventKind, TraceEvent,
 };
@@ -462,16 +463,30 @@ fn validate(events: &[TraceEvent], chrome: Option<&str>) -> Result<(), String> {
     }
     if let Some(path) = chrome {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        if !text.starts_with("{\"displayTimeUnit\"") || !text.contains("\"traceEvents\":[") {
-            return Err(format!("{path}: not a Chrome trace-event export"));
-        }
-        let (ob, cb) = (text.matches('{').count(), text.matches('}').count());
-        let (os, cs) = (text.matches('[').count(), text.matches(']').count());
-        if ob != cb || os != cs {
-            return Err(format!("{path}: unbalanced JSON ({ob}/{cb} braces, {os}/{cs} brackets)"));
-        }
+        check_chrome(&text).map_err(|e| format!("{path}: {e}"))?;
     }
     Ok(())
+}
+
+/// The Chrome export parses, has the header, and every trace event is an
+/// object with a phase tag — walked one event at a time.
+fn check_chrome(text: &str) -> Result<(), String> {
+    let (mut unit, mut events) = (false, false);
+    let mut doc = Reader::new(text);
+    doc.object(|key, r| match &*key {
+        "displayTimeUnit" => r.value().map(|_| unit = true),
+        "traceEvents" => {
+            events = true;
+            r.array(|r| r.value()?.string("ph").map(drop))
+        }
+        _ => r.value().map(drop),
+    })?;
+    doc.end()?;
+    if unit && events {
+        Ok(())
+    } else {
+        Err("not a Chrome trace-event export".to_string())
+    }
 }
 
 // ---- diff -----------------------------------------------------------------

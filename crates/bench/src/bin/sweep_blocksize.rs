@@ -6,58 +6,35 @@
 //! hand-tuned SPMD codes were able to exploit larger cache blocks
 //! effectively."
 
-use prescient_apps::adaptive::{run_adaptive, AdaptiveConfig};
-use prescient_apps::barnes::{run_barnes, BarnesConfig};
-use prescient_apps::water::{run_water, WaterConfig};
-use prescient_bench::Scale;
+use prescient_apps::adaptive::AdaptiveConfig;
+use prescient_apps::barnes::BarnesConfig;
+use prescient_apps::water::WaterConfig;
+use prescient_bench::{Inputs, Scale};
 use prescient_runtime::MachineConfig;
 
 fn main() {
     let scale = Scale::from_args();
-    let sizes = [32usize, 64, 128, 256, 512, 1024];
+    let inputs = if scale.paper {
+        scale.inputs()
+    } else {
+        Inputs {
+            water: WaterConfig { n: 128, steps: 4, ..Default::default() },
+            barnes: BarnesConfig { n: 512, steps: 2, ..Default::default() },
+            adaptive: AdaptiveConfig { n: 24, iters: 8, tau: 0.5, max_depth: 3, flush_every: None },
+        }
+    };
 
     println!("== Block-size sweep ({} nodes) ==", scale.nodes);
     println!(
         "{:<10} {:>6}  {:>14} {:>14} {:>9}",
         "app", "block", "unopt(ms)", "opt(ms)", "opt/unopt"
     );
-
-    let wcfg = if scale.paper {
-        WaterConfig::default()
-    } else {
-        WaterConfig { n: 128, steps: 4, ..Default::default() }
-    };
-    for bs in sizes {
-        let u = run_water(MachineConfig::stache(scale.nodes, bs), &wcfg);
-        let o = run_water(MachineConfig::predictive(scale.nodes, bs), &wcfg);
-        row("water", bs, &u, &o);
+    for (app, _, run) in inputs.apps() {
+        for bs in [32usize, 64, 128, 256, 512, 1024] {
+            let ut = run(MachineConfig::stache(scale.nodes, bs)).report.exec_time_ns() as f64 / 1e6;
+            let ot =
+                run(MachineConfig::predictive(scale.nodes, bs)).report.exec_time_ns() as f64 / 1e6;
+            println!("{app:<10} {bs:>5}B  {ut:>14.2} {ot:>14.2} {:>9.2}", ot / ut);
+        }
     }
-
-    let bcfg = if scale.paper {
-        BarnesConfig::default()
-    } else {
-        BarnesConfig { n: 512, steps: 2, ..Default::default() }
-    };
-    for bs in sizes {
-        let u = run_barnes(MachineConfig::stache(scale.nodes, bs), &bcfg);
-        let o = run_barnes(MachineConfig::predictive(scale.nodes, bs), &bcfg);
-        row("barnes", bs, &u, &o);
-    }
-
-    let acfg = if scale.paper {
-        AdaptiveConfig::default()
-    } else {
-        AdaptiveConfig { n: 24, iters: 8, tau: 0.5, max_depth: 3, flush_every: None }
-    };
-    for bs in sizes {
-        let u = run_adaptive(MachineConfig::stache(scale.nodes, bs), &acfg);
-        let o = run_adaptive(MachineConfig::predictive(scale.nodes, bs), &acfg);
-        row("adaptive", bs, &u, &o);
-    }
-}
-
-fn row(app: &str, bs: usize, u: &prescient_apps::AppRun, o: &prescient_apps::AppRun) {
-    let ut = u.report.exec_time_ns() as f64 / 1e6;
-    let ot = o.report.exec_time_ns() as f64 / 1e6;
-    println!("{app:<10} {bs:>5}B  {ut:>14.2} {ot:>14.2} {:>9.2}", ot / ut);
 }

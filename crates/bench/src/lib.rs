@@ -2,7 +2,8 @@
 //!
 //! The harness that regenerates every table and figure of the paper's
 //! evaluation (§5), plus the ablations DESIGN.md calls out. One binary per
-//! experiment (`src/bin/`), Criterion microbenches in `benches/`.
+//! figure or table and one `ablation <name>` for the ablations
+//! (`src/bin/`), Criterion microbenches in `benches/`.
 //!
 //! Every figure binary accepts:
 //!
@@ -23,7 +24,14 @@ pub mod cfg_models;
 pub mod metrics;
 pub mod traffic;
 
-use prescient_runtime::RunReport;
+use std::time::Duration;
+
+use prescient_apps::adaptive::{run_adaptive, AdaptiveConfig};
+use prescient_apps::barnes::{run_barnes, BarnesConfig};
+use prescient_apps::water::{run_water, WaterConfig};
+use prescient_apps::AppRun;
+use prescient_runtime::{MachineConfig, RunReport};
+use prescient_stache::RetryConfig;
 
 /// Command-line scale options shared by the figure binaries.
 #[derive(Debug, Clone, Copy)]
@@ -45,6 +53,72 @@ impl Scale {
         }
         Scale { paper, nodes }
     }
+}
+
+/// The three applications' inputs at one scale.
+#[derive(Debug, Clone, Copy)]
+pub struct Inputs {
+    /// Water's.
+    pub water: WaterConfig,
+    /// Barnes'.
+    pub barnes: BarnesConfig,
+    /// Adaptive's.
+    pub adaptive: AdaptiveConfig,
+}
+
+impl Scale {
+    /// The perf gate's inputs, which the ablations share: Table 1's data
+    /// sets at `--paper`, else 128 molecules × 5 steps, 512 bodies × 2
+    /// steps and a 32×32 mesh × 10 iterations.
+    pub fn inputs(&self) -> Inputs {
+        let (water, barnes, adaptive) = Default::default();
+        if self.paper {
+            Inputs { water, barnes, adaptive }
+        } else {
+            Inputs {
+                water: WaterConfig { n: 128, steps: 5, ..water },
+                barnes: BarnesConfig { n: 512, steps: 2, ..barnes },
+                adaptive: AdaptiveConfig { n: 32, iters: 10, ..adaptive },
+            }
+        }
+    }
+}
+
+/// One application's driver, bound to its input.
+pub type Leg<'a> = Box<dyn Fn(MachineConfig) -> AppRun + 'a>;
+
+impl Inputs {
+    /// The three applications on these inputs: name, the input in words
+    /// (the perf gate's `config` string) and the driver.
+    pub fn apps(&self) -> [(&'static str, String, Leg<'_>); 3] {
+        let Inputs { water: w, barnes: b, adaptive: a } = self;
+        [
+            (
+                "water",
+                format!("n={} steps={} seed={:#x}", w.n, w.steps, w.seed),
+                Box::new(|m| run_water(m, w)),
+            ),
+            (
+                "barnes",
+                format!("n={} steps={} seed={:#x}", b.n, b.steps, b.seed),
+                Box::new(|m| run_barnes(m, b)),
+            ),
+            (
+                "adaptive",
+                format!("n={} iters={} tau={} max_depth={}", a.n, a.iters, a.tau, a.max_depth),
+                Box::new(|m| run_adaptive(m, a)),
+            ),
+        ]
+    }
+}
+
+/// The retry policy of every measured run on a clean fabric: with no
+/// fault injection a retransmit can only fire when the host schedules a
+/// home node's thread late — noise that would perturb the gated
+/// `msgs`/`vtime_ns` counters on a loaded runner. A generous timeout
+/// makes the counters load-independent.
+pub fn patient_retry() -> RetryConfig {
+    RetryConfig { timeout: Duration::from_secs(30), max_retries: 4 }
 }
 
 /// One measured version of a benchmark (one bar of a figure).

@@ -15,6 +15,7 @@
 //! flushes, crash recoveries, a home remap) usually name the reason.
 
 use prescient_runtime::{PhaseGroup, RunTimeline};
+use prescient_tempest::json::{Json, Reader};
 use prescient_tempest::PhaseRecord;
 
 /// Load a JSONL stream file: one [`PhaseRecord`] per line.
@@ -35,38 +36,36 @@ pub fn parse_stream(text: &str) -> Result<Vec<PhaseRecord>, String> {
     Ok(out)
 }
 
-/// Load a `*.timeline.json` export: the header gives the machine size,
-/// and every embedded record line parses with the stream parser.
+/// Load a `*.timeline.json` export: the `nodes` member gives the machine
+/// size, and every element of `records` is a stream line.
 pub fn load_timeline(path: &str) -> Result<RunTimeline, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     parse_timeline(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Parse timeline JSON text.
+/// Parse timeline JSON text, one record at a time (a paper-scale export
+/// is tens of megabytes; only `nodes` and `records` are read, the
+/// aggregates are recomputed from the records).
 pub fn parse_timeline(text: &str) -> Result<RunTimeline, String> {
-    let nodes = header_u64(text, "nodes")? as usize;
-    let mut records = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with("{\"node\":") {
-            continue;
-        }
-        records.push(
-            PhaseRecord::parse_line(line).map_err(|e| format!("bad record line ({e}): {line}"))?,
-        );
-    }
-    Ok(RunTimeline::new(nodes, records))
-}
-
-/// Read a `"key": value` header field (the repo's substring JSON idiom;
-/// header keys are distinct from the compact `"key":value` record lines,
-/// which carry no space after the colon).
-fn header_u64(text: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\": ");
-    let at = text.find(&pat).ok_or_else(|| format!("missing header field {key:?}"))?;
-    let rest = &text[at + pat.len()..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse::<u64>().map_err(|e| format!("header field {key:?}: {e}"))
+    let (mut nodes, mut records) = (None, Vec::new());
+    let mut doc = Reader::new(text);
+    doc.object(|key, r| match &*key {
+        "nodes" => r.value().map(|v| nodes = Some(v)),
+        "records" => r.array(|r| {
+            let rec = PhaseRecord::from_json(&r.value()?);
+            records.push(rec.map_err(|e| format!("record {}: {e}", records.len()))?);
+            Ok(())
+        }),
+        _ => r.value().map(drop),
+    })?;
+    doc.end()?;
+    let nodes = match nodes {
+        Some(Json::Int(n)) => usize::try_from(n).ok(),
+        _ => None,
+    };
+    nodes
+        .map(|n| RunTimeline::new(n, records))
+        .ok_or_else(|| "missing header field \"nodes\"".to_string())
 }
 
 /// One flagged phase instance: a gated metric of `(run, phase, iter)`

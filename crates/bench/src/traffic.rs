@@ -1,6 +1,6 @@
 //! Per-block demand-traffic aggregation over recorded traces, shared by
 //! `prescient-trace` (the `report` traffic matrix and the `emit-remap`
-//! subcommand) and `ablation_placement` (which runs the full
+//! subcommand) and `ablation placement` (which runs the full
 //! record → emit-remap → rerun pipeline in-process).
 //!
 //! This is where the dominance policy lives: every `GetShared` a home
@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use prescient_tempest::metrics::{field_str, field_u64};
+use prescient_tempest::json;
 use prescient_tempest::trace::{unpack_msg, EventKind, TraceEvent};
 use prescient_tempest::NodeId;
 
@@ -82,18 +82,7 @@ pub fn emit_remap(events: &[TraceEvent]) -> String {
 
 /// Parse one line of a trace JSONL export.
 pub fn parse_trace_line(line: &str) -> Result<TraceEvent, String> {
-    let kind_name = field_str(line, "kind").ok_or("missing kind")?;
-    let kind =
-        EventKind::from_name(kind_name).ok_or_else(|| format!("unknown kind {kind_name:?}"))?;
-    Ok(TraceEvent {
-        node: field_u64(line, "node").ok_or("missing node")? as NodeId,
-        seq: field_u64(line, "seq").ok_or("missing seq")?,
-        t_ns: field_u64(line, "t").ok_or("missing t")?,
-        phase: field_u64(line, "phase").ok_or("missing phase")? as u32,
-        kind,
-        a: field_u64(line, "a").ok_or("missing a")?,
-        b: field_u64(line, "b").ok_or("missing b")?,
-    })
+    TraceEvent::from_json(&json::parse(line)?)
 }
 
 /// Load a trace JSONL export from disk.

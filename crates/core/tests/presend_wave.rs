@@ -63,8 +63,8 @@ fn preds(n: usize) -> Vec<Arc<Predictive>> {
 }
 
 /// `n` nodes (node 0 is the home every test allocates at) on the default
-/// batch policy — explicit, so a `PRESCIENT_BATCH` in the environment
-/// cannot move the derived wire counts — with node 0 traced.
+/// batch policy — spelled out, because the derived wire counts below
+/// depend on it — with node 0 traced.
 struct Rig {
     m: Cluster,
     preds: Vec<Arc<Predictive>>,

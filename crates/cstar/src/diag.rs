@@ -4,10 +4,10 @@
 //! (`E0xx` hard errors, `W0xx` lints), a severity, a primary message, zero
 //! or more labeled source spans, and free-form notes. Diagnostics render
 //! two ways: a rustc-style caret-annotated text form ([`Diagnostic::render`])
-//! and a line-oriented JSON form ([`Diagnostic::to_json`]) that
+//! and a line-oriented JSON form ([`Diagnostic::json_array`]) that
 //! [`Diagnostic::from_json_array`] parses back losslessly (the round-trip
-//! the `cstar-lint --json` mode relies on). The JSON codec is hand-rolled
-//! so the compiler crate stays dependency-free.
+//! the `cstar-lint --json` mode relies on), both through the repo's one
+//! JSON writer and reader, `prescient_tempest::json`.
 //!
 //! # Code catalog
 //!
@@ -30,6 +30,8 @@
 //! | E008 | unsound `commute` annotation: a same-phase read observes the privatized aggregate | §3.4 |
 
 use std::fmt;
+
+use prescient_tempest::json::{self, Json, Layout, Writer};
 
 use crate::lexer::ParseError;
 
@@ -232,108 +234,70 @@ impl Diagnostic {
         out
     }
 
-    /// The JSON object form (one line, stable key order).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        json_kv(&mut s, "code", &self.code);
-        s.push(',');
-        json_kv(&mut s, "severity", self.severity.as_str());
-        s.push(',');
-        json_kv(&mut s, "message", &self.message);
+    /// Write the JSON object form (one line, stable key order) as the
+    /// writer's next value.
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) {
+        w.object(Layout::Compact);
+        w.key("code").str(&self.code).key("severity").str(self.severity.as_str());
+        w.key("message").str(&self.message);
         if let Some(f) = &self.file {
-            s.push(',');
-            json_kv(&mut s, "file", f);
+            w.key("file").str(f);
         }
-        s.push_str(",\"labels\":[");
-        for (i, l) in self.labels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"lo\":{},\"hi\":{},\"line\":{},",
-                l.span.lo, l.span.hi, l.span.line
-            ));
-            json_kv(&mut s, "text", &l.text);
-            s.push('}');
+        w.key("labels").array(Layout::Compact);
+        for l in &self.labels {
+            w.object(Layout::Compact);
+            w.key("lo").uint(l.span.lo.into()).key("hi").uint(l.span.hi.into());
+            w.key("line").uint(l.span.line.into()).key("text").str(&l.text).end();
         }
-        s.push_str("],\"notes\":[");
-        for (i, n) in self.notes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_str(&mut s, n);
+        w.end().key("notes").array(Layout::Compact);
+        for n in &self.notes {
+            w.str(n);
         }
-        s.push_str("]}");
-        s
+        w.end().end();
     }
 
     /// A JSON array of diagnostics.
     pub fn json_array(diags: &[Diagnostic]) -> String {
-        let mut s = String::from("[");
-        for (i, d) in diags.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&d.to_json());
+        let mut w = Writer::new(String::new(), 0);
+        w.array(Layout::Compact);
+        for d in diags {
+            d.write_json(&mut w);
         }
-        s.push(']');
-        s
+        w.end();
+        w.finish()
     }
 
     /// Parse a JSON array produced by [`Diagnostic::json_array`] back into
     /// diagnostics (the `--json` round-trip).
     pub fn from_json_array(input: &str) -> Result<Vec<Diagnostic>, String> {
-        let value = JsonParser::parse(input)?;
+        let value = json::parse(input)?;
         let arr = value.as_array().ok_or("expected a top-level array")?;
-        let mut out = Vec::with_capacity(arr.len());
-        for v in arr {
-            out.push(Diagnostic::from_json_value(v)?);
-        }
-        Ok(out)
+        arr.iter().map(Diagnostic::from_json_value).collect()
     }
 
-    fn from_json_value(v: &Json) -> Result<Diagnostic, String> {
-        let obj = v.as_object().ok_or("expected a diagnostic object")?;
-        let get_str = |k: &str| -> Result<String, String> {
-            obj.iter()
-                .find(|(key, _)| key == k)
-                .and_then(|(_, v)| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field `{k}`"))
-        };
-        let severity = match get_str("severity")?.as_str() {
+    fn from_json_value(v: &Json<'_>) -> Result<Diagnostic, String> {
+        let severity = match v.string("severity")? {
             "warning" => Severity::Warning,
             "error" => Severity::Error,
             other => return Err(format!("unknown severity `{other}`")),
         };
         let mut d = Diagnostic {
-            code: get_str("code")?,
+            code: v.string("code")?.to_string(),
             severity,
-            message: get_str("message")?,
+            message: v.string("message")?.to_string(),
             labels: Vec::new(),
             notes: Vec::new(),
-            file: obj
-                .iter()
-                .find(|(k, _)| k == "file")
-                .and_then(|(_, v)| v.as_str())
-                .map(str::to_string),
+            file: v.field("file").and_then(Json::as_str).map(str::to_string),
         };
-        if let Some((_, labels)) = obj.iter().find(|(k, _)| k == "labels") {
-            for l in labels.as_array().ok_or("`labels` must be an array")? {
-                let lo = l.field_u32("lo")?;
-                let hi = l.field_u32("hi")?;
-                let line = l.field_u32("line")?;
-                let text = l
-                    .as_object()
-                    .and_then(|o| o.iter().find(|(k, _)| k == "text"))
-                    .and_then(|(_, v)| v.as_str())
-                    .unwrap_or("")
-                    .to_string();
-                d.labels.push(Label { span: Span { lo, hi, line }, text });
+        if v.field("labels").is_some() {
+            for l in v.array("labels")? {
+                let span = Span { lo: l.int("lo")?, hi: l.int("hi")?, line: l.int("line")? };
+                let text = l.field("text").and_then(Json::as_str).unwrap_or("").to_string();
+                d.labels.push(Label { span, text });
             }
         }
-        if let Some((_, notes)) = obj.iter().find(|(k, _)| k == "notes") {
-            for n in notes.as_array().ok_or("`notes` must be an array")? {
+        if v.field("notes").is_some() {
+            for n in v.array("notes")? {
                 d.notes.push(n.as_str().ok_or("notes must be strings")?.to_string());
             }
         }
@@ -434,251 +398,6 @@ impl SourceLines {
             if label.text.is_empty() { "" } else { " " },
             label.text
         ));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON codec (emit + parse of the subset this module produces)
-// ---------------------------------------------------------------------
-
-pub(crate) fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-pub(crate) fn json_kv(out: &mut String, key: &str, val: &str) {
-    json_str(out, key);
-    out.push(':');
-    json_str(out, val);
-}
-
-/// A parsed JSON value (only what the emitter produces). Shared with the
-/// directive-plan codec in [`crate::directives`].
-pub(crate) enum Json {
-    Null,
-    Bool,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub(crate) fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Object field lookup.
-    pub(crate) fn field(&self, key: &str) -> Option<&Json> {
-        self.as_object().and_then(|o| o.iter().find(|(k, _)| k == key)).map(|(_, v)| v)
-    }
-
-    /// Numeric object field as `i64` (the plan codec's loop bounds).
-    pub(crate) fn field_i64(&self, key: &str) -> Result<i64, String> {
-        self.field(key)
-            .and_then(|v| match v {
-                Json::Num(n) => Some(*n as i64),
-                _ => None,
-            })
-            .ok_or_else(|| format!("missing numeric field `{key}`"))
-    }
-
-    fn field_u32(&self, key: &str) -> Result<u32, String> {
-        self.as_object()
-            .and_then(|o| o.iter().find(|(k, _)| k == key))
-            .and_then(|(_, v)| match v {
-                Json::Num(n) if *n >= 0.0 => Some(*n as u32),
-                _ => None,
-            })
-            .ok_or_else(|| format!("missing numeric field `{key}`"))
-    }
-}
-
-pub(crate) struct JsonParser {
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl JsonParser {
-    pub(crate) fn parse(input: &str) -> Result<Json, String> {
-        let mut p = JsonParser { chars: input.chars().collect(), pos: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.chars.len() {
-            return Err(format!("trailing garbage at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.chars.len() && self.chars[self.pos].is_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<char, String> {
-        self.skip_ws();
-        self.chars.get(self.pos).copied().ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn eat(&mut self, c: char) -> Result<(), String> {
-        if self.peek()? == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{c}` at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            '{' => self.object(),
-            '[' => self.array(),
-            '"' => Ok(Json::Str(self.string()?)),
-            't' => self.keyword("true", Json::Bool),
-            'f' => self.keyword("false", Json::Bool),
-            'n' => self.keyword("null", Json::Null),
-            c if c == '-' || c.is_ascii_digit() => self.number(),
-            c => Err(format!("unexpected `{c}` at offset {}", self.pos)),
-        }
-    }
-
-    fn keyword(&mut self, kw: &str, v: Json) -> Result<Json, String> {
-        self.skip_ws();
-        for c in kw.chars() {
-            if self.chars.get(self.pos) != Some(&c) {
-                return Err(format!("bad keyword at offset {}", self.pos));
-            }
-            self.pos += 1;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .chars
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        {
-            self.pos += 1;
-        }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number `{text}`"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat('"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.chars.get(self.pos).ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let e = *self
-                        .chars
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match e {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        't' => out.push('\t'),
-                        'r' => out.push('\r'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'u' => {
-                            if self.pos + 4 > self.chars.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            let hex: String = self.chars[self.pos..self.pos + 4].iter().collect();
-                            self.pos += 4;
-                            let cp = u32::from_str_radix(&hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("unknown escape `\\{other}`")),
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat('[')?;
-        let mut out = Vec::new();
-        if self.peek()? == ']' {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek()? {
-                ',' => self.pos += 1,
-                ']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                c => return Err(format!("expected `,` or `]`, found `{c}`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat('{')?;
-        let mut out = Vec::new();
-        if self.peek()? == '}' {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(':')?;
-            let val = self.value()?;
-            out.push((key, val));
-            match self.peek()? {
-                ',' => self.pos += 1,
-                '}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                c => return Err(format!("expected `,` or `}}`, found `{c}`")),
-            }
-        }
     }
 }
 

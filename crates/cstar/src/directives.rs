@@ -24,10 +24,10 @@
 use std::collections::BTreeMap;
 
 use prescient_core::PhaseId;
+use prescient_tempest::json::{self, Layout, Writer};
 
 use crate::cfg::{Cfg, RegionItem};
 use crate::dataflow::ReachingUnstructured;
-use crate::diag::{json_str, Json, JsonParser};
 
 /// What the planner decided per call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,98 +108,80 @@ impl DirectivePlan {
     /// payload). Booleans are encoded as `0`/`1`; an absent `phase` field
     /// means "no phase assigned".
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::from("{");
-        write!(s, "\"n_phases\":{},\"calls\":[", self.assignment.n_phases).unwrap();
-        for (i, (id, d)) in self.assignment.calls.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            write!(
-                s,
-                "{{\"id\":{id},\"needs\":{},\"home_only\":{}",
-                d.needs as u8, d.home_only as u8
-            )
-            .unwrap();
+        let mut w = Writer::new(String::new(), 0);
+        w.object(Layout::Compact).key("n_phases").uint(self.assignment.n_phases.into());
+        w.key("calls").array(Layout::Compact);
+        for (id, d) in &self.assignment.calls {
+            w.object(Layout::Compact).key("id").uint(*id as u64);
+            w.key("needs").uint(d.needs.into()).key("home_only").uint(d.home_only.into());
             if let Some(p) = d.phase {
-                write!(s, ",\"phase\":{p}").unwrap();
+                w.key("phase").uint(p.into());
             }
-            s.push('}');
+            w.end();
         }
-        s.push_str("],\"ops\":[");
-        for (i, op) in self.ops.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+        w.end().key("ops").array(Layout::Compact);
+        for op in &self.ops {
+            w.object(Layout::Compact).key("op");
             match op {
-                ExecOp::PhaseBegin(p) => {
-                    write!(s, "{{\"op\":\"phase_begin\",\"phase\":{p}}}").unwrap()
-                }
-                ExecOp::PhaseEnd(p) => write!(s, "{{\"op\":\"phase_end\",\"phase\":{p}}}").unwrap(),
-                ExecOp::Call(id) => write!(s, "{{\"op\":\"call\",\"id\":{id}}}").unwrap(),
-                ExecOp::LoopBegin { label, lo, hi } => {
-                    s.push_str("{\"op\":\"loop_begin\",\"label\":");
-                    json_str(&mut s, label);
-                    write!(s, ",\"lo\":{lo},\"hi\":{hi}}}").unwrap();
-                }
-                ExecOp::LoopEnd => s.push_str("{\"op\":\"loop_end\"}"),
+                ExecOp::PhaseBegin(p) => w.str("phase_begin").key("phase").uint((*p).into()),
+                ExecOp::PhaseEnd(p) => w.str("phase_end").key("phase").uint((*p).into()),
+                ExecOp::Call(id) => w.str("call").key("id").uint(*id as u64),
+                ExecOp::LoopBegin { label, lo, hi } => w
+                    .str("loop_begin")
+                    .key("label")
+                    .str(label)
+                    .key("lo")
+                    .int(*lo)
+                    .key("hi")
+                    .int(*hi),
+                ExecOp::LoopEnd => w.str("loop_end"),
                 ExecOp::CommutativeMerge { phase, agg, call } => {
-                    s.push_str("{\"op\":\"commutative_merge\",\"agg\":");
-                    json_str(&mut s, agg);
-                    write!(s, ",\"phase\":{phase},\"call\":{call}}}").unwrap();
+                    w.str("commutative_merge").key("agg").str(agg);
+                    w.key("phase").uint((*phase).into()).key("call").uint(*call as u64)
                 }
-            }
+            };
+            w.end();
         }
-        s.push_str("]}");
-        s
+        w.end().end();
+        w.finish()
     }
 
-    /// Parse a plan produced by [`DirectivePlan::to_json`].
+    /// Parse a plan produced by [`DirectivePlan::to_json`]. Ids, phases
+    /// and counts are range-checked (a negative or oversized one is an
+    /// error naming the field, never a wrapped value).
     pub fn from_json(src: &str) -> Result<DirectivePlan, String> {
-        let v = JsonParser::parse(src)?;
-        let n_phases = v.field_i64("n_phases")? as u32;
+        let v = json::parse(src)?;
         let mut calls = BTreeMap::new();
-        for c in v.field("calls").and_then(Json::as_array).ok_or("missing `calls` array")? {
-            let id = c.field_i64("id")? as usize;
-            let phase = match c.field("phase") {
-                Some(Json::Num(n)) if *n >= 0.0 => Some(*n as PhaseId),
-                _ => None,
+        for c in v.array("calls")? {
+            let decision = CallDecision {
+                needs: c.int::<u8>("needs")? != 0,
+                home_only: c.int::<u8>("home_only")? != 0,
+                phase: c.field("phase").map(|_| c.int("phase")).transpose()?,
             };
-            calls.insert(
-                id,
-                CallDecision {
-                    needs: c.field_i64("needs")? != 0,
-                    home_only: c.field_i64("home_only")? != 0,
-                    phase,
-                },
-            );
+            calls.insert(c.int("id")?, decision);
         }
         let mut ops = Vec::new();
-        for o in v.field("ops").and_then(Json::as_array).ok_or("missing `ops` array")? {
-            let kind = o.field("op").and_then(Json::as_str).ok_or("missing `op` tag")?;
-            ops.push(match kind {
-                "phase_begin" => ExecOp::PhaseBegin(o.field_i64("phase")? as PhaseId),
-                "phase_end" => ExecOp::PhaseEnd(o.field_i64("phase")? as PhaseId),
-                "call" => ExecOp::Call(o.field_i64("id")? as usize),
+        for o in v.array("ops")? {
+            ops.push(match o.string("op")? {
+                "phase_begin" => ExecOp::PhaseBegin(o.int("phase")?),
+                "phase_end" => ExecOp::PhaseEnd(o.int("phase")?),
+                "call" => ExecOp::Call(o.int("id")?),
                 "loop_begin" => ExecOp::LoopBegin {
-                    label: o
-                        .field("label")
-                        .and_then(Json::as_str)
-                        .ok_or("missing `label`")?
-                        .to_string(),
-                    lo: o.field_i64("lo")?,
-                    hi: o.field_i64("hi")?,
+                    label: o.string("label")?.to_string(),
+                    lo: o.int("lo")?,
+                    hi: o.int("hi")?,
                 },
                 "loop_end" => ExecOp::LoopEnd,
                 "commutative_merge" => ExecOp::CommutativeMerge {
-                    phase: o.field_i64("phase")? as PhaseId,
-                    agg: o.field("agg").and_then(Json::as_str).ok_or("missing `agg`")?.to_string(),
-                    call: o.field_i64("call")? as usize,
+                    phase: o.int("phase")?,
+                    agg: o.string("agg")?.to_string(),
+                    call: o.int("call")?,
                 },
                 other => return Err(format!("unknown op tag `{other}`")),
             });
         }
-        Ok(DirectivePlan { assignment: PhaseAssignment { calls, n_phases }, ops })
+        let assignment = PhaseAssignment { calls, n_phases: v.int("n_phases")? };
+        Ok(DirectivePlan { assignment, ops })
     }
 }
 

@@ -70,35 +70,20 @@ impl PlacementSpec {
     /// Parse a `PRESCIENT_PLACEMENT` value: `"off"` or `"remap:PATH"` (the
     /// file is read and validated against `nodes` immediately — a missing
     /// or malformed remap file must fail the run, not silently measure
-    /// `Off`).
+    /// `Off`). (`crate::env` owns the variable and the wording of its
+    /// error.)
     pub fn parse(s: &str, nodes: usize) -> Result<PlacementSpec, String> {
         let t = s.trim();
         match t.split_once(':') {
             None if t == "off" => Ok(PlacementSpec::Off),
             Some(("remap", path)) => {
-                let text = std::fs::read_to_string(path.trim()).map_err(|e| {
-                    format!("PRESCIENT_PLACEMENT: cannot read remap file {path:?}: {e}")
-                })?;
-                let map = HomeMap::parse(&text, nodes)
-                    .map_err(|e| format!("PRESCIENT_PLACEMENT: remap file {path:?}: {e}"))?;
+                let text = std::fs::read_to_string(path.trim())
+                    .map_err(|e| format!("cannot read the remap file: {e}"))?;
+                let map =
+                    HomeMap::parse(&text, nodes).map_err(|e| format!("bad remap file: {e}"))?;
                 Ok(PlacementSpec::Remap(map))
             }
-            other => Err(format!(
-                "PRESCIENT_PLACEMENT: unknown mode {:?} \
-                 (expected \"off\" or \"remap:PATH\"), got {s:?}",
-                other.map_or(t, |(k, _)| k)
-            )),
-        }
-    }
-
-    /// The `PRESCIENT_PLACEMENT` override, if set. Panics on an
-    /// unparsable value — same loud-failure policy as the other
-    /// environment knobs.
-    pub fn from_env(nodes: usize) -> Option<PlacementSpec> {
-        let v = std::env::var("PRESCIENT_PLACEMENT").ok()?;
-        match PlacementSpec::parse(&v, nodes) {
-            Ok(p) => Some(p),
-            Err(e) => panic!("{e}"),
+            _ => Err("unknown mode".to_string()),
         }
     }
 }
@@ -134,10 +119,9 @@ pub struct MachineConfig {
     /// (`crate::Machine::run`) returns; panics on violations. Cheap for
     /// test-sized machines, intended for chaos tests.
     pub validate: bool,
-    /// Fabric egress aggregation policy. Constructors take the
-    /// `PRESCIENT_BATCH` environment override when present (the CI chaos
-    /// matrix forces batching on/off through it), else the fabric default;
-    /// [`MachineConfig::with_batch`] pins it explicitly.
+    /// Fabric egress aggregation policy: the fabric default
+    /// ([`BatchConfig::DEFAULT_MAX`]) unless [`MachineConfig::with_batch`]
+    /// pins another (the batching-invariance tests and the ablation do).
     pub batch: BatchConfig,
     /// Protocol event tracing. Constructors take the `PRESCIENT_TRACE`
     /// environment override when present (off otherwise — tracing is
@@ -184,10 +168,14 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// An unoptimized (plain Stache) machine.
+    /// An unoptimized (plain Stache) machine, with whatever the
+    /// `PRESCIENT_*` variables select (see [`crate::env`]) applied on top.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a variable holds a value its grammar rejects.
     pub fn stache(nodes: usize, block_size: usize) -> MachineConfig {
-        let crash = CrashPlan::from_env();
-        MachineConfig {
+        let mut cfg = MachineConfig {
             nodes,
             block_size,
             cost: CostModel::default(),
@@ -195,19 +183,18 @@ impl MachineConfig {
             faults: None,
             retry: RetryConfig::default(),
             validate: false,
-            batch: BatchConfig::default_for_fabric(),
-            trace: TraceConfig::default_for_machine(),
-            crash,
-            // A crash without a checkpoint is fatal; an env-injected crash
-            // is meant to exercise recovery, so it brings checkpointing
-            // along (as does `with_crash_plan`).
-            checkpoints: crash.is_some(),
+            batch: BatchConfig::default(),
+            trace: TraceConfig::off(),
+            crash: None,
+            checkpoints: false,
             watchdog: None,
             fabric: FabricKind::Channel,
-            placement: PlacementSpec::from_env(nodes).unwrap_or_default(),
-            metrics: MetricsConfig::default_for_machine(),
+            placement: PlacementSpec::Off,
+            metrics: MetricsConfig::off(),
             home_shift: 0,
-        }
+        };
+        crate::env::apply(&mut cfg, &crate::env::process).unwrap_or_else(|e| panic!("{e}"));
+        cfg
     }
 
     /// An optimized (predictive protocol) machine.
@@ -245,8 +232,7 @@ impl MachineConfig {
         self
     }
 
-    /// Pin the fabric's egress aggregation policy (overrides the
-    /// environment default).
+    /// Pin the fabric's egress aggregation policy.
     pub fn with_batch(mut self, batch: BatchConfig) -> MachineConfig {
         self.batch = batch;
         self
@@ -353,28 +339,18 @@ mod tests {
         assert!(c.watchdog.is_some());
     }
 
-    // Satellite: malformed environment knobs must error loudly, never
-    // silently fall back to a default — a CI matrix job with a typo in
-    // `PRESCIENT_BATCH`/`PRESCIENT_CRASH` would otherwise benchmark the
-    // wrong configuration and nobody would know.
-
-    #[test]
-    fn batch_config_rejects_garbage() {
-        assert!(!BatchConfig::parse("off").expect("off").is_batching());
-        assert!(!BatchConfig::parse("1").expect("1").is_batching());
-        assert_eq!(BatchConfig::parse("64").expect("64").max_batch, 64);
-        for bad in ["", "on", "64k", "-3", "8.5", "batch=8"] {
-            assert!(BatchConfig::parse(bad).is_err(), "{bad:?} must not parse");
-        }
-    }
+    // Malformed values must be rejected, never silently fall back to a
+    // default — a CI job with a typo in `PRESCIENT_CRASH` would otherwise
+    // measure the wrong configuration and nobody would know. (The
+    // variables themselves are driven through `crate::env` in
+    // `tests/text_boundary.rs`.)
 
     #[test]
     fn crash_plan_rejects_garbage() {
-        assert_eq!(CrashPlan::parse(""), Ok(None));
         assert_eq!(CrashPlan::parse("off"), Ok(None));
         let p = CrashPlan::parse("2@5").expect("2@5").expect("some plan");
         assert_eq!((p.node, p.at_version), (2, 5));
-        for bad in ["2", "@5", "2@", "x@5", "2@y", "2@5@7", "node2@5"] {
+        for bad in ["", "2", "@5", "2@", "x@5", "2@y", "2@5@7", "node2@5"] {
             assert!(CrashPlan::parse(bad).is_err(), "{bad:?} must not parse");
         }
     }
@@ -383,8 +359,7 @@ mod tests {
     fn placement_spec_parses_and_rejects_garbage() {
         assert!(PlacementSpec::parse("off", 4).expect("off").is_off());
         for bad in ["", "on", "remap", "online", "online:4,75,128", "move:now"] {
-            let err = PlacementSpec::parse(bad, 4).expect_err(bad);
-            assert!(err.starts_with("PRESCIENT_PLACEMENT: unknown mode"), "{bad:?}: {err}");
+            assert_eq!(PlacementSpec::parse(bad, 4).expect_err(bad), "unknown mode", "{bad:?}");
         }
         // A remap pointing at a missing file fails loudly, not as Off.
         assert!(PlacementSpec::parse("remap:/no/such/remap.txt", 4).is_err());
@@ -412,7 +387,7 @@ mod tests {
         assert!(!TraceConfig::parse("off").expect("off").enabled);
         assert!(TraceConfig::parse("on").expect("on").enabled);
         assert!(TraceConfig::parse("4096").expect("4096").enabled);
-        for bad in ["maybe", "-1", "4096x", "on,off"] {
+        for bad in ["", "maybe", "-1", "4096x", "on,off"] {
             assert!(TraceConfig::parse(bad).is_err(), "{bad:?} must not parse");
         }
     }
@@ -423,9 +398,7 @@ mod tests {
         assert!(MetricsConfig::parse("on").expect("on").enabled);
         let s = MetricsConfig::parse("stream:/tmp/run.jsonl").expect("stream");
         assert_eq!(s.stream.as_deref(), Some("/tmp/run.jsonl"));
-        let t = MetricsConfig::parse("tcp:127.0.0.1:9100").expect("tcp");
-        assert_eq!(t.tcp.as_deref(), Some("127.0.0.1:9100"));
-        for bad in ["maybe", "2", "stream:", "tcp:", "tcp:noport", "udp:x:1", "on,stream:x"] {
+        for bad in ["", "maybe", "2", "stream:", "tcp:", "tcp:127.0.0.1:9100", "on,stream:x"] {
             assert!(MetricsConfig::parse(bad).is_err(), "{bad:?} must not parse");
         }
         let cfg = MachineConfig::stache(4, 32).with_metrics(MetricsConfig::on());

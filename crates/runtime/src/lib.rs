@@ -18,6 +18,8 @@
 //! * [`agg`] — distributed aggregates (1-D and 2-D arrays of primitives)
 //!   with the block / row-block computation distributions of §4.1, by
 //!   element and by contiguous run;
+//! * [`env`] — the `PRESCIENT_*` environment variables: one table, one
+//!   reader, one error format;
 //! * [`report`] — run reports mirroring the paper's stacked bars (remote
 //!   data wait / predictive protocol / compute + synch);
 //! * [`recovery`] — crash faults, barrier-consistent checkpoint/rollback,
@@ -30,6 +32,7 @@
 pub mod agg;
 pub mod config;
 pub mod ctx;
+pub mod env;
 pub mod machine;
 pub mod recovery;
 pub mod report;

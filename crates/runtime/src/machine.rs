@@ -1,5 +1,6 @@
 //! The emulated machine: node assembly, SPMD execution, reduction scratch.
 
+use std::fs::File;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -9,11 +10,12 @@ use std::time::Instant;
 use prescient_core::{AccessTap, Commute, Predictive};
 use prescient_stache::{Hooks, Msg, NoHooks, Node, NodeShared};
 use prescient_tempest::fabric::{Fabric, FabricCtl};
+use prescient_tempest::json::{IoSink, Writer};
 use prescient_tempest::sync::{lock, try_lock};
-use prescient_tempest::trace::{merge, to_chrome_json, to_jsonl};
+use prescient_tempest::trace::{merge, to_jsonl, write_chrome_json, write_jsonl};
 use prescient_tempest::{
-    Aborted, FaultStats, GAddr, GlobalLayout, HomeMap, HomeView, MetricsHub, MetricsServer, NodeId,
-    TraceEvent, Tracer, VBarrier,
+    Aborted, FaultStats, GAddr, GlobalLayout, HomeMap, HomeView, MetricsHub, NodeId, TraceEvent,
+    Tracer, VBarrier,
 };
 
 use crate::config::{MachineConfig, PlacementSpec, ProtocolKind};
@@ -109,13 +111,10 @@ pub struct Machine {
 
 /// The machine side of the metrics subsystem: the record hub shared with
 /// every node, the background JSONL publisher (when `stream:` is
-/// configured), the Prometheus TCP endpoint (when `tcp:` is configured),
-/// and the machine-lifetime run counter.
+/// configured), and the machine-lifetime run counter.
 struct MetricsRt {
     hub: Arc<MetricsHub>,
     publisher: Option<JoinHandle<()>>,
-    server: Option<MetricsServer>,
-    stream_path: Option<String>,
     runs: u64,
 }
 
@@ -176,18 +175,16 @@ impl Machine {
             nodes.push(Mutex::new(node));
         }
         // Metrics plumbing: the hub exists as soon as the machine does, so
-        // the publisher streams records live and a scrape during the run
-        // sees the timeline so far. Output failures are loud (a mistyped
-        // stream path must fail the run, not silently record nothing).
+        // the publisher streams records live. Output failures are loud (a
+        // mistyped stream path must fail the run, not silently record
+        // nothing).
         let metrics = if cfg.metrics.enabled {
             let hub = Arc::new(MetricsHub::new());
-            let stream_path = cfg.metrics.stream.clone();
-            let publisher = stream_path.as_ref().map(|path| {
-                use std::io::Write as _;
-                let mut file =
-                    std::io::BufWriter::new(std::fs::File::create(path).unwrap_or_else(|e| {
-                        panic!("PRESCIENT_METRICS: cannot open stream file {path:?}: {e}")
-                    }));
+            let publisher = cfg.metrics.stream.as_ref().map(|path| {
+                let file = File::create(path).unwrap_or_else(|e| {
+                    panic!("PRESCIENT_METRICS: cannot open stream file {path:?}: {e}")
+                });
+                let mut lines = Writer::new(IoSink::new(file), 0);
                 let hub = Arc::clone(&hub);
                 std::thread::Builder::new()
                     .name("metrics-pub".into())
@@ -197,12 +194,13 @@ impl Machine {
                             let (batch, closed) = hub.wait_more(seen);
                             seen += batch.len();
                             for r in &batch {
-                                let _ = writeln!(file, "{}", r.to_json_line());
+                                r.write_json(&mut lines);
+                                lines.newline();
                             }
                             // Flush per batch, not per line: a follower
                             // sees whole records, and the run is never
                             // blocked on the file (the hub buffers).
-                            let _ = file.flush();
+                            lines.sink().flush();
                             if closed && batch.is_empty() {
                                 return;
                             }
@@ -210,12 +208,7 @@ impl Machine {
                     })
                     .expect("spawn metrics publisher thread")
             });
-            let server = cfg.metrics.tcp.as_ref().map(|addr| {
-                MetricsServer::spawn(Arc::clone(&hub), addr).unwrap_or_else(|e| {
-                    panic!("PRESCIENT_METRICS: cannot bind tcp endpoint {addr:?}: {e}")
-                })
-            });
-            Some(MetricsRt { hub, publisher, server, stream_path, runs: 0 })
+            Some(MetricsRt { hub, publisher, runs: 0 })
         } else {
             None
         };
@@ -519,13 +512,6 @@ impl Machine {
         self.metrics.as_ref().map(|m| RunTimeline::new(self.cfg.nodes, m.hub.snapshot()))
     }
 
-    /// The bound address of the Prometheus text-exposition endpoint, when
-    /// the metrics config asked for one (`tcp:ADDR`; an `ADDR` with port
-    /// 0 resolves here to the picked port).
-    pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
-        self.metrics.as_ref().and_then(|m| m.server.as_ref()).map(MetricsServer::addr)
-    }
-
     /// Assemble the structured death report: the failure, every node's
     /// protocol state, and the tail of the merged trace (when tracing ran).
     fn machine_error(
@@ -562,42 +548,38 @@ impl Drop for Machine {
         // No node thread exists between runs, so the rings are quiescent:
         // export the merged event stream. `PRESCIENT_TRACE_OUT` overrides
         // the output basename (default `trace` → `trace.json` +
-        // `trace.jsonl`).
+        // `trace.jsonl`). Both exports stream into their files: at paper
+        // scale they are tens of megabytes, never held as strings.
         if self.tracers.iter().any(Tracer::on) {
             let (events, dropped) = self.trace_events();
             if dropped > 0 {
                 eprintln!("prescient: trace rings wrapped, {dropped} events lost");
             }
-            let base = std::env::var("PRESCIENT_TRACE_OUT").unwrap_or_else(|_| "trace".into());
-            let chrome = to_chrome_json(&events);
-            let jsonl = to_jsonl(&events);
-            if let Err(e) = std::fs::write(format!("{base}.json"), chrome)
-                .and_then(|()| std::fs::write(format!("{base}.jsonl"), jsonl))
-            {
+            let base = crate::env::trace_out(&crate::env::process);
+            let chrome = File::create(format!("{base}.json"))
+                .and_then(|f| write_chrome_json(&events, IoSink::new(f)).finish());
+            let jsonl = File::create(format!("{base}.jsonl"))
+                .and_then(|f| write_jsonl(&events, IoSink::new(f)).finish());
+            if let Err(e) = chrome.and(jsonl) {
                 eprintln!("prescient: trace export to {base}.json[l] failed: {e}");
             }
         }
         // Metrics teardown: close the hub (the publisher drains its tail
-        // and exits), stop the exposition endpoint, then merge every
-        // node's series into the RunTimeline JSON. `PRESCIENT_METRICS_OUT`
-        // names the export base explicitly; otherwise a streamed machine
-        // exports next to its stream file, and an in-memory machine
-        // exports nothing (its user holds `Machine::timeline`).
+        // and exits), then merge every node's series into the RunTimeline
+        // JSON next to the stream file. An in-memory machine exports
+        // nothing (its user holds `Machine::timeline`).
         if let Some(m) = self.metrics.as_mut() {
             m.hub.close();
             if let Some(p) = m.publisher.take() {
                 let _ = p.join();
             }
-            if let Some(mut s) = m.server.take() {
-                s.shutdown();
-            }
-            let out = std::env::var("PRESCIENT_METRICS_OUT")
-                .ok()
-                .map(|base| format!("{base}.timeline.json"))
-                .or_else(|| m.stream_path.as_ref().map(|p| format!("{p}.timeline.json")));
-            if let Some(path) = out {
-                let tl = RunTimeline::new(self.cfg.nodes, m.hub.snapshot());
-                if let Err(e) = std::fs::write(&path, tl.to_json()) {
+            if let Some(path) =
+                self.cfg.metrics.stream.as_ref().map(|p| format!("{p}.timeline.json"))
+            {
+                let tl = RunTimeline::new(self.cfg.nodes, m.hub.take());
+                let written =
+                    File::create(&path).and_then(|f| tl.write_json(IoSink::new(f)).finish());
+                if let Err(e) = written {
                     eprintln!("prescient: metrics timeline export to {path} failed: {e}");
                 }
             }

@@ -1,7 +1,9 @@
 //! Run reports: the paper's execution-time breakdown per node and machine.
 
+use std::fmt;
 use std::time::Duration;
 
+use prescient_tempest::json::{Layout, Writer};
 use prescient_tempest::stats::StatsSnapshot;
 use prescient_tempest::{NodeId, PhaseRecord, TimeBreakdown, WireSnapshot};
 
@@ -78,11 +80,10 @@ impl RunReport {
         self.total_stats().local_fraction()
     }
 
-    /// The run's gated counters as JSON body lines, one key per line,
-    /// each prefixed with `indent`; the last line has no trailing comma.
-    /// This is the single source of truth for the perf gate's schema
-    /// (DESIGN.md §8): `perf_gate` splices these lines verbatim into its
-    /// per-app objects, so the keys CI diffs (`wall_ms`, `vtime_ns`,
+    /// Write the run's gated counters as members of the object `w` has
+    /// open. This is the single source of truth for the perf gate's schema
+    /// (DESIGN.md §8): `perf_gate` writes its per-app objects through it,
+    /// so the keys CI diffs (`wall_ms`, `vtime_ns`,
     /// `msgs`, `bytes_moved`, `blocks_moved`, `misses`, `presend_blocks`,
     /// `presend_useless`, `wire_batches`, `wire_occupancy`, `wire_hist`,
     /// `checkpoints`, `checkpoint_bytes`, `recoveries`, `replays`,
@@ -93,75 +94,54 @@ impl RunReport {
     /// fault-tolerance observability, likewise never equality-gated; the
     /// placement counter (DESIGN.md §14) is zero with placement off and
     /// counts the remap overlay when it is on, also never equality-gated.
-    pub fn gate_counters_json(&self, indent: &str) -> String {
-        use std::fmt::Write as _;
+    pub fn write_gate_counters<W: fmt::Write>(&self, w: &mut Writer<W>) {
         let t = self.total_stats();
-        let mut s = String::new();
-        writeln!(s, "{indent}\"wall_ms\": {},", self.wall.as_millis()).unwrap();
-        writeln!(s, "{indent}\"vtime_ns\": {},", self.exec_time_ns()).unwrap();
-        writeln!(s, "{indent}\"msgs\": {},", t.msgs_out).unwrap();
-        writeln!(s, "{indent}\"bytes_moved\": {},", self.bytes_moved()).unwrap();
-        writeln!(s, "{indent}\"blocks_moved\": {},", self.blocks_moved()).unwrap();
-        writeln!(s, "{indent}\"misses\": {},", t.misses()).unwrap();
-        writeln!(s, "{indent}\"presend_blocks\": {},", t.presend_blocks_out).unwrap();
-        writeln!(s, "{indent}\"presend_useless\": {},", t.presend_useless).unwrap();
-        writeln!(s, "{indent}\"wire_batches\": {},", self.wire.batches).unwrap();
-        writeln!(s, "{indent}\"wire_occupancy\": {:.2},", self.wire.mean_occupancy()).unwrap();
-        write!(s, "{indent}\"wire_hist\": {{").unwrap();
+        w.key("wall_ms").uint(self.wall.as_millis() as u64);
+        w.key("vtime_ns").uint(self.exec_time_ns()).key("msgs").uint(t.msgs_out);
+        w.key("bytes_moved").uint(self.bytes_moved());
+        w.key("blocks_moved").uint(self.blocks_moved()).key("misses").uint(t.misses());
+        w.key("presend_blocks").uint(t.presend_blocks_out);
+        w.key("presend_useless").uint(t.presend_useless);
+        w.key("wire_batches").uint(self.wire.batches);
+        w.key("wire_occupancy").fixed(self.wire.mean_occupancy(), 2);
+        w.key("wire_hist").object(Layout::Spaced);
         for (i, n) in self.wire.hist.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            write!(s, "{sep}\"{}\": {n}", WireSnapshot::bucket_label(i)).unwrap();
+            w.key(WireSnapshot::bucket_label(i)).uint(*n);
         }
-        writeln!(s, "}},").unwrap();
-        writeln!(s, "{indent}\"checkpoints\": {},", t.checkpoints).unwrap();
-        writeln!(s, "{indent}\"checkpoint_bytes\": {},", t.checkpoint_bytes).unwrap();
-        writeln!(s, "{indent}\"recoveries\": {},", t.recoveries).unwrap();
-        writeln!(s, "{indent}\"replays\": {},", t.replays).unwrap();
-        writeln!(s, "{indent}\"remapped_blocks\": {},", t.remapped_blocks).unwrap();
-        write!(s, "{indent}\"local_pct\": {:.2}", self.local_fraction() * 100.0).unwrap();
-        s
+        w.end().key("checkpoints").uint(t.checkpoints);
+        w.key("checkpoint_bytes").uint(t.checkpoint_bytes).key("recoveries").uint(t.recoveries);
+        w.key("replays").uint(t.replays).key("remapped_blocks").uint(t.remapped_blocks);
+        w.key("local_pct").fixed(self.local_fraction() * 100.0, 2);
+    }
+
+    /// [`RunReport::write_gate_counters`] as body lines for a document
+    /// laid out by hand: one key per line, each prefixed with `indent`;
+    /// the last line has no trailing comma and no newline.
+    pub fn gate_counters_json(&self, indent: &str) -> String {
+        let mut w = Writer::members(String::new(), indent);
+        self.write_gate_counters(&mut w);
+        w.finish()
     }
 
     /// The whole report as a JSON object: the gated counters, the
     /// machine-wide mean breakdown, every total counter, and the
     /// per-node breakdowns and counters.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        fn breakdown_json(b: &TimeBreakdown) -> String {
-            format!(
-                "{{\"compute_ns\": {}, \"wait_ns\": {}, \"presend_ns\": {}, \"synch_ns\": {}}}",
-                b.compute_ns, b.wait_ns, b.presend_ns, b.synch_ns
-            )
+        let mut w = Writer::new(String::new(), 2);
+        w.object(Layout::Lines);
+        self.write_gate_counters(&mut w);
+        inline_object(w.key("mean_breakdown"), self.mean_breakdown().fields());
+        inline_object(w.key("totals"), self.total_stats().fields());
+        w.key("per_node").array(Layout::Lines);
+        for r in &self.per_node {
+            w.object(Layout::Lines).key("node").uint(r.node.into());
+            inline_object(w.key("breakdown"), r.breakdown.fields());
+            w.key("unused_presends").uint(r.unused_presends);
+            inline_object(w.key("stats"), r.stats.fields());
+            w.end();
         }
-        fn stats_json(st: &StatsSnapshot) -> String {
-            let mut s = String::from("{");
-            for (i, (name, v)) in st.fields().iter().enumerate() {
-                use std::fmt::Write as _;
-                let sep = if i == 0 { "" } else { ", " };
-                write!(s, "{sep}\"{name}\": {v}").unwrap();
-            }
-            s.push('}');
-            s
-        }
-        let mut s = String::new();
-        writeln!(s, "{{").unwrap();
-        // gate_counters_json ends on a comma-free line with no newline;
-        // re-open the key list before appending the rest.
-        writeln!(s, "{},", self.gate_counters_json("  ")).unwrap();
-        writeln!(s, "  \"mean_breakdown\": {},", breakdown_json(&self.mean_breakdown())).unwrap();
-        writeln!(s, "  \"totals\": {},", stats_json(&self.total_stats())).unwrap();
-        writeln!(s, "  \"per_node\": [").unwrap();
-        for (i, r) in self.per_node.iter().enumerate() {
-            writeln!(s, "    {{").unwrap();
-            writeln!(s, "      \"node\": {},", r.node).unwrap();
-            writeln!(s, "      \"breakdown\": {},", breakdown_json(&r.breakdown)).unwrap();
-            writeln!(s, "      \"unused_presends\": {},", r.unused_presends).unwrap();
-            writeln!(s, "      \"stats\": {}", stats_json(&r.stats)).unwrap();
-            writeln!(s, "    }}{}", if i + 1 < self.per_node.len() { "," } else { "" }).unwrap();
-        }
-        writeln!(s, "  ]").unwrap();
-        writeln!(s, "}}").unwrap();
-        s
+        w.end().end().newline();
+        w.finish()
     }
 
     /// Render the paper-style stacked bar as a one-line summary:
@@ -177,6 +157,19 @@ impl RunReport {
             b.compute_synch_ns() as f64 / 1e6,
         )
     }
+}
+
+/// `{"name": value, ...}` on one line: how breakdowns and counter sets sit
+/// inside the laid-out documents.
+fn inline_object<W: fmt::Write>(
+    w: &mut Writer<W>,
+    fields: impl IntoIterator<Item = (&'static str, u64)>,
+) {
+    w.object(Layout::Spaced);
+    for (name, v) in fields {
+        w.key(name).uint(v);
+    }
+    w.end();
 }
 
 /// Aggregate of one `(run, phase, iter)` group across the nodes that
@@ -318,60 +311,41 @@ impl RunTimeline {
         Ok(())
     }
 
-    /// The timeline as JSON: the machine size, every
+    /// Write the timeline as JSON: the machine size, every
     /// record verbatim in the stream's line format (so the stream and the
     /// timeline are textually comparable record-for-record), the
     /// `(run, phase, iter)` aggregates under the gate metrics' names, and
     /// the counter totals in the run report's schema.
+    pub fn write_json<W: fmt::Write>(&self, out: W) -> W {
+        let mut w = Writer::new(out, 0);
+        w.object(Layout::Lines).key("nodes").uint(self.nodes as u64);
+        w.key("records").array(Layout::Lines);
+        for r in &self.records {
+            r.write_json(&mut w);
+        }
+        w.end().key("phases").array(Layout::Lines);
+        for g in self.phases() {
+            let wire = g.wire.unwrap_or_default();
+            w.object(Layout::Spaced).key("run").uint(g.run).key("phase").uint(g.phase.into());
+            w.key("iter").uint(g.iter).key("cuts").uint(g.records as u64);
+            w.key("vtime_ns").uint(g.vtime_ns).key("msgs").uint(g.stats.msgs_out);
+            w.key("bytes_moved").uint(g.bytes_moved()).key("blocks_moved").uint(g.blocks_moved());
+            w.key("misses").uint(g.stats.misses());
+            w.key("presend_blocks").uint(g.stats.presend_blocks_out);
+            w.key("presend_useless").uint(g.stats.presend_useless);
+            w.key("fetch_mean_ns").fixed(g.fetch.mean_ns(), 0);
+            w.key("wire_batches").uint(wire.batches);
+            w.key("wire_occupancy").fixed(wire.mean_occupancy(), 2).end();
+        }
+        w.end();
+        inline_object(w.key("totals"), self.totals().fields());
+        w.end().newline();
+        w.finish()
+    }
+
+    /// [`RunTimeline::write_json`] into a fresh string.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        writeln!(s, "{{").unwrap();
-        writeln!(s, "\"nodes\": {},", self.nodes).unwrap();
-        writeln!(s, "\"records\": [").unwrap();
-        for (i, r) in self.records.iter().enumerate() {
-            let sep = if i + 1 < self.records.len() { "," } else { "" };
-            writeln!(s, "{}{sep}", r.to_json_line()).unwrap();
-        }
-        writeln!(s, "],").unwrap();
-        writeln!(s, "\"phases\": [").unwrap();
-        let phases = self.phases();
-        for (i, g) in phases.iter().enumerate() {
-            let w = g.wire.unwrap_or_default();
-            write!(
-                s,
-                "{{\"run\": {}, \"phase\": {}, \"iter\": {}, \"cuts\": {}, \
-                 \"vtime_ns\": {}, \"msgs\": {}, \"bytes_moved\": {}, \"blocks_moved\": {}, \
-                 \"misses\": {}, \"presend_blocks\": {}, \"presend_useless\": {}, \
-                 \"fetch_mean_ns\": {:.0}, \"wire_batches\": {}, \"wire_occupancy\": {:.2}}}",
-                g.run,
-                g.phase,
-                g.iter,
-                g.records,
-                g.vtime_ns,
-                g.stats.msgs_out,
-                g.bytes_moved(),
-                g.blocks_moved(),
-                g.stats.misses(),
-                g.stats.presend_blocks_out,
-                g.stats.presend_useless,
-                g.fetch.mean_ns(),
-                w.batches,
-                w.mean_occupancy(),
-            )
-            .unwrap();
-            writeln!(s, "{}", if i + 1 < phases.len() { "," } else { "" }).unwrap();
-        }
-        writeln!(s, "],").unwrap();
-        let mut totals = String::from("{");
-        for (i, (name, v)) in self.totals().fields().iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            write!(totals, "{sep}\"{name}\": {v}").unwrap();
-        }
-        totals.push('}');
-        writeln!(s, "\"totals\": {totals}").unwrap();
-        writeln!(s, "}}").unwrap();
-        s
+        self.write_json(String::new())
     }
 }
 

@@ -2,10 +2,8 @@
 //! reconcile *exactly* with the run report (the telescoping-sum
 //! invariant), must not perturb the measured computation, must survive
 //! crash-replay without double-counting, and the live outputs (JSONL
-//! stream, Prometheus endpoint, teardown timeline) must agree with each
-//! other.
+//! stream, teardown timeline) must agree with each other.
 
-use std::io::{Read, Write};
 use std::time::Duration;
 
 use prescient_runtime::{Agg1D, Dist1D, Machine, MachineConfig, NodeCtx, RunReport, RunTimeline};
@@ -191,25 +189,4 @@ fn stream_file_matches_the_teardown_timeline() {
     assert_eq!(tj.matches('{').count(), tj.matches('}').count());
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(format!("{path}.timeline.json"));
-}
-
-#[test]
-fn tcp_endpoint_serves_reconciling_prometheus_text() {
-    let (_, report, m) = run_relaxation(base_cfg().with_metrics(MetricsConfig::tcp("127.0.0.1:0")));
-    let addr = m.metrics_addr().expect("server bound");
-    let mut conn = std::net::TcpStream::connect(addr).expect("scrape connects");
-    conn.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").expect("request");
-    let mut text = String::new();
-    conn.read_to_string(&mut text).expect("response");
-    assert!(text.starts_with("HTTP/1.1 200"), "got: {}", text.lines().next().unwrap_or(""));
-    assert!(text.contains("prescient_phase_records_total"));
-
-    // The scraped per-node cumulative counters are the telescoped record
-    // sums, so they must equal the run report's totals exactly.
-    let scraped_msgs: u64 = text
-        .lines()
-        .filter(|l| l.starts_with("prescient_msgs_out_total{"))
-        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().expect("sample value"))
-        .sum();
-    assert_eq!(scraped_msgs, report.total_stats().msgs_out, "scrape reconciles with report");
 }

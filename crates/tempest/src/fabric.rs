@@ -131,10 +131,9 @@ impl<M> WirePayload<M> {
 ///
 /// `max_batch` is the force-flush threshold of each per-destination egress
 /// buffer; `1` disables aggregation (every envelope becomes its own wire
-/// batch, the pre-batching behavior). The `PRESCIENT_BATCH` environment
-/// variable overrides the default for every fabric built without an
-/// explicit config — the CI chaos matrix uses it to force batching on and
-/// off ("0", "1" or "off" disable; any other integer sets the threshold).
+/// batch, the pre-batching behavior). Nothing in the environment selects
+/// it: a fabric built without an explicit config flushes at
+/// [`BatchConfig::DEFAULT_MAX`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Flush an egress buffer once it holds this many envelopes.
@@ -143,7 +142,7 @@ pub struct BatchConfig {
 
 impl BatchConfig {
     /// Default force-flush threshold (chosen by the batch-size ablation in
-    /// EXPERIMENTS.md; see `ablation_batching`).
+    /// EXPERIMENTS.md; see `ablation batching`).
     pub const DEFAULT_MAX: usize = 16;
 
     /// A policy flushing at `max_batch` envelopes (clamped to at least 1).
@@ -159,34 +158,6 @@ impl BatchConfig {
     /// Is aggregation actually on?
     pub fn is_batching(&self) -> bool {
         self.max_batch > 1
-    }
-
-    /// Parse a `PRESCIENT_BATCH` value: `"off"`, `"0"` or `"1"` disable
-    /// aggregation; any other integer sets the flush threshold.
-    pub fn parse(s: &str) -> Result<BatchConfig, String> {
-        match s.trim() {
-            "off" | "0" | "1" => Ok(BatchConfig::off()),
-            t => t.parse::<usize>().map(BatchConfig::new).map_err(|_| {
-                format!("PRESCIENT_BATCH: expected an integer threshold or \"off\", got {s:?}")
-            }),
-        }
-    }
-
-    /// The `PRESCIENT_BATCH` override, if set. Panics on an unparsable
-    /// value: a knob that falls back silently is worse than one that
-    /// refuses — a typo in a CI matrix would quietly benchmark the
-    /// default policy while claiming otherwise.
-    pub fn from_env() -> Option<BatchConfig> {
-        let v = std::env::var("PRESCIENT_BATCH").ok()?;
-        match BatchConfig::parse(&v) {
-            Ok(b) => Some(b),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The env override if present, else the built-in default.
-    pub fn default_for_fabric() -> BatchConfig {
-        BatchConfig::from_env().unwrap_or_default()
     }
 }
 
@@ -766,11 +737,10 @@ impl<M: Send> ShardEndpoint<M> {
 pub struct Fabric;
 
 impl Fabric {
-    /// Build the endpoints with the default (env-overridable) batch
-    /// policy. Endpoint `i` receives everything addressed to node `i`.
+    /// Build the endpoints with the default batch policy. Endpoint `i` receives everything addressed to node `i`.
     #[allow(clippy::new_ret_no_self)]
     pub fn new<M: Send + 'static>(n: usize) -> Vec<Endpoint<M>> {
-        Fabric::new_with(n, BatchConfig::default_for_fabric())
+        Fabric::new_with(n, BatchConfig::default())
     }
 
     /// Build the endpoints with an explicit batch policy.
@@ -779,13 +749,12 @@ impl Fabric {
     }
 
     /// Build a fabric whose inter-node links run through the fault layer
-    /// described by `plan`, with the default (env-overridable) batch
-    /// policy. Also returns the per-link fault counters.
+    /// described by `plan`, with the default batch policy. Also returns the per-link fault counters.
     pub fn new_faulty<M: Send + Clone + 'static>(
         n: usize,
         plan: FaultPlan,
     ) -> (Vec<Endpoint<M>>, Arc<FaultStats>) {
-        Fabric::new_faulty_with(n, plan, BatchConfig::default_for_fabric())
+        Fabric::new_faulty_with(n, plan, BatchConfig::default())
     }
 
     /// Build a faulty fabric with an explicit batch policy. The `Clone`
@@ -828,7 +797,7 @@ impl Fabric {
                 Arc::clone(&transport),
                 Arc::clone(&ctl),
                 None,
-                BatchConfig::default_for_fabric(),
+                BatchConfig::default(),
             );
             let ep = &mut eps[i % shards];
             ep.members.push(i as NodeId);
@@ -1219,15 +1188,6 @@ mod tests {
         assert!(matches!(eps[1].try_recv(), TryRecv::Msg(Envelope { src: 0, msg: 9, .. })));
         assert_eq!(stats.total().dropped, 0);
         assert_eq!(eps[0].ctl().wire().batches, 0);
-    }
-
-    #[test]
-    fn batch_parse_rejects_garbage() {
-        assert!(BatchConfig::parse("16").is_ok());
-        assert_eq!(BatchConfig::parse("off").unwrap(), BatchConfig::off());
-        assert!(BatchConfig::parse("banana").is_err());
-        assert!(BatchConfig::parse("-3").is_err());
-        assert!(BatchConfig::parse("1.5").is_err());
     }
 
     #[test]

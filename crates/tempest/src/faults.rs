@@ -171,37 +171,18 @@ impl CrashPlan {
     }
 
     /// Parse a `PRESCIENT_CRASH` value: `"node@version"` (e.g. `2@5`
-    /// crashes node 2 at its 5th phase execution). Empty, `0` or `off`
-    /// means no crash (`Ok(None)`).
+    /// crashes node 2 at its 5th phase execution); `0` or `off` means no
+    /// crash (`Ok(None)`). (`runtime::env` owns the variable and the
+    /// wording of its error.)
     pub fn parse(s: &str) -> Result<Option<CrashPlan>, String> {
         let v = s.trim();
-        if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off") {
+        if v == "0" || v.eq_ignore_ascii_case("off") {
             return Ok(None);
         }
-        let (node, version) = v
-            .split_once('@')
-            .ok_or_else(|| format!("PRESCIENT_CRASH must be \"node@version\", got {v:?}"))?;
-        let node: u16 = node
-            .trim()
-            .parse()
-            .map_err(|_| format!("PRESCIENT_CRASH node must be a u16, got {v:?}"))?;
-        let at_version: u64 = version
-            .trim()
-            .parse()
-            .map_err(|_| format!("PRESCIENT_CRASH version must be a u64, got {v:?}"))?;
+        let (node, version) = v.split_once('@').ok_or("no `@`")?;
+        let node = node.trim().parse().map_err(|_| "the node is not a u16")?;
+        let at_version = version.trim().parse().map_err(|_| "the version is not a u64")?;
         Ok(Some(CrashPlan { node, at_version }))
-    }
-
-    /// The `PRESCIENT_CRASH` environment override, if set. Unset, empty,
-    /// or `0`/`off` means no crash; anything else malformed panics with
-    /// the expected format — a mistyped crash plan must never silently
-    /// run a fault-free experiment.
-    pub fn from_env() -> Option<CrashPlan> {
-        let v = std::env::var("PRESCIENT_CRASH").ok()?;
-        match CrashPlan::parse(&v) {
-            Ok(plan) => plan,
-            Err(e) => panic!("{e}"),
-        }
     }
 }
 
@@ -659,19 +640,6 @@ mod tests {
             fs.process(env(0, 1, i), &Tracer::off(), &mut |e| after.push(e.msg));
         }
         assert!(after.iter().all(|&m| m >= 100), "purged messages must never reappear");
-    }
-
-    #[test]
-    fn crash_plan_env_parsing() {
-        // from_env reads the process environment; exercise the parser via
-        // a scoped set/remove (tests in this crate run single-threaded on
-        // env mutation by convention).
-        std::env::set_var("PRESCIENT_CRASH", "3@7");
-        assert_eq!(CrashPlan::from_env(), Some(CrashPlan::new(3, 7)));
-        std::env::set_var("PRESCIENT_CRASH", "off");
-        assert_eq!(CrashPlan::from_env(), None);
-        std::env::remove_var("PRESCIENT_CRASH");
-        assert_eq!(CrashPlan::from_env(), None);
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod barrier;
 pub mod cost;
 pub mod fabric;
 pub mod faults;
+pub mod json;
 pub mod layout;
 pub mod mem;
 pub mod metrics;
@@ -59,7 +60,7 @@ pub use faults::{
 };
 pub use layout::{GlobalLayout, HomeMap, HomeView};
 pub use mem::{Fault, MemCheckpoint, MemError, NodeMem};
-pub use metrics::{LatencyHist, MetricsConfig, MetricsHub, MetricsServer, PhaseRecord};
+pub use metrics::{LatencyHist, MetricsConfig, MetricsHub, PhaseRecord};
 pub use nodeset::NodeSet;
 pub use prim::Prim;
 pub use stats::{FaultStats, NodeStats, TimeBreakdown, WireSnapshot};

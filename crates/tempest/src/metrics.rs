@@ -7,8 +7,7 @@
 //! counters and virtual-time breakdown into a [`PhaseRecord`], and pushes
 //! it into a shared [`MetricsHub`] that a background publisher can drain
 //! *while the run is still going* — as JSONL heartbeats appended to a
-//! stream file, or as a merged Prometheus text-exposition snapshot served
-//! over a tiny TCP endpoint ([`MetricsServer`]).
+//! stream file (`prescient-metrics watch` follows it live).
 //!
 //! # Zero perturbation
 //!
@@ -31,32 +30,26 @@
 //! `(c1-c0) + (c2-c1) + … + (cn-c(n-1)) = cn - c0` — and reconcile
 //! exactly with the teardown `RunReport`.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::fmt;
+use std::sync::{Condvar, Mutex};
 
+use crate::json::{self, Json, Layout, Writer};
 use crate::stats::{StatsSnapshot, TimeBreakdown, WireSnapshot};
 use crate::sync::{lock, wait_while};
 use crate::NodeId;
 
 /// Metrics policy of one machine.
 ///
-/// Unlike [`crate::trace::TraceConfig`] this carries optional output
-/// targets (a stream path and a TCP listen address), so it is `Clone`
-/// rather than `Copy`.
+/// Unlike [`crate::trace::TraceConfig`] this carries an optional output
+/// target (the stream path), so it is `Clone` rather than `Copy`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsConfig {
     /// Master switch. Off = no hub, no cuts, no threads.
     pub enabled: bool,
-    /// Append one JSONL line per phase record to this file, live.
+    /// Append one JSONL line per phase record to this file, live; at
+    /// teardown the merged timeline lands next to it as
+    /// `{stream}.timeline.json`.
     pub stream: Option<String>,
-    /// Serve the merged snapshot in Prometheus text-exposition format on
-    /// this `host:port` address (`:0` picks a free port; see
-    /// `Machine::metrics_addr`).
-    pub tcp: Option<String>,
 }
 
 impl MetricsConfig {
@@ -67,62 +60,27 @@ impl MetricsConfig {
 
     /// Metrics enabled, in-memory only (drain via `Machine::timeline`).
     pub fn on() -> MetricsConfig {
-        MetricsConfig { enabled: true, stream: None, tcp: None }
+        MetricsConfig { enabled: true, stream: None }
     }
 
     /// Metrics enabled, streaming JSONL records to `path` as they are cut.
     pub fn stream(path: impl Into<String>) -> MetricsConfig {
-        MetricsConfig { enabled: true, stream: Some(path.into()), tcp: None }
-    }
-
-    /// Metrics enabled, serving Prometheus text on `addr`.
-    pub fn tcp(addr: impl Into<String>) -> MetricsConfig {
-        MetricsConfig { enabled: true, stream: None, tcp: Some(addr.into()) }
+        MetricsConfig { enabled: true, stream: Some(path.into()) }
     }
 
     /// Parse a `PRESCIENT_METRICS` value: `0`/`off` disable, `1`/`on`
-    /// enable in-memory, `stream:PATH` streams JSONL to PATH, `tcp:ADDR`
-    /// serves Prometheus text on ADDR (`host:port`).
+    /// enable in-memory, `stream:PATH` streams JSONL to PATH.
+    /// (`runtime::env` owns the variable and the wording of its error.)
     pub fn parse(s: &str) -> Result<MetricsConfig, String> {
-        let t = s.trim();
-        match t {
-            "" | "0" | "off" => return Ok(MetricsConfig::off()),
-            "1" | "on" => return Ok(MetricsConfig::on()),
-            _ => {}
+        match s.trim() {
+            "0" | "off" => Ok(MetricsConfig::off()),
+            "1" | "on" => Ok(MetricsConfig::on()),
+            t => match t.strip_prefix("stream:") {
+                Some("") => Err("\"stream:\" needs a file path".to_string()),
+                Some(path) => Ok(MetricsConfig::stream(path)),
+                None => Err("unknown mode".to_string()),
+            },
         }
-        if let Some(path) = t.strip_prefix("stream:") {
-            if path.is_empty() {
-                return Err("PRESCIENT_METRICS: \"stream:\" needs a file path".into());
-            }
-            return Ok(MetricsConfig::stream(path));
-        }
-        if let Some(addr) = t.strip_prefix("tcp:") {
-            if addr.is_empty() || !addr.contains(':') {
-                return Err(format!(
-                    "PRESCIENT_METRICS: \"tcp:\" needs a host:port address, got {addr:?}"
-                ));
-            }
-            return Ok(MetricsConfig::tcp(addr));
-        }
-        Err(format!(
-            "PRESCIENT_METRICS: expected \"on\", \"off\", \"stream:PATH\" or \"tcp:ADDR\", \
-             got {s:?}"
-        ))
-    }
-
-    /// The `PRESCIENT_METRICS` override, if set. Panics on an unparsable
-    /// value rather than silently recording nothing.
-    pub fn from_env() -> Option<MetricsConfig> {
-        let v = std::env::var("PRESCIENT_METRICS").ok()?;
-        match MetricsConfig::parse(&v) {
-            Ok(m) => Some(m),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The env override if present, else disabled.
-    pub fn default_for_machine() -> MetricsConfig {
-        MetricsConfig::from_env().unwrap_or_else(MetricsConfig::off)
     }
 }
 
@@ -268,109 +226,80 @@ pub struct PhaseRecord {
 }
 
 impl PhaseRecord {
-    /// One-line JSON encoding — the stream format, also embedded verbatim
-    /// in the `RunTimeline` JSON. Keys are unique within the line, so the
-    /// repo's substring-based JSON field readers work on it.
+    /// Write the one-line JSON encoding — the stream format, also embedded
+    /// verbatim in the `RunTimeline` JSON — as the writer's next value.
+    pub fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) {
+        w.object(Layout::Compact);
+        w.key("node").uint(self.node.into()).key("seq").uint(self.seq).key("run").uint(self.run);
+        w.key("phase").uint(self.phase.into()).key("iter").uint(self.iter);
+        w.key("version").uint(self.version);
+        for (name, v) in self.vtime.fields().into_iter().chain(self.stats.fields()) {
+            w.key(name).uint(v);
+        }
+        w.key("fetch_sum_ns").uint(self.fetch.sum_ns).key("fetch_max_ns").uint(self.fetch.max_ns);
+        w.key("fetch_hist").str(&self.fetch.encode());
+        if let Some(wire) = &self.wire {
+            w.key("wire_batches").uint(wire.batches).key("wire_envelopes").uint(wire.envelopes);
+            w.key("wire_hist").str(&encode_sparse(&wire.hist));
+        }
+        w.end();
+    }
+
+    /// [`PhaseRecord::write_json`] into a fresh string.
     pub fn to_json_line(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(640);
-        write!(
-            s,
-            "{{\"node\":{},\"seq\":{},\"run\":{},\"phase\":{},\"iter\":{},\"version\":{}",
-            self.node, self.seq, self.run, self.phase, self.iter, self.version
-        )
-        .unwrap();
-        write!(
-            s,
-            ",\"compute_ns\":{},\"wait_ns\":{},\"presend_ns\":{},\"synch_ns\":{}",
-            self.vtime.compute_ns, self.vtime.wait_ns, self.vtime.presend_ns, self.vtime.synch_ns
-        )
-        .unwrap();
-        for (name, v) in self.stats.fields() {
-            write!(s, ",\"{name}\":{v}").unwrap();
-        }
-        write!(
-            s,
-            ",\"fetch_sum_ns\":{},\"fetch_max_ns\":{},\"fetch_hist\":\"{}\"",
-            self.fetch.sum_ns,
-            self.fetch.max_ns,
-            self.fetch.encode()
-        )
-        .unwrap();
-        if let Some(w) = &self.wire {
-            write!(
-                s,
-                ",\"wire_batches\":{},\"wire_envelopes\":{},\"wire_hist\":\"{}\"",
-                w.batches,
-                w.envelopes,
-                encode_sparse(&w.hist)
-            )
-            .unwrap();
-        }
-        s.push('}');
-        s
+        let mut w = Writer::new(String::with_capacity(640), 0);
+        self.write_json(&mut w);
+        w.finish()
     }
 
     /// Parse one stream line. Inverse of [`PhaseRecord::to_json_line`].
     pub fn parse_line(line: &str) -> Result<PhaseRecord, String> {
-        let u = |k: &str| field_u64(line, k).ok_or_else(|| format!("missing field {k:?}"));
+        PhaseRecord::from_json(&json::parse(line)?)
+    }
+
+    /// Read a record back from its parsed line. Counters stay exact (the
+    /// `reconciles_with` contract compares them for equality) and every
+    /// narrowed field is range-checked.
+    pub fn from_json(v: &Json<'_>) -> Result<PhaseRecord, String> {
         let mut stats = StatsSnapshot::default();
-        for (name, v) in stats.fields_mut() {
-            *v = field_u64(line, name).ok_or_else(|| format!("missing counter {name:?}"))?;
+        for (name, slot) in stats.fields_mut() {
+            *slot = v.int(name)?;
         }
         let fetch = LatencyHist::decode(
-            field_str(line, "fetch_hist").ok_or("missing field \"fetch_hist\"")?,
-            u("fetch_sum_ns")?,
-            u("fetch_max_ns")?,
+            v.string("fetch_hist")?,
+            v.int("fetch_sum_ns")?,
+            v.int("fetch_max_ns")?,
         )?;
-        let wire = match field_u64(line, "wire_batches") {
+        let wire = match v.field("wire_batches") {
             None => None,
-            Some(batches) => {
+            Some(_) => {
                 let mut hist = [0u64; WireSnapshot::NUM_BUCKETS];
-                decode_sparse(
-                    field_str(line, "wire_hist").ok_or("missing field \"wire_hist\"")?,
-                    &mut hist,
-                )?;
-                Some(WireSnapshot { batches, envelopes: u("wire_envelopes")?, hist })
+                decode_sparse(v.string("wire_hist")?, &mut hist)?;
+                Some(WireSnapshot {
+                    batches: v.int("wire_batches")?,
+                    envelopes: v.int("wire_envelopes")?,
+                    hist,
+                })
             }
         };
         Ok(PhaseRecord {
-            node: u("node")? as NodeId,
-            seq: u("seq")?,
-            run: u("run")?,
-            phase: u("phase")? as u32,
-            iter: u("iter")?,
-            version: u("version")?,
+            node: crate::trace::node_field(v)?,
+            seq: v.int("seq")?,
+            run: v.int("run")?,
+            phase: v.int("phase")?,
+            iter: v.int("iter")?,
+            version: v.int("version")?,
             vtime: TimeBreakdown {
-                compute_ns: u("compute_ns")?,
-                wait_ns: u("wait_ns")?,
-                presend_ns: u("presend_ns")?,
-                synch_ns: u("synch_ns")?,
+                compute_ns: v.int("compute_ns")?,
+                wait_ns: v.int("wait_ns")?,
+                presend_ns: v.int("presend_ns")?,
+                synch_ns: v.int("synch_ns")?,
             },
             stats,
             fetch,
             wire,
         })
     }
-}
-
-/// Extract `"key":<u64>` from a one-line JSON object.
-pub fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract `"key":"<str>"` from a one-line JSON object. No escapes: the
-/// values this repo writes (encoded histograms, event-kind names) contain
-/// only alphanumerics, colons and spaces.
-pub fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    Some(&rest[..rest.find('"')?])
 }
 
 #[derive(Default)]
@@ -380,7 +309,7 @@ struct HubState {
 }
 
 /// The machine-wide collection point: every node pushes its cuts here;
-/// the publisher thread and the TCP endpoint read from here. Push is a
+/// the publisher thread reads from here. Push is a
 /// short uncontended critical section (nodes cut at barriers, so pushes
 /// are naturally staggered by the barrier's wake order).
 #[derive(Default)]
@@ -401,19 +330,15 @@ impl MetricsHub {
         self.more.notify_all();
     }
 
-    /// Number of records so far.
-    pub fn len(&self) -> usize {
-        lock(&self.state).records.len()
-    }
-
-    /// True when no records have been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Copy of every record pushed so far.
     pub fn snapshot(&self) -> Vec<PhaseRecord> {
         lock(&self.state).records.clone()
+    }
+
+    /// Move every record out, leaving the hub empty (the teardown export:
+    /// nothing reads the hub after it).
+    pub fn take(&self) -> Vec<PhaseRecord> {
+        std::mem::take(&mut lock(&self.state).records)
     }
 
     /// Mark the hub closed (no more records will arrive) and wake every
@@ -421,11 +346,6 @@ impl MetricsHub {
     pub fn close(&self) {
         lock(&self.state).closed = true;
         self.more.notify_all();
-    }
-
-    /// True after [`MetricsHub::close`].
-    pub fn is_closed(&self) -> bool {
-        lock(&self.state).closed
     }
 
     /// Block until records beyond index `from` exist or the hub closes;
@@ -439,120 +359,10 @@ impl MetricsHub {
     }
 }
 
-/// Render records as Prometheus text exposition (version 0.0.4): each
-/// counter as `prescient_<name>_total{node="i"}`, cumulative over all
-/// records seen so far, plus vtime segments and node-0 wire totals.
-pub fn prometheus_text(records: &[PhaseRecord]) -> String {
-    use std::collections::BTreeMap;
-    use std::fmt::Write as _;
-    let mut per_node: BTreeMap<NodeId, (StatsSnapshot, TimeBreakdown, u64)> = BTreeMap::new();
-    let mut wire = WireSnapshot::default();
-    for r in records {
-        let e = per_node.entry(r.node).or_default();
-        e.0 = e.0.merge(&r.stats);
-        e.1 = e.1.merge(&r.vtime);
-        e.2 += 1;
-        if let Some(w) = &r.wire {
-            wire = wire.merge(w);
-        }
-    }
-    let mut out = String::new();
-    out.push_str("# TYPE prescient_phase_records_total counter\n");
-    for (node, (_, _, n)) in &per_node {
-        writeln!(out, "prescient_phase_records_total{{node=\"{node}\"}} {n}").unwrap();
-    }
-    let names: Vec<&'static str> =
-        StatsSnapshot::default().fields().iter().map(|(n, _)| *n).collect();
-    for (i, name) in names.iter().enumerate() {
-        writeln!(out, "# TYPE prescient_{name}_total counter").unwrap();
-        for (node, (s, _, _)) in &per_node {
-            let v = s.fields()[i].1;
-            writeln!(out, "prescient_{name}_total{{node=\"{node}\"}} {v}").unwrap();
-        }
-    }
-    for (seg, get) in [("compute_ns", 0usize), ("wait_ns", 1), ("presend_ns", 2), ("synch_ns", 3)] {
-        writeln!(out, "# TYPE prescient_vtime_{seg}_total counter").unwrap();
-        for (node, (_, t, _)) in &per_node {
-            let v = [t.compute_ns, t.wait_ns, t.presend_ns, t.synch_ns][get];
-            writeln!(out, "prescient_vtime_{seg}_total{{node=\"{node}\"}} {v}").unwrap();
-        }
-    }
-    out.push_str("# TYPE prescient_wire_batches_total counter\n");
-    writeln!(out, "prescient_wire_batches_total {}", wire.batches).unwrap();
-    out.push_str("# TYPE prescient_wire_envelopes_total counter\n");
-    writeln!(out, "prescient_wire_envelopes_total {}", wire.envelopes).unwrap();
-    out
-}
-
-/// A tiny single-threaded HTTP endpoint serving [`prometheus_text`] of
-/// the hub's current contents — enough for `curl` or a Prometheus scrape,
-/// nothing more (every response closes the connection).
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// Bind `addr` (`host:port`; port 0 picks a free one) and serve the
-    /// hub's merged snapshot until [`MetricsServer::shutdown`].
-    pub fn spawn(hub: Arc<MetricsHub>, addr: &str) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let join = std::thread::Builder::new()
-            .name("metrics-http".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop2.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(mut sock) = conn else { continue };
-                    // Consume (best-effort) the request head before
-                    // replying, so well-behaved clients don't see a reset.
-                    let _ = sock.set_read_timeout(Some(Duration::from_millis(500)));
-                    let mut buf = [0u8; 1024];
-                    let _ = sock.read(&mut buf);
-                    let body = prometheus_text(&hub.snapshot());
-                    let resp = format!(
-                        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-                         Content-Length: {}\r\nConnection: close\r\n\r\n{}",
-                        body.len(),
-                        body
-                    );
-                    let _ = sock.write_all(resp.as_bytes());
-                }
-            })
-            .expect("spawn metrics-http thread");
-        Ok(MetricsServer { addr, stop, join: Some(join) })
-    }
-
-    /// The bound address (resolves `:0` to the picked port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting and join the serving thread. A self-connection
-    /// unblocks the accept loop; idempotent.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(j) = self.join.take() {
-            let _ = TcpStream::connect(self.addr);
-            let _ = j.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn sample_record(node: NodeId, with_wire: bool) -> PhaseRecord {
         let stats = StatsSnapshot {
@@ -585,7 +395,6 @@ mod tests {
 
     #[test]
     fn config_parses_all_forms() {
-        assert_eq!(MetricsConfig::parse("").unwrap(), MetricsConfig::off());
         assert_eq!(MetricsConfig::parse("off").unwrap(), MetricsConfig::off());
         assert_eq!(MetricsConfig::parse("0").unwrap(), MetricsConfig::off());
         assert_eq!(MetricsConfig::parse("on").unwrap(), MetricsConfig::on());
@@ -594,15 +403,13 @@ mod tests {
             MetricsConfig::parse("stream:/tmp/m.jsonl").unwrap(),
             MetricsConfig::stream("/tmp/m.jsonl")
         );
-        assert_eq!(
-            MetricsConfig::parse("tcp:127.0.0.1:0").unwrap(),
-            MetricsConfig::tcp("127.0.0.1:0")
-        );
     }
 
     #[test]
     fn config_rejects_garbage() {
-        for bad in ["maybe", "stream:", "tcp:", "tcp:nohost", "udp:x:1", "on,stream:x", "2"] {
+        for bad in
+            ["", "maybe", "stream:", "tcp:", "tcp:127.0.0.1:0", "udp:x:1", "on,stream:x", "2"]
+        {
             assert!(MetricsConfig::parse(bad).is_err(), "{bad:?} should be rejected");
         }
     }
@@ -662,33 +469,6 @@ mod tests {
         hub.push(sample_record(1, false));
         hub.close();
         assert_eq!(t.join().unwrap(), 2);
-        assert_eq!(hub.len(), 2);
-    }
-
-    #[test]
-    fn prometheus_text_sums_per_node() {
-        let recs = vec![sample_record(0, true), sample_record(0, false), sample_record(1, false)];
-        let text = prometheus_text(&recs);
-        assert!(text.contains("prescient_reads_total{node=\"0\"} 200"));
-        assert!(text.contains("prescient_reads_total{node=\"1\"} 100"));
-        assert!(text.contains("prescient_merge_chunks_out_total{node=\"0\"} 6"));
-        assert!(text.contains("prescient_vtime_wait_ns_total{node=\"1\"} 20"));
-        assert!(text.contains("prescient_wire_batches_total 5"));
-        assert!(text.contains("prescient_phase_records_total{node=\"0\"} 2"));
-    }
-
-    #[test]
-    fn server_serves_and_shuts_down() {
-        let hub = Arc::new(MetricsHub::new());
-        hub.push(sample_record(0, false));
-        let mut srv = MetricsServer::spawn(Arc::clone(&hub), "127.0.0.1:0").unwrap();
-        let mut sock = TcpStream::connect(srv.addr()).unwrap();
-        sock.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut resp = String::new();
-        sock.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 200 OK"));
-        assert!(resp.contains("prescient_msgs_out_total{node=\"0\"} 7"));
-        srv.shutdown();
-        srv.shutdown(); // idempotent
+        assert_eq!(hub.take().len(), 2);
     }
 }

@@ -13,93 +13,154 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::NodeId;
 
-/// Event counters for one node. All counters are cumulative over the run and
-/// safe to update from any thread — except `reads` and `writes`, which have
-/// a single writer (see [`NodeStats::bump_single_writer`]). In a running
-/// machine the node's own thread does all the counting; other threads
-/// (watchdog, metrics, reports) only read.
-#[derive(Debug, Default)]
-pub struct NodeStats {
+/// Declares the counter vocabulary once: [`NodeStats`] (live atomics),
+/// [`StatsSnapshot`] (plain values) and everything that walks the two in
+/// step — snapshot, restore, the `(name, value)` tables the JSON
+/// writer/reader, `reconciles_with` and the CLIs iterate, and the
+/// element-wise arithmetic. A new counter is one line in the invocation
+/// below.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Event counters for one node. All counters are cumulative over the
+        /// run and safe to update from any thread — except `reads` and
+        /// `writes`, which have a single writer (see
+        /// [`NodeStats::bump_single_writer`]). In a running machine the
+        /// node's own thread does all the counting; other threads (watchdog,
+        /// metrics, reports) only read.
+        #[derive(Debug, Default)]
+        pub struct NodeStats {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// Plain-value copy of [`NodeStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl NodeStats {
+            /// A plain-value snapshot of all counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+
+            /// Overwrite every counter with the values in `s` — the rollback
+            /// path: restoring the checkpoint-time snapshot makes a recovered
+            /// replay account its protocol events exactly once, so
+            /// blocks-moved equality with the fault-free run is exact rather
+            /// than approximate.
+            pub fn restore(&self, s: &StatsSnapshot) {
+                $(self.$name.store(s.$name, Ordering::Relaxed);)*
+            }
+        }
+
+        impl StatsSnapshot {
+            /// How many counters there are.
+            pub const COUNT: usize = [$(stringify!($name)),*].len();
+
+            /// Every counter as a `(name, value)` pair, in declaration
+            /// order. Serializers (the run-report JSON, the metrics lines,
+            /// the trace analyzer) iterate this instead of listing fields.
+            pub fn fields(&self) -> [(&'static str, u64); Self::COUNT] {
+                [$((stringify!($name), self.$name)),*]
+            }
+
+            /// Every counter as a `(name, &mut value)` pair, in the same
+            /// order as [`StatsSnapshot::fields`] — what deserializers (the
+            /// metrics line reader) iterate.
+            pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); Self::COUNT] {
+                [$((stringify!($name), &mut self.$name)),*]
+            }
+
+            /// Combine two snapshots counter by counter.
+            fn zip(&self, o: &StatsSnapshot, op: impl Fn(u64, u64) -> u64) -> StatsSnapshot {
+                StatsSnapshot { $($name: op(self.$name, o.$name),)* }
+            }
+        }
+    };
+}
+
+counters! {
     /// Shared-memory loads issued by the node's program. Single-writer:
     /// only the node's own thread may change it.
-    pub reads: AtomicU64,
+    reads,
     /// Shared-memory stores issued by the node's program. Single-writer,
     /// like `reads`.
-    pub writes: AtomicU64,
+    writes,
     /// Read faults that required a remote request.
-    pub read_misses: AtomicU64,
+    read_misses,
     /// Write faults that required a remote request (including upgrades).
-    pub write_misses: AtomicU64,
+    write_misses,
     /// Misses that needed extra hops (recall from an owner or an
     /// invalidation round) — the expensive 3/4-message transfers of §3.2.
-    pub slow_misses: AtomicU64,
+    slow_misses,
     /// Invalidation requests this node serviced.
-    pub invals_in: AtomicU64,
+    invals_in,
     /// Recall/downgrade requests this node serviced.
-    pub recalls_in: AtomicU64,
+    recalls_in,
     /// Protocol messages this node sent (all kinds).
-    pub msgs_out: AtomicU64,
+    msgs_out,
     /// Blocks this node pre-sent as a home node.
-    pub presend_blocks_out: AtomicU64,
+    presend_blocks_out,
     /// Bulk messages used for those pre-sends (≤ blocks; smaller when
     /// coalescing merges neighbors).
-    pub presend_msgs_out: AtomicU64,
+    presend_msgs_out,
     /// Bytes this node pre-sent.
-    pub presend_bytes_out: AtomicU64,
+    presend_bytes_out,
     /// Blocks installed on this node by pre-sends from other homes.
-    pub presend_blocks_in: AtomicU64,
+    presend_blocks_in,
     /// Schedule entries recorded at this node (as home).
-    pub sched_records: AtomicU64,
+    sched_records,
     /// Faulting accesses that found the block already installed by a
     /// pre-send earlier in the same phase — should stay 0 on a fault-free
     /// fabric; a diagnostic.
-    pub presend_races: AtomicU64,
+    presend_races,
     /// Coherence requests this node re-issued after a
     /// reply timeout.
-    pub retries: AtomicU64,
+    retries,
     /// Pre-send bulk messages this node retransmitted after an ack timeout.
-    pub presend_retries: AtomicU64,
+    presend_retries,
     /// Duplicate or stale requests (seqno not newer than the last accepted
     /// one from that requester) this home ignored.
-    pub dup_reqs_in: AtomicU64,
+    dup_reqs_in,
     /// Stale protocol messages (recall data, invalidation acks, recalls of
     /// blocks no longer held) ignored because their operation id did not
     /// match any operation in flight.
-    pub stale_msgs_in: AtomicU64,
+    stale_msgs_in,
     /// Grants discarded because their seqno no longer matched the fetch
     /// in flight (a retry had superseded them).
-    pub stale_grants_in: AtomicU64,
+    stale_grants_in,
     /// Pre-send installs rejected because they arrived outside their
     /// pre-send window (stale duplicates of acknowledged pushes).
-    pub presend_stale_in: AtomicU64,
+    presend_stale_in,
     /// Pushes this home dropped at the pass-2 revalidation because the
     /// directory state had changed since pass 1 recorded them (entry went
     /// busy, or a demand request won the block in between).
-    pub presend_aborted: AtomicU64,
+    presend_aborted,
     /// Data bytes installed into this node's memory from protocol messages
     /// (grants, recalled data, pre-send payloads).
-    pub data_bytes_in: AtomicU64,
+    data_bytes_in,
     /// Useless pre-sends charged to this node as a home: copies it pushed
     /// that were torn down or overwritten without ever being accessed.
-    pub presend_useless: AtomicU64,
+    presend_useless,
     /// Times the degradation policy flushed one of this home's phase
     /// schedules and fell back to plain Stache.
-    pub degrade_events: AtomicU64,
+    degrade_events,
     /// Barrier-consistent checkpoints this node captured.
-    pub checkpoints: AtomicU64,
+    checkpoints,
     /// Bytes of block data captured into those checkpoints.
-    pub checkpoint_bytes: AtomicU64,
+    checkpoint_bytes,
     /// Rollback-to-checkpoint recoveries this node participated in.
-    pub recoveries: AtomicU64,
+    recoveries,
     /// Phase executions this node re-ran after a rollback.
-    pub replays: AtomicU64,
+    replays,
     /// Blocks homed at this node by a placement overlay (offline remap or
     /// scatter) rather than by the segment-derived default.
-    pub remapped_blocks: AtomicU64,
+    remapped_blocks,
     /// Delta chunks this node pushed to other owners during commutative
     /// merge windows (initial sends only; retransmissions are not
     /// re-counted, so the total is deterministic on every fabric).
-    pub merge_chunks_out: AtomicU64,
+    merge_chunks_out,
 }
 
 impl NodeStats {
@@ -138,154 +199,6 @@ impl NodeStats {
     pub fn add(c: &AtomicU64, n: u64) {
         c.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// A plain-value snapshot of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            reads: g(&self.reads),
-            writes: g(&self.writes),
-            read_misses: g(&self.read_misses),
-            write_misses: g(&self.write_misses),
-            slow_misses: g(&self.slow_misses),
-            invals_in: g(&self.invals_in),
-            recalls_in: g(&self.recalls_in),
-            msgs_out: g(&self.msgs_out),
-            presend_blocks_out: g(&self.presend_blocks_out),
-            presend_msgs_out: g(&self.presend_msgs_out),
-            presend_bytes_out: g(&self.presend_bytes_out),
-            presend_blocks_in: g(&self.presend_blocks_in),
-            sched_records: g(&self.sched_records),
-            presend_races: g(&self.presend_races),
-            retries: g(&self.retries),
-            presend_retries: g(&self.presend_retries),
-            dup_reqs_in: g(&self.dup_reqs_in),
-            stale_msgs_in: g(&self.stale_msgs_in),
-            stale_grants_in: g(&self.stale_grants_in),
-            presend_stale_in: g(&self.presend_stale_in),
-            presend_aborted: g(&self.presend_aborted),
-            data_bytes_in: g(&self.data_bytes_in),
-            presend_useless: g(&self.presend_useless),
-            degrade_events: g(&self.degrade_events),
-            checkpoints: g(&self.checkpoints),
-            checkpoint_bytes: g(&self.checkpoint_bytes),
-            recoveries: g(&self.recoveries),
-            replays: g(&self.replays),
-            remapped_blocks: g(&self.remapped_blocks),
-            merge_chunks_out: g(&self.merge_chunks_out),
-        }
-    }
-
-    /// Overwrite every counter with the values in `s` — the rollback path:
-    /// restoring the checkpoint-time snapshot makes a recovered replay
-    /// account its protocol events exactly once, so blocks-moved equality
-    /// with the fault-free run is exact rather than approximate.
-    pub fn restore(&self, s: &StatsSnapshot) {
-        let p = |c: &AtomicU64, v: u64| c.store(v, Ordering::Relaxed);
-        p(&self.reads, s.reads);
-        p(&self.writes, s.writes);
-        p(&self.read_misses, s.read_misses);
-        p(&self.write_misses, s.write_misses);
-        p(&self.slow_misses, s.slow_misses);
-        p(&self.invals_in, s.invals_in);
-        p(&self.recalls_in, s.recalls_in);
-        p(&self.msgs_out, s.msgs_out);
-        p(&self.presend_blocks_out, s.presend_blocks_out);
-        p(&self.presend_msgs_out, s.presend_msgs_out);
-        p(&self.presend_bytes_out, s.presend_bytes_out);
-        p(&self.presend_blocks_in, s.presend_blocks_in);
-        p(&self.sched_records, s.sched_records);
-        p(&self.presend_races, s.presend_races);
-        p(&self.retries, s.retries);
-        p(&self.presend_retries, s.presend_retries);
-        p(&self.dup_reqs_in, s.dup_reqs_in);
-        p(&self.stale_msgs_in, s.stale_msgs_in);
-        p(&self.stale_grants_in, s.stale_grants_in);
-        p(&self.presend_stale_in, s.presend_stale_in);
-        p(&self.presend_aborted, s.presend_aborted);
-        p(&self.data_bytes_in, s.data_bytes_in);
-        p(&self.presend_useless, s.presend_useless);
-        p(&self.degrade_events, s.degrade_events);
-        p(&self.checkpoints, s.checkpoints);
-        p(&self.checkpoint_bytes, s.checkpoint_bytes);
-        p(&self.recoveries, s.recoveries);
-        p(&self.replays, s.replays);
-        p(&self.remapped_blocks, s.remapped_blocks);
-        p(&self.merge_chunks_out, s.merge_chunks_out);
-    }
-}
-
-/// Plain-value copy of [`NodeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // field meanings documented on NodeStats
-pub struct StatsSnapshot {
-    pub reads: u64,
-    pub writes: u64,
-    pub read_misses: u64,
-    pub write_misses: u64,
-    pub slow_misses: u64,
-    pub invals_in: u64,
-    pub recalls_in: u64,
-    pub msgs_out: u64,
-    pub presend_blocks_out: u64,
-    pub presend_msgs_out: u64,
-    pub presend_bytes_out: u64,
-    pub presend_blocks_in: u64,
-    pub sched_records: u64,
-    pub presend_races: u64,
-    pub retries: u64,
-    pub presend_retries: u64,
-    pub dup_reqs_in: u64,
-    pub stale_msgs_in: u64,
-    pub stale_grants_in: u64,
-    pub presend_stale_in: u64,
-    pub presend_aborted: u64,
-    pub data_bytes_in: u64,
-    pub presend_useless: u64,
-    pub degrade_events: u64,
-    pub checkpoints: u64,
-    pub checkpoint_bytes: u64,
-    pub recoveries: u64,
-    pub replays: u64,
-    pub remapped_blocks: u64,
-    pub merge_chunks_out: u64,
-}
-
-macro_rules! per_field {
-    ($a:ident, $b:ident, $op:tt) => {
-        StatsSnapshot {
-            reads: $a.reads $op $b.reads,
-            writes: $a.writes $op $b.writes,
-            read_misses: $a.read_misses $op $b.read_misses,
-            write_misses: $a.write_misses $op $b.write_misses,
-            slow_misses: $a.slow_misses $op $b.slow_misses,
-            invals_in: $a.invals_in $op $b.invals_in,
-            recalls_in: $a.recalls_in $op $b.recalls_in,
-            msgs_out: $a.msgs_out $op $b.msgs_out,
-            presend_blocks_out: $a.presend_blocks_out $op $b.presend_blocks_out,
-            presend_msgs_out: $a.presend_msgs_out $op $b.presend_msgs_out,
-            presend_bytes_out: $a.presend_bytes_out $op $b.presend_bytes_out,
-            presend_blocks_in: $a.presend_blocks_in $op $b.presend_blocks_in,
-            sched_records: $a.sched_records $op $b.sched_records,
-            presend_races: $a.presend_races $op $b.presend_races,
-            retries: $a.retries $op $b.retries,
-            presend_retries: $a.presend_retries $op $b.presend_retries,
-            dup_reqs_in: $a.dup_reqs_in $op $b.dup_reqs_in,
-            stale_msgs_in: $a.stale_msgs_in $op $b.stale_msgs_in,
-            stale_grants_in: $a.stale_grants_in $op $b.stale_grants_in,
-            presend_stale_in: $a.presend_stale_in $op $b.presend_stale_in,
-            presend_aborted: $a.presend_aborted $op $b.presend_aborted,
-            data_bytes_in: $a.data_bytes_in $op $b.data_bytes_in,
-            presend_useless: $a.presend_useless $op $b.presend_useless,
-            degrade_events: $a.degrade_events $op $b.degrade_events,
-            checkpoints: $a.checkpoints $op $b.checkpoints,
-            checkpoint_bytes: $a.checkpoint_bytes $op $b.checkpoint_bytes,
-            recoveries: $a.recoveries $op $b.recoveries,
-            replays: $a.replays $op $b.replays,
-            remapped_blocks: $a.remapped_blocks $op $b.remapped_blocks,
-            merge_chunks_out: $a.merge_chunks_out $op $b.merge_chunks_out,
-        }
-    };
 }
 
 impl StatsSnapshot {
@@ -310,93 +223,15 @@ impl StatsSnapshot {
         }
     }
 
-    /// Every counter as a `(name, value)` pair, in declaration order.
-    /// Serializers (the run-report JSON, the trace analyzer) iterate this
-    /// instead of hand-listing fields, so a new counter shows up
-    /// everywhere by editing `NodeStats` + this table only.
-    pub fn fields(&self) -> [(&'static str, u64); 30] {
-        [
-            ("reads", self.reads),
-            ("writes", self.writes),
-            ("read_misses", self.read_misses),
-            ("write_misses", self.write_misses),
-            ("slow_misses", self.slow_misses),
-            ("invals_in", self.invals_in),
-            ("recalls_in", self.recalls_in),
-            ("msgs_out", self.msgs_out),
-            ("presend_blocks_out", self.presend_blocks_out),
-            ("presend_msgs_out", self.presend_msgs_out),
-            ("presend_bytes_out", self.presend_bytes_out),
-            ("presend_blocks_in", self.presend_blocks_in),
-            ("sched_records", self.sched_records),
-            ("presend_races", self.presend_races),
-            ("retries", self.retries),
-            ("presend_retries", self.presend_retries),
-            ("dup_reqs_in", self.dup_reqs_in),
-            ("stale_msgs_in", self.stale_msgs_in),
-            ("stale_grants_in", self.stale_grants_in),
-            ("presend_stale_in", self.presend_stale_in),
-            ("presend_aborted", self.presend_aborted),
-            ("data_bytes_in", self.data_bytes_in),
-            ("presend_useless", self.presend_useless),
-            ("degrade_events", self.degrade_events),
-            ("checkpoints", self.checkpoints),
-            ("checkpoint_bytes", self.checkpoint_bytes),
-            ("recoveries", self.recoveries),
-            ("replays", self.replays),
-            ("remapped_blocks", self.remapped_blocks),
-            ("merge_chunks_out", self.merge_chunks_out),
-        ]
-    }
-
-    /// Every counter as a `(name, &mut value)` pair, in the same order as
-    /// [`StatsSnapshot::fields`]. Deserializers (the metrics JSONL parser)
-    /// iterate this, so the two tables cannot drift apart silently: a
-    /// counter added to one but not the other fails the round-trip test.
-    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 30] {
-        [
-            ("reads", &mut self.reads),
-            ("writes", &mut self.writes),
-            ("read_misses", &mut self.read_misses),
-            ("write_misses", &mut self.write_misses),
-            ("slow_misses", &mut self.slow_misses),
-            ("invals_in", &mut self.invals_in),
-            ("recalls_in", &mut self.recalls_in),
-            ("msgs_out", &mut self.msgs_out),
-            ("presend_blocks_out", &mut self.presend_blocks_out),
-            ("presend_msgs_out", &mut self.presend_msgs_out),
-            ("presend_bytes_out", &mut self.presend_bytes_out),
-            ("presend_blocks_in", &mut self.presend_blocks_in),
-            ("sched_records", &mut self.sched_records),
-            ("presend_races", &mut self.presend_races),
-            ("retries", &mut self.retries),
-            ("presend_retries", &mut self.presend_retries),
-            ("dup_reqs_in", &mut self.dup_reqs_in),
-            ("stale_msgs_in", &mut self.stale_msgs_in),
-            ("stale_grants_in", &mut self.stale_grants_in),
-            ("presend_stale_in", &mut self.presend_stale_in),
-            ("presend_aborted", &mut self.presend_aborted),
-            ("data_bytes_in", &mut self.data_bytes_in),
-            ("presend_useless", &mut self.presend_useless),
-            ("degrade_events", &mut self.degrade_events),
-            ("checkpoints", &mut self.checkpoints),
-            ("checkpoint_bytes", &mut self.checkpoint_bytes),
-            ("recoveries", &mut self.recoveries),
-            ("replays", &mut self.replays),
-            ("remapped_blocks", &mut self.remapped_blocks),
-            ("merge_chunks_out", &mut self.merge_chunks_out),
-        ]
-    }
-
     /// Element-wise sum, for machine-wide totals.
     pub fn merge(&self, o: &StatsSnapshot) -> StatsSnapshot {
-        per_field!(self, o, +)
+        self.zip(o, |a, b| a + b)
     }
 
     /// Element-wise difference (`self - o`), for per-run deltas from
     /// cumulative counters.
     pub fn sub(&self, o: &StatsSnapshot) -> StatsSnapshot {
-        per_field!(self, o, -)
+        self.zip(o, |a, b| a - b)
     }
 }
 
@@ -588,6 +423,17 @@ pub struct TimeBreakdown {
 }
 
 impl TimeBreakdown {
+    /// The four segments as `(name, value)` pairs, in declaration order
+    /// (what the JSON writers iterate).
+    pub fn fields(&self) -> [(&'static str, u64); 4] {
+        [
+            ("compute_ns", self.compute_ns),
+            ("wait_ns", self.wait_ns),
+            ("presend_ns", self.presend_ns),
+            ("synch_ns", self.synch_ns),
+        ]
+    }
+
     /// Total virtual time.
     pub fn total_ns(&self) -> u64 {
         self.compute_ns + self.wait_ns + self.presend_ns + self.synch_ns

@@ -43,10 +43,13 @@
 //! [`to_chrome_json`] (Chrome trace-event JSON, loadable in Perfetto or
 //! `chrome://tracing`, one process per node with semantic tracks).
 
+use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::NodeId;
+use crate::json::{Json, Layout, Writer};
+use crate::{NodeId, MAX_NODES};
 
 /// Tracing policy of one machine.
 ///
@@ -84,30 +87,17 @@ impl TraceConfig {
 
     /// Parse a `PRESCIENT_TRACE` value: `0`/`off` disable, `1`/`on`
     /// enable at the default capacity, any larger integer enables with
-    /// that capacity.
+    /// that capacity. (`runtime::env` owns the variable and the wording
+    /// of its error.)
     pub fn parse(s: &str) -> Result<TraceConfig, String> {
         match s.trim() {
-            "" | "0" | "off" => Ok(TraceConfig::off()),
+            "0" | "off" => Ok(TraceConfig::off()),
             "1" | "on" => Ok(TraceConfig::on()),
-            t => t.parse::<usize>().map(TraceConfig::with_capacity).map_err(|_| {
-                format!("PRESCIENT_TRACE: expected \"on\", \"off\" or a capacity, got {s:?}")
-            }),
+            t => t
+                .parse::<usize>()
+                .map(TraceConfig::with_capacity)
+                .map_err(|_| "not a ring capacity".to_string()),
         }
-    }
-
-    /// The `PRESCIENT_TRACE` override, if set. Panics on an unparsable
-    /// value rather than silently tracing nothing.
-    pub fn from_env() -> Option<TraceConfig> {
-        let v = std::env::var("PRESCIENT_TRACE").ok()?;
-        match TraceConfig::parse(&v) {
-            Ok(t) => Some(t),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The env override if present, else disabled.
-    pub fn default_for_machine() -> TraceConfig {
-        TraceConfig::from_env().unwrap_or_else(TraceConfig::off)
     }
 }
 
@@ -117,184 +107,162 @@ impl Default for TraceConfig {
     }
 }
 
-/// What happened. Codes are stable (they appear in trace dumps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum EventKind {
+/// Semantic track (Chrome "thread") an event renders on. Nodes map to
+/// Chrome processes; inside each node, events group into a phase track,
+/// the program's fault/barrier/pre-send spans, the protocol handlers'
+/// instants, and the wire/fault-injection layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Track {
+    Phase,
+    Compute,
+    Protocol,
+    Wire,
+}
+
+/// Track names, indexed by `Track as usize` (the Chrome `tid`).
+const TRACKS: [&str; 4] = ["phase", "compute", "protocol", "wire"];
+
+/// Declares the event vocabulary once: the enum with its stable codes and
+/// docs, [`EventKind::ALL`], the dump names, the Chrome track each kind
+/// renders on and which kind a span-closing kind closes. A new kind is
+/// one entry in the invocation below.
+macro_rules! event_kinds {
+    ($($(#[$doc:meta])* $name:ident = $code:literal on $track:ident $(closes $open:ident)?,)*) => {
+        /// What happened. Codes are stable (they appear in trace dumps).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u8)]
+        pub enum EventKind {
+            $($(#[$doc])* $name = $code,)*
+        }
+
+        impl EventKind {
+            /// Every kind, in code order (export and analysis iterate this).
+            pub const ALL: [EventKind; [$($code),*].len()] = [$(EventKind::$name),*];
+
+            /// Stable name, as written into trace dumps.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$name => stringify!($name),)*
+                }
+            }
+
+            fn track(self) -> Track {
+                match self {
+                    $(EventKind::$name => Track::$track,)*
+                }
+            }
+
+            /// The span-opening kind this kind closes, if it closes one.
+            fn closes(self) -> Option<EventKind> {
+                match self {
+                    $(EventKind::$name => None::<EventKind>$(.or(Some(EventKind::$open)))?,)*
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// Compute thread faulted on a shared access. `a` = block, `b` = 1 for
     /// a write fault.
-    FaultBegin = 1,
+    FaultBegin = 1 on Compute,
     /// The fault's grant arrived and was billed. `a` = block, `b` =
     /// [`pack_fault_end`] (excl, extra hops, retries). Latency = this
     /// event's vtime minus the matching [`EventKind::FaultBegin`]'s.
-    FaultEnd = 2,
+    FaultEnd = 2 on Compute closes FaultBegin,
     /// Compute thread entered a barrier (egress already flushed).
-    BarrierEnter = 3,
+    BarrierEnter = 3 on Compute,
     /// Barrier crossed. `a` = this node's stall in ns.
-    BarrierExit = 4,
+    BarrierExit = 4 on Compute closes BarrierEnter,
     /// `phase_begin(id)` directive entered. `a` = phase id.
-    PhaseBegin = 5,
+    PhaseBegin = 5 on Phase,
     /// `phase_end()` directive completed. `a` = phase id.
-    PhaseEnd = 6,
+    PhaseEnd = 6 on Phase closes PhaseBegin,
     /// A protocol message was sent. `a` = [`pack_msg`] (message kind code,
     /// destination), `b` = message-specific argument (block / push id).
-    MsgSend = 7,
+    MsgSend = 7 on Protocol,
     /// A protocol message was handled. `a` = [`pack_msg`] (kind, source),
     /// `b` = message-specific argument.
-    MsgRecv = 8,
+    MsgRecv = 8 on Protocol,
     /// The pre-send driver started a window. `a` = phase id.
-    PresendStart = 9,
+    PresendStart = 9 on Compute,
     /// The pre-send window completed (all pushes acknowledged). `a` =
     /// phase id, `b` = block copies pushed.
-    PresendEnd = 10,
+    PresendEnd = 10 on Compute closes PresendStart,
     /// One pre-send bulk message left the driver. `a` = push id, `b` =
     /// [`pack_peer_count`] (target node, blocks aboard).
-    PresendPush = 11,
+    PresendPush = 11 on Protocol,
     /// A pre-send payload run was installed at this node. `a` = first
     /// block of the contiguous run, `b` = [`pack_peer_count`] (pushing
     /// home, blocks in the run).
-    PresendInstall = 12,
+    PresendInstall = 12 on Protocol,
     /// First access to a block installed by a pre-send (its unread bit was
     /// still set). `a` = block. Lead time = this vtime minus the install's.
-    PresendFirstTouch = 13,
+    PresendFirstTouch = 13 on Compute,
     /// The ack wait timed out and unacked pushes were retransmitted. `a` =
     /// pushes still outstanding, `b` = retransmission round.
-    PresendRetry = 14,
+    PresendRetry = 14 on Protocol,
     /// A home recorded a request into the armed phase's schedule. `a` =
     /// block, `b` = requester << 1 | excl.
-    SchedRecord = 15,
+    SchedRecord = 15 on Protocol,
     /// A phase's schedule was discarded. `a` = phase id.
-    SchedFlush = 16,
+    SchedFlush = 16 on Protocol,
     /// Pass 2 grouped the push list into bulk messages. `a` = phase id,
     /// `b` = [`pack_counts`] (pushes, groups).
-    SchedCoalesce = 17,
+    SchedCoalesce = 17 on Protocol,
     /// A phase's schedule was snapshotted for replay. `a` = phase id,
     /// `b` = run-length-encoded runs in the snapshot.
-    SchedReplay = 18,
+    SchedReplay = 18 on Protocol,
     /// The degradation policy flushed the phase's schedule and fell back
     /// to plain Stache. `a` = phase id, `b` = instance at which recording
     /// re-arms.
-    Degrade = 19,
+    Degrade = 19 on Protocol,
     /// A degraded phase's backoff expired; recording re-arms. `a` = phase
     /// id, `b` = instance counter.
-    Rearm = 20,
+    Rearm = 20 on Protocol,
     /// A blocked fetch timed out and re-issued its request. `a` = block,
     /// `b` = attempt number.
-    Retry = 21,
+    Retry = 21 on Compute,
     /// One egress buffer was flushed onto a channel. `a` =
     /// [`pack_peer_count`] (destination, envelopes aboard), `b` = the wire
     /// batch's fabric-unique id.
-    WireFlush = 22,
+    WireFlush = 22 on Wire,
     /// One wire batch was drained into this node's inbox ring. `a` =
     /// [`pack_peer_count`] (source, envelopes aboard), `b` = batch id.
-    WireRecv = 23,
+    WireRecv = 23 on Wire,
     /// The fault layer acted on an envelope. `a` = destination, `b` =
     /// [`pack_counts`] (fate — 1 delay, 2 duplicate, 3 drop, 4 release,
     /// 5 partition — and the fate's argument, e.g. the delay's event
     /// count).
-    FaultInject = 24,
+    FaultInject = 24 on Wire,
     /// An injected node crash fired at a phase boundary. `a` = crashed
     /// node, `b` = the phase-execution version the crash destroyed.
-    Crash = 25,
+    Crash = 25 on Compute,
     /// A barrier-consistent checkpoint capture started. `a` = checkpoint
     /// version (phase-execution ordinal at the cut).
-    CheckpointBegin = 26,
+    CheckpointBegin = 26 on Compute,
     /// The checkpoint capture completed. `a` = checkpoint version, `b` =
     /// block-data bytes captured.
-    CheckpointEnd = 27,
+    CheckpointEnd = 27 on Compute closes CheckpointBegin,
     /// Rollback to the last barrier-consistent cut started. `a` = the
     /// checkpoint version being restored, `b` = the crashed node.
-    RecoveryBegin = 28,
+    RecoveryBegin = 28 on Compute,
     /// Rollback completed; the phase replays next. `a` = the restored
     /// checkpoint version.
-    RecoveryEnd = 29,
+    RecoveryEnd = 29 on Compute closes RecoveryBegin,
     /// The liveness watchdog declared the machine stuck. `a` = 1 crash /
     /// 2 deadlock, `b` = blocked-node bitmap (nodes 0–63).
-    WatchdogFire = 30,
+    WatchdogFire = 30 on Compute,
     /// A commutative-merge exchange window opened by the node's program.
     /// `a` = phase id, `b` = outgoing payload targets.
-    MergeBegin = 31,
+    MergeBegin = 31 on Compute,
     /// The merge window closed: all delta chunks pushed and acknowledged,
     /// the inbox drained. `a` = phase id, `b` = [`pack_counts`]
     /// (chunks sent, chunks received).
-    MergeEnd = 32,
+    MergeEnd = 32 on Compute closes MergeBegin,
 }
 
 impl EventKind {
-    /// Every kind, in code order (export and analysis iterate this).
-    pub const ALL: [EventKind; 32] = [
-        EventKind::FaultBegin,
-        EventKind::FaultEnd,
-        EventKind::BarrierEnter,
-        EventKind::BarrierExit,
-        EventKind::PhaseBegin,
-        EventKind::PhaseEnd,
-        EventKind::MsgSend,
-        EventKind::MsgRecv,
-        EventKind::PresendStart,
-        EventKind::PresendEnd,
-        EventKind::PresendPush,
-        EventKind::PresendInstall,
-        EventKind::PresendFirstTouch,
-        EventKind::PresendRetry,
-        EventKind::SchedRecord,
-        EventKind::SchedFlush,
-        EventKind::SchedCoalesce,
-        EventKind::SchedReplay,
-        EventKind::Degrade,
-        EventKind::Rearm,
-        EventKind::Retry,
-        EventKind::WireFlush,
-        EventKind::WireRecv,
-        EventKind::FaultInject,
-        EventKind::Crash,
-        EventKind::CheckpointBegin,
-        EventKind::CheckpointEnd,
-        EventKind::RecoveryBegin,
-        EventKind::RecoveryEnd,
-        EventKind::WatchdogFire,
-        EventKind::MergeBegin,
-        EventKind::MergeEnd,
-    ];
-
-    /// Stable name, as written into trace dumps.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::FaultBegin => "FaultBegin",
-            EventKind::FaultEnd => "FaultEnd",
-            EventKind::BarrierEnter => "BarrierEnter",
-            EventKind::BarrierExit => "BarrierExit",
-            EventKind::PhaseBegin => "PhaseBegin",
-            EventKind::PhaseEnd => "PhaseEnd",
-            EventKind::MsgSend => "MsgSend",
-            EventKind::MsgRecv => "MsgRecv",
-            EventKind::PresendStart => "PresendStart",
-            EventKind::PresendEnd => "PresendEnd",
-            EventKind::PresendPush => "PresendPush",
-            EventKind::PresendInstall => "PresendInstall",
-            EventKind::PresendFirstTouch => "PresendFirstTouch",
-            EventKind::PresendRetry => "PresendRetry",
-            EventKind::SchedRecord => "SchedRecord",
-            EventKind::SchedFlush => "SchedFlush",
-            EventKind::SchedCoalesce => "SchedCoalesce",
-            EventKind::SchedReplay => "SchedReplay",
-            EventKind::Degrade => "Degrade",
-            EventKind::Rearm => "Rearm",
-            EventKind::Retry => "Retry",
-            EventKind::WireFlush => "WireFlush",
-            EventKind::WireRecv => "WireRecv",
-            EventKind::FaultInject => "FaultInject",
-            EventKind::Crash => "Crash",
-            EventKind::CheckpointBegin => "CheckpointBegin",
-            EventKind::CheckpointEnd => "CheckpointEnd",
-            EventKind::RecoveryBegin => "RecoveryBegin",
-            EventKind::RecoveryEnd => "RecoveryEnd",
-            EventKind::WatchdogFire => "WatchdogFire",
-            EventKind::MergeBegin => "MergeBegin",
-            EventKind::MergeEnd => "MergeEnd",
-        }
-    }
-
     /// Decode a stored kind code.
     pub fn from_code(code: u8) -> Option<EventKind> {
         EventKind::ALL.get(code.wrapping_sub(1) as usize).copied()
@@ -589,202 +557,136 @@ pub fn merge(dumps: Vec<TraceDump>) -> (Vec<TraceEvent>, u64) {
     (all, dropped)
 }
 
-/// Render an event stream as JSONL: one compact, flat JSON object per
-/// line — the `prescient-trace` analyzer's input format.
-pub fn to_jsonl(events: &[TraceEvent]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(events.len() * 80);
+/// Write an event stream as JSONL into `out`: one compact, flat JSON
+/// object per line — the `prescient-trace` analyzer's input format.
+pub fn write_jsonl<W: fmt::Write>(events: &[TraceEvent], out: W) -> W {
+    let mut w = Writer::new(out, 0);
     for e in events {
-        writeln!(
-            s,
-            "{{\"node\":{},\"seq\":{},\"t\":{},\"phase\":{},\"kind\":\"{}\",\"a\":{},\"b\":{}}}",
-            e.node,
-            e.seq,
-            e.t_ns,
-            e.phase,
-            e.kind.name(),
-            e.a,
-            e.b
-        )
-        .expect("write to string");
+        w.object(Layout::Compact);
+        w.key("node").uint(e.node.into()).key("seq").uint(e.seq).key("t").uint(e.t_ns);
+        w.key("phase").uint(e.phase.into()).key("kind").str(e.kind.name());
+        w.key("a").uint(e.a).key("b").uint(e.b).end().newline();
     }
-    s
+    w.finish()
 }
 
-/// Semantic track (Chrome "thread") an event renders on. Nodes map to
-/// Chrome processes; inside each node, events group into a phase track,
-/// the program's fault/barrier/pre-send spans, the protocol handlers'
-/// instants, and the wire/fault-injection layer.
-fn chrome_track(kind: EventKind) -> (u32, &'static str) {
-    match kind {
-        EventKind::PhaseBegin | EventKind::PhaseEnd => (0, "phase"),
-        EventKind::FaultBegin
-        | EventKind::FaultEnd
-        | EventKind::BarrierEnter
-        | EventKind::BarrierExit
-        | EventKind::PresendStart
-        | EventKind::PresendEnd
-        | EventKind::PresendFirstTouch
-        | EventKind::Retry
-        | EventKind::Crash
-        | EventKind::CheckpointBegin
-        | EventKind::CheckpointEnd
-        | EventKind::RecoveryBegin
-        | EventKind::RecoveryEnd
-        | EventKind::WatchdogFire
-        | EventKind::MergeBegin
-        | EventKind::MergeEnd => (1, "compute"),
-        EventKind::MsgSend
-        | EventKind::MsgRecv
-        | EventKind::PresendPush
-        | EventKind::PresendInstall
-        | EventKind::PresendRetry
-        | EventKind::SchedRecord
-        | EventKind::SchedFlush
-        | EventKind::SchedCoalesce
-        | EventKind::SchedReplay
-        | EventKind::Degrade
-        | EventKind::Rearm => (2, "protocol"),
-        EventKind::WireFlush | EventKind::WireRecv | EventKind::FaultInject => (3, "wire"),
+/// [`write_jsonl`] into a fresh string.
+pub fn to_jsonl(events: &[TraceEvent]) -> String {
+    write_jsonl(events, String::with_capacity(events.len() * 80))
+}
+
+impl TraceEvent {
+    /// Read back one [`write_jsonl`] line, already parsed. Every field is
+    /// range-checked: a garbled line is an error naming the field, never
+    /// another node's event.
+    pub fn from_json(v: &Json<'_>) -> Result<TraceEvent, String> {
+        let kind = v.string("kind")?;
+        Ok(TraceEvent {
+            node: node_field(v)?,
+            seq: v.int("seq")?,
+            t_ns: v.int("t")?,
+            phase: v.int("phase")?,
+            kind: EventKind::from_name(kind).ok_or_else(|| format!("unknown kind {kind:?}"))?,
+            a: v.int("a")?,
+            b: v.int("b")?,
+        })
     }
 }
 
-/// The span-opening kind matching a closing kind, if `kind` closes a span.
-fn span_open(kind: EventKind) -> Option<EventKind> {
-    match kind {
-        EventKind::FaultEnd => Some(EventKind::FaultBegin),
-        EventKind::BarrierExit => Some(EventKind::BarrierEnter),
-        EventKind::PresendEnd => Some(EventKind::PresendStart),
-        EventKind::PhaseEnd => Some(EventKind::PhaseBegin),
-        EventKind::CheckpointEnd => Some(EventKind::CheckpointBegin),
-        EventKind::RecoveryEnd => Some(EventKind::RecoveryBegin),
-        EventKind::MergeEnd => Some(EventKind::MergeBegin),
-        _ => None,
+/// The `node` member of a trace or metrics line, checked against
+/// [`MAX_NODES`].
+pub(crate) fn node_field(v: &Json<'_>) -> Result<NodeId, String> {
+    let node: NodeId = v.int("node")?;
+    if usize::from(node) < MAX_NODES {
+        Ok(node)
+    } else {
+        Err(format!("field `node`: {node} is not a node id (a machine has at most {MAX_NODES})"))
     }
 }
 
-fn is_span_open(kind: EventKind) -> bool {
-    matches!(
-        kind,
-        EventKind::FaultBegin
-            | EventKind::BarrierEnter
-            | EventKind::PresendStart
-            | EventKind::PhaseBegin
-            | EventKind::CheckpointBegin
-            | EventKind::RecoveryBegin
-            | EventKind::MergeBegin
-    )
+/// One Chrome trace event: a duration span (`dur_ns` given) or an instant.
+fn chrome_event<W: fmt::Write>(
+    w: &mut Writer<W>,
+    name: &str,
+    at: &TraceEvent,
+    dur_ns: Option<u64>,
+    b: u64,
+) {
+    let tid = at.kind.track() as usize;
+    w.object(Layout::Compact);
+    match dur_ns {
+        Some(_) => w.key("ph").str("X"),
+        None => w.key("ph").str("i").key("s").str("t"),
+    };
+    w.key("name").str(name).key("cat").str(TRACKS[tid]);
+    w.key("pid").uint(at.node.into()).key("tid").uint(tid as u64);
+    w.key("ts").fixed(at.t_ns as f64 / 1000.0, 3);
+    if let Some(d) = dur_ns {
+        w.key("dur").fixed(d as f64 / 1000.0, 3);
+    }
+    w.key("args").object(Layout::Compact);
+    w.key("phase").uint(at.phase.into()).key("a").uint(at.a).key("b").uint(b).end().end();
 }
 
-/// Render an event stream as Chrome trace-event JSON (the `traceEvents`
+/// Write an event stream as Chrome trace-event JSON (the `traceEvents`
 /// array format), loadable in Perfetto and `chrome://tracing`. Each node
 /// becomes a process; tracks are semantic (`phase` / `compute` /
 /// `protocol` / `wire`), not OS threads. Begin/end pairs (faults,
 /// barriers, pre-send windows, phases) render as duration spans in
 /// virtual time; everything else renders as instants. Timestamps are the
 /// events' virtual-time stamps, in microseconds as the format requires.
-pub fn to_chrome_json(events: &[TraceEvent]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(events.len() * 120 + 1024);
-    s.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
+pub fn write_chrome_json<W: fmt::Write>(events: &[TraceEvent], out: W) -> W {
+    let mut w = Writer::new(out, 0);
+    w.object(Layout::Compact).key("displayTimeUnit").str("ns");
+    w.key("traceEvents").array(Layout::Lines);
     let mut nodes: Vec<NodeId> = events.iter().map(|e| e.node).collect();
     nodes.sort_unstable();
     nodes.dedup();
-    let mut first = true;
-    let mut push = |s: &mut String, line: &str| {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        s.push_str(line);
+    let mut meta = |what: &str, node: NodeId, tid: usize, name: &str| {
+        w.object(Layout::Compact).key("ph").str("M").key("name").str(what);
+        w.key("pid").uint(node.into()).key("tid").uint(tid as u64);
+        w.key("args").object(Layout::Compact).key("name").str(name).end().end();
     };
-    for n in &nodes {
-        push(
-            &mut s,
-            &format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{n},\"tid\":0,\
-                 \"args\":{{\"name\":\"node {n}\"}}}}"
-            ),
-        );
-        for (tid, name) in [(0, "phase"), (1, "compute"), (2, "protocol"), (3, "wire")] {
-            push(
-                &mut s,
-                &format!(
-                    "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{n},\"tid\":{tid},\
-                     \"args\":{{\"name\":\"{name}\"}}}}"
-                ),
-            );
+    for &n in &nodes {
+        meta("process_name", n, 0, &format!("node {n}"));
+        for (tid, name) in TRACKS.iter().enumerate() {
+            meta("thread_name", n, tid, name);
         }
     }
     // Span pairing: per (node, opening kind), spans never overlap — a
     // node's program is serial and phases/windows nest properly — so a
     // simple open-event stack per key suffices.
-    let mut open: std::collections::HashMap<(NodeId, EventKind), Vec<&TraceEvent>> =
-        std::collections::HashMap::new();
+    let opens = |k: EventKind| EventKind::ALL.iter().any(|c| c.closes() == Some(k));
+    let opening: Vec<bool> = std::iter::once(false).chain(EventKind::ALL.map(opens)).collect();
+    let mut open: BTreeMap<(NodeId, EventKind), Vec<&TraceEvent>> = BTreeMap::new();
     for e in events {
-        let (tid, _) = chrome_track(e.kind);
-        let ts = e.t_ns as f64 / 1000.0;
-        if is_span_open(e.kind) {
+        if opening[e.kind as usize] {
             open.entry((e.node, e.kind)).or_default().push(e);
             continue;
         }
-        if let Some(opener) = span_open(e.kind) {
-            if let Some(b) = open.get_mut(&(e.node, opener)).and_then(Vec::pop) {
-                let ts0 = b.t_ns as f64 / 1000.0;
-                let dur = (e.t_ns.saturating_sub(b.t_ns)) as f64 / 1000.0;
-                push(
-                    &mut s,
-                    &format!(
-                        "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{},\"tid\":{tid},\
-                         \"ts\":{ts0:.3},\"dur\":{dur:.3},\
-                         \"args\":{{\"phase\":{},\"a\":{},\"b\":{}}}}}",
-                        opener.name(),
-                        chrome_track(e.kind).1,
-                        e.node,
-                        b.phase,
-                        b.a,
-                        e.b
-                    ),
-                );
-                continue;
+        let opener = e.kind.closes().and_then(|o| open.get_mut(&(e.node, o)).and_then(Vec::pop));
+        match opener {
+            Some(b) => {
+                chrome_event(&mut w, b.kind.name(), b, Some(e.t_ns.saturating_sub(b.t_ns)), e.b)
             }
+            None => chrome_event(&mut w, e.kind.name(), e, None, e.b),
         }
-        push(
-            &mut s,
-            &format!(
-                "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{},\
-                 \"tid\":{tid},\"ts\":{ts:.3},\"args\":{{\"phase\":{},\"a\":{},\"b\":{}}}}}",
-                e.kind.name(),
-                chrome_track(e.kind).1,
-                e.node,
-                e.phase,
-                e.a,
-                e.b
-            ),
-        );
     }
     // Unclosed spans (a fault in flight at drain time) render as instants
     // so no event is silently lost.
-    for ((node, kind), stack) in open {
-        for b in stack {
-            let (tid, cat) = chrome_track(kind);
-            push(
-                &mut s,
-                &format!(
-                    "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"{}(unclosed)\",\"cat\":\"{cat}\",\
-                     \"pid\":{node},\"tid\":{tid},\"ts\":{:.3},\
-                     \"args\":{{\"phase\":{},\"a\":{},\"b\":{}}}}}",
-                    kind.name(),
-                    b.t_ns as f64 / 1000.0,
-                    b.phase,
-                    b.a,
-                    b.b
-                ),
-            );
-        }
+    for b in open.into_values().flatten() {
+        chrome_event(&mut w, &format!("{}(unclosed)", b.kind.name()), b, None, b.b);
     }
-    let _ = write!(s, "\n]}}\n");
-    s
+    if w.is_empty() {
+        w.newline(); // what an export of no events has always looked like
+    }
+    w.end().end().newline();
+    w.finish()
+}
+
+/// [`write_chrome_json`] into a fresh string.
+pub fn to_chrome_json(events: &[TraceEvent]) -> String {
+    write_chrome_json(events, String::with_capacity(events.len() * 120 + 1024))
 }
 
 #[cfg(test)]
