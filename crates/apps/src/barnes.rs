@@ -44,9 +44,7 @@ use std::collections::HashMap;
 
 use prescient_core::manual::ManualEntry;
 use prescient_runtime::{Agg1D, Dist1D, Machine, MachineConfig, NodeCtx};
-use prescient_tempest::{GAddr, NodeId, NodeSet};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use prescient_tempest::{GAddr, NodeId, NodeSet, Xoshiro256pp};
 
 use crate::AppRun;
 
@@ -79,13 +77,13 @@ impl Default for BarnesConfig {
 /// Deterministic initial bodies: two clustered blobs plus a uniform
 /// background (clustering makes the tree uneven, as in real N-body data).
 pub fn initial_bodies(cfg: &BarnesConfig) -> (Vec<[f64; 3]>, Vec<f64>) {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let mut pos = Vec::with_capacity(cfg.n);
     let mut mass = Vec::with_capacity(cfg.n);
-    let blob = |rng: &mut SmallRng, c: [f64; 3], r: f64| {
+    let blob = |rng: &mut Xoshiro256pp, c: [f64; 3], r: f64| {
         let mut p = [0.0; 3];
         for (k, pk) in p.iter_mut().enumerate() {
-            *pk = (c[k] + rng.gen_range(-r..r)).rem_euclid(1.0);
+            *pk = (c[k] + rng.range_f64(-r..r)).rem_euclid(1.0);
         }
         p
     };
@@ -93,7 +91,7 @@ pub fn initial_bodies(cfg: &BarnesConfig) -> (Vec<[f64; 3]>, Vec<f64>) {
         let p = match i % 4 {
             0 => blob(&mut rng, [0.3, 0.3, 0.3], 0.08),
             1 => blob(&mut rng, [0.7, 0.6, 0.4], 0.05),
-            _ => [rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)],
+            _ => [rng.range_f64(0.0..1.0), rng.range_f64(0.0..1.0), rng.range_f64(0.0..1.0)],
         };
         pos.push(p);
         mass.push(1.0 / cfg.n as f64);

@@ -22,9 +22,7 @@
 //! by owners through ordinary loads, with no protocol directives.
 
 use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, MachineConfig, NodeCtx};
-use prescient_tempest::GAddr;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use prescient_tempest::{GAddr, Xoshiro256pp};
 
 use crate::AppRun;
 
@@ -65,7 +63,7 @@ pub fn initial_positions(cfg: &WaterConfig) -> Vec<[f64; 3]> {
     let l = cfg.box_len();
     let per_side = (cfg.n as f64).cbrt().ceil() as usize;
     let spacing = l / per_side as f64;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let mut pos = Vec::with_capacity(cfg.n);
     'outer: for ix in 0..per_side {
         for iy in 0..per_side {
@@ -75,9 +73,9 @@ pub fn initial_positions(cfg: &WaterConfig) -> Vec<[f64; 3]> {
                 }
                 let jitter = 0.05 * spacing;
                 pos.push([
-                    (ix as f64 + 0.5) * spacing + rng.gen_range(-jitter..jitter),
-                    (iy as f64 + 0.5) * spacing + rng.gen_range(-jitter..jitter),
-                    (iz as f64 + 0.5) * spacing + rng.gen_range(-jitter..jitter),
+                    (ix as f64 + 0.5) * spacing + rng.range_f64(-jitter..jitter),
+                    (iy as f64 + 0.5) * spacing + rng.range_f64(-jitter..jitter),
+                    (iz as f64 + 0.5) * spacing + rng.range_f64(-jitter..jitter),
                 ]);
             }
         }

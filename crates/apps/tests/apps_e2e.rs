@@ -5,10 +5,10 @@
 
 use prescient_apps::adaptive::{run_adaptive_full, seq_adaptive, AdaptiveConfig};
 use prescient_apps::barnes::{
-    barnes_final_positions, run_barnes, run_barnes_spmd, seq_barnes, BarnesConfig,
+    barnes_final_positions, initial_bodies, run_barnes, run_barnes_spmd, seq_barnes, BarnesConfig,
 };
 use prescient_apps::water::{
-    run_splash_water, run_water, seq_water, water_final_positions, WaterConfig,
+    initial_positions, run_splash_water, run_water, seq_water, water_final_positions, WaterConfig,
 };
 use prescient_runtime::MachineConfig;
 
@@ -25,6 +25,35 @@ fn bcfg() -> BarnesConfig {
 
 fn acfg() -> AdaptiveConfig {
     AdaptiveConfig { n: 12, iters: 4, tau: 0.4, max_depth: 2, flush_every: None }
+}
+
+/// The paper-scale inputs, bit for bit as `rand` 0.8's `SmallRng` and
+/// `gen_range` drew them at the parent commit: the first two and the last
+/// element of each.
+#[test]
+fn input_generators_equal_the_parent_commits() {
+    let probe =
+        |pos: &[[f64; 3]]| [pos[0], pos[1], pos[pos.len() - 1]].map(|p| p.map(f64::to_bits));
+    let water = initial_positions(&WaterConfig::default());
+    assert_eq!(water.len(), 512);
+    assert_eq!(
+        probe(&water),
+        [
+            [0x3fdffdcad434d4a7, 0x3fdf0c31a99f76ec, 0x3fe088463a6bb33b],
+            [0x3fdf4838d3a1fe5b, 0x3fe1c7432d4fdb6a, 0x3ff93541ab8159fd],
+            [0x40203e95c0fad57c, 0x40202154aff8a3ca, 0x40201dcec21a44a2],
+        ]
+    );
+    let (bodies, mass) = initial_bodies(&BarnesConfig::default());
+    assert_eq!((bodies.len(), mass[0]), (16384, 1.0 / 16384.0));
+    assert_eq!(
+        probe(&bodies),
+        [
+            [0x3fcd5fd564913acc, 0x3fd67e11dea7830b, 0x3fd327f17f7e900a],
+            [0x3fe56ac82f849734, 0x3fe312887232448b, 0x3fd796d232a7198c],
+            [0x3fe56e37cc90f7cc, 0x3fc6634b0eb9ef08, 0x3feb681c00e69a60],
+        ]
+    );
 }
 
 #[test]

@@ -11,6 +11,7 @@ use prescient_apps::water::{run_water, WaterConfig};
 use prescient_apps::AppRun;
 use prescient_runtime::MachineConfig;
 use prescient_stache::RetryConfig;
+use prescient_tempest::rng::cases;
 use prescient_tempest::{BatchConfig, CrashPlan, FaultPlan};
 use std::time::Duration;
 
@@ -202,24 +203,13 @@ fn crash_recovery_is_batching_invariant() {
     }
 }
 
-// ---- randomized crash point (proptest-style) ----------------------------
-
-/// A tiny deterministic LCG so the sweep needs no RNG dependency.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
+// ---- randomized crash point ---------------------------------------------
 
 #[test]
 fn randomized_crash_points_recover_across_all_apps() {
     // Random (node, phase-execution) crash points under a random fault
     // seed, for all three applications at small scale. Every combination
     // must recover to the bit-identical fault-free result.
-    let mut rng = Lcg(0x5eed_cafe);
     let wcfg = water_cfg();
     let bcfg = barnes_cfg();
     let acfg = adaptive_cfg();
@@ -227,56 +217,43 @@ fn randomized_crash_points_recover_across_all_apps() {
     let barnes_base = run_barnes(MachineConfig::predictive(NODES, 64).validated(), &bcfg);
     let adaptive_base = run_adaptive_full(MachineConfig::predictive(NODES, 64).validated(), &acfg);
 
-    for round in 0..3 {
-        let node = (rng.next() % NODES as u64) as u16;
+    cases(3, |g| {
+        let node = g.below(NODES as u64) as u16;
         // Per-app phase-execution counts: water 2/step, barnes 4/step,
         // adaptive 3/iter.
-        let app = rng.next() % 3;
-        match app {
+        match g.below(3) {
             0 => {
-                let version = 1 + rng.next() % (2 * wcfg.steps as u64);
+                let version = 1 + g.below(2 * wcfg.steps as u64);
                 let run = run_water(
                     MachineConfig::predictive(NODES, 64)
                         .with_crash_plan(CrashPlan::new(node, version))
                         .validated(),
                     &wcfg,
                 );
-                assert_recovered(
-                    &format!("round {round}: water {node}@{version}"),
-                    &water_base,
-                    &run,
-                );
+                assert_recovered(&format!("water {node}@{version}"), &water_base, &run);
             }
             1 => {
-                let version = 1 + rng.next() % (4 * bcfg.steps as u64);
+                let version = 1 + g.below(4 * bcfg.steps as u64);
                 let run = run_barnes(
                     MachineConfig::predictive(NODES, 64)
                         .with_crash_plan(CrashPlan::new(node, version))
                         .validated(),
                     &bcfg,
                 );
-                assert_recovered(
-                    &format!("round {round}: barnes {node}@{version}"),
-                    &barnes_base,
-                    &run,
-                );
+                assert_recovered(&format!("barnes {node}@{version}"), &barnes_base, &run);
             }
             _ => {
-                let version = 1 + rng.next() % (3 * acfg.iters as u64);
+                let version = 1 + g.below(3 * acfg.iters as u64);
                 let run = run_adaptive_full(
                     MachineConfig::predictive(NODES, 64)
                         .with_crash_plan(CrashPlan::new(node, version))
                         .validated(),
                     &acfg,
                 );
-                assert_recovered(
-                    &format!("round {round}: adaptive {node}@{version}"),
-                    &adaptive_base.0,
-                    &run.0,
-                );
+                assert_recovered(&format!("adaptive {node}@{version}"), &adaptive_base.0, &run.0);
             }
         }
-    }
+    });
 }
 
 // ---- paper scale --------------------------------------------------------

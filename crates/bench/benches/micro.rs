@@ -1,4 +1,6 @@
-//! Criterion microbenches for the core mechanisms:
+//! Microbenches for the core mechanisms, on a private timing loop
+//! (`cargo bench -p prescient-bench --bench micro -- [NAME-PREFIX] [--quick]`
+//! prints the median and range of k samples per bench as `ns/iter`):
 //!
 //! * `protocol/remote_read_miss` — a full 2-hop miss through the engine;
 //! * `protocol/producer_consumer_roundtrip` — the 4-message §3.2 pattern;
@@ -31,9 +33,10 @@
 //!   wire batches (`send_batched`), and the receive-side batch drain in
 //!   isolation (`drain`).
 
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::presend;
 use prescient_core::{Predictive, PredictiveConfig};
@@ -44,7 +47,7 @@ use prescient_stache::testkit::Cluster;
 use prescient_stache::{NoHooks, RetryConfig};
 use prescient_tempest::{BatchConfig, Fabric, GAddr, GlobalLayout, NodeMem, TryRecv};
 
-fn bench_remote_miss(c: &mut Criterion) {
+fn bench_remote_miss(c: &mut Timer) {
     let mut machine = Machine::new(MachineConfig::stache(2, 64));
     let a = Agg1D::<f64>::new(&machine, 64, Dist1D::Block);
     c.bench_function("protocol/remote_read_miss", |b| {
@@ -72,7 +75,7 @@ fn bench_remote_miss(c: &mut Criterion) {
     });
 }
 
-fn bench_producer_consumer(c: &mut Criterion) {
+fn bench_producer_consumer(c: &mut Timer) {
     let mut machine = Machine::new(MachineConfig::stache(3, 64));
     let a = Agg1D::<f64>::new(&machine, 64, Dist1D::Block);
     c.bench_function("protocol/producer_consumer_roundtrip", |b| {
@@ -100,7 +103,7 @@ fn bench_producer_consumer(c: &mut Criterion) {
     });
 }
 
-fn bench_presend(c: &mut Criterion) {
+fn bench_presend(c: &mut Timer) {
     c.bench_function("presend/record_and_presend_64_blocks", |b| {
         b.iter_custom(|iters| {
             let mut machine = Machine::new(MachineConfig::predictive(2, 32));
@@ -132,7 +135,7 @@ fn bench_presend(c: &mut Criterion) {
     });
 }
 
-fn bench_teardown_wave(c: &mut Criterion) {
+fn bench_teardown_wave(c: &mut Timer) {
     const K: usize = 64;
     let pred = Arc::new(Predictive::new(PredictiveConfig::default()));
     let mut m = Cluster::new(4, 32, RetryConfig::default(), None, |i| match i {
@@ -169,7 +172,7 @@ fn bench_teardown_wave(c: &mut Criterion) {
     });
 }
 
-fn bench_compiler(c: &mut Criterion) {
+fn bench_compiler(c: &mut Timer) {
     const SRC: &str = r#"
         aggregate G[64][64] of float;
         aggregate H[64][64] of float;
@@ -185,7 +188,7 @@ fn bench_compiler(c: &mut Criterion) {
     });
 }
 
-fn bench_dataflow(c: &mut Criterion) {
+fn bench_dataflow(c: &mut Timer) {
     // A deep loop nest with many aggregates: stress the fixpoint.
     let aggs: Vec<String> = (0..32).map(|i| format!("A{i}")).collect();
     let mut b = CfgBuilder::new(aggs.clone());
@@ -205,7 +208,7 @@ fn bench_dataflow(c: &mut Criterion) {
     });
 }
 
-fn bench_barrier(c: &mut Criterion) {
+fn bench_barrier(c: &mut Timer) {
     for (name, nodes) in [("machine/barrier_4nodes", 4), ("barrier/serve_wait_n32", 32)] {
         let mut machine = Machine::new(MachineConfig::stache(nodes, 64));
         c.bench_function(name, |b| {
@@ -223,7 +226,7 @@ fn bench_barrier(c: &mut Criterion) {
     }
 }
 
-fn bench_mem(c: &mut Criterion) {
+fn bench_mem(c: &mut Timer) {
     let layout = GlobalLayout::new(4, 32);
     // A store with 1024 resident home blocks (4 arena pages), written so
     // every slot is materialized.
@@ -271,7 +274,7 @@ fn bench_mem(c: &mut Criterion) {
 /// Time `access` over `addrs` (4096 of them, cycled) on node 0 of
 /// `machine`, from inside the node's thread.
 fn timed_on_node_0(
-    c: &mut Criterion,
+    c: &mut Timer,
     machine: &mut Machine,
     addrs: &[GAddr],
     name: &str,
@@ -295,7 +298,7 @@ fn timed_on_node_0(
     });
 }
 
-fn bench_ctx(c: &mut Criterion) {
+fn bench_ctx(c: &mut Timer) {
     // Node 0 cycles over 4096 of its own elements (1024 blocks, all
     // written first so every access is a hit). Addresses are computed
     // outside the timed loop: `agg/*` times them on their own.
@@ -348,7 +351,7 @@ fn bench_ctx(c: &mut Criterion) {
     c.bench_function("ctx/poll_empty", |b| b.iter(|| idle.nodes[0].poll()));
 }
 
-fn bench_agg(c: &mut Criterion) {
+fn bench_agg(c: &mut Timer) {
     // Water's position vectors (512 molecules) and Adaptive's mesh
     // (128 x 128), both on the paper's 32 nodes.
     let machine = Machine::new(MachineConfig::stache(32, 32));
@@ -378,7 +381,7 @@ fn bench_agg(c: &mut Criterion) {
     });
 }
 
-fn bench_fabric(c: &mut Criterion) {
+fn bench_fabric(c: &mut Timer) {
     const BURST: u64 = 256;
 
     // One envelope per wire op (max_batch = 1): every send pays the full
@@ -439,15 +442,91 @@ fn bench_fabric(c: &mut Criterion) {
                     }
                     n
                 },
-                BatchSize::SmallInput,
             )
         });
     }
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_remote_miss, bench_producer_consumer, bench_presend, bench_teardown_wave, bench_compiler, bench_dataflow, bench_barrier, bench_mem, bench_ctx, bench_agg, bench_fabric
+/// One sample: `iters` runs of the routine and the time they took.
+struct Bencher {
+    iters: u64,
+    elapsed: Duration,
 }
-criterion_main!(benches);
+
+impl Bencher {
+    fn iter<R>(&mut self, mut routine: impl FnMut() -> R) {
+        let start = Instant::now();
+        (0..self.iters).for_each(|_| drop(black_box(routine())));
+        self.elapsed = start.elapsed();
+    }
+
+    /// The routine times `iters` runs itself (from inside a node thread).
+    fn iter_custom(&mut self, mut routine: impl FnMut(u64) -> Duration) {
+        self.elapsed = routine(self.iters);
+    }
+
+    /// `setup` before every run, untimed.
+    fn iter_batched<I, R>(&mut self, mut setup: impl FnMut() -> I, mut run: impl FnMut(I) -> R) {
+        self.elapsed = Duration::ZERO;
+        for _ in 0..self.iters {
+            let input = setup();
+            let start = Instant::now();
+            drop(black_box(run(input)));
+            self.elapsed += start.elapsed();
+        }
+    }
+}
+
+/// The timing loop: benches whose name starts with the first non-flag
+/// argument, `samples` samples each of at least `sample_time`.
+struct Timer {
+    prefix: String,
+    samples: usize,
+    sample_time: Duration,
+}
+
+impl Timer {
+    fn bench_function(&mut self, name: &str, mut bench: impl FnMut(&mut Bencher)) {
+        if !name.starts_with(&self.prefix) {
+            return;
+        }
+        let mut b = Bencher { iters: 1, elapsed: Duration::ZERO };
+        let mut sample = |b: &mut Bencher| {
+            bench(b);
+            b.elapsed
+        };
+        // Double the run count until one sample is long enough to time.
+        while sample(&mut b) < self.sample_time {
+            b.iters *= 2;
+        }
+        let mut ns: Vec<f64> =
+            (0..self.samples).map(|_| sample(&mut b).as_nanos() as f64 / b.iters as f64).collect();
+        ns.sort_by(f64::total_cmp);
+        let (lo, mid, hi) = (ns[0], ns[ns.len() / 2], ns[ns.len() - 1]);
+        println!("{name:<40} {mid:>12.1} ns/iter  [{lo:.1} .. {hi:.1}]  x{}", b.iters);
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let mut c = Timer {
+        prefix: args.into_iter().find(|a| !a.starts_with('-')).unwrap_or_default(),
+        samples: if quick { 3 } else { 10 },
+        sample_time: Duration::from_millis(if quick { 20 } else { 200 }),
+    };
+    let groups: [fn(&mut Timer); 11] = [
+        bench_remote_miss,
+        bench_producer_consumer,
+        bench_presend,
+        bench_teardown_wave,
+        bench_compiler,
+        bench_dataflow,
+        bench_barrier,
+        bench_mem,
+        bench_ctx,
+        bench_agg,
+        bench_fabric,
+    ];
+    groups.iter().for_each(|group| group(&mut c));
+}

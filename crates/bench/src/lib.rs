@@ -3,7 +3,7 @@
 //! The harness that regenerates every table and figure of the paper's
 //! evaluation (§5), plus the ablations DESIGN.md calls out. One binary per
 //! figure or table and one `ablation <name>` for the ablations
-//! (`src/bin/`), Criterion microbenches in `benches/`.
+//! (`src/bin/`), microbenches in `benches/`.
 //!
 //! Every figure binary accepts:
 //!

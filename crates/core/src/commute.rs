@@ -37,7 +37,7 @@
 //! application replays merged updates deterministically and recovered runs
 //! stay bit-identical (DESIGN.md §12).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -47,6 +47,7 @@ use prescient_stache::node::{Node, NodeShared, NodeState};
 use prescient_tempest::sync::lock;
 use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
 
+use crate::acked::AckedPushes;
 use crate::codes;
 
 /// Tuning knobs for the commutative-merge protocol.
@@ -256,7 +257,7 @@ pub fn merge(cm: &Commute, node: &mut Node, outgoing: &[(NodeId, Vec<u8>)]) -> M
 
     // Fan out, one push message per chunk. Unacked messages are kept
     // verbatim for retransmission.
-    let mut outstanding: HashMap<u64, (NodeId, UserMsg)> = HashMap::new();
+    let mut outstanding = AckedPushes::default();
     for (target, payload) in outgoing {
         // One id per chunk, drawn (and local chunks buffered) under one
         // lock.
@@ -280,8 +281,7 @@ pub fn merge(cm: &Commute, node: &mut Node, outgoing: &[(NodeId, Vec<u8>)]) -> M
                 node: me,
                 blocks: vec![(BlockId(seq as u64), data)].into(),
             };
-            n.send(*target, Msg::User(m.clone()));
-            outstanding.insert(id, (*target, m));
+            outstanding.send(&n, *target, m);
             NodeStats::bump(&n.stats.merge_chunks_out);
             report.chunks_out += 1;
             report.msgs += 1;
@@ -289,23 +289,10 @@ pub fn merge(cm: &Commute, node: &mut Node, outgoing: &[(NodeId, Vec<u8>)]) -> M
         }
     }
     // Wait for every chunk to be acknowledged so all inboxes are stable at
-    // the coming barrier, retransmitting unacked chunks on timeout. An ack
-    // for an id already acked (its push was duplicated in flight) finds
-    // nothing to remove; other wakes (a stale grant, a kick) carry
-    // nothing the exchange needs.
-    node.settle(format_args!("merge chunks unacked"), outstanding.len(), |n, event| {
-        match event {
-            Ok(Wake::User { code: codes::WAKE_COMMUTE_ACK, a, .. }) => {
-                outstanding.remove(&a);
-            }
-            Ok(_) => {}
-            Err(_) => {
-                outstanding.values().for_each(|(t, m)| n.send(*t, Msg::User(m.clone())));
-                report.retransmits += outstanding.len() as u64;
-            }
-        }
-        outstanding.len()
-    });
+    // the coming barrier.
+    let what = format_args!("merge chunks unacked");
+    report.retransmits =
+        outstanding.settle(node, what, codes::WAKE_COMMUTE_ACK, |_| {}, |_, _, _| {});
 
     report.vtime_ns = n.cost.bulk_ns(report.msgs, report.chunks_out, report.bytes);
     report

@@ -44,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod acked;
 pub mod codes;
 pub mod commute;
 pub mod manual;

@@ -39,19 +39,19 @@
 //! network (`CostModel::ensure_ns`); the host now overlaps them too, and
 //! egress batching packs a wave's invalidations and acks per destination.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use prescient_stache::engine::fetch_all;
-use prescient_stache::msg::{Msg, UserMsg, Wake};
+use prescient_stache::msg::UserMsg;
 use prescient_stache::node::{Node, NodeShared, NodeState};
 
 use prescient_stache::dir::DirState;
 use prescient_tempest::sync::lock;
 use prescient_tempest::tag::Tag;
 use prescient_tempest::trace::{pack_counts, pack_peer_count, EventKind};
-use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
+use prescient_tempest::{BlockId, NodeSet, NodeStats};
 
+use crate::acked::AckedPushes;
 use crate::codes;
 use crate::predictive::{Predictive, Push};
 use crate::schedule::{Action, PhaseId};
@@ -247,7 +247,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
         u64::from(phase),
         pack_counts(pushes.len() as u64, groups.len() as u64),
     );
-    let mut outstanding: HashMap<u64, (NodeId, UserMsg)> = HashMap::new();
+    let mut outstanding = AckedPushes::default();
     let mut sent: Vec<Push> = Vec::with_capacity(pushes.len());
     let mut aborted = 0u64;
     for group in &groups {
@@ -310,8 +310,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
                 blocks: Arc::clone(&payload),
             };
             n.tracer().emit(EventKind::PresendPush, id, pack_peer_count(t, payload.len() as u64));
-            n.send(t, Msg::User(m.clone()));
-            outstanding.insert(id, (t, m));
+            outstanding.send(n, t, m);
             report.msgs += 1;
             report.blocks_pushed += payload.len() as u64;
             report.bytes += payload_bytes;
@@ -323,32 +322,20 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     NodeStats::add(&n.stats.presend_msgs_out, report.msgs);
     NodeStats::add(&n.stats.presend_bytes_out, report.bytes);
 
-    // Pass 3: serve the inbox until every bulk message is acknowledged, so
-    // that all states are stable at the coming barrier, retransmitting
-    // unacked pushes on timeout. `useless` accumulates the receivers'
-    // reports of previously-pushed copies that were overwritten while
-    // still unread. `remove` de-duplicates: an ack for an id that has
-    // already been acked (its push was duplicated in flight) is inert;
-    // other wakes (a stale grant, a kick) carry nothing the window needs.
+    // Pass 3: wait until every bulk message is acknowledged. `useless`
+    // accumulates the receivers' reports of previously-pushed copies that
+    // were overwritten while still unread.
     let mut useless = 0u64;
-    node.settle(format_args!("pre-send pushes unacked"), outstanding.len(), |n, event| {
-        match event {
-            Ok(Wake::User { code: codes::WAKE_PRESEND_ACK, a, b }) => {
-                if outstanding.remove(&a).is_some() {
-                    useless += b;
-                }
-            }
-            Ok(_) => {}
-            Err(round) => {
-                let unacked = outstanding.len() as u64;
-                n.tracer().emit(EventKind::PresendRetry, unacked, u64::from(round));
-                outstanding.values().for_each(|(t, m)| n.send(*t, Msg::User(m.clone())));
-                report.retransmits += unacked;
-                NodeStats::add(&n.stats.presend_retries, unacked);
-            }
-        }
-        outstanding.len()
-    });
+    report.retransmits = outstanding.settle(
+        node,
+        format_args!("pre-send pushes unacked"),
+        codes::WAKE_PRESEND_ACK,
+        |b| useless += b,
+        |n, unacked, round| {
+            n.tracer().emit(EventKind::PresendRetry, unacked, u64::from(round));
+            NodeStats::add(&n.stats.presend_retries, unacked);
+        },
+    );
 
     // Feed the schedule-health accounting: what this window pushed, what
     // the receivers said about the previous window's pushes, and which

@@ -449,46 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_equivalence_on_pseudo_random_schedules() {
-        // Fuzz-style equivalence against the uncompacted walk, for both
-        // conflict policies (a compiled twin of the proptest suite).
-        use prescient_tempest::SplitMix64;
-        for seed in 0..32u64 {
-            let mut rng = SplitMix64::new(0x5EED ^ seed);
-            let mut p = PhaseSchedule::default();
-            for iter in 1..=3u64 {
-                p.cur_iter = iter;
-                for _ in 0..200 {
-                    let b = BlockId(rng.next_u64() % 96);
-                    let node = (rng.next_u64() % 5) as NodeId;
-                    if rng.next_u64().is_multiple_of(3) {
-                        p.record_write(b, node);
-                    } else {
-                        p.record_read(b, node);
-                    }
-                }
-            }
-            for anticipate in [false, true] {
-                let runs = p.replay(anticipate);
-                assert_eq!(
-                    expand(&runs),
-                    reference(&p, anticipate),
-                    "seed {seed} anticipate {anticipate}"
-                );
-                // RLE must actually compress a 96-block dense-ish space.
-                assert!(runs.len() <= p.entries.len());
-                for w in runs.windows(2) {
-                    let merged = w[0].first.0 + w[0].len == w[1].first.0
-                        && w[0].action == w[1].action
-                        && w[0].readers == w[1].readers
-                        && w[0].writer == w[1].writer;
-                    assert!(!merged, "adjacent runs should have been merged: {w:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn incremental_growth() {
         // New requests in later iterations extend, never replace.
         let mut p = PhaseSchedule::default();

@@ -13,10 +13,10 @@ use std::sync::{Arc, Mutex};
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::presend;
 use prescient_core::{DegradeConfig, Predictive, PredictiveConfig};
-use prescient_stache::testkit::Cluster;
-use prescient_stache::{fetch, Node, NodeShared, RetryConfig};
+use prescient_stache::testkit::{read_u64, write_u64, Cluster};
+use prescient_stache::{Node, NodeShared, RetryConfig};
 use prescient_tempest::sync::lock;
-use prescient_tempest::{GAddr, NodeId, NodeSet, Prim, VBarrier};
+use prescient_tempest::{GAddr, NodeId, NodeSet, VBarrier};
 
 /// One node as a test script sees it.
 struct TestNode<'a> {
@@ -26,35 +26,6 @@ struct TestNode<'a> {
 }
 
 impl TestNode<'_> {
-    fn read_u64(&mut self, addr: GAddr) -> (u64, u32) {
-        let mut faults = 0;
-        loop {
-            let mut buf = [0u8; 8];
-            match self.node.state.mem.read_in_block(addr, &mut buf) {
-                Ok(()) => return (u64::load(&buf), faults),
-                Err(f) => {
-                    faults += 1;
-                    fetch(self.node, f.fault().block, false);
-                }
-            }
-        }
-    }
-
-    fn write_u64(&mut self, addr: GAddr, v: u64) -> u32 {
-        let mut faults = 0;
-        let mut buf = [0u8; 8];
-        v.store(&mut buf);
-        loop {
-            match self.node.state.mem.write_in_block(addr, &buf) {
-                Ok(()) => return faults,
-                Err(f) => {
-                    faults += 1;
-                    fetch(self.node, f.fault().block, true);
-                }
-            }
-        }
-    }
-
     /// A barrier inside a phase (the node keeps serving while it waits).
     fn sync(&mut self) {
         self.node.barrier(self.barrier, 0);
@@ -148,12 +119,12 @@ fn producer_consumer_becomes_local_after_recording() {
             let mut rf = 0;
             tn.phase_begin(W);
             if me == 1 {
-                wf = tn.write_u64(addr, 100 + iter);
+                wf = write_u64(tn.node, addr, 100 + iter);
             }
             tn.phase_end();
             tn.phase_begin(R);
             if me == 2 {
-                let (v, f) = tn.read_u64(addr);
+                let (v, f) = read_u64(tn.node, addr);
                 assert_eq!(v, 100 + iter);
                 rf = f;
             }
@@ -197,11 +168,11 @@ fn conflict_blocks_get_no_action() {
             // instance (serialized by an internal barrier so values are
             // deterministic, but one phase as far as the schedule goes).
             if me == 1 {
-                tn.write_u64(addr, iter);
+                write_u64(tn.node, addr, iter);
             }
             tn.sync();
             if me == 2 {
-                let (_, f) = tn.read_u64(addr);
+                let (_, f) = read_u64(tn.node, addr);
                 if iter > 0 {
                     lock(&fl).push(f);
                 }
@@ -230,13 +201,13 @@ fn incremental_schedule_adds_new_readers() {
         for iter in 0..6u64 {
             tn.phase_begin(W);
             if me == 1 {
-                tn.write_u64(addr, iter);
+                write_u64(tn.node, addr, iter);
             }
             tn.phase_end();
             tn.phase_begin(R);
             let late_joiner = me == 3 && iter >= 2;
             if me == 2 || late_joiner {
-                let (v, f) = tn.read_u64(addr);
+                let (v, f) = read_u64(tn.node, addr);
                 assert_eq!(v, iter);
                 lock(&l2).push((iter, me, f));
             }
@@ -277,12 +248,12 @@ fn flush_rebuilds_schedule() {
             }
             tn.phase_begin(W);
             if me == 1 {
-                tn.write_u64(addr, iter);
+                write_u64(tn.node, addr, iter);
             }
             tn.phase_end();
             tn.phase_begin(R);
             if me == 2 {
-                let (_, f) = tn.read_u64(addr);
+                let (_, f) = read_u64(tn.node, addr);
                 lock(&l2).push((iter, f));
             }
             tn.phase_end();
@@ -316,7 +287,7 @@ fn coalescing_reduces_message_count() {
             tn.phase_begin(4);
             if me == 1 {
                 for i in 0..16u64 {
-                    let (_, f) = tn.read_u64(base.add(i * 32));
+                    let (_, f) = read_u64(tn.node, base.add(i * 32));
                     assert_eq!(f, 0, "manually scheduled block {i} must be pre-sent");
                 }
             }
@@ -353,12 +324,12 @@ fn conflict_anticipation_pregrants_first_state() {
             tn.phase_begin(9);
             // Writer first, reader second, same phase instance: conflict.
             if me == 1 {
-                tn.write_u64(addr, iter);
+                write_u64(tn.node, addr, iter);
             }
             tn.sync();
             let mut rf = 0;
             if me == 2 {
-                let (v, f) = tn.read_u64(addr);
+                let (v, f) = read_u64(tn.node, addr);
                 assert_eq!(v, iter);
                 rf = f;
             }
@@ -403,8 +374,8 @@ fn migratory_write_is_present_to_writer() {
             if me == 2 {
                 // Node 2 increments the remotely homed counter each
                 // iteration (migratory/owner-compute pattern).
-                let (v, _) = tn.read_u64(addr);
-                let f = tn.write_u64(addr, v + 1);
+                let (v, _) = read_u64(tn.node, addr);
+                let f = write_u64(tn.node, addr, v + 1);
                 lock(&l2).push((iter, f));
             }
             tn.phase_end();
@@ -419,9 +390,7 @@ fn migratory_write_is_present_to_writer() {
     }
     drop(log);
     let mut m = m;
-    let barrier = VBarrier::new(1);
-    let pred = Arc::clone(&m.nodes[0].pred);
-    let (v, _) = m.cluster.on(0, |node| TestNode { node, pred, barrier: &barrier }.read_u64(addr));
+    let (v, _) = m.cluster.on(0, |node| read_u64(node, addr));
     assert_eq!(v, 4);
 }
 
@@ -437,13 +406,13 @@ fn deletions_are_not_tracked() {
         for iter in 0..4u64 {
             tn.phase_begin(W);
             if me == 1 {
-                tn.write_u64(addr, iter);
+                write_u64(tn.node, addr, iter);
             }
             tn.phase_end();
             tn.phase_begin(R);
             if me == 2 && iter == 0 {
                 // Reads only in the first iteration, then never again.
-                tn.read_u64(addr);
+                read_u64(tn.node, addr);
             }
             tn.phase_end();
         }
@@ -478,12 +447,12 @@ fn useless_presends_trigger_degradation_then_rearm() {
         for iter in 0..13u64 {
             tn.phase_begin(W);
             if me == 1 {
-                tn.write_u64(addr, iter);
+                write_u64(tn.node, addr, iter);
             }
             tn.phase_end();
             tn.phase_begin(R);
             if me == 2 && (iter == 0 || iter >= 10) {
-                let (v, f) = tn.read_u64(addr);
+                let (v, f) = read_u64(tn.node, addr);
                 assert_eq!(v, iter);
                 lock(&l2).push((iter, f));
             }
@@ -529,12 +498,12 @@ fn degradation_disabled_keeps_pushing() {
         for iter in 0..11u64 {
             tn.phase_begin(W);
             if me == 1 {
-                tn.write_u64(addr, iter);
+                write_u64(tn.node, addr, iter);
             }
             tn.phase_end();
             tn.phase_begin(R);
             if me == 2 && iter == 0 {
-                tn.read_u64(addr);
+                read_u64(tn.node, addr);
             }
             tn.phase_end();
         }

@@ -11,8 +11,9 @@
 //! release. Pass 2 now revalidates every push against the directory and
 //! drops stale ones (`presend_aborted`).
 //!
-//! The proptest companion (`proptest_presend_race.rs`) interleaves recalls
-//! with pre-send rounds sequentially under a model; this file stresses the
+//! `presend_interleaved_with_recalls` interleaves recalls with pre-send
+//! rounds one op at a time under a sequential model, so a failing seed
+//! replays; `concurrent_demand_writes_during_presend_rounds` stresses the
 //! genuinely concurrent interleaving.
 
 use std::sync::Arc;
@@ -20,25 +21,10 @@ use std::sync::Arc;
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::presend;
 use prescient_core::{DegradeConfig, Predictive, PredictiveConfig};
-use prescient_stache::testkit::Cluster;
-use prescient_stache::{fetch, Node, RetryConfig};
-use prescient_tempest::{GAddr, NodeSet, Prim};
-
-fn read_u64(node: &mut Node, addr: GAddr) -> u64 {
-    let mut buf = [0u8; 8];
-    while let Err(e) = node.state.mem.read_in_block(addr, &mut buf) {
-        fetch(node, e.fault().block, false);
-    }
-    u64::load(&buf)
-}
-
-fn write_u64(node: &mut Node, addr: GAddr, v: u64) {
-    let mut buf = [0u8; 8];
-    v.store(&mut buf);
-    while let Err(e) = node.state.mem.write_in_block(addr, &buf) {
-        fetch(node, e.fault().block, true);
-    }
-}
+use prescient_stache::testkit::{read_u64, write_u64, Cluster};
+use prescient_stache::RetryConfig;
+use prescient_tempest::rng::{cases, Gen};
+use prescient_tempest::{GAddr, NodeId, NodeSet};
 
 fn machine(n: usize, block_size: usize) -> (Cluster, Vec<Arc<Predictive>>) {
     let cfg = PredictiveConfig {
@@ -110,11 +96,84 @@ fn concurrent_demand_writes_during_presend_rounds() {
 
     // Every block reads back as its last demand-written value.
     for (b, addr) in addrs.iter().enumerate() {
-        assert_eq!(m.on(3, |n| read_u64(n, *addr)), last_written[b], "block {b} lost a write");
+        assert_eq!(m.on(3, |n| read_u64(n, *addr).0), last_written[b], "block {b} lost a write");
     }
 
     // The rounds actually pushed copies (the race did not wedge or
     // permanently abort the machinery).
     let pushed = m.nodes[0].shared.stats.snapshot().presend_blocks_out;
     assert!(pushed > 0, "pre-send made no progress across {ROUNDS} rounds");
+}
+
+/// One step of the interleaved program. All blocks are homed at node 0,
+/// which also runs the pre-send rounds.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Node 0 executes one pre-send window of the manual schedule.
+    Presend,
+    /// `(block index, writer node, value)` — a demand write; if the block
+    /// was pre-sent earlier, this recalls/invalidates the pushed copies.
+    Write(usize, NodeId, u64),
+    /// `(block index, reader node)` — must observe the model's value.
+    Read(usize, NodeId),
+}
+
+const NODES: usize = 4;
+const BLOCKS: usize = 6;
+
+fn op(g: &mut Gen) -> Op {
+    let block = g.below(BLOCKS as u64) as usize;
+    match g.below(8) {
+        0..=1 => Op::Presend,
+        2..=4 => Op::Write(block, g.range(1..NODES as u64) as NodeId, g.u64()),
+        _ => Op::Read(block, g.below(NODES as u64) as NodeId),
+    }
+}
+
+fn run_program(ops: Vec<Op>) {
+    let (mut m, preds) = machine(NODES, 32);
+    let addrs: Vec<GAddr> = (0..BLOCKS).map(|_| m.nodes[0].state.mem.alloc(32, 32)).collect();
+    let layout = m.nodes[0].shared.layout;
+    // The manual schedule pushes read-only copies of every block to nodes
+    // 1 and 2 each window (node 3 stays a demand-only consumer).
+    preds[0].install_manual(
+        1,
+        addrs.iter().map(|a| {
+            (layout.block_of(*a), ManualEntry::Readers([1u16, 2].into_iter().collect::<NodeSet>()))
+        }),
+    );
+
+    // One op at a time: the acting node runs it, the others serve.
+    let mut model = [0u64; BLOCKS];
+    for op in ops {
+        match op {
+            Op::Presend => {
+                m.on(0, |n| presend(&preds[0], n, 1));
+            }
+            Op::Write(b, w, v) => {
+                m.on(w, |n| write_u64(n, addrs[b], v));
+                model[b] = v;
+            }
+            Op::Read(b, r) => {
+                let (got, _) = m.on(r, |n| read_u64(n, addrs[b]));
+                assert_eq!(
+                    got, model[b],
+                    "node {r} read stale data from block {b} (pre-send leaked a stale copy)"
+                );
+            }
+        }
+    }
+
+    // Quiesced (ops are sequential; every push was acknowledged before the
+    // pre-send returned): the invariants must hold.
+    let violations = m.violations();
+    assert!(violations.is_empty(), "coherence violations: {violations:#?}");
+}
+
+/// Random interleavings of pre-send rounds, recalls (via demand writes),
+/// and demand reads preserve sequential semantics and every coherence
+/// invariant.
+#[test]
+fn presend_interleaved_with_recalls() {
+    cases(24, |g| run_program(g.vec(1..40, op)));
 }

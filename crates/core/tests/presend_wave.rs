@@ -19,8 +19,8 @@ use std::time::Duration;
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::{presend, PresendReport, TEARDOWN_WAVE};
 use prescient_core::{DegradeConfig, Predictive, PredictiveConfig};
-use prescient_stache::testkit::Cluster;
-use prescient_stache::{fetch, fetch_all, DirState, Msg, Node, RetryConfig, Wake};
+use prescient_stache::testkit::{read_u64, write_u64, Cluster};
+use prescient_stache::{fetch_all, DirState, Msg, Node, RetryConfig, Wake};
 use prescient_tempest::fabric::{BatchConfig, Fabric, FabricCtl};
 use prescient_tempest::stats::StatsSnapshot;
 use prescient_tempest::tag::Tag;
@@ -31,22 +31,6 @@ use prescient_tempest::{
 
 const BS: usize = 32;
 const PHASE: u32 = 1;
-
-fn read_u64(node: &mut Node, addr: GAddr) -> u64 {
-    let mut buf = [0u8; 8];
-    while let Err(e) = node.state.mem.read_in_block(addr, &mut buf) {
-        fetch(node, e.fault().block, false);
-    }
-    u64::load(&buf)
-}
-
-fn write_u64(node: &mut Node, addr: GAddr, v: u64) {
-    let mut buf = [0u8; 8];
-    v.store(&mut buf);
-    while let Err(e) = node.state.mem.write_in_block(addr, &buf) {
-        fetch(node, e.fault().block, true);
-    }
-}
 
 /// Does `node` hold `addr` with at least `tag`, without asking anyone?
 fn holds(node: &Node, addr: GAddr, tag: Tag) -> bool {
@@ -133,7 +117,7 @@ fn k_stale_blocks_cost_four_messages_each_and_full_batches_toward_the_sharer() {
     let mut r = rig(3, RetryConfig::default(), None);
     let addrs = r.alloc(K);
     r.schedule(&addrs, ManualEntry::Writer(2));
-    r.m.on(1, |n| addrs.iter().for_each(|a| assert_eq!(read_u64(n, *a), 0)));
+    r.m.on(1, |n| addrs.iter().for_each(|a| assert_eq!(read_u64(n, *a).0, 0)));
     // Wire batches node 0 has put toward node 1 so far (a drain reads the
     // ring, it does not empty it).
     let toward_sharer = |r: &Rig| {
@@ -196,7 +180,7 @@ fn a_dropped_invalidation_re_issues_that_block_only_and_stray_grants_are_inert()
     let addrs = r.alloc(K);
     let blocks: Vec<BlockId> = addrs.iter().map(|a| r.block(*a)).collect();
     r.m.run(|n, _| match n.shared.me {
-        1 => (0..K).filter(|&i| i != LOST).for_each(|i| assert_eq!(read_u64(n, addrs[i]), 0)),
+        1 => (0..K).filter(|&i| i != LOST).for_each(|i| assert_eq!(read_u64(n, addrs[i]).0, 0)),
         2 => {
             read_u64(n, addrs[LOST]);
             n.shared.send(0, Msg::GetShared { block: blocks[LOST], seq: 1 });
@@ -287,7 +271,7 @@ fn a_demand_request_served_mid_window_aborts_the_stale_push() {
     assert!(!holds(&r.m.nodes[2], raced, Tag::ReadOnly), "never two writers");
     assert!(holds(&r.m.nodes[2], stale, Tag::ReadWrite));
     r.assert_coherent();
-    assert_eq!(r.m.on(1, |n| read_u64(n, raced)), 77);
+    assert_eq!(r.m.on(1, |n| read_u64(n, raced)).0, 77);
 }
 
 // (iv) --------------------------------------------------------------------
@@ -300,7 +284,9 @@ fn a_write_run_skips_what_its_writer_owns_and_takes_the_rest() {
     // One run of four neighbours: owned by the recorded writer, shared by
     // a reader, owned by someone else, uncached.
     r.m.run(|n, _| match n.shared.me {
-        2 => write_u64(n, addrs[0], 10),
+        2 => {
+            write_u64(n, addrs[0], 10);
+        }
         1 => {
             read_u64(n, addrs[1]);
             write_u64(n, addrs[2], 12);
@@ -345,7 +331,7 @@ fn a_recalled_writer_that_also_reads_is_not_pushed_its_own_copy() {
     let msgs0 = r.msgs();
     for node in [1, 2] {
         assert!(holds(&r.m.nodes[node], addrs[0], Tag::ReadOnly));
-        assert_eq!(r.m.on(node as NodeId, |n| read_u64(n, addrs[0])), 5);
+        assert_eq!(r.m.on(node as NodeId, |n| read_u64(n, addrs[0])).0, 5);
     }
     assert_eq!(r.msgs(), msgs0, "both readers hit");
 }
@@ -359,7 +345,7 @@ fn wave_boundaries() {
         // One block more than is stale, so K = 0 still walks a schedule.
         let addrs = r.alloc(k + 1);
         r.schedule(&addrs, ManualEntry::Writer(0));
-        r.m.on(1, |n| addrs[..k].iter().for_each(|a| assert_eq!(read_u64(n, *a), 0)));
+        r.m.on(1, |n| addrs[..k].iter().for_each(|a| assert_eq!(read_u64(n, *a).0, 0)));
         let msgs0 = r.msgs();
 
         let rep = r.window();

@@ -32,7 +32,7 @@ use crate::ast::{BinOp, Builtin, ElemTy, Expr, ParFn, Stmt};
 use crate::compile::CompiledProgram;
 use crate::diag::{codes, Diagnostic, Span};
 use crate::directives::ExecOp;
-use crate::interp::{splitmix64, Value};
+use crate::interp::{seeded_value, Value};
 use crate::sema::ClassifyRules;
 
 /// The merge operator of a recognized reduction update.
@@ -449,8 +449,7 @@ fn eval_failure(prog: &CompiledProgram, id: usize, spans: &[Span], err: &str) ->
     d
 }
 
-/// Initial aggregate state, matching `interp::seeded_init` bit for bit
-/// (splitmix64 keyed by seed, aggregate ordinal, and linearized index).
+/// Initial aggregate state: what `interp::seeded_init` stores.
 fn init_state(prog: &CompiledProgram, seed: u64) -> SeqState {
     let mut state = SeqState::new();
     // `materialize` iterates a BTreeMap, so ordinals follow sorted names.
@@ -462,15 +461,7 @@ fn init_state(prog: &CompiledProgram, seed: u64) -> SeqState {
         let extent = decl.dims[0] as u64;
         let mut vals = Vec::with_capacity(n);
         for lin_idx in 0..n {
-            let pos = delinearize(lin_idx, &decl.dims);
-            let lin = pos
-                .iter()
-                .fold(0u64, |acc, &i| acc.wrapping_mul(0x100_0003).wrapping_add(i as u64));
-            let r = splitmix64(seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ lin);
-            vals.push(match decl.ty {
-                ElemTy::Float => Value::F((r >> 11) as f64 / (1u64 << 53) as f64),
-                ElemTy::Int => Value::I((r % extent.max(1)) as i64),
-            });
+            vals.push(seeded_value(seed, k, &delinearize(lin_idx, &decl.dims), decl.ty, extent));
         }
         state.insert(decl.name.clone(), AggData { dims: decl.dims.clone(), ty: decl.ty, vals });
     }

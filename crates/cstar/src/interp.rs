@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use prescient_core::AccessTap;
 use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, NodeCtx, RunReport};
+use prescient_tempest::rng::{mix64, SplitMix64};
 use prescient_tempest::{GAddr, Prim};
 
 use crate::ast::{BinOp, Builtin, ElemTy, Expr, ParFn, Stmt};
@@ -573,25 +574,21 @@ pub fn seeded_init(seed: u64) -> impl Fn(&mut NodeCtx, &AggMap) + Sync {
         for (k, store) in aggs.values().enumerate() {
             let extent = store.dims()[0] as u64;
             for pos in store.owned(ctx.me()) {
-                let lin = pos
-                    .iter()
-                    .fold(0u64, |acc, &i| acc.wrapping_mul(0x100_0003).wrapping_add(i as u64));
-                let r = splitmix64(seed ^ (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ lin);
-                let v = match store.ty() {
-                    ElemTy::Float => Value::F((r >> 11) as f64 / (1u64 << 53) as f64),
-                    ElemTy::Int => Value::I((r % extent.max(1)) as i64),
-                };
-                store.write(ctx, &pos, v);
+                store.write(ctx, &pos, seeded_value(seed, k as u64, &pos, store.ty(), extent));
             }
         }
     }
 }
 
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+/// What [`seeded_init`] stores at `pos` of the `k`-th aggregate (in name
+/// order), whose leading extent is `extent`.
+pub(crate) fn seeded_value(seed: u64, k: u64, pos: &[i64], ty: ElemTy, extent: u64) -> Value {
+    let lin = pos.iter().fold(0u64, |acc, &i| acc.wrapping_mul(0x100_0003).wrapping_add(i as u64));
+    let r = mix64(seed ^ k.wrapping_mul(SplitMix64::GAMMA) ^ lin);
+    match ty {
+        ElemTy::Float => Value::F((r >> 11) as f64 / (1u64 << 53) as f64),
+        ElemTy::Int => Value::I((r % extent.max(1)) as i64),
+    }
 }
 
 /// Gather a float aggregate's contents (row-major) by reading it from node

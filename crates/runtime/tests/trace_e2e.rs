@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use prescient_runtime::{Agg1D, Dist1D, Machine, MachineConfig, NodeCtx, RunReport};
 use prescient_stache::RetryConfig;
+use prescient_tempest::rng::cases;
 use prescient_tempest::trace::unpack_peer_count;
 use prescient_tempest::{EventKind, TraceConfig};
 
@@ -23,38 +24,47 @@ fn set_out(tag: &str) -> String {
     base
 }
 
-const NODES: usize = 4;
-const N: usize = 64;
-const ITERS: usize = 4;
+/// A relaxation's shape: node count, array length, iteration count.
+#[derive(Clone, Copy)]
+struct Shape {
+    nodes: usize,
+    n: usize,
+    iters: usize,
+}
 
-fn base_cfg() -> MachineConfig {
+const FIXED: Shape = Shape { nodes: 4, n: 64, iters: 4 };
+
+fn base_cfg(nodes: usize) -> MachineConfig {
     // Generous timeout: on a clean fabric a retry can only be host-load
     // noise, which would perturb the traced event stream.
-    MachineConfig::predictive(NODES, 32)
+    MachineConfig::predictive(nodes, 32)
         .with_retry(RetryConfig { timeout: Duration::from_secs(30), max_retries: 4 })
 }
 
-fn traced_cfg() -> MachineConfig {
-    base_cfg().with_trace(TraceConfig::with_capacity(1 << 15))
+fn traced_cfg(nodes: usize) -> MachineConfig {
+    base_cfg(nodes).with_trace(TraceConfig::with_capacity(1 << 15))
 }
 
 /// Init + double-buffered relaxation + gather in ONE run, so the run
 /// report's counters cover exactly what the trace rings saw.
-fn run_relaxation(cfg: MachineConfig) -> (Vec<f64>, RunReport, Machine) {
+fn run_relaxation(
+    cfg: MachineConfig,
+    Shape { n, iters, .. }: Shape,
+) -> (Vec<f64>, RunReport, Machine) {
     let mut m = Machine::new(cfg);
-    let a = Agg1D::<f64>::new(&m, N, Dist1D::Block);
-    let b = Agg1D::<f64>::new(&m, N, Dist1D::Block);
+    let a = Agg1D::<f64>::new(&m, n, Dist1D::Block);
+    let b = Agg1D::<f64>::new(&m, n, Dist1D::Block);
     let (vals, report) = m.run(|ctx: &mut NodeCtx| {
         for i in a.my_range(ctx.me()) {
             ctx.write(a.addr(i), i as f64);
             ctx.write(b.addr(i), i as f64);
         }
         ctx.barrier();
-        for _ in 0..ITERS {
+        for _ in 0..iters {
             for (phase, src, dst) in [(1u32, &a, &b), (2, &b, &a)] {
                 ctx.phase_begin(phase);
                 for i in src.my_range(ctx.me()) {
-                    let v = if i > 0 && i + 1 < N {
+                    let v = if i > 0 && i + 1 < n {
                         let l: f64 = ctx.read(src.addr(i - 1));
                         let r: f64 = ctx.read(src.addr(i + 1));
                         ctx.work(2);
@@ -69,7 +79,7 @@ fn run_relaxation(cfg: MachineConfig) -> (Vec<f64>, RunReport, Machine) {
         }
         let mut out = Vec::new();
         if ctx.me() == 0 {
-            for i in 0..N {
+            for i in 0..n {
                 out.push(ctx.read::<f64>(a.addr(i)));
             }
         }
@@ -79,11 +89,9 @@ fn run_relaxation(cfg: MachineConfig) -> (Vec<f64>, RunReport, Machine) {
     (vals.into_iter().next().expect("node 0 result"), report, m)
 }
 
-#[test]
-fn trace_reconciles_with_counters() {
-    let _g = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_out("reconcile");
-    let (_, report, m) = run_relaxation(traced_cfg());
+/// Run `shape` traced and hold the trace to the counters, node by node.
+fn run_and_reconcile(shape: Shape) -> RunReport {
+    let (_, report, m) = run_relaxation(traced_cfg(shape.nodes), shape);
     let (events, dropped) = m.trace_events();
     assert_eq!(dropped, 0, "ring must not wrap at this capacity");
     assert!(!events.is_empty(), "traced run must record events");
@@ -118,18 +126,42 @@ fn trace_reconciles_with_counters() {
         );
         assert_eq!(count(EventKind::Retry), nr.stats.retries, "node {node}: retries reconcile");
     }
+    report
+}
+
+#[test]
+fn trace_reconciles_with_counters() {
+    let _g = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    set_out("reconcile");
+    let report = run_and_reconcile(FIXED);
     // Pre-sends must actually flow for the install checks to mean much.
     assert!(report.total_stats().presend_blocks_in > 0);
+}
+
+/// Random machine/program shapes keep the trace and the counters in exact
+/// agreement.
+#[test]
+fn trace_reconciles_across_shapes() {
+    let _g = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    set_out("shapes");
+    cases(8, |g| {
+        let shape = Shape {
+            nodes: g.range(2..5) as usize,
+            n: g.range(24..64) as usize,
+            iters: g.range(1..4) as usize,
+        };
+        run_and_reconcile(shape);
+    });
 }
 
 #[test]
 fn same_config_runs_trace_identically() {
     let _g = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_out("determinism");
-    let (v1, _, m1) = run_relaxation(traced_cfg());
+    let (v1, _, m1) = run_relaxation(traced_cfg(FIXED.nodes), FIXED);
     let (e1, d1) = m1.trace_events();
     drop(m1);
-    let (v2, _, m2) = run_relaxation(traced_cfg());
+    let (v2, _, m2) = run_relaxation(traced_cfg(FIXED.nodes), FIXED);
     let (e2, d2) = m2.trace_events();
     assert_eq!(v1, v2, "results must be bit-identical");
     assert_eq!((d1, d2), (0, 0));
@@ -173,10 +205,11 @@ fn same_config_runs_trace_identically() {
 fn tracing_does_not_perturb_the_run() {
     let _g = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_out("perturb");
-    let (v_off, r_off, m_off) = run_relaxation(base_cfg().with_trace(TraceConfig::off()));
+    let (v_off, r_off, m_off) =
+        run_relaxation(base_cfg(FIXED.nodes).with_trace(TraceConfig::off()), FIXED);
     assert_eq!(m_off.trace_events().0.len(), 0, "disabled tracer records nothing");
     drop(m_off);
-    let (v_on, r_on, _m_on) = run_relaxation(traced_cfg());
+    let (v_on, r_on, _m_on) = run_relaxation(traced_cfg(FIXED.nodes), FIXED);
     assert_eq!(v_off, v_on, "tracing must not change results");
     let moved = |r: &RunReport| {
         let t = r.total_stats();
@@ -250,7 +283,7 @@ fn a_presend_read_twice_is_one_first_touch() {
 fn teardown_exports_loadable_files() {
     let _g = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let base = set_out("export");
-    let (_, _, m) = run_relaxation(traced_cfg());
+    let (_, _, m) = run_relaxation(traced_cfg(FIXED.nodes), FIXED);
     drop(m);
     let jsonl = std::fs::read_to_string(format!("{base}.jsonl")).expect("jsonl exported");
     let chrome = std::fs::read_to_string(format!("{base}.json")).expect("chrome json exported");

@@ -16,9 +16,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use prescient_tempest::fabric::{Endpoint, Fabric};
 use prescient_tempest::sync::lock;
 use prescient_tempest::{
-    Aborted, CostModel, FaultPlan, FaultStats, GlobalLayout, HomeView, NodeId, VBarrier,
+    Aborted, CostModel, FaultPlan, FaultStats, GAddr, GlobalLayout, HomeView, NodeId, Prim,
+    VBarrier,
 };
 
+use crate::engine::fetch;
 use crate::hooks::Hooks;
 use crate::msg::Msg;
 use crate::node::{Node, RetryConfig};
@@ -146,4 +148,27 @@ impl Cluster {
     pub fn violations(&self) -> Vec<String> {
         crate::check_coherence(&self.nodes.iter().collect::<Vec<_>>())
     }
+}
+
+/// Load the word at `addr` the way the runtime's checked access does:
+/// retry through [`fetch`] until it hits. Returns the value and the number
+/// of faults taken.
+pub fn read_u64(node: &mut Node, addr: GAddr) -> (u64, u32) {
+    let (mut buf, mut faults) = ([0u8; 8], 0);
+    while let Err(e) = node.state.mem.read_in_block(addr, &mut buf) {
+        faults += 1;
+        fetch(node, e.fault().block, false);
+    }
+    (u64::load(&buf), faults)
+}
+
+/// Store `v` at `addr` likewise; returns the number of faults taken.
+pub fn write_u64(node: &mut Node, addr: GAddr, v: u64) -> u32 {
+    let (mut buf, mut faults) = ([0u8; 8], 0);
+    v.store(&mut buf);
+    while let Err(e) = node.state.mem.write_in_block(addr, &buf) {
+        faults += 1;
+        fetch(node, e.fault().block, true);
+    }
+    faults
 }

@@ -1,9 +1,16 @@
-//! Chaos harness: phase-structured programs run on a fabric that delays,
-//! duplicates, and drops messages (seeded, reproducible fault schedules).
-//! Every run must observe exactly the values the sequential model
-//! predicts, finish (liveness under drops comes from the retry machinery),
-//! and leave the machine in a state that passes the whole-machine
-//! coherence check — i.e. results are bit-equal to a fault-free run.
+//! Coherence under random phase-structured programs, on a clean fabric
+//! and on one that delays, duplicates, and drops messages (seeded,
+//! reproducible fault schedules).
+//!
+//! Programs are sequences of *phases* (barrier-separated), each phase
+//! either a write round (each address written by at most one node) or a
+//! read round (arbitrary nodes read arbitrary addresses) — the
+//! data-parallel discipline under which sequential consistency makes the
+//! outcome deterministic. Every run must observe exactly the values the
+//! sequential model predicts, finish (liveness under drops comes from the
+//! retry machinery), and leave the machine in a state that passes the
+//! whole-machine coherence check — i.e. results are bit-equal to a
+//! fault-free run.
 //!
 //! All tests use [`FifoMode::Preserving`] delays: Stache's grant/recall
 //! ordering requires point-to-point FIFO (see `faults.rs` for the tests
@@ -12,9 +19,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use prescient_stache::testkit::Cluster;
+use prescient_stache::testkit::{read_u64, write_u64, Cluster};
 use prescient_stache::{fetch, NoHooks, RetryConfig};
-use prescient_tempest::{FaultPlan, FaultStats, GAddr, NodeId, Prim, SplitMix64};
+use prescient_tempest::rng::{cases, replay, Gen};
+use prescient_tempest::{FaultPlan, FaultStats, GAddr, NodeId, Prim};
 
 /// Fast wall-clock retry policy for tests: dropped messages are re-issued
 /// quickly so drop-heavy runs stay fast.
@@ -30,37 +38,43 @@ enum Phase {
     Reads(Vec<(usize, NodeId)>),
 }
 
-/// Deterministic random phase program: alternating write/read rounds over
-/// a small address pool, drawn from a seeded stream.
-fn random_program(seed: u64, nodes: u16, n_addrs: usize, n_phases: usize) -> Vec<Phase> {
-    let mut rng = SplitMix64::new(seed);
-    let mut phases = Vec::with_capacity(n_phases);
-    for pi in 0..n_phases {
-        if pi % 2 == 0 {
-            // Distinct addresses, each with one writer.
-            let count = 1 + (rng.next_u64() % 5) as usize;
-            let mut ws: Vec<(usize, NodeId, u64)> = Vec::new();
-            for _ in 0..count {
-                let a = (rng.next_u64() % n_addrs as u64) as usize;
-                if ws.iter().all(|&(b, _, _)| b != a) {
-                    let w = (rng.next_u64() % u64::from(nodes)) as NodeId;
-                    ws.push((a, w, rng.next_u64()));
-                }
-            }
-            phases.push(Phase::Writes(ws));
-        } else {
-            let count = 1 + (rng.next_u64() % 8) as usize;
-            let rs = (0..count)
-                .map(|_| {
-                    let a = (rng.next_u64() % n_addrs as u64) as usize;
-                    let r = (rng.next_u64() % u64::from(nodes)) as NodeId;
-                    (a, r)
-                })
-                .collect();
-            phases.push(Phase::Reads(rs));
+/// A write round: 1 to 5 distinct addresses, each with one writer.
+fn writes(g: &mut Gen, n_addrs: usize, nodes: u16) -> Phase {
+    let mut ws: Vec<(usize, NodeId, u64)> = Vec::new();
+    for _ in 0..g.len(1..6) {
+        let (a, w, v) =
+            (g.below(n_addrs as u64) as usize, g.below(nodes.into()) as NodeId, g.u64());
+        if ws.iter().all(|&(b, _, _)| b != a) {
+            ws.push((a, w, v));
         }
     }
-    phases
+    Phase::Writes(ws)
+}
+
+/// A read round: 1 to 9 `(address, reader)` pairs.
+fn reads(g: &mut Gen, n_addrs: usize, nodes: u16) -> Phase {
+    Phase::Reads(
+        g.vec(1..10, |g| (g.below(n_addrs as u64) as usize, g.below(nodes.into()) as NodeId)),
+    )
+}
+
+/// `len` rounds of either kind over 12 addresses and 3 nodes: the
+/// properties' programs.
+fn program(g: &mut Gen, len: std::ops::Range<usize>) -> Vec<Phase> {
+    g.vec(len, |g| if g.bool() { writes(g, 12, 3) } else { reads(g, 12, 3) })
+}
+
+/// The program `seed` names: alternating write and read rounds, so that
+/// every run carries invalidation traffic for the fault layer to act on.
+fn seeded_program(seed: u64, nodes: u16, n_addrs: usize, n_phases: usize) -> Vec<Phase> {
+    let round = |g: &mut Gen, pi| {
+        if pi % 2 == 0 {
+            writes(g, n_addrs, nodes)
+        } else {
+            reads(g, n_addrs, nodes)
+        }
+    };
+    replay(seed, 100, |g| (0..n_phases).map(|pi| round(g, pi)).collect())
 }
 
 fn build_machine(nodes: usize, block_size: usize, plan: Option<FaultPlan>) -> Cluster {
@@ -99,18 +113,6 @@ fn run_program(
     }
     let n_addrs = addrs.len();
 
-    let phases: Vec<Phase> = phases
-        .into_iter()
-        .map(|p| match p {
-            Phase::Writes(ws) => {
-                Phase::Writes(ws.into_iter().map(|(a, w, v)| (a % n_addrs, w, v)).collect())
-            }
-            Phase::Reads(rs) => {
-                Phase::Reads(rs.into_iter().map(|(a, r)| (a % n_addrs, r)).collect())
-            }
-        })
-        .collect();
-
     // Sequential model: expected memory after each phase.
     let mut model = vec![0u64; n_addrs];
     let mut expects: Vec<Vec<u64>> = Vec::with_capacity(phases.len());
@@ -132,22 +134,14 @@ fn run_program(
                 Phase::Writes(ws) => {
                     for &(a, w, v) in ws {
                         if w == me {
-                            let mut buf = [0u8; 8];
-                            v.store(&mut buf);
-                            while let Err(f) = node.state.mem.write_in_block(addrs[a], &buf) {
-                                fetch(node, f.fault().block, true);
-                            }
+                            write_u64(node, addrs[a], v);
                         }
                     }
                 }
                 Phase::Reads(rs) => {
                     for &(a, r) in rs {
                         if r == me {
-                            let mut buf = [0u8; 8];
-                            while let Err(f) = node.state.mem.read_in_block(addrs[a], &mut buf) {
-                                fetch(node, f.fault().block, false);
-                            }
-                            let got = u64::load(&buf);
+                            let (got, _) = read_u64(node, addrs[a]);
                             let want = expects[pi][a];
                             assert_eq!(
                                 got, want,
@@ -186,7 +180,7 @@ const NODES: usize = 8;
 #[test]
 fn random_programs_survive_chaos() {
     for seed in [0xC0FFEE_u64, 17, 9001] {
-        let program = random_program(seed, NODES as u16, 32, 14);
+        let program = seeded_program(seed, NODES as u16, 32, 14);
         let clean = run_program(NODES, 32, None, program.clone());
         let chaos = run_program(NODES, 32, Some(FaultPlan::chaos(seed)), program);
         assert_eq!(
@@ -231,13 +225,7 @@ fn duplicated_requests_are_idempotent() {
     });
 
     // Every increment applied exactly once.
-    let total = m.on(0, |node| {
-        let mut buf = [0u8; 8];
-        while let Err(f) = node.state.mem.read_in_block(addr, &mut buf) {
-            fetch(node, f.fault().block, true);
-        }
-        u64::load(&buf)
-    });
+    let (total, _) = m.on(0, |node| read_u64(node, addr));
     assert_eq!(total, NODES as u64 * rounds);
 
     let violations = m.violations();
@@ -255,7 +243,7 @@ fn duplicated_requests_are_idempotent() {
 fn drop_heavy_runs_complete_via_retry() {
     let seed = 0xD20FF_u64;
     let plan = FaultPlan::new(seed).dropping(180).delaying(80, 2);
-    let program = random_program(seed, NODES as u16, 24, 10);
+    let program = seeded_program(seed, NODES as u16, 24, 10);
     let clean = run_program(NODES, 32, None, program.clone());
     let chaos = run_program(NODES, 32, Some(plan), program);
     assert_eq!(clean.observations, chaos.observations, "drop-heavy run diverged");
@@ -305,4 +293,65 @@ fn regression_false_sharing_under_drops() {
     let clean = run_program(NODES, 32, None, phases.clone());
     let chaos = run_program(NODES, 32, Some(plan), phases);
     assert_eq!(clean.observations, chaos.observations);
+}
+
+// ---- properties (3 nodes, 12 addresses) and their pinned cases -----------
+
+#[test]
+fn coherence_holds_under_random_phase_programs() {
+    cases(24, |g| {
+        let (phases, block_size) = (program(g, 1..14), g.pick(&[32usize, 64, 128]));
+        run_program(3, block_size, None, phases);
+    });
+}
+
+/// Duplicated delivery: every protocol message may arrive twice, in
+/// order. The (requester, seq) watermark, recall-round op ids, and
+/// epoch-stamped pre-sends must make all of them idempotent.
+#[test]
+fn coherence_holds_under_duplicated_delivery() {
+    cases(24, |g| {
+        let phases = program(g, 1..10);
+        let plan = FaultPlan::new(g.u64()).duplicating(g.range(100..1001) as u16);
+        run_program(3, 32, Some(plan), phases);
+    });
+}
+
+/// Delayed (FIFO-preserving) delivery plus duplicates: stalled links
+/// release under later traffic and retries; values never diverge.
+#[test]
+fn coherence_holds_under_delayed_delivery() {
+    cases(24, |g| {
+        let phases = program(g, 1..10);
+        let plan = FaultPlan::new(g.u64())
+            .delaying(g.range(50..400) as u16, g.range(1..4) as u32)
+            .duplicating(60);
+        run_program(3, 32, Some(plan), phases);
+    });
+}
+
+/// Interleaved writers and readers with false sharing inside one block.
+fn false_sharing_case() -> Vec<Phase> {
+    vec![
+        Phase::Writes(vec![(0, 0, 11), (1, 1, 22), (2, 2, 33)]),
+        Phase::Reads(vec![(0, 2), (1, 0), (2, 1)]),
+        Phase::Writes(vec![(0, 2, 44), (3, 0, 55)]),
+        Phase::Reads(vec![(0, 0), (0, 1), (3, 2), (1, 2)]),
+        Phase::Writes(vec![(1, 0, 66)]),
+        Phase::Reads(vec![(1, 1), (0, 1)]),
+    ]
+}
+
+#[test]
+fn deterministic_false_sharing_case() {
+    run_program(3, 32, None, false_sharing_case());
+}
+
+/// Pinned fault-injection case (regression seed): the same false-sharing
+/// program with every message duplicated and links stalling — the shape
+/// that exercises duplicate recalls against a busy directory entry.
+#[test]
+fn deterministic_false_sharing_case_under_faults() {
+    let plan = FaultPlan::new(0xC0FFEE).duplicating(1000).delaying(150, 3).dropping(60);
+    run_program(3, 32, Some(plan), false_sharing_case());
 }

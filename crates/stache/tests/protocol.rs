@@ -4,44 +4,13 @@
 
 use std::sync::Arc;
 
-use prescient_stache::testkit::Cluster;
+use prescient_stache::testkit::{read_u64, write_u64, Cluster};
 use prescient_stache::{fetch, NoHooks, Node, RetryConfig};
 use prescient_tempest::tag::Tag;
 use prescient_tempest::{GAddr, Prim};
 
 fn machine(n: usize, block_size: usize) -> Cluster {
     Cluster::new(n, block_size, RetryConfig::default(), None, |_| Arc::new(NoHooks))
-}
-
-/// Retry-loop read through the DSM, mirroring the runtime's access path.
-/// Returns the value and the number of faults taken.
-fn read_u64(node: &mut Node, addr: GAddr) -> (u64, u32) {
-    let mut faults = 0;
-    loop {
-        let mut buf = [0u8; 8];
-        match node.state.mem.read_in_block(addr, &mut buf) {
-            Ok(()) => return (u64::load(&buf), faults),
-            Err(f) => {
-                faults += 1;
-                fetch(node, f.fault().block, false);
-            }
-        }
-    }
-}
-
-fn write_u64(node: &mut Node, addr: GAddr, v: u64) -> u32 {
-    let mut faults = 0;
-    let mut buf = [0u8; 8];
-    v.store(&mut buf);
-    loop {
-        match node.state.mem.write_in_block(addr, &buf) {
-            Ok(()) => return faults,
-            Err(f) => {
-                faults += 1;
-                fetch(node, f.fault().block, true);
-            }
-        }
-    }
 }
 
 /// One node acts, every other node serves: the sequential style of the

@@ -35,6 +35,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::fabric::Envelope;
+pub use crate::rng::SplitMix64;
 use crate::stats::FaultStats;
 use crate::sync::lock;
 use crate::trace::{pack_counts, EventKind, Tracer};
@@ -49,42 +50,6 @@ pub const FATE_DROP: u64 = 3;
 pub const FATE_RELEASE: u64 = 4;
 /// Fate code: dropped because the link was inside a partition window.
 pub const FATE_PARTITION: u64 = 5;
-
-/// A small, fast, seedable PRNG (SplitMix64). Used instead of an external
-/// RNG crate so fault schedules are stable across toolchains and the fabric
-/// keeps zero extra dependencies.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Create a generator from a seed.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64(seed)
-    }
-
-    /// Next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    /// Bernoulli draw with probability `per_mille`/1000.
-    pub fn chance(&mut self, per_mille: u16) -> bool {
-        per_mille > 0 && self.next_u64() % 1000 < u64::from(per_mille)
-    }
-
-    /// Uniform draw in `1..=max` (returns 1 when `max <= 1`).
-    pub fn up_to(&mut self, max: u32) -> u32 {
-        if max <= 1 {
-            1
-        } else {
-            1 + (self.next_u64() % u64::from(max)) as u32
-        }
-    }
-}
 
 /// Which links a [`PartitionSpec`] severs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -43,6 +43,7 @@ pub mod mem;
 pub mod metrics;
 pub mod nodeset;
 pub mod prim;
+pub mod rng;
 pub mod stats;
 pub mod sync;
 pub mod tag;
@@ -55,14 +56,13 @@ pub use fabric::{
     BatchConfig, ChannelTransport, Endpoint, Envelope, Fabric, FabricCtl, ShardEndpoint, Transport,
     TryRecv, Undeliverable, WireBatch, WirePayload,
 };
-pub use faults::{
-    CrashPlan, FaultHook, FaultPlan, FifoMode, PartitionScope, PartitionSpec, SplitMix64,
-};
+pub use faults::{CrashPlan, FaultHook, FaultPlan, FifoMode, PartitionScope, PartitionSpec};
 pub use layout::{GlobalLayout, HomeMap, HomeView};
 pub use mem::{Fault, MemCheckpoint, MemError, NodeMem};
 pub use metrics::{LatencyHist, MetricsConfig, MetricsHub, PhaseRecord};
 pub use nodeset::NodeSet;
 pub use prim::Prim;
+pub use rng::{SplitMix64, Xoshiro256pp};
 pub use stats::{FaultStats, NodeStats, TimeBreakdown, WireSnapshot};
 pub use tag::Tag;
 pub use trace::{EventKind, TraceConfig, TraceDump, TraceEvent, Tracer};

@@ -1,10 +1,10 @@
-//! Seeded observational-equivalence torture: the flat paged arena vs the
-//! seed's `HashMap` block store (`model::RefStore`) under long pseudo-random
-//! access sequences.
-//!
-//! This is the deterministic twin of `proptest_mem.rs` — same oracle, fixed
-//! seeds, no external crates — so the equivalence claim is exercised even
-//! where the proptest harness is unavailable.
+//! Observational equivalence: the flat segment-indexed paged arena behind
+//! [`NodeMem`] behaves exactly like the seed implementation's
+//! `HashMap<BlockId, LocalBlock>` store (`model::RefStore`) under arbitrary
+//! access sequences — same tags, same bytes, same fault/boundary errors,
+//! same useless-pre-send signals, same residency accounting. One op
+//! generator feeds the property (64 growing cases) and the long fixed-seed
+//! tortures.
 //!
 //! The scripted tests at the end walk every transition between the store's
 //! hit path and its slow path one by one, against the same oracle and
@@ -15,76 +15,56 @@ mod model;
 use std::sync::Arc;
 
 use model::{apply_and_check, check_final, Op, RefStore};
+use prescient_tempest::rng::{cases, replay, Gen};
 use prescient_tempest::tag::Access;
 use prescient_tempest::{
     BlockId, Fault, GAddr, GlobalLayout, HomeMap, HomeView, MemError, NodeMem, Tag,
 };
 
-/// xorshift64*: tiny, deterministic, good enough to mix op choices.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// Block pool: several blocks in every node's heap segment, with slot
-/// indices straddling arena page boundaries (pages hold 256 blocks).
-fn block_pool(layout: GlobalLayout) -> Vec<BlockId> {
-    let blocks_per_seg = (1u64 << 32) / layout.block_size as u64;
-    let offsets = [0u64, 1, 2, 127, 255, 256, 257, 300, 511, 512];
-    (0..layout.nodes as u64)
-        .flat_map(|seg| offsets.iter().map(move |o| BlockId(seg * blocks_per_seg + o)))
-        .collect()
-}
-
-fn random_op(rng: &mut Rng, pool: &[BlockId], bs: usize) -> Op {
-    let block = pool[rng.below(pool.len() as u64) as usize];
-    let tag = match rng.below(3) {
-        0 => Tag::Invalid,
-        1 => Tag::ReadOnly,
-        _ => Tag::ReadWrite,
-    };
-    match rng.below(10) {
-        0..=1 => Op::Install(block, rng.next() as u8, tag, rng.below(2) == 0),
+/// One op on a block of some node's heap segment, slot indices clustered
+/// around arena page boundaries (pages hold 256 blocks).
+fn op(g: &mut Gen, layout: GlobalLayout) -> Op {
+    let bs = layout.block_size;
+    let slot = g.pick(&[0u64, 1, 2, 127, 255, 256, 257, 300, 511, 512]);
+    let block = BlockId(g.below(layout.nodes as u64) * ((1u64 << 32) / bs as u64) + slot);
+    let tag = g.pick(&[Tag::Invalid, Tag::ReadOnly, Tag::ReadWrite]);
+    // Lengths beyond the block size exercise the boundary-crossing error
+    // path on both sides.
+    let (off, len) = (g.below(bs as u64) as usize, g.range(1..40) as usize);
+    match g.below(10) {
+        0..=1 => Op::Install(block, g.u64() as u8, tag, g.bool()),
         2 => Op::SetTag(block, tag),
-        // Lengths beyond the block size exercise the boundary-crossing
-        // error path on both sides.
-        3..=5 => Op::Read(block, rng.below(bs as u64) as usize, 1 + rng.below(40) as usize),
-        6..=7 => Op::Write(
-            block,
-            rng.below(bs as u64) as usize,
-            1 + rng.below(40) as usize,
-            rng.next() as u8,
-        ),
+        3..=5 => Op::Read(block, off, len),
+        6..=7 => Op::Write(block, off, len, g.u64() as u8),
         8 => Op::Snapshot(block),
         _ => Op::ClearUnused(block),
     }
 }
 
+/// `n` generated ops against node `me`'s store and its model, every
+/// observable compared after every step and the dense enumeration at the
+/// end.
+fn torture(g: &mut Gen, layout: GlobalLayout, me: u16, n: usize) {
+    let mut mem = NodeMem::new(layout, me);
+    let mut model = RefStore::new(layout, me);
+    for _ in 0..n {
+        apply_and_check(&mut mem, &mut model, &op(g, layout));
+    }
+    check_final(&mem, &model);
+}
+
+#[test]
+fn flat_arena_is_observationally_equivalent_to_hashmap_store() {
+    cases(64, |g| {
+        let n = g.len(1..200);
+        torture(g, GlobalLayout::new(4, 32), 1, n);
+    });
+}
+
 #[test]
 fn arena_matches_hashmap_model_under_seeded_torture() {
-    let layout = GlobalLayout::new(4, 32);
-    let pool = block_pool(layout);
     for seed in [0xDEAD_BEEFu64, 0x5EED_0001, 0x5EED_0002, 0xFACE_FEED] {
-        let mut rng = Rng(seed);
-        let mut mem = NodeMem::new(layout, 1);
-        let mut model = RefStore::new(layout, 1);
-        for _ in 0..4000 {
-            let op = random_op(&mut rng, &pool, layout.block_size);
-            apply_and_check(&mut mem, &mut model, &op);
-        }
-        check_final(&mem, &model);
+        replay(seed, 100, |g| torture(g, GlobalLayout::new(4, 32), 1, 4000));
     }
 }
 
@@ -92,16 +72,7 @@ fn arena_matches_hashmap_model_under_seeded_torture() {
 /// blocks halve the blocks-per-segment count and move every boundary).
 #[test]
 fn arena_matches_hashmap_model_64b_blocks() {
-    let layout = GlobalLayout::new(3, 64);
-    let pool = block_pool(layout);
-    let mut rng = Rng(0xB10C_64B1_0C64_B10C);
-    let mut mem = NodeMem::new(layout, 0);
-    let mut model = RefStore::new(layout, 0);
-    for _ in 0..4000 {
-        let op = random_op(&mut rng, &pool, layout.block_size);
-        apply_and_check(&mut mem, &mut model, &op);
-    }
-    check_final(&mem, &model);
+    replay(0xB10C_64B1_0C64_B10C, 100, |g| torture(g, GlobalLayout::new(3, 64), 0, 4000));
 }
 
 // ---- hit path / slow path transitions, one by one -------------------------

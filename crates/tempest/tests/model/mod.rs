@@ -2,9 +2,6 @@
 //! `HashMap<BlockId, LocalBlock>` semantics, kept as an executable oracle.
 //! The flat segment-indexed paged arena must be observationally equivalent
 //! to this model under any access sequence.
-//!
-//! Shared by the seeded twin (`mem_model.rs`) and the proptest driver
-//! (`proptest_mem.rs`).
 
 use std::collections::{HashMap, HashSet};
 
