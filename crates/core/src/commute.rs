@@ -21,11 +21,11 @@
 //!
 //! # Idempotency under a faulty fabric
 //!
-//! The exchange reuses the pre-send discipline (see
-//! [`crate::predictive`]'s module docs): every chunk carries a node-locally
-//! unique **push id** (`UserMsg.a`, re-acked without re-buffering on
-//! duplicates) and the sender's **merge epoch** (`UserMsg.b`; stale-epoch
-//! stragglers are dropped unacknowledged). The epoch advances only after
+//! The exchange reuses the pre-send discipline and its code,
+//! [`crate::acked`]: every chunk carries a node-locally unique **push id**
+//! (`UserMsg.a`, re-acked without re-buffering on duplicates) and the
+//! sender's **merge epoch** (`UserMsg.b`; stale-epoch stragglers are
+//! dropped unacknowledged). The epoch advances only after
 //! the stability barrier that ends the merge window, so all nodes agree on
 //! it at every barrier.
 //!
@@ -37,17 +37,16 @@
 //! application replays merged updates deterministically and recovered runs
 //! stay bit-identical (DESIGN.md §12).
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use prescient_stache::hooks::Hooks;
-use prescient_stache::msg::{Msg, UserMsg, Wake};
+use prescient_stache::msg::{UserMsg, Wake};
 use prescient_stache::node::{Node, NodeShared, NodeState};
 use prescient_tempest::sync::lock;
 use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
 
-use crate::acked::AckedPushes;
+use crate::acked::{self, AckedPushes, DonePushes};
 use crate::codes;
 
 /// Tuning knobs for the commutative-merge protocol.
@@ -79,9 +78,14 @@ struct CommuteState {
     inbox: Vec<Chunk>,
     /// Next push id (node-local; uniqueness per sender is enough).
     next_push_id: u64,
-    /// `(sender, push id)` pairs already buffered this window; repeats are
-    /// re-acked without re-buffering. Cleared on every epoch bump.
-    done_pushes: HashSet<(NodeId, u64)>,
+    /// Pushes buffered this window. Cleared on every epoch bump.
+    done_pushes: DonePushes,
+}
+
+impl AsMut<DonePushes> for CommuteState {
+    fn as_mut(&mut self) -> &mut DonePushes {
+        &mut self.done_pushes
+    }
 }
 
 /// Per-node commutative-merge state: one per node, used by that node's
@@ -104,7 +108,7 @@ impl Commute {
             state: Mutex::new(CommuteState {
                 inbox: Vec::new(),
                 next_push_id: 1,
-                done_pushes: HashSet::new(),
+                done_pushes: DonePushes::new(),
             }),
             epoch: AtomicU64::new(1),
         }
@@ -186,31 +190,15 @@ impl Hooks for Commute {
     ) -> Option<Wake> {
         match msg.code {
             codes::COMMUTE_PUSH => {
-                if msg.b != self.epoch() {
-                    // Straggler duplicate from an already-completed window
-                    // (the driver does not pass its ack wait until every
-                    // chunk is acked, so it cannot be a first delivery).
-                    // No ack: nobody is waiting for one.
-                    NodeStats::bump(&node.stats.presend_stale_in);
-                    return None;
-                }
-                let push_id = msg.a;
-                let mut st = lock(&self.state);
-                if st.done_pushes.contains(&(src, push_id)) {
-                    // Duplicate within the window (fabric dup, or the
-                    // driver retransmitting because our ack was lost).
-                    // Re-ack; do not re-buffer.
-                    NodeStats::bump(&node.stats.presend_stale_in);
-                } else {
-                    st.done_pushes.insert((src, push_id));
+                let epoch = self.epoch();
+                acked::receive(node, src, &msg, epoch, codes::COMMUTE_ACK, &self.state, |st| {
                     let bytes: u64 = msg.blocks.iter().map(|(_, d)| d.len() as u64).sum();
                     for (_, d) in msg.blocks.iter() {
-                        st.inbox.push(Chunk { src, id: push_id, bytes: Arc::clone(d) });
+                        st.inbox.push(Chunk { src, id: msg.a, bytes: Arc::clone(d) });
                     }
                     NodeStats::add(&node.stats.data_bytes_in, bytes);
-                }
-                drop(st);
-                node.send(src, Msg::User(UserMsg::simple(codes::COMMUTE_ACK, push_id)));
+                    0
+                });
                 None
             }
             // For the merge driver waiting on this node: `a` echoes the
@@ -321,7 +309,7 @@ mod tests {
     fn epoch_bump_clears_push_bookkeeping() {
         let cm = Commute::new(CommuteConfig::default());
         assert_eq!(cm.epoch(), 1);
-        lock(&cm.state).done_pushes.insert((3, 11));
+        lock(&cm.state).done_pushes.insert((3, 11), 0);
         cm.bump_epoch();
         assert_eq!(cm.epoch(), 2);
         assert!(lock(&cm.state).done_pushes.is_empty());
@@ -334,7 +322,7 @@ mod tests {
             let mut st = lock(&cm.state);
             st.inbox.push(Chunk { src: 1, id: 4, bytes: vec![9u8, 9].into() });
             st.next_push_id = 17;
-            st.done_pushes.insert((1, 4));
+            st.done_pushes.insert((1, 4), 0);
         }
         cm.bump_epoch();
         let ckpt = cm.checkpoint();

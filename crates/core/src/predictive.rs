@@ -16,12 +16,12 @@
 //! idempotent:
 //!
 //! * **Push ids** (`UserMsg.a`): every push carries a node-locally unique
-//!   id; the receiver remembers which `(sender, id)` pairs it has installed
-//!   this window and answers repeats with a fresh ack *without*
-//!   re-installing — so a duplicated push cannot double-count the
-//!   "overwrote an unread copy" signal, and a lost ack is repaired by the
-//!   driver retransmitting the push. The driver in turn keys its
-//!   outstanding set by id, so duplicated acks are ignored.
+//!   id; the receiver ([`crate::acked::receive`]) remembers which
+//!   `(sender, id)` pairs it has installed this window and answers repeats
+//!   with a fresh ack *without* re-installing — so a duplicated push
+//!   cannot double-count the "overwrote an unread copy" signal, and a lost
+//!   ack is repaired by the driver retransmitting the push. The driver in
+//!   turn keys its outstanding set by id, so duplicated acks are ignored.
 //! * **Epoch stamps** (`UserMsg.b`): each node keeps a pre-send epoch
 //!   counter, advanced once per pre-send window *after* the stability
 //!   barrier (every node has completed the same number of windows at every
@@ -55,13 +55,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use prescient_stache::hooks::Hooks;
-use prescient_stache::msg::{Msg, UserMsg, Wake};
+use prescient_stache::msg::{UserMsg, Wake};
 use prescient_stache::node::{NodeShared, NodeState};
 use prescient_tempest::sync::lock;
 use prescient_tempest::tag::Tag;
 use prescient_tempest::trace::{pack_peer_count, EventKind};
 use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
 
+use crate::acked::{self, DonePushes};
 use crate::codes;
 use crate::schedule::{PhaseId, ScheduleStore};
 use crate::tap::AccessTap;
@@ -154,11 +155,16 @@ pub(crate) struct PredState {
     pub pushed_by: HashMap<BlockId, PhaseId>,
     /// Next pre-send push id (node-local; uniqueness per sender is enough).
     pub next_push_id: u64,
-    /// `(sender, push id)` pairs already installed in the current pre-send
-    /// window; repeats are re-acked without re-installing. The stored value
-    /// is the useless count the original ack reported, echoed on re-acks so
-    /// a lost ack does not lose the signal. Cleared on every epoch bump.
-    pub done_pushes: HashMap<(NodeId, u64), u64>,
+    /// Pushes installed in the current pre-send window, with the useless
+    /// count each ack reported — echoed on re-acks so a lost ack does not
+    /// lose the signal. Cleared on every epoch bump.
+    pub done_pushes: DonePushes,
+}
+
+impl AsMut<DonePushes> for PredState {
+    fn as_mut(&mut self) -> &mut DonePushes {
+        &mut self.done_pushes
+    }
 }
 
 /// Per-node predictive-protocol state: one per node, used by that node's
@@ -187,7 +193,7 @@ impl Predictive {
                 health: HashMap::new(),
                 pushed_by: HashMap::new(),
                 next_push_id: 1,
-                done_pushes: HashMap::new(),
+                done_pushes: DonePushes::new(),
             }),
             epoch: AtomicU64::new(1),
             tap: Mutex::new(None),
@@ -348,68 +354,24 @@ impl Hooks for Predictive {
     ) -> Option<Wake> {
         match msg.code {
             codes::PRESEND_RO | codes::PRESEND_RW => {
-                if msg.b != self.epoch() {
-                    // Straggler duplicate from an already-completed window
-                    // (see the module docs for why it cannot be a first
-                    // delivery). No ack: nobody is waiting for one.
-                    NodeStats::bump(&node.stats.presend_stale_in);
-                    return None;
-                }
-                let push_id = msg.a;
-                if let Some(&useless) = lock(&self.state).done_pushes.get(&(src, push_id)) {
-                    // Duplicate within the window (fabric dup, or the
-                    // driver retransmitting because our ack was lost).
-                    // Re-ack with the original useless count; do not
-                    // re-install.
-                    NodeStats::bump(&node.stats.presend_stale_in);
-                    let mut ack = UserMsg::simple(codes::PRESEND_ACK, push_id);
-                    ack.b = useless;
-                    node.send(src, Msg::User(ack));
-                    return None;
-                }
-                let tag =
-                    if msg.code == codes::PRESEND_RW { Tag::ReadWrite } else { Tag::ReadOnly };
-                let count = msg.blocks.len() as u64;
-                let bytes: u64 = msg.blocks.iter().map(|(_, d)| d.len() as u64).sum();
-                // Batched upcall: all N blocks of the bulk message install
-                // in one call. The returned count is how
-                // many installs overwrote a copy pushed earlier that was
-                // never read — useless pre-sends, reported back to the
-                // pushing home via the ack.
-                let useless = state.mem.install_bulk(&msg.blocks, tag, true);
-                lock(&self.state).done_pushes.insert((src, push_id), useless);
-                NodeStats::add(&node.stats.presend_blocks_in, count);
-                NodeStats::add(&node.stats.data_bytes_in, bytes);
-                if node.tracer().on() {
-                    // One install event per contiguous block run of the
-                    // payload: exact per-block install times for the
-                    // lead-time analysis at run, not block, granularity.
-                    let mut run: Option<(u64, u64)> = None; // (first, len)
-                    for (b, _) in msg.blocks.iter() {
-                        run = match run {
-                            Some((first, len)) if b.0 == first + len => Some((first, len + 1)),
-                            Some((first, len)) => {
-                                node.tracer().emit(
-                                    EventKind::PresendInstall,
-                                    first,
-                                    pack_peer_count(src, len),
-                                );
-                                Some((b.0, 1))
-                            }
-                            None => Some((b.0, 1)),
-                        };
+                let epoch = self.epoch();
+                acked::receive(node, src, &msg, epoch, codes::PRESEND_ACK, &self.state, |_| {
+                    let tag =
+                        if msg.code == codes::PRESEND_RW { Tag::ReadWrite } else { Tag::ReadOnly };
+                    // Batched upcall: all N blocks of the bulk message
+                    // install in one call. The returned count is how many
+                    // installs overwrote a copy pushed earlier that was
+                    // never read — useless pre-sends, reported back to the
+                    // pushing home via the ack.
+                    let useless = state.mem.install_bulk(&msg.blocks, tag, true);
+                    let bytes: u64 = msg.blocks.iter().map(|(_, d)| d.len() as u64).sum();
+                    NodeStats::add(&node.stats.presend_blocks_in, msg.blocks.len() as u64);
+                    NodeStats::add(&node.stats.data_bytes_in, bytes);
+                    if node.tracer().on() {
+                        trace_installs(node, src, &msg);
                     }
-                    if let Some((first, len)) = run {
-                        node.tracer().emit(
-                            EventKind::PresendInstall,
-                            first,
-                            pack_peer_count(src, len),
-                        );
-                    }
-                }
-                let mut ack = UserMsg::simple(codes::PRESEND_ACK, push_id);
-                ack.b = useless;
-                node.send(src, Msg::User(ack));
+                    useless
+                });
                 None
             }
             // For the pre-send driver waiting on this node: `a` echoes the
@@ -428,6 +390,26 @@ impl Hooks for Predictive {
         if let Some(&phase) = st.pushed_by.get(&block) {
             st.health.entry(phase).or_default().useless += 1;
         }
+    }
+}
+
+/// One install event per contiguous block run of a pre-send payload:
+/// exact per-block install times for the lead-time analysis at run, not
+/// block, granularity.
+fn trace_installs(node: &NodeShared, src: NodeId, msg: &UserMsg) {
+    let mut run: Option<(u64, u64)> = None; // (first, len)
+    for (b, _) in msg.blocks.iter() {
+        run = match run {
+            Some((first, len)) if b.0 == first + len => Some((first, len + 1)),
+            Some((first, len)) => {
+                node.tracer().emit(EventKind::PresendInstall, first, pack_peer_count(src, len));
+                Some((b.0, 1))
+            }
+            None => Some((b.0, 1)),
+        };
+    }
+    if let Some((first, len)) = run {
+        node.tracer().emit(EventKind::PresendInstall, first, pack_peer_count(src, len));
     }
 }
 

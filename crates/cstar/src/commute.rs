@@ -19,20 +19,22 @@
 //!    directive.
 //! 2. **Dynamic validation** ([`validate_merges`]): replay every
 //!    `CommutativeMerge` directive of a compiled plan twice over a
-//!    deterministic sequential model — once serialized in element order,
+//!    deterministic sequential model ([`run_model`], on the interpreter's
+//!    own evaluator, [`crate::eval`]) — once serialized in element order,
 //!    once privatized per node with a delta log merged in node order — and
 //!    report any diverging element as an `E008` with its witness block.
 //!    The [`crate::sema::ClassifyRules::assume_commutative`] weakening
 //!    exists precisely so a mutation test can force a non-commutative
 //!    update through the static check and watch this oracle catch it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{BinOp, Builtin, ElemTy, Expr, ParFn, Stmt};
 use crate::compile::CompiledProgram;
 use crate::diag::{codes, Diagnostic, Span};
 use crate::directives::ExecOp;
-use crate::interp::{seeded_value, Value};
+use crate::eval::{eval_bin, num2, offset, positions, walk, Eval, Store, Value};
+use crate::interp::seeded_value;
 use crate::sema::ClassifyRules;
 
 /// The merge operator of a recognized reduction update.
@@ -84,11 +86,11 @@ impl CommuteClass {
 }
 
 /// A matched reduction update `p[idx] = op(p[idx], operand)`.
-struct Reduction<'a> {
-    op: MergeOp,
-    operand: &'a Expr,
+pub(crate) struct Reduction<'a> {
+    pub op: MergeOp,
+    pub operand: &'a Expr,
     /// `p[i] - v`: log `Add` with the operand negated.
-    negate: bool,
+    pub negate: bool,
 }
 
 /// Structural expression equality, ignoring source spans (a self-read
@@ -115,7 +117,7 @@ fn expr_eq(a: &Expr, b: &Expr) -> bool {
 
 /// Match `value` as a reduction over `p[idx]`. The self-read must be
 /// structurally identical to the write's index vector (spans ignored).
-fn match_reduction<'a>(p: &str, idx: &[Expr], value: &'a Expr) -> Option<Reduction<'a>> {
+pub(crate) fn match_reduction<'a>(p: &str, idx: &[Expr], value: &'a Expr) -> Option<Reduction<'a>> {
     let is_self = |e: &Expr| {
         matches!(e, Expr::AggRead { agg, idx: i, .. }
             if agg == p && i.len() == idx.len() && i.iter().zip(idx).all(|(x, y)| expr_eq(x, y)))
@@ -292,56 +294,46 @@ struct AggData {
     vals: Vec<Value>,
 }
 
-impl AggData {
-    fn lin(&self, idx: &[i64]) -> Result<usize, String> {
-        if idx.len() != self.dims.len() {
-            return Err(format!("rank mismatch: {} vs {}", idx.len(), self.dims.len()));
-        }
-        let mut acc = 0usize;
-        for (&i, &d) in idx.iter().zip(&self.dims) {
-            if i < 0 || i as usize >= d {
-                return Err(format!("index {i} out of bounds for extent {d}"));
-            }
-            acc = acc * d + i as usize;
-        }
-        Ok(acc)
-    }
-}
-
 type SeqState = BTreeMap<String, AggData>;
 
-/// One logged privatized update, replayed at the merge point.
-#[derive(Debug, Clone, Copy)]
-enum DeltaOp {
-    Add(Value),
-    Min(Value),
-    Max(Value),
-    /// Non-reduction write forced through by the weakened rules: replay
-    /// overwrites with the privately computed value.
-    Store(Value),
-}
+/// The delta log one privatized node accumulates: (aggregate, offset,
+/// merge operator — `None` overwrites —, operand).
+type DeltaLog = Vec<(String, usize, Option<MergeOp>, Value)>;
 
-/// The delta log one privatized node accumulates: (aggregate, index, op).
-type DeltaLog = Vec<(String, usize, DeltaOp)>;
-
-fn apply_delta(cur: Value, d: DeltaOp) -> Value {
-    match (d, cur) {
-        (DeltaOp::Add(Value::I(v)), Value::I(c)) => Value::I(c.wrapping_add(v)),
-        (DeltaOp::Add(v), c) => Value::F(c.as_f() + v.as_f()),
-        (DeltaOp::Min(Value::I(v)), Value::I(c)) => Value::I(c.min(v)),
-        (DeltaOp::Min(v), c) => Value::F(c.as_f().min(v.as_f())),
-        (DeltaOp::Max(Value::I(v)), Value::I(c)) => Value::I(c.max(v)),
-        (DeltaOp::Max(v), c) => Value::F(c.as_f().max(v.as_f())),
-        (DeltaOp::Store(v), _) => v,
-    }
+/// `cur` merged with `v` by `op`, in the evaluator's own arithmetic, as an
+/// element of a `ty` aggregate.
+fn apply_delta(cur: Value, op: Option<MergeOp>, v: Value, ty: ElemTy) -> Result<Value, String> {
+    match op {
+        Some(MergeOp::Add) => eval_bin(BinOp::Add, cur, v),
+        Some(MergeOp::Min) => Ok(num2(cur, v, f64::min, i64::min)),
+        Some(MergeOp::Max) => Ok(num2(cur, v, f64::max, i64::max)),
+        None => Ok(v),
+    }?
+    .to_elem(ty)
 }
 
 /// Validate every `CommutativeMerge` directive of a compiled plan:
-/// re-execute the plan on a deterministic sequential model and, at each
-/// merged call, compare the serialized aggregate state against the
-/// privatize-and-merge state. Divergence is reported as `E008` with the
-/// witness block. Programs without merge directives validate trivially.
+/// [`run_model`]'s findings. Programs without merge directives validate
+/// trivially (the model does not run).
 pub fn validate_merges(prog: &CompiledProgram, cfg: &MergeOracleConfig) -> Vec<Diagnostic> {
+    let merges = prog.plan.ops.iter().any(|op| matches!(op, ExecOp::CommutativeMerge { .. }));
+    if merges {
+        run_model(prog, cfg).1
+    } else {
+        Vec::new()
+    }
+}
+
+/// Run the plan on the deterministic sequential model: every call
+/// serialized in element order over what `interp::seeded_init` stores;
+/// each merged call is also run privatized per node with a delta log
+/// merged in node order, and a diverging element is an `E008` with its
+/// witness block. Returns the final aggregates (row-major) and the
+/// findings; an evaluation error stops the run as the one finding.
+pub fn run_model(
+    prog: &CompiledProgram,
+    cfg: &MergeOracleConfig,
+) -> (BTreeMap<String, Vec<Value>>, Vec<Diagnostic>) {
     // Merged aggregates per call id, from the plan itself.
     let mut merged: BTreeMap<usize, Vec<String>> = BTreeMap::new();
     for op in &prog.plan.ops {
@@ -349,92 +341,35 @@ pub fn validate_merges(prog: &CompiledProgram, cfg: &MergeOracleConfig) -> Vec<D
             merged.entry(*call).or_default().push(agg.clone());
         }
     }
-    if merged.is_empty() {
-        return Vec::new();
-    }
-
     let mut state = init_state(prog, cfg.seed);
     let spans = crate::lint::call_spans(prog);
     let mut out = Vec::new();
-
-    // Execute the op sequence (same pc/loop discipline as the DSM
-    // interpreter, minus the machine).
-    let ops = &prog.plan.ops;
-    let mut match_end = vec![usize::MAX; ops.len()];
-    let mut stack = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            ExecOp::LoopBegin { .. } => stack.push(i),
-            ExecOp::LoopEnd => {
-                if let Some(b) = stack.pop() {
-                    match_end[b] = i;
+    let mut reported = BTreeSet::new();
+    for op in walk(&prog.plan.ops) {
+        let ExecOp::Call(id) = op else { continue };
+        let aggs = merged.get(id).map_or(&[][..], Vec::as_slice);
+        let start = (!aggs.is_empty()).then(|| state.clone());
+        // Later calls continue from the serialized state: they see the
+        // canonical semantics regardless of divergence.
+        let privatized = run_serialized(prog, *id, &mut state).and_then(|()| {
+            start.map(|s| run_privatized(prog, *id, &s, aggs, cfg.nodes)).transpose()
+        });
+        match privatized {
+            Err(e) => return (finals(state), vec![eval_failure(prog, *id, &spans, &e)]),
+            Ok(Some(m)) => {
+                for agg in aggs {
+                    let d = diff_agg(prog, *id, agg, &state, &m, cfg.block_size, &spans);
+                    out.extend(d.filter(|_| reported.insert((*id, agg.clone()))));
                 }
             }
-            _ => {}
+            Ok(None) => {}
         }
     }
+    (finals(state), out)
+}
 
-    let mut pc = 0usize;
-    let mut loops: Vec<(usize, i64, i64)> = Vec::new();
-    let mut reported: std::collections::BTreeSet<(usize, String)> = Default::default();
-    while pc < ops.len() {
-        match &ops[pc] {
-            ExecOp::Call(id) => {
-                let aggs = merged.get(id).cloned().unwrap_or_default();
-                if aggs.is_empty() {
-                    if let Err(e) = run_serialized(prog, *id, &mut state) {
-                        return vec![eval_failure(prog, *id, &spans, &e)];
-                    }
-                } else {
-                    let before = state.clone();
-                    if let Err(e) = run_serialized(prog, *id, &mut state) {
-                        return vec![eval_failure(prog, *id, &spans, &e)];
-                    }
-                    match run_privatized(prog, *id, &before, &aggs, cfg.nodes) {
-                        Ok(mergeed) => {
-                            for agg in &aggs {
-                                if let Some(d) = diff_agg(
-                                    prog,
-                                    *id,
-                                    agg,
-                                    &state,
-                                    &mergeed,
-                                    cfg.block_size,
-                                    &spans,
-                                ) {
-                                    if reported.insert((*id, agg.clone())) {
-                                        out.push(d);
-                                    }
-                                }
-                            }
-                        }
-                        Err(e) => return vec![eval_failure(prog, *id, &spans, &e)],
-                    }
-                    // Continue from the serialized state: later phases see
-                    // the canonical semantics regardless of divergence.
-                }
-            }
-            ExecOp::LoopBegin { lo, hi, .. } => {
-                if lo >= hi {
-                    pc = match_end[pc].min(ops.len() - 1);
-                } else {
-                    loops.push((pc, *lo, *hi));
-                }
-            }
-            ExecOp::LoopEnd => {
-                if let Some((begin, cur, hi)) = loops.pop() {
-                    let next = cur + 1;
-                    if next < hi {
-                        loops.push((begin, next, hi));
-                        pc = begin;
-                    }
-                }
-            }
-            ExecOp::PhaseBegin(_) | ExecOp::PhaseEnd(_) | ExecOp::CommutativeMerge { .. } => {}
-        }
-        pc += 1;
-    }
-    out
+fn finals(state: SeqState) -> BTreeMap<String, Vec<Value>> {
+    state.into_iter().map(|(name, a)| (name, a.vals)).collect()
 }
 
 fn eval_failure(prog: &CompiledProgram, id: usize, spans: &[Span], err: &str) -> Diagnostic {
@@ -456,42 +391,33 @@ fn init_state(prog: &CompiledProgram, seed: u64) -> SeqState {
     let mut names: Vec<&str> = prog.program.aggs.iter().map(|a| a.name.as_str()).collect();
     names.sort_unstable();
     for decl in &prog.program.aggs {
-        let n: usize = decl.dims.iter().product();
         let k = names.iter().position(|x| *x == decl.name.as_str()).unwrap_or(0) as u64;
         let extent = decl.dims[0] as u64;
-        let mut vals = Vec::with_capacity(n);
-        for lin_idx in 0..n {
-            vals.push(seeded_value(seed, k, &delinearize(lin_idx, &decl.dims), decl.ty, extent));
-        }
+        let vals =
+            positions(&decl.dims).map(|p| seeded_value(seed, k, &p, decl.ty, extent)).collect();
         state.insert(decl.name.clone(), AggData { dims: decl.dims.clone(), ty: decl.ty, vals });
     }
     state
 }
 
-fn delinearize(mut lin: usize, dims: &[usize]) -> Vec<i64> {
-    let mut out = vec![0i64; dims.len()];
-    for (slot, &d) in out.iter_mut().zip(dims).rev() {
-        *slot = (lin % d) as i64;
-        lin /= d;
-    }
-    out
-}
-
-/// All element positions of the parallel aggregate, row-major.
-fn positions(dims: &[usize]) -> Vec<Vec<i64>> {
-    let n: usize = dims.iter().product();
-    (0..n).map(|i| delinearize(i, dims)).collect()
+/// Call `id`'s function, arguments and the parallel aggregate's extents.
+fn callee<'p>(
+    prog: &'p CompiledProgram,
+    id: usize,
+    state: &SeqState,
+) -> Result<(&'p ParFn, &'p [String], Vec<usize>), String> {
+    let (func, args) = prog.call_sites.get(id).ok_or("unknown call id")?;
+    let f = prog.program.func(func).ok_or("unknown function")?;
+    let par = args.first().and_then(|a| state.get(a)).ok_or("missing parallel aggregate")?;
+    Ok((f, args, par.dims.clone()))
 }
 
 /// Run call `id` serialized: every element in row-major order against the
 /// live state.
 fn run_serialized(prog: &CompiledProgram, id: usize, state: &mut SeqState) -> Result<(), String> {
-    let (func, args) = prog.call_sites.get(id).ok_or("unknown call id")?;
-    let f = prog.program.func(func).ok_or("unknown function")?;
-    let par = args.first().and_then(|a| state.get(a)).ok_or("missing parallel aggregate")?;
-    for pos in positions(&par.dims.clone()) {
-        let mut env = SeqEnv { f, args, state, pos: &pos, locals: Vec::new(), log: None };
-        env.stmts(&f.body)?;
+    let (f, args, dims) = callee(prog, id, state)?;
+    for pos in positions(&dims) {
+        Eval::new(Seq { f, args, state, log: None }, &pos).stmts(&f.body)?;
     }
     Ok(())
 }
@@ -507,13 +433,8 @@ fn run_privatized(
     merge_aggs: &[String],
     nodes: usize,
 ) -> Result<SeqState, String> {
-    let (func, args) = prog.call_sites.get(id).ok_or("unknown call id")?;
-    let f = prog.program.func(func).ok_or("unknown function")?;
-    let par = args.first().and_then(|a| start.get(a)).ok_or("missing parallel aggregate")?;
-    let all = positions(&par.dims);
-    let nodes = nodes.max(1);
-    let chunk = all.len().div_ceil(nodes);
-
+    let (f, args, dims) = callee(prog, id, start)?;
+    let all: Vec<Vec<i64>> = positions(&dims).collect();
     // Which parameter names alias a merged aggregate at this call site.
     let merged_params: Vec<String> = f
         .params
@@ -522,35 +443,19 @@ fn run_privatized(
         .filter(|(_, a)| merge_aggs.contains(a))
         .map(|(p, _)| p.clone())
         .collect();
-
-    let mut logs: Vec<DeltaLog> = Vec::new();
-    for node in 0..nodes {
-        let lo = node * chunk;
-        let hi = ((node + 1) * chunk).min(all.len());
-        let mut private = start.clone();
-        let mut log: DeltaLog = Vec::new();
-        for pos in all.get(lo..hi).unwrap_or(&[]) {
-            let mut env = SeqEnv {
-                f,
-                args,
-                state: &mut private,
-                pos,
-                locals: Vec::new(),
-                log: Some((&merged_params, &mut log)),
-            };
-            env.stmts(&f.body)?;
-        }
-        logs.push(log);
-    }
-
-    // Merge: replay the per-node delta logs in node order onto the start
-    // state — the sequential model of the runtime's barrier bulk install.
     let mut merged = start.clone();
-    for log in logs {
-        for (arg, lin_idx, d) in log {
+    for chunk in all.chunks(all.len().div_ceil(nodes.max(1)).max(1)) {
+        let (mut private, mut log) = (start.clone(), DeltaLog::new());
+        for pos in chunk {
+            let log = Some((&merged_params[..], &mut log));
+            Eval::new(Seq { f, args, state: &mut private, log }, pos).stmts(&f.body)?;
+        }
+        // Replay the node's log onto the merged state, in node order — the
+        // sequential model of the runtime's barrier bulk install.
+        for (arg, at, op, v) in log {
             if let Some(a) = merged.get_mut(&arg) {
-                if let Some(slot) = a.vals.get_mut(lin_idx) {
-                    *slot = apply_delta(*slot, d);
+                if let Some(slot) = a.vals.get_mut(at) {
+                    *slot = apply_delta(*slot, op, v, a.ty)?;
                 }
             }
         }
@@ -617,268 +522,65 @@ fn fmt_val(v: Value) -> String {
     }
 }
 
-// ---------------------------------------------------------------------
-// Sequential evaluator (no DSM, no panics)
-// ---------------------------------------------------------------------
-
-struct SeqEnv<'a> {
+/// The merge oracle's store: the sequential state, plus the delta log of
+/// a privatized run.
+struct Seq<'a> {
     f: &'a ParFn,
     args: &'a [String],
     state: &'a mut SeqState,
-    pos: &'a [i64],
-    locals: Vec<(String, Value)>,
-    /// When privatizing: (parameter names to log, the delta log).
+    /// When privatizing: (parameter names whose writes are logged, the log).
     log: Option<(&'a [String], &'a mut DeltaLog)>,
 }
 
-impl SeqEnv<'_> {
-    fn arg_of(&self, param: &str) -> Result<&str, String> {
-        self.f
-            .params
-            .iter()
-            .position(|p| p == param)
-            .and_then(|i| self.args.get(i))
-            .map(|s| s.as_str())
-            .ok_or_else(|| format!("`{param}` is not a parameter"))
+impl<'a> Seq<'a> {
+    /// The aggregate bound to parameter `param`.
+    fn arg(&self, param: &str) -> Result<&'a str, String> {
+        let k = self.f.params.iter().position(|p| p == param);
+        let arg = k.and_then(|k| self.args.get(k)).map(String::as_str);
+        arg.ok_or_else(|| format!("`{param}` is not a parameter"))
     }
 
-    fn lookup(&self, name: &str) -> Result<Value, String> {
-        self.locals
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("unknown local `{name}`"))
+    /// The aggregate bound to `param` and the offset of `idx` in it.
+    fn elem(&mut self, param: &str, idx: &[i64]) -> Result<(&mut AggData, usize), String> {
+        let a = self.state.get_mut(self.arg(param)?).ok_or("missing aggregate")?;
+        let at = offset(&a.dims, idx)?;
+        Ok((a, at))
+    }
+}
+
+impl Store for Seq<'_> {
+    fn read(&mut self, agg: &str, idx: &[i64], _: Span) -> Result<Value, String> {
+        let (a, at) = self.elem(agg, idx)?;
+        a.vals.get(at).copied().ok_or_else(|| "missing element".into())
     }
 
-    fn stmts(&mut self, body: &[Stmt]) -> Result<(), String> {
-        for s in body {
-            self.stmt(s)?;
+    fn write(&mut self, agg: &str, idx: &[i64], v: Value) -> Result<(), String> {
+        let (a, at) = self.elem(agg, idx)?;
+        let v = v.to_elem(a.ty)?;
+        a.vals.get_mut(at).map(|slot| *slot = v).ok_or_else(|| "missing element".into())
+    }
+
+    fn privatizes(&self, agg: &str) -> bool {
+        matches!(&self.log, Some((params, _)) if params.iter().any(|p| p == agg))
+    }
+
+    /// Apply the update locally and log it for the merge replay.
+    fn merge(
+        &mut self,
+        agg: &str,
+        idx: &[i64],
+        op: Option<MergeOp>,
+        v: Value,
+    ) -> Result<(), String> {
+        let arg = self.arg(agg)?.to_string();
+        let (a, at) = self.elem(agg, idx)?;
+        let slot = a.vals.get_mut(at).ok_or("missing element")?;
+        *slot = apply_delta(*slot, op, v, a.ty)?;
+        if let Some((_, log)) = &mut self.log {
+            log.push((arg, at, op, v));
         }
         Ok(())
     }
-
-    fn stmt(&mut self, s: &Stmt) -> Result<(), String> {
-        match s {
-            Stmt::Let(name, e) => {
-                let v = self.eval(e)?;
-                self.locals.push((name.clone(), v));
-                Ok(())
-            }
-            Stmt::AssignLocal(name, e) => {
-                let v = self.eval(e)?;
-                match self.locals.iter_mut().rev().find(|(n, _)| n == name) {
-                    Some(slot) => {
-                        slot.1 = v;
-                        Ok(())
-                    }
-                    None => Err(format!("assignment to unbound local `{name}`")),
-                }
-            }
-            Stmt::AssignAgg { agg, idx, value, .. } => {
-                let idxs = self.eval_idx(idx)?;
-                let logged = matches!(&self.log, Some((params, _)) if params.contains(agg));
-                if logged {
-                    // Privatized write: apply locally and log the delta.
-                    let delta = match match_reduction(agg, idx, value) {
-                        Some(r) => {
-                            let mut v = self.eval(r.operand)?;
-                            if r.negate {
-                                v = match v {
-                                    Value::F(x) => Value::F(-x),
-                                    Value::I(x) => Value::I(x.wrapping_neg()),
-                                };
-                            }
-                            match r.op {
-                                MergeOp::Add => DeltaOp::Add(v),
-                                MergeOp::Min => DeltaOp::Min(v),
-                                MergeOp::Max => DeltaOp::Max(v),
-                            }
-                        }
-                        // Weakened-rules path: not a reduction — log the
-                        // privately computed value as an overwrite.
-                        None => DeltaOp::Store(self.eval(value)?),
-                    };
-                    let arg = self.arg_of(agg)?.to_string();
-                    let lin = {
-                        let a = self.state.get(&arg).ok_or("missing aggregate")?;
-                        a.lin(&idxs)?
-                    };
-                    let cur = self
-                        .state
-                        .get(&arg)
-                        .and_then(|a| a.vals.get(lin).copied())
-                        .ok_or("missing element")?;
-                    let newv = apply_delta(cur, delta);
-                    if let Some(a) = self.state.get_mut(&arg) {
-                        if let Some(slot) = a.vals.get_mut(lin) {
-                            *slot = newv;
-                        }
-                    }
-                    if let Some((_, log)) = &mut self.log {
-                        log.push((arg, lin, delta));
-                    }
-                    Ok(())
-                } else {
-                    let v = self.eval(value)?;
-                    let arg = self.arg_of(agg)?.to_string();
-                    let a = self.state.get_mut(&arg).ok_or("missing aggregate")?;
-                    let lin = a.lin(&idxs)?;
-                    let coerced = match a.ty {
-                        ElemTy::Float => Value::F(v.as_f()),
-                        ElemTy::Int => match v {
-                            Value::I(x) => Value::I(x),
-                            Value::F(x) => return Err(format!("float {x} stored into int")),
-                        },
-                    };
-                    if let Some(slot) = a.vals.get_mut(lin) {
-                        *slot = coerced;
-                    }
-                    Ok(())
-                }
-            }
-            Stmt::If(c, t, e) => {
-                let depth = self.locals.len();
-                if self.eval(c)?.truthy() {
-                    self.stmts(t)?;
-                } else {
-                    self.stmts(e)?;
-                }
-                self.locals.truncate(depth);
-                Ok(())
-            }
-            Stmt::For { var, lo, hi, body } => {
-                let lo = self.eval(lo)?;
-                let hi = self.eval(hi)?;
-                let (Value::I(lo), Value::I(hi)) = (lo, hi) else {
-                    return Err("non-integer loop bound".into());
-                };
-                let depth = self.locals.len();
-                self.locals.push((var.clone(), Value::I(lo)));
-                for i in lo..hi {
-                    if let Some(slot) = self.locals.last_mut() {
-                        slot.1 = Value::I(i);
-                    }
-                    let inner = self.locals.len();
-                    self.stmts(body)?;
-                    self.locals.truncate(inner);
-                }
-                self.locals.truncate(depth);
-                Ok(())
-            }
-        }
-    }
-
-    fn eval_idx(&mut self, idx: &[Expr]) -> Result<Vec<i64>, String> {
-        let mut out = Vec::with_capacity(idx.len());
-        for e in idx {
-            match self.eval(e)? {
-                Value::I(v) => out.push(v),
-                Value::F(v) => return Err(format!("float {v} used as index")),
-            }
-        }
-        Ok(out)
-    }
-
-    fn eval(&mut self, e: &Expr) -> Result<Value, String> {
-        match e {
-            Expr::Num(v) => Ok(Value::F(*v)),
-            Expr::Int(v) => Ok(Value::I(*v)),
-            Expr::Var(name) => self.lookup(name),
-            Expr::Pos(k) => {
-                self.pos.get(*k).map(|&v| Value::I(v)).ok_or_else(|| format!("#{k} out of rank"))
-            }
-            Expr::AggRead { agg, idx, .. } => {
-                let idxs = self.eval_idx(idx)?;
-                let arg = self.arg_of(agg)?;
-                let a = self.state.get(arg).ok_or("missing aggregate")?;
-                let lin = a.lin(&idxs)?;
-                a.vals.get(lin).copied().ok_or_else(|| "missing element".into())
-            }
-            Expr::Neg(a) => Ok(match self.eval(a)? {
-                Value::F(v) => Value::F(-v),
-                Value::I(v) => Value::I(v.wrapping_neg()),
-            }),
-            Expr::Bin(op, a, b) => {
-                let va = self.eval(a)?;
-                let vb = self.eval(b)?;
-                eval_bin(*op, va, vb)
-            }
-            Expr::Builtin(b, bargs) => {
-                let mut vs = Vec::with_capacity(bargs.len());
-                for a in bargs {
-                    vs.push(self.eval(a)?);
-                }
-                match (b, vs.as_slice()) {
-                    (Builtin::Abs, [Value::F(v)]) => Ok(Value::F(v.abs())),
-                    (Builtin::Abs, [Value::I(v)]) => Ok(Value::I(v.wrapping_abs())),
-                    (Builtin::Sqrt, [v]) => Ok(Value::F(v.as_f().sqrt())),
-                    (Builtin::Min, [a, b]) => Ok(num2(*a, *b, f64::min, i64::min)),
-                    (Builtin::Max, [a, b]) => Ok(num2(*a, *b, f64::max, i64::max)),
-                    _ => Err("builtin arity mismatch".into()),
-                }
-            }
-        }
-    }
-}
-
-fn num2(a: Value, b: Value, ff: fn(f64, f64) -> f64, fi: fn(i64, i64) -> i64) -> Value {
-    match (a, b) {
-        (Value::I(x), Value::I(y)) => Value::I(fi(x, y)),
-        _ => Value::F(ff(a.as_f(), b.as_f())),
-    }
-}
-
-fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, String> {
-    use BinOp::*;
-    Ok(match op {
-        Add | Sub | Mul | Div => match (a, b) {
-            (Value::I(x), Value::I(y)) => Value::I(match op {
-                Add => x.wrapping_add(y),
-                Sub => x.wrapping_sub(y),
-                Mul => x.wrapping_mul(y),
-                Div => {
-                    if y == 0 {
-                        return Err("integer division by zero".into());
-                    }
-                    x.wrapping_div(y)
-                }
-                _ => 0,
-            }),
-            _ => {
-                let (x, y) = (a.as_f(), b.as_f());
-                Value::F(match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => x / y,
-                    _ => 0.0,
-                })
-            }
-        },
-        Mod => match (a, b) {
-            (Value::I(x), Value::I(y)) => {
-                if y == 0 {
-                    return Err("integer modulo by zero".into());
-                }
-                Value::I(x.wrapping_rem(y))
-            }
-            _ => return Err("`%` needs integer operands".into()),
-        },
-        Lt | Le | Gt | Ge | Eq | Ne => {
-            let (x, y) = (a.as_f(), b.as_f());
-            let r = match op {
-                Lt => x < y,
-                Le => x <= y,
-                Gt => x > y,
-                Ge => x >= y,
-                Eq => x == y,
-                Ne => x != y,
-                _ => false,
-            };
-            Value::I(r as i64)
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1052,11 +754,14 @@ mod tests {
 
     #[test]
     fn delta_replay_matches_serial_for_reductions() {
-        let cur = Value::F(1.0);
-        let v = apply_delta(cur, DeltaOp::Add(Value::F(2.0)));
-        assert_eq!(v, Value::F(3.0));
-        assert_eq!(apply_delta(Value::I(5), DeltaOp::Min(Value::I(3))), Value::I(3));
-        assert_eq!(apply_delta(Value::I(5), DeltaOp::Max(Value::I(3))), Value::I(5));
-        assert_eq!(apply_delta(Value::F(5.0), DeltaOp::Store(Value::F(1.5))), Value::F(1.5));
+        let (f, i) = (ElemTy::Float, ElemTy::Int);
+        let add = Some(MergeOp::Add);
+        assert_eq!(apply_delta(Value::F(1.0), add, Value::F(2.0), f), Ok(Value::F(3.0)));
+        assert_eq!(apply_delta(Value::I(i64::MAX), add, Value::I(1), i), Ok(Value::I(i64::MIN)));
+        assert_eq!(apply_delta(Value::I(5), Some(MergeOp::Min), Value::I(3), i), Ok(Value::I(3)));
+        assert_eq!(apply_delta(Value::I(5), Some(MergeOp::Max), Value::I(3), i), Ok(Value::I(5)));
+        assert_eq!(apply_delta(Value::F(5.0), None, Value::F(1.5), f), Ok(Value::F(1.5)));
+        assert_eq!(apply_delta(Value::F(5.0), None, Value::I(2), f), Ok(Value::F(2.0)));
+        assert!(apply_delta(Value::I(5), None, Value::F(1.5), i).is_err());
     }
 }

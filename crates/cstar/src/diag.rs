@@ -4,10 +4,9 @@
 //! (`E0xx` hard errors, `W0xx` lints), a severity, a primary message, zero
 //! or more labeled source spans, and free-form notes. Diagnostics render
 //! two ways: a rustc-style caret-annotated text form ([`Diagnostic::render`])
-//! and a line-oriented JSON form ([`Diagnostic::json_array`]) that
-//! [`Diagnostic::from_json_array`] parses back losslessly (the round-trip
-//! the `cstar-lint --json` mode relies on), both through the repo's one
-//! JSON writer and reader, `prescient_tempest::json`.
+//! and a line-oriented JSON form ([`Diagnostic::json_array`], the
+//! `cstar-lint --json` output) through the repo's one JSON writer,
+//! `prescient_tempest::json`.
 //!
 //! # Code catalog
 //!
@@ -31,7 +30,7 @@
 
 use std::fmt;
 
-use prescient_tempest::json::{self, Json, Layout, Writer};
+use prescient_tempest::json::{Layout, Writer};
 
 use crate::lexer::ParseError;
 
@@ -266,43 +265,6 @@ impl Diagnostic {
         w.end();
         w.finish()
     }
-
-    /// Parse a JSON array produced by [`Diagnostic::json_array`] back into
-    /// diagnostics (the `--json` round-trip).
-    pub fn from_json_array(input: &str) -> Result<Vec<Diagnostic>, String> {
-        let value = json::parse(input)?;
-        let arr = value.as_array().ok_or("expected a top-level array")?;
-        arr.iter().map(Diagnostic::from_json_value).collect()
-    }
-
-    fn from_json_value(v: &Json<'_>) -> Result<Diagnostic, String> {
-        let severity = match v.string("severity")? {
-            "warning" => Severity::Warning,
-            "error" => Severity::Error,
-            other => return Err(format!("unknown severity `{other}`")),
-        };
-        let mut d = Diagnostic {
-            code: v.string("code")?.to_string(),
-            severity,
-            message: v.string("message")?.to_string(),
-            labels: Vec::new(),
-            notes: Vec::new(),
-            file: v.field("file").and_then(Json::as_str).map(str::to_string),
-        };
-        if v.field("labels").is_some() {
-            for l in v.array("labels")? {
-                let span = Span { lo: l.int("lo")?, hi: l.int("hi")?, line: l.int("line")? };
-                let text = l.field("text").and_then(Json::as_str).unwrap_or("").to_string();
-                d.labels.push(Label { span, text });
-            }
-        }
-        if v.field("notes").is_some() {
-            for n in v.array("notes")? {
-                d.notes.push(n.as_str().ok_or("notes must be strings")?.to_string());
-            }
-        }
-        Ok(d)
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -415,26 +377,6 @@ mod tests {
         assert!(r.contains("t.cstar:2:1"), "{r}");
         assert!(r.contains("2 | bogus here"), "{r}");
         assert!(r.contains("^^^^^ not a declaration"), "{r}");
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let d1 = Diagnostic::warning(codes::PHASE_CONFLICT, "phase 1 reads and writes `A`")
-            .with_label(Span::new(3, 9, 1), "read \"here\"")
-            .with_label(Span::new(12, 14, 2), "write here\nand there")
-            .with_note("the predictive protocol will self-disable (§3.4)")
-            .with_file("x.cstar");
-        let d2 = Diagnostic::error(codes::LEX, "unexpected character `$`");
-        let json = Diagnostic::json_array(&[d1.clone(), d2.clone()]);
-        let back = Diagnostic::from_json_array(&json).unwrap();
-        assert_eq!(back, vec![d1, d2]);
-    }
-
-    #[test]
-    fn json_rejects_garbage() {
-        assert!(Diagnostic::from_json_array("{").is_err());
-        assert!(Diagnostic::from_json_array("[1]").is_err());
-        assert!(Diagnostic::from_json_array("[] trailing").is_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use prescient_core::PhaseId;
-use prescient_tempest::json::{self, Layout, Writer};
+use prescient_tempest::json::{Layout, Writer};
 
 use crate::cfg::{Cfg, RegionItem};
 use crate::dataflow::ReachingUnstructured;
@@ -145,100 +145,82 @@ impl DirectivePlan {
         w.end().end();
         w.finish()
     }
-
-    /// Parse a plan produced by [`DirectivePlan::to_json`]. Ids, phases
-    /// and counts are range-checked (a negative or oversized one is an
-    /// error naming the field, never a wrapped value).
-    pub fn from_json(src: &str) -> Result<DirectivePlan, String> {
-        let v = json::parse(src)?;
-        let mut calls = BTreeMap::new();
-        for c in v.array("calls")? {
-            let decision = CallDecision {
-                needs: c.int::<u8>("needs")? != 0,
-                home_only: c.int::<u8>("home_only")? != 0,
-                phase: c.field("phase").map(|_| c.int("phase")).transpose()?,
-            };
-            calls.insert(c.int("id")?, decision);
-        }
-        let mut ops = Vec::new();
-        for o in v.array("ops")? {
-            ops.push(match o.string("op")? {
-                "phase_begin" => ExecOp::PhaseBegin(o.int("phase")?),
-                "phase_end" => ExecOp::PhaseEnd(o.int("phase")?),
-                "call" => ExecOp::Call(o.int("id")?),
-                "loop_begin" => ExecOp::LoopBegin {
-                    label: o.string("label")?.to_string(),
-                    lo: o.int("lo")?,
-                    hi: o.int("hi")?,
-                },
-                "loop_end" => ExecOp::LoopEnd,
-                "commutative_merge" => ExecOp::CommutativeMerge {
-                    phase: o.int("phase")?,
-                    agg: o.string("agg")?.to_string(),
-                    call: o.int("call")?,
-                },
-                other => return Err(format!("unknown op tag `{other}`")),
-            });
-        }
-        let assignment = PhaseAssignment { calls, n_phases: v.int("n_phases")? };
-        Ok(DirectivePlan { assignment, ops })
-    }
 }
 
-/// Per-phase (or per-call) communication footprint, for the conflict guard.
+/// The §4.3 communication footprint of a call (or a phase: a union), as
+/// aggregate bitsets — what the placement rule schedules, the conflict
+/// guard compares, W001/W002 audit and the oracle's W006 predicts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct CommSet {
-    /// Aggregates with communication-inducing reads (unstructured reads).
-    reads: u64,
-    /// Aggregates with communication-inducing writes (owner writes of
-    /// reached aggregates, or unstructured writes).
-    writes: u64,
+pub(crate) struct Footprint {
+    /// Aggregates read through communication (unstructured reads, rule 2).
+    pub reads: u64,
+    /// Aggregates written through communication: `owner`, plus the
+    /// unstructured writes (rule 2).
+    pub writes: u64,
+    /// Aggregates owner-written while unstructured accesses of the same
+    /// aggregate reach the call (rule 1): invalidations a schedule predicts.
+    pub owner: u64,
 }
 
-impl CommSet {
-    fn union(self, o: CommSet) -> CommSet {
-        CommSet { reads: self.reads | o.reads, writes: self.writes | o.writes }
+impl Footprint {
+    /// Rule 1 or rule 2 holds: the call needs a schedule.
+    pub fn needs(self) -> bool {
+        self.reads | self.writes != 0
+    }
+
+    fn union(self, o: Footprint) -> Footprint {
+        Footprint {
+            reads: self.reads | o.reads,
+            writes: self.writes | o.writes,
+            owner: self.owner | o.owner,
+        }
     }
 
     /// Would co-scheduling these two footprints create conflict blocks?
-    fn conflicts(self, o: CommSet) -> bool {
+    fn conflicts(self, o: Footprint) -> bool {
         (self.writes & (o.reads | o.writes)) != 0 || (o.writes & self.reads) != 0
     }
+}
+
+/// Every call's footprint, by call-site id.
+pub(crate) fn footprints(cfg: &Cfg, sol: &ReachingUnstructured) -> BTreeMap<usize, Footprint> {
+    let mut out = BTreeMap::new();
+    for node in cfg.call_nodes() {
+        let Some(c) = cfg.call(node) else { continue };
+        let mut fp = Footprint::default();
+        for (agg, pa) in &c.access {
+            // The universe has at most 64 aggregates (E006).
+            let Some(bit) = cfg.agg_bit(agg) else { continue };
+            if pa.home_write && sol.reaches(node, bit) {
+                fp.owner |= 1 << bit;
+            }
+            if pa.nonhome_read {
+                fp.reads |= 1 << bit;
+            }
+            if pa.nonhome_write {
+                fp.writes |= 1 << bit;
+            }
+        }
+        fp.writes |= fp.owner;
+        out.insert(c.id, fp);
+    }
+    out
 }
 
 /// Compute the directive plan for an annotated CFG (with its dataflow
 /// solution). `coalesce` enables the §4.3 optimization (on by default; off
 /// for the ablation).
 pub fn place_directives(cfg: &Cfg, sol: &ReachingUnstructured, coalesce: bool) -> DirectivePlan {
-    let mut calls: BTreeMap<usize, CallDecision> = BTreeMap::new();
-    let mut comm: BTreeMap<usize, CommSet> = BTreeMap::new();
-
-    for &node in &cfg.call_nodes() {
-        let c = cfg.call(node).expect("call node");
-        let mut needs = false;
-        let mut cs = CommSet::default();
-        for (agg, pa) in &c.access {
-            let bit = cfg.agg_bit(agg).expect("aggregate in universe");
-            let reached = sol.reaches(node, bit);
-            // Rule 1: reached by unstructured accesses + owner writes.
-            if reached && pa.home_write {
-                needs = true;
-                cs.writes |= 1 << bit;
-            }
-            // Rule 2: the call itself is unstructured.
-            if pa.unstructured() {
-                needs = true;
-                if pa.nonhome_read {
-                    cs.reads |= 1 << bit;
-                }
-                if pa.nonhome_write {
-                    cs.writes |= 1 << bit;
-                }
-            }
-        }
-        calls.insert(c.id, CallDecision { needs, home_only: c.home_only(), phase: None });
-        comm.insert(c.id, cs);
-    }
+    let comm = footprints(cfg, sol);
+    let calls: BTreeMap<usize, CallDecision> = cfg
+        .call_nodes()
+        .into_iter()
+        .filter_map(|node| cfg.call(node))
+        .map(|c| {
+            let needs = comm.get(&c.id).is_some_and(|f| f.needs());
+            (c.id, CallDecision { needs, home_only: c.home_only(), phase: None })
+        })
+        .collect();
 
     let mut planner = Planner { calls, comm, next_phase: 1, coalesce };
     let ops = planner.plan_seq(cfg, &cfg.regions);
@@ -282,7 +264,7 @@ pub fn place_directives(cfg: &Cfg, sol: &ReachingUnstructured, coalesce: bool) -
 
 struct Planner {
     calls: BTreeMap<usize, CallDecision>,
-    comm: BTreeMap<usize, CommSet>,
+    comm: BTreeMap<usize, Footprint>,
     next_phase: u32,
     coalesce: bool,
 }
@@ -290,7 +272,7 @@ struct Planner {
 /// A group of consecutive items forming one phase (or none).
 struct Group {
     ops: Vec<ExecOp>,
-    comm: CommSet,
+    comm: Footprint,
     /// All needs-calls in the group are home-only.
     home_only: bool,
     /// Contains at least one needs-call.
@@ -400,10 +382,10 @@ impl Planner {
 
     /// Summarize a loop body: `(all calls home-only, any call needs a
     /// schedule, union of communication footprints)`.
-    fn loop_summary(&self, body: &[RegionItem]) -> (bool, bool, CommSet) {
+    fn loop_summary(&self, body: &[RegionItem]) -> (bool, bool, Footprint) {
         let mut all_home = true;
         let mut any_needs = false;
-        let mut comm = CommSet::default();
+        let mut comm = Footprint::default();
         for item in body {
             match item {
                 RegionItem::Call(id) => {
@@ -761,44 +743,5 @@ mod tests {
             "{:?}",
             plan.ops
         );
-    }
-
-    /// The JSON codec round-trips the full op vocabulary and decisions.
-    #[test]
-    fn plan_json_round_trip() {
-        let mut b = CfgBuilder::new(universe(&["tree", "pos", "acc"]));
-        b.begin_loop("step");
-        b.call_commuting(
-            "load_tree",
-            &[("tree", false, false, true, true), ("pos", true, false, false, false)],
-            &["tree"],
-            true,
-        );
-        b.call(
-            "forces",
-            &[("tree", false, false, true, false), ("acc", false, true, false, false)],
-        );
-        b.call("advance", &[("acc", true, false, false, false)]);
-        b.end_loop();
-        let (_, plan) = plan_of(b, true);
-        assert!(plan.ops.iter().any(|o| matches!(o, ExecOp::CommutativeMerge { .. })));
-
-        let json = plan.to_json();
-        let back = DirectivePlan::from_json(&json).expect("parse back");
-        assert_eq!(back.ops, plan.ops);
-        assert_eq!(format!("{:?}", back.assignment), format!("{:?}", plan.assignment));
-        // Stability: re-serializing the parsed plan is bit-identical.
-        assert_eq!(back.to_json(), json);
-    }
-
-    /// Bad payloads fail with errors, not panics.
-    #[test]
-    fn plan_json_rejects_malformed() {
-        assert!(DirectivePlan::from_json("{}").is_err());
-        assert!(DirectivePlan::from_json(
-            "{\"n_phases\":1,\"calls\":[],\"ops\":[{\"op\":\"nope\"}]}"
-        )
-        .is_err());
-        assert!(DirectivePlan::from_json("not json").is_err());
     }
 }

@@ -23,46 +23,12 @@ use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, NodeCtx, RunRepor
 use prescient_tempest::rng::{mix64, SplitMix64};
 use prescient_tempest::{GAddr, Prim};
 
-use crate::ast::{BinOp, Builtin, ElemTy, Expr, ParFn, Stmt};
+use crate::ast::{ElemTy, ParFn};
 use crate::compile::CompiledProgram;
 use crate::diag::Span;
 use crate::directives::ExecOp;
+use crate::eval::{offset, positions, walk, Eval, Store, Value};
 use crate::sema::AccessSummary;
-
-/// A scalar value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Value {
-    /// Float.
-    F(f64),
-    /// Integer.
-    I(i64),
-}
-
-impl Value {
-    /// As float (ints promote).
-    pub fn as_f(self) -> f64 {
-        match self {
-            Value::F(v) => v,
-            Value::I(v) => v as f64,
-        }
-    }
-
-    /// As integer index (floats are a runtime error).
-    pub fn as_index(self) -> i64 {
-        match self {
-            Value::I(v) => v,
-            Value::F(v) => panic!("float {v} used as index"),
-        }
-    }
-
-    /// Truthiness (nonzero).
-    pub fn truthy(self) -> bool {
-        match self {
-            Value::F(v) => v != 0.0,
-            Value::I(v) => v != 0,
-        }
-    }
-}
 
 /// A materialized aggregate on the machine.
 pub enum AggStore {
@@ -95,37 +61,32 @@ impl AggStore {
         }
     }
 
-    pub(crate) fn addr(&self, idx: &[i64]) -> GAddr {
-        let dims = self.dims();
-        assert_eq!(idx.len(), dims.len(), "aggregate rank mismatch");
-        for (k, (&i, &d)) in idx.iter().zip(&dims).enumerate() {
-            assert!(
-                i >= 0 && (i as usize) < d,
-                "index {i} out of bounds for dimension {k} of size {d}"
-            );
-        }
-        match self {
-            AggStore::F1(a) => a.addr(idx[0] as usize),
-            AggStore::I1(a) => a.addr(idx[0] as usize),
-            AggStore::F2(a) => a.addr(idx[0] as usize, idx[1] as usize),
-            AggStore::I2(a) => a.addr(idx[0] as usize, idx[1] as usize),
-        }
+    pub(crate) fn addr(&self, idx: &[i64]) -> Result<GAddr, String> {
+        offset(&self.dims(), idx)?;
+        let at = |k: usize| idx[k] as usize;
+        Ok(match self {
+            AggStore::F1(a) => a.addr(at(0)),
+            AggStore::I1(a) => a.addr(at(0)),
+            AggStore::F2(a) => a.addr(at(0), at(1)),
+            AggStore::I2(a) => a.addr(at(0), at(1)),
+        })
     }
 
-    fn read(&self, ctx: &mut NodeCtx, idx: &[i64]) -> Value {
-        let addr = self.addr(idx);
-        match self.ty() {
+    fn read(&self, ctx: &mut NodeCtx, idx: &[i64]) -> Result<Value, String> {
+        let addr = self.addr(idx)?;
+        Ok(match self.ty() {
             ElemTy::Float => Value::F(ctx.read::<f64>(addr)),
             ElemTy::Int => Value::I(ctx.read::<i64>(addr)),
-        }
+        })
     }
 
-    fn write(&self, ctx: &mut NodeCtx, idx: &[i64], v: Value) {
-        let addr = self.addr(idx);
-        match self.ty() {
-            ElemTy::Float => ctx.write(addr, v.as_f()),
-            ElemTy::Int => ctx.write(addr, v.as_index()),
+    fn write(&self, ctx: &mut NodeCtx, idx: &[i64], v: Value) -> Result<(), String> {
+        let addr = self.addr(idx)?;
+        match v.to_elem(self.ty())? {
+            Value::F(x) => ctx.write(addr, x),
+            Value::I(x) => ctx.write(addr, x),
         }
+        Ok(())
     }
 
     /// The elements owned by `node` as rows — the leading indices and the
@@ -287,25 +248,8 @@ where
 /// request, and the directive's own stability barrier retires the replay
 /// fetches before any node can set the next call's label.
 fn exec_main(ctx: &mut NodeCtx, prog: &CompiledProgram, aggs: &AggMap, tap: Option<&AccessTap>) {
-    let ops = &prog.plan.ops;
-    // Precompute matching LoopEnd for each LoopBegin.
-    let mut match_end = vec![usize::MAX; ops.len()];
-    let mut stack = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
+    for op in walk(&prog.plan.ops) {
         match op {
-            ExecOp::LoopBegin { .. } => stack.push(i),
-            ExecOp::LoopEnd => {
-                let b = stack.pop().expect("unbalanced loops");
-                match_end[b] = i;
-            }
-            _ => {}
-        }
-    }
-
-    let mut pc = 0usize;
-    let mut loops: Vec<(usize, i64, i64)> = Vec::new(); // (begin pc, cur, hi)
-    while pc < ops.len() {
-        match &ops[pc] {
             ExecOp::PhaseBegin(p) => {
                 if let Some(t) = tap {
                     t.clear_call();
@@ -322,28 +266,12 @@ fn exec_main(ctx: &mut NodeCtx, prog: &CompiledProgram, aggs: &AggMap, tap: Opti
                 run_parallel_call(ctx, prog, aggs, f, args);
                 ctx.barrier(); // implicit end-of-parallel-phase barrier
             }
-            ExecOp::LoopBegin { lo, hi, .. } => {
-                if lo >= hi {
-                    pc = match_end[pc];
-                } else {
-                    loops.push((pc, *lo, *hi));
-                }
-            }
-            ExecOp::LoopEnd => {
-                let (begin, cur, hi) = loops.pop().expect("loop stack underflow");
-                let next = cur + 1;
-                if next < hi {
-                    loops.push((begin, next, hi));
-                    pc = begin;
-                }
-            }
             // The DSM interpreter executes calls serialized per node, so
             // the merge point has nothing to install; the directive is
             // consumed by the runtime's commutative protocol mode and the
-            // merge oracle.
-            ExecOp::CommutativeMerge { .. } => {}
+            // merge oracle. (The walk consumes the loop markers.)
+            ExecOp::CommutativeMerge { .. } | ExecOp::LoopBegin { .. } | ExecOp::LoopEnd => {}
         }
-        pc += 1;
     }
 }
 
@@ -367,7 +295,8 @@ fn run_form_sites<'a>(
 }
 
 /// Run one parallel call over this node's owned elements, a row at a
-/// time: the row's run-form reads first, then its invocations.
+/// time: the row's run-form reads first, then its invocations. An
+/// evaluation error panics the node with the evaluator's message.
 fn run_parallel_call(
     ctx: &mut NodeCtx,
     prog: &CompiledProgram,
@@ -388,178 +317,39 @@ fn run_parallel_call(
         let (lead, last) = &row;
         for (col, j) in last.clone().enumerate() {
             let pos = [&lead[..], &[j]].concat();
-            let mut env =
-                Env { bind: &bind, pos: &pos, ahead: &ahead, col, locals: Vec::new(), ctx };
-            env.stmts(&f.body);
+            let store = Dsm { bind: &bind, ahead: &ahead, col, ctx };
+            if let Err(e) = Eval::new(store, &pos).stmts(&f.body) {
+                panic!("{e}");
+            }
         }
     }
 }
 
-struct Env<'a, 'c, 'n> {
+/// The interpreter's store: one invocation's accesses through `NodeCtx`,
+/// its row's run-form sites answered from the row buffer.
+struct Dsm<'a, 'c, 'n> {
     bind: &'a BTreeMap<&'a str, &'a AggStore>,
-    pos: &'a [i64],
     /// The row's run-form sites, each with the row's values.
     ahead: &'a [(Span, Vec<Value>)],
     /// This invocation's place in the row.
     col: usize,
-    locals: Vec<(String, Value)>,
     ctx: &'c mut NodeCtx<'n>,
 }
 
-impl Env<'_, '_, '_> {
-    fn lookup(&self, name: &str) -> Value {
-        self.locals
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("unknown local `{name}`"))
-    }
-
-    fn set(&mut self, name: &str, v: Value) {
-        if let Some(slot) = self.locals.iter_mut().rev().find(|(n, _)| n == name) {
-            slot.1 = v;
-        } else {
-            panic!("assignment to unbound local `{name}`");
+impl Store for Dsm<'_, '_, '_> {
+    fn read(&mut self, agg: &str, idx: &[i64], site: Span) -> Result<Value, String> {
+        match self.ahead.iter().find(|(s, _)| *s == site) {
+            Some((_, row)) => Ok(row[self.col]),
+            None => self.bind[agg].read(self.ctx, idx),
         }
     }
 
-    fn stmts(&mut self, body: &[Stmt]) {
-        for s in body {
-            self.stmt(s);
-        }
+    fn write(&mut self, agg: &str, idx: &[i64], v: Value) -> Result<(), String> {
+        self.bind[agg].write(self.ctx, idx, v)
     }
 
-    fn stmt(&mut self, s: &Stmt) {
-        match s {
-            Stmt::Let(name, e) => {
-                let v = self.eval(e);
-                self.locals.push((name.clone(), v));
-            }
-            Stmt::AssignLocal(name, e) => {
-                let v = self.eval(e);
-                self.set(name, v);
-            }
-            Stmt::AssignAgg { agg, idx, value, .. } => {
-                let idxs: Vec<i64> = idx.iter().map(|e| self.eval(e).as_index()).collect();
-                let v = self.eval(value);
-                self.bind[agg.as_str()].write(self.ctx, &idxs, v);
-            }
-            Stmt::If(c, t, e) => {
-                let depth = self.locals.len();
-                if self.eval(c).truthy() {
-                    self.stmts(t);
-                } else {
-                    self.stmts(e);
-                }
-                self.locals.truncate(depth);
-            }
-            Stmt::For { var, lo, hi, body } => {
-                let lo = self.eval(lo).as_index();
-                let hi = self.eval(hi).as_index();
-                let depth = self.locals.len();
-                self.locals.push((var.clone(), Value::I(lo)));
-                for i in lo..hi {
-                    let slot = self.locals.len() - 1;
-                    self.locals[slot].1 = Value::I(i);
-                    let inner = self.locals.len();
-                    self.stmts(body);
-                    self.locals.truncate(inner);
-                }
-                self.locals.truncate(depth);
-            }
-        }
-    }
-
-    fn eval(&mut self, e: &Expr) -> Value {
-        match e {
-            Expr::Num(v) => Value::F(*v),
-            Expr::Int(v) => Value::I(*v),
-            Expr::Var(name) => self.lookup(name),
-            Expr::Pos(k) => {
-                assert!(*k < self.pos.len(), "#{k} used in a {}-D context", self.pos.len());
-                Value::I(self.pos[*k])
-            }
-            Expr::AggRead { agg, idx, span } => {
-                let idxs: Vec<i64> = idx.iter().map(|e| self.eval(e).as_index()).collect();
-                match self.ahead.iter().find(|(site, _)| site == span) {
-                    Some((_, row)) => row[self.col],
-                    None => self.bind[agg.as_str()].read(self.ctx, &idxs),
-                }
-            }
-            Expr::Neg(a) => {
-                self.ctx.work(1);
-                match self.eval(a) {
-                    Value::F(v) => Value::F(-v),
-                    Value::I(v) => Value::I(-v),
-                }
-            }
-            Expr::Bin(op, a, b) => {
-                let va = self.eval(a);
-                let vb = self.eval(b);
-                self.ctx.work(1);
-                eval_bin(*op, va, vb)
-            }
-            Expr::Builtin(b, args) => {
-                let vs: Vec<Value> = args.iter().map(|a| self.eval(a)).collect();
-                self.ctx.work(1);
-                match b {
-                    Builtin::Abs => match vs[0] {
-                        Value::F(v) => Value::F(v.abs()),
-                        Value::I(v) => Value::I(v.abs()),
-                    },
-                    Builtin::Sqrt => Value::F(vs[0].as_f().sqrt()),
-                    Builtin::Min => num2(vs[0], vs[1], f64::min, i64::min),
-                    Builtin::Max => num2(vs[0], vs[1], f64::max, i64::max),
-                }
-            }
-        }
-    }
-}
-
-fn num2(a: Value, b: Value, ff: fn(f64, f64) -> f64, fi: fn(i64, i64) -> i64) -> Value {
-    match (a, b) {
-        (Value::I(x), Value::I(y)) => Value::I(fi(x, y)),
-        _ => Value::F(ff(a.as_f(), b.as_f())),
-    }
-}
-
-fn eval_bin(op: BinOp, a: Value, b: Value) -> Value {
-    use BinOp::*;
-    match op {
-        Add | Sub | Mul | Div => match (a, b) {
-            (Value::I(x), Value::I(y)) => Value::I(match op {
-                Add => x + y,
-                Sub => x - y,
-                Mul => x * y,
-                Div => x / y,
-                _ => unreachable!(),
-            }),
-            _ => {
-                let (x, y) = (a.as_f(), b.as_f());
-                Value::F(match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => x / y,
-                    _ => unreachable!(),
-                })
-            }
-        },
-        Mod => Value::I(a.as_index() % b.as_index()),
-        Lt | Le | Gt | Ge | Eq | Ne => {
-            let (x, y) = (a.as_f(), b.as_f());
-            let r = match op {
-                Lt => x < y,
-                Le => x <= y,
-                Gt => x > y,
-                Ge => x >= y,
-                Eq => x == y,
-                Ne => x != y,
-                _ => unreachable!(),
-            };
-            Value::I(r as i64)
-        }
+    fn work(&mut self) {
+        self.ctx.work(1);
     }
 }
 
@@ -574,7 +364,8 @@ pub fn seeded_init(seed: u64) -> impl Fn(&mut NodeCtx, &AggMap) + Sync {
         for (k, store) in aggs.values().enumerate() {
             let extent = store.dims()[0] as u64;
             for pos in store.owned(ctx.me()) {
-                store.write(ctx, &pos, seeded_value(seed, k as u64, &pos, store.ty(), extent));
+                let v = seeded_value(seed, k as u64, &pos, store.ty(), extent);
+                store.write(ctx, &pos, v).expect("a seeded value fits its aggregate");
             }
         }
     }
@@ -591,28 +382,15 @@ pub(crate) fn seeded_value(seed: u64, k: u64, pos: &[i64], ty: ElemTy, extent: u
     }
 }
 
-/// Gather a float aggregate's contents (row-major) by reading it from node
-/// 0 — a testing/diagnostic convenience.
-pub fn read_aggregate_f64(machine: &mut Machine, aggs: &AggMap, name: &str) -> Vec<f64> {
+/// Gather an aggregate's contents (row-major) by reading it from node 0
+/// — a testing/diagnostic convenience.
+pub fn read_aggregate(machine: &mut Machine, aggs: &AggMap, name: &str) -> Vec<Value> {
     let store = &aggs[name];
-    let dims = store.dims();
     let (results, _) = machine.run(|ctx| {
         let mut out = Vec::new();
         if ctx.me() == 0 {
-            match dims.len() {
-                1 => {
-                    for i in 0..dims[0] {
-                        out.push(store.read(ctx, &[i as i64]).as_f());
-                    }
-                }
-                _ => {
-                    for i in 0..dims[0] {
-                        for j in 0..dims[1] {
-                            out.push(store.read(ctx, &[i as i64, j as i64]).as_f());
-                        }
-                    }
-                }
-            }
+            let read = |pos: Vec<i64>| store.read(ctx, &pos).expect("every position is in bounds");
+            out = positions(&store.dims()).map(read).collect();
         }
         ctx.barrier();
         out
@@ -620,9 +398,16 @@ pub fn read_aggregate_f64(machine: &mut Machine, aggs: &AggMap, name: &str) -> V
     results.into_iter().next().expect("node 0 result")
 }
 
+/// [`read_aggregate`] as floats.
+pub fn read_aggregate_f64(machine: &mut Machine, aggs: &AggMap, name: &str) -> Vec<f64> {
+    read_aggregate(machine, aggs, name).into_iter().map(Value::as_f).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::BinOp;
+    use crate::eval::eval_bin;
 
     #[test]
     fn value_semantics() {
@@ -634,16 +419,25 @@ mod tests {
 
     #[test]
     fn bin_promotion() {
-        assert_eq!(eval_bin(BinOp::Add, Value::I(1), Value::I(2)), Value::I(3));
-        assert_eq!(eval_bin(BinOp::Add, Value::I(1), Value::F(2.5)), Value::F(3.5));
-        assert_eq!(eval_bin(BinOp::Div, Value::I(7), Value::I(2)), Value::I(3));
-        assert_eq!(eval_bin(BinOp::Lt, Value::I(1), Value::F(2.0)), Value::I(1));
-        assert_eq!(eval_bin(BinOp::Mod, Value::I(7), Value::I(3)), Value::I(1));
+        let bin = |op, a, b| eval_bin(op, a, b).expect("defined");
+        assert_eq!(bin(BinOp::Add, Value::I(1), Value::I(2)), Value::I(3));
+        assert_eq!(bin(BinOp::Add, Value::I(1), Value::F(2.5)), Value::F(3.5));
+        assert_eq!(bin(BinOp::Div, Value::I(7), Value::I(2)), Value::I(3));
+        assert_eq!(bin(BinOp::Lt, Value::I(1), Value::F(2.0)), Value::I(1));
+        assert_eq!(bin(BinOp::Mod, Value::I(7), Value::I(3)), Value::I(1));
     }
 
+    /// The interpreter's boundary: an evaluation error panics the node
+    /// with the evaluator's message.
     #[test]
-    #[should_panic(expected = "used as index")]
+    #[should_panic(expected = "float 1.5 used as index")]
     fn float_index_rejected() {
-        Value::F(1.5).as_index();
+        use prescient_runtime::MachineConfig;
+        let src =
+            "aggregate A[4] of float; parallel fn f(a) { a[#0] = a[1.5]; } fn main() { f(A); }";
+        let prog = crate::compile::compile(src).expect("compiles");
+        let mut machine = Machine::new(MachineConfig::stache(1, 32));
+        let aggs = materialize(&machine, &prog);
+        run_program(&mut machine, &prog, &aggs, |_, _| {});
     }
 }

@@ -32,7 +32,8 @@
 //!    coalescing/hoisting optimization for home-only neighbors and loops;
 //! 6. [`interp`] — execution of the compiled program on a
 //!    `prescient-runtime` machine, where the placed directives drive the
-//!    predictive protocol.
+//!    predictive protocol, through the one evaluator [`eval`] that the
+//!    merge oracle ([`commute`]) runs too.
 //!
 //! [`compile::compile`] runs stages 1–5; [`interp::run_program`] runs the
 //! result.
@@ -41,7 +42,7 @@
 //! engine):
 //!
 //! * [`diag`] — span-carrying diagnostics with stable `E0xx`/`W0xx` codes,
-//!   caret-style text rendering, and a lossless JSON form;
+//!   caret-style text rendering, and a JSON form;
 //! * [`lint`] — the W001–W005 lint suite over the AST, the annotated CFG,
 //!   and the directive plan (phase conflicts, dead directives, static
 //!   bounds, unused aggregates, remote-fed indices);
@@ -64,6 +65,7 @@ pub mod compile;
 pub mod dataflow;
 pub mod diag;
 pub mod directives;
+pub mod eval;
 pub mod interp;
 pub mod lexer;
 pub mod lint;

@@ -1,11 +1,14 @@
 //! The `cstar-lint` suite: static phase-conflict and access-pattern lints
-//! (W001–W005) over the AST, the annotated CFG, and the directive plan.
+//! (W001–W005, W007, E008) over the AST, the annotated CFG, and the
+//! directive plan.
 //!
 //! Each lint is a [`Diagnostic`] with a stable `W0xx` code (catalog in
 //! [`crate::diag`]). [`lint_program`] runs every lint over a compiled
 //! program with full source spans; [`audit_plan`] runs the plan-level
-//! subset (W001/W002) over hand-built analysis-only CFGs — the mode the
-//! benchmark apps use to sanity-check their Figure-4-style phase models.
+//! subset (W001/W002/W007) over hand-built analysis-only CFGs — the mode
+//! the benchmark apps use to sanity-check their Figure-4-style phase
+//! models. Both render a plan-level finding through the same function,
+//! which labels source spans when there are any.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -14,29 +17,14 @@ use crate::cfg::Cfg;
 use crate::compile::CompiledProgram;
 use crate::dataflow::ReachingUnstructured;
 use crate::diag::{codes, Diagnostic, Span};
-use crate::directives::PhaseAssignment;
+use crate::directives::{footprints, Footprint, PhaseAssignment};
 use crate::sema::{classify_index, AccessKind, ClassifyRules, Locality, ParamAccess};
 
 /// Run every lint over a compiled program. Returns warnings sorted by
 /// source position (spanless findings first).
 pub fn lint_program(c: &CompiledProgram) -> Vec<Diagnostic> {
-    let comm = call_comms(&c.cfg, &c.reaching);
     let spans = call_spans(c);
-    let mut out = Vec::new();
-    for f in find_conflicts(&c.cfg, &comm, &c.plan.assignment) {
-        let disp = conflict_commute_disposition(&c.cfg, &f);
-        // An annotated, provably commutative self-conflict is exactly what
-        // the merge protocol resolves: W001 would be noise.
-        if !(disp.resolved() && f.reader == f.writer) {
-            out.push(render_conflict(c, &spans, &f));
-        }
-        if disp.suggest() {
-            out.push(render_commute_suggest(c, &spans, &f));
-        }
-    }
-    for f in find_dead(&c.cfg, &comm, &c.plan.assignment) {
-        out.push(render_dead(&f, spans.get(f.call).copied()));
-    }
+    let mut out = plan_lints(&c.cfg, &c.reaching, &c.plan.assignment, Some((c, &spans)));
     out.extend(lint_static_oob(c));
     out.extend(lint_unused(c));
     out.extend(lint_unstructured_index(c));
@@ -48,58 +36,44 @@ pub fn lint_program(c: &CompiledProgram) -> Vec<Diagnostic> {
     out
 }
 
-/// Audit a (possibly hand-built) directive plan: W001 phase conflicts and
-/// W002 dead directives, without source spans. This is the entry point for
-/// analysis-only CFGs ([`crate::cfg::CfgBuilder`]), where no source text
-/// exists.
+/// Audit a (possibly hand-built) directive plan: W001 phase conflicts,
+/// W007 mergeable conflicts and W002 dead directives, without source
+/// spans. This is the entry point for analysis-only CFGs
+/// ([`crate::cfg::CfgBuilder`]), where no source text exists.
 pub fn audit_plan(
     cfg: &Cfg,
     sol: &ReachingUnstructured,
     assignment: &PhaseAssignment,
 ) -> Vec<Diagnostic> {
-    let comm = call_comms(cfg, sol);
+    plan_lints(cfg, sol, assignment, None)
+}
+
+/// What a plan-level finding can point at: the compiled program and its
+/// call spans, or nothing (a hand-built CFG).
+type Source<'a> = Option<(&'a CompiledProgram, &'a [Span])>;
+
+/// W001, W007 and W002 over a plan's phase assignment.
+fn plan_lints(
+    cfg: &Cfg,
+    sol: &ReachingUnstructured,
+    asg: &PhaseAssignment,
+    src: Source,
+) -> Vec<Diagnostic> {
+    let comm = footprints(cfg, sol);
     let mut out = Vec::new();
-    for f in find_conflicts(cfg, &comm, assignment) {
+    for f in find_conflicts(cfg, &comm, asg) {
         let disp = conflict_commute_disposition(cfg, &f);
+        // An annotated, provably commutative self-conflict is exactly what
+        // the merge protocol resolves: W001 would be noise.
         if !(disp.resolved() && f.reader == f.writer) {
-            out.push(
-                Diagnostic::warning(
-                    codes::PHASE_CONFLICT,
-                    format!(
-                        "phase {} both reads and writes aggregate `{}` through communication",
-                        f.phase, f.agg
-                    ),
-                )
-                .with_note(format!(
-                    "communication reads from call `{}` (call {}); communication writes from \
-                     call `{}` (call {})",
-                    f.reader_func, f.reader, f.writer_func, f.writer
-                ))
-                .with_note(CONFLICT_NOTE),
-            );
+            out.push(render_conflict(src, &f));
         }
         if disp.suggest() {
-            out.push(
-                Diagnostic::warning(
-                    codes::COMMUTE_SUGGEST,
-                    format!(
-                        "conflict phase {} over aggregate `{}` is commutative-mergeable; \
-                         annotate call `{}` (call {}) with `commute`",
-                        f.phase, f.agg, f.writer_func, f.writer
-                    ),
-                )
-                .with_note(format!(
-                    "every write of `{}` in `{}` is an associative-commutative reduction; \
-                     privatized per-node buffers merged at the phase barrier replace per-block \
-                     ownership migration",
-                    f.agg, f.writer_func
-                ))
-                .with_note(COMMUTE_NOTE),
-            );
+            out.push(render_commute_suggest(src, &f));
         }
     }
-    for f in find_dead(cfg, &comm, assignment) {
-        out.push(render_dead(&f, None));
+    for f in find_dead(cfg, &comm, asg) {
+        out.push(render_dead(&f, src.and_then(|(_, spans)| spans.get(f.call).copied())));
     }
     out
 }
@@ -151,47 +125,6 @@ fn conflict_commute_disposition(cfg: &Cfg, f: &ConflictFinding) -> CommuteDispos
 }
 
 // ---------------------------------------------------------------------
-// Communication footprints (shared by W001/W002)
-// ---------------------------------------------------------------------
-
-/// Which aggregates one call communicates on, and whether the §4.3
-/// placement rule actually holds for it.
-#[derive(Debug, Clone, Copy, Default)]
-struct CallComm {
-    /// Bits of aggregates with communication-inducing reads.
-    reads: u64,
-    /// Bits of aggregates with communication-inducing writes.
-    writes: u64,
-    /// The placement rule holds (the call legitimately needs a schedule).
-    holds: bool,
-}
-
-fn call_comms(cfg: &Cfg, sol: &ReachingUnstructured) -> BTreeMap<usize, CallComm> {
-    let mut out = BTreeMap::new();
-    for &node in &cfg.call_nodes() {
-        let Some(c) = cfg.call(node) else { continue };
-        let mut cc = CallComm::default();
-        for (agg, pa) in &c.access {
-            let Some(bit) = cfg.agg_bit(agg) else { continue };
-            if sol.reaches(node, bit) && pa.home_write {
-                cc.holds = true;
-                cc.writes |= 1 << bit;
-            }
-            if pa.nonhome_read {
-                cc.holds = true;
-                cc.reads |= 1 << bit;
-            }
-            if pa.nonhome_write {
-                cc.holds = true;
-                cc.writes |= 1 << bit;
-            }
-        }
-        out.insert(c.id, cc);
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // W001 — phase conflict
 // ---------------------------------------------------------------------
 
@@ -206,7 +139,7 @@ struct ConflictFinding {
 
 fn find_conflicts(
     cfg: &Cfg,
-    comm: &BTreeMap<usize, CallComm>,
+    comm: &BTreeMap<usize, Footprint>,
     asg: &PhaseAssignment,
 ) -> Vec<ConflictFinding> {
     let func_of = |id: usize| -> String {
@@ -234,7 +167,7 @@ fn find_conflicts(
     out
 }
 
-fn render_conflict(c: &CompiledProgram, spans: &[Span], f: &ConflictFinding) -> Diagnostic {
+fn render_conflict(src: Source, f: &ConflictFinding) -> Diagnostic {
     let mut d = Diagnostic::warning(
         codes::PHASE_CONFLICT,
         format!(
@@ -242,6 +175,16 @@ fn render_conflict(c: &CompiledProgram, spans: &[Span], f: &ConflictFinding) -> 
             f.phase, f.agg
         ),
     );
+    let Some((c, spans)) = src else {
+        // No source to point at: name the two calls.
+        return d
+            .with_note(format!(
+                "communication reads from call `{}` (call {}); communication writes from call \
+                 `{}` (call {})",
+                f.reader_func, f.reader, f.writer_func, f.writer
+            ))
+            .with_note(CONFLICT_NOTE);
+    };
     if f.reader == f.writer {
         // One call conflicts with itself: point at the two accesses.
         let (rs, ws) = access_spans_in_call(c, f.reader, &f.agg);
@@ -272,7 +215,7 @@ fn render_conflict(c: &CompiledProgram, spans: &[Span], f: &ConflictFinding) -> 
 // W007 — commutative-mergeable conflict, E008 — unsound annotation
 // ---------------------------------------------------------------------
 
-fn render_commute_suggest(c: &CompiledProgram, spans: &[Span], f: &ConflictFinding) -> Diagnostic {
+fn render_commute_suggest(src: Source, f: &ConflictFinding) -> Diagnostic {
     let mut d = Diagnostic::warning(
         codes::COMMUTE_SUGGEST,
         format!(
@@ -283,17 +226,19 @@ fn render_commute_suggest(c: &CompiledProgram, spans: &[Span], f: &ConflictFindi
     );
     // Label both sides of the conflict: the reduction write and the read
     // that makes the phase conflicting.
-    let (_, ws) = access_spans_in_call(c, f.writer, &f.agg);
-    let (rs, _) = access_spans_in_call(c, f.reader, &f.agg);
-    match (rs, ws) {
-        (Some(r), Some(w)) => {
-            d = d
-                .with_label(w, format!("commutative reduction of `{}` here", f.agg))
-                .with_label(r, format!("conflicting read of `{}` here", f.agg));
-        }
-        _ => {
-            if let Some(&s) = spans.get(f.writer) {
-                d = d.with_label(s, "this call's updates all commute");
+    if let Some((c, spans)) = src {
+        let (_, ws) = access_spans_in_call(c, f.writer, &f.agg);
+        let (rs, _) = access_spans_in_call(c, f.reader, &f.agg);
+        match (rs, ws) {
+            (Some(r), Some(w)) => {
+                d = d
+                    .with_label(w, format!("commutative reduction of `{}` here", f.agg))
+                    .with_label(r, format!("conflicting read of `{}` here", f.agg));
+            }
+            _ => {
+                if let Some(&s) = spans.get(f.writer) {
+                    d = d.with_label(s, "this call's updates all commute");
+                }
             }
         }
     }
@@ -422,12 +367,12 @@ struct DeadFinding {
 
 fn find_dead(
     cfg: &Cfg,
-    comm: &BTreeMap<usize, CallComm>,
+    comm: &BTreeMap<usize, Footprint>,
     asg: &PhaseAssignment,
 ) -> Vec<DeadFinding> {
     let mut out = Vec::new();
     for (&id, d) in &asg.calls {
-        if !d.needs || comm.get(&id).is_some_and(|c| c.holds) {
+        if !d.needs || comm.get(&id).is_some_and(|c| c.needs()) {
             continue;
         }
         let func = cfg

@@ -24,7 +24,8 @@ use prescient_runtime::{Machine, MachineConfig, ProtocolKind};
 
 use crate::compile::{compile_diag, CompiledProgram};
 use crate::diag::{codes, Diagnostic};
-use crate::directives::ExecOp;
+use crate::directives::{footprints, ExecOp};
+use crate::eval::positions;
 use crate::interp::{materialize, run_program_traced, seeded_init};
 use crate::sema::{AccessKind, ClassifyRules, Locality};
 
@@ -105,10 +106,8 @@ pub fn run_oracle_compiled(prog: &CompiledProgram, cfg: &OracleConfig) -> Oracle
     // Exact block→aggregate map from every element's address.
     let mut block_agg: BTreeMap<u64, String> = BTreeMap::new();
     for (name, store) in &aggs {
-        for pos in element_positions(&store.dims()) {
-            block_agg
-                .entry(store.addr(&pos).block(cfg.block_size).0)
-                .or_insert_with(|| name.clone());
+        for addr in positions(&store.dims()).filter_map(|pos| store.addr(&pos).ok()) {
+            block_agg.entry(addr.block(cfg.block_size).0).or_insert_with(|| name.clone());
         }
     }
 
@@ -191,17 +190,13 @@ pub fn run_oracle_compiled(prog: &CompiledProgram, cfg: &OracleConfig) -> Oracle
         ));
     }
 
-    // --- Precision: predicted classes that never fired. ---
+    // --- Precision: predicted classes that never fired. An owner write
+    // is predicted where §4.3's rule 1 holds for the written aggregate. ---
+    let fps = footprints(&prog.cfg, &prog.reaching);
     let mut predicted: BTreeSet<AccessKey> = BTreeSet::new();
     for (id, _) in prog.call_sites.iter().enumerate() {
         let Some(access) = access_of(id) else { continue };
-        let reached = prog.cfg.call_node.get(id).copied().map(|n| (n, &prog.reaching)).is_some_and(
-            |(n, sol)| {
-                access
-                    .keys()
-                    .any(|agg| prog.cfg.agg_bit(agg).is_some_and(|bit| sol.reaches(n, bit)))
-            },
-        );
+        let owner = fps.get(&id).map_or(0, |f| f.owner);
         for (agg, pa) in access {
             if pa.nonhome_read {
                 predicted.insert((id, agg.clone(), AccessKind::Read, Locality::NonHome));
@@ -209,7 +204,7 @@ pub fn run_oracle_compiled(prog: &CompiledProgram, cfg: &OracleConfig) -> Oracle
             if pa.nonhome_write {
                 predicted.insert((id, agg.clone(), AccessKind::Write, Locality::NonHome));
             }
-            if pa.home_write && reached {
+            if prog.cfg.agg_bit(agg).is_some_and(|bit| owner & (1 << bit) != 0) {
                 predicted.insert((id, agg.clone(), AccessKind::Write, Locality::Home));
             }
         }
@@ -277,24 +272,15 @@ pub(crate) fn phase_map(ops: &[ExecOp]) -> BTreeMap<usize, Option<PhaseId>> {
     out
 }
 
-/// Every index vector of an aggregate with the given dimensions.
-fn element_positions(dims: &[usize]) -> Vec<Vec<i64>> {
-    match dims {
-        [n] => (0..*n).map(|i| vec![i as i64]).collect(),
-        [r, c] => (0..*r).flat_map(|i| (0..*c).map(move |j| vec![i as i64, j as i64])).collect(),
-        _ => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn element_positions_cover_all() {
-        assert_eq!(element_positions(&[3]).len(), 3);
-        assert_eq!(element_positions(&[2, 3]).len(), 6);
-        assert_eq!(element_positions(&[2, 3])[5], vec![1, 2]);
+        assert_eq!(positions(&[3]).count(), 3);
+        assert_eq!(positions(&[2, 3]).count(), 6);
+        assert_eq!(positions(&[2, 3]).last(), Some(vec![1, 2]));
     }
 
     #[test]

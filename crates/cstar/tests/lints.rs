@@ -159,19 +159,3 @@ fn clean_examples_are_silent() {
         assert!(ds.is_empty(), "{name} should be lint-clean: {ds:#?}");
     }
 }
-
-#[test]
-fn fixture_diagnostics_round_trip_through_json() {
-    let mut all = Vec::new();
-    for name in ["w001", "w003", "w004", "w005", "w007", "e001", "e003", "e008"] {
-        let (_, mut ds) = fixture_diags(name);
-        for d in &mut ds {
-            *d = d.clone().with_file(format!("tests/lints/{name}.cstar"));
-        }
-        all.extend(ds);
-    }
-    assert!(!all.is_empty());
-    let json = Diagnostic::json_array(&all);
-    let back = Diagnostic::from_json_array(&json).expect("parse back");
-    assert_eq!(back, all, "JSON round-trip must be lossless");
-}

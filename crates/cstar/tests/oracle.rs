@@ -7,7 +7,7 @@ use std::fs;
 use std::path::Path;
 
 use prescient_cstar::sema::ClassifyRules;
-use prescient_cstar::{run_oracle, Diagnostic, OracleConfig};
+use prescient_cstar::{run_oracle, OracleConfig};
 
 fn example(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../examples/{name}.cstar"));
@@ -107,13 +107,25 @@ fn weakened_commutativity_is_caught_as_unsound_merge() {
 }
 
 #[test]
-fn oracle_diagnostics_round_trip_through_json() {
-    let rules = ClassifyRules { const_offset_is_home: true, ..ClassifyRules::default() };
-    let report = run_oracle(&example("jacobi"), &cfg(), rules).expect("compiles");
-    assert!(!report.diagnostics.is_empty());
-    let json = Diagnostic::json_array(&report.diagnostics);
-    let back = Diagnostic::from_json_array(&json).expect("parse back");
-    assert_eq!(back, report.diagnostics);
+fn owner_writes_are_predicted_only_for_the_aggregate_that_reaches_the_call() {
+    // `scatter`'s unstructured writes of `B` reach `copy`, which
+    // owner-writes `A`: rule 1 holds for `B`, not for `A`, so nothing
+    // predicts `copy` to owner-write `A` and no W006 can say it never did.
+    let src = "aggregate A[16] of float;\n\
+               aggregate B[16] of float;\n\
+               aggregate X[16] of int;\n\
+               parallel fn scatter(b, x) { b[x[#0]] = 1.0; }\n\
+               parallel fn copy(a, b) { a[#0] = b[#0]; }\n\
+               fn main() { scatter(B, X); copy(A, B); }\n";
+    let report = run_oracle(src, &cfg(), ClassifyRules::default()).expect("compiles");
+    assert_eq!(report.soundness_errors(), 0, "{:#?}", report.diagnostics);
+    let w006: Vec<&str> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == "W006" && d.message.contains("`A`"))
+        .map(|d| d.message.as_str())
+        .collect();
+    assert!(w006.is_empty(), "{w006:#?}");
 }
 
 #[test]
