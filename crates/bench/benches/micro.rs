@@ -17,6 +17,11 @@
 //!   arriver kicking 31 peers (not bare `VBarrier::wait`);
 //! * `mem/*` — the flat paged arena in isolation: block lookup on the hit
 //!   path, tag probe, data reply snapshot, and the dense block walk;
+//!   `mem/checkpoint_24k` is the allocating `NodeMem::checkpoint` the repo
+//!   benchmark's `mem.checkpoint_us_per_mb` probe times;
+//! * `recovery/capture_24k` — one node's per-phase checkpoint captured in
+//!   place into a reused buffer, 24 KiB resident (an Adaptive node's share
+//!   at paper scale);
 //! * `ctx/*` — the same hit one layer up, through `NodeCtx::read`/`write`
 //!   (access counter, virtual clock, poll countdown, then `mem/*`'s work),
 //!   reads and writes apart; `ctx/poll_empty` is what every
@@ -44,7 +49,7 @@ use prescient_cstar::cfg::CfgBuilder;
 use prescient_cstar::dataflow::ReachingUnstructured;
 use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, MachineConfig, NodeCtx};
 use prescient_stache::testkit::Cluster;
-use prescient_stache::{NoHooks, RetryConfig};
+use prescient_stache::{NoHooks, NodeCheckpoint, RetryConfig};
 use prescient_tempest::{BatchConfig, Fabric, GAddr, GlobalLayout, NodeMem, TryRecv};
 
 fn bench_remote_miss(c: &mut Timer) {
@@ -269,6 +274,21 @@ fn bench_mem(c: &mut Timer) {
         })
     });
     c.bench_function("mem/iter_blocks_1k_resident", |b| b.iter(|| mem.iter_blocks().count()));
+}
+
+fn bench_recovery(c: &mut Timer) {
+    // One node holding 24 KiB of 128-byte blocks, the share an Adaptive
+    // node checkpoints per phase at paper scale.
+    const BYTES: u64 = 24 << 10;
+    let mut m = Cluster::new(2, 128, RetryConfig::default(), None, |_| Arc::new(NoHooks));
+    let node = &mut m.nodes[0];
+    let base = node.state.mem.alloc(BYTES, 128);
+    for i in 0..BYTES / 128 {
+        node.state.mem.write_in_block(base.add(i * 128), &[i as u8; 8]).unwrap();
+    }
+    let mut ckpt = NodeCheckpoint::default();
+    c.bench_function("recovery/capture_24k", |b| b.iter(|| node.checkpoint_into(&mut ckpt)));
+    c.bench_function("mem/checkpoint_24k", |b| b.iter(|| node.state.mem.checkpoint()));
 }
 
 /// Time `access` over `addrs` (4096 of them, cycled) on node 0 of
@@ -515,7 +535,7 @@ fn main() {
         samples: if quick { 3 } else { 10 },
         sample_time: Duration::from_millis(if quick { 20 } else { 200 }),
     };
-    let groups: [fn(&mut Timer); 11] = [
+    let groups: [fn(&mut Timer); 12] = [
         bench_remote_miss,
         bench_producer_consumer,
         bench_presend,
@@ -524,6 +544,7 @@ fn main() {
         bench_dataflow,
         bench_barrier,
         bench_mem,
+        bench_recovery,
         bench_ctx,
         bench_agg,
         bench_fabric,

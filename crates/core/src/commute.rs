@@ -72,7 +72,7 @@ struct Chunk {
     bytes: Arc<[u8]>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 struct CommuteState {
     /// Delta chunks received this merge window, in arrival order.
     inbox: Vec<Chunk>,
@@ -80,6 +80,15 @@ struct CommuteState {
     next_push_id: u64,
     /// Pushes buffered this window. Cleared on every epoch bump.
     done_pushes: DonePushes,
+}
+
+impl CommuteState {
+    /// Become a copy of `src`, field by field into the buffers already held.
+    fn copy_from(&mut self, src: &CommuteState) {
+        self.inbox.clone_from(&src.inbox);
+        self.next_push_id = src.next_push_id;
+        self.done_pushes.clone_from(&src.done_pushes);
+    }
 }
 
 impl AsMut<DonePushes> for CommuteState {
@@ -105,11 +114,7 @@ impl Commute {
     pub fn new(cfg: CommuteConfig) -> Commute {
         Commute {
             cfg,
-            state: Mutex::new(CommuteState {
-                inbox: Vec::new(),
-                next_push_id: 1,
-                done_pushes: DonePushes::new(),
-            }),
+            state: Mutex::new(CommuteState { next_push_id: 1, ..CommuteState::default() }),
             epoch: AtomicU64::new(1),
         }
     }
@@ -143,11 +148,13 @@ impl Commute {
         chunks.into_iter().map(|c| (c.src, c.bytes)).collect()
     }
 
-    /// Capture this node's full merge state at a quiescent cut: the epoch,
-    /// the push bookkeeping, and any delta chunks buffered but not yet
-    /// drained (in-flight with respect to the application).
-    pub fn checkpoint(&self) -> CommuteCheckpoint {
-        CommuteCheckpoint { state: lock(&self.state).clone(), epoch: self.epoch() }
+    /// Capture this node's full merge state at a quiescent cut — the
+    /// epoch, the push bookkeeping, and any delta chunks buffered but not
+    /// yet drained (in-flight with respect to the application) — into
+    /// `ckpt`, overwriting what it held and keeping its buffers.
+    pub fn checkpoint_into(&self, ckpt: &mut CommuteCheckpoint) {
+        ckpt.state.copy_from(&lock(&self.state));
+        ckpt.epoch = self.epoch();
     }
 
     /// Roll this node's merge state back to a captured cut. Callable only
@@ -155,14 +162,14 @@ impl Commute {
     /// channels): the epoch rewinds together with every peer's, so replayed
     /// merge windows re-stamp the same epochs.
     pub fn restore(&self, ckpt: &CommuteCheckpoint) {
-        *lock(&self.state) = ckpt.state.clone();
+        lock(&self.state).copy_from(&ckpt.state);
         self.epoch.store(ckpt.epoch, Ordering::Release);
     }
 }
 
 /// One node's commutative-merge state at a consistent cut (see
-/// [`Commute::checkpoint`]).
-#[derive(Clone)]
+/// [`Commute::checkpoint_into`]).
+#[derive(Default)]
 pub struct CommuteCheckpoint {
     state: CommuteState,
     epoch: u64,
@@ -325,7 +332,8 @@ mod tests {
             st.done_pushes.insert((1, 4), 0);
         }
         cm.bump_epoch();
-        let ckpt = cm.checkpoint();
+        let mut ckpt = CommuteCheckpoint::default();
+        cm.checkpoint_into(&mut ckpt);
 
         // Diverge, then roll back.
         cm.bump_epoch();
@@ -345,7 +353,8 @@ mod tests {
         // The driver allocates ids from `next_push_id`; a rollback must
         // make a replayed window indistinguishable from the original.
         let cm = Commute::new(CommuteConfig::default());
-        let ckpt = cm.checkpoint();
+        let mut ckpt = CommuteCheckpoint::default();
+        cm.checkpoint_into(&mut ckpt);
         let take_id = |cm: &Commute| {
             let mut st = lock(&cm.state);
             let id = st.next_push_id;
@@ -356,5 +365,46 @@ mod tests {
         cm.restore(&ckpt);
         let replay: Vec<u64> = (0..3).map(|_| take_id(&cm)).collect();
         assert_eq!(first, replay);
+    }
+
+    #[test]
+    fn reused_checkpoint_buffer_leaks_nothing() {
+        // Everything a restore rewinds: epoch, push ids, chunks, done pushes.
+        let view = |cm: &Commute| {
+            let st = lock(&cm.state);
+            let inbox: Vec<(NodeId, u64, Vec<u8>)> =
+                st.inbox.iter().map(|c| (c.src, c.id, c.bytes.to_vec())).collect();
+            let mut done: Vec<((NodeId, u64), u64)> =
+                st.done_pushes.iter().map(|(k, v)| (*k, *v)).collect();
+            done.sort_unstable();
+            (cm.epoch(), st.next_push_id, inbox, done)
+        };
+        let fresh_state = || Commute::new(CommuteConfig::default());
+        let (big, small) = (fresh_state(), fresh_state());
+        big.bump_epoch();
+        big.bump_epoch();
+        {
+            let mut st = lock(&big.state);
+            for id in 0..5 {
+                st.inbox.push(Chunk { src: 1, id, bytes: vec![id as u8; 4].into() });
+                st.done_pushes.insert((1, id), id);
+            }
+            st.next_push_id = 40;
+        }
+        {
+            let mut st = lock(&small.state);
+            st.inbox.push(Chunk { src: 2, id: 9, bytes: vec![7u8; 2].into() });
+            st.done_pushes.insert((2, 9), 0);
+        }
+
+        let (mut reused, mut fresh) = (CommuteCheckpoint::default(), CommuteCheckpoint::default());
+        big.checkpoint_into(&mut reused);
+        small.checkpoint_into(&mut reused);
+        small.checkpoint_into(&mut fresh);
+        let (from_reused, from_fresh) = (fresh_state(), fresh_state());
+        from_reused.restore(&reused);
+        from_fresh.restore(&fresh);
+        assert_eq!(view(&from_reused), view(&from_fresh));
+        assert_eq!(view(&from_fresh), view(&small));
     }
 }

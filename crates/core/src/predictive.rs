@@ -143,7 +143,7 @@ impl PhaseHealth {
     }
 }
 
-#[derive(Clone)]
+#[derive(Default)]
 pub(crate) struct PredState {
     /// Phase currently recording, if any.
     pub recording: Option<PhaseId>,
@@ -159,6 +159,18 @@ pub(crate) struct PredState {
     /// count each ack reported — echoed on re-acks so a lost ack does not
     /// lose the signal. Cleared on every epoch bump.
     pub done_pushes: DonePushes,
+}
+
+impl PredState {
+    /// Become a copy of `src`, field by field into the maps already held.
+    fn copy_from(&mut self, src: &PredState) {
+        self.recording = src.recording;
+        self.store.clone_from(&src.store);
+        self.health.clone_from(&src.health);
+        self.pushed_by.clone_from(&src.pushed_by);
+        self.next_push_id = src.next_push_id;
+        self.done_pushes.clone_from(&src.done_pushes);
+    }
 }
 
 impl AsMut<DonePushes> for PredState {
@@ -187,14 +199,7 @@ impl Predictive {
     pub fn new(cfg: PredictiveConfig) -> Predictive {
         Predictive {
             cfg,
-            state: Mutex::new(PredState {
-                recording: None,
-                store: ScheduleStore::default(),
-                health: HashMap::new(),
-                pushed_by: HashMap::new(),
-                next_push_id: 1,
-                done_pushes: DonePushes::new(),
-            }),
+            state: Mutex::new(PredState { next_push_id: 1, ..PredState::default() }),
             epoch: AtomicU64::new(1),
             tap: Mutex::new(None),
         }
@@ -284,11 +289,13 @@ impl Predictive {
     }
 
     /// Capture this node's full predictive-protocol state at a quiescent
-    /// cut: schedules, health, push bookkeeping, and the pre-send epoch.
+    /// cut — schedules, health, push bookkeeping, and the pre-send epoch —
+    /// into `ckpt`, overwriting what it held and keeping its maps.
     /// Taken at `phase_begin` *before* the window's [`Predictive::arm`],
     /// so the restored state is disarmed-at-cut and replay re-arms it.
-    pub fn checkpoint(&self) -> PredCheckpoint {
-        PredCheckpoint { state: lock(&self.state).clone(), epoch: self.epoch() }
+    pub fn checkpoint_into(&self, ckpt: &mut PredCheckpoint) {
+        ckpt.state.copy_from(&lock(&self.state));
+        ckpt.epoch = self.epoch();
     }
 
     /// Roll this node's predictive-protocol state back to a captured cut.
@@ -296,14 +303,14 @@ impl Predictive {
     /// has emptied the channels): the epoch rewinds together with every
     /// peer's, so replayed pre-send windows re-stamp the same epochs.
     pub fn restore(&self, ckpt: &PredCheckpoint) {
-        *lock(&self.state) = ckpt.state.clone();
+        lock(&self.state).copy_from(&ckpt.state);
         self.epoch.store(ckpt.epoch, Ordering::Release);
     }
 }
 
 /// One node's predictive-protocol state at a consistent cut (see
-/// [`Predictive::checkpoint`]).
-#[derive(Clone)]
+/// [`Predictive::checkpoint_into`]).
+#[derive(Default)]
 pub struct PredCheckpoint {
     state: PredState,
     epoch: u64,
@@ -419,4 +426,66 @@ pub(crate) struct Push {
     pub block: BlockId,
     pub targets: NodeSet,
     pub excl: bool,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Everything a restore rewinds, in a comparable order.
+    fn view(p: &Predictive) -> String {
+        let st = lock(&p.state);
+        let phases: Vec<_> = st
+            .store
+            .phase_ids()
+            .into_iter()
+            .map(|id| (id, st.store.phase(id).map(|s| (s.cur_iter, s.records, s.sorted_entries()))))
+            .collect();
+        let mut health: Vec<_> = st.health.iter().map(|(id, h)| (*id, *h)).collect();
+        health.sort_by_key(|h| h.0);
+        let mut pushed: Vec<_> = st.pushed_by.iter().map(|(b, id)| (b.0, *id)).collect();
+        pushed.sort_unstable();
+        let mut done: Vec<_> = st.done_pushes.iter().map(|(k, v)| (*k, *v)).collect();
+        done.sort_unstable();
+        let (rec, next, epoch) = (st.recording, st.next_push_id, p.epoch());
+        format!("{rec:?} {phases:?} {health:?} {pushed:?} {done:?} {next} {epoch}")
+    }
+
+    #[test]
+    fn reused_checkpoint_buffer_leaks_nothing() {
+        let fresh_state = || Predictive::new(PredictiveConfig::default());
+        let (big, small) = (fresh_state(), fresh_state());
+        big.bump_epoch();
+        for phase in 1..=3 {
+            big.arm(phase);
+            let mut st = lock(&big.state);
+            for b in 0..10 {
+                st.store.phase_mut(phase).record_read(BlockId(b), 1);
+                st.pushed_by.insert(BlockId(b), phase);
+            }
+            st.health.entry(phase).or_default().useless = 2;
+            st.done_pushes.insert((1, u64::from(phase)), 3);
+            st.next_push_id = 50;
+        }
+        // Phase 2 only: `big`'s phase-2 table is reused, its others must go.
+        small.arm(2);
+        {
+            let mut st = lock(&small.state);
+            st.store.phase_mut(2).record_write(BlockId(30), 3);
+            st.pushed_by.insert(BlockId(30), 2);
+            st.health.entry(2).or_default().consecutive_bad = 1;
+            st.done_pushes.insert((2, 1), 0);
+        }
+        small.end_phase();
+
+        let (mut reused, mut fresh) = (PredCheckpoint::default(), PredCheckpoint::default());
+        big.checkpoint_into(&mut reused);
+        small.checkpoint_into(&mut reused);
+        small.checkpoint_into(&mut fresh);
+        let (from_reused, from_fresh) = (fresh_state(), fresh_state());
+        from_reused.restore(&reused);
+        from_fresh.restore(&fresh);
+        assert_eq!(view(&from_reused), view(&from_fresh));
+        assert_eq!(view(&from_fresh), view(&small));
+    }
 }

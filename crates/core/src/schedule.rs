@@ -201,9 +201,27 @@ impl PhaseSchedule {
 }
 
 /// All phases' schedules at one home node.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ScheduleStore {
     phases: HashMap<PhaseId, PhaseSchedule>,
+}
+
+impl Clone for ScheduleStore {
+    fn clone(&self) -> ScheduleStore {
+        ScheduleStore { phases: self.phases.clone() }
+    }
+
+    /// Copy `src` phase by phase into the tables this store already has,
+    /// so a checkpoint taken every phase allocates nothing once the
+    /// schedules stop growing.
+    fn clone_from(&mut self, src: &ScheduleStore) {
+        self.phases.retain(|id, _| src.phases.contains_key(id));
+        for (id, p) in &src.phases {
+            let dst = self.phases.entry(*id).or_default();
+            dst.entries.clone_from(&p.entries);
+            (dst.cur_iter, dst.records) = (p.cur_iter, p.records);
+        }
+    }
 }
 
 impl ScheduleStore {

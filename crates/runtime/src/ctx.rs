@@ -723,12 +723,15 @@ impl<'a> NodeCtx<'a> {
         self.node.barrier(&self.barrier, self.t.total_ns());
     }
 
-    /// Capture this node's shard of a barrier-consistent checkpoint.
-    /// Called at `phase_begin`, between two barriers: on entry every
-    /// node has stopped issuing requests and every multi-hop
-    /// round has completed (barriers are protocol quiescence points), so
-    /// the cut contains no in-flight state; the closing barrier keeps any
-    /// node from racing ahead and faulting into a half-captured peer.
+    /// Capture this node's shard of a barrier-consistent checkpoint, over
+    /// the previous one in its slot. Called at `phase_begin`, between two
+    /// barriers: on entry every node has stopped issuing requests and
+    /// every multi-hop round has completed (barriers are protocol
+    /// quiescence points), so the cut contains no in-flight state; the
+    /// closing barrier keeps any node from racing ahead and faulting into
+    /// a half-captured peer. Under the predictive protocol that barrier is
+    /// the pre-send window's entry, which `phase_begin` reaches next
+    /// without sending anything (DESIGN.md §12).
     fn take_checkpoint(&mut self) {
         self.barrier_recover();
         self.trace(EventKind::CheckpointBegin, self.version, 0);
@@ -736,21 +739,26 @@ impl<'a> NodeCtx<'a> {
         // self-consistent: restoring it and replaying re-counts exactly
         // what a fault-free execution from this point would.
         NodeStats::bump(&self.shared.stats.checkpoints);
-        let node = self.node.checkpoint();
-        let bytes = node.bytes();
+        let mut slot = self.ckpts.slot(self.me());
+        let ckpt = slot.get_or_insert_with(Checkpoint::default);
+        ckpt.version = self.version;
+        self.node.checkpoint_into(&mut ckpt.node);
+        let bytes = ckpt.bytes();
         NodeStats::add(&self.shared.stats.checkpoint_bytes, bytes);
-        let ckpt = Checkpoint {
-            version: self.version,
-            node,
-            pred: self.pred.as_ref().map(|p| p.checkpoint()),
-            commute: self.commute.as_ref().map(|c| c.checkpoint()),
-            stats: self.shared.stats.snapshot(),
-            vtime: self.t,
-            reduce_round: self.reduce_round,
-        };
-        self.ckpts.store(self.me(), ckpt);
+        if let Some(p) = &self.pred {
+            p.checkpoint_into(&mut ckpt.pred);
+        }
+        if let Some(c) = &self.commute {
+            c.checkpoint_into(&mut ckpt.commute);
+        }
+        ckpt.stats = self.shared.stats.snapshot();
+        ckpt.vtime = self.t;
+        ckpt.reduce_round = self.reduce_round;
+        drop(slot);
         self.trace(EventKind::CheckpointEnd, self.version, bytes);
-        self.barrier_recover();
+        if self.pred.is_none() {
+            self.barrier_recover();
+        }
     }
 
     /// Drain this node's inbox: self-send a [`Msg::Fence`] and serve the
@@ -785,10 +793,9 @@ impl<'a> NodeCtx<'a> {
     ///    recording from the restored schedules — an exact re-execution.
     fn recover(&mut self) -> PhaseOutcome {
         let crashed = self.recovery.crashed().expect("recover() without a crash pending");
-        let ckpt = self
-            .ckpts
-            .load(self.me())
-            .expect("crash observed before the first checkpoint was taken");
+        let ckpts = Arc::clone(&self.ckpts);
+        let slot = ckpts.slot(self.me());
+        let ckpt = slot.as_ref().expect("crash observed before the first checkpoint was taken");
         self.trace(EventKind::RecoveryBegin, ckpt.version, u64::from(crashed));
         if self.me() == 0 {
             self.shared.purge_faults();
@@ -804,11 +811,11 @@ impl<'a> NodeCtx<'a> {
         self.barrier_recover();
         // The fabric is empty and silent: restore this node's shard.
         self.node.restore(&ckpt.node);
-        if let (Some(p), Some(pc)) = (&self.pred, &ckpt.pred) {
-            p.restore(pc);
+        if let Some(p) = &self.pred {
+            p.restore(&ckpt.pred);
         }
-        if let (Some(c), Some(cc)) = (&self.commute, &ckpt.commute) {
-            c.restore(cc);
+        if let Some(c) = &self.commute {
+            c.restore(&ckpt.commute);
         }
         self.shared.stats.restore(&ckpt.stats);
         self.t = ckpt.vtime;

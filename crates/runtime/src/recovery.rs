@@ -23,7 +23,7 @@
 //!   the blocked nodes, their protocol state, and the tail of the trace.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -42,18 +42,19 @@ use prescient_tempest::{NodeId, TimeBreakdown, Tracer, VBarrier, MAX_NODES};
 /// The `version` is the phase-execution ordinal the checkpoint guards (the
 /// phase about to run when it was taken); restoring rolls the node back to
 /// the instant *before* that phase's body touched anything.
-#[derive(Clone)]
+#[derive(Default)]
 pub struct Checkpoint {
     /// Phase-execution ordinal this checkpoint guards.
     pub version: u64,
     /// Protocol-level state: block store, directory shard, seq counter,
     /// recall-reply cache.
     pub node: NodeCheckpoint,
-    /// Predictive-protocol state (schedules, health, epoch), when active.
-    pub pred: Option<PredCheckpoint>,
+    /// Predictive-protocol state (schedules, health, epoch); empty unless
+    /// the predictive protocol runs.
+    pub pred: PredCheckpoint,
     /// Commutative-merge state (epoch, push bookkeeping, undrained delta
-    /// chunks), when the merge extension is active.
-    pub commute: Option<CommuteCheckpoint>,
+    /// chunks); empty unless the merge extension runs.
+    pub commute: CommuteCheckpoint,
     /// Every statistics counter at the cut — restored on rollback so the
     /// replayed phase re-counts its events and the run's totals stay
     /// bit-identical to a fault-free execution.
@@ -71,9 +72,11 @@ impl Checkpoint {
     }
 }
 
-/// One checkpoint slot per node. Each node's thread writes only its own
-/// slot; a new checkpoint replaces the previous one (recovery always rolls
-/// back to the *last completed* barrier cut).
+/// One checkpoint slot per node. Each node's thread takes only its own
+/// slot, so its lock is never contended; a new checkpoint is captured over
+/// the previous one in place (recovery always rolls back to the *last
+/// completed* barrier cut), and recovery restores from the slot where it
+/// lies.
 pub struct CheckpointStore {
     slots: Vec<Mutex<Option<Checkpoint>>>,
 }
@@ -84,15 +87,9 @@ impl CheckpointStore {
         CheckpointStore { slots: (0..n).map(|_| Mutex::new(None)).collect() }
     }
 
-    /// Store `ckpt` as node `node`'s rollback state.
-    pub fn store(&self, node: NodeId, ckpt: Checkpoint) {
-        *lock(&self.slots[node as usize]) = Some(ckpt);
-    }
-
-    /// Node `node`'s current rollback state, if any checkpoint has been
-    /// taken.
-    pub fn load(&self, node: NodeId) -> Option<Checkpoint> {
-        lock(&self.slots[node as usize]).clone()
+    /// Node `node`'s slot: `None` until its first checkpoint.
+    pub fn slot(&self, node: NodeId) -> MutexGuard<'_, Option<Checkpoint>> {
+        lock(&self.slots[node as usize])
     }
 }
 

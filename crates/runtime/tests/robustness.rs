@@ -8,7 +8,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use prescient_runtime::{
-    Agg1D, Dist1D, FailureKind, Machine, MachineConfig, NodeCtx, WatchdogConfig,
+    Agg1D, Dist1D, FailureKind, Machine, MachineConfig, NodeCtx, RunReport, WatchdogConfig,
 };
 use prescient_stache::RetryConfig;
 use prescient_tempest::trace::EventKind;
@@ -389,33 +389,72 @@ fn access_counters_equal_the_calls_made_fault_free_and_after_a_replay() {
 
 // ---- checkpointing without a crash is inert -----------------------------
 
+/// Every protocol kind, by name. Each has its own closing fence for the
+/// checkpoint cut (DESIGN.md §12): Stache and commutative mode a recovery
+/// barrier, the predictive protocol the pre-send window's entry barrier.
+const KINDS: [(&str, Constructor); 3] = [
+    ("stache", MachineConfig::stache),
+    ("predictive", MachineConfig::predictive),
+    ("commutative", MachineConfig::commutative),
+];
+
+/// A machine constructor: `(nodes, block size)` to configuration.
+type Constructor = fn(usize, usize) -> MachineConfig;
+
+/// Phase versions [`checkpointed_sweeps`] executes.
+const VERSIONS: u64 = 8;
+
+/// Four rounds of two recoverable sweeps on a machine built from `cfg`:
+/// every node's final share of `a`, bit for bit, and the run's report.
+fn checkpointed_sweeps(cfg: MachineConfig) -> (Vec<Vec<u64>>, RunReport) {
+    let mut m = Machine::new(cfg.validated());
+    let a = Agg1D::<f64>::new(&m, N, Dist1D::Block);
+    let b = Agg1D::<f64>::new(&m, N, Dist1D::Block);
+    init(&mut m, &a, &b);
+    m.run(|ctx: &mut NodeCtx| {
+        for _ in 0..VERSIONS / 2 {
+            ctx.phase(1, &mut (), |ctx, _| sweep(ctx, &a, &b));
+            ctx.phase(2, &mut (), |ctx, _| sweep(ctx, &b, &a));
+        }
+        a.my_range(ctx.me()).map(|i| ctx.read::<f64>(a.addr(i)).to_bits()).collect()
+    })
+}
+
+/// The gated observables of a [`checkpointed_sweeps`] run.
+fn gated(run: &(Vec<Vec<u64>>, RunReport)) -> (Vec<Vec<u64>>, u64, u64, u64, u64, u64) {
+    let t = run.1.total_stats();
+    let (msgs, blocks, bytes) = (t.msgs_out, t.presend_blocks_out, t.data_bytes_in);
+    (run.0.clone(), run.1.exec_time_ns(), msgs, t.misses(), blocks, bytes)
+}
+
 #[test]
 fn checkpointing_alone_leaves_gated_counters_untouched() {
-    // Satellite guarantee: compiling in + enabling checkpoints (without a
-    // crash) must not change any gated counter — only the never-gated
-    // checkpoint columns may differ.
-    let run = |ckpts: bool| {
-        let mut m = Machine::new(MachineConfig::predictive(NODES, 64).with_checkpoints(ckpts));
-        let a = Agg1D::<f64>::new(&m, N, Dist1D::Block);
-        let b = Agg1D::<f64>::new(&m, N, Dist1D::Block);
-        init(&mut m, &a, &b);
-        let (_, report) = m.run(|ctx: &mut NodeCtx| {
-            for _ in 0..4 {
-                ctx.phase(1, &mut (), |ctx, _| sweep(ctx, &a, &b));
-                ctx.phase(2, &mut (), |ctx, _| sweep(ctx, &b, &a));
-            }
-        });
-        report
-    };
-    let off = run(false);
-    let on = run(true);
-    assert_eq!(on.exec_time_ns(), off.exec_time_ns(), "vtime is checkpoint-invariant");
-    let (ts_on, ts_off) = (on.total_stats(), off.total_stats());
-    assert_eq!(ts_on.msgs_out, ts_off.msgs_out, "message counts are checkpoint-invariant");
-    assert_eq!(ts_on.misses(), ts_off.misses());
-    assert_eq!(ts_on.presend_blocks_out, ts_off.presend_blocks_out);
-    assert_eq!(ts_on.data_bytes_in, ts_off.data_bytes_in);
-    assert_eq!(ts_off.checkpoints, 0);
-    assert_eq!(ts_on.checkpoints, 8 * NODES as u64, "one checkpoint per node per phase");
-    assert!(ts_on.checkpoint_bytes > 0);
+    // Enabling checkpoints (without a crash) must not change any gated
+    // counter under any protocol kind, whichever barrier closes the cut —
+    // only the never-gated checkpoint columns may differ.
+    for (kind, cfg) in KINDS {
+        let off = checkpointed_sweeps(cfg(NODES, 64));
+        let on = checkpointed_sweeps(cfg(NODES, 64).with_checkpoints(true));
+        assert_eq!(gated(&on), gated(&off), "{kind}: gated counters are checkpoint-invariant");
+        let (ts_on, ts_off) = (on.1.total_stats(), off.1.total_stats());
+        assert_eq!(ts_off.checkpoints, 0);
+        assert_eq!(ts_on.checkpoints, VERSIONS * NODES as u64, "{kind}: one per node per phase");
+        assert!(ts_on.checkpoint_bytes > 0);
+    }
+}
+
+#[test]
+fn a_crash_at_the_first_or_last_phase_recovers_under_every_protocol_kind() {
+    // The cut each kind's fences close must be one a crash can roll back
+    // to: at the first phase version (the cut right after set-up) and at
+    // the last, the recovered run equals the crash-free one.
+    for (kind, cfg) in KINDS {
+        let clean = checkpointed_sweeps(cfg(NODES, 64).with_checkpoints(true));
+        for version in [1, VERSIONS] {
+            let crashed =
+                checkpointed_sweeps(cfg(NODES, 64).with_crash_plan(CrashPlan::new(1, version)));
+            assert_eq!(crashed.1.total_stats().recoveries, NODES as u64, "{kind} 1@{version}");
+            assert_eq!(gated(&crashed), gated(&clean), "{kind}: crash 1@{version}");
+        }
+    }
 }

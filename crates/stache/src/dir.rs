@@ -159,30 +159,26 @@ impl Directory {
         self.entries.iter().map(|(b, e)| (*b, e))
     }
 
-    /// Capture the directory's full logical state at a quiescent cut.
+    /// Capture the directory's full logical state at a quiescent cut into
+    /// `ckpt`, overwriting what it held and keeping its buffers.
     ///
     /// # Panics
     ///
     /// Panics if any entry is busy or has queued waiters: a barrier is a
     /// protocol quiescence point, so an in-flight multi-hop operation at
     /// checkpoint time is a protocol bug, not a checkpointable state.
-    pub fn checkpoint(&self) -> DirCheckpoint {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(b, e)| {
-                assert!(
-                    !e.is_busy() && e.waiters.is_empty(),
-                    "directory entry {b:?} busy at a checkpoint cut"
-                );
-                (*b, e.state)
-            })
-            .collect();
-        DirCheckpoint {
-            entries,
-            last_seq: self.last_seq.iter().map(|(n, s)| (*n, *s)).collect(),
-            next_op: self.next_op,
-        }
+    pub fn checkpoint_into(&self, ckpt: &mut DirCheckpoint) {
+        ckpt.entries.clear();
+        ckpt.entries.extend(self.entries.iter().map(|(b, e)| {
+            assert!(
+                !e.is_busy() && e.waiters.is_empty(),
+                "directory entry {b:?} busy at a checkpoint cut"
+            );
+            (*b, e.state)
+        }));
+        ckpt.last_seq.clear();
+        ckpt.last_seq.extend(self.last_seq.iter().map(|(n, s)| (*n, *s)));
+        ckpt.next_op = self.next_op;
     }
 
     /// Roll the directory back to a previously captured cut: entry states,
@@ -207,7 +203,7 @@ impl Directory {
 /// requester's seq counter (see `NodeCheckpoint`), so replayed requests
 /// carry seqs the restored watermarks accept, while any pre-rollback
 /// message that survives the recovery drain is rejected as stale.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct DirCheckpoint {
     entries: Vec<(BlockId, DirState)>,
     last_seq: Vec<(NodeId, u64)>,
@@ -264,7 +260,8 @@ mod tests {
         d.entry(BlockId(9)).state = DirState::Exclusive(3);
         assert!(d.accept_seq(2, 7));
         let op_before = d.alloc_op();
-        let ckpt = d.checkpoint();
+        let mut ckpt = DirCheckpoint::default();
+        d.checkpoint_into(&mut ckpt);
 
         // Diverge: new entry, watermark moves, more ops burned.
         d.entry(BlockId(5)).state = DirState::Exclusive(1);
@@ -290,6 +287,37 @@ mod tests {
             owner: 2,
             op: 1,
         });
-        let _ = d.checkpoint();
+        d.checkpoint_into(&mut DirCheckpoint::default());
+    }
+
+    #[test]
+    fn reused_checkpoint_buffer_leaks_nothing() {
+        // What a restored directory holds: entries, watermarks, op ids.
+        let view = |d: &Directory| {
+            let mut entries: Vec<(u64, DirState)> = d.iter().map(|(b, e)| (b.0, e.state)).collect();
+            entries.sort_by_key(|(b, _)| *b);
+            let mut seqs: Vec<(NodeId, u64)> = d.last_seq.iter().map(|(n, s)| (*n, *s)).collect();
+            seqs.sort_unstable();
+            (entries, seqs, d.next_op)
+        };
+        let mut big = Directory::new();
+        for b in 0..8u16 {
+            big.entry(BlockId(u64::from(b))).state = DirState::Exclusive(1);
+            assert!(big.accept_seq(b, 3));
+        }
+        let mut small = Directory::new();
+        small.entry(BlockId(20)).state = DirState::Shared(NodeSet::single(2));
+        assert!(small.accept_seq(9, 5));
+        small.alloc_op();
+
+        let (mut reused, mut fresh) = (DirCheckpoint::default(), DirCheckpoint::default());
+        big.checkpoint_into(&mut reused);
+        small.checkpoint_into(&mut reused);
+        small.checkpoint_into(&mut fresh);
+        let (mut from_reused, mut from_fresh) = (Directory::new(), Directory::new());
+        from_reused.restore(&reused);
+        from_fresh.restore(&fresh);
+        assert_eq!(view(&from_reused), view(&from_fresh));
+        assert_eq!(view(&from_fresh), view(&small));
     }
 }

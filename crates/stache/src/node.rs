@@ -378,16 +378,16 @@ impl Node {
         }
     }
 
-    /// Capture this node's full protocol state at a quiescent cut: the
+    /// Capture this node's full protocol state at a quiescent cut — the
     /// block store, the home directory shard, the request-seq counter, and
-    /// the recall-reply cache.
-    pub fn checkpoint(&self) -> NodeCheckpoint {
-        NodeCheckpoint {
-            mem: self.state.mem.checkpoint(),
-            dir: self.state.dir.checkpoint(),
-            seq: self.shared.seq.load(Ordering::Relaxed),
-            recalled: self.state.recalled.iter().map(|(b, r)| (*b, r.clone())).collect(),
-        }
+    /// the recall-reply cache — into `ckpt`, overwriting what it held and
+    /// keeping its buffers.
+    pub fn checkpoint_into(&self, ckpt: &mut NodeCheckpoint) {
+        self.state.mem.checkpoint_into(&mut ckpt.mem);
+        self.state.dir.checkpoint_into(&mut ckpt.dir);
+        ckpt.seq = self.shared.seq.load(Ordering::Relaxed);
+        ckpt.recalled.clear();
+        ckpt.recalled.extend(self.state.recalled.iter().map(|(b, r)| (*b, r.clone())));
     }
 
     /// Roll this node's protocol state back to a captured cut. Callable
@@ -407,8 +407,8 @@ impl Node {
 
 /// One node's shard of a barrier-consistent checkpoint: block store,
 /// directory, request-seq counter, and recall-reply cache, captured
-/// together at the cut by [`Node::checkpoint`].
-#[derive(Debug, Clone)]
+/// together at the cut by [`Node::checkpoint_into`].
+#[derive(Debug, Default)]
 pub struct NodeCheckpoint {
     /// The paged block store (bytes, tags, unread-pre-send bits, allocator).
     pub mem: MemCheckpoint,
@@ -424,5 +424,74 @@ impl NodeCheckpoint {
     /// Block-data bytes aboard (the checkpoint's dominant cost).
     pub fn bytes(&self) -> u64 {
         self.mem.bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dir::DirState;
+    use crate::hooks::NoHooks;
+    use crate::testkit::Cluster;
+    use prescient_tempest::Tag;
+
+    fn cluster() -> Cluster {
+        Cluster::new(2, 32, RetryConfig::default(), None, |_| Arc::new(NoHooks))
+    }
+
+    type Blocks = Vec<(u64, Tag, Vec<u8>)>;
+    type Recalls = Vec<(u64, u64, Vec<u8>, bool)>;
+
+    /// Everything a restore rewinds: blocks with tags and bytes, unread
+    /// pre-sends, directory states, the seq counter, the recall replies.
+    fn view(n: &Node) -> (Blocks, usize, Vec<(u64, DirState)>, u64, Recalls) {
+        let mem = &n.state.mem;
+        let mut blocks: Blocks = mem
+            .iter_blocks()
+            .map(|(b, tag)| (b.0, tag, mem.data(b).expect("materialized").to_vec()))
+            .collect();
+        blocks.sort_by_key(|b| b.0);
+        let mut dir: Vec<(u64, DirState)> =
+            n.state.dir.iter().map(|(b, e)| (b.0, e.state)).collect();
+        dir.sort_by_key(|d| d.0);
+        let mut recalled: Recalls =
+            n.state.recalled.iter().map(|(b, r)| (b.0, r.op, r.data.to_vec(), r.unused)).collect();
+        recalled.sort_by_key(|r| r.0);
+        let seq = n.shared.seq.load(Ordering::Relaxed);
+        (blocks, mem.unused_presends(), dir, seq, recalled)
+    }
+
+    #[test]
+    fn reused_checkpoint_buffer_leaks_nothing() {
+        let reply =
+            |op: u64, byte: u8| RecallReply { op, data: vec![byte; 32].into(), unused: false };
+        let (mut big, mut small) = (cluster(), cluster());
+        let node = &mut big.nodes[0];
+        let remote = node.shared.layout.block_of(node.shared.layout.heap_base(1));
+        for _ in 0..6 {
+            let a = node.state.mem.alloc(32, 32);
+            node.state.mem.write_in_block(a, &[9; 8]).unwrap();
+        }
+        node.state.mem.install(remote, &[4; 32], Tag::ReadOnly, true);
+        for b in 0..4 {
+            node.state.dir.entry(BlockId(b)).state = DirState::Exclusive(1);
+            node.state.recalled.insert(BlockId(b), reply(b + 1, 7));
+        }
+        node.shared.next_seqs(40);
+        let node = &mut small.nodes[0];
+        let a = node.state.mem.alloc(32, 32);
+        node.state.mem.write_in_block(a, &[1; 8]).unwrap();
+        node.state.dir.entry(BlockId(9)).state = DirState::Exclusive(1);
+        node.state.recalled.insert(BlockId(9), reply(3, 2));
+
+        let (mut reused, mut fresh) = (NodeCheckpoint::default(), NodeCheckpoint::default());
+        big.nodes[0].checkpoint_into(&mut reused);
+        small.nodes[0].checkpoint_into(&mut reused);
+        small.nodes[0].checkpoint_into(&mut fresh);
+        let (mut from_reused, mut from_fresh) = (cluster(), cluster());
+        from_reused.nodes[0].restore(&reused);
+        from_fresh.nodes[0].restore(&fresh);
+        assert_eq!(view(&from_reused.nodes[0]), view(&from_fresh.nodes[0]));
+        assert_eq!(view(&from_fresh.nodes[0]), view(&small.nodes[0]));
     }
 }

@@ -568,33 +568,28 @@ impl NodeMem {
         self.unused
     }
 
+    /// [`Self::checkpoint_into`] a fresh [`MemCheckpoint`].
+    pub fn checkpoint(&self) -> MemCheckpoint {
+        let mut ckpt = MemCheckpoint::default();
+        self.checkpoint_into(&mut ckpt);
+        ckpt
+    }
+
     /// Capture the store's full logical state — every materialized block's
     /// bytes, tag, and unread-pre-send bit, plus the allocator watermark —
-    /// into a [`MemCheckpoint`]. Taken at a phase barrier (a protocol
-    /// quiescence point) this is one node's shard of a consistent cut.
-    pub fn checkpoint(&self) -> MemCheckpoint {
+    /// into `ckpt`, overwriting what it held and keeping its buffers, so a
+    /// capture that fits them allocates nothing. Taken at a phase barrier
+    /// (a protocol quiescence point) this is one node's shard of a
+    /// consistent cut.
+    pub fn checkpoint_into(&self, ckpt: &mut MemCheckpoint) {
         let bs = self.layout.block_size;
-        let mut blocks = Vec::with_capacity(self.resident);
-        for (seg, pages) in self.segs.iter().enumerate() {
-            for (pi, page) in pages.iter().enumerate() {
-                let Some(page) = page else { continue };
-                for slot in 0..PAGE_BLOCKS {
-                    if !page.present(slot) {
-                        continue;
-                    }
-                    let id = ((seg as u64) << self.seg_shift)
-                        | ((pi as u64) << PAGE_SHIFT)
-                        | slot as u64;
-                    blocks.push((
-                        BlockId(id),
-                        page.tag(slot),
-                        page.unused(slot),
-                        Arc::from(page.block(slot, bs)),
-                    ));
-                }
-            }
+        ckpt.blocks.clear();
+        ckpt.data.clear();
+        for (block, page, slot) in self.slots() {
+            ckpt.blocks.push((block, page.meta[slot]));
+            ckpt.data.extend_from_slice(page.block(slot, bs));
         }
-        MemCheckpoint { blocks, alloc_next: self.alloc_next }
+        ckpt.alloc_next = self.alloc_next;
     }
 
     /// Roll the store back to a previously captured [`MemCheckpoint`]:
@@ -606,47 +601,50 @@ impl NodeMem {
             pages.clear();
         }
         self.resident = 0;
-        self.unused = 0;
         self.alloc_next = ckpt.alloc_next;
         let bs = self.layout.block_size;
-        for (block, tag, unused, data) in &ckpt.blocks {
-            debug_assert_eq!(data.len(), bs);
-            let mut unused_count = self.unused;
-            let (p, slot) = self.materialize(*block);
+        for (&(block, meta), data) in ckpt.blocks.iter().zip(ckpt.data.chunks_exact(bs)) {
+            let (p, slot) = self.materialize(block);
             p.block_mut(slot, bs).copy_from_slice(data);
-            p.meta[slot] = (p.meta[slot] & !META_TAG_MASK) | tag_code(*tag);
-            Self::set_unused_bit(p, slot, &mut unused_count, *unused);
-            self.unused = unused_count;
+            p.meta[slot] = meta;
         }
+        self.unused = ckpt.blocks.iter().filter(|(_, meta)| meta & META_UNUSED != 0).count();
     }
 
-    /// Iterate over all materialized blocks and their tags (diagnostics,
-    /// invariant checking). Walks dense pages — no hashing.
-    pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, Tag)> + '_ {
+    /// Every materialized block with its page and slot, in block order.
+    fn slots(&self) -> impl Iterator<Item = (BlockId, &Page, usize)> + '_ {
         let seg_shift = self.seg_shift;
         self.segs.iter().enumerate().flat_map(move |(seg, pages)| {
             pages
                 .iter()
                 .enumerate()
-                .filter_map(|(pi, p)| p.as_ref().map(move |p| (pi, p)))
+                .filter_map(|(pi, p)| p.as_deref().map(move |p| (pi, p)))
                 .flat_map(move |(pi, page)| {
                     (0..PAGE_BLOCKS).filter(|&slot| page.present(slot)).map(move |slot| {
                         let id =
                             ((seg as u64) << seg_shift) | ((pi as u64) << PAGE_SHIFT) | slot as u64;
-                        (BlockId(id), page.tag(slot))
+                        (BlockId(id), page, slot)
                     })
                 })
         })
     }
+
+    /// Iterate over all materialized blocks and their tags (diagnostics,
+    /// invariant checking). Walks dense pages — no hashing.
+    pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, Tag)> + '_ {
+        self.slots().map(|(block, page, slot)| (block, page.tag(slot)))
+    }
 }
 
-/// A full logical snapshot of one node's block store at a consistent cut:
-/// every materialized block's id, tag, unread-pre-send bit, and bytes,
-/// plus the bump allocator's watermark. Produced by [`NodeMem::checkpoint`]
+/// A full logical snapshot of one node's block store at a consistent cut,
+/// flat: every materialized block's id and metadata byte (tag,
+/// unread-pre-send bit), its bytes in one buffer in the same order, and
+/// the bump allocator's watermark. Filled by [`NodeMem::checkpoint_into`]
 /// and consumed by [`NodeMem::restore`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct MemCheckpoint {
-    blocks: Vec<(BlockId, Tag, bool, Arc<[u8]>)>,
+    blocks: Vec<(BlockId, u8)>,
+    data: Vec<u8>,
     alloc_next: u64,
 }
 
@@ -658,7 +656,7 @@ impl MemCheckpoint {
 
     /// Block-data bytes captured (the checkpoint's dominant cost).
     pub fn bytes(&self) -> u64 {
-        self.blocks.iter().map(|(_, _, _, d)| d.len() as u64).sum()
+        self.data.len() as u64
     }
 }
 
@@ -859,6 +857,40 @@ mod tests {
         assert_eq!(buf, [3u8; 8]);
         // Allocator rewound: the next alloc reuses b's address.
         assert_eq!(m.alloc(32, 8), b);
+    }
+
+    #[test]
+    fn reused_checkpoint_buffer_leaks_nothing() {
+        // Everything a restore rewinds: blocks, tags, bytes, unread
+        // pre-sends, the allocator.
+        let view = |m: &NodeMem| {
+            let blocks: Vec<(BlockId, Tag, Vec<u8>)> =
+                m.iter_blocks().map(|(b, t)| (b, t, m.data(b).unwrap().to_vec())).collect();
+            (blocks, m.unused_presends(), m.alloc_next)
+        };
+        let l = mem().layout();
+        let mut big = mem();
+        for i in 0..6u8 {
+            let a = big.alloc(32, 8);
+            big.write_in_block(a, &[i + 1; 8]).unwrap();
+        }
+        big.install(l.block_of(l.heap_base(2)), &[5u8; 32], Tag::ReadOnly, true);
+        big.install(l.block_of(l.heap_base(3)), &[6u8; 32], Tag::ReadOnly, true);
+        let mut small = mem();
+        let a = small.alloc(32, 8);
+        small.write_in_block(a, &[9u8; 8]).unwrap();
+        small.install(l.block_of(l.heap_base(2)), &[7u8; 32], Tag::ReadWrite, false);
+
+        let (mut reused, mut fresh) = (MemCheckpoint::default(), MemCheckpoint::default());
+        big.checkpoint_into(&mut reused);
+        small.checkpoint_into(&mut reused);
+        small.checkpoint_into(&mut fresh);
+        assert_eq!(reused.bytes(), fresh.bytes(), "checkpoint_bytes counts this capture only");
+        let (mut from_reused, mut from_fresh) = (mem(), mem());
+        from_reused.restore(&reused);
+        from_fresh.restore(&fresh);
+        assert_eq!(view(&from_reused), view(&from_fresh));
+        assert_eq!(view(&from_fresh), view(&small));
     }
 
     #[test]
