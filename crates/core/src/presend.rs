@@ -41,13 +41,12 @@
 
 use std::sync::Arc;
 
+use prescient_stache::dir::DirState;
 use prescient_stache::engine::fetch_all;
 use prescient_stache::msg::UserMsg;
-use prescient_stache::node::{Node, NodeShared, NodeState};
-
-use prescient_stache::dir::DirState;
+use prescient_stache::node::{Node, NodeShared};
+use prescient_stache::table::install;
 use prescient_tempest::sync::lock;
-use prescient_tempest::tag::Tag;
 use prescient_tempest::trace::{pack_counts, pack_peer_count, EventKind};
 use prescient_tempest::{BlockId, NodeSet, NodeStats};
 
@@ -167,7 +166,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
         // A write run leaves alone what its (remote) writer already owns.
         let owned = run.writer.filter(|&w| excl && w != me).map(DirState::Exclusive);
         stale.extend(run.blocks().filter_map(|block| {
-            let settled = match (dir_state(&node.state, block), excl) {
+            let settled = match (node.state.dir.stable(block), excl) {
                 (Some(DirState::Uncached), _) | (Some(DirState::Shared(_)), false) => true,
                 (state @ Some(_), true) => state == owned,
                 _ => false,
@@ -198,7 +197,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
             Action::Read => {
                 let readers = run.readers.without(me);
                 for block in run.blocks() {
-                    let sharers = match dir_state(&node.state, block) {
+                    let sharers = match node.state.dir.stable(block) {
                         Some(DirState::Shared(s)) => s,
                         _ => NodeSet::EMPTY,
                     };
@@ -213,7 +212,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
                 // `writer == me`: ownership was prefetched home above.
                 for block in run.blocks().filter(|_| writer != me) {
                     let owned = Some(DirState::Exclusive(writer));
-                    if torn(block) || dir_state(&node.state, block) != owned {
+                    if torn(block) || node.state.dir.stable(block) != owned {
                         pushes.push(Push { block, targets: NodeSet::single(writer), excl: true });
                     }
                 }
@@ -227,15 +226,13 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     // survives duplication and loss; unacked messages are kept verbatim
     // for retransmission.
     //
-    // Each push is *revalidated* against the directory before it is
-    // committed: between pass 1 (whose tear-down waves serve the inbox
-    // while they wait) and pass 2, a demand request from another node may
-    // have won the block — leaving the entry busy, or Exclusive at a node
-    // the schedule never predicted.
-    // Blindly pushing then would hand out copies that violate the
-    // single-writer invariant. Stale pushes are dropped (counted in
-    // `presend_aborted`); the demand path already did, or will do, the
-    // transfer.
+    // Each push is committed through the protocol table's install rows,
+    // whose guards revalidate it: between pass 1 (whose tear-down waves
+    // serve the inbox while they wait) and pass 2, a demand request from
+    // another node may have won the block — leaving the entry busy, or
+    // Exclusive at a node the schedule never predicted — and pushing then
+    // would break the single-writer invariant. Such a push is dropped
+    // (counted in `presend_aborted`); the demand path does the transfer.
     //
     // The payload is snapshotted once per group into an `Arc` list; the
     // per-target fan-out and the retransmission store clone refcounts, not
@@ -249,44 +246,16 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     );
     let mut outstanding = AckedPushes::default();
     let mut sent: Vec<Push> = Vec::with_capacity(pushes.len());
-    let mut aborted = 0u64;
     for group in &groups {
         let first = group[0];
-        let payload: Arc<[(BlockId, Arc<[u8]>)]> = {
-            let NodeState { dir, mem, .. } = &mut node.state;
-            let mut kept = Vec::with_capacity(group.len());
-            for p in group {
-                let e = dir.entry(p.block);
-                let stale = e.is_busy()
-                    || if p.excl {
-                        // Pass 1 tore the block down to Uncached; anything
-                        // else means a demand request got there first.
-                        e.state != DirState::Uncached
-                    } else {
-                        // A read push only conflicts with a writer.
-                        matches!(e.state, DirState::Exclusive(_))
-                    };
-                if stale {
-                    aborted += 1;
-                    continue;
-                }
-                if p.excl {
-                    let w = p.targets.iter().next().expect("excl push without target");
-                    e.state = DirState::Exclusive(w);
-                    mem.set_tag(p.block, Tag::Invalid);
-                } else {
-                    let existing = match e.state {
-                        DirState::Shared(s) => s,
-                        _ => NodeSet::EMPTY,
-                    };
-                    e.state = DirState::Shared(existing.union(p.targets));
-                    mem.set_tag(p.block, Tag::ReadOnly);
-                }
-                kept.push((p.block, mem.snapshot(p.block)));
+        let mut kept = Vec::with_capacity(group.len());
+        for p in group {
+            if install(n, &mut node.state, p.block, p.excl, p.targets) {
+                kept.push((p.block, node.state.mem.snapshot(p.block)));
                 sent.push(*p);
             }
-            kept.into()
-        };
+        }
+        let payload: Arc<[(BlockId, Arc<[u8]>)]> = kept.into();
         if payload.is_empty() {
             continue;
         }
@@ -316,7 +285,6 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
             report.bytes += payload_bytes;
         }
     }
-    NodeStats::add(&n.stats.presend_aborted, aborted);
 
     NodeStats::add(&n.stats.presend_blocks_out, report.blocks_pushed);
     NodeStats::add(&n.stats.presend_msgs_out, report.msgs);
@@ -356,18 +324,6 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
 
     report.vtime_ns += n.cost.bulk_ns(report.msgs, report.blocks_pushed, report.bytes);
     report
-}
-
-/// The block's directory state, or `None` if a multi-hop round is in
-/// flight. Pass 1 used to `debug_assert!` that never happens, but a delayed
-/// demand request released by a faulty fabric mid-window makes it real:
-/// callers must treat `None` as "state unknown, serialize via a fetch".
-fn dir_state(st: &NodeState, block: BlockId) -> Option<DirState> {
-    match st.dir.get(block) {
-        None => Some(DirState::Uncached),
-        Some(e) if e.is_busy() => None,
-        Some(e) => Some(e.state),
-    }
 }
 
 /// Group pushes into bulk messages: a group is a run of *neighboring*

@@ -11,16 +11,25 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     parse_diag(src).map_err(ParseError::from)
 }
 
+/// How deep expressions and blocks may nest: parentheses, prefix `-`, the
+/// operators of one chain (each is a level of the tree), `if`/`for` bodies.
+/// Every later pass — analysis, dataflow, evaluation, and dropping the
+/// tree — recurses over the program, so a deeper one is a `PARSE` error
+/// here rather than a stack overflow there.
+pub const MAX_DEPTH: usize = 100;
+
 /// Parse a whole program, reporting failures as `E001`/`E002` diagnostics.
 pub fn parse_diag(src: &str) -> Result<Program, Diagnostic> {
     let toks = lex_diag(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     p.program()
 }
 
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Current nesting, against [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -46,6 +55,17 @@ impl Parser {
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, Diagnostic> {
         Err(Diagnostic::error(codes::PARSE, msg).with_span(self.span()))
+    }
+
+    /// Go one level deeper; an error past [`MAX_DEPTH`]. The caller comes
+    /// back up once its construct is parsed (an error ends the parse, so
+    /// the count need not be restored on that path).
+    fn nest(&mut self) -> Result<(), Diagnostic> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(())
     }
 
     fn expect_punct(&mut self, p: &'static str) -> Result<(), Diagnostic> {
@@ -207,10 +227,12 @@ impl Parser {
             self.expect_punct("..")?;
             let hi = self.int_lit()?;
             self.expect_punct("{")?;
+            self.nest()?;
             let mut body = Vec::new();
             while !self.eat_punct("}") {
                 body.push(self.seq_stmt()?);
             }
+            self.depth -= 1;
             Ok(SeqStmt::For { var, lo, hi, body })
         } else {
             // `commute` is a directive only when it prefixes a call; a
@@ -240,10 +262,12 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, Diagnostic> {
         self.expect_punct("{")?;
+        self.nest()?;
         let mut body = Vec::new();
         while !self.eat_punct("}") {
             body.push(self.stmt()?);
         }
+        self.depth -= 1;
         Ok(body)
     }
 
@@ -293,6 +317,13 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, Diagnostic> {
+        self.nest()?;
+        let e = self.comparison();
+        self.depth -= 1;
+        e
+    }
+
+    fn comparison(&mut self) -> Result<Expr, Diagnostic> {
         let lhs = self.add_expr()?;
         let op = match self.peek() {
             Tok::Punct("<") => Some(BinOp::Lt),
@@ -313,7 +344,7 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.mul_expr()?;
+        let (mut lhs, depth) = (self.mul_expr()?, self.depth);
         loop {
             let op = match self.peek() {
                 Tok::Punct("+") => BinOp::Add,
@@ -321,14 +352,16 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.nest()?;
             let rhs = self.mul_expr()?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn mul_expr(&mut self) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.unary()?;
+        let (mut lhs, depth) = (self.unary()?, self.depth);
         loop {
             let op = match self.peek() {
                 Tok::Punct("*") => BinOp::Mul,
@@ -337,15 +370,20 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.nest()?;
             let rhs = self.unary()?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, Diagnostic> {
         if self.eat_punct("-") {
-            Ok(Expr::Neg(Box::new(self.unary()?)))
+            self.nest()?;
+            let e = Expr::Neg(Box::new(self.unary()?));
+            self.depth -= 1;
+            Ok(e)
         } else {
             self.atom()
         }
@@ -584,6 +622,58 @@ mod tests {
                 }
             }
             other => panic!("expected store, got {other:?}"),
+        }
+    }
+
+    /// `body` as the statement list of a one-aggregate parallel function.
+    fn in_fn(body: &str) -> String {
+        format!("aggregate A[4] of float;\nparallel fn f(a) {{ {body} }}\nfn main() {{ f(A); }}\n")
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_the_deepest_program_fits_a_small_stack() {
+        fn ifs(k: usize) -> String {
+            "if 1 < 2 { ".repeat(k)
+        }
+        fn ends(k: usize) -> String {
+            " }".repeat(k)
+        }
+        type Form = fn(usize) -> String;
+        let forms: [(&str, Form); 7] = [
+            ("parens", |k| in_fn(&format!("a[#0] = {}1{};", "(".repeat(k), ")".repeat(k)))),
+            ("negation", |k| in_fn(&format!("a[#0] = {}1.0;", "-".repeat(k)))),
+            ("sum", |k| in_fn(&format!("a[#0] = 1.0{};", " + a[#0]".repeat(k)))),
+            ("product", |k| in_fn(&format!("a[#0] = 1.0{};", " * abs(a[#0])".repeat(k)))),
+            ("ifs", |k| in_fn(&format!("{}a[#0] = 1.0;{}", ifs(k), ends(k)))),
+            ("ifs around parens", |k| {
+                let (half, open, close) = (MAX_DEPTH / 2, "(".repeat(k), ")".repeat(k));
+                in_fn(&format!("{}a[#0] = {open}1{close};{}", ifs(half), ends(half)))
+            }),
+            ("main's loops", |k| {
+                let (open, close) = ("for t in 0..2 { ".repeat(k), ends(k));
+                let f = "parallel fn f(a) { a[#0] = 1.0; }";
+                format!("aggregate A[4] of float;\n{f}\nfn main() {{ {open}f(A);{close} }}\n")
+            }),
+        ];
+        for (name, form) in forms {
+            let k = (1..=2 * MAX_DEPTH).take_while(|&k| parse_diag(&form(k)).is_ok()).last();
+            let k = k.unwrap_or_else(|| panic!("{name}: one level must parse"));
+            let err = parse_diag(&form(k + 1)).expect_err(name);
+            assert_eq!(err.code, codes::PARSE, "{name}");
+            assert!(err.message.contains("nesting deeper"), "{name}: {}", err.message);
+            assert!(parse_diag(&form(100 * MAX_DEPTH)).is_err(), "{name}: far deeper");
+            // Parse, analysis, dataflow, the lint pass and the drop of the
+            // deepest accepted program, on a 2 MiB thread in a debug build.
+            let src = form(k);
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || {
+                    let c = crate::compile::compile_diag(&src, true, Default::default());
+                    drop(crate::lint::lint_program(&c.expect("the deepest program compiles")));
+                })
+                .expect("spawn")
+                .join()
+                .unwrap_or_else(|_| panic!("{name}: depth {k} does not fit a 2 MiB stack"));
         }
     }
 }

@@ -5,15 +5,11 @@
 //! *sharers*, or a single remote *exclusive owner*. A handler that must wait
 //! for remote action (a recall or an invalidation round) parks the entry in
 //! a transient [`Busy`] state and queues later requests; handlers therefore
-//! never block, which keeps the two-threads-per-node emulation deadlock-free.
+//! never block, so a node's one thread can run them wherever it waits.
 //!
-//! Invariants maintained by the engine:
-//!
-//! * `Uncached` ⇔ home tag is `ReadWrite` and no remote copies exist;
-//! * `Shared(S)`, `S ≠ ∅` ⇔ home tag is `ReadOnly`, every `s ∈ S` holds (or
-//!   is being sent) a `ReadOnly` copy; the home is never a member of `S`;
-//! * `Exclusive(o)` ⇔ home tag is `Invalid`, `o ≠ home` holds (or is being
-//!   sent) the only writable copy and home memory may be stale.
+//! Which states an entry moves through, on which message, and which tags
+//! each stable state allows its home, its holders and every other node are
+//! stated once, in [`crate::table`] (DESIGN.md §2.3 prints it).
 //!
 //! On top of the per-block entries, [`Directory`] keeps the home's
 //! reliability state: the last accepted sequence number per requester
@@ -37,8 +33,19 @@ pub enum DirState {
     Exclusive(NodeId),
 }
 
+impl DirState {
+    /// The nodes holding remote copies: the sharers, the owner, or nobody.
+    pub fn holders(self) -> NodeSet {
+        match self {
+            DirState::Uncached => NodeSet::EMPTY,
+            DirState::Shared(s) => s,
+            DirState::Exclusive(o) => NodeSet::single(o),
+        }
+    }
+}
+
 /// A queued coherence request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PendingReq {
     /// Requesting node.
     pub requester: NodeId,
@@ -46,36 +53,22 @@ pub struct PendingReq {
     pub excl: bool,
     /// The home's hooks recorded this request (schedule building).
     pub recorded: bool,
-    /// Sequence number the eventual grant must echo. Updated in place when
-    /// the requester retries while the request is parked, so the grant
-    /// matches the requester's latest attempt.
+    /// Sequence number the eventual grant must echo: a retry while parked
+    /// refreshes it, so the grant matches the latest attempt.
     pub seq: u64,
 }
 
-/// Transient state of an in-flight multi-hop operation.
+/// Transient state of an in-flight multi-hop operation: a recall round
+/// waiting for `RecallData` from the exclusive `owner`, or an invalidation
+/// round waiting for the acks of the sharers in `pending` (a set, not a
+/// count, so a duplicated ack cannot double-decrement). Either grants `req`
+/// when it completes; `op` is the round's id, and replies naming another
+/// are ignored.
+#[allow(missing_docs)]
 #[derive(Debug)]
 pub enum Busy {
-    /// Waiting for `RecallData` from the current exclusive owner; the
-    /// queued request is then granted.
-    Recall {
-        /// Request to grant once data returns.
-        req: PendingReq,
-        /// Owner being recalled.
-        owner: NodeId,
-        /// Id of this recall round; stale replies are ignored.
-        op: u64,
-    },
-    /// Waiting for invalidation acknowledgements from `pending`; the
-    /// queued request is then granted.
-    Invals {
-        /// Request to grant once all acks arrive.
-        req: PendingReq,
-        /// Sharers whose acks are still outstanding (tracked as a set, not
-        /// a count, so duplicated acks cannot double-decrement).
-        pending: NodeSet,
-        /// Id of this invalidation round; stale acks are ignored.
-        op: u64,
-    },
+    Recall { req: PendingReq, owner: NodeId, op: u64 },
+    Invals { req: PendingReq, pending: NodeSet, op: u64 },
 }
 
 /// Directory entry for one home block.
@@ -127,6 +120,14 @@ impl Directory {
         self.entries.get(&block)
     }
 
+    /// The block's stable state, or `None` while a round is in flight.
+    pub fn stable(&self, block: BlockId) -> Option<DirState> {
+        match self.entries.get(&block) {
+            Some(e) if e.is_busy() => None,
+            e => Some(e.map_or(DirState::Uncached, |e| e.state)),
+        }
+    }
+
     /// Mutable view of an existing entry.
     pub fn get_mut(&mut self, block: BlockId) -> Option<&mut DirEntry> {
         self.entries.get_mut(&block)
@@ -138,12 +139,9 @@ impl Directory {
     /// originals overtaken by their own retry return `false`.
     pub fn accept_seq(&mut self, requester: NodeId, seq: u64) -> bool {
         let last = self.last_seq.entry(requester).or_insert(0);
-        if seq > *last {
-            *last = seq;
-            true
-        } else {
-            false
-        }
+        let fresh = seq > *last;
+        *last = (*last).max(seq);
+        fresh
     }
 
     /// Allocate a home-unique id for a recall / invalidation round.

@@ -27,7 +27,10 @@
 //! * [`node`] — one node as its one thread holds it: the lock-free shared
 //!   part, the owned state (block store, directory), the inbox, and the
 //!   loops that serve it (poll, wait, barrier);
-//! * [`engine`] — the handlers themselves plus the fault path
+//! * [`table`] — the protocol itself: one transition relation for the home
+//!   and one for the requester, run by a small interpreter, plus the legal
+//!   tags of each stable state the checker reads;
+//! * [`engine`] — message dispatch into the table plus the fault path
 //!   ([`engine::fetch`], and its wave form for a home's own tear-downs,
 //!   [`engine::fetch_all`]);
 //! * [`hooks`] — the extension interface: recording of home-node requests
@@ -44,6 +47,7 @@ pub mod engine;
 pub mod hooks;
 pub mod msg;
 pub mod node;
+pub mod table;
 pub mod testkit;
 
 pub use check::check_coherence;

@@ -355,3 +355,66 @@ fn deterministic_false_sharing_case_under_faults() {
     let plan = FaultPlan::new(0xC0FFEE).duplicating(1000).delaying(150, 3).dropping(60);
     run_program(3, 32, Some(plan), false_sharing_case());
 }
+
+/// The case the retired proptest harness had shrunk and saved (64-byte
+/// blocks, twelve rounds), pinned here when its regression file went.
+#[test]
+fn shrunk_case_with_64_byte_blocks() {
+    use Phase::{Reads as R, Writes as W};
+    let phases = vec![
+        R(vec![(3, 0), (5, 0)]),
+        W(vec![(5, 0, 18427189421063975524)]),
+        W(vec![
+            (8, 2, 13426523303742176575),
+            (9, 1, 12082817195746022718),
+            (11, 0, 2860813970261959552),
+        ]),
+        R(vec![(6, 2), (5, 2), (9, 1), (6, 0), (6, 0), (6, 2), (3, 2), (7, 0)]),
+        W(vec![
+            (3, 2, 7223228280769112191),
+            (4, 0, 16201217000018916851),
+            (5, 2, 7404519436462015783),
+            (9, 1, 9720883561445607880),
+        ]),
+        R(vec![(6, 2), (4, 2), (1, 0), (5, 0), (7, 1), (4, 0), (9, 0), (0, 0)]),
+        R(vec![(9, 0), (9, 1), (4, 0), (6, 2), (11, 0)]),
+        R(vec![(6, 0), (2, 0), (6, 2)]),
+        R(vec![(1, 1), (1, 2)]),
+        R(vec![(0, 0), (8, 2)]),
+        R(vec![(9, 1), (7, 1), (11, 1), (9, 1)]),
+        W(vec![
+            (0, 1, 17084951859056702892),
+            (3, 1, 13259948890354677059),
+            (4, 1, 12751160706609448220),
+            (6, 0, 8647870685506600900),
+        ]),
+    ];
+    run_program(3, 64, None, phases);
+}
+
+/// The protocol table's rows that only a fault reaches in a real run
+/// (`rows.rs` injects what the fault delivers) are reached here under a
+/// plan that duplicates every message: the duplicate of a request, of a
+/// `RecallData`, of an `InvalAck`, of an invalidating `Recall`, of an
+/// `Invalidate` and of a grant.
+#[cfg(debug_assertions)]
+#[test]
+fn duplicated_delivery_reaches_the_rows_only_faults_reach() {
+    use prescient_stache::table::*;
+    use std::sync::atomic::Ordering;
+    let rows = [
+        home_row(U, DUP, 0),
+        home_row(U, RDATA_STALE, 0),
+        home_row(U, ACK_STALE, 0),
+        HOME_ROWS.len() + peer_row(TI, RECALL, INVAL | RECORDED),
+        HOME_ROWS.len() + peer_row(TI, INVALIDATE, 0),
+        HOME_ROWS.len() + peer_row(TI, GRANT, 0),
+    ];
+    let hits = || rows.map(|r| HITS[r].load(Ordering::Relaxed));
+    let before = hits();
+    run_program(3, 32, Some(FaultPlan::new(5).duplicating(1000)), seeded_program(5, 3, 12, 12));
+    let after = hits();
+    for (i, r) in rows.iter().enumerate() {
+        assert!(after[i] > before[i], "row {r} (0-based, home then peer) never fired");
+    }
+}

@@ -1,6 +1,7 @@
 //! Regression stress for the self-grant/waiter-queue race: three nodes
 //! concurrently upgrade distinct words of one falsely shared block, then
-//! all read every word back. Before the fix in `Engine::on_grant`, a home
+//! all read every word back. Before the fix (a home's own grant installs
+//! nothing: the table's requester row `Grant, local` only wakes), a home
 //! node's queued self-grant could resurrect a revoked writable tag after
 //! the block had been re-granted to a waiter, silently losing the home's
 //! writes.

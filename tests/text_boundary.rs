@@ -1,7 +1,8 @@
-//! The text boundary, end to end (ISSUE 23): what the program writes is
+//! The text boundary, end to end: what the program writes is
 //! byte-identical to what its hand-rolled writers wrote at the parent
-//! commit, what it reads is safe on hostile bytes, and the `PRESCIENT_*`
-//! table is the one the README prints.
+//! commit, what it reads — JSON, `PRESCIENT_*` values, C\*\* source — is
+//! safe on hostile bytes, and the `PRESCIENT_*` table is the one the
+//! README prints.
 
 mod hostile;
 
@@ -10,6 +11,8 @@ use std::time::Duration;
 
 use prescient::cstar::diag::{codes, Diagnostic, Span};
 use prescient::cstar::directives::{CallDecision, DirectivePlan, ExecOp, PhaseAssignment};
+use prescient::cstar::parser::MAX_DEPTH;
+use prescient::cstar::{compile_diag, lint_program};
 use prescient::runtime::{env, MachineConfig, NodeReport, PlacementSpec, RunReport, RunTimeline};
 use prescient::tempest::json::{self, Json};
 use prescient::tempest::stats::StatsSnapshot;
@@ -274,6 +277,75 @@ fn narrowing_is_checked_and_names_the_field() {
     assert!(PhaseRecord::parse_line(&bad_node).expect_err("node").contains("`node`"));
     let bad_phase = LINE_PLAIN.replacen("\"phase\":4", "\"phase\":4294967296", 1);
     assert!(PhaseRecord::parse_line(&bad_phase).expect_err("phase").contains("`phase`"));
+}
+
+// ---- C** source -------------------------------------------------------------
+
+/// What `cstar-lint` does with a source: compile it, then lint it. Any
+/// answer will do; it must come back, not panic or abort. An error is the
+/// diagnostic's message.
+fn compile_and_lint(src: &str) -> Result<usize, String> {
+    let prog = compile_diag(src, true, Default::default()).map_err(|d| d.message)?;
+    Ok(lint_program(&prog).len())
+}
+
+/// `body` as the statement list of a one-aggregate parallel function.
+fn in_fn(body: &str) -> String {
+    format!("aggregate A[4] of float;\nparallel fn f(a) {{ {body} }}\nfn main() {{ f(A); }}\n")
+}
+
+#[test]
+fn every_prefix_of_every_cstar_source_compiles_or_is_diagnosed() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = 0;
+    for dir in ["examples", "crates/cstar/tests/lints"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("fixture directory") {
+            let path = entry.expect("entry").path();
+            if path.extension().is_some_and(|e| e == "cstar") {
+                let src = std::fs::read_to_string(&path).expect("fixture");
+                files += 1;
+                for end in (0..=src.len()).filter(|&i| src.is_char_boundary(i)) {
+                    let _ = compile_and_lint(&src[..end]);
+                }
+                assert!(compile_and_lint(&src).is_ok() || dir.ends_with("lints"), "{path:?}");
+            }
+        }
+    }
+    assert!(files >= 10, "only {files} C** sources found");
+}
+
+#[test]
+fn hostile_cstar_is_a_diagnostic_not_an_abort() {
+    let deep = 10 * MAX_DEPTH;
+    let parens = |n: usize| in_fn(&format!("a[#0] = {}1{};", "(".repeat(n), ")".repeat(n)));
+    let nesting = Some("nesting deeper");
+    let rows = [
+        ("parens at 10x the bound", parens(deep), nesting),
+        (
+            "negations at 10x the bound",
+            in_fn(&format!("a[#0] = {}1.0;", "-".repeat(deep))),
+            nesting,
+        ),
+        (
+            "ifs at 10x the bound",
+            in_fn(&format!("{}a[#0] = 1.0;", "if 1 < 2 { ".repeat(deep))),
+            nesting,
+        ),
+        ("10 000 parens", parens(10_000), nesting),
+        ("200 000 negations", in_fn(&format!("a[#0] = {}1;", "-".repeat(200_000))), nesting),
+        ("position #99", in_fn("a[#99] = 1.0;"), Some("#0 and #1")),
+        ("integer past i64", in_fn("a[#0] = 9223372036854775808;"), None),
+        ("a stray `..`", in_fn("a[#0] = 1 .. 2;"), None),
+        ("`..` for an expression", in_fn("a[#0] = ..;"), None),
+        ("a non-ASCII token", in_fn("a[#0] = é;"), None),
+        ("a non-ASCII identifier", "aggregate Ä[4] of float;\nfn main() {}\n".into(), None),
+        ("an emoji", in_fn("a[#0] = 1.0 \u{1f600} 2.0;"), None),
+        ("a lone `#`", in_fn("a[#] = 1.0;"), None),
+    ];
+    for (name, src, want) in rows {
+        let err = compile_and_lint(&src).expect_err(name);
+        assert!(want.is_none_or(|w| err.contains(w)), "{name}: {err}");
+    }
 }
 
 // ---- the PRESCIENT_* table ------------------------------------------------
