@@ -8,7 +8,7 @@
 //! allocate owner-homed, so the unshifted default is already
 //! placement-optimal; the shift is the deliberately bad static placement
 //! the remap recovers from. The remap is the owner mapping
-//! `prescient-trace emit-remap` converges to on these apps: every block
+//! `prescient-telemetry emit-remap` converges to on these apps: every block
 //! of the front of each node's heap segment goes back to that node.
 //!
 //! What is gated where: water's producer–consumer phases are fully

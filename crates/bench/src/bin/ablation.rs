@@ -23,16 +23,15 @@ use prescient_apps::adaptive::{run_adaptive, AdaptiveConfig};
 use prescient_apps::barnes::{run_barnes, run_barnes_commute};
 use prescient_apps::water::WaterConfig;
 use prescient_apps::AppRun;
-use prescient_bench::metrics::load_stream;
-use prescient_bench::traffic::{emit_remap, load_trace};
+use prescient_bench::telemetry::{emit_remap, read_lines};
 use prescient_bench::{patient_retry, Inputs, Leg, Scale};
 use prescient_core::{DegradeConfig, PredictiveConfig};
 use prescient_runtime::{
     Machine, MachineConfig, NodeCtx, PlacementSpec, ProtocolKind, RunReport, RunTimeline,
 };
 use prescient_stache::RetryConfig;
-use prescient_tempest::trace::TraceConfig;
-use prescient_tempest::{BatchConfig, FaultPlan, GAddr, HomeMap, MetricsConfig};
+use prescient_tempest::trace::{TraceConfig, TraceEvent};
+use prescient_tempest::{BatchConfig, FaultPlan, GAddr, HomeMap, MetricsConfig, PhaseRecord};
 
 type Ablation = fn(Scale, Inputs);
 
@@ -395,9 +394,8 @@ fn metrics(scale: Scale, i: Inputs) {
                  the zero-perturbation bar is broken"
             );
         }
-        let records = load_stream(&stream).expect("live stream parses");
-        let nodes = records.iter().map(|r| r.node as usize + 1).max().unwrap_or(0);
-        let timeline = RunTimeline::new(nodes, records);
+        let records = read_lines(&stream, PhaseRecord::from_json).expect("live stream parses");
+        let timeline = RunTimeline::new(scale.nodes, records);
         timeline
             .reconciles_with(&on.report, MEASURED_RUN)
             .expect("stream reconciles with the measured report");
@@ -422,7 +420,7 @@ fn metrics(scale: Scale, i: Inputs) {
 // ---- placement ------------------------------------------------------------
 
 /// Run `leg` with tracing on, then distill the recorded traffic into a
-/// remap map the way `prescient-trace emit-remap` would. The trace lands
+/// remap map the way `prescient-telemetry emit-remap` would. The trace lands
 /// in a scratch file keyed by `tag` so legs never clobber each other.
 fn record_and_remap(tag: &str, leg: &Leg<'_>, cfg: MachineConfig) -> (AppRun, HomeMap) {
     let nodes = cfg.nodes;
@@ -434,7 +432,8 @@ fn record_and_remap(tag: &str, leg: &Leg<'_>, cfg: MachineConfig) -> (AppRun, Ho
     std::env::set_var("PRESCIENT_TRACE_OUT", &base);
     let run = leg(cfg.with_trace(TraceConfig::with_capacity(1 << 18)));
     std::env::remove_var("PRESCIENT_TRACE_OUT");
-    let events = load_trace(&format!("{base}.jsonl")).expect("trace export readable");
+    let events =
+        read_lines(&format!("{base}.jsonl"), TraceEvent::from_json).expect("trace export readable");
     let map = HomeMap::parse(&emit_remap(&events), nodes)
         .expect("emit-remap output is a valid remap file");
     for f in [format!("{base}.json"), format!("{base}.jsonl")] {

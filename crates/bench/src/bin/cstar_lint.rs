@@ -3,7 +3,8 @@
 //! Compiles each given `.cstar` file, runs the W001–W007/E008 lint suite,
 //! and (with `--oracle`) the static↔dynamic schedule oracle. Renders
 //! rustc-style caret diagnostics by default, or a lossless JSON array with
-//! `--json`. With `--emit-directives` the placed [`DirectivePlan`] of each
+//! `--json`. With `--emit-directives` the placed
+//! [`DirectivePlan`](prescient_cstar::directives::DirectivePlan) of each
 //! file — including `CommutativeMerge` ops — is serialized to stdout as
 //! one JSON document per line (diagnostics then go to stderr), so a build
 //! system can hand the plan straight to the runtime.

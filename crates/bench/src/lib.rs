@@ -21,8 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod cfg_models;
-pub mod metrics;
-pub mod traffic;
+pub mod telemetry;
 
 use std::time::Duration;
 

@@ -1,14 +1,14 @@
 //! The hostile-input table of `tests/hostile/mod.rs` (shared with the
-//! root package's `text_boundary.rs`) against the two parsers that live
-//! in this crate: `parse_timeline` and `parse_trace_line` answer `Err` on
-//! every row and on every truncation of a valid document — no panic, no
-//! abort, no stack overflow — and a valid document still loads.
+//! root package's `text_boundary.rs`) against the readers of
+//! `telemetry`: `parse_timeline` and the trace-line read `read_lines`
+//! applies to every line answer `Err` on every row and on every
+//! truncation of a valid document — no panic, no abort, no stack
+//! overflow — and a valid document still loads, as the kind it is.
 
 #[path = "../../../tests/hostile/mod.rs"]
 mod hostile;
 
-use prescient_bench::metrics::{parse_stream, parse_timeline};
-use prescient_bench::traffic::parse_trace_line;
+use prescient_bench::telemetry::{load, parse_timeline, Input};
 use prescient_runtime::RunTimeline;
 use prescient_tempest::json;
 use prescient_tempest::stats::StatsSnapshot;
@@ -45,6 +45,11 @@ fn trace_line() -> String {
     to_jsonl(&[e]).trim_end().to_string()
 }
 
+/// One trace line, read the way `read_lines` reads each.
+fn parse_trace_line(line: &str) -> Result<TraceEvent, String> {
+    TraceEvent::from_json(&json::parse(line)?)
+}
+
 #[test]
 fn valid_documents_load_exactly() {
     let t = timeline();
@@ -53,7 +58,14 @@ fn valid_documents_load_exactly() {
     let e = parse_trace_line(&trace_line()).expect("own line parses");
     assert_eq!((e.node, e.t_ns, e.phase), (63, u64::MAX, u32::MAX));
     let stream: String = t.records.iter().map(|r| r.to_json_line() + "\n").collect();
-    assert_eq!(parse_stream(&stream).expect("stream parses"), t.records);
+    let path = std::env::temp_dir().join(format!("prescient_hostile_{}", std::process::id()));
+    std::fs::write(&path, stream).expect("temp stream");
+    let loaded = load(path.to_str().expect("utf-8 temp path"));
+    let _ = std::fs::remove_file(&path);
+    match loaded.expect("stream parses") {
+        Input::Metrics(back) => assert_eq!((back.nodes, back.records), (2, t.records)),
+        Input::Trace(_) => panic!("a stream loaded as a trace"),
+    }
 }
 
 #[test]

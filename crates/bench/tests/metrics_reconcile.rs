@@ -10,10 +10,10 @@ use prescient_apps::adaptive::{run_adaptive, AdaptiveConfig};
 use prescient_apps::barnes::{run_barnes, BarnesConfig};
 use prescient_apps::water::{run_water, WaterConfig};
 use prescient_apps::AppRun;
-use prescient_bench::metrics::load_stream;
+use prescient_bench::telemetry::read_lines;
 use prescient_runtime::{MachineConfig, RunTimeline};
 use prescient_stache::RetryConfig;
-use prescient_tempest::MetricsConfig;
+use prescient_tempest::{MetricsConfig, PhaseRecord};
 
 const NODES: usize = 4;
 
@@ -41,7 +41,7 @@ fn reconcile(tag: &str, run: impl FnOnce(MachineConfig) -> AppRun) {
     let path = stream_path(tag);
     let _ = std::fs::remove_file(&path);
     let app = run(mcfg().with_metrics(MetricsConfig::stream(&path)));
-    let records = load_stream(&path).expect("live stream parses");
+    let records = read_lines(&path, PhaseRecord::from_json).expect("live stream parses");
     let timeline = RunTimeline::new(NODES, records);
     timeline
         .reconciles_with(&app.report, MEASURED_RUN)

@@ -22,7 +22,7 @@
 //! # Idempotency under a faulty fabric
 //!
 //! The exchange reuses the pre-send discipline and its code,
-//! [`crate::acked`]: every chunk carries a node-locally unique **push id**
+//! `crate::acked`: every chunk carries a node-locally unique **push id**
 //! (`UserMsg.a`, re-acked without re-buffering on duplicates) and the
 //! sender's **merge epoch** (`UserMsg.b`; stale-epoch stragglers are
 //! dropped unacknowledged). The epoch advances only after

@@ -26,13 +26,13 @@
 //!    resumes.
 //!
 //! The protocol is driven by two compiler-inserted directives
-//! ([`Predictive::presend_and_arm`] / [`Predictive::end_phase`]), placed by
-//! the analysis in `prescient-cstar` (§4); the runtime wraps them with
-//! barriers.
+//! ([`presend::presend`] + [`Predictive::arm`] / [`Predictive::end_phase`]),
+//! placed by the analysis in `prescient-cstar` (§4); the runtime wraps them
+//! with barriers.
 //!
 //! [`manual`] additionally exposes hand-built schedules, used to model the
 //! paper's hand-optimized SPMD baseline (an application-specific
-//! write-update protocol in the style of Falsafi et al. [5]).
+//! write-update protocol in the style of Falsafi et al. \[5\]).
 //!
 //! [`commute`] adds a third protocol mode for the conflict phases §3.4
 //! leaves without action: when the `cstar` commutativity analysis proves a

@@ -1,7 +1,7 @@
 //! Hand-built communication schedules.
 //!
 //! The paper compares its automatic approach against *hand-optimized SPMD
-//! codes using application-specific protocols* (Falsafi et al. [5]) — a
+//! codes using application-specific protocols* (Falsafi et al. \[5\]) — a
 //! programmer who knows the communication pattern writes a custom
 //! write-update protocol that pushes data straight to its consumers.
 //!

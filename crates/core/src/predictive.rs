@@ -16,7 +16,7 @@
 //! idempotent:
 //!
 //! * **Push ids** (`UserMsg.a`): every push carries a node-locally unique
-//!   id; the receiver ([`crate::acked::receive`]) remembers which
+//!   id; the receiver (`crate::acked::receive`) remembers which
 //!   `(sender, id)` pairs it has installed this window and answers repeats
 //!   with a fresh ack *without* re-installing — so a duplicated push
 //!   cannot double-count the "overwrote an unread copy" signal, and a lost

@@ -20,7 +20,7 @@
 //! 2. [`sema`] — per parallel function, a context-insensitive summary of
 //!    aggregate accesses, each classified `Read`/`Write` ×
 //!    `Home`/`NonHome` (§4.2);
-//! 3. [`cfg`] — the sequential control-flow graph of `main`, annotated with
+//! 3. [`cfg`](mod@cfg) — the sequential control-flow graph of `main`, annotated with
 //!    those summaries (also constructible by hand, as for Figure 4's
 //!    Barnes loop);
 //! 4. [`dataflow`] — an iterative bit-vector framework computing *reaching

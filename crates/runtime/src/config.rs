@@ -50,7 +50,7 @@ impl ProtocolKind {
 /// Traffic-aware block→home placement. `Off` is the default and leaves
 /// every gated counter bit-identical to a build without the feature;
 /// `Remap` applies a schedule-guided overlay computed offline (e.g. by
-/// `prescient-trace emit-remap`). Either way the mapping is fixed at
+/// `prescient-telemetry emit-remap`). Either way the mapping is fixed at
 /// machine construction.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum PlacementSpec {
@@ -115,8 +115,8 @@ pub struct MachineConfig {
     /// Compute-side request retry policy (timeouts matter only when the
     /// fabric can drop or delay messages).
     pub retry: RetryConfig,
-    /// Run the whole-machine coherence check after every [`run`]
-    /// (`crate::Machine::run`) returns; panics on violations. Cheap for
+    /// Run the whole-machine coherence check after every
+    /// [`run`](crate::Machine::run) returns; panics on violations. Cheap for
     /// test-sized machines, intended for chaos tests.
     pub validate: bool,
     /// Fabric egress aggregation policy: the fabric default

@@ -341,7 +341,7 @@ impl<'a> NodeCtx<'a> {
     /// summary's affine sites; the apps' partner, record and partition
     /// loops). Observably it is `out.len()` calls of `read` — same
     /// counters, same virtual time, same faults at the same words in the
-    /// same order — but a segment ([`Self::run_segment`]) that hits pays
+    /// same order — but a segment (`Self::run_segment`) that hits pays
     /// the access check once, not once per word. Panics if `addr` is not
     /// `T::BYTES`-aligned.
     pub fn read_run<T: Prim>(&mut self, addr: GAddr, out: &mut [T]) {

@@ -51,7 +51,8 @@ pub const VARS: [Var; 5] = [
     Var {
         name: "PRESCIENT_PLACEMENT",
         grammar: "off or remap:PATH",
-        selects: "a block-to-home overlay read from PATH (`prescient-trace emit-remap` writes one)",
+        selects:
+            "a block-to-home overlay read from PATH (`prescient-telemetry emit-remap` writes one)",
         apply: |v, cfg| PlacementSpec::parse(v, cfg.nodes).map(|p| cfg.placement = p),
     },
     Var {

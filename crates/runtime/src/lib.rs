@@ -18,7 +18,7 @@
 //! * [`agg`] — distributed aggregates (1-D and 2-D arrays of primitives)
 //!   with the block / row-block computation distributions of §4.1, by
 //!   element and by contiguous run;
-//! * [`env`] — the `PRESCIENT_*` environment variables: one table, one
+//! * [`env`](mod@env) — the `PRESCIENT_*` environment variables: one table, one
 //!   reader, one error format;
 //! * [`report`] — run reports mirroring the paper's stacked bars (remote
 //!   data wait / predictive protocol / compute + synch);

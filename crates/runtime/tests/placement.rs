@@ -72,7 +72,7 @@ fn assert_same_values(tag: &str, base: &[f64], got: &[f64]) {
 }
 
 /// The owner mapping of `relax`'s two aggregates — what
-/// `prescient-trace emit-remap` distills from a recorded run of it —
+/// `prescient-telemetry emit-remap` distills from a recorded run of it —
 /// learned from a throwaway machine with identical allocations.
 fn owner_map() -> HomeMap {
     let probe = Machine::new(MachineConfig::stache(NODES, 32));

@@ -134,7 +134,7 @@ pub enum Msg {
 impl Msg {
     /// Stable small code of this message's kind, as carried by
     /// `MsgSend`/`MsgRecv` trace events (and decoded by the
-    /// `prescient-trace` analyzer via [`Msg::kind_name`]).
+    /// `prescient-telemetry` analyzer via [`Msg::kind_name`]).
     pub fn kind_code(&self) -> u16 {
         match self {
             Msg::GetShared { .. } => 1,

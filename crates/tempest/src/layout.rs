@@ -93,7 +93,7 @@ impl GlobalLayout {
 ///
 /// The text format is one `block home` pair per line (block number and node
 /// id, base 10), with `#` comments and blank lines ignored — the format
-/// `prescient-trace emit-remap` writes and `MachineConfig` loads.
+/// `prescient-telemetry emit-remap` writes and `MachineConfig` loads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HomeMap {
     entries: BTreeMap<BlockId, NodeId>,

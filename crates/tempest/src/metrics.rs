@@ -7,7 +7,7 @@
 //! counters and virtual-time breakdown into a [`PhaseRecord`], and pushes
 //! it into a shared [`MetricsHub`] that a background publisher can drain
 //! *while the run is still going* — as JSONL heartbeats appended to a
-//! stream file (`prescient-metrics watch` follows it live).
+//! stream file (`prescient-telemetry watch` follows it live).
 //!
 //! # Zero perturbation
 //!

@@ -39,7 +39,7 @@
 //! `PRESCIENT_TRACE` environment variable (`1`/`on` for the default
 //! capacity, an integer > 1 for an explicit per-node event capacity).
 //! Export: [`merge`] the per-node drains, then [`to_jsonl`] (compact
-//! line-per-event dump, the `prescient-trace` analyzer's input) and/or
+//! line-per-event dump, the `prescient-telemetry` analyzer's input) and/or
 //! [`to_chrome_json`] (Chrome trace-event JSON, loadable in Perfetto or
 //! `chrome://tracing`, one process per node with semantic tracks).
 
@@ -359,11 +359,6 @@ impl TraceRing {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     fn push(&self, kind: EventKind, t_ns: u64, phase: u64, a: u64, b: u64) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq & self.mask) as usize];
@@ -526,16 +521,7 @@ impl Tracer {
         }
     }
 
-    /// Emit one event with an explicit vtime stamp (the stamp is *not*
-    /// published).
-    #[inline]
-    pub fn emit_at(&self, kind: EventKind, t_ns: u64, a: u64, b: u64) {
-        if let Some(s) = &self.0 {
-            s.ring.push(kind, t_ns, s.phase.load(Ordering::Relaxed), a, b);
-        }
-    }
-
-    /// Read the ring (see [`TraceRing::drain`] for the quiescence
+    /// Read the ring (see `TraceRing::drain` for the quiescence
     /// contract). `None` on a disabled handle.
     pub fn drain(&self) -> Option<TraceDump> {
         self.0.as_ref().map(|s| {
@@ -558,7 +544,7 @@ pub fn merge(dumps: Vec<TraceDump>) -> (Vec<TraceEvent>, u64) {
 }
 
 /// Write an event stream as JSONL into `out`: one compact, flat JSON
-/// object per line — the `prescient-trace` analyzer's input format.
+/// object per line — the `prescient-telemetry` analyzer's input format.
 pub fn write_jsonl<W: fmt::Write>(events: &[TraceEvent], out: W) -> W {
     let mut w = Writer::new(out, 0);
     for e in events {
