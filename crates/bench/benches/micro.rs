@@ -404,8 +404,9 @@ fn bench_agg(c: &mut Timer) {
 fn bench_fabric(c: &mut Timer) {
     const BURST: u64 = 256;
 
-    // One envelope per wire op (max_batch = 1): every send pays the full
-    // channel-op + wakeup cost. This is the pre-batching transport.
+    // One envelope per wire op (max_batch = 1): every send pays one inbox
+    // lock and push. The receiver only polls, so it never parks and no
+    // send signals it. This is the pre-batching transport.
     {
         let eps = Fabric::new_with::<u64>(2, BatchConfig::off());
         c.bench_function("fabric/send_single", |b| {

@@ -19,7 +19,8 @@
 //! condition variable until release; [`VBarrier::arrive`] +
 //! [`VBarrier::poll`] never block, for a participant that has other work
 //! while it waits — a node's thread keeps serving its inbox, and whoever
-//! arrives last wakes the others through their inboxes.
+//! arrives last wakes the others through their inboxes (a release signals
+//! the condition variable only if a `wait` caller is parked on it).
 
 use std::sync::{Condvar, Mutex};
 
@@ -57,6 +58,8 @@ struct Inner {
     cur_max: u64,
     published_max: u64,
     poisoned: bool,
+    /// Parked [`VBarrier::wait`] callers; a release signals only if any.
+    sleepers: usize,
 }
 
 /// A reusable barrier for a fixed set of participants.
@@ -78,6 +81,7 @@ impl VBarrier {
                 cur_max: 0,
                 published_max: 0,
                 poisoned: false,
+                sleepers: 0,
             }),
             cv: Condvar::new(),
         }
@@ -111,7 +115,9 @@ impl VBarrier {
         g.cur_max = 0;
         g.arrived = 0;
         g.generation += 1;
-        self.cv.notify_all();
+        if g.sleepers > 0 {
+            self.cv.notify_all();
+        }
         Ok(BarrierOut { max_arrival_ns: max, stall_ns: max - arrival_ns })
     }
 
@@ -150,9 +156,11 @@ impl VBarrier {
             Ok(out) => return out,
             Err(t) => t,
         };
-        drop(wait_while(&self.cv, lock(&self.inner), |g| {
-            g.generation == ticket.generation && !g.poisoned
-        }));
+        let mut g = lock(&self.inner);
+        g.sleepers += 1;
+        g = wait_while(&self.cv, g, |g| g.generation == ticket.generation && !g.poisoned);
+        g.sleepers -= 1;
+        drop(g);
         self.poll(&ticket).expect("released or poisoned")
     }
 
@@ -227,6 +235,20 @@ mod tests {
         assert!(b.poll(&ticket).is_some());
         let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.arrive(0)));
         assert!(late.is_err());
+    }
+
+    #[test]
+    fn a_non_blocking_release_wakes_a_parked_waiter() {
+        let b = VBarrier::new(2);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| b.wait(3));
+            while lock(&b.inner).sleepers == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(b.arrive(8), Ok(BarrierOut { max_arrival_ns: 8, stall_ns: 0 }));
+            assert_eq!(waiter.join().unwrap(), BarrierOut { max_arrival_ns: 8, stall_ns: 5 });
+        });
+        assert_eq!(lock(&b.inner).sleepers, 0);
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //!
 //! The wire unit is not the [`Envelope`] but the [`WireBatch`]: each
 //! [`Net`] keeps a small per-destination egress buffer, and consecutive
-//! sends to the same node pack into one batch — one inbox operation and
-//! at most one receiver wakeup for the whole group. This is the transport
-//! analogue of the protocol-level block coalescing of §3.4: per-message
-//! startup cost was the paper's motivating overhead, and it dominates here
-//! too once pre-sending works (a pre-send fan-out emits long runs of bulk
-//! messages to the same target back-to-back).
+//! sends to the same node pack into one batch — one inbox operation and at
+//! most one wakeup (none to a running receiver) for the group. This is the
+//! transport analogue of the protocol-level block coalescing of §3.4:
+//! per-message startup cost was the paper's motivating overhead, and it
+//! dominates here too once pre-sending works (a pre-send fan-out emits long
+//! runs of bulk messages to the same target back-to-back).
 //!
 //! A buffer flushes when it reaches [`BatchConfig::max_batch`] envelopes,
 //! and *must* be flushed explicitly ([`Net::flush_all`]) at every protocol
@@ -59,10 +59,13 @@
 //!
 //! An inbox is a `Mutex<VecDeque>` and a `Condvar`: any thread pushes, the
 //! one thread that owns the endpoint pops, and parks on the condition
-//! variable while the queue is empty. A push takes the lock, so it either
-//! lands before the consumer's emptiness check or finds the consumer
-//! already waiting and wakes it — the wake-up every blocking receive, and
-//! through it every `next_wake`, rests on.
+//! variable while the queue is empty, raising a `parked` flag (under the
+//! lock, in the emptiness check that sends it to sleep; lowered on return,
+//! a timeout included). A push takes the lock and the flag, and signals
+//! only if the flag was up: it either lands before the consumer's check or
+//! finds the flag up and wakes it — the wake-up every blocking receive, and
+//! through it every `next_wake`, rests on. One signal per park, and none to
+//! a consumer that is running.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -256,7 +259,7 @@ pub struct Undeliverable;
 /// its [`InboxRx`] pops from (see the module docs).
 struct Inbox<T> {
     state: Mutex<InboxState<T>>,
-    /// Signalled by every push; only the consumer ever waits on it.
+    /// Signalled by the first push into each park; only the consumer waits.
     ready: Condvar,
 }
 
@@ -264,6 +267,9 @@ struct InboxState<T> {
     queue: VecDeque<T>,
     /// Cleared when the consumer goes; pushes fail from then on.
     open: bool,
+    /// The consumer is parked, or about to be, on an empty queue and no
+    /// push has signalled it yet.
+    parked: bool,
 }
 
 /// The consuming end of an [`Inbox`]. Dropping it closes the inbox.
@@ -272,7 +278,7 @@ struct InboxRx<T>(Arc<Inbox<T>>);
 impl<T> Inbox<T> {
     fn new() -> (Arc<Inbox<T>>, InboxRx<T>) {
         let inbox = Arc::new(Inbox {
-            state: Mutex::new(InboxState { queue: VecDeque::new(), open: true }),
+            state: Mutex::new(InboxState { queue: VecDeque::new(), open: true, parked: false }),
             ready: Condvar::new(),
         });
         (Arc::clone(&inbox), InboxRx(inbox))
@@ -284,8 +290,11 @@ impl<T> Inbox<T> {
             return Err(Undeliverable);
         }
         st.queue.push_back(item);
+        let wake = std::mem::take(&mut st.parked);
         drop(st);
-        self.ready.notify_one();
+        if wake {
+            self.ready.notify_one();
+        }
         Ok(())
     }
 }
@@ -299,11 +308,15 @@ impl<T> InboxRx<T> {
     /// `timeout` (if any) has passed with the queue still empty.
     fn pop(&self, timeout: Option<Duration>) -> Option<T> {
         let Inbox { state, ready } = &*self.0;
-        let empty = |st: &mut InboxState<T>| st.queue.is_empty();
-        let mut st = match timeout {
-            None => wait_while(ready, lock(state), empty),
-            Some(t) => wait_timeout_while(ready, lock(state), t, empty),
+        let park = |st: &mut InboxState<T>| {
+            st.parked = st.queue.is_empty();
+            st.parked
         };
+        let mut st = match timeout {
+            None => wait_while(ready, lock(state), park),
+            Some(t) => wait_timeout_while(ready, lock(state), t, park),
+        };
+        st.parked = false;
         st.queue.pop_front()
     }
 }
@@ -1037,6 +1050,110 @@ mod tests {
                 );
             }
         });
+    }
+
+    /// Is the consumer of `inbox` parked and not yet signalled?
+    fn parked<T>(inbox: &Inbox<T>) -> bool {
+        lock(&inbox.state).parked
+    }
+
+    /// Spin until the consumer of `inbox` parks; `false` if it has not
+    /// within 10 s.
+    fn await_park<T>(inbox: &Inbox<T>) -> bool {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !parked(inbox) {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// Four producers burst into one consumer that alternates a blocking
+    /// receive with a short timed one: pushes that signal nobody must not
+    /// strand a later park, and timeouts must not strand the flag.
+    #[test]
+    fn inbox_burst_survives_alternating_recv_and_timeouts() {
+        const PRODUCERS: usize = 4;
+        const SENDS: u64 = 5_000;
+        let mut eps = Fabric::new_with::<u64>(PRODUCERS + 1, BatchConfig::off());
+        let consumer = eps.pop().unwrap();
+        let dst = consumer.me;
+        std::thread::scope(|s| {
+            for ep in eps {
+                s.spawn(move || {
+                    for i in 0..SENDS {
+                        ep.net().send(dst, i);
+                        // Let the consumer drain to empty and park while
+                        // this burst is still coming.
+                        if i.is_multiple_of(64) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            let mut next = [0u64; PRODUCERS];
+            let mut calls = 0u64;
+            while next.iter().sum::<u64>() < PRODUCERS as u64 * SENDS {
+                calls += 1;
+                let got = if calls.is_multiple_of(2) {
+                    consumer.recv()
+                } else {
+                    match consumer.recv_timeout(Duration::from_micros(50)) {
+                        TryRecv::Msg(env) => Some(env),
+                        TryRecv::Empty => None,
+                    }
+                };
+                if let Some(env) = got {
+                    let who = env.src as usize;
+                    assert_eq!(env.msg, next[who], "sender {who} overtook itself");
+                    next[who] += 1;
+                }
+            }
+            assert_eq!(next, [SENDS; PRODUCERS]);
+        });
+        assert!(matches!(consumer.try_recv(), TryRecv::Empty));
+    }
+
+    /// A timed receive that expires lowers the flag, and a blocking
+    /// receive after it still parks and is woken by the next push.
+    #[test]
+    fn inbox_blocking_recv_after_a_timeout_is_woken() {
+        let mut eps = Fabric::new_with::<u32>(2, BatchConfig::off()).into_iter();
+        let (a, b) = (eps.next().unwrap(), eps.next().unwrap());
+        let inbox = Arc::clone(&b.rx.0);
+        assert!(matches!(b.recv_timeout(Duration::from_millis(5)), TryRecv::Empty));
+        assert!(!parked(&inbox), "a timeout must lower the flag");
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                await_park(&inbox);
+                a.net().send(1, 3);
+            });
+            let got = b.recv();
+            assert!(matches!(got, Some(Envelope { src: 0, msg: 3, .. })), "{got:?}");
+        });
+    }
+
+    /// The first push into a park takes the flag; the second finds it
+    /// down and signals nothing.
+    #[test]
+    fn inbox_first_push_into_a_park_takes_the_flag() {
+        let (inbox, rx) = Inbox::<u32>::new();
+        std::thread::scope(|s| {
+            // A timed pop, so a consumer that is never signalled still
+            // comes back and the test fails instead of hanging.
+            let consumer = s.spawn(|| rx.pop(Some(Duration::from_secs(20))));
+            let was_parked = await_park(&inbox);
+            inbox.push(1).unwrap();
+            let after_first = parked(&inbox);
+            inbox.push(2).unwrap();
+            assert_eq!(consumer.join().unwrap(), Some(1));
+            assert!(was_parked, "the consumer never raised the flag");
+            assert!(!after_first, "the first push must take the flag");
+        });
+        assert!(!parked(&inbox));
+        assert_eq!(rx.try_pop(), Some(2));
     }
 
     #[test]
