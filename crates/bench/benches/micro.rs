@@ -15,6 +15,10 @@
 //! * `barrier/serve_wait_n32` — the same through the runtime on the
 //!   paper's 32 nodes: arrive, serve the inbox until released, the last
 //!   arriver kicking 31 peers (not bare `VBarrier::wait`);
+//! * `barrier/empty_phase_n32`, `barrier/allreduce_n32` — an empty
+//!   predictive phase (three host episodes) and a 16-word all-reduce (one)
+//!   on 32 nodes: what a phase boundary and a reduction cost the host
+//!   beyond their bodies;
 //! * `mem/*` — the flat paged arena in isolation: block lookup on the hit
 //!   path, tag probe, data reply snapshot, and the dense block walk;
 //!   `mem/checkpoint_24k` is the allocating `NodeMem::checkpoint` the repo
@@ -214,21 +218,31 @@ fn bench_dataflow(c: &mut Timer) {
 }
 
 fn bench_barrier(c: &mut Timer) {
-    for (name, nodes) in [("machine/barrier_4nodes", 4), ("barrier/serve_wait_n32", 32)] {
-        let mut machine = Machine::new(MachineConfig::stache(nodes, 64));
-        c.bench_function(name, |b| {
-            b.iter_custom(|iters| {
-                let (durs, _) = machine.run(|ctx: &mut NodeCtx| {
-                    let start = std::time::Instant::now();
-                    for _ in 0..iters {
-                        ctx.barrier();
-                    }
-                    start.elapsed()
-                });
-                durs[0]
-            })
-        });
-    }
+    let stache = |nodes| MachineConfig::stache(nodes, 64);
+    on_every_node(c, "machine/barrier_4nodes", stache(4), |ctx| ctx.barrier());
+    on_every_node(c, "barrier/serve_wait_n32", stache(32), |ctx| ctx.barrier());
+    on_every_node(c, "barrier/empty_phase_n32", MachineConfig::predictive(32, 64), |ctx| {
+        ctx.phase(1, &mut (), |_, _| {})
+    });
+    on_every_node(c, "barrier/allreduce_n32", stache(32), |ctx| ctx.allreduce_sum(&mut [1.0; 16]));
+}
+
+/// Time `op`, run by every node of a `cfg` machine once per iteration,
+/// as node 0 sees it.
+fn on_every_node(c: &mut Timer, name: &str, cfg: MachineConfig, op: impl Fn(&mut NodeCtx) + Sync) {
+    let mut machine = Machine::new(cfg);
+    c.bench_function(name, |b| {
+        b.iter_custom(|iters| {
+            let (durs, _) = machine.run(|ctx: &mut NodeCtx| {
+                let start = std::time::Instant::now();
+                for _ in 0..iters {
+                    op(ctx);
+                }
+                start.elapsed()
+            });
+            durs[0]
+        })
+    });
 }
 
 fn bench_mem(c: &mut Timer) {

@@ -240,13 +240,20 @@ impl Predictive {
 
     /// Directive: stop recording.
     ///
-    /// Must be called *between two barriers* at the end of the phase (the
-    /// runtime's `phase_end` does this): after the first barrier every
-    /// requester has received its reply, so every in-phase request has been
-    /// recorded at its home; the second barrier keeps other nodes'
-    /// post-phase traffic from being misrecorded into this phase.
+    /// Must run on every node's instance at one point of the closing
+    /// barrier: after every node arrived (every requester has its reply,
+    /// so every in-phase request was recorded at its home) and before any
+    /// node left (no post-phase request exists yet to be misrecorded). The
+    /// runtime's `phase_end` makes it the closing barrier's release
+    /// action, which the last arriver runs for all nodes before it
+    /// publishes the release.
     pub fn end_phase(&self) {
         lock(&self.state).recording = None;
+    }
+
+    /// The phase this home is recording, if any.
+    pub fn recording(&self) -> Option<PhaseId> {
+        lock(&self.state).recording
     }
 
     /// Discard one phase's schedule (rebuild policy for patterns with many

@@ -22,6 +22,8 @@ use prescient_tempest::{GAddr, NodeId, NodeSet, VBarrier};
 struct TestNode<'a> {
     node: &'a mut Node,
     pred: Arc<Predictive>,
+    /// Every node's, in node order.
+    preds: &'a [Arc<Predictive>],
     barrier: &'a VBarrier,
 }
 
@@ -41,12 +43,12 @@ impl TestNode<'_> {
         self.sync();
     }
 
-    /// The runtime's `phase_end` directive: barrier (all in-phase
-    /// requests recorded), disarm, barrier (all nodes disarmed).
+    /// The runtime's `phase_end` directive: one barrier, whose release
+    /// disarms every home after all in-phase requests were recorded and
+    /// before any node can send a post-phase one.
     fn phase_end(&mut self) {
-        self.sync();
-        self.pred.end_phase();
-        self.sync();
+        let preds = self.preds;
+        self.node.barrier_then(self.barrier, 0, || preds.iter().for_each(|p| p.end_phase()));
     }
 }
 
@@ -93,7 +95,8 @@ impl TestMachine {
         let preds: Vec<_> = self.nodes.iter().map(|h| Arc::clone(&h.pred)).collect();
         self.cluster.run(|node, barrier| {
             let me = node.shared.me;
-            f(me, &mut TestNode { node, pred: Arc::clone(&preds[me as usize]), barrier });
+            let pred = Arc::clone(&preds[me as usize]);
+            f(me, &mut TestNode { node, pred, preds: &preds, barrier });
         });
         self
     }

@@ -121,7 +121,8 @@ pub const POLL_EVERY: u32 = 64;
 /// What the machine hands a node's thread to build its context for one
 /// run.
 pub(crate) struct CtxInit {
-    pub pred: Option<Arc<Predictive>>,
+    /// Every node's predictive state, in node order.
+    pub preds: Option<Arc<[Arc<Predictive>]>>,
     pub commute: Option<Arc<Commute>>,
     pub barrier: Arc<VBarrier>,
     pub reduce: Arc<ReduceScratch>,
@@ -138,7 +139,10 @@ pub struct NodeCtx<'a> {
     node: &'a mut Node,
     /// `node.shared`, one pointer closer for the access path's counters.
     shared: Arc<NodeShared>,
+    /// This node's predictive state.
     pred: Option<Arc<Predictive>>,
+    /// Every node's: the closing barrier's release disarms them all.
+    preds: Option<Arc<[Arc<Predictive>]>>,
     commute: Option<Arc<Commute>>,
     barrier: Arc<VBarrier>,
     reduce: Arc<ReduceScratch>,
@@ -172,9 +176,10 @@ impl<'a> NodeCtx<'a> {
         NodeCtx {
             metrics: init.metrics.map(MetricsState::new),
             cost: shared.cost,
+            pred: init.preds.as_ref().map(|p| Arc::clone(&p[shared.me as usize])),
+            preds: init.preds,
             node,
             shared,
-            pred: init.pred,
             commute: init.commute,
             barrier: init.barrier,
             reduce: init.reduce,
@@ -505,8 +510,14 @@ impl<'a> NodeCtx<'a> {
     /// and its egress buffers are flushed on entry, so no message this
     /// node produced can sit in a partial batch while every node waits.
     pub fn barrier(&mut self) {
+        self.barrier_then(|| ());
+    }
+
+    /// [`Self::barrier`], where the last node to arrive runs `on_release`
+    /// before any node leaves ([`Node::barrier_then`]).
+    fn barrier_then(&mut self, on_release: impl FnOnce()) {
         self.trace(EventKind::BarrierEnter, 0, 0);
-        let out = self.node.barrier(&self.barrier, self.t.total_ns());
+        let out = self.node.barrier_then(&self.barrier, self.t.total_ns(), on_release);
         self.t.synch_ns += out.stall_ns + self.cost.barrier_ns;
         self.trace(EventKind::BarrierExit, out.stall_ns, 0);
     }
@@ -571,9 +582,9 @@ impl<'a> NodeCtx<'a> {
 
     /// `phase_end()` — close the current parallel phase. Under plain
     /// Stache, just the phase's natural closing barrier; under the
-    /// predictive protocol, additionally stop recording (between two
-    /// barriers, so every in-phase request lands in the schedule and no
-    /// post-phase request does).
+    /// predictive protocol, additionally stop recording — at the closing
+    /// barrier's release, so every in-phase request lands in the schedule
+    /// and no post-phase request does.
     ///
     /// # Panics
     ///
@@ -618,13 +629,23 @@ impl<'a> NodeCtx<'a> {
                 self.recovery.declare_crash(self.me());
             }
         }
-        self.barrier();
+        // Recording stops when the closing barrier releases. By then every
+        // node has arrived, so every in-phase request was answered and
+        // recorded at its home; no node has left, so no post-phase request
+        // exists yet. The last arriver disarms every home before it
+        // publishes the release, and a request sent after it finds its
+        // home disarmed.
+        let preds = self.preds.clone();
+        self.barrier_then(|| preds.iter().flat_map(|p| p.iter()).for_each(|p| p.end_phase()));
         if self.recovery.crashed().is_some() {
             return self.recover();
         }
-        if let Some(pred) = self.pred.clone() {
-            pred.end_phase();
-            self.barrier_presend();
+        if self.pred.is_some() {
+            // The modelled machine disarms between two barriers. The second
+            // meets at one virtual time for all (every node left the first
+            // at its maximum plus the barrier cost), so it stalls no one
+            // and costs `barrier_ns`: billed here, with no host episode.
+            self.t.presend_ns += self.cost.barrier_ns;
         }
         // The phase committed: cut its record here, past every closing
         // barrier, so the record carries the phase's full protocol cost.
@@ -719,8 +740,9 @@ impl<'a> NodeCtx<'a> {
     /// rendezvous and flush like every barrier, but bill no virtual time —
     /// recovery is a fault-tolerance artifact, invisible to the paper's
     /// figures (and on the replay path the clock is rolled back anyway).
-    fn barrier_recover(&mut self) {
-        self.node.barrier(&self.barrier, self.t.total_ns());
+    /// The last node to arrive runs `on_release` before any node leaves.
+    fn barrier_recover(&mut self, on_release: impl FnOnce()) {
+        self.node.barrier_then(&self.barrier, self.t.total_ns(), on_release);
     }
 
     /// Capture this node's shard of a barrier-consistent checkpoint, over
@@ -733,7 +755,7 @@ impl<'a> NodeCtx<'a> {
     /// the pre-send window's entry, which `phase_begin` reaches next
     /// without sending anything (DESIGN.md §12).
     fn take_checkpoint(&mut self) {
-        self.barrier_recover();
+        self.barrier_recover(|| ());
         self.trace(EventKind::CheckpointBegin, self.version, 0);
         // Count the checkpoint *before* the stats snapshot so the cut is
         // self-consistent: restoring it and replaying re-counts exactly
@@ -757,7 +779,7 @@ impl<'a> NodeCtx<'a> {
         drop(slot);
         self.trace(EventKind::CheckpointEnd, self.version, bytes);
         if self.pred.is_none() {
-            self.barrier_recover();
+            self.barrier_recover(|| ());
         }
     }
 
@@ -773,42 +795,39 @@ impl<'a> NodeCtx<'a> {
     }
 
     /// The recovery protocol, run by *every* node once the crash flag is
-    /// observed at a phase-end barrier. Three stages:
+    /// observed at a phase-end barrier. Three stages, four barriers; the
+    /// machine-wide steps are the barriers' release actions, done once by
+    /// the last node to arrive, before any node leaves:
     ///
-    /// 1. **Purge + drain.** Node 0 discards everything the fault layer
-    ///    holds (at a quiescent cut every delayed/duplicated message is
-    ///    semantically dead — its original was already answered), then two
-    ///    fence rounds with barriers between empty the inbox channels:
-    ///    round 1 drains in-flight batches (whose handling may emit
-    ///    replies), round 2 drains those replies (all rejected as stale by
-    ///    the seq/op/epoch gates). A second purge discards any reply the
-    ///    fault layer captured in between. After the last barrier the
-    ///    fabric is empty *and silent*.
+    /// 1. **Purge + drain.** The first barrier's release discards
+    ///    everything the fault layer holds (at a quiescent cut every
+    ///    delayed/duplicated message is semantically dead — its original
+    ///    was already answered), then two fence rounds with a barrier
+    ///    between empty the inbox channels: round 1 drains in-flight
+    ///    batches (whose handling may emit replies), round 2 drains those
+    ///    replies (all rejected as stale by the seq/op/epoch gates). The
+    ///    third barrier's release purges again: any reply the fault layer
+    ///    captured in between. Past it the fabric is empty *and silent*.
     /// 2. **Restore.** Each node rolls its own shard back to the
     ///    checkpoint: block store, directory, watermarks, predictive
     ///    state, statistics, virtual clock. With the fabric silent this
     ///    cannot race with anything.
-    /// 3. **Re-arm.** Node 0 lowers the crash flag; the caller replays the
-    ///    phase, whose `phase_begin` re-runs the pre-send and re-arms
-    ///    recording from the restored schedules — an exact re-execution.
+    /// 3. **Re-arm.** The last barrier's release lowers the crash flag,
+    ///    once every node has restored; the caller replays the phase,
+    ///    whose `phase_begin` re-runs the pre-send and re-arms recording
+    ///    from the restored schedules — an exact re-execution.
     fn recover(&mut self) -> PhaseOutcome {
         let crashed = self.recovery.crashed().expect("recover() without a crash pending");
         let ckpts = Arc::clone(&self.ckpts);
         let slot = ckpts.slot(self.me());
         let ckpt = slot.as_ref().expect("crash observed before the first checkpoint was taken");
         self.trace(EventKind::RecoveryBegin, ckpt.version, u64::from(crashed));
-        if self.me() == 0 {
-            self.shared.purge_faults();
-        }
-        self.barrier_recover();
+        let shared = Arc::clone(&self.shared);
+        self.barrier_recover(|| shared.purge_faults());
         self.fence_round();
-        self.barrier_recover();
+        self.barrier_recover(|| ());
         self.fence_round();
-        self.barrier_recover();
-        if self.me() == 0 {
-            self.shared.purge_faults();
-        }
-        self.barrier_recover();
+        self.barrier_recover(|| shared.purge_faults());
         // The fabric is empty and silent: restore this node's shard.
         self.node.restore(&ckpt.node);
         if let Some(p) = &self.pred {
@@ -823,17 +842,14 @@ impl<'a> NodeCtx<'a> {
         // The replayed phase_begin re-increments to the checkpoint's
         // version, so later phases keep their fault-free ordinals.
         self.version = ckpt.version - 1;
-        self.barrier_recover();
-        if self.me() == 0 {
-            self.recovery.clear();
-        }
+        let recovery = Arc::clone(&self.recovery);
+        self.barrier_recover(|| recovery.clear());
         // Count the recovery *after* the rollback so it survives it; these
         // counters are reported but never equality-gated (a recovered run
         // is bit-identical to fault-free in every gated column).
         NodeStats::bump(&self.shared.stats.recoveries);
         NodeStats::bump(&self.shared.stats.replays);
         self.trace(EventKind::RecoveryEnd, ckpt.version, 0);
-        self.barrier_recover();
         self.cur_phase = 0;
         self.shared.tracer().set_phase(0);
         PhaseOutcome::Replay
@@ -870,17 +886,20 @@ impl<'a> NodeCtx<'a> {
     /// All-reduce: element-wise sum of `vals` across all nodes; every node
     /// receives the result in place. Deterministic: contributions are
     /// summed in node order, independent of arrival order — once per
-    /// round, by the first node past the second barrier. Billed as a
-    /// log-depth message combining tree plus the barriers'
-    /// synchronization.
+    /// round, by the first node past the barrier. Billed as a log-depth
+    /// message combining tree plus two barriers' synchronization.
     pub fn allreduce_sum(&mut self, vals: &mut [f64]) {
         self.reduce_round += 1;
         let round = self.reduce_round;
         let me = self.me() as usize;
-        self.barrier();
+        // One host barrier orders every contribution before the sum is read
+        // (why the next round cannot clear this one's early: `contribute`).
         lock(&self.reduce.state).contribute(round, me, vals);
         self.barrier();
         lock(&self.reduce.state).read_sum(round, vals);
+        // The modelled all-reduce meets twice, the second time at one
+        // virtual time for all: no stall, one `barrier_ns`.
+        self.t.synch_ns += self.cost.barrier_ns;
         // Cost: a combining tree of depth log2(P).
         let rounds = (self.nodes().max(2) as f64).log2().ceil() as u64;
         let bytes = (vals.len() * 8) as u64;

@@ -49,7 +49,10 @@ impl ReduceState {
         ReduceState { contrib: vec![Vec::new(); nodes], ..ReduceState::default() }
     }
 
-    /// Node `me`'s contribution to `round` (between the round's barriers).
+    /// Node `me`'s contribution to `round` (before the round's barrier).
+    /// The first contribution to a round clears the last one's: its
+    /// contributor is past that round's barrier and has read its sum, so
+    /// the sum was taken before anything here was cleared.
     pub(crate) fn contribute(&mut self, round: u64, me: usize, vals: &[f64]) {
         if self.zeroed_round < round {
             self.zeroed_round = round;
@@ -59,9 +62,10 @@ impl ReduceState {
     }
 
     /// The sum of `round`'s contributions into `vals` (after the round's
-    /// second barrier). The first caller adds them up, in node order; the
-    /// rest copy its result — the same bits every node used to compute for
-    /// itself.
+    /// barrier). The first caller adds them up, in node order; the rest
+    /// copy its result — the same bits every node used to compute for
+    /// itself — and it stays until the next round's barrier, which every
+    /// node reaches only after it has read this one.
     pub(crate) fn read_sum(&mut self, round: u64, vals: &mut [f64]) {
         if self.summed_round < round {
             self.summed_round = round;
@@ -92,7 +96,9 @@ pub struct Machine {
     /// run, the driver takes it briefly between runs.
     nodes: Vec<Mutex<Node>>,
     shareds: Vec<Arc<NodeShared>>,
-    preds: Option<Vec<Arc<Predictive>>>,
+    /// Every node's predictive state, in node order: one node's closing
+    /// barrier disarms them all (`NodeCtx::try_phase_end`).
+    preds: Option<Arc<[Arc<Predictive>]>>,
     commutes: Option<Vec<Arc<Commute>>>,
     barrier: Arc<VBarrier>,
     reduce: Arc<ReduceScratch>,
@@ -219,7 +225,7 @@ impl Machine {
             layout,
             nodes,
             shareds,
-            preds,
+            preds: preds.map(Arc::from),
             commutes,
             barrier: Arc::new(VBarrier::new(n)),
             reduce: Arc::new(ReduceScratch { state: Mutex::new(ReduceState::new(n)) }),
@@ -257,6 +263,12 @@ impl Machine {
         self.cfg.nodes
     }
 
+    /// Host barrier episodes released on this machine so far, every run
+    /// included.
+    pub fn barrier_episodes(&self) -> u64 {
+        self.barrier.episodes()
+    }
+
     /// Per-link fault counters, when the machine runs a faulty fabric.
     pub fn fault_stats(&self) -> Option<&Arc<FaultStats>> {
         self.fault_stats.as_ref()
@@ -286,7 +298,7 @@ impl Machine {
     /// recording state; remove it with [`Machine::remove_tap`].
     pub fn install_tap(&self, tap: &Arc<AccessTap>) -> bool {
         let Some(preds) = self.preds.as_ref() else { return false };
-        for p in preds {
+        for p in preds.iter() {
             p.set_tap(Some(Arc::clone(tap)));
         }
         true
@@ -295,7 +307,7 @@ impl Machine {
     /// Remove a previously installed recording tap from every node.
     pub fn remove_tap(&self) {
         if let Some(preds) = self.preds.as_ref() {
-            for p in preds {
+            for p in preds.iter() {
                 p.set_tap(None);
             }
         }
@@ -397,7 +409,7 @@ impl Machine {
                         let f = &f;
                         let slot = &self.nodes[i];
                         let init = CtxInit {
-                            pred: self.preds.as_ref().map(|p| Arc::clone(&p[i])),
+                            preds: self.preds.clone(),
                             commute: self.commutes.as_ref().map(|c| Arc::clone(&c[i])),
                             barrier: Arc::clone(&self.barrier),
                             reduce: Arc::clone(&self.reduce),

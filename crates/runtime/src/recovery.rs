@@ -135,8 +135,8 @@ impl RecoveryCtl {
         }
     }
 
-    /// Lower the crash flag (node 0, at the end of the recovery protocol,
-    /// between two barriers).
+    /// Lower the crash flag (the release action of the recovery
+    /// protocol's last barrier, once every node has restored).
     pub fn clear(&self) {
         self.crashed.store(0, Ordering::Release);
     }

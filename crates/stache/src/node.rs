@@ -362,8 +362,21 @@ impl Node {
     /// always *after* the release is published, so a waiter that saw no
     /// release before blocking is woken by the kick.
     pub fn barrier(&mut self, barrier: &VBarrier, arrival_ns: u64) -> BarrierOut {
+        self.barrier_then(barrier, arrival_ns, || ())
+    }
+
+    /// [`Node::barrier`], where the last arriver runs `on_release` before
+    /// the release is published ([`VBarrier::arrive`]): every node has
+    /// arrived, no node has left, and no node's post-barrier message
+    /// exists yet.
+    pub fn barrier_then(
+        &mut self,
+        barrier: &VBarrier,
+        arrival_ns: u64,
+        on_release: impl FnOnce(),
+    ) -> BarrierOut {
         self.shared.flush_net();
-        let ticket = match barrier.arrive(arrival_ns) {
+        let ticket = match barrier.arrive(arrival_ns, on_release) {
             Ok(out) => {
                 self.shared.kick_peers();
                 return out;

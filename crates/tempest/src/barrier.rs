@@ -21,6 +21,12 @@
 //! while it waits — a node's thread keeps serving its inbox, and whoever
 //! arrives last wakes the others through their inboxes (a release signals
 //! the condition variable only if a `wait` caller is parked on it).
+//!
+//! An arrival carries a release action, and the last arrival runs its own
+//! before the release is published: at that instant every participant
+//! has arrived and none has left, so whatever the action does is done
+//! before anyone leaves. That is how one episode both closes what came
+//! before it and orders what comes after it (DESIGN.md §2.4).
 
 use std::sync::{Condvar, Mutex};
 
@@ -92,14 +98,21 @@ impl VBarrier {
         self.n
     }
 
+    /// Episodes released so far.
+    pub fn episodes(&self) -> u64 {
+        lock(&self.inner).generation
+    }
+
     /// Arrive with one's current virtual time without blocking: `Ok` if
     /// this arrival was the last and released the episode, else the
-    /// [`Ticket`] to [`VBarrier::poll`] with.
+    /// [`Ticket`] to [`VBarrier::poll`] with. The last arrival runs
+    /// `on_release` before it publishes the release, so every participant
+    /// sees its effects when it leaves; the others drop theirs unrun.
     ///
     /// # Panics
     ///
     /// Unwinds with the [`Aborted`] sentinel if the barrier is poisoned.
-    pub fn arrive(&self, arrival_ns: u64) -> Result<BarrierOut, Ticket> {
+    pub fn arrive(&self, arrival_ns: u64, on_release: impl FnOnce()) -> Result<BarrierOut, Ticket> {
         let mut g = lock(&self.inner);
         if g.poisoned {
             drop(g);
@@ -110,6 +123,7 @@ impl VBarrier {
         if g.arrived < self.n {
             return Err(Ticket { generation: g.generation, arrival_ns });
         }
+        on_release();
         let max = g.cur_max;
         g.published_max = max;
         g.cur_max = 0;
@@ -152,7 +166,7 @@ impl VBarrier {
     /// becomes) poisoned — a participant died and the rendezvous can never
     /// complete.
     pub fn wait(&self, arrival_ns: u64) -> BarrierOut {
-        let ticket = match self.arrive(arrival_ns) {
+        let ticket = match self.arrive(arrival_ns, || ()) {
             Ok(out) => return out,
             Err(t) => t,
         };
@@ -225,16 +239,52 @@ mod tests {
     #[test]
     fn arrive_and_poll_never_block() {
         let b = VBarrier::new(2);
-        let ticket = b.arrive(5).expect_err("first of two cannot release");
+        let ticket = b.arrive(5, || ()).expect_err("first of two cannot release");
         assert_eq!(b.poll(&ticket), None);
-        let last = b.arrive(9).expect("second of two releases");
+        let last = b.arrive(9, || ()).expect("second of two releases");
         assert_eq!(last, BarrierOut { max_arrival_ns: 9, stall_ns: 0 });
         assert_eq!(b.poll(&ticket), Some(BarrierOut { max_arrival_ns: 9, stall_ns: 4 }));
         // Poison after the release does not take the release back.
         b.poison();
         assert!(b.poll(&ticket).is_some());
-        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.arrive(0)));
+        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.arrive(0, || ())));
         assert!(late.is_err());
+    }
+
+    #[test]
+    fn a_release_action_runs_once_and_before_anyone_leaves() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        const PARTIES: usize = 4;
+        const ROUNDS: u64 = 50;
+        let b = VBarrier::new(PARTIES);
+        let (done, early) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..PARTIES {
+                s.spawn(|| {
+                    for round in 0..ROUNDS {
+                        // Slow on purpose: a release published before its
+                        // action finished would let a poller out first.
+                        let act = || {
+                            std::thread::sleep(std::time::Duration::from_micros(200));
+                            done.fetch_add(1, Ordering::Relaxed);
+                        };
+                        if let Err(t) = b.arrive(round, act) {
+                            while b.poll(&t).is_none() {
+                                std::thread::yield_now();
+                            }
+                        }
+                        // Counted, not asserted: a participant that
+                        // unwound here would leave the others waiting.
+                        if done.load(Ordering::Relaxed) != round + 1 {
+                            early.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(early.into_inner(), 0, "participants left before the release action ran");
+        assert_eq!(done.into_inner(), ROUNDS);
+        assert_eq!(b.episodes(), ROUNDS);
     }
 
     #[test]
@@ -245,7 +295,7 @@ mod tests {
             while lock(&b.inner).sleepers == 0 {
                 std::thread::yield_now();
             }
-            assert_eq!(b.arrive(8), Ok(BarrierOut { max_arrival_ns: 8, stall_ns: 0 }));
+            assert_eq!(b.arrive(8, || ()), Ok(BarrierOut { max_arrival_ns: 8, stall_ns: 0 }));
             assert_eq!(waiter.join().unwrap(), BarrierOut { max_arrival_ns: 8, stall_ns: 5 });
         });
         assert_eq!(lock(&b.inner).sleepers, 0);
