@@ -24,6 +24,10 @@
 //! and instantiated both by the sequential reference and by the DSM
 //! version — the parallel run must reproduce the sequential field
 //! bit-for-bit (all reads are of the previous phase's data).
+//!
+//! A refined cell reads and stores its own slab in one sweep each
+//! ([`Mesh::slab_all`], [`Mesh::set_slab_all`]), which the DSM version
+//! maps to the run form (`NodeCtx::read_run`/`write_run`).
 
 use prescient_runtime::{Agg2D, Dist2D, Machine, MachineConfig, NodeCtx};
 
@@ -107,8 +111,18 @@ pub trait Mesh {
     fn set_depth(&mut self, i: usize, j: usize, d: u32);
     /// Sub-grid value `(a, b)` of the `s × s` slab of cell `(i, j)`.
     fn slab(&mut self, i: usize, j: usize, s: usize, a: usize, b: usize) -> f64;
-    /// Store a sub-grid value.
-    fn set_slab(&mut self, i: usize, j: usize, s: usize, a: usize, b: usize, v: f64);
+    /// The whole `s × s` slab of cell `(i, j)`, row-major, into `out`
+    /// (`s * s` long): a sweep, where the DSM version takes the run form.
+    fn slab_all(&mut self, i: usize, j: usize, s: usize, out: &mut [f64]) {
+        for a in 0..s {
+            for b in 0..s {
+                out[a * s + b] = self.slab(i, j, s, a, b);
+            }
+        }
+    }
+    /// Store the whole `s × s` slab of cell `(i, j)` from the first `s * s`
+    /// values of `vals`, laid out as [`Mesh::slab_all`] reads one.
+    fn set_slab_all(&mut self, i: usize, j: usize, s: usize, vals: &[f64]);
     /// Charge arithmetic (no-op for the reference).
     fn work(&mut self, _flops: u64) {}
 }
@@ -148,12 +162,9 @@ pub fn update_cell<M: Mesh>(m: &mut M, i: usize, j: usize) {
         return;
     }
     let s = 1usize << d;
-    let mut old = vec![0.0f64; s * s];
-    for a in 0..s {
-        for b in 0..s {
-            old[a * s + b] = m.slab(i, j, s, a, b);
-        }
-    }
+    let mut buf = vec![0.0f64; 2 * s * s];
+    let (old, new) = buf.split_at_mut(s * s);
+    m.slab_all(i, j, s, old);
     let mut sum = 0.0;
     for a in 0..s {
         for b in 0..s {
@@ -173,10 +184,11 @@ pub fn update_cell<M: Mesh>(m: &mut M, i: usize, j: usize) {
             };
             let v = 0.25 * (up + dn + le + ri);
             m.work(5);
-            m.set_slab(i, j, s, a, b, v);
+            new[a * s + b] = v;
             sum += v;
         }
     }
+    m.set_slab_all(i, j, s, new);
     m.set_root(i, j, sum / (s * s) as f64);
 }
 
@@ -200,24 +212,19 @@ pub fn refine_cell<M: Mesh>(m: &mut M, i: usize, j: usize, tau: f64, max_depth: 
     }
     let s_old = 1usize << d;
     let s_new = s_old * 2;
-    let old: Vec<f64> = if d == 0 {
-        vec![r]
-    } else {
-        let mut v = vec![0.0; s_old * s_old];
-        for a in 0..s_old {
-            for b in 0..s_old {
-                v[a * s_old + b] = m.slab(i, j, s_old, a, b);
-            }
-        }
-        v
-    };
+    // An unrefined cell's "slab" is its root value.
+    let mut buf = vec![r; s_old * s_old + s_new * s_new];
+    let (old, new) = buf.split_at_mut(s_old * s_old);
+    if d > 0 {
+        m.slab_all(i, j, s_old, old);
+    }
     m.set_depth(i, j, d + 1);
     for a in 0..s_new {
         for b in 0..s_new {
-            let v = if d == 0 { r } else { old[(a / 2) * s_old + b / 2] };
-            m.set_slab(i, j, s_new, a, b, v);
+            new[a * s_new + b] = old[(a / 2) * s_old + b / 2];
         }
     }
+    m.set_slab_all(i, j, s_new, new);
     true
 }
 
@@ -269,12 +276,12 @@ impl Mesh for SeqMesh {
     fn slab(&mut self, i: usize, j: usize, s: usize, a: usize, b: usize) -> f64 {
         self.slabs[i * self.n + j][a * s + b]
     }
-    fn set_slab(&mut self, i: usize, j: usize, s: usize, a: usize, b: usize, v: f64) {
+    fn set_slab_all(&mut self, i: usize, j: usize, s: usize, vals: &[f64]) {
         let cell = &mut self.slabs[i * self.n + j];
         if cell.len() < s * s {
             cell.resize(s * s, 0.0);
         }
-        cell[a * s + b] = v;
+        cell[..s * s].copy_from_slice(&vals[..s * s]);
     }
 }
 
@@ -374,8 +381,11 @@ impl Mesh for DsmMesh<'_, '_, '_> {
     fn slab(&mut self, i: usize, j: usize, s: usize, a: usize, b: usize) -> f64 {
         self.ctx.read(self.aggs.slabs.addr(i, j * self.aggs.cap + a * s + b))
     }
-    fn set_slab(&mut self, i: usize, j: usize, s: usize, a: usize, b: usize, v: f64) {
-        self.ctx.write(self.aggs.slabs.addr(i, j * self.aggs.cap + a * s + b), v);
+    fn slab_all(&mut self, i: usize, j: usize, s: usize, out: &mut [f64]) {
+        self.ctx.read_run(self.aggs.slabs.addr(i, j * self.aggs.cap), &mut out[..s * s]);
+    }
+    fn set_slab_all(&mut self, i: usize, j: usize, s: usize, vals: &[f64]) {
+        self.ctx.write_run(self.aggs.slabs.addr(i, j * self.aggs.cap), &vals[..s * s]);
     }
     fn work(&mut self, flops: u64) {
         self.ctx.work(flops);

@@ -36,7 +36,10 @@
 //!   `ctx/read_hit`; `mem/read_hit_slice` is the borrowed hit under it;
 //! * `agg/*` — element index → global address for the two distributions
 //!   the applications use, at their paper shapes, and `agg/runs_256`, one
-//!   molecule's partner range cut into its 17 partition runs;
+//!   molecule's partner range cut into its 17 partition runs. `addr_*`
+//!   calls are independent, so the CPU overlaps them; each `addr_*_chain`
+//!   twin derives its next index from the previous address, so it shows
+//!   the latency an access waits for;
 //! * `fabric/*` — the raw wire: a 256-message burst sent one envelope per
 //!   wire op (`send_single`, the pre-batching behavior) vs. packed into
 //!   wire batches (`send_batched`), and the receive-side batch drain in
@@ -411,6 +414,22 @@ fn bench_agg(c: &mut Timer) {
         b.iter(|| {
             i = (i + 37) & 127;
             g.addr(std::hint::black_box(i), std::hint::black_box(127 - i))
+        })
+    });
+    c.bench_function("agg/addr_block_1d_chain", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            let addr = a.addr(i);
+            i = ((addr.0 >> 3) as usize + 37) & 511;
+            addr
+        })
+    });
+    c.bench_function("agg/addr_rowblock_2d_chain", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            let addr = g.addr(i, 127 - i);
+            i = ((addr.0 >> 3) as usize + 37) & 127;
+            addr
         })
     });
 }

@@ -13,8 +13,10 @@
 //! Besides per-element addressing ([`Agg1D::addr`]), an aggregate cuts an
 //! index range into *runs* — maximal stretches that are contiguous in one
 //! partition ([`Agg1D::runs`], [`Agg2D::row_runs`]) — which is what
-//! [`crate::NodeCtx::read_run`] and `write_run` take: one division per
-//! run instead of one per element.
+//! [`crate::NodeCtx::read_run`] and `write_run` take: one address per
+//! run instead of one per element. A `RowBlock` address is a load from a
+//! table of row bases; a 1-D address divides once (by the per-node chunk
+//! under `Block`, by the node count under `Cyclic`).
 
 use std::marker::PhantomData;
 
@@ -157,13 +159,12 @@ impl<T: Prim> Agg1D<T> {
 
 /// A distributed 2-D aggregate of `T`, `rows × cols`.
 pub struct Agg2D<T: Prim> {
-    rows: usize,
     cols: usize,
     nodes: usize,
-    /// Rows per node under `RowBlock`, fixed at construction like
-    /// [`Agg1D`]'s.
+    /// Rows per node under `RowBlock`.
     per: usize,
-    bases: Vec<GAddr>,
+    /// Base address of each row: an address is one load, no division.
+    row_base: Vec<GAddr>,
     _t: PhantomData<T>,
 }
 
@@ -172,18 +173,19 @@ impl<T: Prim> Agg2D<T> {
     pub fn new(m: &Machine, rows: usize, cols: usize, dist: Dist2D) -> Agg2D<T> {
         let Dist2D::RowBlock = dist;
         let nodes = m.nodes();
-        let mut bases = Vec::with_capacity(nodes);
+        let mut row_base = Vec::with_capacity(rows);
         for p in 0..nodes {
-            let count = block_range(rows, nodes, p).len() * cols;
-            let bytes = (count.max(1) * T::BYTES) as u64;
-            bases.push(m.alloc_on(p as NodeId, bytes, T::BYTES as u64));
+            let range = block_range(rows, nodes, p);
+            let bytes = ((range.len() * cols).max(1) * T::BYTES) as u64;
+            let base = m.alloc_on(p as NodeId, bytes, T::BYTES as u64);
+            row_base.extend((0..range.len()).map(|r| base.add((r * cols * T::BYTES) as u64)));
         }
-        Agg2D { rows, cols, nodes, per: chunk(rows, nodes), bases, _t: PhantomData }
+        Agg2D { cols, nodes, per: chunk(rows, nodes), row_base, _t: PhantomData }
     }
 
     /// Row count.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.row_base.len()
     }
 
     /// Column count.
@@ -193,16 +195,14 @@ impl<T: Prim> Agg2D<T> {
 
     /// Owning node of element `(i, j)`.
     pub fn owner(&self, i: usize, j: usize) -> NodeId {
-        debug_assert!(i < self.rows && j < self.cols);
+        debug_assert!(i < self.rows() && j < self.cols);
         (i / self.per).min(self.nodes - 1) as NodeId
     }
 
     /// Global address of element `(i, j)`.
     pub fn addr(&self, i: usize, j: usize) -> GAddr {
-        debug_assert!(i < self.rows && j < self.cols, "({i},{j}) out of bounds");
-        let p = self.owner(i, j) as usize;
-        let r0 = (p * self.per).min(self.rows);
-        self.bases[p].add((((i - r0) * self.cols + j) * T::BYTES) as u64)
+        debug_assert!(i < self.rows() && j < self.cols, "({i},{j}) out of bounds");
+        self.row_base[i].add((j * T::BYTES) as u64)
     }
 
     /// The columns `cols` of row `i` cut into contiguous runs, like
@@ -219,9 +219,9 @@ impl<T: Prim> Agg2D<T> {
         cols: std::ops::Range<usize>,
     ) -> impl Iterator<Item = (GAddr, usize)> {
         assert!(
-            i < self.rows && cols.start <= cols.end && cols.end <= self.cols,
+            i < self.rows() && cols.start <= cols.end && cols.end <= self.cols,
             "row {i}, column range {cols:?} out of bounds for {} x {}",
-            self.rows,
+            self.rows(),
             self.cols
         );
         (!cols.is_empty()).then(|| (self.addr(i, cols.start), cols.len())).into_iter()
@@ -229,7 +229,7 @@ impl<T: Prim> Agg2D<T> {
 
     /// Row range owned by node `p`.
     pub fn my_rows(&self, p: NodeId) -> std::ops::Range<usize> {
-        block_range(self.rows, self.nodes, p as usize)
+        block_range(self.rows(), self.nodes, p as usize)
     }
 }
 
@@ -318,7 +318,8 @@ mod tests {
     }
 
     /// The addressing formulas as they stood before `per` was cached at
-    /// construction, verbatim: the oracle for the grid tests below.
+    /// construction (and so before the row table), verbatim: the oracle
+    /// for the grid tests below.
     mod oracle {
         pub fn block_range(len: usize, parts: usize, p: usize) -> std::ops::Range<usize> {
             let per = len.div_ceil(parts).max(1);
@@ -365,26 +366,49 @@ mod tests {
         assert_eq!(m.layout().home_of(addr), owner);
     }
 
+    /// Where each node's partition of the aggregate allocated last begins,
+    /// found without asking the aggregate: the bump allocator puts the
+    /// next 8-byte allocation right at the partition's end.
+    fn partition_bases(m: &Machine, elems: impl Fn(usize) -> usize) -> Vec<GAddr> {
+        let end = |p: usize| m.alloc_on(p as NodeId, 8, 8);
+        (0..m.nodes()).map(|p| GAddr(end(p).0 - (elems(p).max(1) * 8) as u64)).collect()
+    }
+
+    /// Every element of a `len`-element Block and Cyclic aggregate on `m`.
+    fn check_1d(m: &Machine, len: usize) {
+        let nodes = m.nodes();
+        let a = Agg1D::<f64>::new(m, len, Dist1D::Block);
+        let c = Agg1D::<u64>::new(m, len, Dist1D::Cyclic);
+        for i in 0..len {
+            check_elem(m, &a.bases, a.addr(i), a.owner(i), oracle::block_1d(len, nodes, i));
+            check_elem(m, &c.bases, c.addr(i), c.owner(i), oracle::cyclic_1d(nodes, i));
+        }
+        for p in 0..nodes {
+            assert_eq!(a.my_range(p as NodeId), oracle::block_range(len, nodes, p));
+        }
+    }
+
+    /// Every element of a `rows × cols` RowBlock aggregate on `m`.
+    fn check_2d(m: &Machine, rows: usize, cols: usize) {
+        let nodes = m.nodes();
+        let g = Agg2D::<f64>::new(m, rows, cols, Dist2D::RowBlock);
+        let bases = partition_bases(m, |p| oracle::block_range(rows, nodes, p).len() * cols);
+        assert_eq!(g.rows(), rows);
+        for (i, j) in (0..rows).flat_map(|i| (0..cols).map(move |j| (i, j))) {
+            let want = oracle::rowblock_2d(rows, cols, nodes, i, j);
+            check_elem(m, &bases, g.addr(i, j), g.owner(i, j), want);
+        }
+        for p in 0..nodes {
+            assert_eq!(g.my_rows(p as NodeId), oracle::block_range(rows, nodes, p));
+        }
+    }
+
     #[test]
     fn agg1d_addressing_matches_the_pre_cache_formulas_on_a_small_grid() {
         for nodes in 1..=9 {
             let m = machine(nodes);
             for len in 0..=40 {
-                let a = Agg1D::<f64>::new(&m, len, Dist1D::Block);
-                let c = Agg1D::<u64>::new(&m, len, Dist1D::Cyclic);
-                for i in 0..len {
-                    check_elem(
-                        &m,
-                        &a.bases,
-                        a.addr(i),
-                        a.owner(i),
-                        oracle::block_1d(len, nodes, i),
-                    );
-                    check_elem(&m, &c.bases, c.addr(i), c.owner(i), oracle::cyclic_1d(nodes, i));
-                }
-                for p in 0..nodes {
-                    assert_eq!(a.my_range(p as NodeId), oracle::block_range(len, nodes, p));
-                }
+                check_1d(&m, len);
             }
         }
     }
@@ -395,16 +419,23 @@ mod tests {
             let m = machine(nodes);
             for rows in 0..=40 {
                 for cols in [1, 5, 12] {
-                    let g = Agg2D::<f64>::new(&m, rows, cols, Dist2D::RowBlock);
-                    for (i, j) in (0..rows).flat_map(|i| (0..cols).map(move |j| (i, j))) {
-                        let want = oracle::rowblock_2d(rows, cols, nodes, i, j);
-                        check_elem(&m, &g.bases, g.addr(i, j), g.owner(i, j), want);
-                    }
-                    for p in 0..nodes {
-                        assert_eq!(g.my_rows(p as NodeId), oracle::block_range(rows, nodes, p));
-                    }
+                    check_2d(&m, rows, cols);
                 }
             }
+        }
+    }
+
+    /// The shapes the applications allocate: Water's 512 molecules,
+    /// Barnes' 16 384 bodies, Adaptive's 128 x 64 root halves and its
+    /// 128 x 8 192 slab store — on 1 to 9 nodes and the paper's 32.
+    #[test]
+    fn addressing_matches_the_pre_cache_formulas_at_the_apps_shapes() {
+        for nodes in (1..=9).chain([32]) {
+            let m = machine(nodes);
+            check_1d(&m, 512);
+            check_1d(&m, 16_384);
+            check_2d(&m, 128, 64);
+            check_2d(&m, 128, 8_192);
         }
     }
 
