@@ -52,7 +52,6 @@ use std::time::{Duration, Instant};
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::presend;
 use prescient_core::{Predictive, PredictiveConfig};
-use prescient_cstar::cfg::CfgBuilder;
 use prescient_cstar::dataflow::ReachingUnstructured;
 use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, MachineConfig, NodeCtx};
 use prescient_stache::testkit::Cluster;
@@ -201,20 +200,35 @@ fn bench_compiler(c: &mut Timer) {
 }
 
 fn bench_dataflow(c: &mut Timer) {
-    // A deep loop nest with many aggregates: stress the fixpoint.
-    let aggs: Vec<String> = (0..32).map(|i| format!("A{i}")).collect();
-    let mut b = CfgBuilder::new(aggs.clone());
-    for depth in 0..6 {
-        b.begin_loop(&format!("l{depth}"));
+    // A deep loop nest with many aggregates: stress the fixpoint. Call `fi`
+    // touches aggregate `Ai` alone: an owner write when 3 | i, a non-home
+    // read when 2 | i, a non-home write when 5 | i.
+    let mut src = String::new();
+    for i in 0..32 {
+        src.push_str(&format!("aggregate A{i}[8] of float;\n"));
     }
     for i in 0..32 {
-        let name = format!("A{i}");
-        b.call(&format!("f{i}"), &[(name.as_str(), false, i % 3 == 0, i % 2 == 0, i % 5 == 0)]);
+        let mut body = String::from("let x = 0.0;");
+        if i % 2 == 0 {
+            body.push_str(" x = a[7 - #0];");
+        }
+        if i % 3 == 0 {
+            body.push_str(" a[#0] = x;");
+        }
+        if i % 5 == 0 {
+            body.push_str(" a[7 - #0] = x;");
+        }
+        src.push_str(&format!("parallel fn f{i}(a) {{ {body} }}\n"));
     }
-    for _ in 0..6 {
-        b.end_loop();
+    src.push_str("fn main() {\n");
+    for depth in 0..6 {
+        src.push_str(&format!("for l{depth} in 0 .. 2 {{\n"));
     }
-    let cfg = b.finish();
+    for i in 0..32 {
+        src.push_str(&format!("f{i}(A{i});\n"));
+    }
+    src.push_str(&"}\n".repeat(7));
+    let cfg = prescient_cstar::compile::compile(&src).expect("the nest compiles").cfg;
     c.bench_function("dataflow/solve_32aggs_6deep", |b| {
         b.iter(|| ReachingUnstructured::solve(std::hint::black_box(&cfg)).unwrap())
     });

@@ -2,15 +2,18 @@
 //! with parallel-function access lists (a), and with the runtime phase
 //! directives placed by the compiler analysis (b) — including the
 //! coalescing optimization that leaves a *single* directive covering the
-//! whole center-of-mass loop.
+//! whole center-of-mass loop. The loop is the C\*\* model in
+//! `models/barnes.cstar`, compiled like any other program.
 
-use prescient_bench::cfg_models::barnes_cfg;
-use prescient_cstar::dataflow::ReachingUnstructured;
 use prescient_cstar::directives::{place_directives, render_plan};
-use prescient_cstar::lint::audit_plan;
+use prescient_cstar::sema::ClassifyRules;
+use prescient_cstar::{compile_diag, lint_program};
+
+const BARNES: &str = include_str!("../../models/barnes.cstar");
 
 fn main() {
-    let cfg = barnes_cfg();
+    let prog = compile_diag(BARNES, true, ClassifyRules::default()).expect("the model compiles");
+    let (cfg, sol, plan) = (&prog.cfg, &prog.reaching, &prog.plan);
 
     println!("== Figure 4(a): Barnes main-loop CFG with access lists ==\n");
     for (i, node) in cfg.nodes.iter().enumerate() {
@@ -34,7 +37,6 @@ fn main() {
         }
     }
 
-    let sol = ReachingUnstructured::solve(&cfg).expect("barnes universe fits the bit-vector");
     println!("\n== Reaching unstructured accesses (at each call's entry) ==\n");
     for &n in &cfg.call_nodes() {
         let c = cfg.call(n).unwrap();
@@ -48,16 +50,15 @@ fn main() {
         println!("  {:<16} reached by: {{{}}}", c.func, reached.join(", "));
     }
 
-    let plan = place_directives(&cfg, &sol, true);
     println!("\n== Figure 4(b): with predictive-protocol phase directives ==\n");
-    print!("{}", render_plan(&cfg, &plan));
+    print!("{}", render_plan(cfg, plan));
     println!(
         "\n{} parallel phases placed (paper: 4 phases for Barnes, with a \
          single directive covering the center-of-mass loop).",
         plan.assignment.n_phases
     );
 
-    let unopt = place_directives(&cfg, &sol, false);
+    let unopt = place_directives(cfg, sol, false);
     println!(
         "Without the coalescing/hoisting optimization: {} phases (directive \
          inside the center-of-mass loop, re-executed every level).",
@@ -65,7 +66,11 @@ fn main() {
     );
 
     println!("\n== Plan audit (cstar-lint W001/W002/W007) ==\n");
-    let findings = audit_plan(&cfg, &sol, &plan.assignment);
+    let lints = lint_program(&prog);
+    let findings: Vec<_> = ["W001", "W002", "W007"]
+        .iter()
+        .flat_map(|code| lints.iter().filter(move |d| d.code == *code))
+        .collect();
     if findings.is_empty() {
         println!("  no findings");
     }

@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cfg_models;
 pub mod telemetry;
 
 use std::time::Duration;

@@ -287,14 +287,6 @@ impl Predictive {
         lock(&self.state).health.get(&phase).map_or(0, |h| h.degrade_events)
     }
 
-    /// Export this node's slice of every phase's schedule (stable order) —
-    /// consumed by the schedule oracle's static↔dynamic diff.
-    pub fn export_schedules(
-        &self,
-    ) -> Vec<(PhaseId, Vec<(BlockId, crate::schedule::ScheduleEntry)>)> {
-        lock(&self.state).store.export()
-    }
-
     /// Capture this node's full predictive-protocol state at a quiescent
     /// cut — schedules, health, push bookkeeping, and the pre-send epoch —
     /// into `ckpt`, overwriting what it held and keeping its maps.

@@ -253,16 +253,6 @@ impl ScheduleStore {
         v.sort_unstable();
         v
     }
-
-    /// Export every phase's entries in a stable order — the schedule
-    /// export hook the static↔dynamic oracle folds back onto the
-    /// compiler's summaries.
-    pub fn export(&self) -> Vec<(PhaseId, Vec<(BlockId, ScheduleEntry)>)> {
-        self.phase_ids()
-            .into_iter()
-            .filter_map(|id| self.phases.get(&id).map(|p| (id, p.sorted_entries())))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -346,20 +336,6 @@ mod tests {
         s.flush(1);
         assert!(s.phase(1).is_none());
         assert_eq!(s.total_entries(), 1);
-    }
-
-    #[test]
-    fn export_is_phase_then_block_ordered() {
-        let mut s = ScheduleStore::default();
-        s.phase_mut(2).record_read(BlockId(9), 0);
-        s.phase_mut(2).record_read(BlockId(2), 1);
-        s.phase_mut(1).record_write(B, 3);
-        let ex = s.export();
-        assert_eq!(ex.len(), 2);
-        assert_eq!(ex[0].0, 1);
-        assert_eq!(ex[1].0, 2);
-        let blocks: Vec<u64> = ex[1].1.iter().map(|(b, _)| b.0).collect();
-        assert_eq!(blocks, vec![2, 9]);
     }
 
     #[test]

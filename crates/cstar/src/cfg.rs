@@ -3,15 +3,14 @@
 //!
 //! Nodes are parallel-function call sites plus loop-structure markers;
 //! edges capture the flow of the (loop-nested) sequential program. The
-//! graph can be built from a parsed program or by hand through
-//! [`CfgBuilder`] — the latter is how the Barnes main loop of Figure 4 and
-//! the three evaluation applications feed their phase structure to the
-//! same placement analysis the DSL compiler uses.
+//! graph is built from a parsed program by [`Cfg::from_program`]; Figure
+//! 4's Barnes main loop and the three evaluation applications are C\*\*
+//! models in `crates/bench/models/`.
 
 use std::collections::BTreeMap;
 
 use crate::ast::{Program, SeqStmt};
-use crate::lexer::ParseError;
+use crate::diag::{codes, Diagnostic};
 use crate::sema::{AccessSummary, ParamAccess};
 
 /// One parallel call site with its per-aggregate access classification.
@@ -77,9 +76,8 @@ pub enum RegionItem {
     Loop {
         /// Label (the loop variable).
         label: String,
-        /// Trip bounds `lo..hi` when known (parsed programs); `None` for
-        /// hand-built analysis-only CFGs.
-        trip: Option<(i64, i64)>,
+        /// Trip bounds `lo..hi`.
+        trip: (i64, i64),
         /// Body items.
         body: Vec<RegionItem>,
     },
@@ -126,26 +124,29 @@ impl Cfg {
         }
     }
 
-    /// Build the CFG of a parsed program using its function summaries.
+    /// Build the CFG of a parsed program using its function summaries. A
+    /// call to a function that has no summary is an `E004` at the call.
     pub fn from_program(
         p: &Program,
         summaries: &BTreeMap<String, AccessSummary>,
-    ) -> Result<Cfg, ParseError> {
+    ) -> Result<Cfg, Diagnostic> {
         let mut b = CfgBuilder::new(p.aggs.iter().map(|a| a.name.clone()));
         fn walk(
             b: &mut CfgBuilder,
             p: &Program,
             summaries: &BTreeMap<String, AccessSummary>,
             stmts: &[SeqStmt],
-        ) -> Result<(), ParseError> {
+        ) -> Result<(), Diagnostic> {
             for s in stmts {
                 match s {
-                    SeqStmt::Call { func, args, commute, .. } => {
-                        let f = p.func(func).ok_or_else(|| ParseError {
-                            msg: format!("unknown function `{func}`"),
-                            line: 0,
-                        })?;
-                        let sum = &summaries[func];
+                    SeqStmt::Call { func, args, commute, span } => {
+                        let (Some(f), Some(sum)) = (p.func(func), summaries.get(func)) else {
+                            return Err(Diagnostic::error(
+                                codes::CALL,
+                                format!("call to unknown parallel function `{func}`"),
+                            )
+                            .with_label(*span, "not a parallel function"));
+                        };
                         // Map parameter summaries onto argument instances.
                         // Access flags merge by OR; the commutativity
                         // verdict merges by AND — binding an instance to a
@@ -168,15 +169,10 @@ impl Cfg {
                                 }
                             }
                         }
-                        let node = b.call_with(func, access);
-                        if *commute {
-                            if let CfgNode::Call(c) = &mut b.nodes[node] {
-                                c.commute_annotated = true;
-                            }
-                        }
+                        b.call(func, access, *commute);
                     }
                     SeqStmt::For { var, lo, hi, body } => {
-                        b.begin_loop_counted(var, *lo, *hi);
+                        b.begin_loop(var, (*lo, *hi));
                         walk(b, p, summaries, body)?;
                         b.end_loop();
                     }
@@ -189,25 +185,24 @@ impl Cfg {
     }
 }
 
-/// Hand-construction of annotated CFGs.
-pub struct CfgBuilder {
+/// Incremental construction of the graph, driven by [`Cfg::from_program`].
+struct CfgBuilder {
     nodes: Vec<CfgNode>,
     succs: Vec<Vec<usize>>,
     /// Node(s) whose control flow falls through to the next added node.
     frontier: Vec<usize>,
     /// Stack of open loops: (head index, region body so far, label, trip).
     #[allow(clippy::type_complexity)]
-    loops: Vec<(usize, Vec<RegionItem>, String, Option<(i64, i64)>)>,
+    loops: Vec<(usize, Vec<RegionItem>, String, (i64, i64))>,
     /// Region items of the current (innermost open) sequence.
     region: Vec<RegionItem>,
     call_node: Vec<usize>,
     aggs: Vec<String>,
-    next_call_id: usize,
 }
 
 impl CfgBuilder {
     /// Start a builder over the given aggregate universe.
-    pub fn new(aggs: impl IntoIterator<Item = String>) -> CfgBuilder {
+    fn new(aggs: impl IntoIterator<Item = String>) -> CfgBuilder {
         CfgBuilder {
             nodes: vec![CfgNode::Entry],
             succs: vec![vec![]],
@@ -216,7 +211,6 @@ impl CfgBuilder {
             region: vec![],
             call_node: vec![],
             aggs: aggs.into_iter().collect(),
-            next_call_id: 0,
         }
     }
 
@@ -231,98 +225,30 @@ impl CfgBuilder {
         i
     }
 
-    /// Append a call with explicit per-aggregate accesses.
-    pub fn call_with(&mut self, func: &str, access: BTreeMap<String, ParamAccess>) -> usize {
-        for a in access.keys() {
-            assert!(self.aggs.iter().any(|x| x == a), "aggregate `{a}` not in universe");
-        }
-        let id = self.next_call_id;
-        self.next_call_id += 1;
+    /// Append a call with its per-aggregate accesses; call-site ids follow
+    /// program order.
+    fn call(&mut self, func: &str, access: BTreeMap<String, ParamAccess>, annotated: bool) {
+        let id = self.call_node.len();
         let node = self.add(CfgNode::Call(CallSite {
             func: func.to_string(),
             id,
             access,
-            commute_annotated: false,
+            commute_annotated: annotated,
         }));
         self.call_node.push(node);
         self.region.push(RegionItem::Call(id));
-        node
     }
 
-    /// Convenience: append a call described as
-    /// `(aggregate, home_read, home_write, nonhome_read, nonhome_write)`
-    /// tuples.
-    pub fn call(&mut self, func: &str, accesses: &[(&str, bool, bool, bool, bool)]) -> usize {
-        let mut map = BTreeMap::new();
-        for &(agg, hr, hw, nr, nw) in accesses {
-            map.insert(
-                agg.to_string(),
-                ParamAccess {
-                    home_read: hr,
-                    home_write: hw,
-                    nonhome_read: nr,
-                    nonhome_write: nw,
-                    ..ParamAccess::default()
-                },
-            );
-        }
-        self.call_with(func, map)
-    }
-
-    /// Like [`CfgBuilder::call`], but additionally marks the aggregates in
-    /// `commute_aggs` as commutative-mergeable (the hand-built analogue of
-    /// the commutativity analysis verdict), and records whether the call
-    /// carries a `commute` annotation.
-    pub fn call_commuting(
-        &mut self,
-        func: &str,
-        accesses: &[(&str, bool, bool, bool, bool)],
-        commute_aggs: &[&str],
-        annotated: bool,
-    ) -> usize {
-        let mut map = BTreeMap::new();
-        for &(agg, hr, hw, nr, nw) in accesses {
-            map.insert(
-                agg.to_string(),
-                ParamAccess {
-                    home_read: hr,
-                    home_write: hw,
-                    nonhome_read: nr,
-                    nonhome_write: nw,
-                    commute: commute_aggs.contains(&agg),
-                },
-            );
-        }
-        let node = self.call_with(func, map);
-        if annotated {
-            if let CfgNode::Call(c) = &mut self.nodes[node] {
-                c.commute_annotated = true;
-            }
-        }
-        node
-    }
-
-    /// Open a loop; subsequent nodes are the body. (Analysis-only loops
-    /// have no trip count — see [`CfgBuilder::begin_loop_counted`].)
-    pub fn begin_loop(&mut self, label: &str) -> usize {
-        self.begin_loop_inner(label, None)
-    }
-
-    /// Open a counted loop `lo..hi` (executable by the interpreter).
-    pub fn begin_loop_counted(&mut self, label: &str, lo: i64, hi: i64) -> usize {
-        self.begin_loop_inner(label, Some((lo, hi)))
-    }
-
-    fn begin_loop_inner(&mut self, label: &str, trip: Option<(i64, i64)>) -> usize {
+    /// Open a counted loop `lo..hi`; subsequent nodes are the body.
+    fn begin_loop(&mut self, label: &str, trip: (i64, i64)) {
         let head = self.add(CfgNode::LoopHead { label: label.to_string() });
         let outer_region = std::mem::take(&mut self.region);
         self.loops.push((head, outer_region, label.to_string(), trip));
-        head
     }
 
     /// Close the innermost loop (adds the back edge; fall-through continues
     /// after the loop).
-    pub fn end_loop(&mut self) {
+    fn end_loop(&mut self) {
         let (head, outer_region, label, trip) =
             self.loops.pop().expect("end_loop without begin_loop");
         for &f in &self.frontier {
@@ -335,7 +261,7 @@ impl CfgBuilder {
     }
 
     /// Finish: add the exit node and compute predecessors.
-    pub fn finish(mut self) -> Cfg {
+    fn finish(mut self) -> Cfg {
         assert!(self.loops.is_empty(), "unclosed loop");
         let exit = self.add(CfgNode::Exit);
         let mut preds = vec![vec![]; self.nodes.len()];
@@ -360,15 +286,24 @@ impl CfgBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
-    use crate::sema::analyze_program;
+    use crate::parser::parse_diag;
+    use crate::sema::{analyze_program_with, ClassifyRules};
+
+    fn cfg_of(src: &str) -> Cfg {
+        let p = parse_diag(src).unwrap();
+        let sums = analyze_program_with(&p, ClassifyRules::default()).unwrap();
+        Cfg::from_program(&p, &sums).unwrap()
+    }
+
+    /// A home writer and a home reader of one aggregate.
+    const PAIR: &str = "aggregate A[8] of float;\n\
+                        parallel fn f(a) { a[#0] = 1.0; }\n\
+                        parallel fn g(a) { let x = a[#0]; }\n";
 
     #[test]
     fn straight_line_cfg() {
-        let mut b = CfgBuilder::new(["A".to_string()]);
-        let c1 = b.call("f", &[("A", false, true, false, false)]);
-        let c2 = b.call("g", &[("A", true, false, false, false)]);
-        let cfg = b.finish();
+        let cfg = cfg_of(&format!("{PAIR}fn main() {{ f(A); g(A); }}"));
+        let (c1, c2) = (cfg.call_node[0], cfg.call_node[1]);
         assert_eq!(cfg.succs[cfg.entry], vec![c1]);
         assert_eq!(cfg.succs[c1], vec![c2]);
         assert_eq!(cfg.succs[c2], vec![cfg.exit]);
@@ -377,20 +312,20 @@ mod tests {
 
     #[test]
     fn loop_back_edge() {
-        let mut b = CfgBuilder::new(["A".to_string()]);
-        let head = b.begin_loop("it");
-        let c = b.call("f", &[("A", false, false, true, false)]);
-        b.end_loop();
-        let cfg = b.finish();
+        let cfg = cfg_of(&format!("{PAIR}fn main() {{ for it in 0 .. 3 {{ g(A); }} }}"));
+        let (head, c) = (1, cfg.call_node[0]);
+        assert_eq!(cfg.nodes[head], CfgNode::LoopHead { label: "it".into() });
         // head → body call and head → exit; call → head (back edge).
         assert!(cfg.succs[head].contains(&c));
         assert!(cfg.succs[c].contains(&head));
         assert!(cfg.succs[head].contains(&cfg.exit));
+        assert!(matches!(cfg.regions[..], [RegionItem::Loop { trip: (0, 3), .. }]));
     }
 
     #[test]
     fn from_program_maps_params_to_args() {
-        let src = r#"
+        let cfg = cfg_of(
+            r#"
             aggregate G[8][8] of float;
             aggregate H[8][8] of float;
             parallel fn sweep(g, h) {
@@ -402,10 +337,8 @@ mod tests {
                     sweep(H, G);
                 }
             }
-        "#;
-        let p = parse(src).unwrap();
-        let sums = analyze_program(&p).unwrap();
-        let cfg = Cfg::from_program(&p, &sums).unwrap();
+        "#,
+        );
         let calls = cfg.call_nodes();
         assert_eq!(calls.len(), 2);
         // First call: G read-nonhome, H written-home.
@@ -422,16 +355,15 @@ mod tests {
 
     #[test]
     fn same_instance_bound_twice_merges() {
-        let src = r#"
+        let cfg = cfg_of(
+            r#"
             aggregate A[8] of float;
             parallel fn f(x, y) {
                 x[#0] = y[#0 - 1];
             }
             fn main() { f(A, A); }
-        "#;
-        let p = parse(src).unwrap();
-        let sums = analyze_program(&p).unwrap();
-        let cfg = Cfg::from_program(&p, &sums).unwrap();
+        "#,
+        );
         let c = cfg.call(cfg.call_nodes()[0]).unwrap();
         let a = c.access["A"];
         assert!(a.home_write && a.nonhome_read);
@@ -439,17 +371,33 @@ mod tests {
 
     #[test]
     fn nested_loops() {
-        let mut b = CfgBuilder::new(["T".to_string()]);
-        b.begin_loop("outer");
-        b.call("build", &[("T", false, false, false, true)]);
-        b.begin_loop("inner");
-        b.call("com", &[("T", true, true, false, false)]);
-        b.end_loop();
-        b.call("force", &[("T", false, false, true, false)]);
-        b.end_loop();
-        let cfg = b.finish();
+        let cfg = cfg_of(
+            "aggregate T[8] of float;\n\
+             parallel fn build(t) { t[7 - #0] = 1.0; }\n\
+             parallel fn com(t) { t[#0] = t[#0]; }\n\
+             parallel fn force(t) { let x = t[7 - #0]; }\n\
+             fn main() {\n\
+                 for outer in 0 .. 2 {\n\
+                     build(T);\n\
+                     for inner in 0 .. 3 { com(T); }\n\
+                     force(T);\n\
+                 }\n\
+             }\n",
+        );
         assert_eq!(cfg.call_nodes().len(), 3);
         // Exit reachable.
         assert!(cfg.succs.iter().flatten().any(|&s| s == cfg.exit));
+    }
+
+    #[test]
+    fn unknown_callee_is_e004_at_the_call() {
+        // Sema rejects this first; the graph builder reports it the same
+        // way when handed a program sema never saw.
+        let src = "aggregate A[8] of float;\nfn main() {\n    nope(A);\n}\n";
+        let p = parse_diag(src).unwrap();
+        let d = Cfg::from_program(&p, &BTreeMap::new()).unwrap_err();
+        assert_eq!(d.code, codes::CALL);
+        assert!(d.message.contains("`nope`"), "{}", d.message);
+        assert_eq!(d.primary_span().map(|s| (s.line, s.lo)), Some((3, 41)));
     }
 }

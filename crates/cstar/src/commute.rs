@@ -587,10 +587,10 @@ impl Store for Seq<'_> {
 mod tests {
     use super::*;
     use crate::compile::compile_diag;
-    use crate::parser::parse;
+    use crate::parser::parse_diag;
 
     fn classify(src: &str, func: &str, param: &str, rules: ClassifyRules) -> CommuteClass {
-        let p = parse(src).unwrap();
+        let p = parse_diag(src).unwrap();
         let f = p.func(func).unwrap();
         classify_fn(f, rules).remove(param).unwrap()
     }

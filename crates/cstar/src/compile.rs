@@ -7,7 +7,6 @@ use crate::cfg::Cfg;
 use crate::dataflow::ReachingUnstructured;
 use crate::diag::Diagnostic;
 use crate::directives::{place_directives, DirectivePlan};
-use crate::lexer::ParseError;
 use crate::sema::{analyze_program_with, AccessSummary, ClassifyRules};
 
 /// A fully compiled mini-C\*\* program: AST, summaries, annotated CFG,
@@ -28,19 +27,15 @@ pub struct CompiledProgram {
     pub call_sites: Vec<(String, Vec<String>)>,
 }
 
-/// Compile with the coalescing/hoisting optimization enabled.
-pub fn compile(src: &str) -> Result<CompiledProgram, ParseError> {
-    compile_with(src, true)
+/// Compile with the coalescing/hoisting optimization and the default
+/// classification rules.
+pub fn compile(src: &str) -> Result<CompiledProgram, Diagnostic> {
+    compile_diag(src, true, ClassifyRules::default())
 }
 
-/// Compile with explicit control over the §4.3 coalescing optimization.
-pub fn compile_with(src: &str, coalesce: bool) -> Result<CompiledProgram, ParseError> {
-    compile_diag(src, coalesce, ClassifyRules::default()).map_err(ParseError::from)
-}
-
-/// Compile with span-carrying diagnostics and explicit classification
-/// rules (the oracle mutation test weakens them; everything else passes
-/// [`ClassifyRules::default`]).
+/// Compile with explicit control over the §4.3 coalescing optimization and
+/// the classification rules (the oracle mutation test weakens them;
+/// everything else passes [`ClassifyRules::default`]).
 pub fn compile_diag(
     src: &str,
     coalesce: bool,
@@ -48,7 +43,7 @@ pub fn compile_diag(
 ) -> Result<CompiledProgram, Diagnostic> {
     let program = crate::parser::parse_diag(src)?;
     let summaries = analyze_program_with(&program, rules)?;
-    let cfg = Cfg::from_program(&program, &summaries).map_err(Diagnostic::from)?;
+    let cfg = Cfg::from_program(&program, &summaries)?;
     let reaching = ReachingUnstructured::solve(&cfg)?;
     let plan = place_directives(&cfg, &reaching, coalesce);
 

@@ -111,22 +111,29 @@ impl ReachingUnstructured {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::cfg::CfgBuilder;
+    use crate::compile::{compile_diag, CompiledProgram};
+    use crate::sema::ClassifyRules;
 
-    fn universe(names: &[&str]) -> Vec<String> {
-        names.iter().map(|s| s.to_string()).collect()
+    /// One parallel function per access class the tests combine, over
+    /// 8-element aggregates.
+    const FNS: &str = "parallel fn reader(a) { let x = a[7 - #0]; }\n\
+                       parallel fn writer(a) { a[#0] = 1.0; }\n\
+                       parallel fn scatter(a) { a[7 - #0] = 1.0; }\n";
+
+    /// Compile `main` over the aggregates `aggs`, `FNS` and `fns`.
+    fn compiled(aggs: &[&str], fns: &str, main: &str) -> CompiledProgram {
+        let decls: String = aggs.iter().map(|a| format!("aggregate {a}[8] of float;\n")).collect();
+        let src = format!("{decls}{FNS}{fns}fn main() {{ {main} }}\n");
+        compile_diag(&src, true, ClassifyRules::default()).unwrap()
     }
 
     /// read-nonhome(A); then owner-write(A): the second call must be
     /// reached by A's unstructured accesses.
     #[test]
     fn unstructured_read_reaches_owner_write() {
-        let mut b = CfgBuilder::new(universe(&["A"]));
-        let c1 = b.call("reader", &[("A", false, false, true, false)]);
-        let c2 = b.call("writer", &[("A", false, true, false, false)]);
-        let cfg = b.finish();
-        let sol = ReachingUnstructured::solve(&cfg).unwrap();
+        let c = compiled(&["A"], "", "reader(A); writer(A);");
+        let (c1, c2) = (c.cfg.call_node[0], c.cfg.call_node[1]);
+        let sol = &c.reaching;
         assert!(!sol.reaches(c1, 0), "nothing reaches the first call");
         assert!(sol.reaches(c2, 0), "reader's copies reach the writer");
         // The owner write kills: after c2 nothing is cached remotely.
@@ -136,38 +143,27 @@ mod tests {
     /// Owner writes kill the property.
     #[test]
     fn owner_write_kills() {
-        let mut b = CfgBuilder::new(universe(&["A"]));
-        let _r = b.call("reader", &[("A", false, false, true, false)]);
-        let _w = b.call("writer", &[("A", false, true, false, false)]);
-        let after = b.call("reader2", &[("A", false, false, true, false)]);
-        let cfg = b.finish();
-        let sol = ReachingUnstructured::solve(&cfg).unwrap();
-        assert!(!sol.reaches(after, 0), "owner write invalidates remote copies");
+        let c = compiled(&["A"], "", "reader(A); writer(A); reader(A);");
+        let after = c.cfg.call_node[2];
+        assert!(!c.reaching.reaches(after, 0), "owner write invalidates remote copies");
     }
 
     /// Unstructured writes kill then gen.
     #[test]
     fn unstructured_write_kills_and_gens() {
-        let mut b = CfgBuilder::new(universe(&["A"]));
-        let _r = b.call("reader", &[("A", false, false, true, false)]);
-        let w = b.call("scatter", &[("A", false, false, false, true)]);
-        let cfg = b.finish();
-        let sol = ReachingUnstructured::solve(&cfg).unwrap();
-        assert!(sol.reaches(w, 0));
-        assert_ne!(sol.output[w], 0, "scatter leaves new remote copies");
+        let c = compiled(&["A"], "", "reader(A); scatter(A);");
+        let w = c.cfg.call_node[1];
+        assert!(c.reaching.reaches(w, 0));
+        assert_ne!(c.reaching.output[w], 0, "scatter leaves new remote copies");
     }
 
     /// Loop fixpoint: an unstructured read inside a loop reaches the loop
     /// head (via the back edge) and everything after the loop.
     #[test]
     fn loop_fixpoint_propagates_around_back_edge() {
-        let mut b = CfgBuilder::new(universe(&["A"]));
-        let head = b.begin_loop("it");
-        let r = b.call("reader", &[("A", false, false, true, false)]);
-        b.end_loop();
-        let after = b.call("writer", &[("A", false, true, false, false)]);
-        let cfg = b.finish();
-        let sol = ReachingUnstructured::solve(&cfg).unwrap();
+        let c = compiled(&["A"], "", "for it in 0 .. 2 { reader(A); } writer(A);");
+        let (head, r, after) = (1, c.cfg.call_node[0], c.cfg.call_node[1]);
+        let sol = &c.reaching;
         assert!(sol.reaches(r, 0), "second iteration sees the first's reads");
         assert!(sol.reaches(head, 0) || sol.input[head] != 0);
         assert!(sol.reaches(after, 0));
@@ -176,21 +172,19 @@ mod tests {
     /// Independent aggregates do not interfere.
     #[test]
     fn aggregates_are_independent() {
-        let mut b = CfgBuilder::new(universe(&["A", "B"]));
-        let _ra = b.call("reader", &[("A", false, false, true, false)]);
-        let wb = b.call("writerB", &[("B", false, true, false, false)]);
-        let cfg = b.finish();
-        let sol = ReachingUnstructured::solve(&cfg).unwrap();
-        assert!(sol.reaches(wb, 0), "A still reaches");
-        assert!(!sol.reaches(wb, 1), "B was never unstructured");
+        let c = compiled(&["A", "B"], "", "reader(A); writer(B);");
+        let wb = c.cfg.call_node[1];
+        assert!(c.reaching.reaches(wb, 0), "A still reaches");
+        assert!(!c.reaching.reaches(wb, 1), "B was never unstructured");
     }
 
     /// More than 64 aggregates is now a diagnostic, not an abort.
     #[test]
     fn aggregate_limit_is_a_diagnostic() {
         let names: Vec<String> = (0..65).map(|i| format!("A{i}")).collect();
-        let cfg = CfgBuilder::new(names).finish();
-        let d = ReachingUnstructured::solve(&cfg).unwrap_err();
+        let decls: String = names.iter().map(|a| format!("aggregate {a}[8] of float;\n")).collect();
+        let src = format!("{decls}{FNS}fn main() {{ writer(A0); }}\n");
+        let d = compile_diag(&src, true, ClassifyRules::default()).unwrap_err();
         assert_eq!(d.code, "E006");
         assert!(d.message.contains("65"));
     }
@@ -201,21 +195,16 @@ mod tests {
     /// keeping the property only adds a harmless directive.)
     #[test]
     fn loop_kill_does_not_block_the_zero_trip_path() {
-        let mut b = CfgBuilder::new(universe(&["tree", "bodies"]));
-        let _build = b.call(
-            "build",
-            &[("tree", false, false, true, true), ("bodies", true, false, false, false)],
-        );
-        b.begin_loop("com");
-        let com = b.call("center_of_mass", &[("tree", true, true, false, false)]);
-        b.end_loop();
-        let force = b.call(
-            "forces",
-            &[("tree", false, false, true, false), ("bodies", false, true, true, false)],
-        );
-        let cfg = b.finish();
-        let sol = ReachingUnstructured::solve(&cfg).unwrap();
-        let tree_bit = cfg.agg_bit("tree").unwrap();
+        let fns = "parallel fn build(b, t) { t[7 - #0] = t[7 - #0] + b[#0]; }\n\
+                   parallel fn center_of_mass(t) { t[#0] = 0.5 * t[#0]; }\n\
+                   parallel fn forces(b, t) { b[#0] = t[7 - #0] + b[7 - #0]; }\n";
+        let main = "build(bodies, tree); \
+                    for com in 0 .. 3 { center_of_mass(tree); } \
+                    forces(bodies, tree);";
+        let c = compiled(&["tree", "bodies"], fns, main);
+        let (com, force) = (c.cfg.call_node[1], c.cfg.call_node[2]);
+        let sol = &c.reaching;
+        let tree_bit = c.cfg.agg_bit("tree").unwrap();
         // build's unstructured writes reach the com loop...
         assert!(sol.reaches(com, tree_bit));
         // ...and still reach forces along the loop-skip edge (any-path).

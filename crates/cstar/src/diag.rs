@@ -32,8 +32,6 @@ use std::fmt;
 
 use prescient_tempest::json::{Layout, Writer};
 
-use crate::lexer::ParseError;
-
 /// Stable diagnostic codes (see the module-level catalog).
 pub mod codes {
     /// Lexical error.
@@ -70,7 +68,7 @@ pub mod codes {
 }
 
 /// A source region in character offsets (the lexer works on `char`
-/// indices), with the 1-based line of its start for span-less consumers.
+/// indices), with the 1-based line of its start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Span {
     /// Start offset (inclusive, in chars).
@@ -193,12 +191,6 @@ impl Diagnostic {
         self.labels.first().map(|l| l.span)
     }
 
-    /// 1-based line of the primary span (0 when span-less) — what the
-    /// legacy [`ParseError`] shim reports.
-    pub fn line(&self) -> u32 {
-        self.primary_span().map_or(0, |s| s.line)
-    }
-
     /// Is this a hard error?
     pub fn is_error(&self) -> bool {
         self.severity == Severity::Error
@@ -279,25 +271,6 @@ impl fmt::Display for Diagnostic {
 
 impl std::error::Error for Diagnostic {}
 
-/// The legacy stringly error shim: existing `parse`/`compile` callers keep
-/// compiling while new code consumes [`Diagnostic`] directly.
-impl From<Diagnostic> for ParseError {
-    fn from(d: Diagnostic) -> ParseError {
-        ParseError { line: d.line(), msg: d.message }
-    }
-}
-
-/// Lift a legacy error into the diagnostics engine (span-less).
-impl From<ParseError> for Diagnostic {
-    fn from(e: ParseError) -> Diagnostic {
-        let mut d = Diagnostic::error(codes::PARSE, e.msg);
-        if e.line > 0 {
-            d = d.with_note(format!("at line {}", e.line));
-        }
-        d
-    }
-}
-
 // ---------------------------------------------------------------------
 // Caret rendering
 // ---------------------------------------------------------------------
@@ -377,15 +350,6 @@ mod tests {
         assert!(r.contains("t.cstar:2:1"), "{r}");
         assert!(r.contains("2 | bogus here"), "{r}");
         assert!(r.contains("^^^^^ not a declaration"), "{r}");
-    }
-
-    #[test]
-    fn parse_error_shim_carries_line() {
-        let d =
-            Diagnostic::error(codes::NAME, "unknown variable `y`").with_span(Span::new(10, 11, 7));
-        let e: ParseError = d.into();
-        assert_eq!(e.line, 7);
-        assert_eq!(e.msg, "unknown variable `y`");
     }
 
     #[test]

@@ -324,11 +324,7 @@ impl Planner {
                 }
                 RegionItem::Loop { label, trip, body } => {
                     let (all_home_only, any_needs, loop_comm) = self.loop_summary(body);
-                    let begin = ExecOp::LoopBegin {
-                        label: label.clone(),
-                        lo: trip.map_or(0, |t| t.0),
-                        hi: trip.map_or(0, |t| t.1),
-                    };
+                    let begin = ExecOp::LoopBegin { label: label.clone(), lo: trip.0, hi: trip.1 };
                     if all_home_only && !any_needs {
                         // Fully transparent loop: absorb it whole into the
                         // open group or emit plain.
@@ -413,11 +409,7 @@ impl Planner {
             match item {
                 RegionItem::Call(id) => out.push(ExecOp::Call(*id)),
                 RegionItem::Loop { label, trip, body } => {
-                    out.push(ExecOp::LoopBegin {
-                        label: label.clone(),
-                        lo: trip.map_or(0, |t| t.0),
-                        hi: trip.map_or(0, |t| t.1),
-                    });
+                    out.push(ExecOp::LoopBegin { label: label.clone(), lo: trip.0, hi: trip.1 });
                     self.emit_plain(body, out);
                     out.push(ExecOp::LoopEnd);
                 }
@@ -498,26 +490,30 @@ pub fn render_plan(cfg: &Cfg, plan: &DirectivePlan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::CfgBuilder;
-    use crate::dataflow::ReachingUnstructured;
+    use crate::compile::compile_diag;
+    use crate::sema::ClassifyRules;
 
-    fn plan_of(b: CfgBuilder, coalesce: bool) -> (Cfg, DirectivePlan) {
-        let cfg = b.finish();
-        let sol = ReachingUnstructured::solve(&cfg).unwrap();
-        let plan = place_directives(&cfg, &sol, coalesce);
-        (cfg, plan)
-    }
+    /// One parallel function per access class the tests combine, each over
+    /// 8-element aggregates: non-home reads (of one or two aggregates), an
+    /// owner write, a non-home write, and a home read+write.
+    const FNS: &str = "parallel fn reader(a) { let x = a[7 - #0]; }\n\
+                       parallel fn reader2(a, b) { let x = a[7 - #0] + b[7 - #0]; }\n\
+                       parallel fn writer(a) { a[#0] = 1.0; }\n\
+                       parallel fn scatter(a) { a[7 - #0] = 1.0; }\n\
+                       parallel fn center_of_mass(a) { a[#0] = 0.5 * a[#0]; }\n";
 
-    fn universe(names: &[&str]) -> Vec<String> {
-        names.iter().map(|s| s.to_string()).collect()
+    /// Compile `main` over the aggregates `aggs` and [`FNS`].
+    fn plan_of(aggs: &[&str], main: &str, coalesce: bool) -> (Cfg, DirectivePlan) {
+        let decls: String = aggs.iter().map(|a| format!("aggregate {a}[8] of float;\n")).collect();
+        let src = format!("{decls}{FNS}fn main() {{ {main} }}\n");
+        let c = compile_diag(&src, coalesce, ClassifyRules::default()).unwrap();
+        (c.cfg, c.plan)
     }
 
     /// Rule 2: an unstructured call always needs a schedule.
     #[test]
     fn unstructured_call_needs_schedule() {
-        let mut b = CfgBuilder::new(universe(&["A"]));
-        b.call("gather", &[("A", false, false, true, false)]);
-        let (_, plan) = plan_of(b, true);
+        let (_, plan) = plan_of(&["A"], "reader(A);", true);
         let d = plan.assignment.calls[&0];
         assert!(d.needs);
         assert_eq!(d.phase, Some(1));
@@ -528,20 +524,13 @@ mod tests {
     #[test]
     fn owner_write_needs_schedule_only_when_reached() {
         // writer alone: no directive.
-        let mut b = CfgBuilder::new(universe(&["A"]));
-        b.call("writer", &[("A", false, true, false, false)]);
-        let (_, plan) = plan_of(b, true);
+        let (_, plan) = plan_of(&["A"], "writer(A);", true);
         assert!(!plan.assignment.calls[&0].needs);
         assert_eq!(plan.assignment.n_phases, 0);
 
         // reader then writer in a loop: the writer is reached via the back
         // edge (repetitive invalidations), so it needs a schedule.
-        let mut b = CfgBuilder::new(universe(&["A"]));
-        b.begin_loop("it");
-        b.call("reader", &[("A", false, false, true, false)]);
-        b.call("writer", &[("A", false, true, false, false)]);
-        b.end_loop();
-        let (_, plan) = plan_of(b, true);
+        let (_, plan) = plan_of(&["A"], "for it in 0 .. 2 { reader(A); writer(A); }", true);
         assert!(plan.assignment.calls[&0].needs, "reader is unstructured");
         assert!(plan.assignment.calls[&1].needs, "writer is reached");
     }
@@ -550,12 +539,7 @@ mod tests {
     /// share a phase even though the writer is home-only.
     #[test]
     fn no_merge_across_conflicting_aggregates() {
-        let mut b = CfgBuilder::new(universe(&["A"]));
-        b.begin_loop("it");
-        b.call("reader", &[("A", false, false, true, false)]);
-        b.call("writer", &[("A", false, true, false, false)]);
-        b.end_loop();
-        let (_, plan) = plan_of(b, true);
+        let (_, plan) = plan_of(&["A"], "for it in 0 .. 2 { reader(A); writer(A); }", true);
         let p0 = plan.assignment.calls[&0].phase;
         let p1 = plan.assignment.calls[&1].phase;
         assert!(p0.is_some() && p1.is_some());
@@ -566,26 +550,15 @@ mod tests {
     /// Coalescing: two home-only needs-calls on unrelated aggregates merge.
     #[test]
     fn homeonly_neighbors_coalesce() {
-        let mut b = CfgBuilder::new(universe(&["A", "B"]));
-        b.begin_loop("it");
-        b.call("reader", &[("A", false, false, true, false), ("B", false, false, true, false)]);
-        b.call("writerA", &[("A", false, true, false, false)]);
-        b.call("writerB", &[("B", false, true, false, false)]);
-        b.end_loop();
-        let (_, plan) = plan_of(b, true);
+        let main = "for it in 0 .. 2 { reader2(A, B); writer(A); writer(B); }";
+        let (_, plan) = plan_of(&["A", "B"], main, true);
         let pa = plan.assignment.calls[&1].phase.unwrap();
         let pb = plan.assignment.calls[&2].phase.unwrap();
         assert_eq!(pa, pb, "the two owner-write phases coalesce");
         assert_eq!(plan.assignment.n_phases, 2);
 
         // Without coalescing: three phases.
-        let mut b = CfgBuilder::new(universe(&["A", "B"]));
-        b.begin_loop("it");
-        b.call("reader", &[("A", false, false, true, false), ("B", false, false, true, false)]);
-        b.call("writerA", &[("A", false, true, false, false)]);
-        b.call("writerB", &[("B", false, true, false, false)]);
-        b.end_loop();
-        let (_, plan) = plan_of(b, false);
+        let (_, plan) = plan_of(&["A", "B"], main, false);
         assert_eq!(plan.assignment.n_phases, 3);
     }
 
@@ -594,14 +567,8 @@ mod tests {
     /// directive outside the loop, not one per call inside.
     #[test]
     fn homeonly_loop_hoisted_single_directive() {
-        let mut b = CfgBuilder::new(universe(&["tree"]));
-        b.begin_loop("step");
-        b.call("load", &[("tree", false, false, false, true)]);
-        b.begin_loop("com");
-        b.call("center_of_mass", &[("tree", true, true, false, false)]);
-        b.end_loop();
-        b.end_loop();
-        let (_, plan) = plan_of(b, true);
+        let main = "for step in 0 .. 2 { scatter(T); for com in 0 .. 3 { center_of_mass(T); } }";
+        let (_, plan) = plan_of(&["T"], main, true);
         // center_of_mass needs a schedule (rule 1: reached + owner write)
         // but may not share load's phase (conflict on tree) — two phases.
         assert!(plan.assignment.calls[&1].needs);
@@ -613,14 +580,7 @@ mod tests {
         let pe2 = ops.iter().position(|o| o.contains("PhaseEnd(2)")).unwrap();
         assert!(pb2 < com_loop && com_loop < pe2, "directive hoisted out of the loop: {ops:?}");
         // Without coalescing, the directive stays inside the loop.
-        let mut b = CfgBuilder::new(universe(&["tree"]));
-        b.begin_loop("step");
-        b.call("load", &[("tree", false, false, false, true)]);
-        b.begin_loop("com");
-        b.call("center_of_mass", &[("tree", true, true, false, false)]);
-        b.end_loop();
-        b.end_loop();
-        let (_, plan) = plan_of(b, false);
+        let (_, plan) = plan_of(&["T"], main, false);
         let ops: Vec<String> = plan.ops.iter().map(|o| format!("{o:?}")).collect();
         let com_loop = ops.iter().position(|o| o.contains("\"com\"")).unwrap();
         let pb2 = ops.iter().position(|o| o.contains("PhaseBegin(2)")).unwrap();
@@ -632,11 +592,7 @@ mod tests {
     /// repetitive).
     #[test]
     fn opaque_loop_keeps_directives_inside() {
-        let mut b = CfgBuilder::new(universe(&["A"]));
-        b.begin_loop("it");
-        b.call("gather", &[("A", false, false, true, false)]);
-        b.end_loop();
-        let (_, plan) = plan_of(b, true);
+        let (_, plan) = plan_of(&["A"], "for it in 0 .. 2 { reader(A); }", true);
         let ops: Vec<String> = plan.ops.iter().map(|o| format!("{o:?}")).collect();
         let lb = ops.iter().position(|o| o.contains("LoopBegin")).unwrap();
         let pb = ops.iter().position(|o| o.contains("PhaseBegin")).unwrap();
@@ -644,39 +600,15 @@ mod tests {
         assert!(lb < pb && pb < le, "directive inside the loop: {ops:?}");
     }
 
-    /// The Figure-4 Barnes main loop: four phases, with the
-    /// center-of-mass loop covered by a single hoisted directive.
+    /// The Figure-4 Barnes main loop (the model the Figure 4 harness
+    /// prints): four phases, with the center-of-mass loop covered by a
+    /// single hoisted directive.
     #[test]
     fn barnes_main_loop_phases() {
-        let mut b = CfgBuilder::new(universe(&["tree", "pos", "acc"]));
-        b.begin_loop("step");
-        // load_tree: insert bodies (unstructured writes into the tree).
-        b.call(
-            "load_tree",
-            &[("tree", false, false, true, true), ("pos", true, false, false, false)],
-        );
-        // center-of-mass: home-only upward pass, in a loop per level
-        // (needs a schedule by rule 1: owner writes of the tree reached by
-        // load_tree's unstructured writes).
-        b.begin_loop("level");
-        b.call("center_of_mass", &[("tree", true, true, false, false)]);
-        b.end_loop();
-        // forces: unstructured tree+position reads, home accel writes.
-        b.call(
-            "forces",
-            &[
-                ("tree", false, false, true, false),
-                ("pos", false, false, true, false),
-                ("acc", false, true, false, false),
-            ],
-        );
-        // advance: owner-writes positions (reached by forces' reads).
-        b.call(
-            "advance",
-            &[("pos", false, true, false, false), ("acc", true, false, false, false)],
-        );
-        b.end_loop();
-        let (cfg, plan) = plan_of(b, true);
+        let path = format!("{}/../bench/models/barnes.cstar", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(path).unwrap();
+        let c = compile_diag(&src, true, ClassifyRules::default()).unwrap();
+        let (cfg, plan) = (c.cfg, c.plan);
 
         // Every call needs a schedule (load/forces by rule 2; com and
         // advance by rule 1).
@@ -697,27 +629,25 @@ mod tests {
         assert!(rendered.contains("for level"), "rendered plan:\n{rendered}");
     }
 
+    /// A tree build whose insertions commute, and a tree reader.
+    const TREE: &str = "aggregate T[8] of float;\n\
+                        aggregate P[8] of float;\n\
+                        parallel fn load_tree(p, t) { t[7 - #0] = t[7 - #0] + p[#0]; }\n\
+                        parallel fn forces(t) { let x = t[7 - #0]; }\n";
+
     /// An annotated call with a provably commutative write gets a merge
     /// directive spliced right after it; unannotated calls do not.
     #[test]
     fn commute_annotation_splices_merge_op() {
-        let mut b = CfgBuilder::new(universe(&["tree", "pos"]));
-        b.begin_loop("step");
-        b.call_commuting(
-            "load_tree",
-            &[("tree", false, false, true, true), ("pos", true, false, false, false)],
-            &["tree"],
-            true,
+        let src = format!(
+            "{TREE}fn main() {{ for step in 0 .. 2 {{ commute load_tree(P, T); forces(T); }} }}"
         );
-        b.call("forces", &[("tree", false, false, true, false)]);
-        b.end_loop();
-        let (cfg, plan) = plan_of(b, true);
+        let c = compile_diag(&src, true, ClassifyRules::default()).unwrap();
+        let (cfg, plan) = (c.cfg, c.plan);
         let merge_pos = plan
             .ops
             .iter()
-            .position(
-                |o| matches!(o, ExecOp::CommutativeMerge { agg, call: 0, .. } if agg == "tree"),
-            )
+            .position(|o| matches!(o, ExecOp::CommutativeMerge { agg, call: 0, .. } if agg == "T"))
             .expect("merge op spliced");
         let call_pos =
             plan.ops.iter().position(|o| matches!(o, ExecOp::Call(0))).expect("call present");
@@ -728,16 +658,17 @@ mod tests {
             "only the annotated call merges"
         );
         let rendered = render_plan(&cfg, &plan);
-        assert!(rendered.contains("merge(tree)"), "rendered plan:\n{rendered}");
+        assert!(rendered.contains("merge(T)"), "rendered plan:\n{rendered}");
     }
 
     /// Annotation without a commutative write (the analysis said no) emits
     /// no merge op — the lint layer owns the E008 instead.
     #[test]
     fn annotation_without_commutative_write_is_inert() {
-        let mut b = CfgBuilder::new(universe(&["tree"]));
-        b.call_commuting("load", &[("tree", false, false, true, true)], &[], true);
-        let (_, plan) = plan_of(b, true);
+        let src = "aggregate T[8] of float;\n\
+                   parallel fn load(t) { t[7 - #0] = 2.0 * t[7 - #0]; }\n\
+                   fn main() { commute load(T); }\n";
+        let plan = compile_diag(src, true, ClassifyRules::default()).unwrap().plan;
         assert!(
             !plan.ops.iter().any(|o| matches!(o, ExecOp::CommutativeMerge { .. })),
             "{:?}",

@@ -34,47 +34,22 @@ impl fmt::Display for Tok {
     }
 }
 
-/// A token plus its source span (char offsets) and line, for diagnostics.
+/// A token plus its source span (char offsets and line), for diagnostics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpannedTok {
     /// The token.
     pub tok: Tok,
-    /// Source line (1-based; kept for span-less consumers).
-    pub line: u32,
     /// Source region in char offsets.
     pub span: Span,
 }
-
-/// A lexing or parsing error.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParseError {
-    /// Human-readable description.
-    pub msg: String,
-    /// Source line (1-based).
-    pub line: u32,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.msg)
-    }
-}
-
-impl std::error::Error for ParseError {}
 
 const PUNCTS: &[&str] = &[
     "..", "<=", ">=", "==", "!=", "(", ")", "[", "]", "{", "}", ",", ";", ":", "=", "+", "-", "*",
     "/", "%", "<", ">",
 ];
 
-/// Tokenize `src`. Comments run from `//` to end of line.
-///
-/// Legacy entry point; [`lex_diag`] returns span-carrying diagnostics.
-pub fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
-    lex_diag(src).map_err(ParseError::from)
-}
-
 /// Tokenize `src`, reporting failures as `E001` diagnostics with spans.
+/// Comments run from `//` to end of line.
 pub fn lex_diag(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
     let mut out = Vec::new();
     let mut line: u32 = 1;
@@ -111,7 +86,7 @@ pub fn lex_diag(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
                 .collect::<String>()
                 .parse()
                 .map_err(|_| err("bad position index".into(), Span::new(i, j, line)))?;
-            out.push(SpannedTok { tok: Tok::Pos(k), line, span: Span::new(i, j, line) });
+            out.push(SpannedTok { tok: Tok::Pos(k), span: Span::new(i, j, line) });
             i = j;
             continue;
         }
@@ -147,7 +122,7 @@ pub fn lex_diag(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
             } else {
                 Tok::Int(text.parse().map_err(|_| err(format!("bad int literal `{text}`"), span))?)
             };
-            out.push(SpannedTok { tok, line, span });
+            out.push(SpannedTok { tok, span });
             i = j;
             continue;
         }
@@ -158,7 +133,6 @@ pub fn lex_diag(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
             }
             out.push(SpannedTok {
                 tok: Tok::Ident(bytes[i..j].iter().collect()),
-                line,
                 span: Span::new(i, j, line),
             });
             i = j;
@@ -168,11 +142,7 @@ pub fn lex_diag(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
         let mut matched = false;
         for p in PUNCTS {
             if rest.starts_with(p) {
-                out.push(SpannedTok {
-                    tok: Tok::Punct(p),
-                    line,
-                    span: Span::new(i, i + p.len(), line),
-                });
+                out.push(SpannedTok { tok: Tok::Punct(p), span: Span::new(i, i + p.len(), line) });
                 i += p.len();
                 matched = true;
                 break;
@@ -182,7 +152,7 @@ pub fn lex_diag(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
             return Err(err(format!("unexpected character `{c}`"), Span::point(i, line)));
         }
     }
-    out.push(SpannedTok { tok: Tok::Eof, line, span: Span::point(bytes.len(), line) });
+    out.push(SpannedTok { tok: Tok::Eof, span: Span::point(bytes.len(), line) });
     Ok(out)
 }
 
@@ -191,7 +161,7 @@ mod tests {
     use super::*;
 
     fn toks(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|t| t.tok).collect()
+        lex_diag(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
     #[test]
@@ -265,13 +235,13 @@ mod tests {
 
     #[test]
     fn error_on_garbage() {
-        assert!(lex("a $ b").is_err());
-        assert!(lex("#x").is_err());
+        assert!(lex_diag("a $ b").is_err());
+        assert!(lex_diag("#x").is_err());
     }
 
     #[test]
     fn spans_cover_tokens() {
-        let ts = lex("ab + #12").unwrap();
+        let ts = lex_diag("ab + #12").unwrap();
         assert_eq!((ts[0].span.lo, ts[0].span.hi), (0, 2));
         assert_eq!((ts[1].span.lo, ts[1].span.hi), (3, 4));
         assert_eq!((ts[2].span.lo, ts[2].span.hi), (5, 8));
@@ -287,9 +257,9 @@ mod tests {
 
     #[test]
     fn lines_tracked() {
-        let ts = lex("a\nb\n\nc").unwrap();
-        assert_eq!(ts[0].line, 1);
-        assert_eq!(ts[1].line, 2);
-        assert_eq!(ts[2].line, 4);
+        let ts = lex_diag("a\nb\n\nc").unwrap();
+        assert_eq!(ts[0].span.line, 1);
+        assert_eq!(ts[1].span.line, 2);
+        assert_eq!(ts[2].span.line, 4);
     }
 }

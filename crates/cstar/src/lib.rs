@@ -21,8 +21,7 @@
 //!    aggregate accesses, each classified `Read`/`Write` ×
 //!    `Home`/`NonHome` (§4.2);
 //! 3. [`cfg`](mod@cfg) — the sequential control-flow graph of `main`, annotated with
-//!    those summaries (also constructible by hand, as for Figure 4's
-//!    Barnes loop);
+//!    those summaries;
 //! 4. [`dataflow`] — an iterative bit-vector framework computing *reaching
 //!    unstructured accesses*: forward, any-path, with the three transfer
 //!    functions of §4.3 (owner writes kill; unstructured writes kill and
@@ -80,6 +79,6 @@ pub use compile::{compile, compile_diag, CompiledProgram};
 pub use dataflow::ReachingUnstructured;
 pub use diag::{codes, Diagnostic, Severity, Span};
 pub use directives::{DirectivePlan, PhaseAssignment};
-pub use lint::{audit_plan, lint_program};
+pub use lint::lint_program;
 pub use oracle::{run_oracle, run_oracle_compiled, OracleConfig, OracleReport};
 pub use sema::{AccessKind, AccessSummary, ClassifyRules, Locality};

@@ -4,18 +4,15 @@
 //!
 //! Each lint is a [`Diagnostic`] with a stable `W0xx` code (catalog in
 //! [`crate::diag`]). [`lint_program`] runs every lint over a compiled
-//! program with full source spans; [`audit_plan`] runs the plan-level
-//! subset (W001/W002/W007) over hand-built analysis-only CFGs — the mode
-//! the benchmark apps use to sanity-check their Figure-4-style phase
-//! models. Both render a plan-level finding through the same function,
-//! which labels source spans when there are any.
+//! program with full source spans — the plan-level ones (W001/W002/W007)
+//! included, which is how the Figure 4 harness audits the placement on
+//! the C\*\* models of the paper's applications.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{Expr, Stmt};
 use crate::cfg::Cfg;
 use crate::compile::CompiledProgram;
-use crate::dataflow::ReachingUnstructured;
 use crate::diag::{codes, Diagnostic, Span};
 use crate::directives::{footprints, Footprint, PhaseAssignment};
 use crate::sema::{classify_index, AccessKind, ClassifyRules, Locality, ParamAccess};
@@ -24,7 +21,7 @@ use crate::sema::{classify_index, AccessKind, ClassifyRules, Locality, ParamAcce
 /// source position (spanless findings first).
 pub fn lint_program(c: &CompiledProgram) -> Vec<Diagnostic> {
     let spans = call_spans(c);
-    let mut out = plan_lints(&c.cfg, &c.reaching, &c.plan.assignment, Some((c, &spans)));
+    let mut out = plan_lints(c, &spans);
     out.extend(lint_static_oob(c));
     out.extend(lint_unused(c));
     out.extend(lint_unstructured_index(c));
@@ -36,44 +33,24 @@ pub fn lint_program(c: &CompiledProgram) -> Vec<Diagnostic> {
     out
 }
 
-/// Audit a (possibly hand-built) directive plan: W001 phase conflicts,
-/// W007 mergeable conflicts and W002 dead directives, without source
-/// spans. This is the entry point for analysis-only CFGs
-/// ([`crate::cfg::CfgBuilder`]), where no source text exists.
-pub fn audit_plan(
-    cfg: &Cfg,
-    sol: &ReachingUnstructured,
-    assignment: &PhaseAssignment,
-) -> Vec<Diagnostic> {
-    plan_lints(cfg, sol, assignment, None)
-}
-
-/// What a plan-level finding can point at: the compiled program and its
-/// call spans, or nothing (a hand-built CFG).
-type Source<'a> = Option<(&'a CompiledProgram, &'a [Span])>;
-
-/// W001, W007 and W002 over a plan's phase assignment.
-fn plan_lints(
-    cfg: &Cfg,
-    sol: &ReachingUnstructured,
-    asg: &PhaseAssignment,
-    src: Source,
-) -> Vec<Diagnostic> {
-    let comm = footprints(cfg, sol);
+/// W001, W007 and W002 over the program's phase assignment.
+fn plan_lints(c: &CompiledProgram, spans: &[Span]) -> Vec<Diagnostic> {
+    let (cfg, asg) = (&c.cfg, &c.plan.assignment);
+    let comm = footprints(cfg, &c.reaching);
     let mut out = Vec::new();
     for f in find_conflicts(cfg, &comm, asg) {
         let disp = conflict_commute_disposition(cfg, &f);
         // An annotated, provably commutative self-conflict is exactly what
         // the merge protocol resolves: W001 would be noise.
         if !(disp.resolved() && f.reader == f.writer) {
-            out.push(render_conflict(src, &f));
+            out.push(render_conflict(c, spans, &f));
         }
         if disp.suggest() {
-            out.push(render_commute_suggest(src, &f));
+            out.push(render_commute_suggest(c, spans, &f));
         }
     }
     for f in find_dead(cfg, &comm, asg) {
-        out.push(render_dead(&f, src.and_then(|(_, spans)| spans.get(f.call).copied())));
+        out.push(render_dead(&f, spans.get(f.call).copied()));
     }
     out
 }
@@ -132,7 +109,6 @@ struct ConflictFinding {
     phase: u32,
     agg: String,
     reader: usize,
-    reader_func: String,
     writer: usize,
     writer_func: String,
 }
@@ -157,7 +133,6 @@ fn find_conflicts(
                     phase,
                     agg: agg.clone(),
                     reader: r,
-                    reader_func: func_of(r),
                     writer: w,
                     writer_func: func_of(w),
                 });
@@ -167,7 +142,7 @@ fn find_conflicts(
     out
 }
 
-fn render_conflict(src: Source, f: &ConflictFinding) -> Diagnostic {
+fn render_conflict(c: &CompiledProgram, spans: &[Span], f: &ConflictFinding) -> Diagnostic {
     let mut d = Diagnostic::warning(
         codes::PHASE_CONFLICT,
         format!(
@@ -175,16 +150,6 @@ fn render_conflict(src: Source, f: &ConflictFinding) -> Diagnostic {
             f.phase, f.agg
         ),
     );
-    let Some((c, spans)) = src else {
-        // No source to point at: name the two calls.
-        return d
-            .with_note(format!(
-                "communication reads from call `{}` (call {}); communication writes from call \
-                 `{}` (call {})",
-                f.reader_func, f.reader, f.writer_func, f.writer
-            ))
-            .with_note(CONFLICT_NOTE);
-    };
     if f.reader == f.writer {
         // One call conflicts with itself: point at the two accesses.
         let (rs, ws) = access_spans_in_call(c, f.reader, &f.agg);
@@ -215,7 +180,7 @@ fn render_conflict(src: Source, f: &ConflictFinding) -> Diagnostic {
 // W007 — commutative-mergeable conflict, E008 — unsound annotation
 // ---------------------------------------------------------------------
 
-fn render_commute_suggest(src: Source, f: &ConflictFinding) -> Diagnostic {
+fn render_commute_suggest(c: &CompiledProgram, spans: &[Span], f: &ConflictFinding) -> Diagnostic {
     let mut d = Diagnostic::warning(
         codes::COMMUTE_SUGGEST,
         format!(
@@ -226,19 +191,17 @@ fn render_commute_suggest(src: Source, f: &ConflictFinding) -> Diagnostic {
     );
     // Label both sides of the conflict: the reduction write and the read
     // that makes the phase conflicting.
-    if let Some((c, spans)) = src {
-        let (_, ws) = access_spans_in_call(c, f.writer, &f.agg);
-        let (rs, _) = access_spans_in_call(c, f.reader, &f.agg);
-        match (rs, ws) {
-            (Some(r), Some(w)) => {
-                d = d
-                    .with_label(w, format!("commutative reduction of `{}` here", f.agg))
-                    .with_label(r, format!("conflicting read of `{}` here", f.agg));
-            }
-            _ => {
-                if let Some(&s) = spans.get(f.writer) {
-                    d = d.with_label(s, "this call's updates all commute");
-                }
+    let (_, ws) = access_spans_in_call(c, f.writer, &f.agg);
+    let (rs, _) = access_spans_in_call(c, f.reader, &f.agg);
+    match (rs, ws) {
+        (Some(r), Some(w)) => {
+            d = d
+                .with_label(w, format!("commutative reduction of `{}` here", f.agg))
+                .with_label(r, format!("conflicting read of `{}` here", f.agg));
+        }
+        _ => {
+            if let Some(&s) = spans.get(f.writer) {
+                d = d.with_label(s, "this call's updates all commute");
             }
         }
     }
@@ -735,13 +698,21 @@ pub(crate) fn call_spans(c: &CompiledProgram) -> Vec<Span> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::CfgBuilder;
     use crate::compile::compile_diag;
-    use crate::directives::{place_directives, CallDecision};
+    use crate::directives::CallDecision;
     use crate::sema::ClassifyRules;
 
+    fn compiled(src: &str) -> CompiledProgram {
+        compile_diag(src, true, ClassifyRules::default()).unwrap()
+    }
+
     fn lints(src: &str) -> Vec<Diagnostic> {
-        lint_program(&compile_diag(src, true, ClassifyRules::default()).unwrap())
+        lint_program(&compiled(src))
+    }
+
+    /// The source text a label points at.
+    fn text(src: &str, s: Span) -> String {
+        src.chars().skip(s.lo as usize).take((s.hi - s.lo) as usize).collect()
     }
 
     fn codes_of(ds: &[Diagnostic]) -> Vec<&str> {
@@ -791,18 +762,20 @@ mod tests {
     #[test]
     fn dead_directive_fires_on_forced_assignment() {
         // Home-only program: nothing legitimately needs a schedule. Force
-        // one by hand and the audit must flag it.
-        let mut b = CfgBuilder::new(["A".to_string()]);
-        b.call("scale", &[("A", true, true, false, false)]);
-        let cfg = b.finish();
-        let sol = ReachingUnstructured::solve(&cfg).unwrap();
-        let mut plan = place_directives(&cfg, &sol, true);
-        assert!(audit_plan(&cfg, &sol, &plan.assignment).is_empty(), "compiler plan is clean");
-        plan.assignment
+        // one by hand, as a buggy compiler pass would, and the lints must
+        // flag it.
+        let mut c = compiled(
+            "aggregate A[8] of float;\n\
+             parallel fn scale(a) { a[#0] = 2.0 * a[#0]; }\n\
+             fn main() { scale(A); }\n",
+        );
+        assert!(lint_program(&c).is_empty(), "compiler plan is clean");
+        c.plan
+            .assignment
             .calls
             .insert(0, CallDecision { needs: true, home_only: true, phase: Some(1) });
-        plan.assignment.n_phases = 1;
-        let ds = audit_plan(&cfg, &sol, &plan.assignment);
+        c.plan.assignment.n_phases = 1;
+        let ds = lint_program(&c);
         assert_eq!(codes_of(&ds), vec!["W002"], "{ds:#?}");
         assert!(ds[0].message.contains("scale"));
     }
@@ -810,22 +783,20 @@ mod tests {
     #[test]
     fn cross_call_conflict_in_hand_built_phase() {
         // Force reader and writer of the same aggregate into one phase.
-        let mut b = CfgBuilder::new(["A".to_string()]);
-        b.begin_loop("it");
-        b.call("reader", &[("A", false, false, true, false)]);
-        b.call("writer", &[("A", false, true, false, false)]);
-        b.end_loop();
-        let cfg = b.finish();
-        let sol = ReachingUnstructured::solve(&cfg).unwrap();
-        let mut plan = place_directives(&cfg, &sol, true);
-        for d in plan.assignment.calls.values_mut() {
+        let src = "aggregate A[8] of float;\n\
+                   parallel fn reader(a) { let x = a[7 - #0]; }\n\
+                   parallel fn writer(a) { a[#0] = 1.0; }\n\
+                   fn main() { for it in 0 .. 2 { reader(A); writer(A); } }\n";
+        let mut c = compiled(src);
+        for d in c.plan.assignment.calls.values_mut() {
             d.phase = Some(1);
         }
-        plan.assignment.n_phases = 1;
-        let ds = audit_plan(&cfg, &sol, &plan.assignment);
+        c.plan.assignment.n_phases = 1;
+        let ds = lint_program(&c);
         assert!(codes_of(&ds).contains(&"W001"), "{ds:#?}");
         let w = ds.iter().find(|d| d.code == "W001").unwrap();
-        assert!(w.notes[0].contains("reader") && w.notes[0].contains("writer"));
+        let labeled: Vec<String> = w.labels.iter().map(|l| text(src, l.span)).collect();
+        assert_eq!(labeled, ["reader(A)", "writer(A)"], "{w:#?}");
     }
 
     #[test]
@@ -964,28 +935,21 @@ mod tests {
 
     #[test]
     fn audit_plan_suggests_w007_for_commuting_writer() {
-        // Hand-built Barnes-style tree build: unstructured read+write of
-        // the tree in one phase, writes declared commutative (insertions).
-        let mut b = CfgBuilder::new(["tree".to_string()]);
-        b.begin_loop("step");
-        b.call_commuting("load_tree", &[("tree", false, false, true, true)], &["tree"], false);
-        b.end_loop();
-        let cfg = b.finish();
-        let sol = ReachingUnstructured::solve(&cfg).unwrap();
-        let plan = place_directives(&cfg, &sol, true);
-        let ds = audit_plan(&cfg, &sol, &plan.assignment);
+        // A Barnes-style tree build: unstructured read+write of the tree
+        // in one phase, every write a commutative insertion.
+        let tree = |update: &str| {
+            format!(
+                "aggregate T[8] of float;\n\
+                 parallel fn load_tree(t) {{ t[7 - #0] = {update}; }}\n\
+                 fn main() {{ for step in 0 .. 2 {{ load_tree(T); }} }}\n"
+            )
+        };
+        let ds = lints(&tree("t[7 - #0] + 1.0"));
         assert!(codes_of(&ds).contains(&"W001"), "{ds:#?}");
         assert!(codes_of(&ds).contains(&"W007"), "{ds:#?}");
 
-        // Without the commute flag: W001 only.
-        let mut b = CfgBuilder::new(["tree".to_string()]);
-        b.begin_loop("step");
-        b.call("load_tree", &[("tree", false, false, true, true)]);
-        b.end_loop();
-        let cfg = b.finish();
-        let sol = ReachingUnstructured::solve(&cfg).unwrap();
-        let plan = place_directives(&cfg, &sol, true);
-        let ds = audit_plan(&cfg, &sol, &plan.assignment);
+        // An order-dependent update: W001 only.
+        let ds = lints(&tree("2.0 * t[7 - #0]"));
         assert!(codes_of(&ds).contains(&"W001"), "{ds:#?}");
         assert!(!codes_of(&ds).contains(&"W007"), "{ds:#?}");
     }

@@ -2,14 +2,7 @@
 
 use crate::ast::*;
 use crate::diag::{codes, Diagnostic, Span};
-use crate::lexer::{lex_diag, ParseError, SpannedTok, Tok};
-
-/// Parse a whole program from source text.
-///
-/// Legacy entry point; [`parse_diag`] returns span-carrying diagnostics.
-pub fn parse(src: &str) -> Result<Program, ParseError> {
-    parse_diag(src).map_err(ParseError::from)
-}
+use crate::lexer::{lex_diag, SpannedTok, Tok};
 
 /// How deep expressions and blocks may nest: parentheses, prefix `-`, the
 /// operators of one chain (each is a level of the tree), `if`/`for` bodies.
@@ -484,7 +477,7 @@ mod tests {
 
     #[test]
     fn parses_stencil() {
-        let p = parse(STENCIL).unwrap();
+        let p = parse_diag(STENCIL).unwrap();
         assert_eq!(p.aggs.len(), 2);
         assert_eq!(p.aggs[0].dims, vec![16, 16]);
         assert_eq!(p.funcs.len(), 1);
@@ -516,7 +509,7 @@ mod tests {
                 for t in 0 .. 5 { update(Primal, Dual, Nbr); }
             }
         "#;
-        let p = parse(src).unwrap();
+        let p = parse_diag(src).unwrap();
         let f = p.func("update").unwrap();
         assert_eq!(f.params.len(), 3);
         assert!(
@@ -539,7 +532,7 @@ mod tests {
             }
             fn main() { f(A); }
         "#;
-        let p = parse(src).unwrap();
+        let p = parse_diag(src).unwrap();
         assert!(matches!(&p.func("f").unwrap().body[0], Stmt::If(..)));
     }
 
@@ -550,7 +543,7 @@ mod tests {
             parallel fn f(a) { a[#0] = max(abs(a[#0]), sqrt(2.0)); }
             fn main() { f(A); }
         "#;
-        assert!(parse(src).is_ok());
+        assert!(parse_diag(src).is_ok());
     }
 
     #[test]
@@ -563,19 +556,19 @@ mod tests {
                 bump(H);
             }
         "#;
-        let p = parse(src).unwrap();
+        let p = parse_diag(src).unwrap();
         assert!(matches!(&p.main[0], SeqStmt::Call { commute: true, func, .. } if func == "bump"));
         assert!(matches!(&p.main[1], SeqStmt::Call { commute: false, .. }));
     }
 
     #[test]
     fn rejects_missing_main() {
-        assert!(parse("aggregate A[4] of float;").is_err());
+        assert!(parse_diag("aggregate A[4] of float;").is_err());
     }
 
     #[test]
     fn rejects_three_dims() {
-        assert!(parse("aggregate A[2][2][2] of float; fn main() {}").is_err());
+        assert!(parse_diag("aggregate A[2][2][2] of float; fn main() {}").is_err());
     }
 
     #[test]
@@ -585,13 +578,7 @@ mod tests {
             parallel fn f(a) { a[#2] = 1.0; }
             fn main() { f(A); }
         "#;
-        assert!(parse(src).is_err());
-    }
-
-    #[test]
-    fn error_carries_line() {
-        let err = parse("aggregate A[4] of float;\n\nbogus").unwrap_err();
-        assert_eq!(err.line, 3);
+        assert!(parse_diag(src).is_err());
     }
 
     #[test]
@@ -606,7 +593,7 @@ mod tests {
     #[test]
     fn call_and_read_spans_cover_source() {
         let src = "aggregate A[4] of float;\nparallel fn f(a) { a[#0] = a[#0+1]; }\nfn main() { f(A); }\n";
-        let p = parse(src).unwrap();
+        let p = parse_diag(src).unwrap();
         let chars: Vec<char> = src.chars().collect();
         let slice = |sp: Span| -> String { chars[sp.lo as usize..sp.hi as usize].iter().collect() };
         match &p.main[0] {

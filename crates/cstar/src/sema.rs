@@ -21,7 +21,6 @@ use std::collections::BTreeMap;
 
 use crate::ast::*;
 use crate::diag::{codes, Diagnostic, Span};
-use crate::lexer::ParseError;
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -229,14 +228,6 @@ pub fn classify_index(idx: &[Expr]) -> Locality {
     ClassifyRules::default().classify(idx)
 }
 
-/// Analyze one parallel function (checking names along the way).
-///
-/// Legacy entry point; [`analyze_fn_with`] returns span-carrying
-/// diagnostics and accepts [`ClassifyRules`].
-pub fn analyze_fn(f: &ParFn) -> Result<AccessSummary, ParseError> {
-    analyze_fn_with(f, ClassifyRules::default()).map_err(ParseError::from)
-}
-
 /// Analyze one parallel function under the given classification rules,
 /// reporting name errors as `E003` diagnostics.
 pub fn analyze_fn_with(f: &ParFn, rules: ClassifyRules) -> Result<AccessSummary, Diagnostic> {
@@ -375,18 +366,10 @@ impl<'a> Analyzer<'a> {
     }
 }
 
-/// Analyze every parallel function in a program and validate call sites
-/// (arity, aggregate names; dimension agreement between the call's
-/// aggregates and the function's index usage is checked dynamically by the
-/// interpreter).
-///
-/// Legacy entry point; [`analyze_program_with`] returns span-carrying
-/// diagnostics and accepts [`ClassifyRules`].
-pub fn analyze_program(p: &Program) -> Result<BTreeMap<String, AccessSummary>, ParseError> {
-    analyze_program_with(p, ClassifyRules::default()).map_err(ParseError::from)
-}
-
-/// Analyze a program under the given classification rules, reporting call
+/// Analyze every parallel function in a program under the given
+/// classification rules and validate call sites (arity, aggregate names;
+/// dimension agreement between the call's aggregates and the function's
+/// index usage is checked dynamically by the interpreter), reporting call
 /// site errors as `E004` diagnostics with spans.
 pub fn analyze_program_with(
     p: &Program,
@@ -442,7 +425,11 @@ pub fn analyze_program_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::parser::parse_diag;
+
+    fn analyze(src: &str) -> Result<BTreeMap<String, AccessSummary>, Diagnostic> {
+        analyze_program_with(&parse_diag(src).unwrap(), ClassifyRules::default())
+    }
 
     #[test]
     fn figure3_summary() {
@@ -459,8 +446,7 @@ mod tests {
             }
             fn main() { update(Primal, Dual, Nbr); }
         "#;
-        let p = parse(src).unwrap();
-        let sums = analyze_program(&p).unwrap();
+        let sums = analyze(src).unwrap();
         let s = &sums["update"];
         let primal = s.get("primal");
         assert!(primal.home_write && primal.home_read);
@@ -483,8 +469,7 @@ mod tests {
             }
             fn main() { sweep(G, H); }
         "#;
-        let p = parse(src).unwrap();
-        let s = &analyze_program(&p).unwrap()["sweep"];
+        let s = &analyze(src).unwrap()["sweep"];
         assert!(s.get("g").nonhome_read, "neighbor reads are unstructured");
         assert!(!s.get("g").home_write);
         assert!(s.get("h").home_write, "own-element store is an owner write");
@@ -499,8 +484,7 @@ mod tests {
             parallel fn t(g) { g[#0][#1] = g[#1][#0]; }
             fn main() { t(G); }
         "#;
-        let p = parse(src).unwrap();
-        let s = &analyze_program(&p).unwrap()["t"];
+        let s = &analyze(src).unwrap()["t"];
         assert!(s.get("g").nonhome_read);
         assert!(s.get("g").home_write);
     }
@@ -513,8 +497,7 @@ mod tests {
             parallel fn scatter(a, p) { a[p[#0]] = 1.0; }
             fn main() { scatter(A, P); }
         "#;
-        let p = parse(src).unwrap();
-        let s = &analyze_program(&p).unwrap()["scatter"];
+        let s = &analyze(src).unwrap()["scatter"];
         assert!(s.get("a").nonhome_write);
         assert!(s.get("p").home_read);
     }
@@ -526,8 +509,7 @@ mod tests {
             parallel fn scale(a) { a[#0] = a[#0] * 2.0; }
             fn main() { scale(A); }
         "#;
-        let p = parse(src).unwrap();
-        let s = &analyze_program(&p).unwrap()["scale"];
+        let s = &analyze(src).unwrap()["scale"];
         assert!(s.home_only());
     }
 
@@ -538,8 +520,7 @@ mod tests {
             parallel fn f(a) { a[#0] = y; }
             fn main() { f(A); }
         "#;
-        let p = parse(src).unwrap();
-        assert!(analyze_program(&p).is_err());
+        assert!(analyze(src).is_err());
     }
 
     #[test]
@@ -549,8 +530,7 @@ mod tests {
             parallel fn f(a) { a[#0] = 1.0; }
             fn main() { f(A, A); }
         "#;
-        let p = parse(src).unwrap();
-        assert!(analyze_program(&p).is_err());
+        assert!(analyze(src).is_err());
     }
 
     #[test]
@@ -560,8 +540,7 @@ mod tests {
             parallel fn f(a) { a[#0] = 1.0; }
             fn main() { f(B); }
         "#;
-        let p = parse(src).unwrap();
-        assert!(analyze_program(&p).is_err());
+        assert!(analyze(src).is_err());
     }
 
     #[test]
@@ -575,8 +554,7 @@ mod tests {
             }
             fn main() { f(A); }
         "#;
-        let p = parse(src).unwrap();
-        let s = &analyze_program(&p).unwrap()["f"];
+        let s = &analyze(src).unwrap()["f"];
         // Loop-indexed accesses are conservatively non-home.
         assert!(s.get("a").nonhome_read && s.get("a").nonhome_write);
     }
@@ -584,8 +562,7 @@ mod tests {
     #[test]
     fn sites_carry_spans() {
         let src = "aggregate G[8] of float;\nparallel fn f(g) { g[#0] = g[#0-1]; }\nfn main() { f(G); }\n";
-        let p = parse(src).unwrap();
-        let s = &analyze_program(&p).unwrap()["f"];
+        let s = &analyze(src).unwrap()["f"];
         let read = s.site("g", AccessKind::Read, Locality::NonHome).expect("read site");
         let chars: Vec<char> = src.chars().collect();
         let text: String = chars[read.span.lo as usize..read.span.hi as usize].iter().collect();
@@ -596,7 +573,7 @@ mod tests {
     #[test]
     fn weakened_rules_misclassify_const_offsets() {
         let src = "aggregate G[8] of float;\nparallel fn f(g) { g[#0] = g[#0-1]; }\nfn main() { f(G); }\n";
-        let p = parse(src).unwrap();
+        let p = parse_diag(src).unwrap();
         let weak = ClassifyRules { const_offset_is_home: true, ..ClassifyRules::default() };
         let s = &analyze_program_with(&p, weak).unwrap()["f"];
         // The deliberately unsound rule hides the neighbor read.
@@ -608,8 +585,7 @@ mod tests {
     fn call_site_errors_have_spans() {
         let src =
             "aggregate A[4] of float;\nparallel fn f(a) { a[#0] = 1.0; }\nfn main() { g(A); }\n";
-        let p = parse(src).unwrap();
-        let d = analyze_program_with(&p, ClassifyRules::default()).unwrap_err();
+        let d = analyze(src).unwrap_err();
         assert_eq!(d.code, "E004");
         assert_eq!(d.primary_span().expect("span").line, 3);
     }
@@ -626,8 +602,7 @@ mod tests {
             }
             fn main() { f(G, X); }
         "#;
-        let p = parse(src).unwrap();
-        let s = &analyze_program(&p).unwrap()["f"];
+        let s = &analyze(src).unwrap()["f"];
         let got: Vec<(String, bool)> =
             s.sites.iter().map(|a| (a.describe(), a.unconditional)).collect();
         let want = [
@@ -648,7 +623,7 @@ mod tests {
         let path = format!("{}/../../examples/{example}.cstar", env!("CARGO_MANIFEST_DIR"));
         let src = std::fs::read_to_string(path).unwrap();
         let chars: Vec<char> = src.chars().collect();
-        let sums = analyze_program(&parse(&src).unwrap()).unwrap();
+        let sums = analyze(&src).unwrap();
         let text = |s: &AccessSite| chars[s.span.lo as usize..s.span.hi as usize].iter().collect();
         sums[func].hoisted().map(text).collect()
     }
@@ -677,8 +652,7 @@ mod tests {
             parallel fn scan(g, w) { g[#0][#1] = g[#0][#1-1] + w[#0][#1-1]; }
             fn main() { scan(G, W); }
         "#;
-        let p = parse(src).unwrap();
-        let s = &analyze_program(&p).unwrap()["scan"];
+        let s = &analyze(src).unwrap()["scan"];
         let hoisted: Vec<&str> = s.hoisted().map(|a| a.param.as_str()).collect();
         assert_eq!(hoisted, ["w"], "g is written; w is only read");
     }

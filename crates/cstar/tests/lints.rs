@@ -2,18 +2,19 @@
 //!
 //! Every fixture under `tests/lints/` pairs a `.cstar` source with a
 //! `.expected` file holding the rendered diagnostics, compared **verbatim**.
-//! Diagnostics without a natural source fixture (W002, E005, E006 — they
-//! arise from hand-built CFGs or generated programs) are constructed
-//! in-test and still golden-compared. Regenerate all expected files with
+//! Diagnostics a correct compiler never produces from source (W002, E005 —
+//! the test breaks the compiled program the way a buggy pass would) and
+//! E006 (a generated program) are constructed in-test and still
+//! golden-compared. Regenerate all expected files with
 //! `BLESS=1 cargo test -p prescient-cstar --test lints`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use prescient_cstar::cfg::CfgBuilder;
-use prescient_cstar::directives::{place_directives, CallDecision};
+use prescient_cstar::directives::CallDecision;
 use prescient_cstar::sema::ClassifyRules;
-use prescient_cstar::{audit_plan, compile_diag, lint_program, Diagnostic, ReachingUnstructured};
+use prescient_cstar::ReachingUnstructured;
+use prescient_cstar::{compile_diag, lint_program, CompiledProgram, Diagnostic};
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/lints")
@@ -33,10 +34,20 @@ fn check_rendered(name: &str, rendered: &str) {
     assert_eq!(rendered, expected, "golden mismatch for `{name}` (rerun with BLESS=1 to accept)");
 }
 
+fn fixture_src(name: &str) -> String {
+    fs::read_to_string(fixture_dir().join(format!("{name}.cstar"))).expect("fixture source")
+}
+
+/// A fixture that compiles.
+fn fixture_program(name: &str) -> (String, CompiledProgram) {
+    let src = fixture_src(name);
+    let prog = compile_diag(&src, true, ClassifyRules::default()).expect("fixture compiles");
+    (src, prog)
+}
+
 /// Diagnostics of a source fixture: the compile error, or the lints.
 fn fixture_diags(name: &str) -> (String, Vec<Diagnostic>) {
-    let src =
-        fs::read_to_string(fixture_dir().join(format!("{name}.cstar"))).expect("fixture source");
+    let src = fixture_src(name);
     let ds = match compile_diag(&src, true, ClassifyRules::default()) {
         Err(d) => vec![d],
         Ok(prog) => lint_program(&prog),
@@ -48,8 +59,11 @@ fn check_fixture(name: &str, expect_codes: &[&str]) {
     let (src, ds) = fixture_diags(name);
     let got: Vec<&str> = ds.iter().map(|d| d.code.as_str()).collect();
     assert_eq!(got, expect_codes, "{name}: {ds:#?}");
-    let file = format!("tests/lints/{name}.cstar");
-    check_rendered(name, &Diagnostic::render_all(&ds, &src, &file));
+    check_rendered(name, &Diagnostic::render_all(&ds, &src, &fixture_file(name)));
+}
+
+fn fixture_file(name: &str) -> String {
+    format!("tests/lints/{name}.cstar")
 }
 
 #[test]
@@ -108,31 +122,26 @@ fn e004_bad_call() {
 fn w002_dead_directive_from_forced_plan() {
     // Home-only program: the compiler never schedules it; force a schedule
     // by hand, as a buggy compiler pass would.
-    let mut b = CfgBuilder::new(["A".to_string()]);
-    b.call("scale", &[("A", true, true, false, false)]);
-    let cfg = b.finish();
-    let sol = ReachingUnstructured::solve(&cfg).unwrap();
-    let mut plan = place_directives(&cfg, &sol, true);
-    plan.assignment.calls.insert(0, CallDecision { needs: true, home_only: true, phase: Some(1) });
-    plan.assignment.n_phases = 1;
-    let ds = audit_plan(&cfg, &sol, &plan.assignment);
+    let (src, mut prog) = fixture_program("w002");
+    let asg = &mut prog.plan.assignment;
+    asg.calls.insert(0, CallDecision { needs: true, home_only: true, phase: Some(1) });
+    asg.n_phases = 1;
+    let ds = lint_program(&prog);
     assert_eq!(ds.len(), 1, "{ds:#?}");
     assert_eq!(ds[0].code, "W002");
-    check_rendered("w002", &Diagnostic::render_all(&ds, "", "<hand-built cfg>"));
+    check_rendered("w002", &Diagnostic::render_all(&ds, &src, &fixture_file("w002")));
 }
 
 #[test]
 fn e005_universe_mismatch() {
-    // A call accessing an aggregate outside the CFG's universe. The
-    // builder refuses to construct this, so shrink the universe after the
-    // fact — the inconsistency a buggy compiler pass would introduce.
-    let mut b = CfgBuilder::new(["A".to_string(), "B".to_string()]);
-    b.call("f", &[("B", false, false, true, false)]);
-    let mut cfg = b.finish();
-    cfg.aggs = vec!["A".to_string()];
-    let err = ReachingUnstructured::solve(&cfg).unwrap_err();
+    // A call accessing an aggregate outside the CFG's universe: shrink the
+    // universe after compiling — the inconsistency a buggy compiler pass
+    // would introduce.
+    let (src, mut prog) = fixture_program("e005");
+    prog.cfg.aggs = vec!["A".to_string()];
+    let err = ReachingUnstructured::solve(&prog.cfg).unwrap_err();
     assert_eq!(err.code, "E005");
-    check_rendered("e005", &err.render("", "<hand-built cfg>"));
+    check_rendered("e005", &err.render(&src, &fixture_file("e005")));
 }
 
 #[test]
