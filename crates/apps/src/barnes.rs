@@ -554,9 +554,9 @@ pub fn run_barnes_spmd(mcfg: MachineConfig, cfg: &BarnesConfig) -> AppRun {
 /// bodies and the merged set is installed everywhere at the phase
 /// barrier — region owners replay their insertions from it and the
 /// consuming phases read positions from the snapshot instead of the DSM.
-/// Requires a commutative machine ([`MachineConfig::commutative`]).
+/// Requires a Stache machine ([`MachineConfig::stache`]).
 pub fn run_barnes_commute(mcfg: MachineConfig, cfg: &BarnesConfig) -> AppRun {
-    assert!(mcfg.protocol.is_commutative(), "the commutative build uses merge_exchange");
+    assert!(!mcfg.protocol.is_predictive(), "merge_exchange runs on a Stache machine");
     let (pos, report) = barnes_driver(mcfg, cfg, BuildMode::Commute);
     AppRun { report, checksum: crate::water::position_checksum(&pos) }
 }

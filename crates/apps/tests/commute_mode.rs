@@ -20,7 +20,7 @@ fn bcfg() -> BarnesConfig {
 fn commute_build_is_bit_identical_to_stache() {
     let cfg = bcfg();
     let stache = run_barnes(MachineConfig::stache(NODES, BS).validated(), &cfg);
-    let commute = run_barnes_commute(MachineConfig::commutative(NODES, BS).validated(), &cfg);
+    let commute = run_barnes_commute(MachineConfig::stache(NODES, BS).validated(), &cfg);
     assert_eq!(
         commute.checksum.to_bits(),
         stache.checksum.to_bits(),
@@ -35,7 +35,7 @@ fn commute_build_is_bit_identical_to_stache() {
 fn commute_build_moves_fewer_messages() {
     let cfg = bcfg();
     let stache = run_barnes(MachineConfig::stache(NODES, BS).validated(), &cfg);
-    let commute = run_barnes_commute(MachineConfig::commutative(NODES, BS).validated(), &cfg);
+    let commute = run_barnes_commute(MachineConfig::stache(NODES, BS).validated(), &cfg);
     assert_eq!(commute.checksum.to_bits(), stache.checksum.to_bits(), "same physics either way");
     let (ms, mc) = (stache.report.total_stats().msgs_out, commute.report.total_stats().msgs_out);
     assert!(mc < ms, "the bulk exchange must beat the per-block build scan: {mc} vs {ms} messages");
@@ -48,14 +48,10 @@ fn commute_mode_is_batching_invariant() {
     // The gated observables may not depend on the egress aggregation
     // policy (the merge already coalesces; batching must only wrap it).
     let cfg = bcfg();
-    let off = run_barnes_commute(
-        MachineConfig::commutative(NODES, BS).with_batch(BatchConfig::off()),
-        &cfg,
-    );
-    let on = run_barnes_commute(
-        MachineConfig::commutative(NODES, BS).with_batch(BatchConfig::new(64)),
-        &cfg,
-    );
+    let off =
+        run_barnes_commute(MachineConfig::stache(NODES, BS).with_batch(BatchConfig::off()), &cfg);
+    let on =
+        run_barnes_commute(MachineConfig::stache(NODES, BS).with_batch(BatchConfig::new(64)), &cfg);
     assert_eq!(off.checksum.to_bits(), on.checksum.to_bits());
     assert_eq!(
         off.report.total_stats().msgs_out,
@@ -67,8 +63,8 @@ fn commute_mode_is_batching_invariant() {
 #[test]
 fn commute_mode_is_deterministic() {
     let cfg = bcfg();
-    let a = run_barnes_commute(MachineConfig::commutative(NODES, BS), &cfg);
-    let b = run_barnes_commute(MachineConfig::commutative(NODES, BS), &cfg);
+    let a = run_barnes_commute(MachineConfig::stache(NODES, BS), &cfg);
+    let b = run_barnes_commute(MachineConfig::stache(NODES, BS), &cfg);
     assert_eq!(a.checksum.to_bits(), b.checksum.to_bits());
     assert_eq!(a.report.total_stats().msgs_out, b.report.total_stats().msgs_out);
     assert_eq!(a.report.exec_time_ns(), b.report.exec_time_ns(), "virtual time is deterministic");

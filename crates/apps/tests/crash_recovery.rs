@@ -116,10 +116,10 @@ fn barnes_commute_crash_recovers_bit_identically() {
     // and idempotent re-delivery must leave every gated observable
     // bit-identical.
     let cfg = barnes_cfg();
-    let base = run_barnes_commute(MachineConfig::commutative(NODES, 64).validated(), &cfg);
+    let base = run_barnes_commute(MachineConfig::stache(NODES, 64).validated(), &cfg);
     for (node, version) in [(2u16, 1u64), (1, 5), (3, 7)] {
         let run = run_barnes_commute(
-            MachineConfig::commutative(NODES, 64)
+            MachineConfig::stache(NODES, 64)
                 .with_crash_plan(CrashPlan::new(node, version))
                 .validated(),
             &cfg,

@@ -25,7 +25,7 @@ use prescient_apps::water::WaterConfig;
 use prescient_apps::AppRun;
 use prescient_bench::telemetry::{emit_remap, read_lines};
 use prescient_bench::{patient_retry, Inputs, Leg, Scale};
-use prescient_core::{DegradeConfig, PredictiveConfig};
+use prescient_core::PredictiveConfig;
 use prescient_runtime::{
     Machine, MachineConfig, NodeCtx, PlacementSpec, ProtocolKind, RunReport, RunTimeline,
 };
@@ -178,7 +178,7 @@ fn commute(scale: Scale, i: Inputs) {
         run_barnes(MachineConfig::stache(scale.nodes, bs).with_retry(patient_retry()), &cfg);
     row("stache (demand scan)", &stache);
     let commute = run_barnes_commute(
-        MachineConfig::commutative(scale.nodes, bs).with_retry(patient_retry()),
+        MachineConfig::stache(scale.nodes, bs).with_retry(patient_retry()),
         &cfg,
     );
     row("commutative merge", &commute);
@@ -253,10 +253,7 @@ fn run_pattern(mcfg: MachineConfig, pat: &Pattern) -> RunReport {
 fn degradation(scale: Scale, _: Inputs) {
     let predictive = |degrade: bool| {
         let mut cfg = MachineConfig::predictive(scale.nodes, BLOCK);
-        cfg.protocol = ProtocolKind::Predictive(PredictiveConfig {
-            degrade: DegradeConfig { enabled: degrade, ..Default::default() },
-            ..Default::default()
-        });
+        cfg.protocol = ProtocolKind::Predictive(PredictiveConfig { degrade, ..Default::default() });
         cfg
     };
     let header = || {

@@ -34,12 +34,16 @@
 //! paper's hand-optimized SPMD baseline (an application-specific
 //! write-update protocol in the style of Falsafi et al. \[5\]).
 //!
-//! [`commute`] adds a third protocol mode for the conflict phases §3.4
-//! leaves without action: when the `cstar` commutativity analysis proves a
-//! phase's aggregate updates mergeable (a `CommutativeMerge` directive),
-//! each node privatizes its updates into a delta buffer and the buffers
-//! are exchanged in bulk at the phase barrier, replacing per-block
-//! ownership migration entirely.
+//! [`commute`] adds the privatize-and-merge extension of a Stache machine
+//! for the conflict phases §3.4 leaves without action: when the `cstar`
+//! commutativity analysis proves a phase's aggregate updates mergeable (a
+//! `CommutativeMerge` directive), each node privatizes its updates into a
+//! delta buffer and the buffers are exchanged in bulk at the phase
+//! barrier, replacing per-block ownership migration entirely.
+//!
+//! The pre-send and the merge exchange are both *acknowledged windows*:
+//! push, acknowledge, close after the stability barrier. [`Window`] keeps
+//! one node's epoch, push ids and received pushes for either.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,8 +57,9 @@ pub mod presend;
 pub mod schedule;
 pub mod tap;
 
-pub use commute::{Commute, CommuteCheckpoint, CommuteConfig, MergeReport};
-pub use predictive::{DegradeConfig, PhaseHealth, PredCheckpoint, Predictive, PredictiveConfig};
+pub use acked::Window;
+pub use commute::{Commute, CommuteCheckpoint, MergeReport};
+pub use predictive::{PhaseHealth, PredCheckpoint, Predictive, PredictiveConfig};
 pub use presend::PresendReport;
 pub use schedule::{Action, PhaseId, PhaseSchedule, ReplayRun, ScheduleEntry, ScheduleStore};
 pub use tap::{AccessTap, TapEvent};

@@ -16,16 +16,16 @@
 //! idempotent:
 //!
 //! * **Push ids** (`UserMsg.a`): every push carries a node-locally unique
-//!   id; the receiver (`crate::acked::receive`) remembers which
+//!   id; the receiver (`crate::acked::Window`) remembers which
 //!   `(sender, id)` pairs it has installed this window and answers repeats
 //!   with a fresh ack *without* re-installing — so a duplicated push
 //!   cannot double-count the "overwrote an unread copy" signal, and a lost
 //!   ack is repaired by the driver retransmitting the push. The driver in
 //!   turn keys its outstanding set by id, so duplicated acks are ignored.
-//! * **Epoch stamps** (`UserMsg.b`): each node keeps a pre-send epoch
-//!   counter, advanced once per pre-send window *after* the stability
-//!   barrier (every node has completed the same number of windows at every
-//!   barrier, so all nodes agree on the epoch). A push stamped with an old
+//! * **Epoch stamps** (`UserMsg.b`): each node's window epoch advances
+//!   once per pre-send window *after* the stability barrier (every node
+//!   has closed the same number of windows at every barrier, so all nodes
+//!   agree on the epoch). A push stamped with an old
 //!   epoch is a straggler duplicate from a previous window whose original
 //!   was already acknowledged — it is dropped without an ack (counted as
 //!   `presend_stale_in`). It cannot be a *first* delivery: the driver does
@@ -43,15 +43,17 @@
 //! pattern shifts, the schedule pushes data nobody wants. Every pre-sent
 //! copy that is recalled/invalidated before being read, or overwritten by
 //! the next window's push while still unread, counts as a **useless
-//! pre-send** against the phase that pushed it. When the useless ratio
-//! exceeds [`DegradeConfig::useless_threshold_pct`] for
-//! [`DegradeConfig::consecutive`] consecutive instances, the phase
-//! *degrades*: its schedule is flushed and the phase runs as plain Stache
-//! for [`DegradeConfig::backoff_instances`] instances, after which
+//! pre-send** against the phase that pushed it. When the useless share
+//! reaches [`USELESS_THRESHOLD_PCT`] for [`CONSECUTIVE_BAD`] consecutive
+//! instances, the phase *degrades*: its schedule is flushed and the phase
+//! runs as plain Stache for [`BACKOFF_INSTANCES`] instances, after which
 //! recording re-arms and the schedule is rebuilt from live traffic.
+//!
+//! [`USELESS_THRESHOLD_PCT`]: crate::presend::USELESS_THRESHOLD_PCT
+//! [`CONSECUTIVE_BAD`]: crate::presend::CONSECUTIVE_BAD
+//! [`BACKOFF_INSTANCES`]: crate::presend::BACKOFF_INSTANCES
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use prescient_stache::hooks::Hooks;
@@ -62,34 +64,10 @@ use prescient_tempest::tag::Tag;
 use prescient_tempest::trace::{pack_peer_count, EventKind};
 use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
 
-use crate::acked::{self, DonePushes};
+use crate::acked::{Marks, Window};
 use crate::codes;
 use crate::schedule::{PhaseId, ScheduleStore};
 use crate::tap::AccessTap;
-
-/// Degradation policy for the predictive protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradeConfig {
-    /// Master switch. Off = never degrade (the paper's behavior).
-    pub enabled: bool,
-    /// An instance is *bad* when `useless * 100 >= threshold * pushed`.
-    pub useless_threshold_pct: u32,
-    /// Number of consecutive bad instances before the phase degrades.
-    pub consecutive: u32,
-    /// Instances the phase spends as plain Stache before recording re-arms.
-    pub backoff_instances: u64,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        DegradeConfig {
-            enabled: true,
-            useless_threshold_pct: 50,
-            consecutive: 3,
-            backoff_instances: 4,
-        }
-    }
-}
 
 /// Tuning knobs for the predictive protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,24 +75,18 @@ pub struct PredictiveConfig {
     /// Coalesce runs of neighboring blocks with identical targets into one
     /// bulk message (§3.4). Disable for the ablation study.
     pub coalesce: bool,
-    /// Upper bound on blocks per bulk message.
-    pub max_bulk_blocks: usize,
     /// Pre-send conflict blocks toward their first stable state instead of
     /// skipping them — the optional policy §3.4 sketches. Off by default,
     /// matching the paper's implementation.
     pub anticipate_conflicts: bool,
-    /// Schedule-health / degradation policy.
-    pub degrade: DegradeConfig,
+    /// Degrade a phase whose pre-sends are mostly useless (see the module
+    /// docs). Off = never degrade (the paper's behavior).
+    pub degrade: bool,
 }
 
 impl Default for PredictiveConfig {
     fn default() -> Self {
-        PredictiveConfig {
-            coalesce: true,
-            max_bulk_blocks: 256,
-            anticipate_conflicts: false,
-            degrade: DegradeConfig::default(),
-        }
+        PredictiveConfig { coalesce: true, anticipate_conflicts: false, degrade: true }
     }
 }
 
@@ -153,12 +125,6 @@ pub(crate) struct PredState {
     pub health: HashMap<PhaseId, PhaseHealth>,
     /// Which phase pushed each block last, for charging teardown waste.
     pub pushed_by: HashMap<BlockId, PhaseId>,
-    /// Next pre-send push id (node-local; uniqueness per sender is enough).
-    pub next_push_id: u64,
-    /// Pushes installed in the current pre-send window, with the useless
-    /// count each ack reported — echoed on re-acks so a lost ack does not
-    /// lose the signal. Cleared on every epoch bump.
-    pub done_pushes: DonePushes,
 }
 
 impl PredState {
@@ -168,14 +134,6 @@ impl PredState {
         self.store.clone_from(&src.store);
         self.health.clone_from(&src.health);
         self.pushed_by.clone_from(&src.pushed_by);
-        self.next_push_id = src.next_push_id;
-        self.done_pushes.clone_from(&src.done_pushes);
-    }
-}
-
-impl AsMut<DonePushes> for PredState {
-    fn as_mut(&mut self) -> &mut DonePushes {
-        &mut self.done_pushes
     }
 }
 
@@ -186,9 +144,9 @@ impl AsMut<DonePushes> for PredState {
 pub struct Predictive {
     pub(crate) cfg: PredictiveConfig,
     pub(crate) state: Mutex<PredState>,
-    /// Pre-send window epoch; see the module docs. Advanced after the
-    /// stability barrier, read when validating incoming pushes.
-    epoch: AtomicU64,
+    /// The pre-send window. Its dedup map keeps the useless count each ack
+    /// reported, echoed on re-acks so a lost ack does not lose the signal.
+    pub(crate) window: Window,
     /// Optional schedule-oracle tap: logs every home request, before and
     /// independent of the recording/degradation gates.
     tap: Mutex<Option<Arc<AccessTap>>>,
@@ -199,8 +157,8 @@ impl Predictive {
     pub fn new(cfg: PredictiveConfig) -> Predictive {
         Predictive {
             cfg,
-            state: Mutex::new(PredState { next_push_id: 1, ..PredState::default() }),
-            epoch: AtomicU64::new(1),
+            state: Mutex::new(PredState::default()),
+            window: Window::default(),
             tap: Mutex::new(None),
         }
     }
@@ -210,23 +168,10 @@ impl Predictive {
         *lock(&self.tap) = tap;
     }
 
-    /// The configuration this instance was built with.
-    pub fn config(&self) -> PredictiveConfig {
-        self.cfg
-    }
-
-    /// The current pre-send epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Advance the pre-send epoch. The runtime calls this once per pre-send
-    /// window, *after* the stability barrier — at that point every push of
-    /// the closing window has been acknowledged, so anything still carrying
-    /// the old epoch is a duplicate.
-    pub fn bump_epoch(&self) {
-        lock(&self.state).done_pushes.clear();
-        self.epoch.fetch_add(1, Ordering::AcqRel);
+    /// The pre-send window, which the runtime closes after each window's
+    /// stability barrier.
+    pub fn window(&self) -> &Window {
+        &self.window
     }
 
     /// Directive: start recording `phase` and advance its instance
@@ -272,11 +217,6 @@ impl Predictive {
         lock(&self.state).store.phase(phase).map_or(0, |p| p.conflicts())
     }
 
-    /// This node's schedule health for `phase`.
-    pub fn health(&self, phase: PhaseId) -> PhaseHealth {
-        lock(&self.state).health.get(&phase).copied().unwrap_or_default()
-    }
-
     /// Whether `phase` is currently degraded at this node.
     pub fn is_degraded(&self, phase: PhaseId) -> bool {
         lock(&self.state).health.get(&phase).is_some_and(PhaseHealth::is_degraded)
@@ -288,22 +228,21 @@ impl Predictive {
     }
 
     /// Capture this node's full predictive-protocol state at a quiescent
-    /// cut — schedules, health, push bookkeeping, and the pre-send epoch —
-    /// into `ckpt`, overwriting what it held and keeping its maps.
+    /// cut — schedules, health and the pre-send window — into `ckpt`,
+    /// overwriting what it held and keeping its maps.
     /// Taken at `phase_begin` *before* the window's [`Predictive::arm`],
     /// so the restored state is disarmed-at-cut and replay re-arms it.
     pub fn checkpoint_into(&self, ckpt: &mut PredCheckpoint) {
         ckpt.state.copy_from(&lock(&self.state));
-        ckpt.epoch = self.epoch();
+        self.window.checkpoint_into(&mut ckpt.window);
     }
 
     /// Roll this node's predictive-protocol state back to a captured cut.
     /// Callable only while the machine is quiescent (the recovery drain
-    /// has emptied the channels): the epoch rewinds together with every
-    /// peer's, so replayed pre-send windows re-stamp the same epochs.
+    /// has emptied the channels).
     pub fn restore(&self, ckpt: &PredCheckpoint) {
         lock(&self.state).copy_from(&ckpt.state);
-        self.epoch.store(ckpt.epoch, Ordering::Release);
+        self.window.restore(&ckpt.window);
     }
 }
 
@@ -312,7 +251,7 @@ impl Predictive {
 #[derive(Default)]
 pub struct PredCheckpoint {
     state: PredState,
-    epoch: u64,
+    window: Marks,
 }
 
 impl Hooks for Predictive {
@@ -360,8 +299,7 @@ impl Hooks for Predictive {
     ) -> Option<Wake> {
         match msg.code {
             codes::PRESEND_RO | codes::PRESEND_RW => {
-                let epoch = self.epoch();
-                acked::receive(node, src, &msg, epoch, codes::PRESEND_ACK, &self.state, |_| {
+                self.window.receive(node, src, &msg, codes::PRESEND_ACK, || {
                     let tag =
                         if msg.code == codes::PRESEND_RW { Tag::ReadWrite } else { Tag::ReadOnly };
                     // Batched upcall: all N blocks of the bulk message
@@ -444,17 +382,17 @@ mod tests {
         health.sort_by_key(|h| h.0);
         let mut pushed: Vec<_> = st.pushed_by.iter().map(|(b, id)| (b.0, *id)).collect();
         pushed.sort_unstable();
-        let mut done: Vec<_> = st.done_pushes.iter().map(|(k, v)| (*k, *v)).collect();
-        done.sort_unstable();
-        let (rec, next, epoch) = (st.recording, st.next_push_id, p.epoch());
-        format!("{rec:?} {phases:?} {health:?} {pushed:?} {done:?} {next} {epoch}")
+        let (epoch, ids) = p.window.ids(0);
+        let (rec, next) = (st.recording, ids.start);
+        format!("{rec:?} {phases:?} {health:?} {pushed:?} {next} {epoch}")
     }
 
     #[test]
     fn reused_checkpoint_buffer_leaks_nothing() {
         let fresh_state = || Predictive::new(PredictiveConfig::default());
         let (big, small) = (fresh_state(), fresh_state());
-        big.bump_epoch();
+        big.window.close();
+        big.window.ids(49);
         for phase in 1..=3 {
             big.arm(phase);
             let mut st = lock(&big.state);
@@ -463,8 +401,6 @@ mod tests {
                 st.pushed_by.insert(BlockId(b), phase);
             }
             st.health.entry(phase).or_default().useless = 2;
-            st.done_pushes.insert((1, u64::from(phase)), 3);
-            st.next_push_id = 50;
         }
         // Phase 2 only: `big`'s phase-2 table is reused, its others must go.
         small.arm(2);
@@ -473,7 +409,6 @@ mod tests {
             st.store.phase_mut(2).record_write(BlockId(30), 3);
             st.pushed_by.insert(BlockId(30), 2);
             st.health.entry(2).or_default().consecutive_bad = 1;
-            st.done_pushes.insert((2, 1), 0);
         }
         small.end_phase();
 

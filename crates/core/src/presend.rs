@@ -19,15 +19,15 @@
 //! leaves every block state stable before compute resumes (§3.4).
 //!
 //! Under a faulty fabric the ack wait doubles as the retransmission layer:
-//! each push carries a unique id and the current pre-send epoch, and any id
-//! still unacknowledged when the wait times out is re-sent verbatim (the
+//! each push carries a unique id and the window's epoch, and any id still
+//! unacknowledged when the wait times out is re-sent verbatim (the
 //! receiver de-duplicates by id — see [`crate::predictive`]'s module docs).
 //!
 //! The driver also maintains the phase's **schedule health**: before doing
 //! any work it scores the previous instance (useless pre-sends vs blocks
-//! pushed) and, if the schedule has been mostly wrong for several
-//! consecutive instances, degrades the phase to plain Stache for a backoff
-//! period (see [`crate::predictive::DegradeConfig`]).
+//! pushed) and, if the schedule has been mostly wrong for
+//! [`CONSECUTIVE_BAD`] consecutive instances, degrades the phase to plain
+//! Stache for [`BACKOFF_INSTANCES`] instances.
 //!
 //! The driver is called by the node's program — it may wait, while all
 //! handler work stays non-blocking — and it waits *per window, not per
@@ -61,6 +61,20 @@ use crate::schedule::{Action, PhaseId};
 /// cost 0.2 MiB at equal wall time (EXPERIMENTS.md, "One wait per window").
 pub const TEARDOWN_WAVE: usize = 128;
 
+/// Upper bound on blocks per bulk message.
+pub const MAX_BULK_BLOCKS: usize = 256;
+
+/// An instance is *bad* when at least this share (in percent) of the
+/// copies it pushed turned out useless.
+pub const USELESS_THRESHOLD_PCT: u64 = 50;
+
+/// Consecutive bad instances before a phase degrades.
+pub const CONSECUTIVE_BAD: u32 = 3;
+
+/// Instances a degraded phase runs as plain Stache before recording
+/// re-arms.
+pub const BACKOFF_INSTANCES: u64 = 4;
+
 /// What one node's pre-send did, with its virtual-time bill.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PresendReport {
@@ -86,7 +100,7 @@ pub struct PresendReport {
 /// Score the previous instance and decide whether this window runs.
 /// Returns `true` if the phase is degraded (the caller must skip).
 fn health_gate(pred: &Predictive, n: &NodeShared, phase: PhaseId) -> bool {
-    let dc = pred.cfg.degrade;
+    let degrade = pred.cfg.degrade;
     let mut guard = lock(&pred.state);
     let st = &mut *guard;
     let h = st.health.entry(phase).or_default();
@@ -96,8 +110,8 @@ fn health_gate(pred: &Predictive, n: &NodeShared, phase: PhaseId) -> bool {
         // re-arms when the runtime arms the phase.
         n.tracer().emit(EventKind::Rearm, u64::from(phase), h.instances);
     }
-    if dc.enabled && h.last_pushed > 0 {
-        let bad = h.useless * 100 >= u64::from(dc.useless_threshold_pct) * h.last_pushed;
+    if degrade && h.last_pushed > 0 {
+        let bad = h.useless * 100 >= USELESS_THRESHOLD_PCT * h.last_pushed;
         if bad {
             h.consecutive_bad += 1;
         } else {
@@ -107,9 +121,9 @@ fn health_gate(pred: &Predictive, n: &NodeShared, phase: PhaseId) -> bool {
     // The window's accounting starts fresh either way.
     h.useless = 0;
     h.last_pushed = 0;
-    if dc.enabled && !h.is_degraded() && h.consecutive_bad >= dc.consecutive {
+    if degrade && !h.is_degraded() && h.consecutive_bad >= CONSECUTIVE_BAD {
         h.consecutive_bad = 0;
-        h.degraded_until = h.instances + dc.backoff_instances;
+        h.degraded_until = h.instances + BACKOFF_INSTANCES;
         h.degrade_events += 1;
         NodeStats::bump(&n.stats.degrade_events);
         n.tracer().emit(EventKind::Degrade, u64::from(phase), h.degraded_until);
@@ -237,8 +251,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     // The payload is snapshotted once per group into an `Arc` list; the
     // per-target fan-out and the retransmission store clone refcounts, not
     // block bytes.
-    let epoch = pred.epoch();
-    let groups = group_pushes(&pushes, pred.cfg.coalesce, pred.cfg.max_bulk_blocks);
+    let groups = group_pushes(&pushes, pred.cfg.coalesce);
     n.tracer().emit(
         EventKind::SchedCoalesce,
         u64::from(phase),
@@ -261,13 +274,8 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
         }
         let payload_bytes: u64 = payload.iter().map(|(_, d)| d.len() as u64).sum();
         let code = if first.excl { codes::PRESEND_RW } else { codes::PRESEND_RO };
-        // One id per target, drawn under one lock.
-        let ids = {
-            let mut st = lock(&pred.state);
-            let first_id = st.next_push_id;
-            st.next_push_id += first.targets.len() as u64;
-            first_id..
-        };
+        // One id per target.
+        let (epoch, ids) = pred.window.ids(first.targets.len() as u64);
         for (t, id) in first.targets.iter().zip(ids) {
             let m = UserMsg {
                 code,
@@ -328,8 +336,8 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
 
 /// Group pushes into bulk messages: a group is a run of *neighboring*
 /// blocks with identical targets and kind (or a singleton when coalescing
-/// is disabled).
-fn group_pushes(pushes: &[Push], coalesce: bool, max: usize) -> Vec<Vec<Push>> {
+/// is disabled), of at most [`MAX_BULK_BLOCKS`].
+fn group_pushes(pushes: &[Push], coalesce: bool) -> Vec<Vec<Push>> {
     let mut groups: Vec<Vec<Push>> = Vec::new();
     for &p in pushes {
         if coalesce {
@@ -338,7 +346,7 @@ fn group_pushes(pushes: &[Push], coalesce: bool, max: usize) -> Vec<Vec<Push>> {
                 if prev.block.next() == p.block
                     && prev.targets == p.targets
                     && prev.excl == p.excl
-                    && last.len() < max
+                    && last.len() < MAX_BULK_BLOCKS
                 {
                     last.push(p);
                     continue;
@@ -363,7 +371,7 @@ mod tests {
         let t = NodeSet::single(3);
         let pushes =
             vec![push(10, t, false), push(11, t, false), push(12, t, false), push(20, t, false)];
-        let groups = group_pushes(&pushes, true, 256);
+        let groups = group_pushes(&pushes, true);
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].len(), 3);
         assert_eq!(groups[1].len(), 1);
@@ -374,7 +382,7 @@ mod tests {
         let a = NodeSet::single(1);
         let b = NodeSet::single(2);
         let pushes = vec![push(10, a, false), push(11, b, false), push(12, b, false)];
-        let groups = group_pushes(&pushes, true, 256);
+        let groups = group_pushes(&pushes, true);
         assert_eq!(groups.len(), 2);
     }
 
@@ -382,22 +390,23 @@ mod tests {
     fn kind_change_breaks_runs() {
         let t = NodeSet::single(1);
         let pushes = vec![push(10, t, false), push(11, t, true)];
-        assert_eq!(group_pushes(&pushes, true, 256).len(), 2);
+        assert_eq!(group_pushes(&pushes, true).len(), 2);
     }
 
     #[test]
     fn no_coalescing_means_singletons() {
         let t = NodeSet::single(1);
         let pushes = vec![push(10, t, false), push(11, t, false)];
-        assert_eq!(group_pushes(&pushes, false, 256).len(), 2);
+        assert_eq!(group_pushes(&pushes, false).len(), 2);
     }
 
     #[test]
     fn max_bulk_respected() {
         let t = NodeSet::single(1);
-        let pushes: Vec<Push> = (0..10).map(|i| push(i, t, false)).collect();
-        let groups = group_pushes(&pushes, true, 4);
+        let n = 2 * MAX_BULK_BLOCKS + 10;
+        let pushes: Vec<Push> = (0..n as u64).map(|i| push(i, t, false)).collect();
+        let groups = group_pushes(&pushes, true);
         assert_eq!(groups.len(), 3);
-        assert!(groups.iter().all(|g| g.len() <= 4));
+        assert!(groups.iter().all(|g| g.len() <= MAX_BULK_BLOCKS));
     }
 }

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::presend;
-use prescient_core::{DegradeConfig, Predictive, PredictiveConfig};
+use prescient_core::{Predictive, PredictiveConfig};
 use prescient_stache::testkit::{read_u64, write_u64, Cluster};
 use prescient_stache::{Node, NodeShared, RetryConfig};
 use prescient_tempest::sync::lock;
@@ -35,12 +35,14 @@ impl TestNode<'_> {
 
     /// The runtime's `phase_begin` directive: pre-send, arm recording,
     /// stability barrier (arming precedes the barrier so every home is
-    /// recording before any node can fault on this instance).
+    /// recording before any node can fault on this instance), close the
+    /// window.
     fn phase_begin(&mut self, phase: u32) {
         self.sync();
         presend(&self.pred, self.node, phase);
         self.pred.arm(phase);
         self.sync();
+        self.pred.window().close();
     }
 
     /// The runtime's `phase_end` directive: one barrier, whose release
@@ -151,6 +153,11 @@ fn producer_consumer_becomes_local_after_recording() {
     drop(log);
     assert_eq!(m.nodes[0].pred.conflicts(W), 0);
     assert_eq!(m.nodes[0].pred.conflicts(R), 0);
+    // Every window closed, as the runtime closes it: five iterations of
+    // two phases each.
+    for (i, h) in m.nodes.iter().enumerate() {
+        assert_eq!(h.pred.window().epoch(), 1 + 2 * 5, "node {i}: one epoch per window");
+    }
 }
 
 /// Read+write of the same block in one phase instance marks it conflict;
@@ -490,10 +497,7 @@ fn useless_presends_trigger_degradation_then_rearm() {
 /// (correct but wasteful) push stream continues for the whole run.
 #[test]
 fn degradation_disabled_keeps_pushing() {
-    let cfg = PredictiveConfig {
-        degrade: DegradeConfig { enabled: false, ..Default::default() },
-        ..Default::default()
-    };
+    let cfg = PredictiveConfig { degrade: false, ..Default::default() };
     let mut m = machine_cfg(3, 32, cfg);
     let addr = m.alloc(0, 8, 8);
 

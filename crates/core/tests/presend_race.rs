@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::presend;
-use prescient_core::{DegradeConfig, Predictive, PredictiveConfig};
+use prescient_core::{Predictive, PredictiveConfig};
 use prescient_stache::testkit::{read_u64, write_u64, Cluster};
 use prescient_stache::RetryConfig;
 use prescient_tempest::rng::{cases, Gen};
@@ -30,7 +30,7 @@ fn machine(n: usize, block_size: usize) -> (Cluster, Vec<Arc<Predictive>>) {
     let cfg = PredictiveConfig {
         // Keep pushing every round: degradation would flush the manual
         // schedule once the rogue writer makes most pushes useless.
-        degrade: DegradeConfig { enabled: false, ..DegradeConfig::default() },
+        degrade: false,
         ..PredictiveConfig::default()
     };
     let preds: Vec<Arc<Predictive>> = (0..n).map(|_| Arc::new(Predictive::new(cfg))).collect();

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::{presend, PresendReport, TEARDOWN_WAVE};
-use prescient_core::{DegradeConfig, Predictive, PredictiveConfig};
+use prescient_core::{Predictive, PredictiveConfig};
 use prescient_stache::testkit::{read_u64, write_u64, Cluster};
 use prescient_stache::{fetch_all, DirState, Msg, Node, RetryConfig, Wake};
 use prescient_tempest::fabric::{BatchConfig, Fabric, FabricCtl};
@@ -39,10 +39,7 @@ fn holds(node: &Node, addr: GAddr, tag: Tag) -> bool {
 }
 
 fn preds(n: usize) -> Vec<Arc<Predictive>> {
-    let cfg = PredictiveConfig {
-        degrade: DegradeConfig { enabled: false, ..DegradeConfig::default() },
-        ..PredictiveConfig::default()
-    };
+    let cfg = PredictiveConfig { degrade: false, ..PredictiveConfig::default() };
     (0..n).map(|_| Arc::new(Predictive::new(cfg))).collect()
 }
 

@@ -97,7 +97,7 @@ pub fn run_oracle_compiled(prog: &CompiledProgram, cfg: &OracleConfig) -> Oracle
     // schedule behavior, not the protocol's self-defense.
     let mut mc = MachineConfig::predictive(cfg.nodes, cfg.block_size);
     if let ProtocolKind::Predictive(ref mut p) = mc.protocol {
-        p.degrade.enabled = false;
+        p.degrade = false;
     }
     let mut machine = Machine::new(mc);
     let aggs = materialize(&machine, prog);

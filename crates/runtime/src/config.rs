@@ -1,6 +1,6 @@
 //! Machine configuration.
 
-use prescient_core::{CommuteConfig, PredictiveConfig};
+use prescient_core::PredictiveConfig;
 use prescient_stache::RetryConfig;
 use prescient_tempest::{
     BatchConfig, CostModel, CrashPlan, FaultPlan, HomeMap, MetricsConfig, TraceConfig,
@@ -13,16 +13,14 @@ use crate::recovery::WatchdogConfig;
 pub enum ProtocolKind {
     /// Plain Stache (write-invalidate). The `phase_begin`/`phase_end`
     /// directives degrade to the natural end-of-phase barrier — this is the
-    /// paper's *unoptimized* configuration.
+    /// paper's *unoptimized* configuration. Phases the `cstar`
+    /// commutativity analysis proves mergeable may run privatized, with
+    /// per-node delta buffers exchanged in bulk at the phase barrier
+    /// (`NodeCtx::merge_exchange`).
     Stache,
     /// Stache plus the predictive protocol: directives record schedules and
     /// pre-send data — the paper's *optimized* configuration.
     Predictive(PredictiveConfig),
-    /// Stache plus the commutative-merge extension: phases the `cstar`
-    /// commutativity analysis proves mergeable run privatized, with
-    /// per-node delta buffers exchanged in bulk at the phase barrier
-    /// (`NodeCtx::merge_exchange`). Non-merged phases run as plain Stache.
-    Commutative(CommuteConfig),
 }
 
 impl ProtocolKind {
@@ -31,19 +29,9 @@ impl ProtocolKind {
         ProtocolKind::Predictive(PredictiveConfig::default())
     }
 
-    /// Default commutative-merge configuration.
-    pub fn commutative() -> ProtocolKind {
-        ProtocolKind::Commutative(CommuteConfig::default())
-    }
-
     /// Is the predictive protocol active?
     pub fn is_predictive(&self) -> bool {
         matches!(self, ProtocolKind::Predictive(_))
-    }
-
-    /// Is the commutative-merge extension active?
-    pub fn is_commutative(&self) -> bool {
-        matches!(self, ProtocolKind::Commutative(_))
     }
 }
 
@@ -205,15 +193,6 @@ impl MachineConfig {
         }
     }
 
-    /// A commutative-merge machine (plain Stache plus privatize-and-merge
-    /// for the phases the application runs through `merge_exchange`).
-    pub fn commutative(nodes: usize, block_size: usize) -> MachineConfig {
-        MachineConfig {
-            protocol: ProtocolKind::commutative(),
-            ..MachineConfig::stache(nodes, block_size)
-        }
-    }
-
     /// Inject faults into the fabric.
     pub fn with_faults(mut self, plan: FaultPlan) -> MachineConfig {
         self.faults = Some(plan);
@@ -305,10 +284,6 @@ mod tests {
         assert!(o.protocol.is_predictive());
         assert_eq!(o.nodes, 4);
         assert_eq!(o.block_size, 32);
-        let c = MachineConfig::commutative(4, 32);
-        assert!(c.protocol.is_commutative());
-        assert!(!c.protocol.is_predictive());
-        assert!(!MachineConfig::stache(4, 32).protocol.is_commutative());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use prescient_core::commute::merge as commute_merge;
 use prescient_core::presend::presend;
-use prescient_core::{Commute, PhaseId, Predictive};
+use prescient_core::{Commute, PhaseId, Predictive, Window};
 use prescient_stache::engine::fetch;
 use prescient_stache::{Msg, Node, NodeShared, Wake};
 use prescient_tempest::stats::{StatsSnapshot, WireSnapshot};
@@ -123,6 +123,7 @@ pub const POLL_EVERY: u32 = 64;
 pub(crate) struct CtxInit {
     /// Every node's predictive state, in node order.
     pub preds: Option<Arc<[Arc<Predictive>]>>,
+    /// This node's merge state (a Stache machine's).
     pub commute: Option<Arc<Commute>>,
     pub barrier: Arc<VBarrier>,
     pub reduce: Arc<ReduceScratch>,
@@ -265,11 +266,6 @@ impl<'a> NodeCtx<'a> {
     /// Is the predictive protocol active?
     pub fn is_predictive(&self) -> bool {
         self.pred.is_some()
-    }
-
-    /// Is the commutative-merge extension active?
-    pub fn is_commutative(&self) -> bool {
-        self.commute.is_some()
     }
 
     /// This node's virtual clock (ns since run start).
@@ -532,6 +528,29 @@ impl<'a> NodeCtx<'a> {
         self.trace(EventKind::BarrierExit, out.stall_ns, 0);
     }
 
+    /// One acknowledged window (§3.4): the entry barrier, `body`, the
+    /// stability barrier, and `window` closes. Both stalls are billed to
+    /// the pre-send segment, and so must be `body`'s own time, before the
+    /// stability barrier takes the clock.
+    fn acked_window<R>(&mut self, window: &Window, body: impl FnOnce(&mut Self) -> R) -> R {
+        self.barrier_presend();
+        let r = body(self);
+        self.barrier_presend();
+        // The epoch advances only after the stability barrier: barrier
+        // exit proves every node's pushes were acknowledged, so any push
+        // still carrying the old epoch is a duplicate and can be rejected.
+        window.close();
+        r
+    }
+
+    /// The body of a pre-send window: this node's pushes for `phase`.
+    fn presend_pushes(&mut self, pred: &Predictive, phase: PhaseId) {
+        self.trace(EventKind::PresendStart, u64::from(phase), 0);
+        let rep = presend(pred, self.node, phase);
+        self.t.presend_ns += rep.vtime_ns;
+        self.trace(EventKind::PresendEnd, u64::from(phase), rep.blocks_pushed);
+    }
+
     // ----- compiler directives (§4.3) -------------------------------------
 
     /// `phase_begin(id)` — the compiler-inserted directive before a
@@ -563,21 +582,15 @@ impl<'a> NodeCtx<'a> {
         self.shared.tracer().set_phase(phase);
         self.trace(EventKind::PhaseBegin, u64::from(phase), 0);
         let Some(pred) = self.pred.clone() else { return };
-        self.barrier_presend();
-        self.trace(EventKind::PresendStart, u64::from(phase), 0);
-        let rep = presend(&pred, self.node, phase);
-        self.t.presend_ns += rep.vtime_ns;
-        self.trace(EventKind::PresendEnd, u64::from(phase), rep.blocks_pushed);
-        // Arm BEFORE the stability barrier: no node can issue a
-        // demand fetch while every node is still inside this directive, and
-        // barrier exit then proves every home is recording — a consumer
-        // that faults right after the barrier always gets recorded.
-        pred.arm(phase);
-        self.barrier_presend();
-        // Epoch advance must follow the stability barrier: barrier exit
-        // proves every node's pushes were acknowledged, so any push still
-        // carrying the old epoch is a duplicate and can be rejected.
-        pred.bump_epoch();
+        self.acked_window(pred.window(), |ctx| {
+            ctx.presend_pushes(&pred, phase);
+            // Arm BEFORE the stability barrier: no node can issue a demand
+            // fetch while every node is still inside this directive, and
+            // barrier exit then proves every home is recording — a
+            // consumer that faults right after the barrier always gets
+            // recorded.
+            pred.arm(phase);
+        });
     }
 
     /// `phase_end()` — close the current parallel phase. Under plain
@@ -694,17 +707,17 @@ impl<'a> NodeCtx<'a> {
     /// push id)` — a total order all runs agree on, so replaying the
     /// merged updates in the returned order is deterministic.
     ///
-    /// The exchange is double-barriered like a pre-send window: the entry
+    /// The exchange is an acknowledged window like a pre-send: the entry
     /// barrier proves every node finished its privatized compute (and
-    /// advanced its merge epoch past the previous window) before any delta
-    /// lands; the stability barrier proves every chunk is buffered at its
-    /// owner before any node drains its inbox. Both stalls and the
-    /// exchange itself are billed to the protocol (pre-send) bar segment.
+    /// closed the previous window) before any delta lands; the stability
+    /// barrier proves every chunk is buffered at its owner before any node
+    /// drains its inbox. Both stalls and the exchange itself are billed to
+    /// the protocol (pre-send) bar segment.
     ///
     /// # Panics
     ///
-    /// Panics unless the machine runs `ProtocolKind::Commutative` — the
-    /// merge directive is a protocol mode, not an application feature.
+    /// Panics on a predictive machine: the merge runs on a Stache machine
+    /// (`MachineConfig::stache`).
     pub fn merge_exchange(
         &mut self,
         phase: PhaseId,
@@ -712,20 +725,18 @@ impl<'a> NodeCtx<'a> {
     ) -> Vec<(NodeId, Arc<[u8]>)> {
         let Some(cm) = self.commute.clone() else {
             panic!(
-                "node {}: merge_exchange(phase {phase}) requires ProtocolKind::Commutative",
+                "node {}: merge_exchange(phase {phase}) runs on a Stache machine \
+                 (MachineConfig::stache), not a predictive one",
                 self.me()
             )
         };
         self.trace(EventKind::MergeBegin, u64::from(phase), outgoing.len() as u64);
-        self.barrier_presend();
-        let rep = commute_merge(&cm, self.node, outgoing);
-        self.t.presend_ns += rep.vtime_ns;
-        self.barrier_presend();
+        let rep = self.acked_window(cm.window(), |ctx| {
+            let rep = commute_merge(&cm, ctx.node, outgoing);
+            ctx.t.presend_ns += rep.vtime_ns;
+            rep
+        });
         let merged = cm.take_inbox();
-        // Epoch advance must follow the stability barrier (the pre-send
-        // argument): every chunk of this window is acknowledged, so
-        // anything still carrying the old epoch is a duplicate.
-        cm.bump_epoch();
         self.trace(
             EventKind::MergeEnd,
             u64::from(phase),
@@ -864,13 +875,7 @@ impl<'a> NodeCtx<'a> {
         let Some(pred) = self.pred.clone() else { return };
         self.cur_phase = phase;
         self.shared.tracer().set_phase(phase);
-        self.barrier_presend();
-        self.trace(EventKind::PresendStart, u64::from(phase), 0);
-        let rep = presend(&pred, self.node, phase);
-        self.t.presend_ns += rep.vtime_ns;
-        self.trace(EventKind::PresendEnd, u64::from(phase), rep.blocks_pushed);
-        self.barrier_presend();
-        pred.bump_epoch();
+        self.acked_window(pred.window(), |ctx| ctx.presend_pushes(&pred, phase));
     }
 
     /// Flush one phase's schedule on this node (rebuild policy, §3.3).

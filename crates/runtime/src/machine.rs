@@ -8,14 +8,14 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use prescient_core::{AccessTap, Commute, Predictive};
-use prescient_stache::{Hooks, Msg, NoHooks, Node, NodeShared};
+use prescient_stache::{Hooks, Msg, Node, NodeShared};
 use prescient_tempest::fabric::{Fabric, FabricCtl};
 use prescient_tempest::json::{IoSink, Writer};
 use prescient_tempest::sync::{lock, try_lock};
 use prescient_tempest::trace::{merge, to_jsonl, write_chrome_json, write_jsonl};
 use prescient_tempest::{
-    Aborted, FaultStats, GAddr, GlobalLayout, HomeMap, HomeView, MetricsHub, NodeId, TraceEvent,
-    Tracer, VBarrier,
+    Aborted, GAddr, GlobalLayout, HomeMap, HomeView, MetricsHub, NodeId, TraceEvent, Tracer,
+    VBarrier,
 };
 
 use crate::config::{MachineConfig, PlacementSpec, ProtocolKind};
@@ -99,10 +99,11 @@ pub struct Machine {
     /// Every node's predictive state, in node order: one node's closing
     /// barrier disarms them all (`NodeCtx::try_phase_end`).
     preds: Option<Arc<[Arc<Predictive>]>>,
-    commutes: Option<Vec<Arc<Commute>>>,
+    /// Every node's merge state, in node order (a Stache machine's; empty
+    /// on a predictive one).
+    commutes: Vec<Arc<Commute>>,
     barrier: Arc<VBarrier>,
     reduce: Arc<ReduceScratch>,
-    fault_stats: Option<Arc<FaultStats>>,
     ctl: Arc<FabricCtl>,
     tracers: Vec<Tracer>,
     /// Crash flag + crash-plan latch; machine-lifetime, so a plan fires at
@@ -130,20 +131,11 @@ impl Machine {
         let layout = GlobalLayout::new(cfg.nodes, cfg.block_size);
         let mut nodes = Vec::with_capacity(cfg.nodes);
         let mut shareds = Vec::with_capacity(cfg.nodes);
-        let mut preds = match cfg.protocol {
-            ProtocolKind::Predictive(_) => Some(Vec::with_capacity(cfg.nodes)),
-            ProtocolKind::Stache | ProtocolKind::Commutative(_) => None,
-        };
-        let mut commutes = match cfg.protocol {
-            ProtocolKind::Commutative(_) => Some(Vec::with_capacity(cfg.nodes)),
-            ProtocolKind::Stache | ProtocolKind::Predictive(_) => None,
-        };
-        let (eps, fault_stats) = match cfg.faults.filter(|plan| plan.is_active()) {
-            Some(plan) => {
-                let (eps, fs) = Fabric::new_faulty_with::<Msg>(cfg.nodes, plan, cfg.batch);
-                (eps, Some(fs))
-            }
-            None => (Fabric::new_with::<Msg>(cfg.nodes, cfg.batch), None),
+        let mut preds = cfg.protocol.is_predictive().then(|| Vec::with_capacity(cfg.nodes));
+        let mut commutes = Vec::new();
+        let eps = match cfg.faults.filter(|plan| plan.is_active()) {
+            Some(plan) => Fabric::new_faulty_with::<Msg>(cfg.nodes, plan, cfg.batch).0,
+            None => Fabric::new_with::<Msg>(cfg.nodes, cfg.batch),
         };
         let ctl = eps[0].ctl().clone();
         // One block→home view for the whole machine, fixed here: the
@@ -169,12 +161,11 @@ impl Machine {
                     preds.as_mut().expect("predictive mode").push(Arc::clone(&pred));
                     pred
                 }
-                ProtocolKind::Commutative(ccfg) => {
-                    let cm = Arc::new(Commute::new(ccfg));
-                    commutes.as_mut().expect("commutative mode").push(Arc::clone(&cm));
+                ProtocolKind::Stache => {
+                    let cm = Arc::new(Commute::default());
+                    commutes.push(Arc::clone(&cm));
                     cm
                 }
-                ProtocolKind::Stache => Arc::new(NoHooks),
             };
             let node = Node::new(Arc::clone(&homes), cfg.cost, ep, hooks, cfg.retry);
             shareds.push(Arc::clone(&node.shared));
@@ -229,7 +220,6 @@ impl Machine {
             commutes,
             barrier: Arc::new(VBarrier::new(n)),
             reduce: Arc::new(ReduceScratch { state: Mutex::new(ReduceState::new(n)) }),
-            fault_stats,
             ctl,
             tracers,
             recovery: Arc::new(RecoveryCtl::new()),
@@ -269,11 +259,6 @@ impl Machine {
         self.barrier.episodes()
     }
 
-    /// Per-link fault counters, when the machine runs a faulty fabric.
-    pub fn fault_stats(&self) -> Option<&Arc<FaultStats>> {
-        self.fault_stats.as_ref()
-    }
-
     /// Allocate `bytes` of shared memory homed at `node` (driver-side
     /// allocation, before or between runs).
     pub fn alloc_on(&self, node: NodeId, bytes: u64, align: u64) -> GAddr {
@@ -284,12 +269,6 @@ impl Machine {
     /// predictive protocol (used for manual schedules and diagnostics).
     pub fn predictive(&self, node: NodeId) -> Option<&Arc<Predictive>> {
         self.preds.as_ref().map(|p| &p[node as usize])
-    }
-
-    /// The commutative-merge state of `node`, if the machine runs the
-    /// merge extension.
-    pub fn commute(&self, node: NodeId) -> Option<&Arc<Commute>> {
-        self.commutes.as_ref().map(|c| &c[node as usize])
     }
 
     /// Install a schedule-oracle recording tap on every node's predictive
@@ -410,7 +389,7 @@ impl Machine {
                         let slot = &self.nodes[i];
                         let init = CtxInit {
                             preds: self.preds.clone(),
-                            commute: self.commutes.as_ref().map(|c| Arc::clone(&c[i])),
+                            commute: self.commutes.get(i).cloned(),
                             barrier: Arc::clone(&self.barrier),
                             reduce: Arc::clone(&self.reduce),
                             recovery: Arc::clone(&self.recovery),

@@ -49,11 +49,11 @@ pub struct Checkpoint {
     /// Protocol-level state: block store, directory shard, seq counter,
     /// recall-reply cache.
     pub node: NodeCheckpoint,
-    /// Predictive-protocol state (schedules, health, epoch); empty unless
-    /// the predictive protocol runs.
+    /// Predictive-protocol state (schedules, health, the pre-send window);
+    /// empty on a Stache machine.
     pub pred: PredCheckpoint,
-    /// Commutative-merge state (epoch, push bookkeeping, undrained delta
-    /// chunks); empty unless the merge extension runs.
+    /// Merge state (the merge window, undrained delta chunks); empty on a
+    /// predictive machine.
     pub commute: CommuteCheckpoint,
     /// Every statistics counter at the cut — restored on rollback so the
     /// replayed phase re-counts its events and the run's totals stay

@@ -35,7 +35,6 @@ fn each_construct_spends_the_episodes_its_orderings_need() {
         ("predictive", MachineConfig::predictive(4, 32), 3, 0),
         ("predictive + checkpoints", MachineConfig::predictive(4, 32).with_checkpoints(true), 4, 0),
         ("predictive + crash", MachineConfig::predictive(4, 32).with_crash_plan(crash), 4, 4 + 4),
-        ("commutative", MachineConfig::commutative(4, 32), 1, 0),
     ];
     for (name, cfg, per_phase, recovery) in table {
         let mut m = Machine::new(cfg);
@@ -54,7 +53,7 @@ fn each_construct_spends_the_episodes_its_orderings_need() {
     // The two-barrier windows: a manual pre-send and a merge exchange.
     let mut m = Machine::new(MachineConfig::predictive(4, 32));
     assert_eq!(episodes(&mut m, |ctx| ctx.presend_only(1)), 2 + 1);
-    let mut m = Machine::new(MachineConfig::commutative(4, 32));
+    let mut m = Machine::new(MachineConfig::stache(4, 32));
     assert_eq!(episodes(&mut m, |ctx| drop(ctx.merge_exchange(1, &[]))), 2 + 1);
 }
 

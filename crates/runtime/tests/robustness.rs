@@ -390,13 +390,10 @@ fn access_counters_equal_the_calls_made_fault_free_and_after_a_replay() {
 // ---- checkpointing without a crash is inert -----------------------------
 
 /// Every protocol kind, by name. Each has its own closing fence for the
-/// checkpoint cut (DESIGN.md §12): Stache and commutative mode a recovery
-/// barrier, the predictive protocol the pre-send window's entry barrier.
-const KINDS: [(&str, Constructor); 3] = [
-    ("stache", MachineConfig::stache),
-    ("predictive", MachineConfig::predictive),
-    ("commutative", MachineConfig::commutative),
-];
+/// checkpoint cut (DESIGN.md §12): Stache a recovery barrier, the
+/// predictive protocol the pre-send window's entry barrier.
+const KINDS: [(&str, Constructor); 2] =
+    [("stache", MachineConfig::stache), ("predictive", MachineConfig::predictive)];
 
 /// A machine constructor: `(nodes, block size)` to configuration.
 type Constructor = fn(usize, usize) -> MachineConfig;

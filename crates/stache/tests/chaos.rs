@@ -12,9 +12,9 @@
 //! whole-machine coherence check — i.e. results are bit-equal to a
 //! fault-free run.
 //!
-//! All tests use [`FifoMode::Preserving`] delays: Stache's grant/recall
-//! ordering requires point-to-point FIFO (see `faults.rs` for the tests
-//! that document what the `Violating` discipline breaks).
+//! Injected delays keep point-to-point FIFO (a delayed message stalls its
+//! whole link, `prescient_tempest::faults`): Stache's grant/recall
+//! ordering requires it, and the fabric guarantees it.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -93,11 +93,6 @@ impl VBarrier {
         }
     }
 
-    /// Number of participants.
-    pub fn parties(&self) -> usize {
-        self.n
-    }
-
     /// Episodes released so far.
     pub fn episodes(&self) -> u64 {
         lock(&self.inner).generation

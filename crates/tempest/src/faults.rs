@@ -8,18 +8,12 @@
 //! on a link still depends on thread interleaving — the plan makes the
 //! adversary deterministic, not the execution.
 //!
-//! Two delay disciplines are supported (the distinction the chaos tests use
-//! to document each protocol's ordering requirements):
-//!
-//! * [`FifoMode::Preserving`] — a delayed message stalls the *whole link*:
-//!   later messages on the same link queue behind it, so point-to-point
-//!   FIFO order is preserved. Duplicates are delivered back-to-back.
-//!   Stache's directory protocol tolerates this mode (plus drops and
-//!   duplicates) given the seqno/retry machinery in `prescient-stache`.
-//! * [`FifoMode::Violating`] — a delayed message is held *individually*
-//!   while later messages overtake it. This breaks the point-to-point FIFO
-//!   guarantee Stache's grant/recall ordering relies on; it exists so tests
-//!   can demonstrate which invariants the protocol actually needs.
+//! A delayed message stalls its *whole link*: later messages on the same
+//! link queue behind it, so the fabric's point-to-point FIFO order, which
+//! Stache's grant/recall ordering relies on, holds under every plan.
+//! Duplicates are delivered back-to-back. Stache's directory protocol
+//! tolerates delays, drops and duplicates given the seqno/retry machinery
+//! in `prescient-stache`.
 //!
 //! Delays are measured in subsequent *send events on the same link*: a
 //! message delayed by `k` is released once `k` further sends hit that link.
@@ -96,11 +90,6 @@ impl PartitionSpec {
         PartitionSpec { scope: PartitionScope::All, from_event: 0, until_event: u64::MAX }
     }
 
-    /// Isolate one node for the whole run.
-    pub fn isolate(node: u16) -> PartitionSpec {
-        PartitionSpec { scope: PartitionScope::Node(node), from_event: 0, until_event: u64::MAX }
-    }
-
     /// Restrict the window to `[from, until)` per-link send events.
     pub fn during(mut self, from: u64, until: u64) -> PartitionSpec {
         self.from_event = from;
@@ -151,15 +140,6 @@ impl CrashPlan {
     }
 }
 
-/// Ordering discipline of injected delays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FifoMode {
-    /// A delayed message stalls its whole link; point-to-point FIFO holds.
-    Preserving,
-    /// A delayed message is overtaken by later ones; FIFO is violated.
-    Violating,
-}
-
 /// A seeded, deterministic description of the faults to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -167,14 +147,13 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability (per mille) that a message is delayed.
     pub delay_per_mille: u16,
-    /// Maximum delay, in subsequent send events on the same link.
+    /// Maximum delay, in subsequent send events on the same link; the
+    /// link stalls behind a delayed message until then.
     pub max_delay: u32,
     /// Probability (per mille) that a message is duplicated.
     pub dup_per_mille: u16,
     /// Probability (per mille) that a message is dropped.
     pub drop_per_mille: u16,
-    /// Delay ordering discipline.
-    pub fifo: FifoMode,
     /// Optional link partition: severed links drop every message inside
     /// the event window.
     pub partition: Option<PartitionSpec>,
@@ -189,12 +168,11 @@ impl FaultPlan {
             max_delay: 0,
             dup_per_mille: 0,
             drop_per_mille: 0,
-            fifo: FifoMode::Preserving,
             partition: None,
         }
     }
 
-    /// The default chaos mix: FIFO-preserving delays, duplicates, and drops.
+    /// The default chaos mix: delays, duplicates, and drops.
     pub fn chaos(seed: u64) -> FaultPlan {
         FaultPlan::new(seed).delaying(100, 3).duplicating(60).dropping(25)
     }
@@ -216,12 +194,6 @@ impl FaultPlan {
     /// Drop messages with the given probability.
     pub fn dropping(mut self, per_mille: u16) -> FaultPlan {
         self.drop_per_mille = per_mille;
-        self
-    }
-
-    /// Switch delays to the FIFO-violating discipline.
-    pub fn fifo_violating(mut self) -> FaultPlan {
-        self.fifo = FifoMode::Violating;
         self
     }
 
@@ -296,12 +268,10 @@ struct Link<M> {
     rng: SplitMix64,
     /// Send events seen on this link.
     events: u64,
-    /// FIFO-preserving mode: event count until which the link is stalled.
+    /// Event count until which the link is stalled.
     stall_until: u64,
-    /// Held messages. In `Preserving` mode the per-entry release event is
-    /// unused (the whole queue releases at `stall_until`); in `Violating`
-    /// mode each entry carries its own release event.
-    held: VecDeque<(u64, Envelope<M>)>,
+    /// Held messages, in send order; all release at `stall_until`.
+    held: VecDeque<Envelope<M>>,
 }
 
 /// The fault layer of one fabric: per-link decision streams, held traffic,
@@ -381,14 +351,8 @@ impl<M: Clone> FaultState<M> {
                     u64::from(dst),
                     pack_counts(FATE_DELAY, u64::from(k)),
                 );
-                let release = l.events + u64::from(k);
-                match self.plan.fifo {
-                    FifoMode::Preserving => {
-                        l.stall_until = l.stall_until.max(release);
-                        l.held.push_back((0, env));
-                    }
-                    FifoMode::Violating => l.held.push_back((release, env)),
-                }
+                l.stall_until = l.stall_until.max(l.events + u64::from(k));
+                l.held.push_back(env);
             }
             d @ (Decision::Deliver | Decision::Duplicate) => {
                 let dup = d == Decision::Duplicate;
@@ -396,14 +360,13 @@ impl<M: Clone> FaultState<M> {
                     lf.count_duplicated();
                     tracer.emit(EventKind::FaultInject, u64::from(dst), pack_counts(FATE_DUP, 0));
                 }
-                // While the link is stalled in FIFO-preserving mode, even
-                // undelayed messages must queue behind the held ones.
-                let stalled = self.plan.fifo == FifoMode::Preserving && !l.held.is_empty();
-                if stalled {
+                // While the link is stalled, even undelayed messages must
+                // queue behind the held ones.
+                if !l.held.is_empty() {
                     if dup {
-                        l.held.push_back((0, env.clone()));
+                        l.held.push_back(env.clone());
                     }
-                    l.held.push_back((0, env));
+                    l.held.push_back(env);
                 } else {
                     if dup {
                         deliver(env.clone());
@@ -414,28 +377,11 @@ impl<M: Clone> FaultState<M> {
         }
         // Release whatever is due.
         let mut released = 0u64;
-        match self.plan.fifo {
-            FifoMode::Preserving => {
-                if l.events >= l.stall_until {
-                    while let Some((_, e)) = l.held.pop_front() {
-                        lf.count_released();
-                        released += 1;
-                        deliver(e);
-                    }
-                }
-            }
-            FifoMode::Violating => {
-                let mut i = 0;
-                while i < l.held.len() {
-                    if l.held[i].0 <= l.events {
-                        let (_, e) = l.held.remove(i).expect("index in bounds");
-                        lf.count_released();
-                        released += 1;
-                        deliver(e);
-                    } else {
-                        i += 1;
-                    }
-                }
+        if l.events >= l.stall_until {
+            while let Some(e) = l.held.pop_front() {
+                lf.count_released();
+                released += 1;
+                deliver(e);
             }
         }
         if released > 0 {
@@ -511,15 +457,6 @@ mod tests {
         let mut sorted = dedup.clone();
         sorted.sort_unstable();
         assert_eq!(dedup, sorted, "FIFO-preserving delivery must stay ordered");
-    }
-
-    #[test]
-    fn violating_mode_reorders() {
-        let plan = FaultPlan::new(5).delaying(400, 6).fifo_violating();
-        let out = run_plan(plan, 1000);
-        let mut sorted = out.clone();
-        sorted.sort_unstable();
-        assert_ne!(out, sorted, "expected at least one overtake");
     }
 
     #[test]

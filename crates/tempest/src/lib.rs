@@ -56,7 +56,7 @@ pub use fabric::{
     BatchConfig, ChannelTransport, Endpoint, Envelope, Fabric, FabricCtl, ShardEndpoint, Transport,
     TryRecv, Undeliverable, WireBatch, WirePayload,
 };
-pub use faults::{CrashPlan, FaultHook, FaultPlan, FifoMode, PartitionScope, PartitionSpec};
+pub use faults::{CrashPlan, FaultHook, FaultPlan, PartitionScope, PartitionSpec};
 pub use layout::{GlobalLayout, HomeMap, HomeView};
 pub use mem::{Fault, MemCheckpoint, MemError, NodeMem};
 pub use metrics::{LatencyHist, MetricsConfig, MetricsHub, PhaseRecord};

@@ -177,7 +177,7 @@ fn batched_faulty_fabric_keeps_per_link_fifo() {
                 per_src[(env.msg >> 32) as usize].push(env.msg & 0xffff_ffff);
             }
             for stream in &mut per_src {
-                // Preserving mode delivers duplicates back-to-back on
+                // The fault layer delivers duplicates back-to-back on
                 // their link, so collapsing adjacent repeats leaves the
                 // surviving sends, which must still be in send order.
                 stream.dedup();
