@@ -32,7 +32,7 @@ pub struct Cluster {
     pub nodes: Vec<Node>,
     /// A barrier for all of `nodes`.
     pub barrier: VBarrier,
-    /// Per-link fault counters, when built with an active fault plan.
+    /// The fabric's fault counters, when built with an active fault plan.
     pub faults: Option<Arc<FaultStats>>,
 }
 

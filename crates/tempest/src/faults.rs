@@ -298,7 +298,7 @@ impl<M: Clone> FaultState<M> {
                 held: VecDeque::new(),
             }));
         }
-        FaultState { plan, n, links, stats: Arc::new(FaultStats::new(n)) }
+        FaultState { plan, n, links, stats: Arc::default() }
     }
 
     /// The plan this layer was built with.
@@ -306,7 +306,7 @@ impl<M: Clone> FaultState<M> {
         self.plan
     }
 
-    /// Per-link fault counters.
+    /// The fabric's fault counters.
     pub fn stats(&self) -> &Arc<FaultStats> {
         &self.stats
     }
@@ -324,7 +324,6 @@ impl<M: Clone> FaultState<M> {
         }
         let dst = env.dst;
         let idx = env.src as usize * self.n + dst as usize;
-        let lf = self.stats.link(env.src, dst);
         let mut l = lock(&self.links[idx]);
         l.events += 1;
         // Partition windows override the probabilistic fates: a severed
@@ -334,18 +333,18 @@ impl<M: Clone> FaultState<M> {
         if let Some(p) = &self.plan.partition {
             if p.active(env.src, dst, l.events - 1) {
                 let _ = decide(&mut l.rng, &self.plan);
-                lf.count_dropped();
+                self.stats.count_dropped();
                 tracer.emit(EventKind::FaultInject, u64::from(dst), pack_counts(FATE_PARTITION, 0));
                 return;
             }
         }
         match decide(&mut l.rng, &self.plan) {
             Decision::Drop => {
-                lf.count_dropped();
+                self.stats.count_dropped();
                 tracer.emit(EventKind::FaultInject, u64::from(dst), pack_counts(FATE_DROP, 0));
             }
             Decision::Delay(k) => {
-                lf.count_delayed();
+                self.stats.count_delayed();
                 tracer.emit(
                     EventKind::FaultInject,
                     u64::from(dst),
@@ -357,7 +356,7 @@ impl<M: Clone> FaultState<M> {
             d @ (Decision::Deliver | Decision::Duplicate) => {
                 let dup = d == Decision::Duplicate;
                 if dup {
-                    lf.count_duplicated();
+                    self.stats.count_duplicated();
                     tracer.emit(EventKind::FaultInject, u64::from(dst), pack_counts(FATE_DUP, 0));
                 }
                 // While the link is stalled, even undelayed messages must
@@ -379,7 +378,7 @@ impl<M: Clone> FaultState<M> {
         let mut released = 0u64;
         if l.events >= l.stall_until {
             while let Some(e) = l.held.pop_front() {
-                lf.count_released();
+                self.stats.count_released();
                 released += 1;
                 deliver(e);
             }
@@ -467,7 +466,7 @@ mod tests {
         for i in 0..1000 {
             fs.process(env(0, 1, i), &Tracer::off(), &mut |e| out.push(e.msg));
         }
-        let dropped = fs.stats().link(0, 1).snapshot().dropped;
+        let dropped = fs.stats().total().dropped;
         assert!(dropped > 300, "a 50% drop rate must drop plenty, got {dropped}");
         assert_eq!(out.len() as u64, 1000 - dropped);
     }
@@ -533,7 +532,7 @@ mod tests {
         for i in 0..20 {
             fs.process(env(0, 1, i), &Tracer::off(), &mut |e| out.push(e.msg));
         }
-        let s = fs.stats().link(0, 1).snapshot();
+        let s = fs.stats().total();
         assert!(s.delayed > s.released, "fixture needs messages still held");
         fs.purge();
         // New traffic flows without flushing stale holds first.
@@ -552,14 +551,14 @@ mod tests {
         for i in 0..200 {
             fs.process(env(0, 1, i), &Tracer::off(), &mut |e| out.push(e.msg));
         }
-        let s = fs.stats().link(0, 1).snapshot();
+        let s = fs.stats().total();
         assert!(s.delayed > 0);
         // Everything delayed so far has either been released or is still
         // held awaiting further traffic; pushing more traffic flushes it.
         for i in 200..400 {
             fs.process(env(0, 1, i), &Tracer::off(), &mut |e| out.push(e.msg));
         }
-        let s = fs.stats().link(0, 1).snapshot();
+        let s = fs.stats().total();
         assert!(s.released >= s.delayed.saturating_sub(3), "stalls must flush under traffic");
     }
 }

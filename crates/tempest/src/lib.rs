@@ -16,7 +16,8 @@
 //!   our explicit check is the identical mechanism),
 //! * **messaging** between nodes ([`fabric`]), playing the role of the CM-5
 //!   data network; a message's payload is interpreted by the receiving
-//!   node's protocol handler thread, mirroring Tempest active messages,
+//!   node's protocol handler, which runs on that node's one thread,
+//!   mirroring Tempest active messages,
 //! * per-node **block storage** ([`mem`]) backing both home memory and the
 //!   remote-block cache (the "stache" region),
 //! * a deterministic **virtual-time cost model** ([`cost`]) that converts

@@ -1,17 +1,15 @@
-//! Per-node event counters, per-link fault counters, and the execution-time
-//! breakdown.
+//! Per-node event counters, the fabric's fault counters, and the
+//! execution-time breakdown.
 //!
 //! The paper's performance graphs (Figures 5–7) split each bar into three
 //! sections: *remote data wait*, *predictive protocol* (pre-send phase), and
 //! *compute + synch*. [`TimeBreakdown`] carries exactly those sections (with
 //! compute and synch kept separate so the synchronization effect in §5.1 can
 //! be observed); [`NodeStats`] counts the underlying protocol events.
-//! [`FaultStats`] counts, per (src, dst) link, what the fabric's fault layer
-//! (`crate::faults`) did to traffic.
+//! [`FaultStats`] counts what the fabric's fault layer (`crate::faults`) did
+//! to traffic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::NodeId;
 
 /// Declares the counter vocabulary once: [`NodeStats`] (live atomics),
 /// [`StatsSnapshot`] (plain values) and everything that walks the two in
@@ -235,16 +233,17 @@ impl StatsSnapshot {
     }
 }
 
-/// Fault counters for one (src, dst) link of the fabric.
+/// What the fabric's fault layer did to traffic, summed over every link:
+/// one set per fabric, bumped on every faulted envelope.
 #[derive(Debug, Default)]
-pub struct LinkFaults {
+pub struct FaultStats {
     delayed: AtomicU64,
     duplicated: AtomicU64,
     dropped: AtomicU64,
     released: AtomicU64,
 }
 
-impl LinkFaults {
+impl FaultStats {
     /// Count one delayed message.
     pub fn count_delayed(&self) {
         self.delayed.fetch_add(1, Ordering::Relaxed);
@@ -260,14 +259,14 @@ impl LinkFaults {
         self.dropped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one held message released back onto the link.
+    /// Count one held message released back onto its link.
     pub fn count_released(&self) {
         self.released.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Plain-value copy of the counters.
-    pub fn snapshot(&self) -> LinkFaultsSnapshot {
-        LinkFaultsSnapshot {
+    pub fn total(&self) -> FaultCounts {
+        FaultCounts {
             delayed: self.delayed.load(Ordering::Relaxed),
             duplicated: self.duplicated.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
@@ -276,57 +275,16 @@ impl LinkFaults {
     }
 }
 
-/// Plain-value copy of [`LinkFaults`]. Messages held by a stalled link at
+/// Plain-value copy of [`FaultStats`]. Messages held by a stalled link at
 /// teardown show up as `delayed - released` (plus any message queued behind
 /// them, which is also counted as released when the stall flushes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub struct LinkFaultsSnapshot {
+pub struct FaultCounts {
     pub delayed: u64,
     pub duplicated: u64,
     pub dropped: u64,
     pub released: u64,
-}
-
-impl LinkFaultsSnapshot {
-    /// Element-wise sum.
-    pub fn merge(&self, o: &LinkFaultsSnapshot) -> LinkFaultsSnapshot {
-        LinkFaultsSnapshot {
-            delayed: self.delayed + o.delayed,
-            duplicated: self.duplicated + o.duplicated,
-            dropped: self.dropped + o.dropped,
-            released: self.released + o.released,
-        }
-    }
-}
-
-/// Per-link fault counters for a whole fabric (row-major: `src * n + dst`).
-#[derive(Debug)]
-pub struct FaultStats {
-    n: usize,
-    links: Vec<LinkFaults>,
-}
-
-impl FaultStats {
-    /// Zeroed counters for an `n`-node fabric.
-    pub fn new(n: usize) -> FaultStats {
-        FaultStats { n, links: (0..n * n).map(|_| LinkFaults::default()).collect() }
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.n
-    }
-
-    /// Counters of the (src, dst) link.
-    pub fn link(&self, src: NodeId, dst: NodeId) -> &LinkFaults {
-        &self.links[src as usize * self.n + dst as usize]
-    }
-
-    /// Sum over all links.
-    pub fn total(&self) -> LinkFaultsSnapshot {
-        self.links.iter().fold(LinkFaultsSnapshot::default(), |acc, l| acc.merge(&l.snapshot()))
-    }
 }
 
 /// Wire-level transport counters of one fabric: how many [`WireBatch`]es
@@ -524,15 +482,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_stats_per_link() {
-        let f = FaultStats::new(3);
-        f.link(0, 1).count_dropped();
-        f.link(0, 1).count_dropped();
-        f.link(2, 0).count_delayed();
-        assert_eq!(f.link(0, 1).snapshot().dropped, 2);
-        assert_eq!(f.link(1, 0).snapshot().dropped, 0);
+    fn fault_stats_count_each_fault_once() {
+        let f = FaultStats::default();
+        f.count_dropped();
+        f.count_dropped();
+        f.count_delayed();
         let t = f.total();
-        assert_eq!((t.dropped, t.delayed), (2, 1));
+        assert_eq!((t.dropped, t.delayed, t.duplicated, t.released), (2, 1, 0, 0));
     }
 
     #[test]

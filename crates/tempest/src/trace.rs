@@ -14,10 +14,12 @@
 //!
 //! * **One fixed-capacity ring per node** ([`TraceRing`]): a power-of-two
 //!   array of 5-word slots written lock-free (slots are claimed with one
-//!   `fetch_add`; at most the node's two threads — compute and protocol
-//!   handler — ever write). When the ring wraps, the oldest events are
-//!   overwritten and counted as dropped; tracing is a flight recorder, not
-//!   a reliable log.
+//!   `fetch_add`). A node's own thread writes its ring, for its program
+//!   and its protocol handlers alike; the only other emitter is the
+//!   watchdog, whose `WatchdogFire` lands on node 0's ring after the
+//!   watchdog has declared the machine dead. When the ring wraps, the
+//!   oldest events are overwritten and counted as dropped; tracing is a
+//!   flight recorder, not a reliable log.
 //! * **Zero-cost when disabled**: the [`Tracer`] handle is an
 //!   `Option`-like wrapper; every emission site is one branch on a
 //!   never-taken pointer when tracing is off, and the disabled tracer
@@ -31,9 +33,10 @@
 //!   vtime of the program activity they interleave with, which is exactly
 //!   the resolution the per-phase analyses need.
 //! * **Quiescent drain**: rings are read only when the machine is idle
-//!   (between runs or at teardown). A torn slot — possible only when the
-//!   ring wrapped *and* both threads raced the same slot — is detected by
-//!   its sequence tag and skipped.
+//!   (between runs or at teardown). A torn slot — possible only when
+//!   node 0's ring wrapped *and* the watchdog's `WatchdogFire` raced node
+//!   0's thread for the same slot — is detected by its sequence tag and
+//!   skipped.
 //!
 //! Enabling: [`TraceConfig`] on the machine configuration, or the
 //! `PRESCIENT_TRACE` environment variable (`1`/`on` for the default
