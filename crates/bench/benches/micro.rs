@@ -43,7 +43,13 @@
 //! * `fabric/*` — the raw wire: a 256-message burst sent one envelope per
 //!   wire op (`send_single`, the pre-batching behavior) vs. packed into
 //!   wire batches (`send_batched`), and the receive-side batch drain in
-//!   isolation (`drain`).
+//!   isolation (`drain`);
+//! * `telemetry/*` — the teardown exports at the repo benchmark's
+//!   `adaptive_observed` shape, written into a sink that only counts:
+//!   `chrome_export` and `jsonl_export` one iteration all 32 × 4 096
+//!   merged trace events, `timeline_export` the timeline of 19 296
+//!   phase records; `record_json` is one record's stream line, the
+//!   benchmark's `metrics.record_json_ns` probe.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -515,6 +521,96 @@ fn bench_fabric(c: &mut Timer) {
     }
 }
 
+fn bench_telemetry(c: &mut Timer) {
+    use prescient_runtime::RunTimeline;
+    use prescient_tempest::trace::{write_chrome_json, write_jsonl, EventKind, TraceEvent};
+    use prescient_tempest::{LatencyHist, PhaseRecord, TimeBreakdown, WireSnapshot};
+
+    /// A sink that keeps nothing: the benches time the writers alone.
+    struct Count(usize);
+    impl std::fmt::Write for Count {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+
+    // Each node's events open and close spans in program order: a phase
+    // around faults, messages, a wire flush and a barrier.
+    const CYCLE: [EventKind; 9] = [
+        EventKind::PhaseBegin,
+        EventKind::FaultBegin,
+        EventKind::MsgSend,
+        EventKind::MsgRecv,
+        EventKind::FaultEnd,
+        EventKind::WireFlush,
+        EventKind::BarrierEnter,
+        EventKind::BarrierExit,
+        EventKind::PhaseEnd,
+    ];
+    let (nodes, per_node) = (32u64, 4096u64);
+    let events: Vec<TraceEvent> = (0..nodes * per_node)
+        .map(|i| {
+            let (node, seq) = (i % nodes, i / nodes);
+            TraceEvent {
+                node: node as u16,
+                seq,
+                t_ns: seq * 1_733 + node * 11,
+                phase: (seq / CYCLE.len() as u64 % 3) as u32 + 1,
+                kind: CYCLE[seq as usize % CYCLE.len()],
+                a: seq * 64,
+                b: node,
+            }
+        })
+        .collect();
+    c.bench_function("telemetry/chrome_export", |b| {
+        b.iter(|| write_chrome_json(&events, Count(0)).0)
+    });
+    c.bench_function("telemetry/jsonl_export", |b| b.iter(|| write_jsonl(&events, Count(0)).0));
+
+    let records: Vec<PhaseRecord> = (0..19_296u64)
+        .map(|i| {
+            let (node, cut) = (i % nodes, i / nodes);
+            let mut stats = prescient_tempest::stats::StatsSnapshot::default();
+            for (k, (_, v)) in stats.fields_mut().into_iter().enumerate() {
+                *v = (cut * 31 + k as u64 * 7) % 5000;
+            }
+            let mut fetch = LatencyHist::default();
+            (0..8).for_each(|k| fetch.record(900 + k * 300 + cut));
+            PhaseRecord {
+                node: node as u16,
+                seq: cut,
+                run: 2,
+                phase: (cut % 3) as u32,
+                iter: cut / 3,
+                version: cut,
+                vtime: TimeBreakdown {
+                    compute_ns: 40_000 + cut,
+                    wait_ns: 9_000,
+                    presend_ns: 700,
+                    synch_ns: 1_200,
+                },
+                stats,
+                fetch,
+                wire: (node == 0).then_some(WireSnapshot {
+                    batches: 40,
+                    envelopes: 90,
+                    hist: [5; 8],
+                }),
+            }
+        })
+        .collect();
+    let mut i = 0usize;
+    c.bench_function("telemetry/record_json", |b| {
+        b.iter(|| {
+            i = (i + 1) % records.len();
+            records[i].to_json_line()
+        })
+    });
+    let timeline = RunTimeline::new(nodes as usize, records);
+    c.bench_function("telemetry/timeline_export", |b| b.iter(|| timeline.write_json(Count(0)).0));
+}
+
 /// One sample: `iters` runs of the routine and the time they took.
 struct Bencher {
     iters: u64,
@@ -583,7 +679,7 @@ fn main() {
         samples: if quick { 3 } else { 10 },
         sample_time: Duration::from_millis(if quick { 20 } else { 200 }),
     };
-    let groups: [fn(&mut Timer); 12] = [
+    let groups: [fn(&mut Timer); 13] = [
         bench_remote_miss,
         bench_producer_consumer,
         bench_presend,
@@ -596,6 +692,7 @@ fn main() {
         bench_ctx,
         bench_agg,
         bench_fabric,
+        bench_telemetry,
     ];
     groups.iter().for_each(|group| group(&mut c));
 }

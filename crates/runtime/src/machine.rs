@@ -1,6 +1,7 @@
 //! The emulated machine: node assembly, SPMD execution, reduction scratch.
 
 use std::fs::File;
+use std::io::{self, BufRead, BufReader};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -14,8 +15,8 @@ use prescient_tempest::json::{IoSink, Writer};
 use prescient_tempest::sync::{lock, try_lock};
 use prescient_tempest::trace::{merge, to_jsonl, write_chrome_json, write_jsonl};
 use prescient_tempest::{
-    Aborted, GAddr, GlobalLayout, HomeMap, HomeView, MetricsHub, NodeId, TraceEvent, Tracer,
-    VBarrier,
+    Aborted, GAddr, GlobalLayout, HomeMap, HomeView, MetricsHub, NodeId, PhaseRecord, TraceEvent,
+    Tracer, VBarrier,
 };
 
 use crate::config::{MachineConfig, PlacementSpec, ProtocolKind};
@@ -23,7 +24,7 @@ use crate::ctx::{CtxInit, MetricsInit, NodeCtx};
 use crate::recovery::{
     CheckpointStore, ErrorSlot, FailureKind, MachineError, NodeErrorState, RecoveryCtl, Watchdog,
 };
-use crate::report::{NodeReport, RunReport, RunTimeline};
+use crate::report::{NodeReport, PhaseFold, PhaseGroup, RunReport, RunTimeline};
 
 /// Scratch space for runtime reductions (a C\*\* language feature, handled
 /// outside the coherence protocol — §1 notes reductions are not a
@@ -121,7 +122,7 @@ pub struct Machine {
 /// configured), and the machine-lifetime run counter.
 struct MetricsRt {
     hub: Arc<MetricsHub>,
-    publisher: Option<JoinHandle<()>>,
+    publisher: Option<JoinHandle<io::Result<Vec<PhaseGroup>>>>,
     runs: u64,
 }
 
@@ -181,28 +182,10 @@ impl Machine {
                 let file = File::create(path).unwrap_or_else(|e| {
                     panic!("PRESCIENT_METRICS: cannot open stream file {path:?}: {e}")
                 });
-                let mut lines = Writer::new(IoSink::new(file), 0);
                 let hub = Arc::clone(&hub);
                 std::thread::Builder::new()
                     .name("metrics-pub".into())
-                    .spawn(move || {
-                        let mut seen = 0;
-                        loop {
-                            let (batch, closed) = hub.wait_more(seen);
-                            seen += batch.len();
-                            for r in &batch {
-                                r.write_json(&mut lines);
-                                lines.newline();
-                            }
-                            // Flush per batch, not per line: a follower
-                            // sees whole records, and the run is never
-                            // blocked on the file (the hub buffers).
-                            lines.sink().flush();
-                            if closed && batch.is_empty() {
-                                return;
-                            }
-                        }
-                    })
+                    .spawn(move || publish(&hub, IoSink::new(file)))
                     .expect("spawn metrics publisher thread")
             });
             Some(MetricsRt { hub, publisher, runs: 0 })
@@ -234,8 +217,7 @@ impl Machine {
     /// non-destructive, so calling this does not disturb the teardown
     /// export.
     pub fn trace_events(&self) -> (Vec<TraceEvent>, u64) {
-        let dumps: Vec<_> = self.tracers.iter().filter_map(|t| t.drain()).collect();
-        merge(dumps)
+        merge(&self.tracers)
     }
 
     /// The machine's configuration.
@@ -499,8 +481,33 @@ impl Machine {
     /// `None` when metrics are off. Callable mid-run (the hub is live) —
     /// but only records already cut are included; call between runs for a
     /// consistent picture.
+    ///
+    /// A streamed machine holds no record it has written: this waits until
+    /// the publisher has written every record cut so far, then reads the
+    /// stream back. A stream that cannot be read, or holds fewer records
+    /// than were cut (a write failed), panics naming the file.
     pub fn timeline(&self) -> Option<RunTimeline> {
-        self.metrics.as_ref().map(|m| RunTimeline::new(self.cfg.nodes, m.hub.snapshot()))
+        let m = self.metrics.as_ref()?;
+        let Some(stream) = &self.cfg.metrics.stream else {
+            return Some(RunTimeline::new(self.cfg.nodes, m.hub.snapshot()));
+        };
+        let cut = m.hub.wait_written();
+        let records = File::open(stream)
+            .map_err(|e| e.to_string())
+            .and_then(|f| {
+                BufReader::new(f)
+                    .lines()
+                    .map(|line| PhaseRecord::parse_line(&line.map_err(|e| e.to_string())?))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .unwrap_or_else(|e| panic!("metrics stream {stream:?}: {e}"));
+        assert_eq!(
+            records.len() as u64,
+            cut,
+            "metrics stream {stream:?} holds {} of the {cut} records cut",
+            records.len()
+        );
+        Some(RunTimeline::new(self.cfg.nodes, records))
     }
 
     /// Assemble the structured death report: the failure, every node's
@@ -555,26 +562,53 @@ impl Drop for Machine {
                 eprintln!("prescient: trace export to {base}.json[l] failed: {e}");
             }
         }
-        // Metrics teardown: close the hub (the publisher drains its tail
-        // and exits), then merge every node's series into the RunTimeline
-        // JSON next to the stream file. An in-memory machine exports
-        // nothing (its user holds `Machine::timeline`).
+        // Metrics teardown: close the hub (the publisher writes its tail
+        // and exits), then splice the RunTimeline JSON next to the stream
+        // file from the stream's lines and the phase groups the publisher
+        // folded. An in-memory machine exports nothing (its user holds
+        // `Machine::timeline`).
         if let Some(m) = self.metrics.as_mut() {
             m.hub.close();
-            if let Some(p) = m.publisher.take() {
-                let _ = p.join();
-            }
-            if let Some(path) =
-                self.cfg.metrics.stream.as_ref().map(|p| format!("{p}.timeline.json"))
-            {
-                let tl = RunTimeline::new(self.cfg.nodes, m.hub.take());
-                let written =
-                    File::create(&path).and_then(|f| tl.write_json(IoSink::new(f)).finish());
+            if let (Some(p), Some(stream)) = (m.publisher.take(), &self.cfg.metrics.stream) {
+                let path = format!("{stream}.timeline.json");
+                let written = p
+                    .join()
+                    .unwrap_or_else(|_| Err(io::Error::other("the publisher panicked")))
+                    .map_err(|e| io::Error::new(e.kind(), format!("writing {stream}: {e}")))
+                    .and_then(|groups| {
+                        let lines = BufReader::new(File::open(stream)?);
+                        let out = IoSink::new(File::create(&path)?);
+                        RunTimeline::splice(self.cfg.nodes, lines, &groups, out)?.finish()
+                    });
                 if let Err(e) = written {
-                    eprintln!("prescient: metrics timeline export to {path} failed: {e}");
+                    // A timeline cut short must not pass for a whole run:
+                    // none at all, not even an older one.
+                    let _ = std::fs::remove_file(&path);
+                    eprintln!("prescient: metrics timeline {path} not written: {e}");
                 }
             }
         }
+    }
+}
+
+/// A streamed machine's metrics publisher: writes every record the hub
+/// queues as one stream line and folds it into its phase group for the
+/// teardown timeline. It flushes once per batch, not per line: a follower
+/// sees whole records, and the run is never blocked on the file (the hub
+/// queues). Returns the groups, or the first error writing the stream.
+fn publish<S: io::Write>(hub: &MetricsHub, sink: IoSink<S>) -> io::Result<Vec<PhaseGroup>> {
+    let mut lines = Writer::new(sink, 0);
+    let (mut batch, mut fold) = (Vec::new(), PhaseFold::default());
+    loop {
+        if hub.wait_more(&mut batch) && batch.is_empty() {
+            return lines.finish().finish().map(|()| fold.finish());
+        }
+        for r in batch.drain(..) {
+            r.write_json(&mut lines);
+            lines.newline();
+            fold.add(&r);
+        }
+        lines.sink().flush();
     }
 }
 
@@ -642,6 +676,55 @@ mod tests {
 
     fn cfg(nodes: usize) -> MachineConfig {
         MachineConfig::stache(nodes, 64)
+    }
+
+    fn record(node: NodeId, seq: u64, phase: u32) -> PhaseRecord {
+        PhaseRecord {
+            node,
+            seq,
+            run: 1,
+            phase,
+            iter: 0,
+            version: seq,
+            vtime: prescient_tempest::TimeBreakdown { compute_ns: seq, ..Default::default() },
+            stats: Default::default(),
+            fetch: Default::default(),
+            wire: None,
+        }
+    }
+
+    #[test]
+    fn publisher_writes_the_lines_and_folds_the_groups() {
+        let hub = MetricsHub::new();
+        let records = [record(0, 0, 0), record(1, 0, 0), record(0, 1, 3), record(1, 1, 3)];
+        records.iter().for_each(|r| hub.push(r.clone()));
+        hub.close();
+        let mut out = Vec::new();
+        let groups = publish(&hub, IoSink::new(&mut out)).expect("a Vec takes every write");
+        let lines: Vec<String> = records.iter().map(PhaseRecord::to_json_line).collect();
+        assert_eq!(String::from_utf8(out).unwrap(), lines.join("\n") + "\n");
+        let want = RunTimeline::new(2, records.to_vec()).phases();
+        assert_eq!(groups, want);
+        assert_eq!(hub.wait_written(), 4, "nothing left in flight");
+    }
+
+    #[test]
+    fn publisher_returns_the_streams_first_write_error() {
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let hub = MetricsHub::new();
+        hub.push(record(0, 0, 1));
+        hub.close();
+        let err = publish(&hub, IoSink::new(Full)).expect_err("the write error comes back");
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(hub.wait_written(), 1, "a failed publisher still releases its readers");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Run reports: the paper's execution-time breakdown per node and machine.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::io::{self, BufRead};
 use std::time::Duration;
 
 use prescient_tempest::json::{Layout, Writer};
@@ -174,7 +176,7 @@ fn inline_object<W: fmt::Write>(
 
 /// Aggregate of one `(run, phase, iter)` group across the nodes that
 /// reported it: what the machine as a whole did in that phase instance.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseGroup {
     /// 1-based `Machine::run` ordinal.
     pub run: u64,
@@ -199,6 +201,20 @@ pub struct PhaseGroup {
 }
 
 impl PhaseGroup {
+    /// Fold one more per-node record into the group: the one aggregation
+    /// both [`RunTimeline::phases`] and a streamed machine's publisher
+    /// run.
+    pub fn add(&mut self, r: &PhaseRecord) {
+        self.records += 1;
+        self.vtime_ns = self.vtime_ns.max(r.vtime.total_ns());
+        self.vtime = self.vtime.merge(&r.vtime);
+        self.stats = self.stats.merge(&r.stats);
+        self.fetch = self.fetch.merge(&r.fetch);
+        if let Some(w) = &r.wire {
+            self.wire = Some(self.wire.map_or(*w, |acc| acc.merge(w)));
+        }
+    }
+
     /// Bytes moved in this phase instance (the gate metric's per-phase
     /// restriction).
     pub fn bytes_moved(&self) -> u64 {
@@ -226,11 +242,6 @@ impl RunTimeline {
         RunTimeline { nodes, records }
     }
 
-    /// Counter totals over every record.
-    pub fn totals(&self) -> StatsSnapshot {
-        self.records.iter().fold(StatsSnapshot::default(), |acc, r| acc.merge(&r.stats))
-    }
-
     /// The distinct run ordinals present, ascending.
     pub fn runs(&self) -> Vec<u64> {
         let mut rs: Vec<u64> = self.records.iter().map(|r| r.run).collect();
@@ -244,31 +255,9 @@ impl RunTimeline {
     /// the program's phase order — every node pushes its cut for a phase
     /// before any node can cut the next one, barriers being barriers).
     pub fn phases(&self) -> Vec<PhaseGroup> {
-        let mut order: Vec<(u64, u32, u64)> = Vec::new();
-        let mut groups: std::collections::HashMap<(u64, u32, u64), PhaseGroup> =
-            std::collections::HashMap::new();
-        for r in &self.records {
-            let key = (r.run, r.phase, r.iter);
-            let g = groups.entry(key).or_insert_with(|| {
-                order.push(key);
-                PhaseGroup { run: r.run, phase: r.phase, iter: r.iter, ..PhaseGroup::default() }
-            });
-            g.records += 1;
-            g.vtime_ns = g.vtime_ns.max(r.vtime.total_ns());
-            g.vtime = g.vtime.merge(&r.vtime);
-            g.stats = g.stats.merge(&r.stats);
-            g.fetch = g.fetch.merge(&r.fetch);
-            if let Some(w) = &r.wire {
-                g.wire = Some(g.wire.map_or(*w, |acc| acc.merge(w)));
-            }
-        }
-        let mut out: Vec<PhaseGroup> = Vec::with_capacity(order.len());
-        let mut keys = order;
-        keys.sort_by_key(|k| k.0); // stable: run order first, appearance within
-        for k in keys {
-            out.push(groups.remove(&k).expect("grouped"));
-        }
-        out
+        let mut fold = PhaseFold::default();
+        self.records.iter().for_each(|r| fold.add(r));
+        fold.finish()
     }
 
     /// Verify the telescoping-sum invariant against a run's report: for
@@ -317,35 +306,107 @@ impl RunTimeline {
     /// `(run, phase, iter)` aggregates under the gate metrics' names, and
     /// the counter totals in the run report's schema.
     pub fn write_json<W: fmt::Write>(&self, out: W) -> W {
-        let mut w = Writer::new(out, 0);
-        w.object(Layout::Lines).key("nodes").uint(self.nodes as u64);
-        w.key("records").array(Layout::Lines);
+        let mut w = open_timeline(out, self.nodes);
         for r in &self.records {
             r.write_json(&mut w);
         }
-        w.end().key("phases").array(Layout::Lines);
-        for g in self.phases() {
-            let wire = g.wire.unwrap_or_default();
-            w.object(Layout::Spaced).key("run").uint(g.run).key("phase").uint(g.phase.into());
-            w.key("iter").uint(g.iter).key("cuts").uint(g.records as u64);
-            w.key("vtime_ns").uint(g.vtime_ns).key("msgs").uint(g.stats.msgs_out);
-            w.key("bytes_moved").uint(g.bytes_moved()).key("blocks_moved").uint(g.blocks_moved());
-            w.key("misses").uint(g.stats.misses());
-            w.key("presend_blocks").uint(g.stats.presend_blocks_out);
-            w.key("presend_useless").uint(g.stats.presend_useless);
-            w.key("fetch_mean_ns").fixed(g.fetch.mean_ns(), 0);
-            w.key("wire_batches").uint(wire.batches);
-            w.key("wire_occupancy").fixed(wire.mean_occupancy(), 2).end();
-        }
-        w.end();
-        inline_object(w.key("totals"), self.totals().fields());
-        w.end().newline();
-        w.finish()
+        close_timeline(w, &self.phases())
     }
 
     /// [`RunTimeline::write_json`] into a fresh string.
     pub fn to_json(&self) -> String {
         self.write_json(String::new())
+    }
+
+    /// What [`RunTimeline::write_json`] writes for the records on the
+    /// lines of `stream`, without holding them: each line is copied
+    /// through as it is, and `groups` are the records' phase groups,
+    /// folded while the stream was written. A stream with another number
+    /// of lines than the groups hold records (rewritten under the
+    /// machine) is an error.
+    pub(crate) fn splice<W: fmt::Write>(
+        nodes: usize,
+        mut stream: impl BufRead,
+        groups: &[PhaseGroup],
+        out: W,
+    ) -> io::Result<W> {
+        let mut w = open_timeline(out, nodes);
+        let (mut line, mut lines) = (String::new(), 0);
+        while stream.read_line(&mut line)? > 0 {
+            w.raw(line.strip_suffix('\n').unwrap_or(&line));
+            line.clear();
+            lines += 1;
+        }
+        let cut: usize = groups.iter().map(|g| g.records).sum();
+        if lines != cut {
+            let why = format!("the stream holds {lines} lines for {cut} records");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, why));
+        }
+        Ok(close_timeline(w, groups))
+    }
+}
+
+/// The timeline document up to its open `records` array.
+fn open_timeline<W: fmt::Write>(out: W, nodes: usize) -> Writer<W> {
+    let mut w = Writer::new(out, 0);
+    w.object(Layout::Lines).key("nodes").uint(nodes as u64);
+    w.key("records").array(Layout::Lines);
+    w
+}
+
+/// The rest of the timeline document once its records are written: the
+/// phase groups, then the counter totals, summed from the groups (every
+/// record is in exactly one).
+fn close_timeline<W: fmt::Write>(mut w: Writer<W>, groups: &[PhaseGroup]) -> W {
+    w.end().key("phases").array(Layout::Lines);
+    for g in groups {
+        let wire = g.wire.unwrap_or_default();
+        w.object(Layout::Spaced).key("run").uint(g.run).key("phase").uint(g.phase.into());
+        w.key("iter").uint(g.iter).key("cuts").uint(g.records as u64);
+        w.key("vtime_ns").uint(g.vtime_ns).key("msgs").uint(g.stats.msgs_out);
+        w.key("bytes_moved").uint(g.bytes_moved()).key("blocks_moved").uint(g.blocks_moved());
+        w.key("misses").uint(g.stats.misses());
+        w.key("presend_blocks").uint(g.stats.presend_blocks_out);
+        w.key("presend_useless").uint(g.stats.presend_useless);
+        w.key("fetch_mean_ns").fixed(g.fetch.mean_ns(), 0);
+        w.key("wire_batches").uint(wire.batches);
+        w.key("wire_occupancy").fixed(wire.mean_occupancy(), 2).end();
+    }
+    w.end();
+    let totals = groups.iter().fold(StatsSnapshot::default(), |acc, g| acc.merge(&g.stats));
+    inline_object(w.key("totals"), totals.fields());
+    w.end().newline();
+    w.finish()
+}
+
+/// Phase groups folded one record at a time, in the order
+/// [`RunTimeline::phases`] returns them.
+#[derive(Default)]
+pub(crate) struct PhaseFold {
+    at: HashMap<(u64, u32, u64), usize>,
+    groups: Vec<PhaseGroup>,
+}
+
+impl PhaseFold {
+    /// Fold `r` into its `(run, phase, iter)` group, opened at the
+    /// group's first record.
+    pub(crate) fn add(&mut self, r: &PhaseRecord) {
+        let i = *self.at.entry((r.run, r.phase, r.iter)).or_insert_with(|| {
+            self.groups.push(PhaseGroup {
+                run: r.run,
+                phase: r.phase,
+                iter: r.iter,
+                ..PhaseGroup::default()
+            });
+            self.groups.len() - 1
+        });
+        self.groups[i].add(r);
+    }
+
+    /// The groups by run, then by first appearance within the run.
+    pub(crate) fn finish(mut self) -> Vec<PhaseGroup> {
+        self.groups.sort_by_key(|g| g.run); // stable
+        self.groups
     }
 }
 
@@ -477,7 +538,7 @@ mod tests {
         // vtime_ns is the max-over-nodes delta, vtime the sum.
         assert_eq!(phases[2].vtime_ns, 30);
         assert_eq!(phases[2].vtime.wait_ns, 45);
-        assert_eq!(t.totals().msgs_out, 20);
+        assert_eq!(phases.iter().map(|g| g.stats.msgs_out).sum::<u64>(), 20);
         assert_eq!(t.runs(), vec![1]);
     }
 
@@ -495,6 +556,18 @@ mod tests {
         assert!(err.contains("msgs_out"), "got: {err}");
         // A run with no records is also a failure, not a vacuous pass.
         assert!(t.reconciles_with(&rep, 9).is_err());
+    }
+
+    #[test]
+    fn splice_writes_the_built_timeline_from_its_stream_and_nothing_else() {
+        let records = vec![rec(0, 0, 0, 0, 1, 10), rec(1, 0, 7, 0, 3, 20), rec(0, 1, 7, 0, 4, 25)];
+        let t = RunTimeline::new(2, records.clone());
+        let stream: String = records.iter().map(|r| r.to_json_line() + "\n").collect();
+        let spliced = RunTimeline::splice(2, stream.as_bytes(), &t.phases(), String::new());
+        assert_eq!(spliced.expect("a whole stream"), t.to_json());
+        let short = &stream[..stream.find('\n').expect("lines") + 1];
+        let err = RunTimeline::splice(2, short.as_bytes(), &t.phases(), String::new());
+        assert!(err.expect_err("one line of three").to_string().contains("1 lines for 3 records"));
     }
 
     #[test]

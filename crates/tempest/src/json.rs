@@ -71,6 +71,22 @@ fn escape_slow<W: Write>(out: &mut W, s: &str) -> fmt::Result {
     out.write_str(rest)
 }
 
+/// The decimal digits of `v`, written into the end of `buf`.
+#[inline(always)]
+pub fn uint_text(v: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    let mut rest = v;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).unwrap_or("0")
+}
+
 /// How one container lays out its members.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
@@ -219,18 +235,17 @@ impl<W: Write> Writer<W> {
     /// instead measured 1.10 of the old `writeln!` where this is 0.97.
     #[inline(always)]
     fn digits(&mut self, v: u64) -> &mut Writer<W> {
-        let mut buf = [b'0'; 20];
-        let mut at = buf.len();
-        let mut rest = v;
-        loop {
-            at -= 1;
-            buf[at] = b'0' + (rest % 10) as u8;
-            rest /= 10;
-            if rest == 0 {
-                break;
-            }
-        }
-        self.put(std::str::from_utf8(&buf[at..]).unwrap_or("0"));
+        self.put(uint_text(v, &mut [0; 20]));
+        self
+    }
+
+    /// A value given as its JSON text (a stream line copied into a
+    /// document, a number formatted by hand): written as it is, with the
+    /// separators of the container it lands in.
+    #[inline(always)]
+    pub fn raw(&mut self, text: &str) -> &mut Writer<W> {
+        self.before_value();
+        self.put(text);
         self
     }
 
@@ -716,6 +731,28 @@ mod tests {
             "{\n  \"a\": 1,\n  \"b\": {\"x\": -2, \"y\": 0.50},\n  \"c\": [\n    \
              {\"k\":\"v\\n\",\"n\":18446744073709551615},\n    []\n  ],\n  \"d\": [\n  ]\n}\n"
         );
+    }
+
+    #[test]
+    fn raw_values_take_the_containers_separators() {
+        let line = {
+            let mut w = Writer::new(String::new(), 0);
+            w.object(Layout::Compact).key("k").uint(1).end();
+            w.finish()
+        };
+        let mut spliced = Writer::new(String::new(), 0);
+        let mut built = Writer::new(String::new(), 0);
+        spliced.object(Layout::Lines).key("rows").array(Layout::Lines);
+        built.object(Layout::Lines).key("rows").array(Layout::Lines);
+        for _ in 0..2 {
+            spliced.raw(&line);
+            built.object(Layout::Compact).key("k").uint(1).end();
+        }
+        spliced.end().end().newline();
+        built.end().end().newline();
+        assert_eq!(spliced.finish(), built.finish());
+        assert_eq!(uint_text(0, &mut [0; 20]), "0");
+        assert_eq!(uint_text(u64::MAX, &mut [0; 20]), "18446744073709551615");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! counters and virtual-time breakdown into a [`PhaseRecord`], and pushes
 //! it into a shared [`MetricsHub`] that a background publisher can drain
 //! *while the run is still going* — as JSONL heartbeats appended to a
-//! stream file (`prescient-telemetry watch` follows it live).
+//! stream file (`prescient-telemetry watch` follows it live). On such a
+//! streamed machine the hub is a queue: a record is held only until the
+//! publisher has written it.
 //!
 //! # Zero perturbation
 //!
@@ -33,7 +35,7 @@
 use std::fmt;
 use std::sync::{Condvar, Mutex};
 
-use crate::json::{self, Json, Layout, Writer};
+use crate::json::{self, uint_text, Json, Layout, Writer};
 use crate::stats::{StatsSnapshot, TimeBreakdown, WireSnapshot};
 use crate::sync::{lock, wait_while};
 use crate::NodeId;
@@ -145,7 +147,7 @@ impl LatencyHist {
     /// Sparse `"bucket:count bucket:count"` encoding of the non-zero
     /// buckets (empty string when no samples).
     pub fn encode(&self) -> String {
-        encode_sparse(&self.counts)
+        encode_sparse(&self.counts, &mut [0; SPARSE_MAX]).to_string()
     }
 
     /// Inverse of [`LatencyHist::encode`]; `sum_ns`/`max_ns` travel as
@@ -157,17 +159,30 @@ impl LatencyHist {
     }
 }
 
-fn encode_sparse(counts: &[u64]) -> String {
-    let mut s = String::new();
+/// Longest sparse encoding of at most [`LatencyHist::NUM_BUCKETS`]
+/// counts: per bucket two index digits, `:`, twenty count digits and a
+/// space.
+const SPARSE_MAX: usize = LatencyHist::NUM_BUCKETS * 24;
+
+/// The sparse encoding of `counts`, built in `buf` (a stream line writes
+/// two of these, so they stay off the heap).
+fn encode_sparse<'b>(counts: &[u64], buf: &'b mut [u8; SPARSE_MAX]) -> &'b str {
+    debug_assert!(counts.len() <= LatencyHist::NUM_BUCKETS);
+    let mut len = 0;
+    let mut put = |text: &str| {
+        buf[len..len + text.len()].copy_from_slice(text.as_bytes());
+        len += text.len();
+    };
+    let mut sep = "";
     for (i, &c) in counts.iter().enumerate() {
         if c > 0 {
-            if !s.is_empty() {
-                s.push(' ');
-            }
-            s.push_str(&format!("{i}:{c}"));
+            put(std::mem::replace(&mut sep, " "));
+            put(uint_text(i as u64, &mut [0; 20]));
+            put(":");
+            put(uint_text(c, &mut [0; 20]));
         }
     }
-    s
+    std::str::from_utf8(&buf[..len]).unwrap_or("")
 }
 
 fn decode_sparse(s: &str, counts: &mut [u64]) -> Result<(), String> {
@@ -237,10 +252,11 @@ impl PhaseRecord {
             w.key(name).uint(v);
         }
         w.key("fetch_sum_ns").uint(self.fetch.sum_ns).key("fetch_max_ns").uint(self.fetch.max_ns);
-        w.key("fetch_hist").str(&self.fetch.encode());
+        let mut hist = [0; SPARSE_MAX];
+        w.key("fetch_hist").str(encode_sparse(&self.fetch.counts, &mut hist));
         if let Some(wire) = &self.wire {
             w.key("wire_batches").uint(wire.batches).key("wire_envelopes").uint(wire.envelopes);
-            w.key("wire_hist").str(&encode_sparse(&wire.hist));
+            w.key("wire_hist").str(encode_sparse(&wire.hist, &mut hist));
         }
         w.end();
     }
@@ -304,18 +320,31 @@ impl PhaseRecord {
 
 #[derive(Default)]
 struct HubState {
+    /// Every record pushed (a keeping hub), or those the drainer has not
+    /// taken yet (a queue).
     records: Vec<PhaseRecord>,
+    /// Records pushed, ever.
+    pushed: u64,
+    /// The drainer holds a batch it has not finished writing.
+    draining: bool,
     closed: bool,
 }
 
-/// The machine-wide collection point: every node pushes its cuts here;
-/// the publisher thread reads from here. Push is a
-/// short uncontended critical section (nodes cut at barriers, so pushes
-/// are naturally staggered by the barrier's wake order).
+/// The machine-wide collection point: every node pushes its cuts here.
+/// Push is a short uncontended critical section (nodes cut at barriers,
+/// so pushes are naturally staggered by the barrier's wake order).
+///
+/// Without a drainer the hub keeps every record (an in-memory machine,
+/// read through [`MetricsHub::snapshot`]). With one — a streamed
+/// machine's publisher, looping on [`MetricsHub::wait_more`] — it is a
+/// queue: a record stays only until the drainer takes it to write.
 #[derive(Default)]
 pub struct MetricsHub {
     state: Mutex<HubState>,
+    /// Records queued, or the hub closed.
     more: Condvar,
+    /// The drainer finished a batch.
+    written: Condvar,
 }
 
 impl MetricsHub {
@@ -324,38 +353,50 @@ impl MetricsHub {
         MetricsHub::default()
     }
 
-    /// Append one record and wake waiting drainers.
+    /// Append one record and wake a waiting drainer.
     pub fn push(&self, r: PhaseRecord) {
-        lock(&self.state).records.push(r);
+        let mut st = lock(&self.state);
+        st.records.push(r);
+        st.pushed += 1;
+        drop(st);
         self.more.notify_all();
     }
 
-    /// Copy of every record pushed so far.
+    /// Copy of every record the hub holds.
     pub fn snapshot(&self) -> Vec<PhaseRecord> {
         lock(&self.state).records.clone()
     }
 
-    /// Move every record out, leaving the hub empty (the teardown export:
-    /// nothing reads the hub after it).
-    pub fn take(&self) -> Vec<PhaseRecord> {
-        std::mem::take(&mut lock(&self.state).records)
-    }
-
-    /// Mark the hub closed (no more records will arrive) and wake every
+    /// Mark the hub closed (no more records will arrive) and wake the
     /// drainer so it can exit.
     pub fn close(&self) {
         lock(&self.state).closed = true;
         self.more.notify_all();
     }
 
-    /// Block until records beyond index `from` exist or the hub closes;
-    /// returns the new records and whether the hub is now closed. A
-    /// closed hub returns immediately (possibly with a final batch), so a
-    /// drain loop terminates once it has seen `(empty, true)`.
-    pub fn wait_more(&self, from: usize) -> (Vec<PhaseRecord>, bool) {
-        let st =
-            wait_while(&self.more, lock(&self.state), |st| st.records.len() <= from && !st.closed);
-        (st.records[from.min(st.records.len())..].to_vec(), st.closed)
+    /// The drainer's side of the queue. Finishes the previous batch (the
+    /// drainer has written it, and `batch` comes back empty), then blocks
+    /// until records are queued or the hub closes, and swaps what is
+    /// queued into `batch`. Returns whether the hub is closed; a closed
+    /// hub with nothing queued returns at once with `batch` empty, so a
+    /// drain loop ends when it sees `(closed, empty)`.
+    pub fn wait_more(&self, batch: &mut Vec<PhaseRecord>) -> bool {
+        debug_assert!(batch.is_empty(), "the previous batch is written");
+        let mut st = lock(&self.state);
+        if std::mem::take(&mut st.draining) {
+            self.written.notify_all();
+        }
+        let mut st = wait_while(&self.more, st, |st| st.records.is_empty() && !st.closed);
+        std::mem::swap(&mut st.records, batch);
+        st.draining = !batch.is_empty();
+        st.closed
+    }
+
+    /// Block until the drainer has written every record queued so far;
+    /// returns how many records were ever pushed.
+    pub fn wait_written(&self) -> u64 {
+        let st = lock(&self.state);
+        wait_while(&self.written, st, |st| !st.records.is_empty() || st.draining).pushed
     }
 }
 
@@ -456,19 +497,36 @@ mod tests {
         let hub = Arc::new(MetricsHub::new());
         let h2 = Arc::clone(&hub);
         let t = std::thread::spawn(move || {
-            let mut seen = 0;
+            let (mut seen, mut batch) = (Vec::new(), Vec::new());
             loop {
-                let (batch, closed) = h2.wait_more(seen);
-                seen += batch.len();
+                let closed = h2.wait_more(&mut batch);
                 if closed && batch.is_empty() {
                     return seen;
                 }
+                seen.append(&mut batch);
             }
         });
         hub.push(sample_record(0, false));
         hub.push(sample_record(1, false));
+        // A reader waits for the drainer, and the queue keeps nothing the
+        // drainer took.
+        assert_eq!(hub.wait_written(), 2);
+        assert!(hub.snapshot().is_empty());
+        hub.push(sample_record(2, false));
         hub.close();
-        assert_eq!(t.join().unwrap(), 2);
-        assert_eq!(hub.take().len(), 2);
+        let seen = t.join().unwrap();
+        assert_eq!(seen.iter().map(|r| r.node).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(hub.wait_written(), 3);
+    }
+
+    #[test]
+    fn sparse_encoding_is_the_formatted_one() {
+        let mut counts = [0u64; LatencyHist::NUM_BUCKETS];
+        assert_eq!(encode_sparse(&counts, &mut [0; SPARSE_MAX]), "");
+        counts.iter_mut().enumerate().for_each(|(i, c)| *c = u64::MAX - i as u64);
+        let want: Vec<String> =
+            counts.iter().enumerate().map(|(i, c)| format!("{i}:{c}")).collect();
+        assert_eq!(encode_sparse(&counts, &mut [0; SPARSE_MAX]), want.join(" "));
+        assert_eq!(encode_sparse(&[0, 5, 0, 1], &mut [0; SPARSE_MAX]), "1:5 3:1");
     }
 }

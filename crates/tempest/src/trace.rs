@@ -41,17 +41,17 @@
 //! Enabling: [`TraceConfig`] on the machine configuration, or the
 //! `PRESCIENT_TRACE` environment variable (`1`/`on` for the default
 //! capacity, an integer > 1 for an explicit per-node event capacity).
-//! Export: [`merge`] the per-node drains, then [`to_jsonl`] (compact
-//! line-per-event dump, the `prescient-telemetry` analyzer's input) and/or
-//! [`to_chrome_json`] (Chrome trace-event JSON, loadable in Perfetto or
-//! `chrome://tracing`, one process per node with semantic tracks).
+//! Export: [`merge`] the rings into one sorted buffer, then [`to_jsonl`]
+//! (compact line-per-event dump, the `prescient-telemetry` analyzer's
+//! input) and/or [`to_chrome_json`] (Chrome trace-event JSON, loadable in
+//! Perfetto or `chrome://tracing`, one process per node with semantic
+//! tracks).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::json::{Json, Layout, Writer};
+use crate::json::{uint_text, Json, Layout, Writer};
 use crate::{NodeId, MAX_NODES};
 
 /// Tracing policy of one machine.
@@ -372,17 +372,22 @@ impl TraceRing {
         slot.tag.store(((seq + 1) << 8) | kind as u64, Ordering::Release);
     }
 
-    /// Read the ring's current contents, oldest first. Non-destructive
-    /// and intended for **quiescent** rings (no concurrent emitters);
-    /// slots whose tag does not match their expected sequence (a write
-    /// torn by ring wrap) are skipped and counted in the returned drop
-    /// total alongside genuinely overwritten events.
-    fn drain(&self, node: NodeId) -> (Vec<TraceEvent>, u64) {
+    /// Events the ring holds: what a drain returns at most.
+    fn held(&self) -> usize {
+        self.head.load(Ordering::Acquire).min(self.slots.len() as u64) as usize
+    }
+
+    /// Append the ring's current contents to `out`, oldest first; returns
+    /// the events lost. Non-destructive and intended for **quiescent**
+    /// rings (no concurrent emitters); slots whose tag does not match
+    /// their expected sequence (a write torn by ring wrap) are skipped and
+    /// counted in the returned drop total alongside genuinely overwritten
+    /// events.
+    fn drain_into(&self, node: NodeId, out: &mut Vec<TraceEvent>) -> u64 {
         let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
         let start = head.saturating_sub(cap);
         let mut dropped = start;
-        let mut out = Vec::with_capacity((head - start) as usize);
         for seq in start..head {
             let slot = &self.slots[(seq & self.mask) as usize];
             let tag = slot.tag.load(Ordering::Acquire);
@@ -405,7 +410,7 @@ impl TraceRing {
                 b: slot.b.load(Ordering::Relaxed),
             });
         }
-        (out, dropped)
+        dropped
     }
 }
 
@@ -524,11 +529,12 @@ impl Tracer {
         }
     }
 
-    /// Read the ring (see `TraceRing::drain` for the quiescence
+    /// Read the ring (see `TraceRing::drain_into` for the quiescence
     /// contract). `None` on a disabled handle.
     pub fn drain(&self) -> Option<TraceDump> {
         self.0.as_ref().map(|s| {
-            let (events, dropped) = s.ring.drain(s.node);
+            let mut events = Vec::with_capacity(s.ring.held());
+            let dropped = s.ring.drain_into(s.node, &mut events);
             TraceDump { node: s.node, events, dropped }
         })
     }
@@ -536,13 +542,16 @@ impl Tracer {
 
 // ---- merge & export -------------------------------------------------------
 
-/// Merge per-node dumps into one machine-wide event stream ordered by
-/// (vtime, node, per-node sequence). Returns the stream and the total
-/// dropped-event count.
-pub fn merge(dumps: Vec<TraceDump>) -> (Vec<TraceEvent>, u64) {
-    let dropped = dumps.iter().map(|d| d.dropped).sum();
-    let mut all: Vec<TraceEvent> = dumps.into_iter().flat_map(|d| d.events).collect();
-    all.sort_by_key(|e| (e.t_ns, e.node, e.seq));
+/// Drain every node's ring into one machine-wide event stream ordered by
+/// (vtime, node, per-node sequence). The rings drain into one buffer of
+/// the size they hold, sorted in place: the key is unique, so an unstable
+/// sort gives the order a stable one would. Returns the stream and the
+/// total dropped-event count.
+pub fn merge(tracers: &[Tracer]) -> (Vec<TraceEvent>, u64) {
+    let live = || tracers.iter().filter_map(|t| t.0.as_deref());
+    let mut all = Vec::with_capacity(live().map(|s| s.ring.held()).sum());
+    let dropped = live().map(|s| s.ring.drain_into(s.node, &mut all)).sum();
+    all.sort_unstable_by_key(|e| (e.t_ns, e.node, e.seq));
     (all, dropped)
 }
 
@@ -593,6 +602,34 @@ pub(crate) fn node_field(v: &Json<'_>) -> Result<NodeId, String> {
     }
 }
 
+/// Below this many nanoseconds `ns as f64 / 1000.0` is within a quarter
+/// of a thousandth of the exact microseconds (the quotient is below 2⁴²,
+/// so its rounding error is at most 2⁻¹²), and printing it to three
+/// decimals gives the exact digits.
+const MICROS_EXACT_NS: u64 = 1000 << 42;
+
+/// `ns` as microseconds to three decimals: the text `fixed(ns as f64 /
+/// 1000.0, 3)` writes, in integer arithmetic wherever the two agree
+/// (below [`MICROS_EXACT_NS`]), and through the float above it.
+fn micros<W: fmt::Write>(w: &mut Writer<W>, ns: u64) {
+    if ns >= MICROS_EXACT_NS {
+        w.fixed(ns as f64 / 1000.0, 3);
+        return;
+    }
+    let (mut digits, mut text) = ([0; 20], [0; 24]);
+    let whole = uint_text(ns / 1000, &mut digits).as_bytes();
+    let frac = ns % 1000;
+    let len = whole.len() + 4;
+    text[..whole.len()].copy_from_slice(whole);
+    text[whole.len()..len].copy_from_slice(&[
+        b'.',
+        b'0' + (frac / 100) as u8,
+        b'0' + (frac / 10 % 10) as u8,
+        b'0' + (frac % 10) as u8,
+    ]);
+    w.raw(std::str::from_utf8(&text[..len]).unwrap_or("0"));
+}
+
 /// One Chrome trace event: a duration span (`dur_ns` given) or an instant.
 fn chrome_event<W: fmt::Write>(
     w: &mut Writer<W>,
@@ -609,9 +646,9 @@ fn chrome_event<W: fmt::Write>(
     };
     w.key("name").str(name).key("cat").str(TRACKS[tid]);
     w.key("pid").uint(at.node.into()).key("tid").uint(tid as u64);
-    w.key("ts").fixed(at.t_ns as f64 / 1000.0, 3);
+    micros(w.key("ts"), at.t_ns);
     if let Some(d) = dur_ns {
-        w.key("dur").fixed(d as f64 / 1000.0, 3);
+        micros(w.key("dur"), d);
     }
     w.key("args").object(Layout::Compact);
     w.key("phase").uint(at.phase.into()).key("a").uint(at.a).key("b").uint(b).end().end();
@@ -644,16 +681,20 @@ pub fn write_chrome_json<W: fmt::Write>(events: &[TraceEvent], out: W) -> W {
     }
     // Span pairing: per (node, opening kind), spans never overlap — a
     // node's program is serial and phases/windows nest properly — so a
-    // simple open-event stack per key suffices.
+    // simple open-event stack per key suffices. The stacks sit in one
+    // table, (node, kind code) in row-major order.
     let opens = |k: EventKind| EventKind::ALL.iter().any(|c| c.closes() == Some(k));
     let opening: Vec<bool> = std::iter::once(false).chain(EventKind::ALL.map(opens)).collect();
-    let mut open: BTreeMap<(NodeId, EventKind), Vec<&TraceEvent>> = BTreeMap::new();
+    let stack = |node: NodeId, kind: EventKind| {
+        nodes.binary_search(&node).unwrap_or(0) * opening.len() + kind as usize
+    };
+    let mut open: Vec<Vec<&TraceEvent>> = vec![Vec::new(); nodes.len() * opening.len()];
     for e in events {
         if opening[e.kind as usize] {
-            open.entry((e.node, e.kind)).or_default().push(e);
+            open[stack(e.node, e.kind)].push(e);
             continue;
         }
-        let opener = e.kind.closes().and_then(|o| open.get_mut(&(e.node, o)).and_then(Vec::pop));
+        let opener = e.kind.closes().and_then(|o| open[stack(e.node, o)].pop());
         match opener {
             Some(b) => {
                 chrome_event(&mut w, b.kind.name(), b, Some(e.t_ns.saturating_sub(b.t_ns)), e.b)
@@ -663,7 +704,7 @@ pub fn write_chrome_json<W: fmt::Write>(events: &[TraceEvent], out: W) -> W {
     }
     // Unclosed spans (a fault in flight at drain time) render as instants
     // so no event is silently lost.
-    for b in open.into_values().flatten() {
+    for b in open.into_iter().flatten() {
         chrome_event(&mut w, &format!("{}(unclosed)", b.kind.name()), b, None, b.b);
     }
     if w.is_empty() {
@@ -772,9 +813,71 @@ mod tests {
         b.emit(EventKind::MsgSend, 2, 0);
         b.set_vtime(50);
         b.emit(EventKind::MsgSend, 3, 0);
-        let (all, dropped) = merge(vec![a.drain().expect("enabled"), b.drain().expect("enabled")]);
+        let (all, dropped) = merge(&[a, Tracer::off(), b]);
         assert_eq!(dropped, 0);
         assert_eq!(all.iter().map(|e| e.a).collect::<Vec<_>>(), vec![2, 1, 3]);
+    }
+
+    /// The merge as it was: a dump per node, concatenated, stable-sorted.
+    fn merge_by_dumps(tracers: &[Tracer]) -> (Vec<TraceEvent>, u64) {
+        let dumps: Vec<TraceDump> = tracers.iter().filter_map(Tracer::drain).collect();
+        let dropped = dumps.iter().map(|d| d.dropped).sum();
+        let mut all: Vec<TraceEvent> = dumps.into_iter().flat_map(|d| d.events).collect();
+        all.sort_by_key(|e| (e.t_ns, e.node, e.seq));
+        (all, dropped)
+    }
+
+    #[test]
+    fn one_buffer_merge_equals_the_per_node_merge() {
+        // Node 2 wraps its ring; node 1's clock goes back to 0 (a second
+        // run, or a rollback); every node stamps some events at the same
+        // vtimes as the others.
+        let tracers: Vec<Tracer> =
+            [(0, 64), (1, 64), (2, 16)].map(|(n, cap)| Tracer::new(n, cap)).into();
+        for step in 0..40u64 {
+            for (n, t) in tracers.iter().enumerate() {
+                let vtime = match (n, step) {
+                    (1, 20..) => (step - 20) * 10,
+                    _ => step / 3 * 10,
+                };
+                t.set_vtime(vtime);
+                t.emit(EventKind::ALL[(step as usize + n) % EventKind::ALL.len()], step, n as u64);
+            }
+        }
+        let (got, dropped) = merge(&tracers);
+        let (want, want_dropped) = merge_by_dumps(&tracers);
+        assert_eq!(got, want);
+        assert_eq!((dropped, want_dropped), (24, 24), "the wrapped ring's losses");
+        assert_eq!(got.len(), 40 + 40 + 16);
+        assert!(got.windows(2).any(|w| w[0].t_ns == w[1].t_ns && w[0].node != w[1].node));
+        assert_eq!(got.capacity(), got.len(), "one buffer of the size the rings hold");
+    }
+
+    fn micros_text(ns: u64) -> String {
+        let mut w = Writer::new(String::new(), 0);
+        micros(&mut w, ns);
+        w.finish()
+    }
+
+    #[test]
+    fn integer_micros_print_what_the_float_printed() {
+        let float = |ns: u64| format!("{:.3}", ns as f64 / 1000.0);
+        for ns in 0..=1_000_000 {
+            assert_eq!(micros_text(ns), float(ns), "{ns} ns");
+        }
+        for k in 0..=19 {
+            let p = 10u64.pow(k);
+            for ns in [p - 1, p, p + 1] {
+                assert_eq!(micros_text(ns), float(ns), "{ns} ns");
+            }
+        }
+        // Both sides of the switch: the integer form just below it, the
+        // float at and above it.
+        for ns in (MICROS_EXACT_NS - 2000..MICROS_EXACT_NS + 2000).chain([u64::MAX - 1, u64::MAX]) {
+            assert_eq!(micros_text(ns), float(ns), "{ns} ns");
+        }
+        assert_eq!(micros_text(MICROS_EXACT_NS - 1), "4398046511103.999");
+        assert_eq!(micros_text(u64::MAX), "18446744073709552.000");
     }
 
     #[test]
