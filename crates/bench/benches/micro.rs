@@ -47,9 +47,11 @@
 //! * `telemetry/*` — the teardown exports at the repo benchmark's
 //!   `adaptive_observed` shape, written into a sink that only counts:
 //!   `chrome_export` and `jsonl_export` one iteration all 32 × 4 096
-//!   merged trace events, `timeline_export` the timeline of 19 296
-//!   phase records; `record_json` is one record's stream line, the
-//!   benchmark's `metrics.record_json_ns` probe.
+//!   merged trace events (their `_io` twins the same through an
+//!   `IoSink` over `io::sink()`: a file's writes, no disk),
+//!   `timeline_export` the timeline of 19 296 phase records;
+//!   `record_json` is one record's stream line, the benchmark's
+//!   `metrics.record_json_ns` probe.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -523,15 +525,18 @@ fn bench_fabric(c: &mut Timer) {
 
 fn bench_telemetry(c: &mut Timer) {
     use prescient_runtime::RunTimeline;
+    use prescient_tempest::json::{IoSink, Sink};
     use prescient_tempest::trace::{write_chrome_json, write_jsonl, EventKind, TraceEvent};
     use prescient_tempest::{LatencyHist, PhaseRecord, TimeBreakdown, WireSnapshot};
 
-    /// A sink that keeps nothing: the benches time the writers alone.
+    /// A sink that keeps nothing: the benches time the writers alone. It
+    /// takes the writer's bytes in a file's chunks.
     struct Count(usize);
-    impl std::fmt::Write for Count {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            self.0 += s.len();
-            Ok(())
+    impl Sink for Count {
+        const CHUNK: usize = <IoSink<std::io::Sink> as Sink>::CHUNK;
+        fn take(&mut self, bytes: &mut Vec<u8>) {
+            self.0 += bytes.len();
+            bytes.clear();
         }
     }
 
@@ -567,6 +572,15 @@ fn bench_telemetry(c: &mut Timer) {
         b.iter(|| write_chrome_json(&events, Count(0)).0)
     });
     c.bench_function("telemetry/jsonl_export", |b| b.iter(|| write_jsonl(&events, Count(0)).0));
+    // The same exports through a file sink that discards: the `write`
+    // calls a real export makes, without the disk.
+    let io = || IoSink::new(std::io::sink());
+    c.bench_function("telemetry/chrome_export_io", |b| {
+        b.iter(|| write_chrome_json(&events, io()).finish())
+    });
+    c.bench_function("telemetry/jsonl_export_io", |b| {
+        b.iter(|| write_jsonl(&events, io()).finish())
+    });
 
     let records: Vec<PhaseRecord> = (0..19_296u64)
         .map(|i| {

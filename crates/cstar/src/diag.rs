@@ -30,7 +30,7 @@
 
 use std::fmt;
 
-use prescient_tempest::json::{Layout, Writer};
+use prescient_tempest::json::{Layout, Sink, Writer};
 
 /// Stable diagnostic codes (see the module-level catalog).
 pub mod codes {
@@ -227,7 +227,7 @@ impl Diagnostic {
 
     /// Write the JSON object form (one line, stable key order) as the
     /// writer's next value.
-    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) {
+    fn write_json<W: Sink>(&self, w: &mut Writer<W>) {
         w.object(Layout::Compact);
         w.key("code").str(&self.code).key("severity").str(self.severity.as_str());
         w.key("message").str(&self.message);

@@ -554,13 +554,12 @@ impl Drop for Machine {
                 eprintln!("prescient: trace rings wrapped, {dropped} events lost");
             }
             let base = crate::env::trace_out(&crate::env::process);
-            let chrome = File::create(format!("{base}.json"))
-                .and_then(|f| write_chrome_json(&events, IoSink::new(f)).finish());
-            let jsonl = File::create(format!("{base}.jsonl"))
-                .and_then(|f| write_jsonl(&events, IoSink::new(f)).finish());
-            if let Err(e) = chrome.and(jsonl) {
-                eprintln!("prescient: trace export to {base}.json[l] failed: {e}");
-            }
+            export("trace", &format!("{base}.json"), |path| {
+                write_chrome_json(&events, IoSink::new(File::create(path)?)).finish()
+            });
+            export("trace", &format!("{base}.jsonl"), |path| {
+                write_jsonl(&events, IoSink::new(File::create(path)?)).finish()
+            });
         }
         // Metrics teardown: close the hub (the publisher writes its tail
         // and exits), then splice the RunTimeline JSON next to the stream
@@ -570,24 +569,27 @@ impl Drop for Machine {
         if let Some(m) = self.metrics.as_mut() {
             m.hub.close();
             if let (Some(p), Some(stream)) = (m.publisher.take(), &self.cfg.metrics.stream) {
-                let path = format!("{stream}.timeline.json");
-                let written = p
-                    .join()
-                    .unwrap_or_else(|_| Err(io::Error::other("the publisher panicked")))
-                    .map_err(|e| io::Error::new(e.kind(), format!("writing {stream}: {e}")))
-                    .and_then(|groups| {
-                        let lines = BufReader::new(File::open(stream)?);
-                        let out = IoSink::new(File::create(&path)?);
-                        RunTimeline::splice(self.cfg.nodes, lines, &groups, out)?.finish()
-                    });
-                if let Err(e) = written {
-                    // A timeline cut short must not pass for a whole run:
-                    // none at all, not even an older one.
-                    let _ = std::fs::remove_file(&path);
-                    eprintln!("prescient: metrics timeline {path} not written: {e}");
-                }
+                export("metrics timeline", &format!("{stream}.timeline.json"), |path| {
+                    let groups = p
+                        .join()
+                        .unwrap_or_else(|_| Err(io::Error::other("the publisher panicked")))
+                        .map_err(|e| io::Error::new(e.kind(), format!("writing {stream}: {e}")))?;
+                    let lines = BufReader::new(File::open(stream)?);
+                    let out = IoSink::new(File::create(path)?);
+                    RunTimeline::splice(self.cfg.nodes, lines, &groups, out)?.finish()
+                });
             }
         }
+    }
+}
+
+/// Write the teardown export at `path` with `write`, or say why not and
+/// remove what was written of it: a trace or timeline cut short must not
+/// pass for a whole one, and none at all is left rather than an older one.
+fn export(what: &str, path: &str, write: impl FnOnce(&str) -> io::Result<()>) {
+    if let Err(e) = write(path) {
+        let _ = std::fs::remove_file(path);
+        eprintln!("prescient: {what} {path} not written: {e}");
     }
 }
 
@@ -725,6 +727,76 @@ mod tests {
         let err = publish(&hub, IoSink::new(Full)).expect_err("the write error comes back");
         assert_eq!(err.to_string(), "disk full");
         assert_eq!(hub.wait_written(), 1, "a failed publisher still releases its readers");
+    }
+
+    /// A file that takes `room` bytes, then fails as one over its size
+    /// limit does.
+    struct Room<W: io::Write> {
+        inner: W,
+        room: usize,
+    }
+
+    impl<W: io::Write> io::Write for Room<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.room);
+            if n == 0 && !buf.is_empty() {
+                return Err(io::Error::other("File too large"));
+            }
+            self.room -= n;
+            self.inner.write(&buf[..n])
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn a_trace_export_cut_short_fails_and_leaves_no_file() {
+        use prescient_tempest::json::Sink;
+        use prescient_tempest::trace::{to_chrome_json, EventKind};
+        const CHUNK: usize = <IoSink<File> as Sink>::CHUNK;
+        let events: Vec<TraceEvent> = (0..3000u64)
+            .map(|i| TraceEvent {
+                node: (i % 4) as NodeId,
+                seq: i / 4,
+                t_ns: i * 1_733,
+                phase: 1,
+                kind: [EventKind::FaultBegin, EventKind::MsgSend, EventKind::FaultEnd]
+                    [i as usize % 3],
+                a: i,
+                b: 0,
+            })
+            .collect();
+        type Cut<'e> = &'e dyn Fn(IoSink<Room<&mut Vec<u8>>>) -> IoSink<Room<&mut Vec<u8>>>;
+        let exports: [(Cut, String); 2] = [
+            (&|s| write_chrome_json(&events, s), to_chrome_json(&events)),
+            (&|s| write_jsonl(&events, s), to_jsonl(&events)),
+        ];
+        for (export, whole) in exports {
+            assert!(whole.len() > 2 * CHUNK, "the export spans chunks");
+            for room in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, whole.len() - 1, whole.len()] {
+                let mut taken = Vec::new();
+                let written = export(IoSink::new(Room { inner: &mut taken, room })).finish();
+                assert_eq!(taken, whole.as_bytes()[..room], "what fit, and nothing after it");
+                match written {
+                    Ok(()) => assert_eq!(room, whole.len()),
+                    Err(e) => assert_eq!(e.to_string(), "File too large", "{room} bytes of room"),
+                }
+            }
+        }
+        let path = std::env::temp_dir().join(format!("prescient-cut-{}.json", std::process::id()));
+        let path = path.to_str().expect("a UTF-8 temp dir");
+        let events = &events;
+        let cut_at = |room: usize| {
+            move |path: &str| {
+                let file = Room { inner: File::create(path)?, room };
+                write_chrome_json(events, IoSink::new(file)).finish()
+            }
+        };
+        export("trace", path, cut_at(usize::MAX));
+        assert!(std::fs::metadata(path).is_ok_and(|m| m.len() > 0), "a whole export stays");
+        export("trace", path, cut_at(CHUNK + 7));
+        assert!(std::fs::metadata(path).is_err(), "a cut one is removed, older one and all");
     }
 
     #[test]

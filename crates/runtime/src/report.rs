@@ -1,11 +1,10 @@
 //! Run reports: the paper's execution-time breakdown per node and machine.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::io::{self, BufRead};
 use std::time::Duration;
 
-use prescient_tempest::json::{Layout, Writer};
+use prescient_tempest::json::{Layout, Sink, Writer};
 use prescient_tempest::stats::StatsSnapshot;
 use prescient_tempest::{NodeId, PhaseRecord, TimeBreakdown, WireSnapshot};
 
@@ -96,7 +95,7 @@ impl RunReport {
     /// fault-tolerance observability, likewise never equality-gated; the
     /// placement counter (DESIGN.md §14) is zero with placement off and
     /// counts the remap overlay when it is on, also never equality-gated.
-    pub fn write_gate_counters<W: fmt::Write>(&self, w: &mut Writer<W>) {
+    pub fn write_gate_counters<W: Sink>(&self, w: &mut Writer<W>) {
         let t = self.total_stats();
         w.key("wall_ms").uint(self.wall.as_millis() as u64);
         w.key("vtime_ns").uint(self.exec_time_ns()).key("msgs").uint(t.msgs_out);
@@ -163,7 +162,7 @@ impl RunReport {
 
 /// `{"name": value, ...}` on one line: how breakdowns and counter sets sit
 /// inside the laid-out documents.
-fn inline_object<W: fmt::Write>(
+fn inline_object<W: Sink>(
     w: &mut Writer<W>,
     fields: impl IntoIterator<Item = (&'static str, u64)>,
 ) {
@@ -305,7 +304,7 @@ impl RunTimeline {
     /// timeline are textually comparable record-for-record), the
     /// `(run, phase, iter)` aggregates under the gate metrics' names, and
     /// the counter totals in the run report's schema.
-    pub fn write_json<W: fmt::Write>(&self, out: W) -> W {
+    pub fn write_json<W: Sink>(&self, out: W) -> W {
         let mut w = open_timeline(out, self.nodes);
         for r in &self.records {
             r.write_json(&mut w);
@@ -324,7 +323,7 @@ impl RunTimeline {
     /// folded while the stream was written. A stream with another number
     /// of lines than the groups hold records (rewritten under the
     /// machine) is an error.
-    pub(crate) fn splice<W: fmt::Write>(
+    pub(crate) fn splice<W: Sink>(
         nodes: usize,
         mut stream: impl BufRead,
         groups: &[PhaseGroup],
@@ -347,7 +346,7 @@ impl RunTimeline {
 }
 
 /// The timeline document up to its open `records` array.
-fn open_timeline<W: fmt::Write>(out: W, nodes: usize) -> Writer<W> {
+fn open_timeline<W: Sink>(out: W, nodes: usize) -> Writer<W> {
     let mut w = Writer::new(out, 0);
     w.object(Layout::Lines).key("nodes").uint(nodes as u64);
     w.key("records").array(Layout::Lines);
@@ -357,7 +356,7 @@ fn open_timeline<W: fmt::Write>(out: W, nodes: usize) -> Writer<W> {
 /// The rest of the timeline document once its records are written: the
 /// phase groups, then the counter totals, summed from the groups (every
 /// record is in exactly one).
-fn close_timeline<W: fmt::Write>(mut w: Writer<W>, groups: &[PhaseGroup]) -> W {
+fn close_timeline<W: Sink>(mut w: Writer<W>, groups: &[PhaseGroup]) -> W {
     w.end().key("phases").array(Layout::Lines);
     for g in groups {
         let wire = g.wire.unwrap_or_default();
@@ -563,11 +562,29 @@ mod tests {
         let records = vec![rec(0, 0, 0, 0, 1, 10), rec(1, 0, 7, 0, 3, 20), rec(0, 1, 7, 0, 4, 25)];
         let t = RunTimeline::new(2, records.clone());
         let stream: String = records.iter().map(|r| r.to_json_line() + "\n").collect();
-        let spliced = RunTimeline::splice(2, stream.as_bytes(), &t.phases(), String::new());
-        assert_eq!(spliced.expect("a whole stream"), t.to_json());
+        let groups = t.phases();
+        // Through a 64-byte reader, so every record straddles its buffer.
+        let splice = |stream: &[u8], groups: &[PhaseGroup]| {
+            let lines = io::BufReader::with_capacity(64, stream);
+            RunTimeline::splice(2, lines, groups, String::new())
+                .map_err(|e| (e.kind(), e.to_string()))
+        };
+        let invalid = |why: &str| Err((io::ErrorKind::InvalidData, why.to_string()));
+        assert_eq!(splice(stream.as_bytes(), &groups), Ok(t.to_json()));
+        let last_unbroken = stream.strip_suffix('\n').expect("lines");
+        assert_eq!(splice(last_unbroken.as_bytes(), &groups), Ok(t.to_json()));
+        let empty = RunTimeline::new(2, Vec::new());
+        assert_eq!(splice(b"", &[]), Ok(empty.to_json()));
+        assert_eq!(splice(b"", &groups), invalid("the stream holds 0 lines for 3 records"));
         let short = &stream[..stream.find('\n').expect("lines") + 1];
-        let err = RunTimeline::splice(2, short.as_bytes(), &t.phases(), String::new());
-        assert!(err.expect_err("one line of three").to_string().contains("1 lines for 3 records"));
+        let more = stream.clone() + "{}\n";
+        for (lines, n) in [(short, 1), (&more, 4)] {
+            let why = format!("the stream holds {n} lines for 3 records");
+            assert_eq!(splice(lines.as_bytes(), &groups), invalid(&why));
+        }
+        let mut bytes = stream.clone().into_bytes();
+        bytes[100] = 0xff;
+        assert_eq!(splice(&bytes, &groups), invalid("stream did not contain valid UTF-8"));
     }
 
     #[test]

@@ -32,10 +32,9 @@
 //! `(c1-c0) + (c2-c1) + … + (cn-c(n-1)) = cn - c0` — and reconcile
 //! exactly with the teardown `RunReport`.
 
-use std::fmt;
 use std::sync::{Condvar, Mutex};
 
-use crate::json::{self, uint_text, Json, Layout, Writer};
+use crate::json::{self, uint_digits, Json, Layout, Sink, Writer};
 use crate::stats::{StatsSnapshot, TimeBreakdown, WireSnapshot};
 use crate::sync::{lock, wait_while};
 use crate::NodeId;
@@ -169,18 +168,18 @@ const SPARSE_MAX: usize = LatencyHist::NUM_BUCKETS * 24;
 fn encode_sparse<'b>(counts: &[u64], buf: &'b mut [u8; SPARSE_MAX]) -> &'b str {
     debug_assert!(counts.len() <= LatencyHist::NUM_BUCKETS);
     let mut len = 0;
-    let mut put = |text: &str| {
-        buf[len..len + text.len()].copy_from_slice(text.as_bytes());
-        len += text.len();
-    };
-    let mut sep = "";
-    for (i, &c) in counts.iter().enumerate() {
-        if c > 0 {
-            put(std::mem::replace(&mut sep, " "));
-            put(uint_text(i as u64, &mut [0; 20]));
-            put(":");
-            put(uint_text(c, &mut [0; 20]));
+    for (i, &c) in counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+        if len > 0 {
+            buf[len] = b' ';
+            len += 1;
         }
+        // "i:c", built from the back.
+        let mut entry = [0; 23];
+        let colon = uint_digits(c, &mut entry) - 1;
+        entry[colon] = b':';
+        let at = uint_digits(i as u64, &mut entry[..colon]);
+        buf[len..len + entry.len() - at].copy_from_slice(&entry[at..]);
+        len += entry.len() - at;
     }
     std::str::from_utf8(&buf[..len]).unwrap_or("")
 }
@@ -243,7 +242,7 @@ pub struct PhaseRecord {
 impl PhaseRecord {
     /// Write the one-line JSON encoding — the stream format, also embedded
     /// verbatim in the `RunTimeline` JSON — as the writer's next value.
-    pub fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) {
+    pub fn write_json<W: Sink>(&self, w: &mut Writer<W>) {
         w.object(Layout::Compact);
         w.key("node").uint(self.node.into()).key("seq").uint(self.seq).key("run").uint(self.run);
         w.key("phase").uint(self.phase.into()).key("iter").uint(self.iter);

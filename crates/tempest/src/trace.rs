@@ -47,11 +47,10 @@
 //! Perfetto or `chrome://tracing`, one process per node with semantic
 //! tracks).
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::json::{uint_text, Json, Layout, Writer};
+use crate::json::{uint_digits, Json, Layout, Sink, Writer};
 use crate::{NodeId, MAX_NODES};
 
 /// Tracing policy of one machine.
@@ -557,7 +556,7 @@ pub fn merge(tracers: &[Tracer]) -> (Vec<TraceEvent>, u64) {
 
 /// Write an event stream as JSONL into `out`: one compact, flat JSON
 /// object per line — the `prescient-telemetry` analyzer's input format.
-pub fn write_jsonl<W: fmt::Write>(events: &[TraceEvent], out: W) -> W {
+pub fn write_jsonl<W: Sink>(events: &[TraceEvent], out: W) -> W {
     let mut w = Writer::new(out, 0);
     for e in events {
         w.object(Layout::Compact);
@@ -611,27 +610,22 @@ const MICROS_EXACT_NS: u64 = 1000 << 42;
 /// `ns` as microseconds to three decimals: the text `fixed(ns as f64 /
 /// 1000.0, 3)` writes, in integer arithmetic wherever the two agree
 /// (below [`MICROS_EXACT_NS`]), and through the float above it.
-fn micros<W: fmt::Write>(w: &mut Writer<W>, ns: u64) {
+fn micros<W: Sink>(w: &mut Writer<W>, ns: u64) {
     if ns >= MICROS_EXACT_NS {
         w.fixed(ns as f64 / 1000.0, 3);
         return;
     }
-    let (mut digits, mut text) = ([0; 20], [0; 24]);
-    let whole = uint_text(ns / 1000, &mut digits).as_bytes();
-    let frac = ns % 1000;
-    let len = whole.len() + 4;
-    text[..whole.len()].copy_from_slice(whole);
-    text[whole.len()..len].copy_from_slice(&[
-        b'.',
-        b'0' + (frac / 100) as u8,
-        b'0' + (frac / 10 % 10) as u8,
-        b'0' + (frac % 10) as u8,
-    ]);
-    w.raw(std::str::from_utf8(&text[..len]).unwrap_or("0"));
+    // The thousands' digits "1xyz" behind the whole part, their "1"
+    // overwritten by the point.
+    let mut text = [0; 24];
+    uint_digits(ns % 1000 + 1000, &mut text);
+    text[20] = b'.';
+    let at = uint_digits(ns / 1000, &mut text[..20]);
+    w.raw_ascii(&text[at..]);
 }
 
 /// One Chrome trace event: a duration span (`dur_ns` given) or an instant.
-fn chrome_event<W: fmt::Write>(
+fn chrome_event<W: Sink>(
     w: &mut Writer<W>,
     name: &str,
     at: &TraceEvent,
@@ -661,7 +655,7 @@ fn chrome_event<W: fmt::Write>(
 /// barriers, pre-send windows, phases) render as duration spans in
 /// virtual time; everything else renders as instants. Timestamps are the
 /// events' virtual-time stamps, in microseconds as the format requires.
-pub fn write_chrome_json<W: fmt::Write>(events: &[TraceEvent], out: W) -> W {
+pub fn write_chrome_json<W: Sink>(events: &[TraceEvent], out: W) -> W {
     let mut w = Writer::new(out, 0);
     w.object(Layout::Compact).key("displayTimeUnit").str("ns");
     w.key("traceEvents").array(Layout::Lines);
