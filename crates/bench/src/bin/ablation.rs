@@ -15,16 +15,15 @@
 //! | `placement` | owner / rotate / rotate+remap homes: the record → emit-remap → rerun pipeline (DESIGN.md §14) |
 //!
 //! Paper scale is Table 1's data sets for every ablation; the reduced
-//! inputs are [`inputs`], one table.
+//! inputs are [`prescient_bench::inputs`], one table with the figures'.
 
 use std::time::Duration;
 
 use prescient_apps::adaptive::{run_adaptive, AdaptiveConfig};
 use prescient_apps::barnes::{run_barnes, run_barnes_commute};
-use prescient_apps::water::WaterConfig;
 use prescient_apps::AppRun;
 use prescient_bench::telemetry::{emit_remap, read_lines};
-use prescient_bench::{patient_retry, Inputs, Leg, Scale};
+use prescient_bench::{dispatch, patient_retry, Inputs, Leg, Scale, Subcommand};
 use prescient_core::PredictiveConfig;
 use prescient_runtime::{
     Machine, MachineConfig, NodeCtx, PlacementSpec, ProtocolKind, RunReport, RunTimeline,
@@ -33,9 +32,7 @@ use prescient_stache::RetryConfig;
 use prescient_tempest::trace::{TraceConfig, TraceEvent};
 use prescient_tempest::{BatchConfig, FaultPlan, GAddr, HomeMap, MetricsConfig, PhaseRecord};
 
-type Ablation = fn(Scale, Inputs);
-
-const NAMES: [(&str, Ablation); 7] = [
+const NAMES: [(&str, Subcommand); 7] = [
     ("batching", batching),
     ("coalesce", coalesce),
     ("commute", commute),
@@ -46,35 +43,7 @@ const NAMES: [(&str, Ablation); 7] = [
 ];
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_default();
-    let Some((_, run)) = NAMES.iter().find(|(n, _)| *n == name) else {
-        let names: Vec<&str> = NAMES.iter().map(|(n, _)| *n).collect();
-        eprintln!("usage: ablation <{}> [--paper] [--nodes N]", names.join("|"));
-        std::process::exit(2);
-    };
-    let scale = Scale::from_args();
-    run(scale, inputs(&name, scale));
-}
-
-/// The inputs of ablation `name`: Table 1's at `--paper`, else the perf
-/// gate's reduced ones, but for the three ablations that were sized on a
-/// smaller mesh (and, for `placement`, fewer molecules over more steps).
-fn inputs(name: &str, scale: Scale) -> Inputs {
-    let mut i = scale.inputs();
-    if !scale.paper {
-        let mesh =
-            |iters, tau| AdaptiveConfig { n: 24, iters, tau, max_depth: 3, flush_every: None };
-        match name {
-            "coalesce" => i.adaptive = mesh(8, 0.5),
-            "incremental" => i.adaptive = mesh(12, 0.5),
-            "placement" => {
-                i.water = WaterConfig { n: 64, steps: 8, ..Default::default() };
-                i.adaptive = mesh(8, 0.4);
-            }
-            _ => {}
-        }
-    }
-    i
+    dispatch("ablation", &NAMES);
 }
 
 fn checksum(r: &AppRun) -> String {

@@ -17,7 +17,7 @@
 //! eyeballing only.
 
 use prescient_apps::AppRun;
-use prescient_bench::{patient_retry, Scale};
+use prescient_bench::{inputs, patient_retry, Scale};
 use prescient_runtime::MachineConfig;
 use prescient_tempest::json::{Layout, Writer};
 
@@ -51,17 +51,16 @@ fn render(rows: &[Row], scale: Scale, block_size: usize) -> String {
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_prescient.json".to_string());
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = "BENCH_prescient.json".to_string();
+    if let Some(i) = args.iter().position(|a| a == "--out").filter(|i| i + 1 < args.len()) {
+        out = args.remove(i + 1);
+        args.remove(i);
+    }
+    let scale = Scale::from_args(&args, "usage: perf_gate [--paper] [--nodes N] [--out PATH]");
 
     let block_size = 128;
-    let inputs = scale.inputs();
-    let rows: Vec<Row> = inputs
+    let rows: Vec<Row> = inputs("perf_gate", scale)
         .apps()
         .into_iter()
         .map(|(app, config, run)| {

@@ -1,8 +1,10 @@
-//! `prescient-telemetry` end to end. A 4-node adaptive run exports a
-//! trace and a metrics stream into a temp directory (the child's own
-//! environment names the paths, so nothing here sets a process-global
-//! variable); every subcommand must exit 0 on them, and hostile input
-//! must exit non-zero with a message, never a panic.
+//! The bench binaries' command lines. `prescient-telemetry` end to end: a
+//! 4-node `figures fig5` run exports a trace and a metrics stream into a
+//! temp directory (the child's own environment names the paths, so
+//! nothing here sets a process-global variable); every subcommand must
+//! exit 0 on them, and hostile input must exit non-zero with a message,
+//! never a panic. `figures` and `ablation` refuse bad arguments the same
+//! way, before they build a machine.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
@@ -23,7 +25,11 @@ fn scratch(tag: &str) -> String {
 }
 
 fn cli(args: &[&str]) -> Output {
-    Command::new(CLI).args(args).output().expect("prescient-telemetry runs")
+    run(CLI, args)
+}
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("the binary runs")
 }
 
 fn ok(args: &[&str]) -> String {
@@ -36,10 +42,15 @@ fn ok(args: &[&str]) -> String {
 /// A non-zero exit with a message, and the process did not panic (a
 /// panic exits 101).
 fn refused(args: &[&str]) {
-    let out = cli(args);
+    refused_by(CLI, args);
+}
+
+fn refused_by(bin: &str, args: &[&str]) -> Output {
+    let out = run(bin, args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(matches!(out.status.code(), Some(1 | 2)), "{args:?}: {:?}\n{stderr}", out.status);
     assert!(!stderr.contains("panicked") && !stderr.is_empty(), "{args:?}: {stderr}");
+    out
 }
 
 /// `text` as a file in `dir`.
@@ -70,13 +81,13 @@ fn stream(run: u64, iters: u64) -> String {
 fn every_subcommand_on_a_real_run_and_hostile_input() {
     let dir = scratch("run");
     let metrics = format!("{dir}/metrics.jsonl");
-    let fig5 = Command::new(env!("CARGO_BIN_EXE_fig5_adaptive"))
-        .args(["--nodes", "4"])
+    let fig5 = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["fig5", "--nodes", "4"])
         .env("PRESCIENT_TRACE", "1")
         .env("PRESCIENT_TRACE_OUT", format!("{dir}/trace"))
         .env("PRESCIENT_METRICS", format!("stream:{metrics}"))
         .output()
-        .expect("fig5_adaptive runs");
+        .expect("figures runs");
     assert!(fig5.status.success(), "{}", String::from_utf8_lossy(&fig5.stderr));
     let (jsonl, chrome) = (&format!("{dir}/trace.jsonl"), &format!("{dir}/trace.json"));
     let (metrics, timeline) = (&metrics, &format!("{metrics}.timeline.json"));
@@ -121,6 +132,43 @@ fn every_subcommand_on_a_real_run_and_hostile_input() {
         refused(args);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A missing, non-numeric or out-of-range node count, an unknown flag and
+/// an unknown sub-command are usage errors: exit 2, and nothing on stdout,
+/// since nothing ran.
+#[test]
+fn figures_and_ablation_refuse_bad_arguments() {
+    let bins = [env!("CARGO_BIN_EXE_figures"), env!("CARGO_BIN_EXE_ablation")];
+    for (bin, name) in bins.into_iter().zip(["fig5", "degradation"]) {
+        for args in [
+            &[name, "--nodes"][..],
+            &[name, "--nodes", "x"],
+            &[name, "--nodes", "0"],
+            &[name, "--nodes", "65"],
+            &[name, "--nodes", "-1"],
+            &[name, "--frobnicate"],
+            &[name, "--paper", "extra"],
+            &["frobnicate"],
+            &[],
+        ] {
+            let out = refused_by(bin, args);
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+            assert!(out.stdout.is_empty(), "{bin} {args:?} printed a result");
+        }
+    }
+    // perf_gate shares the parser; `--out` takes a path.
+    let perf_gate = env!("CARGO_BIN_EXE_perf_gate");
+    for args in [&["--frobnicate"][..], &["--out"], &["--nodes", "0", "--out", "x.json"]] {
+        assert_eq!(refused_by(perf_gate, args).status.code(), Some(2), "perf_gate {args:?}");
+    }
+    // `table1` and `fig4` build no machine: the largest node count is
+    // accepted, before `--paper` too.
+    let figures = env!("CARGO_BIN_EXE_figures");
+    let out = run(figures, &["table1", "--nodes", "64", "--paper"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Machine: 64 emulated nodes"));
+    assert!(run(figures, &["fig4"]).status.success());
 }
 
 /// `NaN` compared false against every deviation ("no anomalies: every
