@@ -624,7 +624,7 @@ fn barnes_driver(
         let me = ctx.me();
         let my_bodies = sh.px.my_range(me);
         let my_regions: Vec<usize> = (0..REGIONS).filter(|r| r % nodes == me as usize).collect();
-        let mut vel = vec![[0.0f64; 3]; n];
+        let mut vel = vec![[0.0f64; 3]; my_bodies.len()];
         let mut arena = Arena { base: sh.arena_base[me as usize], cells: sh.arena_cells, next: 0 };
 
         // Cross-phase private state (`my_roots`, `merged_pos`, `accs`) is
@@ -978,9 +978,9 @@ fn force_phase(
 }
 
 /// The advance phase body: owners integrate and write new positions. The
-/// velocity array is the phase's replay state — it accumulates across
-/// steps, so the recovery wrapper must roll it back alongside shared
-/// memory.
+/// velocity array (the owned bodies', indexed like `accs`) is the phase's
+/// replay state — it accumulates across steps, so the recovery wrapper
+/// must roll it back alongside shared memory.
 fn advance_phase(
     ctx: &mut NodeCtx,
     sh: &BarnesShared,
@@ -992,8 +992,8 @@ fn advance_phase(
     for (bi, b) in my_bodies.enumerate() {
         let mut p = sh.read_pos(ctx, b);
         for k in 0..3 {
-            vel[b][k] += accs[bi][k] * dt;
-            p[k] = (p[k] + vel[b][k] * dt).rem_euclid(1.0);
+            vel[bi][k] += accs[bi][k] * dt;
+            p[k] = (p[k] + vel[bi][k] * dt).rem_euclid(1.0);
         }
         ctx.work(12);
         ctx.write(sh.px.addr(b), p[0]);

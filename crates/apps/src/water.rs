@@ -353,10 +353,11 @@ fn water_driver(
 
     let (_, report) = machine.run(|ctx: &mut NodeCtx| {
         let mine = pos.my_range(ctx);
-        // Private (non-shared) per-node state. `vel` survives across
-        // phases, so the advance phase passes it as its replay state —
-        // a crash rolls it back together with shared memory.
-        let mut vel = vec![[0.0f64; 3]; n];
+        // Private (non-shared) per-node state: the owned molecules'
+        // velocities, from `mine.start`. They survive across phases, so
+        // the advance phase passes them as its replay state — a crash
+        // rolls them back together with shared memory.
+        let mut vel = vec![[0.0f64; 3]; mine.len()];
         let mut buf = scratch(ctx);
         for _step in 0..steps {
             // ---- Phase 1: interactions ------------------------------
@@ -378,8 +379,8 @@ fn water_driver(
                     Coords::read(ctx, at, k, &mut buf);
                     for (t, i) in (i0..i0 + k).enumerate() {
                         for c in 0..3 {
-                            vel[i][c] += force[3 * i + c] * dt;
-                            buf[c][t] = (buf[c][t] + vel[i][c] * dt).rem_euclid(l);
+                            vel[i - mine.start][c] += force[3 * i + c] * dt;
+                            buf[c][t] = (buf[c][t] + vel[i - mine.start][c] * dt).rem_euclid(l);
                         }
                         ctx.work(12);
                     }
@@ -420,7 +421,7 @@ pub fn run_splash_water(mcfg: MachineConfig, cfg: &WaterConfig) -> AppRun {
     let (_, report) = machine.run(|ctx: &mut NodeCtx| {
         let mine = pos.my_range(ctx);
         let me = ctx.me() as usize;
-        let mut vel = vec![[0.0f64; 3]; n];
+        let mut vel = vec![[0.0f64; 3]; mine.len()];
         for _ in 0..steps {
             // Interactions: accumulate locally, then publish the whole
             // partial row to shared memory (home writes, one run).
@@ -453,8 +454,8 @@ pub fn run_splash_water(mcfg: MachineConfig, cfg: &WaterConfig) -> AppRun {
                 }
                 let mut pv = pos.read_one(ctx, i);
                 for k in 0..3 {
-                    vel[i][k] += f[k] * dt;
-                    pv[k] = (pv[k] + vel[i][k] * dt).rem_euclid(l);
+                    vel[i - mine.start][k] += f[k] * dt;
+                    pv[k] = (pv[k] + vel[i - mine.start][k] * dt).rem_euclid(l);
                 }
                 ctx.work(12);
                 for k in 0..3 {

@@ -555,10 +555,10 @@ impl Drop for Machine {
             }
             let base = crate::env::trace_out(&crate::env::process);
             export("trace", &format!("{base}.json"), |path| {
-                write_chrome_json(&events, IoSink::new(File::create(path)?)).finish()
+                write_chrome_json(&events, IoSink::new(Rewrite::open(path)?)).finish()
             });
             export("trace", &format!("{base}.jsonl"), |path| {
-                write_jsonl(&events, IoSink::new(File::create(path)?)).finish()
+                write_jsonl(&events, IoSink::new(Rewrite::open(path)?)).finish()
             });
         }
         // Metrics teardown: close the hub (the publisher writes its tail
@@ -575,7 +575,7 @@ impl Drop for Machine {
                         .unwrap_or_else(|_| Err(io::Error::other("the publisher panicked")))
                         .map_err(|e| io::Error::new(e.kind(), format!("writing {stream}: {e}")))?;
                     let lines = BufReader::new(File::open(stream)?);
-                    let out = IoSink::new(File::create(path)?);
+                    let out = IoSink::new(Rewrite::open(path)?);
                     RunTimeline::splice(self.cfg.nodes, lines, &groups, out)?.finish()
                 });
             }
@@ -586,10 +586,47 @@ impl Drop for Machine {
 /// Write the teardown export at `path` with `write`, or say why not and
 /// remove what was written of it: a trace or timeline cut short must not
 /// pass for a whole one, and none at all is left rather than an older one.
+/// Only a regular file is removed (never a device such as `/dev/null`).
 fn export(what: &str, path: &str, write: impl FnOnce(&str) -> io::Result<()>) {
     if let Err(e) = write(path) {
-        let _ = std::fs::remove_file(path);
+        if std::fs::metadata(path).is_ok_and(|m| m.is_file()) {
+            let _ = std::fs::remove_file(path);
+        }
         eprintln!("prescient: {what} {path} not written: {e}");
+    }
+}
+
+/// A teardown export's file, rewritten in place: opened without
+/// truncation, written from offset 0, and cut to the bytes written by its
+/// final flush ([`IoSink::finish`], which reports a failed cut). A re-run
+/// into the same path overwrites the last run's pages; truncating them
+/// first cost more than writing the file. Only a regular file is cut.
+struct Rewrite {
+    file: File,
+    written: u64,
+    cut: bool,
+}
+
+impl Rewrite {
+    fn open(path: &str) -> io::Result<Rewrite> {
+        let file = File::options().write(true).create(true).truncate(false).open(path)?;
+        let cut = file.metadata()?.is_file();
+        Ok(Rewrite { file, written: 0, cut })
+    }
+}
+
+impl io::Write for Rewrite {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.file.write(buf)?;
+        self.written += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.cut {
+            self.file.set_len(self.written)?;
+        }
+        Ok(())
     }
 }
 
@@ -797,6 +834,59 @@ mod tests {
         assert!(std::fs::metadata(path).is_ok_and(|m| m.len() > 0), "a whole export stays");
         export("trace", path, cut_at(CHUNK + 7));
         assert!(std::fs::metadata(path).is_err(), "a cut one is removed, older one and all");
+    }
+
+    /// A fresh temp path for a rewrite test.
+    fn rewrite_path(tag: &str) -> String {
+        let path = std::env::temp_dir().join(format!("prescient-{tag}-{}", std::process::id()));
+        path.to_str().expect("a UTF-8 temp dir").to_string()
+    }
+
+    #[test]
+    fn a_rewrite_leaves_exactly_the_new_bytes() {
+        use prescient_tempest::json::Sink;
+        const CHUNK: usize = <IoSink<File> as Sink>::CHUNK;
+        let path = rewrite_path("rewrite");
+        let new: Vec<u8> = (0..3 * CHUNK + 5).map(|i| (i % 251) as u8).collect();
+        for before in [None, Some(vec![b'x'; 5 * CHUNK]), Some(b"short".to_vec())] {
+            match &before {
+                Some(old) => std::fs::write(&path, old).unwrap(),
+                None => drop(std::fs::remove_file(&path)),
+            }
+            let mut sink = IoSink::new(Rewrite::open(&path).unwrap());
+            sink.take(&mut new.clone());
+            sink.finish().expect("a regular file takes every write and the cut");
+            let len = before.map(|b| b.len());
+            assert!(std::fs::read(&path).unwrap() == new, "over {len:?} bytes: the new ones only");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_rewrite_cut_short_fails_and_its_export_leaves_no_file() {
+        use prescient_tempest::trace::EventKind::MsgSend;
+        let path = rewrite_path("rewrite-short");
+        std::fs::write(&path, vec![b'x'; 1 << 20]).unwrap();
+        let events: Vec<TraceEvent> = (0..3000u64)
+            .map(|i| TraceEvent { node: 0, seq: i, t_ns: i, phase: 1, kind: MsgSend, a: i, b: 0 })
+            .collect();
+        let cut_short = |path: &str| {
+            let file = Room { inner: Rewrite::open(path)?, room: 1000 };
+            write_jsonl(&events, IoSink::new(file)).finish()
+        };
+        let err = cut_short(&path).expect_err("the write error comes out of finish");
+        assert_eq!(err.to_string(), "File too large");
+        export("trace", &path, cut_short);
+        assert!(std::fs::metadata(&path).is_err(), "the new head over an old tail is removed");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_rewrite_into_a_device_writes_without_a_cut() {
+        use prescient_tempest::json::Sink;
+        let mut sink = IoSink::new(Rewrite::open("/dev/null").expect("/dev/null opens"));
+        sink.take(&mut vec![b'x'; 100_000]);
+        sink.finish().expect("a device is written, never cut");
     }
 
     #[test]

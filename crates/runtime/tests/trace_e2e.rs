@@ -5,11 +5,11 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use prescient_runtime::{Agg1D, Dist1D, Machine, MachineConfig, NodeCtx, RunReport};
+use prescient_runtime::{Agg1D, Dist1D, Machine, MachineConfig, NodeCtx, RunReport, RunTimeline};
 use prescient_stache::RetryConfig;
 use prescient_tempest::rng::cases;
-use prescient_tempest::trace::unpack_peer_count;
-use prescient_tempest::{EventKind, TraceConfig};
+use prescient_tempest::trace::{to_chrome_json, to_jsonl, unpack_peer_count};
+use prescient_tempest::{EventKind, MetricsConfig, TraceConfig};
 
 /// Traced machines export files at drop, and the export basename comes
 /// from the process-global `PRESCIENT_TRACE_OUT`; serialize these tests
@@ -296,4 +296,37 @@ fn teardown_exports_loadable_files() {
     assert!(chrome.contains("\"ph\":\"X\",\"name\":\"PhaseBegin\""), "phases render as spans");
     let _ = std::fs::remove_file(format!("{base}.jsonl"));
     let _ = std::fs::remove_file(format!("{base}.json"));
+}
+
+/// Exports are rewritten in place and cut to length: a smaller run into
+/// the same paths leaves exactly its own bytes, none of the bigger run's.
+#[test]
+fn a_smaller_rerun_leaves_no_byte_of_the_last_runs_exports() {
+    let _g = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let base = set_out("rerun");
+    let stream = format!("{base}.metrics.jsonl");
+    let files =
+        [format!("{base}.jsonl"), format!("{base}.json"), format!("{stream}.timeline.json")];
+    let mut sizes = Vec::new();
+    for shape in [FIXED, Shape { nodes: 2, n: 32, iters: 2 }] {
+        let cfg = traced_cfg(shape.nodes).with_metrics(MetricsConfig::stream(&stream));
+        let (_, _, m) = run_relaxation(cfg, shape);
+        let (events, dropped) = m.trace_events();
+        assert_eq!(dropped, 0, "ring must not wrap at this capacity");
+        let records = m.timeline().expect("metrics on").records;
+        drop(m);
+        let timeline = RunTimeline::new(shape.nodes, records).to_json();
+        let rendered = [to_jsonl(&events), to_chrome_json(&events), timeline];
+        for (file, want) in files.iter().zip(&rendered) {
+            let got = std::fs::read_to_string(file).expect("exported");
+            assert!(got == *want, "{file}: the export is the in-memory rendering, no more");
+        }
+        sizes.push(rendered.map(|r| r.len()));
+    }
+    for (what, (first, second)) in files.iter().zip(sizes[0].iter().zip(&sizes[1])) {
+        assert!(second < first, "{what}: the second run's export is the smaller");
+    }
+    for f in files.iter().chain([&stream]) {
+        let _ = std::fs::remove_file(f);
+    }
 }
