@@ -4,7 +4,12 @@
 //!
 //! * `protocol/remote_read_miss` — a full 2-hop miss through the engine;
 //! * `protocol/producer_consumer_roundtrip` — the 4-message §3.2 pattern;
-//! * `presend/record+presend` — schedule recording and the pre-send walk;
+//! * `presend/record_and_presend_64_blocks` — schedule recording and the
+//!   pre-send walk;
+//! * `presend/replay_4k` — encoding a 4 Ki-entry schedule's runs afresh
+//!   (the repo benchmark's `schedule.replay_us_4k` probe), and
+//!   `presend/replay_steady` the same schedule's runs at a steady-state
+//!   instance, taken from the per-generation cache;
 //! * `presend/teardown_wave_k64` — one home tearing down 64 stale blocks,
 //!   one sharer each on three peers, in one pre-send window: time **per
 //!   block**, to set beside `protocol/producer_consumer_roundtrip` (one
@@ -25,7 +30,9 @@
 //!   benchmark's `mem.checkpoint_us_per_mb` probe times;
 //! * `recovery/capture_24k` — one node's per-phase checkpoint captured in
 //!   place into a reused buffer, 24 KiB resident (an Adaptive node's share
-//!   at paper scale);
+//!   at paper scale), after an untimed rewrite of one block in three (an
+//!   Adaptive phase rewrites about a third of a node's blocks): the capture
+//!   copies those alone;
 //! * `ctx/*` — the same hit one layer up, through `NodeCtx::read`/`write`
 //!   (access counter, virtual clock, poll countdown, then `mem/*`'s work),
 //!   reads and writes apart; `ctx/poll_empty` is what every
@@ -59,12 +66,14 @@ use std::time::{Duration, Instant};
 
 use prescient_core::manual::ManualEntry;
 use prescient_core::presend::presend;
-use prescient_core::{Predictive, PredictiveConfig};
+use prescient_core::{PhaseSchedule, Predictive, PredictiveConfig};
 use prescient_cstar::dataflow::ReachingUnstructured;
 use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, MachineConfig, NodeCtx};
 use prescient_stache::testkit::Cluster;
 use prescient_stache::{NoHooks, NodeCheckpoint, RetryConfig};
-use prescient_tempest::{BatchConfig, Fabric, GAddr, GlobalLayout, NodeMem, TryRecv};
+use prescient_tempest::{
+    BatchConfig, BlockId, Fabric, GAddr, GlobalLayout, NodeId, NodeMem, TryRecv,
+};
 
 fn bench_remote_miss(c: &mut Timer) {
     let mut machine = Machine::new(MachineConfig::stache(2, 64));
@@ -152,6 +161,15 @@ fn bench_presend(c: &mut Timer) {
             durs[0]
         })
     });
+}
+
+fn bench_replay(c: &mut Timer) {
+    let mut schedule = PhaseSchedule::default();
+    for i in 0..4096u64 {
+        schedule.record_read(BlockId(i), (1 + i % 7) as NodeId);
+    }
+    c.bench_function("presend/replay_4k", |b| b.iter(|| schedule.replay(true)));
+    c.bench_function("presend/replay_steady", |b| b.iter(|| schedule.runs(true)));
 }
 
 fn bench_teardown_wave(c: &mut Timer) {
@@ -326,7 +344,20 @@ fn bench_recovery(c: &mut Timer) {
         node.state.mem.write_in_block(base.add(i * 128), &[i as u8; 8]).unwrap();
     }
     let mut ckpt = NodeCheckpoint::default();
-    c.bench_function("recovery/capture_24k", |b| b.iter(|| node.checkpoint_into(&mut ckpt)));
+    c.bench_function("recovery/capture_24k", |b| {
+        b.iter_custom(|iters| {
+            let mut spent = Duration::ZERO;
+            for n in 0..iters {
+                for i in (0..BYTES / 128).step_by(3) {
+                    node.state.mem.write_in_block(base.add(i * 128), &[n as u8; 8]).unwrap();
+                }
+                let start = Instant::now();
+                node.checkpoint_into(&mut ckpt);
+                spent += start.elapsed();
+            }
+            spent
+        })
+    });
     c.bench_function("mem/checkpoint_24k", |b| b.iter(|| node.state.mem.checkpoint()));
 }
 
@@ -693,10 +724,11 @@ fn main() {
         samples: if quick { 3 } else { 10 },
         sample_time: Duration::from_millis(if quick { 20 } else { 200 }),
     };
-    let groups: [fn(&mut Timer); 13] = [
+    let groups: [fn(&mut Timer); 14] = [
         bench_remote_miss,
         bench_producer_consumer,
         bench_presend,
+        bench_replay,
         bench_teardown_wave,
         bench_compiler,
         bench_dataflow,

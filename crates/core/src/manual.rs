@@ -69,10 +69,10 @@ mod tests {
         assert_eq!(p.entries(7), 2);
         let st = lock(&p.state);
         let sched = st.store.phase(7).unwrap();
-        assert_eq!(sched.entries[&BlockId(10)].action(), Action::Read);
-        assert_eq!(sched.entries[&BlockId(10)].readers, readers);
-        assert_eq!(sched.entries[&BlockId(11)].action(), Action::Write);
-        assert_eq!(sched.entries[&BlockId(11)].writer, Some(3));
+        assert_eq!(sched.entries()[&BlockId(10)].action(), Action::Read);
+        assert_eq!(sched.entries()[&BlockId(10)].readers, readers);
+        assert_eq!(sched.entries()[&BlockId(11)].action(), Action::Write);
+        assert_eq!(sched.entries()[&BlockId(11)].writer, Some(3));
     }
 
     #[test]
@@ -81,6 +81,6 @@ mod tests {
         p.install_manual(1, vec![(BlockId(5), ManualEntry::Readers(NodeSet::single(1)))]);
         p.install_manual(1, vec![(BlockId(5), ManualEntry::Readers(NodeSet::single(2)))]);
         let st = lock(&p.state);
-        assert_eq!(st.store.phase(1).unwrap().entries[&BlockId(5)].readers.len(), 2);
+        assert_eq!(st.store.phase(1).unwrap().entries()[&BlockId(5)].readers.len(), 2);
     }
 }

@@ -209,7 +209,7 @@ impl Predictive {
 
     /// Number of schedule entries currently held for `phase` at this node.
     pub fn entries(&self, phase: PhaseId) -> usize {
-        lock(&self.state).store.phase(phase).map_or(0, |p| p.entries.len())
+        lock(&self.state).store.phase(phase).map_or(0, |p| p.entries().len())
     }
 
     /// Number of conflict-marked entries for `phase` at this node.
@@ -385,6 +385,51 @@ mod tests {
         let (epoch, ids) = p.window.ids(0);
         let (rec, next) = (st.recording, ids.start);
         format!("{rec:?} {phases:?} {health:?} {pushed:?} {next} {epoch}")
+    }
+
+    #[test]
+    fn a_degrade_forces_one_rebuild_and_one_copy() {
+        use prescient_stache::hooks::NoHooks;
+        use prescient_stache::testkit::Cluster;
+        use prescient_stache::RetryConfig;
+
+        const P: PhaseId = 1;
+        let cluster = Cluster::new(1, 32, RetryConfig::default(), None, |_| Arc::new(NoHooks));
+        let pred = Predictive::new(PredictiveConfig::default());
+        let mut image = PredCheckpoint::default();
+        // One instance of the runtime's `phase_begin`: checkpoint, the
+        // pre-send's gate and its runs, `arm`. Returns the runs.
+        let instance = |image: &mut PredCheckpoint| {
+            pred.checkpoint_into(image);
+            let degraded = crate::presend::health_gate(&pred, &cluster.nodes[0].shared, P);
+            let runs = (!degraded).then(|| lock(&pred.state).store.runs(P, false)).flatten();
+            pred.arm(P);
+            // Every window that ran pushed one copy nobody read.
+            if !degraded {
+                let mut st = lock(&pred.state);
+                let h = st.health.entry(P).or_default();
+                (h.last_pushed, h.useless) = (1, 1);
+            }
+            runs
+        };
+        instance(&mut image);
+        lock(&pred.state).store.phase_mut(P).record_read(BlockId(7), 0);
+        let recorded = instance(&mut image).unwrap();
+        let copies = |image: &PredCheckpoint| image.state.store.entry_copies;
+        let before = copies(&image);
+        while !pred.is_degraded(P) {
+            let runs = instance(&mut image);
+            assert!(pred.is_degraded(P) || Arc::ptr_eq(&recorded, &runs.unwrap()), "re-encoded");
+        }
+        assert_eq!(copies(&image), before, "a steady-state checkpoint copied entries");
+        // The degraded instances have no window; then the flushed
+        // schedule's, rebuilt.
+        let rebuilt = std::iter::repeat_with(|| instance(&mut image)).find_map(|r| r).unwrap();
+        assert!(rebuilt.is_empty() && !Arc::ptr_eq(&recorded, &rebuilt));
+        assert_eq!(copies(&image), before + 1, "the flushed schedule is copied once");
+        assert!(Arc::ptr_eq(&rebuilt, &instance(&mut image).unwrap()), "rebuilt twice");
+        assert_eq!(copies(&image), before + 1);
+        assert_eq!(pred.degrade_events(P), 1);
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub struct PresendReport {
 
 /// Score the previous instance and decide whether this window runs.
 /// Returns `true` if the phase is degraded (the caller must skip).
-fn health_gate(pred: &Predictive, n: &NodeShared, phase: PhaseId) -> bool {
+pub(crate) fn health_gate(pred: &Predictive, n: &NodeShared, phase: PhaseId) -> bool {
     let degrade = pred.cfg.degrade;
     let mut guard = lock(&pred.state);
     let st = &mut *guard;
@@ -148,18 +148,15 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
         return report;
     }
 
-    // Snapshot this node's schedule slice, run-length-encoded in block
-    // order: contiguous blocks with the same action toward the same
-    // targets collapse into one `ReplayRun`, so the walk below touches
-    // O(runs) headers (conflict runs skip in O(1)) instead of O(blocks)
-    // hash-map entries. Expansion order and per-block behavior are
-    // bit-identical to walking `sorted_entries`.
-    let runs = {
-        let st = lock(&pred.state);
-        match st.store.phase(phase) {
-            Some(p) => p.replay(pred.cfg.anticipate_conflicts),
-            None => return report,
-        }
+    // This node's schedule slice, run-length-encoded in block order:
+    // contiguous blocks with the same action toward the same targets
+    // collapse into one `ReplayRun`, so the walk below touches O(runs)
+    // headers (conflict runs skip in O(1)) instead of O(blocks) hash-map
+    // entries. Expansion order and per-block behavior are bit-identical to
+    // walking `sorted_entries`. The runs are encoded once per schedule
+    // generation and shared by every instance until a record or a flush.
+    let Some(runs) = lock(&pred.state).store.runs(phase, pred.cfg.anticipate_conflicts) else {
+        return report;
     };
     n.tracer().emit(EventKind::SchedReplay, u64::from(phase), runs.len() as u64);
 
@@ -171,7 +168,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     // round in flight: a delayed demand request that arrived mid-window on
     // a faulty fabric) is stale — the tear-down serializes behind it.
     let mut stale: Vec<(BlockId, bool)> = Vec::new();
-    for run in &runs {
+    for run in runs.iter() {
         let excl = match run.action {
             Action::Conflict => continue,
             Action::Read => false,
@@ -205,7 +202,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     // pass 2 drops the push if a late demand request won the block.
     let mut pushes: Vec<Push> = Vec::new();
     let torn = |block| stale.binary_search_by_key(&block, |s| s.0).is_ok();
-    for run in &runs {
+    for run in runs.iter() {
         match run.action {
             Action::Conflict => report.skipped_conflicts += run.len,
             Action::Read => {

@@ -6,9 +6,13 @@
 //! at which phase *instance* (iteration). Entries accumulate across
 //! iterations — the incremental growth that lets the protocol track
 //! adaptive applications — and are only discarded by an explicit
-//! [`ScheduleStore::flush`].
+//! [`ScheduleStore::flush`]. Each change takes a fresh, process-wide
+//! *generation*, so the replay runs are encoded and a checkpoint copies
+//! the entries once per change (DESIGN.md §7, "Replay runs per generation").
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use prescient_tempest::{BlockId, NodeId, NodeSet};
 
@@ -116,11 +120,18 @@ impl ReplayRun {
     }
 }
 
+/// The last generation handed out; 0 is an empty, never-changed schedule.
+static GENERATION: AtomicU64 = AtomicU64::new(0);
+
 /// One phase's schedule at one home node.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseSchedule {
-    /// Recorded entries, by block.
-    pub entries: HashMap<BlockId, ScheduleEntry>,
+    /// Recorded entries, by block; only `record_*` change them, each
+    /// under a new generation.
+    entries: HashMap<BlockId, ScheduleEntry>,
+    generation: u64,
+    /// The replay runs of one (generation, anticipate) pair.
+    cached: Option<(u64, bool, Arc<[ReplayRun]>)>,
     /// Current phase instance, advanced by each `presend_and_arm`.
     pub cur_iter: u64,
     /// Total record events (diagnostics).
@@ -128,9 +139,15 @@ pub struct PhaseSchedule {
 }
 
 impl PhaseSchedule {
+    /// Recorded entries, by block.
+    pub fn entries(&self) -> &HashMap<BlockId, ScheduleEntry> {
+        &self.entries
+    }
+
     /// Record a read request for `block` from `requester`.
     pub fn record_read(&mut self, block: BlockId, requester: NodeId) {
         let it = self.cur_iter;
+        self.generation = GENERATION.fetch_add(1, Ordering::Relaxed) + 1;
         let e = self.entries.entry(block).or_default();
         e.stamp_first(it, false);
         e.readers.insert(requester);
@@ -144,6 +161,7 @@ impl PhaseSchedule {
     /// Record a write request for `block` from `requester`.
     pub fn record_write(&mut self, block: BlockId, requester: NodeId) {
         let it = self.cur_iter;
+        self.generation = GENERATION.fetch_add(1, Ordering::Relaxed) + 1;
         let e = self.entries.entry(block).or_default();
         e.stamp_first(it, true);
         e.writer = Some(requester);
@@ -170,6 +188,7 @@ impl PhaseSchedule {
     /// [`ScheduleEntry::action_with`] would do: only the fields the walk
     /// consults are compared (readers for read runs, writer for write
     /// runs; conflict runs always merge since they carry no targets).
+    /// Encodes afresh on every call; the pre-send takes [`Self::runs`].
     pub fn replay(&self, anticipate: bool) -> Vec<ReplayRun> {
         let mut keys: Vec<BlockId> = self.entries.keys().copied().collect();
         keys.sort_unstable();
@@ -194,6 +213,18 @@ impl PhaseSchedule {
         runs
     }
 
+    /// [`Self::replay`], encoded once per generation and `anticipate`.
+    pub fn runs(&mut self, anticipate: bool) -> Arc<[ReplayRun]> {
+        match &self.cached {
+            Some((g, a, runs)) if (*g, *a) == (self.generation, anticipate) => Arc::clone(runs),
+            _ => {
+                let runs: Arc<[ReplayRun]> = self.replay(anticipate).into();
+                self.cached = Some((self.generation, anticipate, Arc::clone(&runs)));
+                runs
+            }
+        }
+    }
+
     /// Number of conflict-marked entries.
     pub fn conflicts(&self) -> usize {
         self.entries.values().filter(|e| e.conflict).count()
@@ -204,21 +235,29 @@ impl PhaseSchedule {
 #[derive(Debug, Default)]
 pub struct ScheduleStore {
     phases: HashMap<PhaseId, PhaseSchedule>,
+    /// Phases whose entries `clone_from` copied into this store, ever.
+    pub(crate) entry_copies: u64,
 }
 
 impl Clone for ScheduleStore {
     fn clone(&self) -> ScheduleStore {
-        ScheduleStore { phases: self.phases.clone() }
+        ScheduleStore { phases: self.phases.clone(), entry_copies: 0 }
     }
 
     /// Copy `src` phase by phase into the tables this store already has,
-    /// so a checkpoint taken every phase allocates nothing once the
-    /// schedules stop growing.
+    /// a phase's entries only when its generation differs — a
+    /// steady-state checkpoint copies no entry, and a restore brings back
+    /// the generation and its cached runs.
     fn clone_from(&mut self, src: &ScheduleStore) {
         self.phases.retain(|id, _| src.phases.contains_key(id));
         for (id, p) in &src.phases {
             let dst = self.phases.entry(*id).or_default();
-            dst.entries.clone_from(&p.entries);
+            if dst.generation != p.generation {
+                dst.entries.clone_from(&p.entries);
+                dst.generation = p.generation;
+                self.entry_copies += 1;
+            }
+            dst.cached.clone_from(&p.cached);
             (dst.cur_iter, dst.records) = (p.cur_iter, p.records);
         }
     }
@@ -235,16 +274,16 @@ impl ScheduleStore {
         self.phases.get(&phase)
     }
 
+    /// `phase`'s replay runs ([`PhaseSchedule::runs`]), if it exists.
+    pub fn runs(&mut self, phase: PhaseId, anticipate: bool) -> Option<Arc<[ReplayRun]>> {
+        self.phases.get_mut(&phase).map(|p| p.runs(anticipate))
+    }
+
     /// Discard a phase's schedule so it is rebuilt from scratch — the
     /// paper's answer to communication patterns with many deletions
     /// (§3.3).
     pub fn flush(&mut self, phase: PhaseId) {
         self.phases.remove(&phase);
-    }
-
-    /// Total entries across all phases (diagnostics).
-    pub fn total_entries(&self) -> usize {
-        self.phases.values().map(|p| p.entries.len()).sum()
     }
 
     /// Phase ids with recorded schedules, ascending.
@@ -332,10 +371,9 @@ mod tests {
         let mut s = ScheduleStore::default();
         s.phase_mut(1).record_read(B, 0);
         s.phase_mut(2).record_read(B, 0);
-        assert_eq!(s.total_entries(), 2);
         s.flush(1);
         assert!(s.phase(1).is_none());
-        assert_eq!(s.total_entries(), 1);
+        assert_eq!(s.phase(2).unwrap().entries.len(), 1);
     }
 
     #[test]
@@ -440,6 +478,77 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].action, Action::Conflict);
         assert_eq!(expand(&runs), reference(&p, false));
+    }
+
+    /// A store with phase 1 recorded, and an image that copied it.
+    fn recorded_and_captured() -> (ScheduleStore, ScheduleStore) {
+        let mut live = ScheduleStore::default();
+        live.phase_mut(1).record_read(B, 3);
+        let mut image = ScheduleStore::default();
+        image.clone_from(&live);
+        assert_eq!(image.entry_copies, 1);
+        (live, image)
+    }
+
+    #[test]
+    fn a_steady_state_instance_rebuilds_and_copies_nothing() {
+        let (mut live, mut image) = recorded_and_captured();
+        let runs = live.runs(1, false).unwrap();
+        for _ in 0..3 {
+            live.phase_mut(1).cur_iter += 1; // the instance's `arm`
+            assert!(Arc::ptr_eq(&runs, &live.runs(1, false).unwrap()), "re-encoded");
+            image.clone_from(&live);
+        }
+        assert_eq!(image.entry_copies, 1, "a steady-state checkpoint copied entries");
+        assert_eq!(image.phase(1).unwrap().cur_iter, 3, "the instance counter still follows");
+        // The other policy is its own key.
+        assert_eq!(*live.runs(1, true).unwrap(), *runs);
+        assert!(!Arc::ptr_eq(&runs, &live.runs(1, false).unwrap()));
+    }
+
+    #[test]
+    fn one_record_forces_one_rebuild_and_one_copy() {
+        let (mut live, mut image) = recorded_and_captured();
+        let before = live.runs(1, false).unwrap();
+        let generation = live.phase(1).unwrap().generation;
+        live.phase_mut(1).record_write(BlockId(43), 2);
+        assert_ne!(live.phase(1).unwrap().generation, generation);
+        let after = live.runs(1, false).unwrap();
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert!(Arc::ptr_eq(&after, &live.runs(1, false).unwrap()), "rebuilt twice");
+        image.clone_from(&live);
+        image.clone_from(&live);
+        assert_eq!(image.entry_copies, 2);
+        assert_eq!(image.phase(1).unwrap().entries[&BlockId(43)].writer, Some(2));
+    }
+
+    #[test]
+    fn a_flush_forces_one_rebuild_and_one_copy() {
+        let (mut live, mut image) = recorded_and_captured();
+        let before = live.runs(1, false).unwrap();
+        live.flush(1); // what a degrade does, too
+        assert!(live.runs(1, false).is_none(), "a flushed phase has no window");
+        live.phase_mut(1).cur_iter += 1; // re-armed
+        let after = live.runs(1, false).unwrap();
+        assert!(after.is_empty() && !Arc::ptr_eq(&before, &after));
+        assert!(Arc::ptr_eq(&after, &live.runs(1, false).unwrap()), "rebuilt twice");
+        image.clone_from(&live);
+        image.clone_from(&live);
+        assert_eq!(image.entry_copies, 2);
+        assert!(image.phase(1).unwrap().entries.is_empty(), "the image kept flushed entries");
+    }
+
+    #[test]
+    fn a_restore_brings_the_generation_and_runs_back() {
+        let (mut live, mut image) = recorded_and_captured();
+        let runs = live.runs(1, false).unwrap();
+        image.clone_from(&live); // the cut now carries the cached runs
+        let cut = live.phase(1).unwrap().generation;
+        live.phase_mut(1).record_read(BlockId(50), 4); // the destroyed instance
+        live.clone_from(&image);
+        assert_eq!(live.phase(1).unwrap().generation, cut);
+        assert_eq!(live.phase(1).unwrap().entries.len(), 1);
+        assert!(Arc::ptr_eq(&runs, &live.runs(1, false).unwrap()), "replayed from the cut");
     }
 
     #[test]

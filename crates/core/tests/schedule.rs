@@ -32,7 +32,8 @@ fn evs(g: &mut Gen, len: std::ops::Range<usize>) -> Vec<Ev> {
 
 /// The schedule `evs` records, starting at iteration 1.
 fn record(evs: &[Ev]) -> PhaseSchedule {
-    let mut sched = PhaseSchedule { cur_iter: 1, ..Default::default() };
+    let mut sched = PhaseSchedule::default();
+    sched.cur_iter = 1;
     for ev in evs {
         match ev {
             Ev::Read(b, n) => sched.record_read(BlockId(*b), *n),
@@ -62,7 +63,7 @@ fn conflict_iff_same_iteration_read_and_write() {
         for b in 0..8u64 {
             let expect_conflict =
                 (1..=iter).any(|it| matches!(per_iter.get(&(b, it)), Some((true, true))));
-            let got = sched.entries.get(&BlockId(b)).map(|e| e.conflict).unwrap_or(false);
+            let got = sched.entries().get(&BlockId(b)).map(|e| e.conflict).unwrap_or(false);
             assert_eq!(got, expect_conflict, "block {b}");
         }
     });
@@ -73,7 +74,8 @@ fn conflict_iff_same_iteration_read_and_write() {
 #[test]
 fn readers_grow_monotonically() {
     cases(256, |g| {
-        let mut sched = PhaseSchedule { cur_iter: 1, ..Default::default() };
+        let mut sched = PhaseSchedule::default();
+        sched.cur_iter = 1;
         let mut seen: HashMap<u64, BTreeSet<NodeId>> = HashMap::new();
         for ev in evs(g, 0..60) {
             match ev {
@@ -85,7 +87,7 @@ fn readers_grow_monotonically() {
                 Ev::NextIter => sched.cur_iter += 1,
             }
             for (b, readers) in &seen {
-                let e = sched.entries[&BlockId(*b)];
+                let e = sched.entries()[&BlockId(*b)];
                 for r in readers {
                     assert!(e.readers.contains(*r), "reader {r} lost from block {b}");
                 }
@@ -116,7 +118,7 @@ fn action_follows_recency() {
             }
         }
         for (b, (wrote, read_iter, write_iter)) in last_kind {
-            let e = sched.entries[&BlockId(b)];
+            let e = sched.entries()[&BlockId(b)];
             if e.conflict {
                 assert_eq!(e.action(), Action::Conflict);
             } else if wrote && write_iter >= read_iter {
@@ -134,7 +136,7 @@ fn sorted_entries_is_a_permutation() {
     cases(256, |g| {
         let sched = record(&evs(g, 0..60));
         let sorted = sched.sorted_entries();
-        assert_eq!(sorted.len(), sched.entries.len());
+        assert_eq!(sorted.len(), sched.entries().len());
         for w in sorted.windows(2) {
             assert!(w[0].0 < w[1].0, "strictly ascending blocks");
         }

@@ -394,8 +394,9 @@ impl Node {
     /// Capture this node's full protocol state at a quiescent cut — the
     /// block store, the home directory shard, the request-seq counter, and
     /// the recall-reply cache — into `ckpt`, overwriting what it held and
-    /// keeping its buffers.
-    pub fn checkpoint_into(&self, ckpt: &mut NodeCheckpoint) {
+    /// keeping its buffers. The block store writes only what changed
+    /// since it last filled or restored from `ckpt.mem`.
+    pub fn checkpoint_into(&mut self, ckpt: &mut NodeCheckpoint) {
         self.state.mem.checkpoint_into(&mut ckpt.mem);
         self.state.dir.checkpoint_into(&mut ckpt.dir);
         ckpt.seq = self.shared.seq.load(Ordering::Relaxed);

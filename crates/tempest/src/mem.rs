@@ -39,7 +39,8 @@
 //! mask off the address, then segment table → page table → page), one
 //! comparison of the slot's metadata byte against the one or two values
 //! that mean "present, permitted, already read", and one copy. It changes
-//! no bookkeeping, because a hit has none to change.
+//! no count; a write hit stores the slot's metadata byte back with its
+//! dirty bit set (below).
 //!
 //! Everything else takes the slow path, which starts again from the
 //! address and makes every check in order: boundary crossing
@@ -60,7 +61,13 @@
 //! so protocol data replies cannot inflate residency or pollute
 //! unread-pre-send accounting (they used to, via the lazy `block_mut`
 //! path).
+//!
+//! A slot's metadata byte also carries a dirty bit, and a captured page
+//! keeps each slot's index in the [`MemCheckpoint`] the store is *bound*
+//! to: a capture into that image copies only what changed (DESIGN.md §12,
+//! "Capture is incremental").
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::layout::NODE_HEAP_BYTES;
@@ -123,14 +130,16 @@ impl MemError {
     }
 }
 
-// Slot metadata byte: bits 0–1 tag, bit 2 present, bit 3 unread pre-send.
+// Slot metadata byte: bits 0–1 tag, bit 2 present, bit 3 unread pre-send,
+// bit 4 changed since the last capture or restore (never in an image).
 const META_TAG_MASK: u8 = 0b011;
 const META_PRESENT: u8 = 0b100;
 const META_UNUSED: u8 = 0b1000;
-// The metadata bytes of a hit: present, unread-pre-send bit clear, and a
-// tag that permits the access.
-const META_HIT_RO: u8 = META_PRESENT | tag_code(Tag::ReadOnly);
-const META_HIT_RW: u8 = META_PRESENT | tag_code(Tag::ReadWrite);
+const META_DIRTY: u8 = 0b1_0000;
+// The metadata bytes of a hit, dirty bit set: present, unread-pre-send bit
+// clear, and a tag that permits the access.
+const META_HIT_RO: u8 = META_DIRTY | META_PRESENT | tag_code(Tag::ReadOnly);
+const META_HIT_RW: u8 = META_DIRTY | META_PRESENT | tag_code(Tag::ReadWrite);
 
 #[inline]
 const fn tag_code(tag: Tag) -> u8 {
@@ -150,12 +159,21 @@ fn code_tag(code: u8) -> Tag {
     }
 }
 
+/// A slot's index in the bound image when it is not there.
+const UNPLACED: u32 = u32::MAX;
+
+/// The last image id handed out; 0 is an image no store is bound to.
+static IMAGES: AtomicU64 = AtomicU64::new(0);
+
 /// One arena page: `PAGE_BLOCKS` blocks of data plus a metadata byte each.
 struct Page {
     /// `PAGE_BLOCKS * block_size` bytes, zero-initialized.
     data: Box<[u8]>,
     /// Per-slot metadata.
     meta: [u8; PAGE_BLOCKS],
+    /// Each slot's index in the bound image, or [`UNPLACED`]; made by the
+    /// page's first capture or restore.
+    at: Option<Box<[u32; PAGE_BLOCKS]>>,
 }
 
 impl Page {
@@ -163,7 +181,14 @@ impl Page {
         Page {
             data: vec![0u8; PAGE_BLOCKS * block_size].into_boxed_slice(),
             meta: [0; PAGE_BLOCKS],
+            at: None,
         }
+    }
+
+    /// Mark `slot` changed since the last capture.
+    #[inline]
+    fn touch(&mut self, slot: usize) {
+        self.meta[slot] |= META_DIRTY;
     }
 
     #[inline]
@@ -211,6 +236,8 @@ pub struct NodeMem {
     resident: usize,
     /// Materialized blocks whose unread-pre-send bit is set (O(1)).
     unused: usize,
+    /// Id of the bound image (module doc); 0 binds none.
+    image: u64,
     /// The canonical zero block, shared by non-materializing snapshots of
     /// untouched home blocks.
     zero: Arc<[u8]>,
@@ -237,6 +264,7 @@ impl NodeMem {
             segs: (0..layout.nodes).map(|_| Vec::new()).collect(),
             resident: 0,
             unused: 0,
+            image: 0,
             zero: vec![0u8; layout.block_size].into(),
             alloc_next: layout.heap_base(me).0,
             alloc_end: layout.heap_end(me).0,
@@ -348,6 +376,7 @@ impl NodeMem {
         if p.meta[slot] & META_PRESENT == 0 {
             p.meta[slot] =
                 META_PRESENT | tag_code(if home { Tag::ReadWrite } else { Tag::Invalid });
+            p.touch(slot);
             self.resident += 1;
         }
         (p, slot)
@@ -361,9 +390,11 @@ impl NodeMem {
         if v && !was {
             p.meta[slot] |= META_UNUSED;
             *unused_count += 1;
+            p.touch(slot);
         } else if !v && was {
             p.meta[slot] &= !META_UNUSED;
             *unused_count -= 1;
+            p.touch(slot);
         }
     }
 
@@ -403,6 +434,7 @@ impl NodeMem {
     pub fn set_tag(&mut self, block: BlockId, tag: Tag) {
         let (p, slot) = self.materialize(block);
         p.meta[slot] = (p.meta[slot] & !META_TAG_MASK) | tag_code(tag);
+        p.touch(slot);
     }
 
     /// Install a copy of a remote block with the given tag, as done by the
@@ -417,6 +449,7 @@ impl NodeMem {
         let wasted = p.unused(slot);
         p.block_mut(slot, bs).copy_from_slice(data);
         p.meta[slot] = (p.meta[slot] & !META_TAG_MASK) | tag_code(tag);
+        p.touch(slot);
         Self::set_unused_bit(p, slot, &mut unused, presend);
         self.unused = unused;
         wasted
@@ -452,7 +485,9 @@ impl NodeMem {
         let end = off + len;
         let (seg, page, slot) = self.split(self.block_at(addr));
         match self.segs.get(seg).and_then(|pages| pages.get(page)) {
-            Some(Some(p)) if end <= bs && matches!(p.meta[slot], META_HIT_RO | META_HIT_RW) => {
+            Some(Some(p))
+                if end <= bs && matches!(p.meta[slot] | META_DIRTY, META_HIT_RO | META_HIT_RW) =>
+            {
                 Some(&p.data[slot * bs + off..slot * bs + end])
             }
             _ => None,
@@ -503,7 +538,8 @@ impl NodeMem {
         let end = off + len;
         let (seg, page, slot) = self.split(self.block_at(addr));
         match self.segs.get_mut(seg).and_then(|pages| pages.get_mut(page)) {
-            Some(Some(p)) if end <= bs && p.meta[slot] == META_HIT_RW => {
+            Some(Some(p)) if end <= bs && p.meta[slot] | META_DIRTY == META_HIT_RW => {
+                p.meta[slot] = META_HIT_RW;
                 Some(&mut p.data[slot * bs + off..slot * bs + end])
             }
             _ => None,
@@ -538,6 +574,7 @@ impl NodeMem {
         let (p, slot) = self.materialize(block);
         Self::set_unused_bit(p, slot, &mut unused, false);
         p.block_mut(slot, bs)[off..off + bytes.len()].copy_from_slice(bytes);
+        p.touch(slot);
         self.unused = unused;
         Ok(())
     }
@@ -568,8 +605,8 @@ impl NodeMem {
         self.unused
     }
 
-    /// [`Self::checkpoint_into`] a fresh [`MemCheckpoint`].
-    pub fn checkpoint(&self) -> MemCheckpoint {
+    /// [`Self::checkpoint_into`] a fresh [`MemCheckpoint`]: a full capture.
+    pub fn checkpoint(&mut self) -> MemCheckpoint {
         let mut ckpt = MemCheckpoint::default();
         self.checkpoint_into(&mut ckpt);
         ckpt
@@ -577,25 +614,57 @@ impl NodeMem {
 
     /// Capture the store's full logical state — every materialized block's
     /// bytes, tag, and unread-pre-send bit, plus the allocator watermark —
-    /// into `ckpt`, overwriting what it held and keeping its buffers, so a
-    /// capture that fits them allocates nothing. Taken at a phase barrier
-    /// (a protocol quiescence point) this is one node's shard of a
-    /// consistent cut.
-    pub fn checkpoint_into(&self, ckpt: &mut MemCheckpoint) {
-        let bs = self.layout.block_size;
-        ckpt.blocks.clear();
-        ckpt.data.clear();
-        for (block, page, slot) in self.slots() {
-            ckpt.blocks.push((block, page.meta[slot]));
-            ckpt.data.extend_from_slice(page.block(slot, bs));
+    /// into `ckpt`, keeping its buffers, so a capture that fits them
+    /// allocates nothing. Into the bound image only the slots changed
+    /// since are written; any other image is overwritten whole (module
+    /// doc). Taken at a phase barrier (a protocol quiescence point) this is
+    /// one node's shard of a consistent cut.
+    pub fn checkpoint_into(&mut self, ckpt: &mut MemCheckpoint) {
+        let (bs, seg_shift) = (self.layout.block_size, self.seg_shift);
+        let full = self.image == 0 || ckpt.image != self.image;
+        if full {
+            ckpt.blocks.clear();
+            ckpt.data.clear();
+        }
+        for (seg, pages) in self.segs.iter_mut().enumerate() {
+            let pages =
+                pages.iter_mut().enumerate().filter_map(|(i, p)| Some((i, p.as_deref_mut()?)));
+            for (pi, page) in pages {
+                let base = (seg as u64) << seg_shift | (pi as u64) << PAGE_SHIFT;
+                let want = if full { META_PRESENT } else { META_DIRTY };
+                // Eight metadata bytes at a time, one bit each to look at.
+                for eight in (0..PAGE_BLOCKS).step_by(8) {
+                    let metas = u64::from_le_bytes(page.meta[eight..eight + 8].try_into().unwrap());
+                    let mut hits = metas & u64::from_le_bytes([want; 8]);
+                    while hits != 0 {
+                        let slot = eight + hits.trailing_zeros() as usize / 8;
+                        hits &= hits - 1;
+                        page.meta[slot] &= !META_DIRTY;
+                        let at = page.at.get_or_insert_with(|| Box::new([UNPLACED; PAGE_BLOCKS]));
+                        let (meta, bytes, i) =
+                            (page.meta[slot], &page.data[slot * bs..][..bs], at[slot]);
+                        if full || i == UNPLACED {
+                            at[slot] = ckpt.blocks.len() as u32;
+                            ckpt.blocks.push((BlockId(base | slot as u64), meta));
+                            ckpt.data.extend_from_slice(bytes);
+                        } else {
+                            ckpt.blocks[i as usize].1 = meta;
+                            ckpt.data[i as usize * bs..][..bs].copy_from_slice(bytes);
+                        }
+                    }
+                }
+            }
         }
         ckpt.alloc_next = self.alloc_next;
+        self.image = IMAGES.fetch_add(1, Ordering::Relaxed) + 1;
+        ckpt.image = self.image;
     }
 
     /// Roll the store back to a previously captured [`MemCheckpoint`]:
     /// every block materialized since the cut is forgotten, every block in
     /// the checkpoint comes back with its exact bytes, tag, and
-    /// unread-pre-send bit, and the allocator watermark rewinds.
+    /// unread-pre-send bit, and the allocator watermark rewinds. The store
+    /// binds to `ckpt`, with no slot dirty.
     pub fn restore(&mut self, ckpt: &MemCheckpoint) {
         for pages in &mut self.segs {
             pages.clear();
@@ -603,12 +672,15 @@ impl NodeMem {
         self.resident = 0;
         self.alloc_next = ckpt.alloc_next;
         let bs = self.layout.block_size;
-        for (&(block, meta), data) in ckpt.blocks.iter().zip(ckpt.data.chunks_exact(bs)) {
+        let images = ckpt.blocks.iter().zip(ckpt.data.chunks_exact(bs));
+        for (i, (&(block, meta), data)) in images.enumerate() {
             let (p, slot) = self.materialize(block);
             p.block_mut(slot, bs).copy_from_slice(data);
             p.meta[slot] = meta;
+            p.at.get_or_insert_with(|| Box::new([UNPLACED; PAGE_BLOCKS]))[slot] = i as u32;
         }
         self.unused = ckpt.blocks.iter().filter(|(_, meta)| meta & META_UNUSED != 0).count();
+        self.image = ckpt.image;
     }
 
     /// Every materialized block with its page and slot, in block order.
@@ -640,12 +712,15 @@ impl NodeMem {
 /// flat: every materialized block's id and metadata byte (tag,
 /// unread-pre-send bit), its bytes in one buffer in the same order, and
 /// the bump allocator's watermark. Filled by [`NodeMem::checkpoint_into`]
-/// and consumed by [`NodeMem::restore`].
+/// and consumed by [`NodeMem::restore`]; block order after a full
+/// capture, with later materializations appended by incremental ones.
 #[derive(Debug, Default)]
 pub struct MemCheckpoint {
     blocks: Vec<(BlockId, u8)>,
     data: Vec<u8>,
     alloc_next: u64,
+    /// Stamped by each capture (module doc); 0 until the first.
+    image: u64,
 }
 
 impl MemCheckpoint {

@@ -326,6 +326,8 @@ struct HubState {
     pushed: u64,
     /// The drainer holds a batch it has not finished writing.
     draining: bool,
+    /// The drainer is parked in `wait_more`: the next push wakes it.
+    parked: bool,
     closed: bool,
 }
 
@@ -352,13 +354,16 @@ impl MetricsHub {
         MetricsHub::default()
     }
 
-    /// Append one record and wake a waiting drainer.
+    /// Append one record, and wake the drainer if it is parked: once per
+    /// park, so the pushes it sleeps through cost no wake-up each.
     pub fn push(&self, r: PhaseRecord) {
         let mut st = lock(&self.state);
         st.records.push(r);
         st.pushed += 1;
-        drop(st);
-        self.more.notify_all();
+        if std::mem::take(&mut st.parked) {
+            drop(st);
+            self.more.notify_all();
+        }
     }
 
     /// Copy of every record the hub holds.
@@ -385,7 +390,10 @@ impl MetricsHub {
         if std::mem::take(&mut st.draining) {
             self.written.notify_all();
         }
-        let mut st = wait_while(&self.more, st, |st| st.records.is_empty() && !st.closed);
+        let mut st = wait_while(&self.more, st, |st| {
+            st.parked = st.records.is_empty() && !st.closed;
+            st.parked
+        });
         std::mem::swap(&mut st.records, batch);
         st.draining = !batch.is_empty();
         st.closed
@@ -516,6 +524,51 @@ mod tests {
         let seen = t.join().unwrap();
         assert_eq!(seen.iter().map(|r| r.node).collect::<Vec<_>>(), [0, 1, 2]);
         assert_eq!(hub.wait_written(), 3);
+    }
+
+    #[test]
+    fn hub_wakes_a_parked_drainer_once_and_loses_nothing() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 300;
+        let hub = Arc::new(MetricsHub::new());
+        let h2 = Arc::clone(&hub);
+        let drainer = std::thread::spawn(move || {
+            let (mut seen, mut batch) = (Vec::new(), Vec::new());
+            loop {
+                let closed = h2.wait_more(&mut batch);
+                if closed && batch.is_empty() {
+                    return seen;
+                }
+                seen.extend(batch.drain(..).map(|r| (r.node, r.seq)));
+                // Writing the batch: pushes meanwhile queue without a wake.
+                std::thread::yield_now();
+            }
+        });
+        let pushers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let hub = Arc::clone(&hub);
+                std::thread::spawn(move || {
+                    for round in 0..ROUNDS {
+                        let mut r = sample_record(t as NodeId, false);
+                        r.seq = round as u64;
+                        hub.push(r);
+                        if round % 50 == 0 {
+                            // Every record so far is written, and the
+                            // drainer parks again before the next push.
+                            assert!(hub.wait_written() > round as u64);
+                        }
+                    }
+                })
+            })
+            .collect();
+        pushers.into_iter().for_each(|p| p.join().unwrap());
+        assert_eq!(hub.wait_written(), (THREADS * ROUNDS) as u64);
+        hub.close();
+        let mut seen = drainer.join().unwrap();
+        seen.sort_unstable();
+        let want: Vec<_> =
+            (0..THREADS).flat_map(|t| (0..ROUNDS).map(move |r| (t as NodeId, r as u64))).collect();
+        assert_eq!(seen, want, "every record drained exactly once");
     }
 
     #[test]

@@ -14,11 +14,11 @@ mod model;
 
 use std::sync::Arc;
 
-use model::{apply_and_check, check_final, Op, RefStore};
+use model::{apply_and_check, check_final, pattern, Op, RefStore};
 use prescient_tempest::rng::{cases, replay, Gen};
 use prescient_tempest::tag::Access;
 use prescient_tempest::{
-    BlockId, Fault, GAddr, GlobalLayout, HomeMap, HomeView, MemError, NodeMem, Tag,
+    BlockId, Fault, GAddr, GlobalLayout, HomeMap, HomeView, MemCheckpoint, MemError, NodeMem, Tag,
 };
 
 /// One op on a block of some node's heap segment, slot indices clustered
@@ -73,6 +73,91 @@ fn arena_matches_hashmap_model_under_seeded_torture() {
 #[test]
 fn arena_matches_hashmap_model_64b_blocks() {
     replay(0xB10C_64B1_0C64_B10C, 100, |g| torture(g, GlobalLayout::new(3, 64), 0, 4000));
+}
+
+// ---- incremental capture -------------------------------------------------
+
+/// `op` on `mem` alone, its outcome dropped.
+fn apply(mem: &mut NodeMem, op: &Op) {
+    let bs = mem.layout().block_size;
+    let at = |block: BlockId, off: usize| GAddr(block.0 * bs as u64 + off as u64);
+    match *op {
+        Op::Install(block, seed, tag, presend) => {
+            mem.install(block, &pattern(seed, bs), tag, presend);
+        }
+        Op::SetTag(block, tag) => mem.set_tag(block, tag),
+        Op::Read(block, off, len) => {
+            let _ = mem.read_in_block(at(block, off), &mut vec![0; len]);
+        }
+        Op::Write(block, off, len, seed) => {
+            let _ = mem.write_in_block(at(block, off), &pattern(seed, len));
+        }
+        Op::Snapshot(block) => drop(mem.snapshot(block)),
+        Op::ClearUnused(block) => mem.clear_presend_unused(block),
+    }
+}
+
+/// A block as a restore rewinds it: tag, bytes and unread-pre-send bit.
+type Restored = (BlockId, Tag, Vec<u8>, bool);
+
+/// Everything a restore rewinds that a store shows: every block and the
+/// unread count.
+fn view(mem: &NodeMem) -> (Vec<Restored>, usize) {
+    let blocks = mem.iter_blocks().map(|(b, tag)| {
+        (b, tag, mem.data(b).expect("materialized").to_vec(), mem.presend_unused(b))
+    });
+    (blocks.collect(), mem.unused_presends())
+}
+
+/// A store captured over and over into one image, between seeded runs of
+/// writes, installs, tag changes, unread-bit flips and new blocks — and now
+/// and then restored from another image, or its image overwritten by
+/// another store. After each capture the image must restore to what a full
+/// capture of a twin store (the same ops, never captured into the image)
+/// restores to, and to the store itself.
+#[test]
+fn incremental_capture_equals_a_full_one() {
+    let layout = GlobalLayout::new(4, 32);
+    cases(64, |g| {
+        let (mut mem, mut twin) = (NodeMem::new(layout, 1), NodeMem::new(layout, 1));
+        let mut peer = NodeMem::new(layout, 2);
+        let (mut image, mut elsewhere) = (MemCheckpoint::default(), MemCheckpoint::default());
+        for _ in 0..g.len(4..24) {
+            for _ in 0..g.len(1..60) {
+                let next = op(g, layout);
+                apply(&mut mem, &next);
+                apply(&mut twin, &next);
+                apply(&mut peer, &op(g, layout));
+            }
+            match g.below(6) {
+                // The peer takes the image: the store's next capture is full.
+                0 => peer.checkpoint_into(&mut image),
+                // The store rolls back to another image it is then bound
+                // to: a capture into `image` is full again.
+                1 => {
+                    peer.checkpoint_into(&mut elsewhere);
+                    mem.restore(&elsewhere);
+                    twin.restore(&elsewhere);
+                }
+                // The store rolls back to its own image and stays bound.
+                2 => {
+                    mem.restore(&image);
+                    twin.restore(&image);
+                }
+                _ => {}
+            }
+            mem.checkpoint_into(&mut image);
+            let full = twin.checkpoint();
+            assert_eq!(image.bytes(), full.bytes());
+            assert_eq!(image.block_count(), full.block_count());
+            let (mut from_image, mut from_full) =
+                (NodeMem::new(layout, 1), NodeMem::new(layout, 1));
+            from_image.restore(&image);
+            from_full.restore(&full);
+            assert_eq!(view(&from_image), view(&from_full));
+            assert_eq!(view(&from_full), view(&mem));
+        }
+    });
 }
 
 // ---- hit path / slow path transitions, one by one -------------------------
