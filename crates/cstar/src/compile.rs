@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::ast::{Program, SeqStmt};
+use crate::ast::Program;
 use crate::cfg::Cfg;
 use crate::dataflow::ReachingUnstructured;
 use crate::diag::Diagnostic;
@@ -23,7 +23,8 @@ pub struct CompiledProgram {
     pub reaching: ReachingUnstructured,
     /// Placed directives and the executable op sequence.
     pub plan: DirectivePlan,
-    /// Call sites by id: `(function, argument aggregates)`.
+    /// Call sites by id: `(function, argument aggregates)`, from
+    /// [`Program::calls`].
     pub call_sites: Vec<(String, Vec<String>)>,
 }
 
@@ -47,17 +48,8 @@ pub fn compile_diag(
     let reaching = ReachingUnstructured::solve(&cfg)?;
     let plan = place_directives(&cfg, &reaching, coalesce);
 
-    // Collect call sites in the same order the CFG assigned ids.
-    let mut call_sites = Vec::new();
-    fn walk(stmts: &[SeqStmt], out: &mut Vec<(String, Vec<String>)>) {
-        for s in stmts {
-            match s {
-                SeqStmt::Call { func, args, .. } => out.push((func.clone(), args.clone())),
-                SeqStmt::For { body, .. } => walk(body, out),
-            }
-        }
-    }
-    walk(&program.main, &mut call_sites);
+    let call_sites: Vec<(String, Vec<String>)> =
+        program.calls().into_iter().map(|(f, args, _)| (f.to_string(), args.to_vec())).collect();
     debug_assert_eq!(call_sites.len(), cfg.call_node.len());
 
     Ok(CompiledProgram { program, summaries, cfg, reaching, plan, call_sites })

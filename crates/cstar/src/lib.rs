@@ -74,7 +74,7 @@ pub mod sema;
 
 pub use ast::Program;
 pub use cfg::{Cfg, CfgNode};
-pub use commute::{classify_fn, validate_merges, CommuteClass, MergeOp, MergeOracleConfig};
+pub use commute::{validate_merges, CommuteClass, MergeOp, MergeOracleConfig};
 pub use compile::{compile, compile_diag, CompiledProgram};
 pub use dataflow::ReachingUnstructured;
 pub use diag::{codes, Diagnostic, Severity, Span};
