@@ -428,35 +428,34 @@ pub fn run_adaptive_full(
                 1..n - 1
             }
         };
-        for iter in 0..iters {
-            if let Some(k) = cfg.flush_every {
-                if iter > 0 && iter % k == 0 {
-                    for phase in [PHASE_RED, PHASE_BLACK, PHASE_REFINE] {
-                        ctx.flush_schedule(phase);
-                    }
+        // The phases between two schedule flushes (all 3 × `iters` of
+        // them without a flush policy) run as one sequence: each boundary
+        // is one host episode (`NodeCtx::phases`).
+        let every = cfg.flush_every.unwrap_or(iters).max(1);
+        for first in (0..iters).step_by(every) {
+            if first > 0 {
+                for phase in [PHASE_RED, PHASE_BLACK, PHASE_REFINE] {
+                    ctx.flush_schedule(phase);
                 }
             }
+            let sweeps = (first..iters.min(first + every))
+                .flat_map(|_| [PHASE_RED, PHASE_BLACK, PHASE_REFINE]);
             // Every phase body is idempotent (cell updates read the
             // previous phase's data, and `DsmMesh` holds no cross-phase
             // private state), so the recovery wrapper needs no replay
             // state beyond the shared-memory rollback itself.
-            for (phase, color) in [(PHASE_RED, 0usize), (PHASE_BLACK, 1usize)] {
-                ctx.phase(phase, &mut (), |ctx, _| {
-                    for i in rows.clone() {
-                        for j in interior(i) {
-                            if (i + j) % 2 == color {
-                                let mut m = DsmMesh { aggs: &aggs, ctx, n };
-                                update_cell(&mut m, i, j);
-                            }
-                        }
-                    }
-                });
-            }
-            ctx.phase(PHASE_REFINE, &mut (), |ctx, _| {
+            ctx.phases(sweeps, &mut (), |ctx, phase, _| {
                 for i in rows.clone() {
                     for j in interior(i) {
                         let mut m = DsmMesh { aggs: &aggs, ctx, n };
-                        refine_cell(&mut m, i, j, tau, max_depth);
+                        match phase {
+                            PHASE_REFINE => {
+                                refine_cell(&mut m, i, j, tau, max_depth);
+                            }
+                            PHASE_RED if (i + j) % 2 == 0 => update_cell(&mut m, i, j),
+                            PHASE_BLACK if (i + j) % 2 == 1 => update_cell(&mut m, i, j),
+                            _ => {}
+                        }
                     }
                 }
             });

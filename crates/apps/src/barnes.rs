@@ -561,6 +561,16 @@ pub fn run_barnes_commute(mcfg: MachineConfig, cfg: &BarnesConfig) -> AppRun {
     AppRun { report, checksum: crate::water::position_checksum(&pos) }
 }
 
+/// One node's private state across a step's phases (the replay state of
+/// `barnes_driver`'s phase sequence).
+#[derive(Clone)]
+struct Step {
+    roots: Vec<(usize, GAddr)>,
+    merged_pos: HashMap<usize, [f64; 3]>,
+    accs: Vec<[f64; 3]>,
+    vel: Vec<[f64; 3]>,
+}
+
 fn barnes_driver(
     mcfg: MachineConfig,
     cfg: &BarnesConfig,
@@ -627,82 +637,65 @@ fn barnes_driver(
         let mut vel = vec![[0.0f64; 3]; my_bodies.len()];
         let mut arena = Arena { base: sh.arena_base[me as usize], cells: sh.arena_cells, next: 0 };
 
-        // Cross-phase private state (`my_roots`, `merged_pos`, `accs`) is
-        // fully rebuilt by its producing phase, and the arena cursor
-        // resets at build entry — so every phase body below is
-        // replay-safe; only `vel` accumulates and must ride along as the
-        // advance phase's state.
-        let mut my_roots: Vec<(usize, GAddr)> = Vec::new();
-        // Commute mode only: the step's merged position snapshot.
-        let mut merged_pos: HashMap<usize, [f64; 3]> = HashMap::new();
-        for _step in 0..steps {
-            // ---- Phase 1: build -------------------------------------
-            match mode {
-                BuildMode::SpmdManual => {
-                    ctx.presend_only(PHASE_BUILD);
-                    my_roots = build_phase(ctx, &sh, &my_regions, &mut arena, n);
-                    ctx.barrier();
-                }
-                BuildMode::Commute => {
-                    let mut st = (std::mem::take(&mut my_roots), std::mem::take(&mut merged_pos));
-                    ctx.phase(PHASE_BUILD, &mut st, |ctx, st| {
-                        (st.0, st.1) = build_phase_commute(
-                            ctx,
-                            &sh,
-                            my_bodies.clone(),
-                            &my_regions,
-                            &mut arena,
-                            nodes,
-                            n,
-                        );
-                    });
-                    my_roots = st.0;
-                    merged_pos = st.1;
-                }
-                BuildMode::Shared => {
-                    ctx.phase(PHASE_BUILD, &mut my_roots, |ctx, roots| {
-                        *roots = build_phase(ctx, &sh, &my_regions, &mut arena, n);
-                    });
-                }
-            }
-            let pos_snapshot = (mode == BuildMode::Commute).then_some(&merged_pos);
-
-            // ---- Phase 2: center of mass (own trees) ----------------
-            if mode == BuildMode::SpmdManual {
+        if mode == BuildMode::SpmdManual {
+            let mut accs = vec![[0.0f64; 3]; my_bodies.len()];
+            for _step in 0..steps {
+                ctx.presend_only(PHASE_BUILD);
+                let my_roots = build_phase(ctx, &sh, &my_regions, &mut arena, n);
+                ctx.barrier();
                 for &(_r, root) in &my_roots {
                     com_pass(ctx, &sh, root, None);
                 }
                 ctx.barrier();
-            } else {
-                ctx.phase(PHASE_COM, &mut (), |ctx, _| {
-                    for &(_r, root) in &my_roots {
-                        com_pass(ctx, &sh, root, pos_snapshot);
-                    }
-                });
-            }
-
-            // ---- Phase 3: forces ------------------------------------
-            let mut accs = vec![[0.0f64; 3]; my_bodies.len()];
-            if mode == BuildMode::SpmdManual {
                 force_phase(ctx, &sh, my_bodies.clone(), theta, &mut accs, None);
                 ctx.barrier();
-            } else {
-                ctx.phase(PHASE_FORCE, &mut accs, |ctx, accs| {
-                    force_phase(ctx, &sh, my_bodies.clone(), theta, accs, pos_snapshot);
-                });
-            }
-
-            // ---- Phase 4: advance -----------------------------------
-            if mode == BuildMode::SpmdManual {
                 ctx.presend_only(PHASE_ADVANCE);
                 advance_phase(ctx, &sh, my_bodies.clone(), &accs, dt, &mut vel);
                 ctx.barrier();
-            } else {
-                ctx.phase(PHASE_ADVANCE, &mut vel, |ctx, vel| {
-                    advance_phase(ctx, &sh, my_bodies.clone(), &accs, dt, vel);
-                });
             }
+            return;
         }
+        // Every step's four phases, all steps in one sequence. The
+        // cross-phase private state — the root list, the commute mode's
+        // merged position snapshot, the accelerations — is fully rebuilt
+        // by its producing phase, and the arena cursor resets at build
+        // entry, so every body is replay-safe; the state rides along for
+        // the velocities, which accumulate.
+        let ids = (0..steps).flat_map(|_| [PHASE_BUILD, PHASE_COM, PHASE_FORCE, PHASE_ADVANCE]);
+        let mut st = Step {
+            roots: Vec::new(),
+            merged_pos: HashMap::new(),
+            accs: vec![[0.0f64; 3]; my_bodies.len()],
+            vel,
+        };
+        ctx.phases(ids, &mut st, |ctx, phase, st| {
+            // Commute mode only: the consuming phases read positions from
+            // the step's merged snapshot.
+            let snapshot = (mode == BuildMode::Commute).then_some(&st.merged_pos);
+            match phase {
+                PHASE_BUILD if mode == BuildMode::Commute => {
+                    (st.roots, st.merged_pos) = build_phase_commute(
+                        ctx,
+                        &sh,
+                        my_bodies.clone(),
+                        &my_regions,
+                        &mut arena,
+                        nodes,
+                        n,
+                    );
+                }
+                PHASE_BUILD => st.roots = build_phase(ctx, &sh, &my_regions, &mut arena, n),
+                PHASE_COM => {
+                    for &(_r, root) in &st.roots {
+                        com_pass(ctx, &sh, root, snapshot);
+                    }
+                }
+                PHASE_FORCE => {
+                    force_phase(ctx, &sh, my_bodies.clone(), theta, &mut st.accs, snapshot)
+                }
+                _ => advance_phase(ctx, &sh, my_bodies.clone(), &st.accs, dt, &mut st.vel),
+            }
+        });
     });
 
     // Gather final positions.

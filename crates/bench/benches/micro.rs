@@ -24,6 +24,10 @@
 //!   predictive phase (three host episodes) and a 16-word all-reduce (one)
 //!   on 32 nodes: what a phase boundary and a reduction cost the host
 //!   beyond their bodies;
+//! * `barrier/phase_seq_n32` — two adjacent empty predictive phases
+//!   through `NodeCtx::phases` (five host episodes: the first phase's
+//!   closing barrier opens the second); its time less two
+//!   `empty_phase_n32`s is what the fused boundary saves;
 //! * `mem/*` — the flat paged arena in isolation: block lookup on the hit
 //!   path, tag probe, data reply snapshot, and the dense block walk;
 //!   `mem/checkpoint_24k` is the allocating `NodeMem::checkpoint` the repo
@@ -266,6 +270,9 @@ fn bench_barrier(c: &mut Timer) {
     on_every_node(c, "barrier/serve_wait_n32", stache(32), |ctx| ctx.barrier());
     on_every_node(c, "barrier/empty_phase_n32", MachineConfig::predictive(32, 64), |ctx| {
         ctx.phase(1, &mut (), |_, _| {})
+    });
+    on_every_node(c, "barrier/phase_seq_n32", MachineConfig::predictive(32, 64), |ctx| {
+        ctx.phases([1, 2], &mut (), |_, _, _| {})
     });
     on_every_node(c, "barrier/allreduce_n32", stache(32), |ctx| ctx.allreduce_sum(&mut [1.0; 16]));
 }

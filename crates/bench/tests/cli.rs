@@ -169,6 +169,13 @@ fn figures_and_ablation_refuse_bad_arguments() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("Machine: 64 emulated nodes"));
     assert!(run(figures, &["fig4"]).status.success());
+    // The schedule oracle reports a program that fails to evaluate as an
+    // error diagnostic: exit 1, no panic.
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../cstar/tests/lints/e007_eval.cstar");
+    let lint = env!("CARGO_BIN_EXE_cstar-lint");
+    let out = refused_by(lint, &["--oracle", "--nodes", "2", fixture]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("error[E007]"));
 }
 
 /// `NaN` compared false against every deviation ("no anomalies: every

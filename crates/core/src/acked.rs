@@ -35,11 +35,8 @@ impl AckedPushes {
 
     /// Serve the inbox until a `Wake::User` of code `ack` has named every
     /// push id, so that the window's effects are stable at the coming
-    /// barrier. `acked` sees `b` of the first ack of each id — an ack for
-    /// an id already acked (its push was duplicated in flight) is inert,
-    /// and other wakes (a stale grant, a kick) carry nothing the window
-    /// needs. `silent` sees `(unacked, round)` before each retransmission.
-    /// Returns the number of retransmitted messages.
+    /// barrier ([`Self::step`] per wake). Returns the number of
+    /// retransmitted messages.
     pub(crate) fn settle(
         mut self,
         node: &mut Node,
@@ -49,23 +46,46 @@ impl AckedPushes {
         mut silent: impl FnMut(&NodeShared, u64, u32),
     ) -> u64 {
         let mut retransmits = 0;
-        node.settle(what, self.0.len(), |n, event| {
-            match event {
-                Ok(Wake::User { code, a, b }) if code == ack => {
-                    if self.0.remove(&a).is_some() {
-                        acked(b);
-                    }
-                }
-                Ok(_) => {}
-                Err(round) => {
-                    silent(n, self.0.len() as u64, round);
-                    self.0.values().for_each(|(t, m)| n.send(*t, Msg::User(m.clone())));
-                    retransmits += self.0.len() as u64;
-                }
-            }
-            self.0.len()
+        node.settle(what, self.len(), |n, _, event| {
+            retransmits += self.step(n, &event, ack, &mut acked, &mut silent);
+            self.len()
         });
         retransmits
+    }
+
+    /// Messages not yet acknowledged.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Take one event of an ack wait. `acked` sees `b` of the first ack of
+    /// each id — an ack for an id already acked (its push was duplicated
+    /// in flight) is inert, and other wakes (a stale grant, a kick) carry
+    /// nothing the window needs. On a silent round with messages unacked,
+    /// `silent` sees `(unacked, round)` and they are all re-sent. Returns
+    /// the number re-sent.
+    pub(crate) fn step(
+        &mut self,
+        n: &NodeShared,
+        event: &Result<Wake, u32>,
+        ack: u16,
+        acked: &mut impl FnMut(u64),
+        silent: &mut impl FnMut(&NodeShared, u64, u32),
+    ) -> u64 {
+        match *event {
+            Ok(Wake::User { code, a, b }) if code == ack => {
+                if self.0.remove(&a).is_some() {
+                    acked(b);
+                }
+                0
+            }
+            Err(round) if !self.0.is_empty() => {
+                silent(n, self.0.len() as u64, round);
+                self.0.values().for_each(|(t, m)| n.send(*t, Msg::User(m.clone())));
+                self.0.len() as u64
+            }
+            _ => 0,
+        }
     }
 }
 

@@ -30,30 +30,33 @@
 //! Stache for [`BACKOFF_INSTANCES`] instances.
 //!
 //! The driver is called by the node's program — it may wait, while all
-//! handler work stays non-blocking — and it waits *per window, not per
-//! block*: the tear-downs of a slice are the home's ordinary fault path
-//! issued as waves ([`fetch_all`]: every request first, then one wait that
-//! serves the inbox until every grant is back), and the pushes' ack wait is
-//! the same loop ([`Node::settle`]). The cost model has always billed a
-//! tear-down as handler occupancy because the rounds overlap in the
-//! network (`CostModel::ensure_ns`); the host now overlaps them too, and
-//! egress batching packs a wave's invalidations and acks per destination.
+//! handler work stays non-blocking — and it waits *once per window*: the
+//! tear-downs of a slice are the home's ordinary fault path issued as
+//! waves ([`Wave`]: every request first), every push group that no
+//! tear-down decides goes out with the first wave, and one wait
+//! ([`Node::settle`]) serves the inbox until every grant and every ack is
+//! back — issuing the next wave as one completes, and the groups that
+//! depend on a tear-down once the last grant is in. The cost model has
+//! always billed a tear-down as handler occupancy because the rounds
+//! overlap in the network (`CostModel::ensure_ns`); the host overlaps them
+//! with each other and with the pushes, and egress batching packs a wave's
+//! invalidations and acks per destination.
 
 use std::sync::Arc;
 
 use prescient_stache::dir::DirState;
-use prescient_stache::engine::fetch_all;
+use prescient_stache::engine::Wave;
 use prescient_stache::msg::UserMsg;
-use prescient_stache::node::{Node, NodeShared};
+use prescient_stache::node::{Node, NodeShared, NodeState};
 use prescient_stache::table::install;
 use prescient_tempest::sync::lock;
 use prescient_tempest::trace::{pack_counts, pack_peer_count, EventKind};
-use prescient_tempest::{BlockId, NodeSet, NodeStats};
+use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
 
 use crate::acked::AckedPushes;
 use crate::codes;
 use crate::predictive::{Predictive, Push};
-use crate::schedule::{Action, PhaseId};
+use crate::schedule::{Action, PhaseId, ReplayRun};
 
 /// Tear-down requests issued before the driver waits for their grants.
 /// Bounds the per-wave bookkeeping and the home's inbox depth: on the
@@ -170,7 +173,10 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
     let mut stale: Vec<(BlockId, bool)> = Vec::new();
     for run in runs.iter() {
         let excl = match run.action {
-            Action::Conflict => continue,
+            Action::Conflict => {
+                report.skipped_conflicts += run.len;
+                continue;
+            }
             Action::Read => false,
             Action::Write => true,
         };
@@ -186,129 +192,73 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
         }));
     }
 
-    // *Tear down*: recall writers' copies home (they stay sharers) ahead
+    // *Plan* the pushes from the directory as it stands. A group that holds
+    // no torn-down block, and that no torn-down neighbour could join, is
+    // what the settled directory would give too: it goes out now. The rest
+    // wait for the tear-downs' grants.
+    let planned = push_list(&runs, &node.state, me, &stale, false);
+    let (early, mut deferred) = settled_stretches(&planned, pred.cfg.coalesce);
+
+    // *Tear down* — recall writers' copies home (they stay sharers) ahead
     // of a read push, invalidate every copy ahead of a write push or to
     // prefetch ownership home — in waves whose rounds are in flight
-    // together, one wait per wave (`fetch_all`), billed per grant.
-    for wave in stale.chunks(TEARDOWN_WAVE) {
-        for info in fetch_all(node, wave) {
-            report.ensure_fetches += 1;
-            report.vtime_ns += n.cost.ensure_ns(info.bytes);
-        }
-    }
-
-    // *Build the push list* from the settled directory. A block torn down
-    // in this window is never "already the writer's": it is pushed, and
-    // pass 2 drops the push if a late demand request won the block.
-    let mut pushes: Vec<Push> = Vec::new();
-    let torn = |block| stale.binary_search_by_key(&block, |s| s.0).is_ok();
-    for run in runs.iter() {
-        match run.action {
-            Action::Conflict => report.skipped_conflicts += run.len,
-            Action::Read => {
-                let readers = run.readers.without(me);
-                for block in run.blocks() {
-                    let sharers = match node.state.dir.stable(block) {
-                        Some(DirState::Shared(s)) => s,
-                        _ => NodeSet::EMPTY,
-                    };
-                    let targets = readers.minus(sharers);
-                    if !targets.is_empty() {
-                        pushes.push(Push { block, targets, excl: false });
+    // together, billed per grant; push what needs no tear-down; then one
+    // wait (pass 3) for every grant and every ack. Once the last grant is
+    // in, the deferred pushes go out from inside that wait.
+    let mut waves = stale.chunks(TEARDOWN_WAVE);
+    let mut wave = waves.next().map(|w| Wave::issue(n, w));
+    let mut pass2 = Pass2 { out: AckedPushes::default(), sent: Vec::new(), pushes: 0, groups: 0 };
+    pass2.send(pred, n, &mut node.state, &early, &mut report);
+    let mut ungranted = stale.len();
+    // `useless` accumulates the receivers' reports of previously-pushed
+    // copies that were overwritten while still unread.
+    let mut useless = 0u64;
+    let mut acked = |b| useless += b;
+    let mut silent = |n: &NodeShared, unacked, round| {
+        n.tracer().emit(EventKind::PresendRetry, unacked, u64::from(round));
+        NodeStats::add(&n.stats.presend_retries, unacked);
+    };
+    node.settle(
+        format_args!("pre-send tear-downs or pushes unsettled"),
+        ungranted + pass2.out.len(),
+        |n, st, event| {
+            if let Some(w) = wave.as_mut() {
+                let left = w.left();
+                w.step(n, &event);
+                ungranted -= left - w.left();
+                if w.left() == 0 {
+                    for info in wave.take().expect("in flight").grants() {
+                        report.ensure_fetches += 1;
+                        report.vtime_ns += n.cost.ensure_ns(info.bytes);
                     }
+                    wave = waves.next().map(|w| Wave::issue(n, w));
                 }
             }
-            Action::Write => {
-                let writer = run.writer.expect("write run without writer");
-                // `writer == me`: ownership was prefetched home above.
-                for block in run.blocks().filter(|_| writer != me) {
-                    let owned = Some(DirState::Exclusive(writer));
-                    if torn(block) || node.state.dir.stable(block) != owned {
-                        pushes.push(Push { block, targets: NodeSet::single(writer), excl: true });
-                    }
-                }
+            if ungranted == 0 && deferred {
+                deferred = false;
+                // A block torn down in this window is never "already the
+                // writer's": it is pushed, and the install rows drop the
+                // push if a late demand request won the block.
+                let rest = push_list(&runs, st, me, &stale, true);
+                let sent_early =
+                    |p: &Push| early.binary_search_by_key(&p.block, |e| e.block).is_ok();
+                let rest: Vec<Push> =
+                    rest.into_iter().map(|(p, _)| p).filter(|p| !sent_early(p)).collect();
+                pass2.send(pred, n, st, &rest, &mut report);
             }
-        }
-    }
-    drop(stale);
-
-    // Pass 2: group into bulk messages and push. Every message carries a
-    // unique push id (`a`) and the current epoch (`b`) so the exchange
-    // survives duplication and loss; unacked messages are kept verbatim
-    // for retransmission.
-    //
-    // Each push is committed through the protocol table's install rows,
-    // whose guards revalidate it: between pass 1 (whose tear-down waves
-    // serve the inbox while they wait) and pass 2, a demand request from
-    // another node may have won the block — leaving the entry busy, or
-    // Exclusive at a node the schedule never predicted — and pushing then
-    // would break the single-writer invariant. Such a push is dropped
-    // (counted in `presend_aborted`); the demand path does the transfer.
-    //
-    // The payload is snapshotted once per group into an `Arc` list; the
-    // per-target fan-out and the retransmission store clone refcounts, not
-    // block bytes.
-    let groups = group_pushes(&pushes, pred.cfg.coalesce);
+            report.retransmits +=
+                pass2.out.step(n, &event, codes::WAKE_PRESEND_ACK, &mut acked, &mut silent);
+            ungranted + pass2.out.len()
+        },
+    );
     n.tracer().emit(
         EventKind::SchedCoalesce,
         u64::from(phase),
-        pack_counts(pushes.len() as u64, groups.len() as u64),
+        pack_counts(pass2.pushes, pass2.groups),
     );
-    let mut outstanding = AckedPushes::default();
-    let mut sent: Vec<Push> = Vec::with_capacity(pushes.len());
-    for group in &groups {
-        let first = group[0];
-        let mut kept = Vec::with_capacity(group.len());
-        for p in group {
-            if install(n, &mut node.state, p.block, p.excl, p.targets) {
-                kept.push((p.block, node.state.mem.snapshot(p.block)));
-                sent.push(*p);
-            }
-        }
-        let payload: Arc<[(BlockId, Arc<[u8]>)]> = kept.into();
-        if payload.is_empty() {
-            continue;
-        }
-        let payload_bytes: u64 = payload.iter().map(|(_, d)| d.len() as u64).sum();
-        let code = if first.excl { codes::PRESEND_RW } else { codes::PRESEND_RO };
-        // One id per target.
-        let (epoch, ids) = pred.window.ids(first.targets.len() as u64);
-        for (t, id) in first.targets.iter().zip(ids) {
-            let m = UserMsg {
-                code,
-                a: id,
-                b: epoch,
-                block: first.block,
-                set: first.targets,
-                node: me,
-                blocks: Arc::clone(&payload),
-            };
-            n.tracer().emit(EventKind::PresendPush, id, pack_peer_count(t, payload.len() as u64));
-            outstanding.send(n, t, m);
-            report.msgs += 1;
-            report.blocks_pushed += payload.len() as u64;
-            report.bytes += payload_bytes;
-        }
-    }
-
     NodeStats::add(&n.stats.presend_blocks_out, report.blocks_pushed);
     NodeStats::add(&n.stats.presend_msgs_out, report.msgs);
     NodeStats::add(&n.stats.presend_bytes_out, report.bytes);
-
-    // Pass 3: wait until every bulk message is acknowledged. `useless`
-    // accumulates the receivers' reports of previously-pushed copies that
-    // were overwritten while still unread.
-    let mut useless = 0u64;
-    report.retransmits = outstanding.settle(
-        node,
-        format_args!("pre-send pushes unacked"),
-        codes::WAKE_PRESEND_ACK,
-        |b| useless += b,
-        |n, unacked, round| {
-            n.tracer().emit(EventKind::PresendRetry, unacked, u64::from(round));
-            NodeStats::add(&n.stats.presend_retries, unacked);
-        },
-    );
 
     // Feed the schedule-health accounting: what this window pushed, what
     // the receivers said about the previous window's pushes, and which
@@ -318,7 +268,7 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
         // Only pushes that actually went out are this window's: an aborted
         // push must not charge a later teardown of the demand-path copy to
         // this phase's schedule health.
-        for p in &sent {
+        for p in &pass2.sent {
             st.pushed_by.insert(p.block, phase);
         }
         let h = st.health.entry(phase).or_default();
@@ -329,6 +279,170 @@ pub fn presend(pred: &Predictive, node: &mut Node, phase: PhaseId) -> PresendRep
 
     report.vtime_ns += n.cost.bulk_ns(report.msgs, report.blocks_pushed, report.bytes);
     report
+}
+
+/// The window's push list in block order, read off the directory as it
+/// stands, each push marked if its block is `torn` (being torn down in
+/// this window). A torn block of a write run is always pushed. A torn
+/// block of a read run has the targets its recall leaves without a copy,
+/// known only once it is `granted`: until then it is listed with none.
+fn push_list(
+    runs: &[ReplayRun],
+    st: &NodeState,
+    me: NodeId,
+    torn: &[(BlockId, bool)],
+    granted: bool,
+) -> Vec<(Push, bool)> {
+    let torn = |block| torn.binary_search_by_key(&block, |s| s.0).is_ok();
+    let mut pushes = Vec::new();
+    for run in runs {
+        match run.action {
+            Action::Conflict => {}
+            Action::Read => {
+                let readers = run.readers.without(me);
+                for block in run.blocks() {
+                    let torn = torn(block);
+                    let sharers = match st.dir.stable(block) {
+                        _ if torn && !granted => {
+                            pushes
+                                .push((Push { block, targets: NodeSet::EMPTY, excl: false }, true));
+                            continue;
+                        }
+                        Some(DirState::Shared(s)) => s,
+                        _ => NodeSet::EMPTY,
+                    };
+                    let targets = readers.minus(sharers);
+                    if !targets.is_empty() {
+                        pushes.push((Push { block, targets, excl: false }, torn));
+                    }
+                }
+            }
+            Action::Write => {
+                let writer = run.writer.expect("write run without writer");
+                // `writer == me`: ownership was prefetched home.
+                for block in run.blocks().filter(|_| writer != me) {
+                    let owned = Some(DirState::Exclusive(writer));
+                    let torn = torn(block);
+                    if torn || st.dir.stable(block) != owned {
+                        pushes.push((
+                            Push { block, targets: NodeSet::single(writer), excl: true },
+                            torn,
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    pushes
+}
+
+/// Split a planned push list into what can go before the tear-downs are
+/// granted and whether anything must wait: a *stretch* is a maximal run of
+/// pushes each of which could join its predecessor's group
+/// ([`group_pushes`]), where a torn block's push could join any
+/// neighbour of its kind. A stretch with no torn block ends where the
+/// settled list's would, so its groups are final; the rest wait.
+fn settled_stretches(planned: &[(Push, bool)], coalesce: bool) -> (Vec<Push>, bool) {
+    let links = |a: &(Push, bool), b: &(Push, bool)| {
+        coalesce
+            && a.0.block.next() == b.0.block
+            && a.0.excl == b.0.excl
+            && (a.0.targets == b.0.targets || a.1 || b.1)
+    };
+    let (mut early, mut deferred, mut from) = (Vec::with_capacity(planned.len()), false, 0);
+    for to in 1..=planned.len() {
+        if to < planned.len() && links(&planned[to - 1], &planned[to]) {
+            continue;
+        }
+        let stretch = &planned[from..to];
+        if stretch.iter().any(|p| p.1) {
+            deferred = true;
+        } else {
+            early.extend(stretch.iter().map(|p| p.0));
+        }
+        from = to;
+    }
+    (early, deferred)
+}
+
+/// Pass 2 of a window, in as many calls as it has sends: the pushes out,
+/// their messages kept until acked, and the counts.
+struct Pass2 {
+    out: AckedPushes,
+    /// Pushes that went out (the install rows took them).
+    sent: Vec<Push>,
+    /// Pushes and bulk groups passed in, for the coalescing trace event.
+    pushes: u64,
+    groups: u64,
+}
+
+impl Pass2 {
+    /// Group `pushes` into bulk messages and push. Every message carries a
+    /// unique push id (`a`) and the current epoch (`b`) so the exchange
+    /// survives duplication and loss; unacked messages are kept verbatim
+    /// for retransmission.
+    ///
+    /// Each push is committed through the protocol table's install rows,
+    /// whose guards revalidate it: since the plan was made, a demand
+    /// request from another node may have won the block (the window's
+    /// wait serves the inbox) — leaving the entry busy, or Exclusive at a
+    /// node the schedule never predicted — and pushing then would break the
+    /// single-writer invariant. Such a push is dropped (counted in
+    /// `presend_aborted`); the demand path does the transfer.
+    ///
+    /// The payload is snapshotted once per group into an `Arc` list; the
+    /// per-target fan-out and the retransmission store clone refcounts,
+    /// not block bytes.
+    fn send(
+        &mut self,
+        pred: &Predictive,
+        n: &NodeShared,
+        st: &mut NodeState,
+        pushes: &[Push],
+        report: &mut PresendReport,
+    ) {
+        let groups = group_pushes(pushes, pred.cfg.coalesce);
+        self.pushes += pushes.len() as u64;
+        self.groups += groups.len() as u64;
+        for group in &groups {
+            let first = group[0];
+            let mut kept = Vec::with_capacity(group.len());
+            for p in group {
+                if install(n, st, p.block, p.excl, p.targets) {
+                    kept.push((p.block, st.mem.snapshot(p.block)));
+                    self.sent.push(*p);
+                }
+            }
+            let payload: Arc<[(BlockId, Arc<[u8]>)]> = kept.into();
+            if payload.is_empty() {
+                continue;
+            }
+            let payload_bytes: u64 = payload.iter().map(|(_, d)| d.len() as u64).sum();
+            let code = if first.excl { codes::PRESEND_RW } else { codes::PRESEND_RO };
+            // One id per target.
+            let (epoch, ids) = pred.window.ids(first.targets.len() as u64);
+            for (t, id) in first.targets.iter().zip(ids) {
+                let m = UserMsg {
+                    code,
+                    a: id,
+                    b: epoch,
+                    block: first.block,
+                    set: first.targets,
+                    node: n.me,
+                    blocks: Arc::clone(&payload),
+                };
+                n.tracer().emit(
+                    EventKind::PresendPush,
+                    id,
+                    pack_peer_count(t, payload.len() as u64),
+                );
+                self.out.send(n, t, m);
+                report.msgs += 1;
+                report.blocks_pushed += payload.len() as u64;
+                report.bytes += payload_bytes;
+            }
+        }
+    }
 }
 
 /// Group pushes into bulk messages: a group is a run of *neighboring*

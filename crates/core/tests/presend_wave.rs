@@ -333,6 +333,53 @@ fn a_recalled_writer_that_also_reads_is_not_pushed_its_own_copy() {
     assert_eq!(r.msgs(), msgs0, "both readers hit");
 }
 
+// (vi) --------------------------------------------------------------------
+
+/// Node 0's trace of one pre-send window, as `(pushes, receipts)`: the
+/// positions of its `PresendPush` and `MsgRecv` events. Node 0 receives
+/// only while it waits.
+fn window_trace(r: &mut Rig) -> (Vec<usize>, Vec<usize>) {
+    // A drain reads the ring; it does not empty it.
+    let before = r.tracer.drain().expect("tracing is on").events.len();
+    r.window();
+    let dump = r.tracer.drain().expect("tracing is on");
+    assert_eq!(dump.dropped, 0);
+    let window = &dump.events[before..];
+    let at = |kind| window.iter().enumerate().filter(move |e| e.1.kind == kind).map(|e| e.0);
+    (at(EventKind::PresendPush).collect(), at(EventKind::MsgRecv).collect())
+}
+
+#[test]
+fn pushes_that_need_no_tear_down_leave_before_the_window_waits() {
+    const K: usize = 8;
+    let mut r = rig(3, RetryConfig::default(), None);
+    let addrs = r.alloc(2 * K);
+    let (owned, pushed) = addrs.split_at(K);
+    // The home's own write run, shared by node 1: torn down, never pushed
+    // (adaptive's every tear-down) — and a read run for node 2.
+    r.schedule(owned, ManualEntry::Writer(0));
+    r.schedule(pushed, ManualEntry::Readers(NodeSet::single(2)));
+    r.m.on(1, |n| owned.iter().for_each(|a| assert_eq!(read_u64(n, *a).0, 0)));
+
+    let (pushes, receipts) = window_trace(&mut r);
+    assert_eq!(pushes.len(), 1, "the read run coalesces into one message");
+    assert!(pushes[0] < receipts[0], "the push left after the window's first receipt");
+    assert_eq!(r.stats(1).invals_in, K as u64);
+    assert_eq!(r.stats(2).presend_blocks_in, K as u64);
+    r.assert_coherent();
+
+    // A push of a block the window recalls waits for its grant, inside
+    // the one wait.
+    let mut r = rig(3, RetryConfig::default(), None);
+    let addrs = r.alloc(1);
+    r.schedule(&addrs, ManualEntry::Readers(NodeSet::single(2)));
+    r.m.on(1, |n| write_u64(n, addrs[0], 5));
+    let (pushes, receipts) = window_trace(&mut r);
+    assert_eq!(pushes.len(), 1);
+    assert!(receipts[0] < pushes[0], "the push left before its recall was granted");
+    r.assert_coherent();
+}
+
 // (v) ---------------------------------------------------------------------
 
 #[test]

@@ -303,7 +303,7 @@ pub fn run_model(
         let start = (!aggs.is_empty()).then(|| state.clone());
         // Later calls continue from the serialized state: they see the
         // canonical semantics regardless of divergence.
-        let privatized = run_serialized(prog, *id, &mut state).and_then(|()| {
+        let privatized = run_serialized(prog, *id, &mut state).map_err(|e| e.msg).and_then(|()| {
             start.map(|s| run_privatized(prog, *id, &s, aggs, cfg.nodes)).transpose()
         });
         match privatized {
@@ -364,14 +364,45 @@ fn callee<'p>(
     Ok((f, args, par.dims.clone()))
 }
 
+/// Where a serialized call stopped: the element, the aggregate access the
+/// store refused (argument, index) if that is what stopped it, and the
+/// evaluator's message.
+#[derive(Debug)]
+pub(crate) struct EvalFailure {
+    pub pos: Vec<i64>,
+    pub access: Option<(String, Vec<i64>)>,
+    pub msg: String,
+}
+
 /// Run call `id` serialized: every element in row-major order against the
 /// live state.
-fn run_serialized(prog: &CompiledProgram, id: usize, state: &mut SeqState) -> Result<(), String> {
-    let (f, args, dims) = callee(prog, id, state)?;
+fn run_serialized(
+    prog: &CompiledProgram,
+    id: usize,
+    state: &mut SeqState,
+) -> Result<(), EvalFailure> {
+    let failed = |pos, msg| EvalFailure { pos, access: None, msg };
+    let (f, args, dims) = callee(prog, id, state).map_err(|m| failed(Vec::new(), m))?;
     for pos in positions(&dims) {
-        Eval::new(Seq { f, args, state, log: None }, &pos).stmts(&f.body)?;
+        let mut eval = Eval::new(Seq { f, args, state, log: None }, &pos);
+        if let Err(msg) = eval.stmts(&f.body) {
+            let arg = |p: &str| f.params.iter().position(|q| q == p).map(|k| args[k].clone());
+            let access = eval.refused.take().and_then(|(p, at)| Some((arg(&p)?, at)));
+            return Err(EvalFailure { access, ..failed(pos, msg) });
+        }
     }
     Ok(())
+}
+
+/// The first call of the plan whose serialized run on the sequential
+/// model stops with an evaluation error, and where — the error the DSM
+/// interpreter's node meets on the same program (`tests/parity.rs`).
+pub(crate) fn first_failure(prog: &CompiledProgram, seed: u64) -> Option<(usize, EvalFailure)> {
+    let mut state = init_state(prog, seed);
+    walk(&prog.plan.ops).find_map(|op| match op {
+        ExecOp::Call(id) => run_serialized(prog, *id, &mut state).err().map(|e| (*id, e)),
+        _ => None,
+    })
 }
 
 /// Run call `id` privatized: elements are partitioned into `nodes`

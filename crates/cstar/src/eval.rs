@@ -83,11 +83,23 @@ pub(crate) struct Eval<'p, S> {
     store: S,
     pos: &'p [i64],
     locals: Vec<(String, Value)>,
+    /// The aggregate access the store refused, as (parameter, index), if
+    /// that is what stopped the body.
+    pub(crate) refused: Option<(String, Vec<i64>)>,
 }
 
 impl<'p, S: Store> Eval<'p, S> {
     pub(crate) fn new(store: S, pos: &'p [i64]) -> Self {
-        Eval { store, pos, locals: Vec::new() }
+        Eval { store, pos, locals: Vec::new(), refused: None }
+    }
+
+    /// `r`, the store's answer to an access of `agg` at `at`, noting a
+    /// refusal.
+    fn access<T>(&mut self, agg: &str, at: Vec<i64>, r: Result<T, String>) -> Result<T, String> {
+        if r.is_err() {
+            self.refused = Some((agg.to_string(), at));
+        }
+        r
     }
 
     pub(crate) fn stmts(&mut self, body: &[Stmt]) -> Result<(), String> {
@@ -109,7 +121,8 @@ impl<'p, S: Store> Eval<'p, S> {
                 let at = self.index(idx)?;
                 if !self.store.privatizes(agg) {
                     let v = self.expr(value)?;
-                    return self.store.write(agg, &at, v);
+                    let r = self.store.write(agg, &at, v);
+                    return self.access(agg, at, r);
                 }
                 // A privatized write logs a reduction's operand under its
                 // operator; anything else (forced through by the weakened
@@ -119,7 +132,8 @@ impl<'p, S: Store> Eval<'p, S> {
                     Some(r) => (Some(r.op), self.expr(r.operand)?),
                     None => (None, self.expr(value)?),
                 };
-                return self.store.merge(agg, &at, op, v);
+                let r = self.store.merge(agg, &at, op, v);
+                return self.access(agg, at, r);
             }
             Stmt::If(c, t, e) => {
                 let depth = self.locals.len();
@@ -163,7 +177,8 @@ impl<'p, S: Store> Eval<'p, S> {
             },
             Expr::AggRead { agg, idx, span } => {
                 let at = self.index(idx)?;
-                self.store.read(agg, &at, *span)?
+                let r = self.store.read(agg, &at, *span);
+                self.access(agg, at, r)?
             }
             Expr::Neg(a) => {
                 self.store.work();

@@ -241,22 +241,36 @@ where
 /// requests (the label is deliberately *not* cleared between calls — a
 /// slow node's clear could race a fast node's next set).
 ///
-/// The label *is* cleared at each `phase_begin`: the directive's schedule
-/// replay (ownership prefetches, recalls) goes through the ordinary fault
-/// path and would otherwise be attributed to the previous call. Clearing
-/// there is race-free — the post-call barrier has retired every labeled
-/// request, and the directive's own stability barrier retires the replay
-/// fetches before any node can set the next call's label.
+/// An adjacent `PhaseEnd; PhaseBegin(q)` of the walk (loop markers
+/// consumed, so also across an iteration boundary) runs as the fused
+/// directive `phase_next(q)`: every node executes the same walk, so every
+/// node fuses the same boundaries.
+///
+/// The label *is* cleared at each `PhaseBegin`, fused or not, before the
+/// directive: its schedule replay (ownership prefetches, recalls) goes
+/// through the ordinary fault path and would otherwise be attributed to
+/// the previous call. Clearing there is race-free — the post-call barrier
+/// has retired every labeled request, no node starts a replay before the
+/// directive's first barrier (the closing one, when fused), which every
+/// node reaches only after its own clear, and the directive's stability
+/// barrier retires the replay fetches before any node can set the next
+/// call's label.
 fn exec_main(ctx: &mut NodeCtx, prog: &CompiledProgram, aggs: &AggMap, tap: Option<&AccessTap>) {
-    for op in walk(&prog.plan.ops) {
+    let clear = || tap.iter().for_each(|t| t.clear_call());
+    let mut ops = walk(&prog.plan.ops).peekable();
+    while let Some(op) = ops.next() {
         match op {
             ExecOp::PhaseBegin(p) => {
-                if let Some(t) = tap {
-                    t.clear_call();
-                }
+                clear();
                 ctx.phase_begin(*p);
             }
-            ExecOp::PhaseEnd(_) => ctx.phase_end(),
+            ExecOp::PhaseEnd(_) => match ops.next_if(|op| matches!(op, ExecOp::PhaseBegin(_))) {
+                Some(ExecOp::PhaseBegin(q)) => {
+                    clear();
+                    ctx.phase_next(*q);
+                }
+                _ => ctx.phase_end(),
+            },
             ExecOp::Call(id) => {
                 if let Some(t) = tap {
                     t.set_call(*id as u64);

@@ -22,6 +22,7 @@ use std::sync::Arc;
 use prescient_core::{AccessTap, PhaseId};
 use prescient_runtime::{Machine, MachineConfig, ProtocolKind};
 
+use crate::commute::EvalFailure;
 use crate::compile::{compile_diag, CompiledProgram};
 use crate::diag::{codes, Diagnostic};
 use crate::directives::{footprints, ExecOp};
@@ -91,8 +92,14 @@ pub fn run_oracle(
     Ok(run_oracle_compiled(&prog, cfg))
 }
 
-/// Run the oracle over an already-compiled program.
+/// Run the oracle over an already-compiled program. A program that stops
+/// with an evaluation error is not run on the machine (its node would
+/// panic): the error is the report's one diagnostic.
 pub fn run_oracle_compiled(prog: &CompiledProgram, cfg: &OracleConfig) -> OracleReport {
+    if let Some((id, failure)) = crate::commute::first_failure(prog, cfg.seed) {
+        let diagnostics = vec![eval_failure(prog, id, &failure)];
+        return OracleReport { diagnostics, observed_events: 0, predictions: 0, unobserved: 0 };
+    }
     // Predictive machine with degradation off: the oracle wants the raw
     // schedule behavior, not the protocol's self-defense.
     let mut mc = MachineConfig::predictive(cfg.nodes, cfg.block_size);
@@ -245,6 +252,28 @@ pub fn run_oracle_compiled(prog: &CompiledProgram, cfg: &OracleConfig) -> Oracle
     diagnostics.extend(crate::commute::validate_merges(prog, &merge_cfg));
 
     OracleReport { diagnostics, observed_events, predictions: n_pred, unobserved: n_unobs }
+}
+
+/// The E007 for a program whose call `id` cannot be evaluated: the call,
+/// the aggregate and index whose access failed, the element, the message.
+fn eval_failure(prog: &CompiledProgram, id: usize, failure: &EvalFailure) -> Diagnostic {
+    let (func, _) = call_site(prog, id);
+    let what = match &failure.access {
+        Some((agg, at)) => format!("its access to aggregate `{agg}` at index {at:?}"),
+        None => "its body".to_string(),
+    };
+    let mut d = Diagnostic::error(
+        codes::ORACLE_SOUNDNESS,
+        format!(
+            "schedule oracle could not run call `{func}` (call {id}): {what} failed at element \
+             {:?}: {}",
+            failure.pos, failure.msg
+        ),
+    );
+    if let Some(s) = crate::lint::call_spans(prog).get(id) {
+        d = d.with_label(*s, "the program stops in this call");
+    }
+    d.with_note("the DSM interpreter stops here too, so no schedule was observed")
 }
 
 /// The `(func, args)` of a call site, tolerating out-of-range ids.

@@ -14,7 +14,9 @@ use std::path::{Path, PathBuf};
 use prescient_cstar::directives::CallDecision;
 use prescient_cstar::sema::ClassifyRules;
 use prescient_cstar::ReachingUnstructured;
-use prescient_cstar::{compile_diag, lint_program, CompiledProgram, Diagnostic};
+use prescient_cstar::{
+    compile_diag, lint_program, run_oracle_compiled, CompiledProgram, Diagnostic, OracleConfig,
+};
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/lints")
@@ -126,6 +128,20 @@ fn w007_commutable_conflict() {
 #[test]
 fn e008_unsound_commute_annotation() {
     check_fixture("e008", &["E008", "W001"]);
+}
+
+#[test]
+fn e007_oracle_reports_an_evaluation_error() {
+    // What `cstar-lint --oracle --nodes 2` reports on the program: the
+    // lints, then the oracle's one finding.
+    let (src, prog) = fixture_program("e007_eval");
+    let mut ds = lint_program(&prog);
+    let report = run_oracle_compiled(&prog, &OracleConfig { nodes: 2, ..OracleConfig::default() });
+    assert_eq!(report.observed_events, 0, "no machine ran");
+    ds.extend(report.diagnostics);
+    let got: Vec<&str> = ds.iter().map(|d| d.code.as_str()).collect();
+    assert_eq!(got, ["W004", "E007"], "{ds:#?}");
+    check_rendered("e007_eval", &Diagnostic::render_all(&ds, &src, &fixture_file("e007_eval")));
 }
 
 #[test]

@@ -531,9 +531,21 @@ impl<'a> NodeCtx<'a> {
     /// One acknowledged window (§3.4): the entry barrier, `body`, the
     /// stability barrier, and `window` closes. Both stalls are billed to
     /// the pre-send segment, and so must be `body`'s own time, before the
-    /// stability barrier takes the clock.
-    fn acked_window<R>(&mut self, window: &Window, body: impl FnOnce(&mut Self) -> R) -> R {
-        self.barrier_presend();
+    /// stability barrier takes the clock. `entry_met` is false where a
+    /// closing barrier just released every node with nothing in between
+    /// (DESIGN.md §2.4): that episode was the entry, and the modelled one
+    /// is billed `barrier_ns` with no stall.
+    fn acked_window<R>(
+        &mut self,
+        window: &Window,
+        entry_met: bool,
+        body: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        if entry_met {
+            self.barrier_presend();
+        } else {
+            self.t.presend_ns += self.cost.barrier_ns;
+        }
         let r = body(self);
         self.barrier_presend();
         // The epoch advances only after the stability barrier: barrier
@@ -560,6 +572,17 @@ impl<'a> NodeCtx<'a> {
     ///
     /// Under plain Stache this is a no-op (the unoptimized program).
     pub fn phase_begin(&mut self, phase: PhaseId) {
+        self.open_phase(phase, false);
+    }
+
+    /// `phase_begin(phase)`; `after_close` says that this node's last host
+    /// episode was a committed phase's closing barrier and that the program
+    /// text put nothing between the two, so every node stands at the same
+    /// point ([`Self::phase_next`], [`Self::phases`]). That episode then
+    /// serves as the checkpoint's cut-open barrier, or without checkpoints
+    /// as the pre-send entry barrier: every node's earlier work is done and
+    /// its release disarmed every home.
+    fn open_phase(&mut self, phase: PhaseId, after_close: bool) {
         // Cut the inter-phase gap record before any of this directive's
         // work (checkpoint, pre-send) accrues, so all of it lands in the
         // phase's own record. A replayed begin (the phase is still open
@@ -576,13 +599,13 @@ impl<'a> NodeCtx<'a> {
         }
         self.version += 1;
         if self.checkpoints {
-            self.take_checkpoint();
+            self.take_checkpoint(after_close);
         }
         self.cur_phase = phase;
         self.shared.tracer().set_phase(phase);
         self.trace(EventKind::PhaseBegin, u64::from(phase), 0);
         let Some(pred) = self.pred.clone() else { return };
-        self.acked_window(pred.window(), |ctx| {
+        self.acked_window(pred.window(), !after_close || self.checkpoints, |ctx| {
             ctx.presend_pushes(&pred, phase);
             // Arm BEFORE the stability barrier: no node can issue a demand
             // fetch while every node is still inside this directive, and
@@ -671,30 +694,74 @@ impl<'a> NodeCtx<'a> {
         PhaseOutcome::Committed
     }
 
-    /// Execute one phase instance with automatic crash recovery: clones
-    /// `state`, runs `phase_begin(id)` / `body` / the closing directive,
-    /// and — if a crash rolled the machine back to this phase's checkpoint
-    /// — restores `state` from the clone and re-executes the body, exactly
-    /// re-creating the lost instance.
+    /// `phase_next(next)` — close the current phase and open `next` with
+    /// nothing in between: [`Self::phase_end`] then [`Self::phase_begin`],
+    /// one host episode fewer. The closing barrier also opens `next`
+    /// (DESIGN.md §2.4), which holds only because every node runs the same
+    /// directive here, so the fusion belongs to the program text (the
+    /// compiler's adjacent `PhaseEnd; PhaseBegin`), never to a runtime
+    /// check: a node that skipped a barrier its peer still meets would
+    /// deadlock, and a peer running code between the phases would overlap
+    /// this node's pre-send.
     ///
-    /// `state` must carry everything the body mutates that lives *outside*
-    /// shared memory (e.g. private velocity arrays); shared memory itself
-    /// is rolled back by the checkpoint. Bodies must not call
-    /// [`NodeCtx::allreduce_sum`] (reductions belong between phases, where
-    /// no replay can re-run them).
+    /// # Panics
+    ///
+    /// As [`Self::phase_end`], if a crash destroyed the closing phase.
+    pub fn phase_next(&mut self, next: PhaseId) {
+        self.phase_end();
+        self.open_phase(next, true);
+    }
+
+    /// Execute one phase instance with automatic crash recovery: the
+    /// one-phase case of [`Self::phases`].
     pub fn phase<S, F>(&mut self, phase: PhaseId, state: &mut S, mut body: F)
     where
         S: Clone,
         F: FnMut(&mut NodeCtx, &mut S),
     {
-        loop {
-            let saved = state.clone();
-            self.phase_begin(phase);
-            body(self, state);
-            match self.try_phase_end() {
-                PhaseOutcome::Committed => return,
-                PhaseOutcome::Replay => *state = saved,
+        self.phases([phase], state, |ctx, _, s| body(ctx, s));
+    }
+
+    /// Execute a sequence of phase instances with automatic crash
+    /// recovery: per id, `phase_begin(id)` / `body(ctx, id, state)` / the
+    /// closing directive, each boundary between two of them one fused
+    /// directive ([`Self::phase_next`]). If a crash rolled the machine back
+    /// to a phase's checkpoint, `state` is restored from its clone and the
+    /// body re-executes, exactly re-creating the lost instance; the
+    /// replayed phase opens unfused, after the recovery's barriers.
+    ///
+    /// `state` must carry everything the bodies mutate that lives
+    /// *outside* shared memory (e.g. private velocity arrays); shared
+    /// memory itself is rolled back by the checkpoint. It is cloned only
+    /// on a machine that takes checkpoints, the only kind a crash can roll
+    /// back. Bodies must not call [`NodeCtx::allreduce_sum`] (reductions
+    /// belong between phases, where no replay can re-run them). `ids` is
+    /// drawn between one phase's close and the next one's open; it cannot
+    /// reach this context, so it puts no access or barrier between them.
+    pub fn phases<S, F>(
+        &mut self,
+        ids: impl IntoIterator<Item = PhaseId>,
+        state: &mut S,
+        mut body: F,
+    ) where
+        S: Clone,
+        F: FnMut(&mut NodeCtx, PhaseId, &mut S),
+    {
+        let mut after_close = false;
+        for id in ids {
+            loop {
+                let saved = self.checkpoints.then(|| state.clone());
+                self.open_phase(id, after_close);
+                body(self, id, state);
+                match self.try_phase_end() {
+                    PhaseOutcome::Committed => break,
+                    PhaseOutcome::Replay => {
+                        *state = saved.expect("a replay restores a checkpoint");
+                        after_close = false;
+                    }
+                }
             }
+            after_close = true;
         }
     }
 
@@ -731,7 +798,7 @@ impl<'a> NodeCtx<'a> {
             )
         };
         self.trace(EventKind::MergeBegin, u64::from(phase), outgoing.len() as u64);
-        let rep = self.acked_window(cm.window(), |ctx| {
+        let rep = self.acked_window(cm.window(), true, |ctx| {
             let rep = commute_merge(&cm, ctx.node, outgoing);
             ctx.t.presend_ns += rep.vtime_ns;
             rep
@@ -758,15 +825,20 @@ impl<'a> NodeCtx<'a> {
 
     /// Capture this node's shard of a barrier-consistent checkpoint, over
     /// the previous one in its slot. Called at `phase_begin`, between two
-    /// barriers: on entry every node has stopped issuing requests and
-    /// every multi-hop round has completed (barriers are protocol
-    /// quiescence points), so the cut contains no in-flight state; the
-    /// closing barrier keeps any node from racing ahead and faulting into
-    /// a half-captured peer. Under the predictive protocol that barrier is
-    /// the pre-send window's entry, which `phase_begin` reaches next
-    /// without sending anything (DESIGN.md §12).
-    fn take_checkpoint(&mut self) {
-        self.barrier_recover(|| ());
+    /// barriers: the one that opens the cut (on entry every node has
+    /// stopped issuing requests and every multi-hop round has completed —
+    /// barriers are protocol quiescence points — so the cut contains no
+    /// in-flight state), and the one that closes it, which keeps any node
+    /// from racing ahead and faulting into a half-captured peer. With
+    /// `opened`, the previous phase's closing barrier, met with nothing
+    /// since, opens the cut; otherwise a barrier of its own does. Under
+    /// the predictive protocol the pre-send window's entry barrier closes
+    /// the cut, which `phase_begin` reaches next without sending anything
+    /// (DESIGN.md §12).
+    fn take_checkpoint(&mut self, opened: bool) {
+        if !opened {
+            self.barrier_recover(|| ());
+        }
         self.trace(EventKind::CheckpointBegin, self.version, 0);
         // Count the checkpoint *before* the stats snapshot so the cut is
         // self-consistent: restoring it and replaying re-counts exactly
@@ -875,7 +947,7 @@ impl<'a> NodeCtx<'a> {
         let Some(pred) = self.pred.clone() else { return };
         self.cur_phase = phase;
         self.shared.tracer().set_phase(phase);
-        self.acked_window(pred.window(), |ctx| ctx.presend_pushes(&pred, phase));
+        self.acked_window(pred.window(), true, |ctx| ctx.presend_pushes(&pred, phase));
     }
 
     /// Flush one phase's schedule on this node (rebuild policy, §3.3).

@@ -113,7 +113,7 @@ pub fn fetch(node: &mut Node, block: BlockId, excl: bool) -> GrantInfo {
     };
     let mut seq = issue(&node.shared);
     let mut info = GrantInfo { extra_hops: 0, bytes: 0, recorded: false, retries: 0 };
-    node.settle(format_args!("fetch of {block:?} ungranted"), 1, |n, event| match event {
+    node.settle(format_args!("fetch of {block:?} ungranted"), 1, |n, _, event| match event {
         Ok(Wake::Grant { block: b, excl: e, extra_hops, bytes, recorded, seq: s }) if s == seq => {
             debug_assert_eq!((b, e), (block, excl), "grant for a different request");
             // From here on, a late duplicate of this grant must not
@@ -138,56 +138,99 @@ pub fn fetch(node: &mut Node, block: BlockId, excl: bool) -> GrantInfo {
 /// once until every grant is back. Per block it is [`fetch`]'s exchange;
 /// the wave's rounds are in flight together, which is what
 /// `CostModel::ensure_ns` bills. Result `i` answers `reqs[i]`.
+pub fn fetch_all(node: &mut Node, reqs: &[(BlockId, bool)]) -> Vec<GrantInfo> {
+    let mut wave = Wave::issue(&node.shared, reqs);
+    node.settle(format_args!("tear-downs ungranted"), wave.left(), |n, _, event| {
+        wave.step(n, &event);
+        wave.left()
+    });
+    wave.grants()
+}
+
+/// A wave of a home's own faults in flight ([`fetch_all`]'s, or one the
+/// caller settles inside a wait of its own): every request is issued at
+/// once and each grant settles one.
 ///
 /// Grants match requests **by seq**: one issue round's seqs are consecutive
-/// (request `open[j]` holds `base + j`). A round with no grant for
-/// [`crate::node::RetryConfig::timeout`] re-issues what is still open with
-/// fresh seqs (a parked retry is idempotent at the home). Home-local grants
-/// install nothing, so `outstanding` stays clear; death reports see the
-/// wave through [`NodeShared::wave`].
-pub fn fetch_all(node: &mut Node, reqs: &[(BlockId, bool)]) -> Vec<GrantInfo> {
-    // (Re-)issue `open`; returns the first seq drawn.
-    let issue = |n: &NodeShared, open: &[usize], round: u32| {
-        let base = n.next_seqs(open.len() as u64);
-        for (&i, seq) in open.iter().zip(base..) {
-            let (block, excl) = reqs[i];
+/// (request `open[j]` holds `base + j`). A silent round re-issues what is
+/// still open with fresh seqs (a parked retry is idempotent at the home).
+/// Home-local grants install nothing, so `outstanding` stays clear; death
+/// reports see the wave through [`NodeShared::wave`].
+pub struct Wave<'r> {
+    reqs: &'r [(BlockId, bool)],
+    /// Indices into `reqs` of the last issue round, in seq order.
+    open: Vec<usize>,
+    /// Seq of `open[0]`.
+    base: u64,
+    /// First `j` whose request `open[j]` is ungranted.
+    low: usize,
+    /// Issue rounds so far beyond the first.
+    round: u32,
+    left: usize,
+    infos: Vec<Option<GrantInfo>>,
+}
+
+impl<'r> Wave<'r> {
+    /// Issue a request for every block of `reqs`.
+    pub fn issue(n: &NodeShared, reqs: &'r [(BlockId, bool)]) -> Wave<'r> {
+        let open = (0..reqs.len()).collect();
+        let infos = vec![None; reqs.len()];
+        let mut wave = Wave { reqs, open, base: 0, low: 0, round: 0, left: reqs.len(), infos };
+        wave.send(n);
+        wave
+    }
+
+    /// (Re-)issue `open` with fresh seqs.
+    fn send(&mut self, n: &NodeShared) {
+        self.base = n.next_seqs(self.open.len() as u64);
+        self.low = 0;
+        for (&i, seq) in self.open.iter().zip(self.base..) {
+            let (block, excl) = self.reqs[i];
             assert_eq!(n.homes.home_of_block(block), n.me, "fetch_all: {block:?} not homed here");
-            if round > 0 {
-                note_retry(n, block, round);
+            if self.round > 0 {
+                note_retry(n, block, self.round);
             }
             n.send(n.me, request(block, excl, seq));
         }
-        base
-    };
-    let mut open: Vec<usize> = (0..reqs.len()).collect();
-    let mut base = issue(&node.shared, &open, 0);
-    // `low`: first `j` whose request is ungranted; `round`: issue rounds
-    // so far beyond the first.
-    let (mut low, mut round, mut left) = (0, 0, reqs.len());
-    let mut infos: Vec<Option<GrantInfo>> = vec![None; reqs.len()];
-    node.shared.set_wave(left as u64, base);
-    node.settle(format_args!("tear-downs ungranted"), left, |n, event| {
-        match event {
+        n.set_wave(self.left as u64, self.base);
+    }
+
+    /// Requests still ungranted.
+    pub fn left(&self) -> usize {
+        self.left
+    }
+
+    /// Take one event of the wait: a grant of this wave settles its
+    /// request (a superseded or duplicated one settles nothing), a silent
+    /// round (`Err`) re-issues what is still open, and any other wake is
+    /// not this wave's.
+    pub fn step(&mut self, n: &NodeShared, event: &Result<Wake, u32>) {
+        match *event {
             Ok(Wake::Grant { block, excl, extra_hops, bytes, recorded, seq }) => {
-                let slot = seq.checked_sub(base).and_then(|j| open.get(j as usize));
-                let Some(&i) = slot.filter(|&&i| infos[i].is_none()) else {
-                    return left; // superseded or duplicated grant
-                };
-                debug_assert_eq!((block, excl), reqs[i], "grant for a different request");
-                infos[i] = Some(GrantInfo { extra_hops, bytes, recorded, retries: round });
-                left -= 1;
-                while open.get(low).is_some_and(|&i| infos[i].is_some()) {
-                    low += 1;
+                let slot = seq.checked_sub(self.base).and_then(|j| self.open.get(j as usize));
+                let Some(&i) = slot.filter(|&&i| self.infos[i].is_none()) else { return };
+                debug_assert_eq!((block, excl), self.reqs[i], "grant for a different request");
+                let retries = self.round;
+                self.infos[i] = Some(GrantInfo { extra_hops, bytes, recorded, retries });
+                self.left -= 1;
+                while self.open.get(self.low).is_some_and(|&i| self.infos[i].is_some()) {
+                    self.low += 1;
                 }
+                n.set_wave(self.left as u64, self.base + self.low as u64);
             }
-            Ok(_) => return left,
-            Err(r) => {
-                open.retain(|&i| infos[i].is_none());
-                (base, low, round) = (issue(n, &open, r), 0, r);
+            Ok(_) => {}
+            Err(_) if self.left == 0 => {}
+            Err(_) => {
+                let infos = &self.infos;
+                self.open.retain(|&i| infos[i].is_none());
+                self.round += 1;
+                self.send(n);
             }
         }
-        n.set_wave(left as u64, base + low as u64);
-        left
-    });
-    infos.into_iter().map(|i| i.expect("settled")).collect()
+    }
+
+    /// Every request's grant, `reqs` order. Panics unless [`Self::left`] is 0.
+    pub fn grants(self) -> Vec<GrantInfo> {
+        self.infos.into_iter().map(|i| i.expect("settled")).collect()
+    }
 }

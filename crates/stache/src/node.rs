@@ -316,13 +316,14 @@ impl Node {
 
     /// The one acknowledged wait: serve the inbox until none of `left`
     /// pending entries (grants, acknowledgements) remains. `step` sees
-    /// every wake as `Ok` and answers how many entries are still pending;
-    /// after [`RetryConfig::timeout`] in which no entry settled it sees
-    /// `Err(round)` — the moment to re-issue what is pending — and the
-    /// clock re-arms. The deadline runs from the last progress, so a long
-    /// wave on a slow host is not a timeout. Under [`crate::engine::fetch`]
-    /// and [`crate::engine::fetch_all`], the pre-send ack wait and the
-    /// merge ack wait.
+    /// every wake as `Ok`, with the node's state (it may issue more work
+    /// from inside the wait), and answers how many entries are still
+    /// pending; after [`RetryConfig::timeout`] in which that count did not
+    /// change it sees `Err(round)` — the moment to re-issue what is
+    /// pending — and the clock re-arms. The deadline runs from the last
+    /// progress, so a long wave on a slow host is not a timeout. Under
+    /// [`crate::engine::fetch`] and [`crate::engine::fetch_all`], the
+    /// pre-send window and the merge ack wait.
     ///
     /// # Panics
     ///
@@ -332,7 +333,7 @@ impl Node {
         &mut self,
         what: std::fmt::Arguments<'_>,
         mut left: usize,
-        mut step: impl FnMut(&NodeShared, Result<Wake, u32>) -> usize,
+        mut step: impl FnMut(&NodeShared, &mut NodeState, Result<Wake, u32>) -> usize,
     ) {
         let RetryConfig { timeout, max_retries } = self.shared.retry;
         let (mut rounds, mut deadline) = (0u32, Instant::now() + timeout);
@@ -349,8 +350,8 @@ impl Node {
                     Err(rounds)
                 }
             };
-            let now = step(&self.shared, event);
-            if now > 0 && (now < left || event.is_err()) {
+            let now = step(&self.shared, &mut self.state, event);
+            if now > 0 && (now != left || event.is_err()) {
                 deadline = Instant::now() + timeout;
             }
             left = now;
