@@ -45,6 +45,9 @@
 //!   iteration a whole run (Water's 16 partners in one 128-byte block,
 //!   Barnes' 4-word cell summary) — divide by the length to set it beside
 //!   `ctx/read_hit`; `mem/read_hit_slice` is the borrowed hit under it;
+//! * `dir/entry_hit` — a home's directory lookup of a block it has seen
+//!   (the map every request and pre-send at the home goes through), over
+//!   4096 of one home's blocks;
 //! * `agg/*` — element index → global address for the two distributions
 //!   the applications use, at their paper shapes, and `agg/runs_256`, one
 //!   molecule's partner range cut into its 17 partition runs. `addr_*`
@@ -74,7 +77,7 @@ use prescient_core::{PhaseSchedule, Predictive, PredictiveConfig};
 use prescient_cstar::dataflow::ReachingUnstructured;
 use prescient_runtime::{Agg1D, Agg2D, Dist1D, Dist2D, Machine, MachineConfig, NodeCtx};
 use prescient_stache::testkit::Cluster;
-use prescient_stache::{NoHooks, NodeCheckpoint, RetryConfig};
+use prescient_stache::{Directory, NoHooks, NodeCheckpoint, RetryConfig};
 use prescient_tempest::{
     BatchConfig, BlockId, Fabric, GAddr, GlobalLayout, NodeId, NodeMem, TryRecv,
 };
@@ -446,6 +449,24 @@ fn bench_ctx(c: &mut Timer) {
     let mut idle =
         Cluster::new(1, 32, RetryConfig::default(), None, |_| std::sync::Arc::new(NoHooks));
     c.bench_function("ctx/poll_empty", |b| b.iter(|| idle.nodes[0].poll()));
+
+    // The home's directory lookup every request takes: node 3's shard of
+    // a 32-node machine, 4096 of its own blocks already entered.
+    let layout = GlobalLayout::new(32, 32);
+    let mut mem = NodeMem::new(layout, 3);
+    let base = mem.alloc(4096 * 32, 32);
+    let blocks: Vec<BlockId> = (0..4096u64).map(|i| base.add(i * 32).block(32)).collect();
+    let mut dir = Directory::new();
+    for &b in &blocks {
+        dir.entry(b);
+    }
+    c.bench_function("dir/entry_hit", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) & 4095;
+            dir.entry(std::hint::black_box(blocks[i])).is_busy()
+        })
+    });
 }
 
 fn bench_agg(c: &mut Timer) {

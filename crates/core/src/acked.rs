@@ -13,18 +13,17 @@
 //! * a repeated push is re-acked with the `b` of its first ack;
 //! * a checkpoint keeps the epoch, the next push id and the dedup map.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Mutex;
 
 use prescient_stache::msg::{Msg, UserMsg, Wake};
 use prescient_stache::node::{Node, NodeShared};
 use prescient_tempest::sync::lock;
-use prescient_tempest::{NodeId, NodeStats};
+use prescient_tempest::{IdMap, NodeId, NodeStats};
 
 /// The messages of one window that no ack has answered yet, by push id.
 #[derive(Default)]
-pub(crate) struct AckedPushes(HashMap<u64, (NodeId, UserMsg)>);
+pub(crate) struct AckedPushes(IdMap<u64, (NodeId, UserMsg)>);
 
 impl AckedPushes {
     /// Send `m` — push id `m.a` — to `target` and keep it until acked.
@@ -98,7 +97,7 @@ pub(crate) struct Marks {
     next_id: u64,
     /// `(sender, push id)` of every push received in the open window,
     /// with the `b` its ack carried.
-    done: HashMap<(NodeId, u64), u64>,
+    done: IdMap<(NodeId, u64), u64>,
 }
 
 impl Marks {
@@ -118,7 +117,7 @@ pub struct Window(Mutex<Marks>);
 
 impl Default for Window {
     fn default() -> Window {
-        Window(Mutex::new(Marks { epoch: 1, next_id: 1, done: HashMap::new() }))
+        Window(Mutex::new(Marks { epoch: 1, next_id: 1, done: IdMap::default() }))
     }
 }
 

@@ -53,7 +53,6 @@
 //! [`CONSECUTIVE_BAD`]: crate::presend::CONSECUTIVE_BAD
 //! [`BACKOFF_INSTANCES`]: crate::presend::BACKOFF_INSTANCES
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use prescient_stache::hooks::Hooks;
@@ -62,7 +61,7 @@ use prescient_stache::node::{NodeShared, NodeState};
 use prescient_tempest::sync::lock;
 use prescient_tempest::tag::Tag;
 use prescient_tempest::trace::{pack_peer_count, EventKind};
-use prescient_tempest::{BlockId, NodeId, NodeSet, NodeStats};
+use prescient_tempest::{BlockId, IdMap, NodeId, NodeSet, NodeStats};
 
 use crate::acked::{Marks, Window};
 use crate::codes;
@@ -122,9 +121,9 @@ pub(crate) struct PredState {
     /// This home node's slice of every phase's schedule.
     pub store: ScheduleStore,
     /// Per-phase schedule health (driven by `crate::presend`).
-    pub health: HashMap<PhaseId, PhaseHealth>,
+    pub health: IdMap<PhaseId, PhaseHealth>,
     /// Which phase pushed each block last, for charging teardown waste.
-    pub pushed_by: HashMap<BlockId, PhaseId>,
+    pub pushed_by: IdMap<BlockId, PhaseId>,
 }
 
 impl PredState {

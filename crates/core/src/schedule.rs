@@ -10,11 +10,10 @@
 //! *generation*, so the replay runs are encoded and a checkpoint copies
 //! the entries once per change (DESIGN.md §7, "Replay runs per generation").
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use prescient_tempest::{BlockId, NodeId, NodeSet};
+use prescient_tempest::{BlockId, IdMap, NodeId, NodeSet};
 
 /// Identifies one compiler-marked parallel phase.
 pub type PhaseId = u32;
@@ -128,7 +127,7 @@ static GENERATION: AtomicU64 = AtomicU64::new(0);
 pub struct PhaseSchedule {
     /// Recorded entries, by block; only `record_*` change them, each
     /// under a new generation.
-    entries: HashMap<BlockId, ScheduleEntry>,
+    entries: IdMap<BlockId, ScheduleEntry>,
     generation: u64,
     /// The replay runs of one (generation, anticipate) pair.
     cached: Option<(u64, bool, Arc<[ReplayRun]>)>,
@@ -140,7 +139,7 @@ pub struct PhaseSchedule {
 
 impl PhaseSchedule {
     /// Recorded entries, by block.
-    pub fn entries(&self) -> &HashMap<BlockId, ScheduleEntry> {
+    pub fn entries(&self) -> &IdMap<BlockId, ScheduleEntry> {
         &self.entries
     }
 
@@ -234,7 +233,7 @@ impl PhaseSchedule {
 /// All phases' schedules at one home node.
 #[derive(Debug, Default)]
 pub struct ScheduleStore {
-    phases: HashMap<PhaseId, PhaseSchedule>,
+    phases: IdMap<PhaseId, PhaseSchedule>,
     /// Phases whose entries `clone_from` copied into this store, ever.
     pub(crate) entry_copies: u64,
 }

@@ -382,22 +382,26 @@ fn lint_static_oob(c: &CompiledProgram) -> Vec<Diagnostic> {
             for (dim, &(pos, offset)) in
                 site.offsets.iter().enumerate().filter_map(|(d, o)| Some((d, o.as_ref()?)))
             {
-                if offset == 0 || site.guard & (1 << pos) != 0 {
-                    continue; // an enclosing `if` mentions #pos: assumed guarded
+                if offset == 0 {
+                    continue;
                 }
                 let Some(pi) = f.params.iter().position(|p| *p == site.param) else { continue };
                 let Some(arg) = args.get(pi) else { continue };
                 let Some(decl) = c.program.agg(arg) else { continue };
                 let Some(&extent) = decl.dims.get(dim) else { continue };
                 let Some(&par_extent) = par.dims.get(pos) else { continue };
-                let worst = if offset < 0 {
-                    offset // position 0 underflows
+                // The positions the enclosing conditions let reach the site.
+                let (lo, hi) = site.guard.range(pos, par_extent);
+                let (lo, hi) = (lo.saturating_add(offset), hi.saturating_add(offset));
+                let worst = if lo > hi {
+                    continue; // no position reaches it
+                } else if lo < 0 {
+                    lo
+                } else if hi >= extent as i64 {
+                    hi
                 } else {
-                    par_extent as i64 - 1 + offset // last position overflows
+                    continue; // inside the extent for every position that reaches it
                 };
-                if worst >= 0 && (worst as usize) < extent {
-                    continue; // offset stays inside the extent for every position
-                }
                 if !seen.insert((arg, site.span, dim)) {
                     continue;
                 }
@@ -410,7 +414,14 @@ fn lint_static_oob(c: &CompiledProgram) -> Vec<Diagnostic> {
                             site.param, worst, arg, extent, dim
                         ),
                     )
-                    .with_label(site.span, "unguarded neighbor access")
+                    .with_label(
+                        site.span,
+                        if site.guard.bounds(pos) {
+                            "the enclosing condition does not keep this index in bounds"
+                        } else {
+                            "unguarded neighbor access"
+                        },
+                    )
                     .with_note(format!(
                         "guard it with a condition on #{} (the interpreter aborts on \
                          out-of-range indices)",

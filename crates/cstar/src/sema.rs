@@ -126,15 +126,85 @@ pub struct AccessSite {
     /// Each dimension's index as `#p ± c` or `c + #p`: the position `p`
     /// and the signed offset; `None` for any other index.
     pub offsets: Vec<Option<(usize, i64)>>,
-    /// Mask of the positions `#k` the conditions of the enclosing `if`s
-    /// name.
-    pub guard: u64,
+    /// The positions' values the conditions of the enclosing `if`s let
+    /// reach the site.
+    pub guard: Guard,
     /// An index draws on remote data: it holds a non-home read, by the
     /// paper's rules whatever rules the summary was built under, or a
     /// local assigned from one.
     pub remote_index: bool,
     /// Where in the source.
     pub span: Span,
+}
+
+/// Per position `#k`, the inclusive range of values the conditions of the
+/// enclosing `if`s allow: each `#k OP c` or `c OP #k` with an integer
+/// constant `c` narrows it in its `then` branch, and its negation in its
+/// `else` branch. Nested `if`s intersect, which is how a program writes a
+/// conjunction. Any other condition says nothing about any position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Guard([(i64, i64); 2]);
+
+impl Default for Guard {
+    fn default() -> Guard {
+        Guard([(i64::MIN, i64::MAX); 2])
+    }
+}
+
+impl Guard {
+    /// The values position `pos` may take at the site, among `0..extent`;
+    /// empty (`lo > hi`) where no position reaches it.
+    pub(crate) fn range(&self, pos: usize, extent: usize) -> (i64, i64) {
+        let (lo, hi) = self.0.get(pos).copied().unwrap_or((i64::MIN, i64::MAX));
+        (lo.max(0), hi.min(extent as i64 - 1))
+    }
+
+    /// Does any enclosing condition bound position `pos`?
+    pub(crate) fn bounds(&self, pos: usize) -> bool {
+        self.0.get(pos).is_some_and(|&r| r != (i64::MIN, i64::MAX))
+    }
+
+    /// This guard inside a branch of `if cond`: the `then` branch when
+    /// `holds`, the `else` branch otherwise.
+    fn narrowed(mut self, cond: &Expr, holds: bool) -> Guard {
+        use BinOp::*;
+        // `c OP #p` is `#p OP' c`, the comparison mirrored.
+        fn mirrored(op: BinOp) -> BinOp {
+            match op {
+                Lt => Gt,
+                Le => Ge,
+                Gt => Lt,
+                Ge => Le,
+                op => op,
+            }
+        }
+        let Expr::Bin(op, a, b) = cond else { return self };
+        let (pos, c, op) = match (&**a, &**b) {
+            (Expr::Pos(p), c) => (*p, c, *op),
+            (c, Expr::Pos(p)) => (*p, c, mirrored(*op)),
+            _ => return self,
+        };
+        let c = match c {
+            Expr::Int(c) => *c,
+            Expr::Neg(c) => match **c {
+                Expr::Int(c) => c.wrapping_neg(),
+                _ => return self,
+            },
+            _ => return self,
+        };
+        let (lo, hi) = match (op, holds) {
+            (Lt, true) | (Ge, false) => (i64::MIN, c.saturating_sub(1)),
+            (Le, true) | (Gt, false) => (i64::MIN, c),
+            (Gt, true) | (Le, false) => (c.saturating_add(1), i64::MAX),
+            (Ge, true) | (Lt, false) => (c, i64::MAX),
+            (Eq, true) | (Ne, false) => (c, c),
+            _ => return self,
+        };
+        if let Some(r) = self.0.get_mut(pos) {
+            *r = (r.0.max(lo), r.1.min(hi));
+        }
+        self
+    }
 }
 
 impl AccessSite {
@@ -245,7 +315,7 @@ pub fn analyze_fn_with(f: &ParFn, rules: ClassifyRules) -> Result<AccessSummary,
         locals: Vec::new(),
         remote: Vec::new(),
         depth: 0,
-        guard: 0,
+        guard: Guard::default(),
     };
     for p in &f.params {
         an.sum.params.insert(p.clone(), ParamAccess::default());
@@ -276,8 +346,8 @@ struct Analyzer<'a> {
     remote: Vec<String>,
     /// `if`/`for` nesting depth of the statement being analyzed.
     depth: usize,
-    /// Positions named by the conditions of the enclosing `if`s.
-    guard: u64,
+    /// What the conditions of the enclosing `if`s say of the positions.
+    guard: Guard,
 }
 
 impl<'a> Analyzer<'a> {
@@ -386,14 +456,10 @@ impl<'a> Analyzer<'a> {
                 self.expr(c)?;
                 self.observe(c);
                 let outer = self.guard;
-                c.any(&mut |x| {
-                    if let Expr::Pos(k) = x {
-                        self.guard |= 1u64 << (*k).min(63);
-                    }
-                    false
-                });
                 self.depth += 1;
+                self.guard = outer.narrowed(c, true);
                 self.stmts(t)?;
+                self.guard = outer.narrowed(c, false);
                 self.stmts(e)?;
                 self.depth -= 1;
                 self.guard = outer;
@@ -698,11 +764,12 @@ mod tests {
             }
             fn main() { f(G, P); }
         "#;
+        let (whole, from_1) = (Guard::default(), Guard([(i64::MIN, i64::MAX), (1, i64::MAX)]));
         let want = [
-            (vec![Some((0, 1))], 0, false),
-            (vec![Some((0, 1)), Some((1, -1))], 0b10, false), // guarded on #1
-            (vec![Some((0, 0)), None], 0, true),              // j from k from p[#0+1]
-            (vec![Some((0, 0)), None], 0, false),             // a loop variable is clean
+            (vec![Some((0, 1))], whole, false),
+            (vec![Some((0, 1)), Some((1, -1))], from_1, false), // #1 > 0
+            (vec![Some((0, 0)), None], whole, true),            // j from k from p[#0+1]
+            (vec![Some((0, 0)), None], whole, false),           // a loop variable is clean
         ];
         // The remote test keeps the paper's rules under a weakening.
         let weak = ClassifyRules { const_offset_is_home: true, ..ClassifyRules::default() };
@@ -712,6 +779,38 @@ mod tests {
                 s.sites.iter().map(|a| (a.offsets.clone(), a.guard, a.remote_index)).collect();
             assert_eq!(got, want, "{rules:?}");
         }
+    }
+
+    #[test]
+    fn guards_narrow_by_comparison_branch_and_nesting() {
+        let src = r#"
+            aggregate G[8][8] of float;
+            parallel fn f(g) {
+                if #0 < 7 { let a = g[#0][#1]; } else { let b = g[#0][#1]; }
+                if 2 <= #1 { if #1 != 5 { let c = g[#0][#1]; } }
+                if #0 == -1 { let d = g[#0][#1]; } else { let e = g[#0][#1]; }
+                if #0 < #1 { let h = g[#0][#1]; }
+                if #1 > 2.5 { let k = g[#0][#1]; }
+            }
+            fn main() { f(G); }
+        "#;
+        let s = &analyze_program_with(&parse_diag(src).unwrap(), ClassifyRules::default()).unwrap()
+            ["f"];
+        let got: Vec<_> =
+            s.sites.iter().map(|a| (a.guard.range(0, 8), a.guard.range(1, 8))).collect();
+        assert_eq!(
+            got,
+            [
+                ((0, 6), (0, 7)),  // #0 < 7
+                ((7, 7), (0, 7)),  // its `else`
+                ((0, 7), (2, 7)),  // 2 <= #1, and `!=` says nothing
+                ((0, -1), (0, 7)), // #0 == -1: no position reaches it
+                ((0, 7), (0, 7)),  // its `else` says nothing
+                ((0, 7), (0, 7)),  // neither side a constant
+                ((0, 7), (0, 7)),  // not an integer
+            ]
+        );
+        assert!(s.sites[0].guard.bounds(0) && !s.sites[0].guard.bounds(1));
     }
 
     /// The hoisted sites of one function of an example program, as source

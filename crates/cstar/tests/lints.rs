@@ -84,6 +84,11 @@ fn w003_guarded_offsets_are_silent() {
 }
 
 #[test]
+fn w003_guard_bounding_the_other_side() {
+    check_fixture("w003_bound", &["W003"]);
+}
+
+#[test]
 fn w003_offset_shapes() {
     check_fixture("w003_shapes", &["W004", "W003", "W003", "W005", "W003", "W003"]);
 }
@@ -140,7 +145,7 @@ fn e007_oracle_reports_an_evaluation_error() {
     assert_eq!(report.observed_events, 0, "no machine ran");
     ds.extend(report.diagnostics);
     let got: Vec<&str> = ds.iter().map(|d| d.code.as_str()).collect();
-    assert_eq!(got, ["W004", "E007"], "{ds:#?}");
+    assert_eq!(got, ["W004", "W003", "E007"], "{ds:#?}");
     check_rendered("e007_eval", &Diagnostic::render_all(&ds, &src, &fixture_file("e007_eval")));
 }
 

@@ -90,6 +90,7 @@ impl<T: Prim> Agg1D<T> {
     }
 
     /// Global address of element `i`.
+    #[inline]
     pub fn addr(&self, i: usize) -> GAddr {
         debug_assert!(i < self.len, "index {i} out of bounds {}", self.len);
         match self.dist {
@@ -200,6 +201,7 @@ impl<T: Prim> Agg2D<T> {
     }
 
     /// Global address of element `(i, j)`.
+    #[inline]
     pub fn addr(&self, i: usize, j: usize) -> GAddr {
         debug_assert!(i < self.rows() && j < self.cols, "({i},{j}) out of bounds");
         self.row_base[i].add((j * T::BYTES) as u64)

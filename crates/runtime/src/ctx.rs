@@ -19,7 +19,11 @@
 //! block's tag once, which is enough because the tag is per block and
 //! only this thread can change it, bills the words it covers at once, and
 //! hands any block that does not simply hit to the word form — so the
-//! modelled machine cannot tell the two apart (DESIGN.md §8).
+//! modelled machine cannot tell the two apart (DESIGN.md §8). Both take
+//! the same hit check (`NodeMem::read_hit`/`write_hit`: one metadata
+//! byte); a word that misses it goes to one cold function per form, the
+//! only slow path, which faults, materialises and traces the first touch
+//! of a pre-sent copy.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -112,10 +116,10 @@ impl MetricsState {
 }
 
 /// Accesses between two polls of the node's inbox. A poll that finds the
-/// inbox empty costs 24 ns, so at 64 it adds 0.4 ns to an access, while a
-/// peer's request waits at most 64 hits (about 0.6 µs, a fifth of a miss)
-/// for a node that is computing. Measured at 16, 64 and 256 in
-/// EXPERIMENTS.md, "One thread per node".
+/// inbox empty costs about 6 ns (one load: DESIGN.md §2.2), so at 64 it
+/// adds 0.1 ns to an access, while a peer's request waits at most 64 hits
+/// (about 0.6 µs, a fifth of a miss) for a node that is computing.
+/// Measured at 16, 64 and 256 in EXPERIMENTS.md, "One thread per node".
 pub const POLL_EVERY: u32 = 64;
 
 /// What the machine hands a node's thread to build its context for one
@@ -302,12 +306,40 @@ impl<'a> NodeCtx<'a> {
 
     /// Read a primitive from shared memory (fine-grain checked; faults are
     /// serviced by the coherence protocol and billed as remote wait).
+    #[inline]
     pub fn read<T: Prim>(&mut self, addr: GAddr) -> T {
         // Single writer: this thread is the only one that counts accesses
         // or restores the counters (`recover`).
         NodeStats::bump_single_writer(&self.shared.stats.reads);
         self.t.compute_ns += self.cost.local_access_ns;
         self.poll_tick();
+        // A hit is the run form's tag check on one word. It cannot consume
+        // an unread pre-sent copy: `read_hit` refuses a block whose bit is
+        // set, so that first touch takes the slow path and is traced there.
+        match self.node.state.mem.read_hit(addr, T::BYTES) {
+            Some(src) => T::load(src),
+            None => self.read_slow(addr),
+        }
+    }
+
+    /// Write a primitive to shared memory.
+    #[inline]
+    pub fn write<T: Prim>(&mut self, addr: GAddr, v: T) {
+        NodeStats::bump_single_writer(&self.shared.stats.writes);
+        self.t.compute_ns += self.cost.local_access_ns;
+        self.poll_tick();
+        match self.node.state.mem.write_hit(addr, T::BYTES) {
+            Some(dst) => v.store(dst),
+            None => self.write_slow(addr, v),
+        }
+    }
+
+    /// Every word read that is not a hit: the store's full sequence of
+    /// checks (a lazily materialized home block, an unread pre-sent copy,
+    /// a fault, a boundary-crossing access), then the slow path.
+    #[cold]
+    #[inline(never)]
+    fn read_slow<T: Prim>(&mut self, addr: GAddr) -> T {
         let mut buf = [0u8; 16];
         let buf = &mut buf[..T::BYTES];
         // "Unread pre-send copy consumed by this access" is exact: the
@@ -321,11 +353,10 @@ impl<'a> NodeCtx<'a> {
         T::load(buf)
     }
 
-    /// Write a primitive to shared memory.
-    pub fn write<T: Prim>(&mut self, addr: GAddr, v: T) {
-        NodeStats::bump_single_writer(&self.shared.stats.writes);
-        self.t.compute_ns += self.cost.local_access_ns;
-        self.poll_tick();
+    /// [`Self::read_slow`]'s write twin.
+    #[cold]
+    #[inline(never)]
+    fn write_slow<T: Prim>(&mut self, addr: GAddr, v: T) {
         let mut buf = [0u8; 16];
         let buf = &mut buf[..T::BYTES];
         v.store(buf);
@@ -487,6 +518,7 @@ impl<'a> NodeCtx<'a> {
     }
 
     /// Charge `flops` units of application arithmetic to the virtual clock.
+    #[inline]
     pub fn work(&mut self, flops: u64) {
         self.t.compute_ns += flops * self.cost.flop_ns;
     }

@@ -279,6 +279,55 @@ fn a_presend_read_twice_is_one_first_touch() {
     assert_eq!(first_touches, 2 * (ITERS - 1), "and nothing else is one");
 }
 
+/// The write twin of the test above: a word write into an unread
+/// pre-sent exclusive copy is no hit. It clears the copy's unread bit
+/// once, on the slow path, with one first touch; the writes after it hit.
+#[test]
+fn a_presend_written_twice_is_one_first_touch() {
+    let _g = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    set_out("first_write");
+    let mut m = Machine::new(
+        MachineConfig::predictive(2, 32)
+            .with_retry(RetryConfig { timeout: Duration::from_secs(30), max_retries: 4 })
+            .with_trace(TraceConfig::with_capacity(1 << 12)),
+    );
+    // Node 0 owns elements 0..8: two blocks of 4 × f64 at 32 B.
+    let a = Agg1D::<f64>::new(&m, 16, Dist1D::Block);
+    let block = m.layout().block_of(a.addr(0));
+    const ITERS: u64 = 3;
+    let (_, r) = m.run(|ctx: &mut NodeCtx| {
+        for it in 0..ITERS {
+            // Node 0 reads the block back, recalling node 1's copy.
+            ctx.phase_begin(1);
+            if ctx.me() == 0 && it > 0 {
+                assert_eq!(ctx.read::<f64>(a.addr(1)), it as f64);
+            }
+            ctx.phase_end();
+            // Node 1 writes it three times: a miss in the first iteration,
+            // a pre-sent exclusive copy from then on.
+            ctx.phase_begin(2);
+            if ctx.me() == 1 {
+                ctx.write(a.addr(0), 0.5);
+                ctx.write(a.addr(0), -0.5);
+                ctx.write(a.addr(1), (it + 1) as f64);
+            }
+            ctx.phase_end();
+        }
+    });
+    let (events, dropped) = m.trace_events();
+    assert_eq!(dropped, 0);
+    let on_node1 = |k: EventKind| {
+        events.iter().filter(|e| e.node == 1 && e.kind == k && e.a == block.0).count() as u64
+    };
+    assert_eq!(on_node1(EventKind::FaultBegin), 1, "only iteration 0 misses");
+    assert_eq!(on_node1(EventKind::PresendFirstTouch), ITERS - 1, "one first touch per copy");
+    let first_touches =
+        events.iter().filter(|e| e.kind == EventKind::PresendFirstTouch).count() as u64;
+    assert_eq!(first_touches, ITERS - 1, "and nothing else is one");
+    assert_eq!(r.per_node[1].stats.writes, 3 * ITERS);
+    assert_eq!(r.per_node[1].unused_presends, 0, "every pre-sent copy was written");
+}
+
 #[test]
 fn teardown_exports_loadable_files() {
     let _g = EXPORT_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -17,9 +17,9 @@
 //! invalidation operation ids (stale-reply suppression). See
 //! [`crate::msg`] for how both travel.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use prescient_tempest::{BlockId, NodeId, NodeSet};
+use prescient_tempest::{BlockId, IdMap, NodeId, NodeSet};
 
 /// Stable directory states of one block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,18 +95,18 @@ impl DirEntry {
 /// bookkeeping.
 #[derive(Debug, Default)]
 pub struct Directory {
-    entries: HashMap<BlockId, DirEntry>,
+    entries: IdMap<BlockId, DirEntry>,
     /// Last accepted request seq per requester. A node issues at most one
     /// coherence request at a time, so one watermark per requester is
     /// enough to reject duplicates and overtaken retransmissions.
-    last_seq: HashMap<NodeId, u64>,
+    last_seq: IdMap<NodeId, u64>,
     next_op: u64,
 }
 
 impl Directory {
     /// An empty directory.
     pub fn new() -> Directory {
-        Directory { entries: HashMap::new(), last_seq: HashMap::new(), next_op: 1 }
+        Directory { entries: IdMap::default(), last_seq: IdMap::default(), next_op: 1 }
     }
 
     /// The entry for `block`, created in its default (`Uncached`, idle)

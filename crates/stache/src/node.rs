@@ -15,7 +15,6 @@
 //! as that thread runs, and is reached by `&mut`; there is no lock order
 //! because there are no locks.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,8 +23,8 @@ use prescient_tempest::barrier::BarrierOut;
 use prescient_tempest::fabric::{Endpoint, Envelope, Net, TryRecv};
 use prescient_tempest::trace::{pack_msg, EventKind, Tracer};
 use prescient_tempest::{
-    Aborted, BlockId, CostModel, GlobalLayout, HomeView, MemCheckpoint, NodeId, NodeMem, NodeStats,
-    VBarrier,
+    Aborted, BlockId, CostModel, GlobalLayout, HomeView, IdMap, MemCheckpoint, NodeId, NodeMem,
+    NodeStats, VBarrier,
 };
 
 use crate::dir::{DirCheckpoint, Directory};
@@ -223,7 +222,7 @@ pub struct NodeState {
     /// Home directory for this node's blocks.
     pub dir: Directory,
     /// Per-block record of the last recall reply sent (see [`RecallReply`]).
-    pub recalled: HashMap<BlockId, RecallReply>,
+    pub recalled: IdMap<BlockId, RecallReply>,
 }
 
 /// One node, as its thread holds it: the shared part, the owned state, the
@@ -250,7 +249,7 @@ impl Node {
         let state = NodeState {
             mem: NodeMem::with_view(endpoint.me, Arc::clone(&homes)),
             dir: Directory::new(),
-            recalled: HashMap::new(),
+            recalled: IdMap::default(),
         };
         let shared = Arc::new(NodeShared::new(homes, cost, endpoint.net().clone(), retry));
         Node { shared, state, endpoint, engine: Engine::new(hooks) }

@@ -65,7 +65,11 @@
 //! only if the flag was up: it either lands before the consumer's check or
 //! finds the flag up and wakes it — the wake-up every blocking receive, and
 //! through it every `next_wake`, rests on. One signal per park, and none to
-//! a consumer that is running.
+//! a consumer that is running. A poll ([`Endpoint::try_recv`]) reads a
+//! `nonempty` flag that every push and pop stores under the lock, and
+//! takes the lock only when it is set; no blocking receive reads the
+//! flag, so a stale read delays a message to the next poll and can lose
+//! no wake-up.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -261,6 +265,11 @@ struct Inbox<T> {
     state: Mutex<InboxState<T>>,
     /// Signalled by the first push into each park; only the consumer waits.
     ready: Condvar,
+    /// Whether the queue holds an item, written only under the lock, so
+    /// an idle [`InboxRx::try_pop`] is one load and takes no lock.
+    /// `Relaxed` throughout: the flag publishes nothing, since whoever
+    /// reads it set goes on to take the lock, which orders the queue.
+    nonempty: AtomicBool,
 }
 
 struct InboxState<T> {
@@ -280,8 +289,16 @@ impl<T> Inbox<T> {
         let inbox = Arc::new(Inbox {
             state: Mutex::new(InboxState { queue: VecDeque::new(), open: true, parked: false }),
             ready: Condvar::new(),
+            nonempty: AtomicBool::new(false),
         });
         (Arc::clone(&inbox), InboxRx(inbox))
+    }
+
+    /// Pop the oldest item under the lock, keeping `nonempty` in step.
+    fn take(&self, st: &mut InboxState<T>) -> Option<T> {
+        let item = st.queue.pop_front();
+        self.nonempty.store(!st.queue.is_empty(), Ordering::Relaxed);
+        item
     }
 
     fn push(&self, item: T) -> Result<(), Undeliverable> {
@@ -290,6 +307,7 @@ impl<T> Inbox<T> {
             return Err(Undeliverable);
         }
         st.queue.push_back(item);
+        self.nonempty.store(true, Ordering::Relaxed);
         let wake = std::mem::take(&mut st.parked);
         drop(st);
         if wake {
@@ -300,14 +318,20 @@ impl<T> Inbox<T> {
 }
 
 impl<T> InboxRx<T> {
+    /// Pop the oldest item, if any. A flag that reads clear just after a
+    /// push only leaves that item to the next poll: a blocking [`Self::pop`]
+    /// tests the queue itself.
     fn try_pop(&self) -> Option<T> {
-        lock(&self.0.state).queue.pop_front()
+        if !self.0.nonempty.load(Ordering::Relaxed) {
+            return None;
+        }
+        self.0.take(&mut lock(&self.0.state))
     }
 
     /// Pop the oldest item, parking while there is none; `None` once
     /// `timeout` (if any) has passed with the queue still empty.
     fn pop(&self, timeout: Option<Duration>) -> Option<T> {
-        let Inbox { state, ready } = &*self.0;
+        let Inbox { state, ready, .. } = &*self.0;
         let park = |st: &mut InboxState<T>| {
             st.parked = st.queue.is_empty();
             st.parked
@@ -317,7 +341,7 @@ impl<T> InboxRx<T> {
             Some(t) => wait_timeout_while(ready, lock(state), t, park),
         };
         st.parked = false;
-        st.queue.pop_front()
+        self.0.take(&mut st)
     }
 }
 
@@ -1116,6 +1140,49 @@ mod tests {
             assert_eq!(next, [SENDS; PRODUCERS]);
         });
         assert!(matches!(consumer.try_recv(), TryRecv::Empty));
+    }
+
+    /// A producer's pushes all arrive at a consumer that mixes idle polls
+    /// with blocking receives: a poll that reads `nonempty` clear takes no
+    /// lock, so it may miss a push in flight, but the blocking receive
+    /// after it tests the queue itself. Run under `taskset -c 0` in CI.
+    #[test]
+    fn inbox_polls_and_blocking_receives_lose_no_push() {
+        const SENDS: u64 = 20_000;
+        let mut eps = Fabric::new_with::<u64>(2, BatchConfig::off()).into_iter();
+        let (a, b) = (eps.next().unwrap(), eps.next().unwrap());
+        let inbox = Arc::clone(&b.rx.0);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for i in 0..SENDS {
+                    a.net().send(1, i);
+                    if i.is_multiple_of(32) {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            let (mut next, mut empty) = (0, 0u64);
+            while next < SENDS {
+                let env = match b.try_recv() {
+                    TryRecv::Msg(env) => env,
+                    // Every fourth empty poll blocks instead.
+                    TryRecv::Empty => {
+                        empty += 1;
+                        if !empty.is_multiple_of(4) {
+                            continue;
+                        }
+                        b.recv().unwrap()
+                    }
+                };
+                assert_eq!(env.msg, next, "a push overtook another");
+                next += 1;
+            }
+        });
+        assert!(matches!(b.try_recv(), TryRecv::Empty));
+        assert!(!inbox.nonempty.load(Ordering::Relaxed), "a drained inbox reads empty");
+        inbox.push(WireBatch { src: 0, id: 0, msgs: WirePayload::One(7) }).unwrap();
+        assert!(inbox.nonempty.load(Ordering::Relaxed), "a push raises the flag");
+        assert!(matches!(b.try_recv(), TryRecv::Msg(Envelope { msg: 7, .. })));
     }
 
     /// A timed receive that expires lowers the flag, and a blocking

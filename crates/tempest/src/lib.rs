@@ -38,6 +38,7 @@ pub mod barrier;
 pub mod cost;
 pub mod fabric;
 pub mod faults;
+pub mod idmap;
 pub mod json;
 pub mod layout;
 pub mod mem;
@@ -58,6 +59,7 @@ pub use fabric::{
     TryRecv, Undeliverable, WireBatch, WirePayload,
 };
 pub use faults::{CrashPlan, FaultHook, FaultPlan, PartitionScope, PartitionSpec};
+pub use idmap::IdMap;
 pub use layout::{GlobalLayout, HomeMap, HomeView};
 pub use mem::{Fault, MemCheckpoint, MemError, NodeMem};
 pub use metrics::{LatencyHist, MetricsConfig, MetricsHub, PhaseRecord};
